@@ -92,9 +92,13 @@ def _scene_for_decode(doc: dict, seed: int):
 
 
 def run_scenario(scenario: str, doc: dict, seed: int, out: Path) -> None:
-    config = _decode_config(doc, seed)
+    """Write the scenario's outputs under `out`, then its manifest, so a run
+    that fails leaves no manifest behind."""
+    _write_outputs(scenario, doc, seed, out, _decode_config(doc, seed))
     write_manifest(out, scenario, seed, doc)
 
+
+def _write_outputs(scenario: str, doc: dict, seed: int, out: Path, config: DecodeConfig) -> None:
     if scenario == "decode":
         scene, default_eta = _scene_for_decode(doc, seed)
         detector = _detector(doc, default_eta)

@@ -5,16 +5,28 @@ The corrector runs per generated token: tagged tokens are re-grounded via the
 detector, re-decoded under n sampled FOVs, the most divergent FOV pairs are
 contrasted bi-directionally, and the resulting candidate tokens compete in a
 beam selection scored by text/image matching rather than log-probability.
+
+The correction step works on the (n, V) stack of per-window logits as a few
+array operations: one row-wise softmax, the JSD of every window pair from one
+batched call (shared by the trace matrix and pair selection), and the 2m
+expert/amateur contrast rows under a boolean plausibility mask, normalized by
+one masked softmax and read out by one row-wise argmax. Beam selection scores
+each distinct candidate sequence once, which requires the scorer to be a pure
+function of (sequence, scene).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .distributions import (
+# top_m_pairs is not called in this module. It stays importable from it
+# because the benchmark's span recorder (perfbench/probes.py) wraps it here.
+from .distributions import (  # noqa: F401
+    argmax_logit,
     argmax_token,
     contrast_distribution,
     jsd,
@@ -275,36 +287,45 @@ def halc_step(
     """One correction round for a tagged token already proposed by the base
     decoder: ground it, re-decode under n FOVs, contrast the top-m most
     divergent pairs bi-directionally and emit the 2m candidate tokens.
+
+    Pairs rank by JSD descending with ties in lexicographic pair order. Each
+    pair contrasts (larger window as expert, smaller as amateur), then the
+    reverse; the mask keeps tokens with p_e >= beta * max(p_e).
     """
     model = model or toy_model_logits
     v_d = detector(proposed, scene)
     fovs = _sample_fovs(scene, v_d, config, rng)
-    logit_rows = [model(scene, f, list(beam.tokens)) for f in fovs.samples]
-    dists = [softmax(row) for row in logit_rows]
+    rows = [model(scene, f, list(beam.tokens)) for f in fovs.samples]
+    probs = softmax(rows)
+    logits = np.asarray(rows, dtype=float)
 
-    n = len(dists)
+    n = len(logits)
+    first, second = np.array(list(combinations(range(n), 2))).T
+    divergence = jsd(probs[first], probs[second])
+    # Both halves of the trace matrix share one float object per pair:
+    # callers keep the traces of whole corpora in memory.
     matrix = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            matrix[i][j] = matrix[j][i] = jsd(dists[i], dists[j])
-    pairs = top_m_pairs(dists, config.m)
+    for i, j, value in zip(first.tolist(), second.tolist(), divergence.tolist()):
+        matrix[i][j] = matrix[j][i] = value
+    top = np.argsort(-divergence, kind="stable")[: config.m]
+    first, second = first[top], second[top]
 
-    candidates: list[tuple[str, np.ndarray]] = []
-    for i, j in pairs:
-        if fovs.samples[i].area >= fovs.samples[j].area:
-            larger, smaller = i, j
-        else:
-            larger, smaller = j, i
-        for expert, amateur in ((larger, smaller), (smaller, larger)):
-            dist = contrast_distribution(
-                logit_rows[expert], logit_rows[amateur], config.alpha, config.beta
-            )
-            candidates.append((scene.vocabulary[argmax_token(dist)], dist))
+    area = np.array([f.area for f in fovs.samples])
+    first_larger = area[first] >= area[second]
+    larger = np.where(first_larger, first, second)
+    smaller = np.where(first_larger, second, first)
+    # Each pair contributes (larger, smaller) then (smaller, larger).
+    ends = np.array([larger, smaller])
+    experts, amateurs = ends.T.ravel(), ends[::-1].T.ravel()
+    dists = contrast_distribution(logits[experts], logits[amateurs], config.alpha, config.beta)
+    candidates = tuple(
+        (scene.vocabulary[tok], dist) for tok, dist in zip(argmax_token(dists), dists)
+    )
     return HalcStepResult(
-        candidates=tuple(candidates),
+        candidates=candidates,
         fovs=fovs,
         jsd_matrix=matrix,
-        selected_pairs=pairs,
+        selected_pairs=[(int(i), int(j)) for i, j in zip(first, second)],
         detector_hit=v_d is not None,
         grounding=v_d,
     )
@@ -361,26 +382,20 @@ def select_beams(
 ) -> list[tuple[_Candidate, float]]:
     """Keep the k best-scoring pairwise-distinct sequences.
 
-    Scores come from the matching scorer on the full extended sequence; ties
-    resolve by earlier candidate order. Fewer than k distinct sequences
-    survive as-is.
+    The pool is first reduced to the first candidate of each distinct
+    (tokens, terminated) key, so the scorer, a pure function of the
+    sequence and scene, runs once per distinct sequence. Scores come from the
+    matching scorer on the full extended sequence; ties resolve by earlier
+    candidate order. Fewer than k distinct sequences survive as-is.
     """
     if not candidates:
         raise InvalidParameterError("candidate pool is empty")
-    scored = [(cand, scorer(cand.tokens, scene)) for cand in candidates]
-    order = sorted(range(len(scored)), key=lambda idx: (-scored[idx][1], idx))
-    seen: set[tuple] = set()
-    kept: list[tuple[_Candidate, float]] = []
-    for idx in order:
-        cand, score = scored[idx]
-        key = (cand.tokens, cand.terminated)
-        if key in seen:
-            continue
-        seen.add(key)
-        kept.append((cand, score))
-        if len(kept) == k:
-            break
-    return kept
+    distinct: dict[tuple, _Candidate] = {}
+    for cand in candidates:
+        distinct.setdefault((cand.tokens, cand.terminated), cand)
+    scored = [(cand, scorer(cand.tokens, scene)) for cand in distinct.values()]
+    scored.sort(key=lambda item: -item[1])  # stable: ties keep pool order
+    return scored[:k]
 
 
 # ---------------------------------------------------------------------------
@@ -417,9 +432,7 @@ def decode_halc(
                 continue
             logits = model(scene, full, list(beam.tokens))
             trace.model_calls += 1
-            proposal_dist = softmax(logits)
-            y = argmax_token(logits)
-            proposed = scene.vocabulary[y]
+            proposed = scene.vocabulary[argmax_logit(logits)]
             category = tag_token(lexicon, proposed)
             if category != "none":
                 trace.triggered += 1
@@ -471,7 +484,7 @@ def decode_halc(
                         triggered=False,
                         original=proposed,
                         detector_hit=False,
-                        prob=float(proposal_dist[y]),
+                        prob=None,
                         record=record,
                     )
                 )

@@ -1,13 +1,16 @@
 """Logit and probability algebra for contrastive decoding.
 
-Logits are plain float vectors indexed by token id; -inf marks a masked
-token. Probability vectors are nonnegative and sum to one. All operations
-are pure and vectorized with numpy.
+Logits are float vectors indexed by token id; -inf marks a masked token.
+Probability vectors are nonnegative and sum to one. Every operation works
+along the last axis, so one call handles a single vector or an (n, V) stack
+of them, and a vector broadcasts against the rows of a stack. Called on
+plain vectors, the divergences return floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -16,6 +19,7 @@ from .errors import InvalidInputError, InvalidParameterError
 __all__ = [
     "PlausibilityMask",
     "softmax",
+    "argmax_logit",
     "jsd",
     "total_variation",
     "contrast_logits",
@@ -37,36 +41,57 @@ class PlausibilityMask:
         return token_id in self.allowed
 
 
-def _as_logits(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise InvalidInputError("logits must be a nonempty 1-D vector")
-    if np.isnan(arr).any() or np.isposinf(arr).any():
+def _as_logits(values, ndims: tuple[int, ...] = (1, 2)) -> tuple[np.ndarray, np.ndarray]:
+    """The logits as a float array, and the maximum of each vector."""
+    try:
+        arr = np.asarray(values, dtype=float)
+    except ValueError as exc:
+        raise InvalidInputError("logits must be numeric vectors of one length") from exc
+    if arr.ndim not in ndims or arr.shape[-1] == 0:
+        raise InvalidInputError("logits must be a nonempty 1-D vector or (n, V) stack")
+    top = arr.max(axis=-1, keepdims=True)
+    if not (top < np.inf).all():  # the maximum propagates NaN
         raise InvalidInputError("logits must be finite or -inf")
-    return arr
+    return arr, top
+
+
+def _unmasked(top: np.ndarray) -> np.ndarray:
+    if (top == -np.inf).any():
+        raise InvalidInputError("softmax of an all-masked logit vector")
+    return top
 
 
 def softmax(logits) -> np.ndarray:
-    """Max-subtracted exponentiation and normalization; -inf maps to 0."""
-    arr = _as_logits(logits)
-    top = arr.max()
-    if np.isneginf(top):
-        raise InvalidInputError("softmax of an all-masked logit vector")
-    with np.errstate(invalid="ignore"):
-        shifted = np.where(np.isneginf(arr), -np.inf, arr - top)
-    expo = np.exp(shifted)
-    return expo / expo.sum()
+    """Max-subtracted exponentiation and normalization of each logit
+    vector; -inf maps to 0."""
+    arr, top = _as_logits(logits)
+    expo = np.exp(arr - _unmasked(top))
+    return expo / expo.sum(axis=-1, keepdims=True)
+
+
+def argmax_logit(logits) -> int:
+    """Lowest token id among the maximal logits of one vector, rejected on
+    exactly the inputs softmax rejects."""
+    arr, top = _as_logits(logits, ndims=(1,))
+    _unmasked(top)
+    return int(np.argmax(arr))
 
 
 def _check_pair(p, q) -> tuple[np.ndarray, np.ndarray]:
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
+    if p.ndim == 0 or p.shape[-1:] != q.shape[-1:]:
         raise InvalidInputError("distributions must share a vocabulary size")
+    if min(p.ndim, q.ndim) > 1 and p.shape != q.shape:
+        raise InvalidInputError("distribution stacks must share a shape")
     return p, q
 
 
-def jsd(p, q) -> float:
+def _scalar_or_rows(values: np.ndarray):
+    return float(values) if values.ndim == 0 else values
+
+
+def jsd(p, q):
     """Base-2 Jensen-Shannon divergence; symmetric, 0 iff p == q, at most 1.
 
     Zero-probability terms follow the 0 * log(0 / x) := 0 continuity
@@ -74,18 +99,20 @@ def jsd(p, q) -> float:
     """
     p, q = _check_pair(p, q)
     m = 0.5 * (p + q)
-    return 0.5 * _kl2(p, m) + 0.5 * _kl2(q, m)
+    return _scalar_or_rows(0.5 * _kl2(p, m) + 0.5 * _kl2(q, m))
 
 
-def _kl2(p: np.ndarray, m: np.ndarray) -> float:
-    mask = p > 0
-    return float(np.sum(p[mask] * np.log2(p[mask] / m[mask])))
+def _kl2(p: np.ndarray, m: np.ndarray) -> np.ndarray:
+    # m > 0 wherever p > 0; the masked-out terms may divide 0 by 0.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(p > 0, p * np.log2(p / m), 0.0)
+    return terms.sum(axis=-1)
 
 
-def total_variation(p, q) -> float:
-    """Half the L1 distance between two probability vectors."""
+def total_variation(p, q):
+    """Half the L1 distance between probability vectors."""
     p, q = _check_pair(p, q)
-    return float(0.5 * np.abs(p - q).sum())
+    return _scalar_or_rows(0.5 * np.abs(p - q).sum(axis=-1))
 
 
 def contrast_logits(f_expert, f_amateur, alpha: float) -> np.ndarray:
@@ -95,8 +122,8 @@ def contrast_logits(f_expert, f_amateur, alpha: float) -> np.ndarray:
     """
     if alpha < 0:
         raise InvalidParameterError("amplification factor must be nonnegative")
-    f_e = _as_logits(f_expert)
-    f_a = _as_logits(f_amateur)
+    f_e, _ = _as_logits(f_expert)
+    f_a, _ = _as_logits(f_amateur)
     if f_e.shape != f_a.shape:
         raise InvalidInputError("logit vectors must share a vocabulary size")
     masked = np.isneginf(f_e)
@@ -106,49 +133,51 @@ def contrast_logits(f_expert, f_amateur, alpha: float) -> np.ndarray:
     return out
 
 
-def plausibility_mask(p_expert, beta: float) -> PlausibilityMask:
-    """Adaptive plausibility set: tokens with p >= beta * max(p)."""
+def _plausible(p_expert, beta: float) -> np.ndarray:
+    """Boolean adaptive plausibility mask: p >= beta * max(p) in each vector."""
     if not 0 < beta < 1:
         raise InvalidParameterError("plausibility threshold must lie in (0, 1)")
     p = np.asarray(p_expert, dtype=float)
-    threshold = beta * p.max()
-    allowed = frozenset(int(i) for i in np.flatnonzero(p >= threshold))
+    return p >= beta * p.max(axis=-1, keepdims=True)
+
+
+def plausibility_mask(p_expert, beta: float) -> PlausibilityMask:
+    """Adaptive plausibility set of one expert vector, as token ids."""
+    allowed = frozenset(int(i) for i in np.flatnonzero(_plausible(p_expert, beta)))
     return PlausibilityMask(allowed=allowed, beta=beta)
 
 
 def contrast_distribution(f_expert, f_amateur, alpha: float, beta: float) -> np.ndarray:
-    """Masked contrastive distribution for one ordered FOV pair.
+    """Masked contrastive distribution for each ordered FOV pair, one per
+    row of the expert and amateur logits.
 
     The plausibility mask comes from the expert softmax; tokens outside it
     get exactly zero probability and the remainder renormalizes.
     """
-    f_e = _as_logits(f_expert)
-    mask = plausibility_mask(softmax(f_e), beta)
-    contrasted = contrast_logits(f_e, f_amateur, alpha)
-    keep = np.zeros(contrasted.shape, dtype=bool)
-    keep[list(mask.allowed)] = True
-    contrasted[~keep] = -np.inf
-    return softmax(contrasted)
+    keep = _plausible(softmax(f_expert), beta)
+    return softmax(np.where(keep, contrast_logits(f_expert, f_amateur, alpha), -np.inf))
 
 
 def top_m_pairs(dists, m: int) -> list[tuple[int, int]]:
     """Unordered index pairs ranked by JSD descending, lexicographic on ties.
 
     Returns the first min(m, n*(n-1)/2) pairs. Selection sees the full
-    (unmasked) distributions.
+    (unmasked) distributions; their JSDs come from one batched call.
     """
     if len(dists) < 2:
         raise InvalidInputError("need at least two distributions to pair")
     if m < 1:
         raise InvalidParameterError("pair buffer size must be at least 1")
-    scored = []
-    for i in range(len(dists)):
-        for j in range(i + 1, len(dists)):
-            scored.append((-jsd(dists[i], dists[j]), i, j))
-    scored.sort()
-    return [(i, j) for _, i, j in scored[:m]]
+    try:
+        probs = np.asarray(dists, dtype=float)
+    except ValueError as exc:
+        raise InvalidInputError("distributions must share a vocabulary size") from exc
+    first, second = np.array(list(combinations(range(len(probs)), 2))).T
+    order = np.argsort(-jsd(probs[first], probs[second]), kind="stable")[:m]
+    return [(int(first[k]), int(second[k])) for k in order]
 
 
-def argmax_token(p) -> int:
-    """Lowest token id among the maximal probabilities."""
-    return int(np.argmax(np.asarray(p, dtype=float)))
+def argmax_token(p):
+    """Lowest token id among the maximal probabilities of each vector."""
+    top = np.argmax(np.asarray(p, dtype=float), axis=-1)
+    return int(top) if top.ndim == 0 else top

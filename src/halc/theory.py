@@ -185,17 +185,13 @@ class SceneFovAdapter:
         return np.stack(rows, axis=0)
 
 
-def _divergence_batch(d_star: np.ndarray, d_points: np.ndarray, divergence: str) -> np.ndarray:
-    p = d_star[None, :] if d_star.ndim == 1 else d_star
-    q = d_points
+def _divergence_batch(d_star: np.ndarray, d_points: np.ndarray, divergence: str):
+    """TV or JSD between `d_star` and each row of `d_points`; a 1-D `d_star`
+    broadcasts against the rows without being copied."""
     if divergence == "tv":
-        return 0.5 * np.abs(p - q).sum(axis=-1)
+        return total_variation(d_star, d_points)
     if divergence == "jsd":
-        m = 0.5 * (p + q)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            term_p = np.where(p > 0, p * np.log2(np.where(p > 0, p / m, 1.0)), 0.0)
-            term_q = np.where(q > 0, q * np.log2(np.where(q > 0, q / m, 1.0)), 0.0)
-        return 0.5 * term_p.sum(axis=-1) + 0.5 * term_q.sum(axis=-1)
+        return jsd(d_star, d_points)
     raise InvalidParameterError("divergence must be 'tv' or 'jsd'")
 
 
@@ -204,11 +200,7 @@ def deviation_g(v_star_fov: Fov, v_fov: Fov, scene: Scene, divergence: str = "tv
     under bare visual conditioning."""
     p = softmax(toy_model_logits(scene, v_star_fov, None))
     q = softmax(toy_model_logits(scene, v_fov, None))
-    if divergence == "tv":
-        return total_variation(p, q)
-    if divergence == "jsd":
-        return jsd(p, q)
-    raise InvalidParameterError("divergence must be 'tv' or 'jsd'")
+    return _divergence_batch(p, q, divergence)
 
 
 # ---------------------------------------------------------------------------

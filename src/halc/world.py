@@ -455,6 +455,13 @@ class DetectorSim:
 # ---------------------------------------------------------------------------
 
 Scorer = Callable[[Sequence[str], Scene], float]
+"""Text/image matching score of a token sequence against a scene.
+
+A scorer must be a pure function of (sequence, scene): the same arguments
+always give the same score. Beam selection relies on this to score each
+distinct candidate sequence once. Every scorer below, including the seeded
+noisy and random ones, keys its output on the sequence and scene alone.
+"""
 
 
 def oracle_match_score(

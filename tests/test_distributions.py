@@ -130,6 +130,10 @@ def test_mask_threshold_example():
     assert mask.allowed == frozenset({0})
 
 
+def test_mask_keeps_tokens_exactly_at_the_threshold():
+    assert plausibility_mask([0.5, 0.25, 0.125], 0.5).allowed == frozenset({0, 1})
+
+
 def test_mask_beta_to_zero_keeps_positive_mass():
     mask = plausibility_mask([0.9, 0.1, 0.0], 1e-12)
     assert 0 in mask.allowed and 1 in mask.allowed

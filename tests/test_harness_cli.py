@@ -303,7 +303,9 @@ def test_cli_bad_config_json(tmp_path, capsys):
 def test_cli_missing_corpus_file(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"seed": 1, "corpus": {"path": str(tmp_path / "gone.json")}}))
-    assert main(["compare", "--config", str(cfg)]) == 3
+    out = tmp_path / "out"
+    assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 3
+    assert not (out / "manifest.json").exists()
 
 
 def test_cli_decode_demo(tmp_path, capsys):
