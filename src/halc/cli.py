@@ -67,7 +67,10 @@ def _load_config(path: str | None) -> dict:
 
 
 def _decode_config(doc: dict, seed: int) -> DecodeConfig:
-    params = dict(doc.get("decode", {}))
+    params = doc.get("decode", {})
+    if not isinstance(params, dict):
+        raise ConfigError("decode section must be a JSON object")
+    params = dict(params)
     params.setdefault("seed", seed)
     try:
         return DecodeConfig(**params)
@@ -76,8 +79,14 @@ def _decode_config(doc: dict, seed: int) -> DecodeConfig:
 
 
 def _detector(doc: dict, default_eta) -> DetectorSim:
-    eta = tuple(doc.get("detector_eta", default_eta))
-    return DetectorSim(eta, doc.get("detector_confidence", 0.3))
+    eta = doc.get("detector_eta", default_eta)
+    if not (
+        isinstance(eta, (list, tuple))
+        and len(eta) == 4
+        and all(isinstance(v, (int, float)) for v in eta)
+    ):
+        raise ConfigError(f"detector_eta must be a list of 4 numbers, got {eta!r}")
+    return DetectorSim(tuple(eta), doc.get("detector_confidence", 0.3))
 
 
 def _scene_for_decode(doc: dict, seed: int):
@@ -228,7 +237,11 @@ def main(argv: list[str] | None = None) -> int:
         seed = args.seed if args.seed is not None else doc.get("seed")
         if seed is None:
             raise ConfigError("a seed is required (config 'seed' or --seed)")
-        run_scenario(args.scenario, doc, int(seed), Path(args.out))
+        try:
+            seed = int(seed)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"seed must be an integer, got {seed!r}") from exc
+        run_scenario(args.scenario, doc, seed, Path(args.out))
     except (ConfigError, InvalidParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -7,31 +7,36 @@ contrasted bi-directionally, and the resulting candidate tokens compete in a
 beam selection scored by text/image matching rather than log-probability.
 
 The correction step works on the (n, V) stack of per-window logits as a few
-array operations: one row-wise softmax, the JSD of every window pair from one
-batched call (shared by the trace matrix and pair selection), and the 2m
-expert/amateur contrast rows under a boolean plausibility mask, normalized by
-one masked softmax and read out by one row-wise argmax. Beam selection scores
-each distinct candidate sequence once, which requires the scorer to be a pure
-function of (sequence, scene).
+array operations: one checked row-wise softmax, the JSD of every window pair
+from one batched call (shared by the trace matrix and pair selection), and
+the 2m expert/amateur contrast rows under the plausibility masks of their
+expert windows, normalized by one masked softmax and read out by one row-wise
+argmax. Each beam's step adds one candidate per distinct token, and beam
+selection scores each distinct candidate sequence once, which requires the
+scorer to be a pure function of (sequence, scene).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-# top_m_pairs is not called in this module. It stays importable from it
-# because the benchmark's span recorder (perfbench/probes.py) wraps it here.
+# contrast_distribution and top_m_pairs are not called in this module. They
+# stay importable from it because the benchmark's span recorder
+# (perfbench/probes.py) wraps them here.
 from .distributions import (  # noqa: F401
     argmax_logit,
     argmax_token,
     contrast_distribution,
+    contrast_rows,
     jsd,
     softmax,
     top_m_pairs,
+    window_softmax,
 )
 from .errors import InvalidParameterError
 from .geometry import (
@@ -275,6 +280,16 @@ def _sample_fovs(
     raise InvalidParameterError(f"unknown sampling mode {mode!r}")
 
 
+@functools.cache
+def _pair_index(n: int) -> tuple[tuple[tuple[int, int], ...], np.ndarray, np.ndarray]:
+    """The i < j window pairs in lexicographic order, as tuples and as the
+    two read-only index arrays of their first and second windows."""
+    pairs = tuple(combinations(range(n), 2))
+    first, second = np.array(pairs).T
+    first.flags.writeable = second.flags.writeable = False
+    return pairs, first, second
+
+
 def halc_step(
     model: Optional[Model],
     detector: Detector,
@@ -295,37 +310,34 @@ def halc_step(
     model = model or toy_model_logits
     v_d = detector(proposed, scene)
     fovs = _sample_fovs(scene, v_d, config, rng)
-    rows = [model(scene, f, list(beam.tokens)) for f in fovs.samples]
-    probs = softmax(rows)
-    logits = np.asarray(rows, dtype=float)
+    logits, probs = window_softmax([model(scene, f, beam.tokens) for f in fovs.samples])
 
     n = len(logits)
-    first, second = np.array(list(combinations(range(n), 2))).T
-    divergence = jsd(probs[first], probs[second])
+    pairs, first, second = _pair_index(n)
+    divergence = jsd(probs[first], probs[second]).tolist()
     # Both halves of the trace matrix share one float object per pair:
     # callers keep the traces of whole corpora in memory.
     matrix = [[0.0] * n for _ in range(n)]
-    for i, j, value in zip(first.tolist(), second.tolist(), divergence.tolist()):
+    for (i, j), value in zip(pairs, divergence):
         matrix[i][j] = matrix[j][i] = value
-    top = np.argsort(-divergence, kind="stable")[: config.m]
-    first, second = first[top], second[top]
+    # sorted is stable, so equal divergences keep lexicographic pair order.
+    ranked = sorted(range(len(pairs)), key=lambda k: -divergence[k])
+    selected = [pairs[k] for k in ranked[: config.m]]
 
-    area = np.array([f.area for f in fovs.samples])
-    first_larger = area[first] >= area[second]
-    larger = np.where(first_larger, first, second)
-    smaller = np.where(first_larger, second, first)
-    # Each pair contributes (larger, smaller) then (smaller, larger).
-    ends = np.array([larger, smaller])
-    experts, amateurs = ends.T.ravel(), ends[::-1].T.ravel()
-    dists = contrast_distribution(logits[experts], logits[amateurs], config.alpha, config.beta)
-    candidates = tuple(
-        (scene.vocabulary[tok], dist) for tok, dist in zip(argmax_token(dists), dists)
-    )
+    area = [f.area for f in fovs.samples]
+    experts: list[int] = []
+    amateurs: list[int] = []
+    for i, j in selected:
+        larger, smaller = (i, j) if area[i] >= area[j] else (j, i)
+        experts += (larger, smaller)
+        amateurs += (smaller, larger)
+    dists = contrast_rows(logits, probs, experts, amateurs, config.alpha, config.beta)
+    tokens = map(scene.vocabulary.__getitem__, np.argmax(dists, axis=-1).tolist())
     return HalcStepResult(
-        candidates=candidates,
+        candidates=tuple(zip(tokens, dists)),
         fovs=fovs,
         jsd_matrix=matrix,
-        selected_pairs=[(int(i), int(j)) for i, j in zip(first, second)],
+        selected_pairs=selected,
         detector_hit=v_d is not None,
         grounding=v_d,
     )
@@ -430,7 +442,7 @@ def decode_halc(
                     _Candidate(beam.tokens, None, True, False, None, False, None, None)
                 )
                 continue
-            logits = model(scene, full, list(beam.tokens))
+            logits = model(scene, full, beam.tokens)
             trace.model_calls += 1
             proposed = scene.vocabulary[argmax_logit(logits)]
             category = tag_token(lexicon, proposed)
@@ -451,7 +463,13 @@ def decode_halc(
                     candidate_tokens=[tok for tok, _ in result.candidates],
                 )
                 trace.steps.append(record)
+                # select_beams keeps the first candidate of each sequence, and
+                # a repeated token here repeats this beam's sequence.
+                seen: set[str] = set()
                 for tok, dist in result.candidates:
+                    if tok in seen:
+                        continue
+                    seen.add(tok)
                     extended = beam.tokens if tok == END_TOKEN else beam.tokens + (tok,)
                     pool.append(
                         _Candidate(

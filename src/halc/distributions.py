@@ -25,6 +25,8 @@ __all__ = [
     "contrast_logits",
     "plausibility_mask",
     "contrast_distribution",
+    "window_softmax",
+    "contrast_rows",
     "top_m_pairs",
     "argmax_token",
 ]
@@ -41,40 +43,69 @@ class PlausibilityMask:
         return token_id in self.allowed
 
 
-def _as_logits(values, ndims: tuple[int, ...] = (1, 2)) -> tuple[np.ndarray, np.ndarray]:
-    """The logits as a float array, and the maximum of each vector."""
+def _as_array(values, ndims: tuple[int, ...] = (1, 2)) -> np.ndarray:
+    """The logits as a float array of an allowed rank with nonempty vectors."""
     try:
         arr = np.asarray(values, dtype=float)
     except ValueError as exc:
         raise InvalidInputError("logits must be numeric vectors of one length") from exc
     if arr.ndim not in ndims or arr.shape[-1] == 0:
         raise InvalidInputError("logits must be a nonempty 1-D vector or (n, V) stack")
+    return arr
+
+
+def _as_logits(values) -> tuple[np.ndarray, np.ndarray]:
+    """The logits as a float array, and the maximum of each vector."""
+    arr = _as_array(values)
     top = arr.max(axis=-1, keepdims=True)
     if not (top < np.inf).all():  # the maximum propagates NaN
         raise InvalidInputError("logits must be finite or -inf")
     return arr, top
 
 
-def _unmasked(top: np.ndarray) -> np.ndarray:
-    if (top == -np.inf).any():
+def _softmax(arr: np.ndarray) -> np.ndarray:
+    """Max-subtracted softmax of each vector of a float array, rejecting
+    NaN and +inf logits and vectors with every logit masked."""
+    top = arr.max(axis=-1, keepdims=True)
+    if not np.isfinite(top).all():
+        if not (top < np.inf).all():  # the maximum propagates NaN
+            raise InvalidInputError("logits must be finite or -inf")
         raise InvalidInputError("softmax of an all-masked logit vector")
-    return top
+    out = arr - top
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
 def softmax(logits) -> np.ndarray:
     """Max-subtracted exponentiation and normalization of each logit
     vector; -inf maps to 0."""
-    arr, top = _as_logits(logits)
-    expo = np.exp(arr - _unmasked(top))
-    return expo / expo.sum(axis=-1, keepdims=True)
+    return _softmax(_as_array(logits))
+
+
+def window_softmax(rows) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, V) float stack of n logit vectors and its row-wise softmax.
+
+    The stack is checked once, with the checks and messages of softmax, and
+    both arrays can then go to contrast_rows without being checked again.
+    """
+    logits = _as_array(rows, ndims=(2,))
+    return logits, _softmax(logits)
 
 
 def argmax_logit(logits) -> int:
     """Lowest token id among the maximal logits of one vector, rejected on
     exactly the inputs softmax rejects."""
-    arr, top = _as_logits(logits, ndims=(1,))
-    _unmasked(top)
-    return int(np.argmax(arr))
+    arr = _as_array(logits, ndims=(1,))
+    # argmax returns the first NaN when there is one, so one look at the
+    # winning entry rejects NaN, +inf and an all-masked vector.
+    best = int(np.argmax(arr))
+    top = arr[best]
+    if not top < np.inf:
+        raise InvalidInputError("logits must be finite or -inf")
+    if top == -np.inf:
+        raise InvalidInputError("softmax of an all-masked logit vector")
+    return best
 
 
 def _check_pair(p, q) -> tuple[np.ndarray, np.ndarray]:
@@ -99,14 +130,13 @@ def jsd(p, q):
     """
     p, q = _check_pair(p, q)
     m = 0.5 * (p + q)
-    return _scalar_or_rows(0.5 * _kl2(p, m) + 0.5 * _kl2(q, m))
+    # m > 0 wherever p > 0 or q > 0; the masked-out terms may divide 0 by 0.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _scalar_or_rows(0.5 * _kl2(p, m) + 0.5 * _kl2(q, m))
 
 
 def _kl2(p: np.ndarray, m: np.ndarray) -> np.ndarray:
-    # m > 0 wherever p > 0; the masked-out terms may divide 0 by 0.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0, p * np.log2(p / m), 0.0)
-    return terms.sum(axis=-1)
+    return np.where(p > 0, p * np.log2(p / m), 0.0).sum(axis=-1)
 
 
 def total_variation(p, q):
@@ -147,6 +177,18 @@ def plausibility_mask(p_expert, beta: float) -> PlausibilityMask:
     return PlausibilityMask(allowed=allowed, beta=beta)
 
 
+def _masked_contrast(f_e: np.ndarray, f_a: np.ndarray, keep: np.ndarray, alpha: float) -> np.ndarray:
+    """Softmax of the contrast logits on the kept tokens; the rest get 0.
+
+    The caller has checked f_e and f_a, and keep excludes every token masked
+    in f_e. The contrast is checked here: an amateur -inf under a kept token
+    makes it +inf or NaN.
+    """
+    with np.errstate(invalid="ignore"):
+        contrasted = np.where(keep, (1.0 + alpha) * f_e - alpha * f_a, -np.inf)
+    return _softmax(contrasted)
+
+
 def contrast_distribution(f_expert, f_amateur, alpha: float, beta: float) -> np.ndarray:
     """Masked contrastive distribution for each ordered FOV pair, one per
     row of the expert and amateur logits.
@@ -154,8 +196,29 @@ def contrast_distribution(f_expert, f_amateur, alpha: float, beta: float) -> np.
     The plausibility mask comes from the expert softmax; tokens outside it
     get exactly zero probability and the remainder renormalizes.
     """
-    keep = _plausible(softmax(f_expert), beta)
-    return softmax(np.where(keep, contrast_logits(f_expert, f_amateur, alpha), -np.inf))
+    f_e = _as_array(f_expert)
+    keep = _plausible(_softmax(f_e), beta) & (f_e > -np.inf)
+    if alpha < 0:
+        raise InvalidParameterError("amplification factor must be nonnegative")
+    f_a, _ = _as_logits(f_amateur)
+    if f_e.shape != f_a.shape:
+        raise InvalidInputError("logit vectors must share a vocabulary size")
+    return _masked_contrast(f_e, f_a, keep, alpha)
+
+
+def contrast_rows(logits, probs, experts, amateurs, alpha: float, beta: float) -> np.ndarray:
+    """contrast_distribution of the rows `experts` of a window stack against
+    its rows `amateurs`, for a stack and its softmax from window_softmax.
+
+    The plausibility mask of each window is built once from its row of
+    probs, then indexed by expert.
+    """
+    if alpha < 0:
+        raise InvalidParameterError("amplification factor must be nonnegative")
+    keep = _plausible(probs, beta) & (logits > -np.inf)
+    ends = np.array((experts, amateurs))
+    f_e, f_a = logits[ends]
+    return _masked_contrast(f_e, f_a, keep[ends[0]], alpha)
 
 
 def top_m_pairs(dists, m: int) -> list[tuple[int, int]]:

@@ -103,10 +103,14 @@ def expand_fov(base: Fov, lam: float, r: float) -> Fov:
 
 def clamp_to_image(fov: Fov, image: ImageSpec) -> Fov:
     """Fit a window inside the image: translate first, shrink only if oversized."""
-    w = min(fov.width, image.width)
-    h = min(fov.height, image.height)
-    cx = min(max(fov.center_x, w / 2.0), image.width - w / 2.0)
-    cy = min(max(fov.center_y, h / 2.0), image.height - h / 2.0)
+    return _clamped(fov.width, fov.height, fov.center_x, fov.center_y, image)
+
+
+def _clamped(width: float, height: float, cx: float, cy: float, image: ImageSpec) -> Fov:
+    w = min(width, image.width)
+    h = min(height, image.height)
+    cx = min(max(cx, w / 2.0), image.width - w / 2.0)
+    cy = min(max(cy, h / 2.0), image.height - h / 2.0)
     return Fov(w, h, cx, cy)
 
 
@@ -130,9 +134,18 @@ def sample_fovs_exponential(
     """
     if n < 2:
         raise InvalidParameterError("need n >= 2 samples to form divergence pairs")
+    if lam <= -1:
+        raise InvalidParameterError("growth factor must satisfy lambda > -1")
     exponents = tuple(range(offset, offset + n))
-    samples = tuple(clamp_to_image(expand_fov(base, lam, r), image) for r in exponents)
-    return FovSampleSet(samples=samples, exponents_or_draws=exponents)
+    samples = []
+    for r in exponents:
+        # expand_fov then clamp_to_image, without building the unclamped
+        # window: clamping keeps a non-positive size, which Fov rejects.
+        scale = (1.0 + lam) ** r
+        samples.append(
+            _clamped(base.width * scale, base.height * scale, base.center_x, base.center_y, image)
+        )
+    return FovSampleSet(samples=tuple(samples), exponents_or_draws=exponents)
 
 
 def sample_fovs_normal(
@@ -175,13 +188,12 @@ def sample_fovs_random(
     """
     if n < 2:
         raise InvalidParameterError("need n >= 2 samples to form divergence pairs")
-    samples = []
-    draws = []
-    for _ in range(n):
-        w = rng.uniform(0.05, 1.0) * image.width
-        h = rng.uniform(0.05, 1.0) * image.height
-        cx = rng.uniform(w / 2.0, image.width - w / 2.0)
-        cy = rng.uniform(h / 2.0, image.height - h / 2.0)
-        draws.append((w, h, cx, cy))
-        samples.append(Fov(w, h, cx, cy))
-    return FovSampleSet(samples=tuple(samples), exponents_or_draws=tuple(draws))
+    # rng.uniform(low, high) is low + (high - low) * rng.random(), so one
+    # block of n rows of 4 doubles gives the per-draw values bit for bit.
+    u = rng.random((n, 4))
+    w = (0.05 + (1.0 - 0.05) * u[:, 0]) * image.width
+    h = (0.05 + (1.0 - 0.05) * u[:, 1]) * image.height
+    cx = w / 2.0 + ((image.width - w / 2.0) - w / 2.0) * u[:, 2]
+    cy = h / 2.0 + ((image.height - h / 2.0) - h / 2.0) * u[:, 3]
+    draws = tuple(zip(w.tolist(), h.tolist(), cx.tolist(), cy.tolist()))
+    return FovSampleSet(samples=tuple(Fov(*d) for d in draws), exponents_or_draws=draws)

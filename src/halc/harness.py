@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
@@ -27,7 +28,7 @@ from .decoding import (
     decode_halc,
 )
 from .distributions import argmax_token, softmax
-from .errors import InvalidInputError, InvalidParameterError
+from .errors import ConfigError, InvalidInputError, InvalidParameterError
 from .geometry import Fov, clamp_to_image, expand_fov
 from .metrics import (
     CaptionRecord,
@@ -607,16 +608,26 @@ def write_json(path: Path, payload) -> None:
 
 
 def write_manifest(out_dir: Path, scenario: str, seed: int, config_echo: Mapping) -> None:
-    write_json(
-        out_dir / "manifest.json",
-        {
-            "scenario": scenario,
-            "seed": seed,
-            "config": dict(config_echo),
-            "package_version": __version__,
-            "format_version": 1,
-        },
-    )
+    """Write out_dir/manifest.json atomically: the document goes to a
+    temporary file in out_dir, which is renamed over the manifest only once
+    it is complete, so a failed write leaves no partial manifest and no
+    temporary file."""
+    tmp = out_dir / "manifest.json.tmp"
+    try:
+        write_json(
+            tmp,
+            {
+                "scenario": scenario,
+                "seed": seed,
+                "config": dict(config_echo),
+                "package_version": __version__,
+                "format_version": 1,
+            },
+        )
+        os.replace(tmp, out_dir / "manifest.json")
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_csv(path: Path) -> list[dict]:
@@ -637,9 +648,12 @@ def corpus_from_spec(spec, seed: int) -> list[Scene]:
             return load_corpus(spec["path"])
         params = dict(spec)
         count = params.pop("count", params.pop("scene_count", 100))
-        if "trap_clauses" in params:
-            params["trap_clauses"] = tuple(params["trap_clauses"])
-        cs = CorpusSpec(scene_count=count, **params)
+        try:
+            if "trap_clauses" in params:
+                params["trap_clauses"] = tuple(params["trap_clauses"])
+            cs = CorpusSpec(scene_count=count, **params)
+        except TypeError as exc:
+            raise ConfigError(f"bad corpus spec: {exc}") from exc
         return generate_corpus(seed, cs.scene_count, cs)
     if spec is None:
         cs = CorpusSpec()

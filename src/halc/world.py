@@ -226,49 +226,56 @@ class Scene:
         for obj in self.objects:
             if obj.name not in index:
                 raise InvalidParameterError(f"object {obj.name!r} missing from vocabulary")
-        gt = {o.name for o in self.objects if o.is_ground_truth}
+        by_name = {o.name: o for o in self.objects}  # the last object of a name wins
+        gt = frozenset(o.name for o in self.objects if o.is_ground_truth)
         for tok in self.reference_caption:
-            if tok in self._object_map() and tok not in gt:
+            if tok in by_name and tok not in gt:
                 raise InvalidParameterError("reference caption uses a non-ground-truth object")
+        levels, varying = self._levels_and_profiles(index, by_name)
         object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_levels", self._static_levels(index))
+        object.__setattr__(self, "_by_name", by_name)
+        object.__setattr__(self, "_ground_truth", gt)
+        object.__setattr__(self, "_levels", levels)
+        object.__setattr__(self, "_varying", varying)
         object.__setattr__(self, "_slot_cache", {})
         object.__setattr__(self, "_cooc_cache", {})
         object.__setattr__(self, "_lexicon", self._build_lexicon())
 
     def _assemble_vocabulary(self) -> tuple[str, ...]:
-        words: list[str] = [END_TOKEN, IDK_TOKEN, "a", "the", ".", "on"]
-        for v in self.verbs:
-            if v not in words:
-                words.append(v)
-        for obj in self.objects:
-            if obj.name not in words:
-                words.append(obj.name)
-        for f in self.fillers:
-            if f not in words:
-                words.append(f)
-        return tuple(words)
+        words = (END_TOKEN, IDK_TOKEN, "a", "the", ".", "on", *self.verbs,
+                 *(obj.name for obj in self.objects), *self.fillers)
+        return tuple(dict.fromkeys(words))
 
-    def _object_map(self) -> dict[str, SceneObject]:
-        return {o.name: o for o in self.objects}
+    def _levels_and_profiles(
+        self, index: Mapping[str, int], by_name: Mapping[str, SceneObject]
+    ) -> tuple[np.ndarray, tuple[tuple[int, TokenProfile], ...]]:
+        """Logits that no window changes, and the (token id, profile) pairs
+        of the object tokens whose logit depends on the window.
 
-    def _static_levels(self, index: Mapping[str, int]) -> np.ndarray:
-        object_names = {o.name for o in self.objects}
+        StableHigh object levels are constants, so they are written here once
+        rather than on every model call.
+        """
         levels = np.empty(len(self.vocabulary), dtype=float)
         for tok, i in index.items():
             if tok == END_TOKEN:
                 levels[i] = END_LEVEL
             elif tok == IDK_TOKEN:
                 levels[i] = IDK_LEVEL
-            elif tok in object_names:
-                levels[i] = 0.0  # overwritten per FOV
+            elif tok in by_name:
+                levels[i] = 0.0  # set below or per window
             elif tok in self.verbs:
                 levels[i] = VERB_LEVEL
             elif tok in _ARTICLES or tok in _PREPOSITIONS or tok == ".":
                 levels[i] = FUNCTION_LEVEL
             else:
                 levels[i] = FILLER_LEVEL
-        return levels
+        varying = []
+        for name, obj in by_name.items():
+            if isinstance(obj.profile, StableHigh):
+                levels[index[name]] = obj.profile.level
+            else:
+                varying.append((index[name], obj.profile))
+        return levels, tuple(varying)
 
     # -- token bookkeeping ---------------------------------------------------
 
@@ -284,7 +291,7 @@ class Scene:
 
     @property
     def ground_truth_names(self) -> frozenset[str]:
-        return frozenset(o.name for o in self.objects if o.is_ground_truth)
+        return self._ground_truth
 
     @property
     def lexicon(self) -> dict[str, str]:
@@ -293,9 +300,8 @@ class Scene:
 
     def _build_lexicon(self) -> dict[str, str]:
         lex: dict[str, str] = {}
-        object_names = {o.name for o in self.objects}
         for tok in self.vocabulary:
-            if tok in object_names:
+            if tok in self._by_name:
                 lex[tok] = "noun"
             elif tok in self.verbs:
                 lex[tok] = "verb"
@@ -306,7 +312,7 @@ class Scene:
         return lex
 
     def find_object(self, name: str) -> Optional[SceneObject]:
-        return self._object_map().get(name)
+        return self._by_name.get(name)
 
     # -- grammar -------------------------------------------------------------
 
@@ -378,8 +384,8 @@ def toy_model_logits(
     co-occurrence bonus of the last prefix token are added.
     """
     logits = scene._levels.copy()
-    for obj in scene.objects:
-        logits[scene._index[obj.name]] = profile_value(obj.profile, fov, scene.image)
+    for i, profile in scene._varying:
+        logits[i] = profile_value(profile, fov, scene.image)
     if prefix is None:
         return logits
     for tok in prefix:

@@ -18,6 +18,7 @@ from halc.harness import (
     run_theorem_verify,
     verify_cost_accounting,
     write_csv,
+    write_manifest,
 )
 from halc.world import (
     CORPUS_DETECTOR_ETA,
@@ -298,6 +299,33 @@ def test_cli_bad_config_json(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
     assert main(["compare", "--config", str(bad), "--seed", "1"]) == 2
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {"detector_eta": [1, 2]},
+        {"decode": [1, 2]},
+        {"corpus": {"bogus": 1}},
+        {"seed": "abc"},
+    ],
+    ids=["short-detector-eta", "decode-not-object", "unknown-corpus-key", "non-integer-seed"],
+)
+def test_cli_malformed_config_exits_2_with_one_line(tmp_path, capsys, extra):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"seed": 1, **extra}))
+    out = tmp_path / "out"
+    assert main(["decode", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert err.count("\n") == 1
+    assert not (out / "manifest.json").exists()
+
+
+def test_failed_manifest_write_leaves_no_files(tmp_path):
+    with pytest.raises(TypeError):
+        write_manifest(tmp_path, "decode", 1, {"unserializable": object()})
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_missing_corpus_file(tmp_path, capsys):
