@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from itertools import combinations
+from numbers import Integral, Real
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -89,6 +90,14 @@ class DecodeConfig:
     exponent_offset: int = -1
 
     def __post_init__(self) -> None:
+        for name in ("n", "m", "k", "max_tokens", "seed", "exponent_offset"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+        for name in ("lam", "alpha", "beta", "sigma", "idk_confidence"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise InvalidParameterError(f"{name} must be a number, got {value!r}")
         if self.n < 2:
             raise InvalidParameterError("need n >= 2 FOV samples")
         if not 1 <= self.m <= self.n * (self.n - 1) // 2:

@@ -12,7 +12,9 @@ import csv
 import dataclasses
 import json
 import os
+import sys
 from dataclasses import dataclass
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -375,53 +377,153 @@ def run_oracle_study(
 # ---------------------------------------------------------------------------
 
 
-def run_theorem_verify(options: Optional[Mapping] = None, seed: int = 0) -> list[dict]:
-    """Bound reports over a grid of sampler configurations."""
-    from .theory import GaussianBumpModel, TheoremConfig, min_deviation_mc
+_THEOREM_KEYS = frozenset({
+    "v_star", "amp", "n_values", "trials", "divergence", "samplers", "etas", "sigmas",
+    "epsilons", "eta_scale", "exp_epsilon", "lam", "r_min", "r_max",
+})
 
-    options = dict(options or {})
-    v_star = tuple(options.get("v_star", (4.0, 4.0, 0.0)))
-    model = GaussianBumpModel(center=v_star, amp=float(options.get("amp", 1.0)))
-    n_values = options.get("n_values", [2, 4, 8])
-    trials = int(options.get("trials", 10_000))
+
+def _theorem_number(name: str, value):
+    if isinstance(value, bool) or not isinstance(value, Real) or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"theorem {name} must be a finite number, got {value!r}")
+    return value
+
+
+def _theorem_integer(name: str, value):
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ConfigError(f"theorem {name} must be an integer, got {value!r}")
+    return value
+
+
+def _theorem_vector(name: str, value) -> tuple:
+    if not (isinstance(value, (list, tuple)) and len(value) == 3):
+        raise ConfigError(f"theorem {name} must be a list of 3 numbers, got {value!r}")
+    return tuple(_theorem_number(name, v) for v in value)
+
+
+def _theorem_list(name: str, value, item) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"theorem {name} must be a list, got {value!r}")
+    return [item(name, v) for v in value]
+
+
+def _theorem_sampler(name: str, value) -> str:
+    if value not in ("normal", "exponential"):
+        raise ConfigError(f"theorem {name} must be 'normal' or 'exponential', got {value!r}")
+    return value
+
+
+def _theorem_grid(options: Optional[Mapping], seed: int):
+    """The bump model and the (sampler, TheoremConfig) rows of a theorem
+    section, in output order, checked before any trial is drawn.
+
+    Unknown keys, wrong types and an empty grid raise ConfigError; values
+    outside a TheoremConfig's ranges raise InvalidParameterError.
+    """
+    from .theory import GaussianBumpModel, TheoremConfig
+
+    if options is None:
+        options = {}
+    if not isinstance(options, Mapping):
+        raise ConfigError(f"theorem section must be a JSON object, got {options!r}")
+    unknown = sorted(set(options) - _THEOREM_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown theorem keys {unknown}")
+
+    def number(key, default):
+        return _theorem_number(key, options.get(key, default))
+
+    v_star = _theorem_vector("v_star", options.get("v_star", (4.0, 4.0, 0.0)))
+    model = GaussianBumpModel(center=v_star, amp=float(number("amp", 1.0)))
+    n_values = _theorem_list("n_values", options.get("n_values", [2, 4, 8]), _theorem_integer)
+    trials = int(_theorem_integer("trials", options.get("trials", 10_000)))
     divergence = options.get("divergence", "tv")
-    rows = []
-    for sampler in options.get("samplers", ["normal", "exponential"]):
+    samplers = _theorem_list("samplers", options.get("samplers", ["normal", "exponential"]), _theorem_sampler)
+    etas = _theorem_list("etas", options.get("etas", [(0.0, 0.0, 0.0), (0.8, 0.6, 0.0)]), _theorem_vector)
+    sigmas = _theorem_list("sigmas", options.get("sigmas", [0.5, 1.0]), _theorem_number)
+    epsilons = _theorem_list("epsilons", options.get("epsilons", [0.5, 1.0]), _theorem_number)
+    ratio = float(number("eta_scale", 0.5))
+    exp_epsilon = float(number("exp_epsilon", 1.0))
+    lam = float(number("lam", 0.6))
+    r_min = float(number("r_min", -5.0))
+    r_max = float(number("r_max", 5.0))
+
+    grid = []
+    for sampler in samplers:
         if sampler == "normal":
-            etas = [tuple(e) for e in options.get("etas", [(0.0, 0.0, 0.0), (0.8, 0.6, 0.0)])]
-            sigmas = options.get("sigmas", [0.5, 1.0])
-            epsilons = options.get("epsilons", [0.5, 1.0])
             combos = [
                 (eps, eta, sigma) for eps in epsilons for eta in etas for sigma in sigmas
             ]
         else:
             # Exponential sampling must keep the detection aspect ratio equal
             # to the optimum's and the center offset inside epsilon.
-            ratio = float(options.get("eta_scale", 0.5))
-            combos = [(float(options.get("exp_epsilon", 1.0)), (ratio * v_star[0], ratio * v_star[1], 0.1), None)]
+            combos = [(exp_epsilon, (ratio * v_star[0], ratio * v_star[1], 0.1), 1.0)]
         for eps, eta, sigma in combos:
             for n in n_values:
                 cfg = TheoremConfig(
                     v_star=v_star,
                     eta=eta,
                     epsilon=eps,
-                    sigma=sigma if sigma is not None else 1.0,
-                    lam=float(options.get("lam", 0.6)),
-                    r_min=float(options.get("r_min", -5.0)),
-                    r_max=float(options.get("r_max", 5.0)),
+                    sigma=sigma,
+                    lam=lam,
+                    r_min=r_min,
+                    r_max=r_max,
                     n=n,
                     trials=trials,
                     divergence=divergence,
                     seed=seed + n,
                 )
-                report = min_deviation_mc(model, cfg, sampler)
-                row = {
-                    "epsilon": eps,
-                    "eta_norm": float(np.linalg.norm(eta)),
-                    "sigma": cfg.sigma if sampler == "normal" else "",
-                }
-                row.update(report.to_csv_row())
-                rows.append(row)
+                grid.append((sampler, cfg))
+    if not grid:
+        raise ConfigError("theorem grid has no rows")
+    return model, grid
+
+
+def _theorem_rows(model, members: Sequence[tuple]) -> list[dict]:
+    """CSV rows of grid rows that share one trial set: the first row draws
+    and scores it, the others rescore it at their epsilon."""
+    from .theory import bound_report, min_deviation_mc
+
+    first = None
+    rows = []
+    for sampler, cfg in members:
+        if first is None:
+            report = first = min_deviation_mc(model, cfg, sampler)
+        else:
+            report = bound_report(
+                model, cfg, sampler, first.min_deviation_samples, first.min_distance_samples
+            )
+        row = {
+            "epsilon": cfg.epsilon,
+            "eta_norm": float(np.linalg.norm(cfg.eta)),
+            "sigma": cfg.sigma if sampler == "normal" else "",
+        }
+        row.update(report.to_csv_row())
+        rows.append(row)
+    return rows
+
+
+def run_theorem_verify(options: Optional[Mapping] = None, seed: int = 0) -> list[dict]:
+    """Bound reports over a grid of sampler configurations.
+
+    Rows that differ only in epsilon draw the same trial set: the draw
+    depends on the sampler, eta, sigma and n, and every other input of it
+    is the same for the whole grid. Each such set is drawn and scored
+    once, and the rows keep the grid order.
+    """
+    model, grid = _theorem_grid(options, seed)
+    groups: dict[tuple, list[int]] = {}
+    for i, (sampler, cfg) in enumerate(grid):
+        groups.setdefault((sampler, cfg.eta, cfg.sigma, cfg.n), []).append(i)
+    rows: list = [None] * len(grid)
+    for indices in groups.values():
+        try:
+            group_rows = _theorem_rows(model, [grid[i] for i in indices])
+        except OverflowError as exc:
+            # The bound formulas square the configured values.
+            raise InvalidParameterError(f"theorem values too large: {exc}") from exc
+        for i, row in zip(indices, group_rows):
+            rows[i] = row
     return rows
 
 

@@ -35,6 +35,7 @@ __all__ = [
     "c_e_closed_form",
     "exponential_miss_probability_mc",
     "min_deviation_mc",
+    "bound_report",
 ]
 
 FOV_DIM = 3
@@ -102,6 +103,7 @@ class BoundReport:
     mean_min_deviation: float
     violation_fraction: float
     min_deviation_samples: np.ndarray
+    min_distance_samples: np.ndarray
 
     @property
     def expectation_holds(self) -> bool:
@@ -148,7 +150,7 @@ class GaussianBumpModel:
 
     def dists(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        d2 = ((pts - np.asarray(self.center, dtype=float)) ** 2).sum(axis=1)
+        d2 = _squared_distance(pts, np.asarray(self.center, dtype=float))
         bump = self.amp * np.exp(-d2 / (2.0 * self.width**2))
         expo = np.exp(bump)
         p0 = expo / (expo + 1.0)
@@ -183,6 +185,26 @@ class SceneFovAdapter:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         rows = [softmax(toy_model_logits(self.scene, self.to_fov(p), None)) for p in pts]
         return np.stack(rows, axis=0)
+
+
+def _squared_distance(points: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distance of each 3-vector in `points` (last axis)
+    from `center`.
+
+    The three columns are added left to right, the order in which numpy's
+    sum over a 3-wide axis adds them, so the result is bit-identical to
+    ((points - center) ** 2).sum(axis=-1) without a reduction over a short
+    axis, which numpy runs row by row.
+    """
+    d0 = points[..., 0] - center[0]
+    d1 = points[..., 1] - center[1]
+    d2 = points[..., 2] - center[2]
+    d0 *= d0
+    d1 *= d1
+    d2 *= d2
+    d0 += d1
+    d0 += d2
+    return d0
 
 
 def _divergence_batch(d_star: np.ndarray, d_points: np.ndarray, divergence: str):
@@ -304,7 +326,7 @@ def c_e_closed_form(
 
     Requires the center-proximity and shared-aspect-ratio conditions of the
     exponential-sampling bound; returns 0 when the clamped exponent interval
-    is empty.
+    is empty or no positive scale of the detection reaches the ball.
     """
     ws, hs, ps = (float(x) for x in v_star)
     wd, hd, pd = (float(x) for x in v_d)
@@ -317,9 +339,14 @@ def c_e_closed_form(
     if abs(wd * hs - hd * ws) > 1e-9 * max(abs(wd * hs), abs(hd * ws), 1.0):
         raise InvalidParameterError("detection and optimum must share an aspect ratio")
 
-    c_a = (epsilon**2 - (pd - ps) ** 2) / (wd**2 + hd**2)
-    c_b = (wd * ws + hd * hs) / (wd**2 + hd**2)
+    size2 = wd**2 + hd**2
+    if size2 == 0.0:
+        raise InvalidParameterError("the detection window must have a nonzero size")
+    c_a = (epsilon**2 - (pd - ps) ** 2) / size2
+    c_b = (wd * ws + hd * hs) / size2
     root = math.sqrt(c_a)
+    if c_b + root <= 0.0:
+        return 0.0
     log_growth = math.log(1.0 + lam)
     upper = math.log(c_b + root) / log_growth
     if c_b > root:
@@ -371,20 +398,18 @@ def min_deviation_mc(
     FOV samples and compare against delta + (1 - C)^n.
 
     Trials are seeded independently of the delta estimation so results do
-    not depend on evaluation order.
+    not depend on evaluation order. The draw does not depend on epsilon:
+    `bound_report` rescores the returned trial set at another epsilon.
     """
     if sampler not in ("normal", "exponential"):
         raise InvalidParameterError("sampler must be 'normal' or 'exponential'")
-    seeds = np.random.SeedSequence(config.seed).spawn(2)
-    delta_rng = np.random.default_rng(seeds[0])
-    sample_rng = np.random.default_rng(seeds[1])
+    sample_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(2)[1])
 
     v_star = np.asarray(config.v_star, dtype=float)
     v_d = config.v_d
 
     if sampler == "normal":
         points = sample_rng.normal(loc=v_d, scale=config.sigma, size=(config.trials, config.n, FOV_DIM))
-        analytic_c = c_g_analytic(config.epsilon, config.eta, config.sigma)
     else:
         r = sample_rng.uniform(config.r_min, config.r_max, size=(config.trials, config.n))
         scale = (1.0 + config.lam) ** r
@@ -392,28 +417,52 @@ def min_deviation_mc(
         points[:, :, 0] = scale * v_d[0]
         points[:, :, 1] = scale * v_d[1]
         points[:, :, 2] = v_d[2]
-        analytic_c = c_e_closed_form(
-            config.epsilon, config.v_star, tuple(v_d), config.lam, config.r_min, config.r_max
-        )
-
-    delta = config.delta
-    if delta is None:
-        delta = estimate_delta(
-            subject, config.v_star, config.epsilon, config.probes, delta_rng, config.divergence
-        )
 
     flat = points.reshape(-1, FOV_DIM)
     d_star = subject.dists(v_star[None, :])[0]
     devs = _divergence_batch(d_star, subject.dists(flat), config.divergence)
-    devs = devs.reshape(config.trials, config.n)
-    min_devs = devs.min(axis=1)
+    min_devs = devs.reshape(config.trials, config.n).min(axis=1)
 
-    dist_to_star = np.linalg.norm(points - v_star, axis=2)
-    empirical_miss = float((~(dist_to_star <= config.epsilon).any(axis=1)).mean())
+    # fmin skips NaN distances, as the per-window hit test (dist <= epsilon)
+    # does, so min_dist <= epsilon holds exactly when some window hits.
+    min_dist = np.fmin.reduce(np.sqrt(_squared_distance(points, v_star)), axis=1)
+    return bound_report(subject, config, sampler, min_devs, min_dist)
 
+
+def bound_report(
+    subject: FovConditionalModel,
+    config: TheoremConfig,
+    sampler: str,
+    min_deviations: np.ndarray,
+    min_distances: np.ndarray,
+) -> BoundReport:
+    """The bound report of a scored trial set at config.epsilon.
+
+    `min_deviations` and `min_distances` hold each trial's minimum deviation
+    and minimum distance to the optimum over its n windows, as
+    `min_deviation_mc` returns them for a config that differs from this one
+    at most in epsilon. Only delta (re-estimated from the config's seed),
+    the analytic constant, the bound and the miss and violation fractions
+    depend on epsilon.
+    """
+    if sampler == "normal":
+        analytic_c = c_g_analytic(config.epsilon, config.eta, config.sigma)
+    else:
+        analytic_c = c_e_closed_form(
+            config.epsilon, config.v_star, tuple(config.v_d), config.lam, config.r_min, config.r_max
+        )
+
+    delta = config.delta
+    if delta is None:
+        delta_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(2)[0])
+        delta = estimate_delta(
+            subject, config.v_star, config.epsilon, config.probes, delta_rng, config.divergence
+        )
+
+    empirical_miss = float((~(min_distances <= config.epsilon)).mean())
     analytic_miss = (1.0 - analytic_c) ** config.n
     bound = delta + analytic_miss
-    violations = float((min_devs > bound + 1e-12).mean())
+    violations = float((min_deviations > bound + 1e-12).mean())
 
     return BoundReport(
         sampler=sampler,
@@ -425,7 +474,8 @@ def min_deviation_mc(
         analytic_miss=float(analytic_miss),
         empirical_miss=empirical_miss,
         bound=float(bound),
-        mean_min_deviation=float(min_devs.mean()),
+        mean_min_deviation=float(min_deviations.mean()),
         violation_fraction=violations,
-        min_deviation_samples=min_devs,
+        min_deviation_samples=min_deviations,
+        min_distance_samples=min_distances,
     )

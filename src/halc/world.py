@@ -932,6 +932,12 @@ def save_corpus(scenes: Sequence[Scene], path) -> None:
 
 
 def load_corpus(path) -> list[Scene]:
+    """Scenes of a corpus file written by `save_corpus`. A file that is not
+    such a document raises InvalidInputError."""
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return [scene_from_json(doc) for doc in payload["scenes"]]
+        try:
+            return [scene_from_json(doc) for doc in json.load(fh)["scenes"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidInputError(
+                f"malformed corpus file {path}: {type(exc).__name__}: {exc}"
+            ) from exc

@@ -308,14 +308,63 @@ def test_cli_bad_config_json(tmp_path, capsys):
         {"decode": [1, 2]},
         {"corpus": {"bogus": 1}},
         {"seed": "abc"},
+        {"decode": {"seed": "abc"}},
+        {"decode": {"lam": "x"}},
+        {"decode": {"max_tokens": 2.5}},
     ],
-    ids=["short-detector-eta", "decode-not-object", "unknown-corpus-key", "non-integer-seed"],
+    ids=[
+        "short-detector-eta",
+        "decode-not-object",
+        "unknown-corpus-key",
+        "non-integer-seed",
+        "non-integer-decode-seed",
+        "string-decode-lam",
+        "fractional-max-tokens",
+    ],
 )
 def test_cli_malformed_config_exits_2_with_one_line(tmp_path, capsys, extra):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"seed": 1, **extra}))
     out = tmp_path / "out"
     assert main(["decode", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert err.count("\n") == 1
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "theorem",
+    [
+        {"trials": "abc"},
+        {"epsilons": ["x"]},
+        [1, 2],
+        {"n_values": 4},
+        {"etas": [[1, 2]]},
+        {"v_star": [1, 2]},
+        {"bogus": 1},
+        {"samplers": []},
+        {"samplers": ["exponential"], "eta_scale": -1.0, "trials": 100, "n_values": [2]},
+        {"samplers": ["normal"], "epsilons": [1e300], "trials": 100, "n_values": [2]},
+    ],
+    ids=[
+        "string-trials",
+        "string-epsilon",
+        "section-not-object",
+        "n-values-not-list",
+        "short-eta",
+        "short-v-star",
+        "unknown-key",
+        "empty-grid",
+        "zero-size-detection",
+        "overflowing-epsilon",
+    ],
+)
+def test_cli_malformed_theorem_config_exits_2_with_one_line(tmp_path, capsys, theorem):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"theorem": theorem}))
+    out = tmp_path / "out"
+    assert main(["theorem-verify", "--config", str(cfg), "--seed", "1", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert err.count("\n") == 1
@@ -333,6 +382,24 @@ def test_cli_missing_corpus_file(tmp_path, capsys):
     cfg.write_text(json.dumps({"seed": 1, "corpus": {"path": str(tmp_path / "gone.json")}}))
     out = tmp_path / "out"
     assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 3
+    assert not (out / "manifest.json").exists()
+
+
+def test_cli_corpus_file_without_image_exits_3_with_one_line(tmp_path, capsys, small_clean_corpus):
+    from halc.world import save_corpus
+
+    corpus_path = tmp_path / "corpus.json"
+    save_corpus(small_clean_corpus, corpus_path)
+    doc = json.loads(corpus_path.read_text())
+    del doc["scenes"][0]["image"]
+    corpus_path.write_text(json.dumps(doc))
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"seed": 2, "corpus": {"path": str(corpus_path)}}))
+    out = tmp_path / "out"
+    assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: malformed corpus file ")
+    assert err.count("\n") == 1
     assert not (out / "manifest.json").exists()
 
 

@@ -1,0 +1,301 @@
+"""The theorem sweep that scores each Monte-Carlo trial set once and the
+column-wise distances, each checked against the code it replaced.
+
+The references below are the replaced code, kept here verbatim apart from
+names: the per-row `min_deviation_mc`, the loop of `run_theorem_verify`
+that called it once per grid row, and the bump model that summed its
+3-wide axis with `sum`. They share `estimate_delta`, `c_g_analytic`,
+`c_e_closed_form` and the divergences with the code they check;
+tests/test_theory.py checks those on their own.
+"""
+
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from halc import theory
+from halc.distributions import jsd, total_variation
+from halc.harness import run_theorem_verify
+from halc.theory import (
+    FOV_DIM,
+    GaussianBumpModel,
+    TheoremConfig,
+    _squared_distance,
+    bound_report,
+    c_e_closed_form,
+    c_g_analytic,
+    estimate_delta,
+    min_deviation_mc,
+)
+
+# ---------------------------------------------------------------------------
+# References
+# ---------------------------------------------------------------------------
+
+
+class ReferenceBump:
+    """GaussianBumpModel with its squared distance summed over the 3-wide axis."""
+
+    def __init__(self, center, amp=1.0, width=1.0):
+        self.center = center
+        self.amp = amp
+        self.width = width
+
+    def dists(self, points):
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        d2 = ((pts - np.asarray(self.center, dtype=float)) ** 2).sum(axis=1)
+        bump = self.amp * np.exp(-d2 / (2.0 * self.width**2))
+        expo = np.exp(bump)
+        p0 = expo / (expo + 1.0)
+        return np.stack([p0, 1.0 - p0], axis=1)
+
+
+def _reference_divergence(d_star, d_points, divergence):
+    return total_variation(d_star, d_points) if divergence == "tv" else jsd(d_star, d_points)
+
+
+def reference_min_deviation_mc(subject, config, sampler):
+    """The CSV fields and per-trial minimum deviations of one grid row,
+    drawn and scored for that row alone."""
+    seeds = np.random.SeedSequence(config.seed).spawn(2)
+    delta_rng = np.random.default_rng(seeds[0])
+    sample_rng = np.random.default_rng(seeds[1])
+
+    v_star = np.asarray(config.v_star, dtype=float)
+    v_d = config.v_d
+
+    if sampler == "normal":
+        points = sample_rng.normal(loc=v_d, scale=config.sigma, size=(config.trials, config.n, FOV_DIM))
+        analytic_c = c_g_analytic(config.epsilon, config.eta, config.sigma)
+    else:
+        r = sample_rng.uniform(config.r_min, config.r_max, size=(config.trials, config.n))
+        scale = (1.0 + config.lam) ** r
+        points = np.empty((config.trials, config.n, FOV_DIM))
+        points[:, :, 0] = scale * v_d[0]
+        points[:, :, 1] = scale * v_d[1]
+        points[:, :, 2] = v_d[2]
+        analytic_c = c_e_closed_form(
+            config.epsilon, config.v_star, tuple(v_d), config.lam, config.r_min, config.r_max
+        )
+
+    delta = config.delta
+    if delta is None:
+        delta = estimate_delta(
+            subject, config.v_star, config.epsilon, config.probes, delta_rng, config.divergence
+        )
+
+    flat = points.reshape(-1, FOV_DIM)
+    d_star = subject.dists(v_star[None, :])[0]
+    devs = _reference_divergence(d_star, subject.dists(flat), config.divergence)
+    devs = devs.reshape(config.trials, config.n)
+    min_devs = devs.min(axis=1)
+
+    dist_to_star = np.linalg.norm(points - v_star, axis=2)
+    empirical_miss = float((~(dist_to_star <= config.epsilon).any(axis=1)).mean())
+
+    analytic_miss = (1.0 - analytic_c) ** config.n
+    bound = delta + analytic_miss
+    violations = float((min_devs > bound + 1e-12).mean())
+
+    fields = {
+        "sampler": sampler,
+        "divergence": config.divergence,
+        "n": config.n,
+        "trials": config.trials,
+        "delta": float(delta),
+        "analytic_c": float(analytic_c),
+        "analytic_miss": float(analytic_miss),
+        "empirical_miss": empirical_miss,
+        "bound": float(bound),
+        "mean_min_deviation": float(min_devs.mean()),
+        "violation_fraction": violations,
+    }
+    return fields, min_devs
+
+
+def reference_run_theorem_verify(options, seed):
+    options = dict(options or {})
+    v_star = tuple(options.get("v_star", (4.0, 4.0, 0.0)))
+    model = ReferenceBump(center=v_star, amp=float(options.get("amp", 1.0)))
+    n_values = options.get("n_values", [2, 4, 8])
+    trials = int(options.get("trials", 10_000))
+    divergence = options.get("divergence", "tv")
+    rows = []
+    for sampler in options.get("samplers", ["normal", "exponential"]):
+        if sampler == "normal":
+            etas = [tuple(e) for e in options.get("etas", [(0.0, 0.0, 0.0), (0.8, 0.6, 0.0)])]
+            sigmas = options.get("sigmas", [0.5, 1.0])
+            epsilons = options.get("epsilons", [0.5, 1.0])
+            combos = [
+                (eps, eta, sigma) for eps in epsilons for eta in etas for sigma in sigmas
+            ]
+        else:
+            ratio = float(options.get("eta_scale", 0.5))
+            combos = [(float(options.get("exp_epsilon", 1.0)), (ratio * v_star[0], ratio * v_star[1], 0.1), None)]
+        for eps, eta, sigma in combos:
+            for n in n_values:
+                cfg = TheoremConfig(
+                    v_star=v_star,
+                    eta=eta,
+                    epsilon=eps,
+                    sigma=sigma if sigma is not None else 1.0,
+                    lam=float(options.get("lam", 0.6)),
+                    r_min=float(options.get("r_min", -5.0)),
+                    r_max=float(options.get("r_max", 5.0)),
+                    n=n,
+                    trials=trials,
+                    divergence=divergence,
+                    seed=seed + n,
+                )
+                fields, _ = reference_min_deviation_mc(model, cfg, sampler)
+                row = {
+                    "epsilon": eps,
+                    "eta_norm": float(np.linalg.norm(eta)),
+                    "sigma": cfg.sigma if sampler == "normal" else "",
+                }
+                row.update(fields)
+                rows.append(row)
+    return rows
+
+
+def _bits(row: dict) -> list:
+    """Keys in order, with values as repr, which is exact for floats."""
+    return [(key, repr(value)) for key, value in row.items()]
+
+
+def _same_array(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The sweep: one draw per trial set
+# ---------------------------------------------------------------------------
+
+V_STARS = [(4.0, 4.0, 0.0), (2, 1, 0.5)]
+ETAS = [(0, 0, 0), (0.0, 0.0, 0.0), (0.8, 0.6, 0.0), (1.0, -0.5, 0.25)]
+EPSILONS = [0.25, 0.5, 1, 1.0, 2.0]
+SIGMAS = [0.5, 1, 1.0, 2.0]
+
+grids = st.fixed_dictionaries(
+    {
+        "v_star": st.sampled_from(V_STARS),
+        "amp": st.sampled_from([1.0, 2.5]),
+        "samplers": st.lists(st.sampled_from(["normal", "exponential"]), min_size=1, max_size=3),
+        "divergence": st.sampled_from(["tv", "jsd"]),
+        "n_values": st.lists(st.integers(1, 8), min_size=1, max_size=2),
+        "trials": st.integers(100, 500),
+        "epsilons": st.lists(st.sampled_from(EPSILONS), min_size=1, max_size=3),
+        "etas": st.lists(st.sampled_from(ETAS), min_size=1, max_size=2),
+        "sigmas": st.lists(st.sampled_from(SIGMAS), min_size=1, max_size=2),
+        "exp_epsilon": st.sampled_from([0.5, 1.0, 2.0]),
+        "eta_scale": st.sampled_from([0.25, 0.5]),
+        "lam": st.sampled_from([0.6, 1.0]),
+    }
+)
+
+
+def _sweep_with_draws(options, seed):
+    """run_theorem_verify's rows and the (sampler, eta, sigma, n) of each
+    trial set it drew."""
+    draws = []
+
+    def counting(subject, config, sampler):
+        draws.append((sampler, config.eta, config.sigma, config.n))
+        return min_deviation_mc(subject, config, sampler)
+
+    with mock.patch.object(theory, "min_deviation_mc", counting):
+        rows = run_theorem_verify(options, seed)
+    return rows, draws
+
+
+@settings(max_examples=40, deadline=None)
+@given(options=grids, seed=st.integers(0, 2**16))
+def test_sweep_rows_bit_equal_to_per_row_reference(options, seed):
+    rows, draws = _sweep_with_draws(options, seed)
+    reference = reference_run_theorem_verify(options, seed)
+    assert [_bits(r) for r in rows] == [_bits(r) for r in reference]
+    distinct = set()
+    for sampler in options["samplers"]:
+        if sampler == "normal":
+            etas, sigmas = options["etas"], options["sigmas"]
+        else:
+            ratio = options["eta_scale"]
+            v_star = options["v_star"]
+            etas, sigmas = [(ratio * v_star[0], ratio * v_star[1], 0.1)], [1.0]
+        distinct |= {(sampler, tuple(e), s, n) for e in etas for s in sigmas for n in options["n_values"]}
+    assert len(draws) == len(set(draws)) == len(distinct)
+
+
+def test_default_sweep_draws_each_trial_set_once():
+    options = {"trials": 500}
+    rows, draws = _sweep_with_draws(options, 3)
+    assert len(rows) == 27
+    assert len(draws) == len(set(draws)) == 15
+    assert [_bits(r) for r in rows] == [_bits(r) for r in reference_run_theorem_verify(options, 3)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sampler=st.sampled_from(["normal", "exponential"]),
+    divergence=st.sampled_from(["tv", "jsd"]),
+    eta=st.sampled_from(ETAS[2:]),
+    sigma=st.sampled_from(SIGMAS),
+    n=st.integers(1, 8),
+    trials=st.integers(100, 500),
+    epsilons=st.lists(st.sampled_from(EPSILONS), min_size=1, max_size=4),
+    seed=st.integers(0, 2**16),
+)
+def test_rescored_reports_bit_equal_to_per_row_reference(
+    sampler, divergence, eta, sigma, n, trials, epsilons, seed
+):
+    v_star = (4.0, 4.0, 0.0)
+    if sampler == "exponential":
+        eta = (2.0, 2.0, 0.1)
+
+    def config(eps):
+        return TheoremConfig(
+            v_star=v_star, eta=eta, epsilon=eps, sigma=sigma, n=n, trials=trials,
+            divergence=divergence, seed=seed,
+        )
+
+    model = GaussianBumpModel(center=v_star)
+    first = min_deviation_mc(model, config(epsilons[0]), sampler)
+    for eps in epsilons:
+        report = bound_report(
+            model, config(eps), sampler, first.min_deviation_samples, first.min_distance_samples
+        )
+        fields, min_devs = reference_min_deviation_mc(ReferenceBump(v_star), config(eps), sampler)
+        assert _bits(report.to_csv_row()) == _bits(fields)
+        assert _same_array(report.min_deviation_samples, min_devs)
+    assert _bits(first.to_csv_row()) == _bits(
+        reference_min_deviation_mc(ReferenceBump(v_star), config(epsilons[0]), sampler)[0]
+    )
+
+
+# ---------------------------------------------------------------------------
+# Column-wise sums over the 3-wide axis
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.integers(1, 300),
+    n=st.integers(1, 8),
+    center=st.tuples(*[st.floats(-1e3, 1e3)] * 3),
+    log_scale=st.integers(-8, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_column_sums_bit_equal_to_axis_reductions(rows, n, center, log_scale, seed):
+    rng = np.random.default_rng(seed)
+    c = np.asarray(center, dtype=float)
+    flat = c + rng.normal(size=(rows, FOV_DIM)) * 10.0**log_scale
+    assert _same_array(_squared_distance(flat, c), ((flat - c) ** 2).sum(axis=1))
+    stack = c + rng.normal(size=(rows, n, FOV_DIM)) * 10.0**log_scale
+    assert _same_array(np.sqrt(_squared_distance(stack, c)), np.linalg.norm(stack - c, axis=2))
+
+    model = GaussianBumpModel(center=center, amp=1.5, width=10.0**log_scale)
+    reference = ReferenceBump(center, amp=1.5, width=10.0**log_scale)
+    assert _same_array(model.dists(flat), reference.dists(flat))
+    assert _same_array(model.dists(flat[0]), reference.dists(flat[0]))

@@ -270,6 +270,14 @@ def test_scene_adapter_matches_direct_deviation(demo):
     assert 0.5 * np.abs(d[0] - d[1]).sum() == pytest.approx(direct, abs=1e-12)
 
 
+def test_c_e_closed_form_degenerate_detections():
+    # Scaled through the origin, the detection never reaches the ball at a
+    # positive scale; a zero-size detection has no scale to speak of.
+    assert c_e_closed_form(1.0, V_STAR, (-4.0, -4.0, 0.1), 0.6, -5.0, 5.0) == 0.0
+    with pytest.raises(InvalidParameterError):
+        c_e_closed_form(1.0, V_STAR, (0.0, 0.0, 0.1), 0.6, -5.0, 5.0)
+
+
 def test_theorem_config_validation():
     with pytest.raises(InvalidParameterError):
         TheoremConfig(v_star=V_STAR, eta=(0, 0, 0), epsilon=0.0)
