@@ -11,9 +11,12 @@ array operations: one checked row-wise softmax, the JSD of every window pair
 from one batched call (shared by the trace matrix and pair selection), and
 the 2m expert/amateur contrast rows under the plausibility masks of their
 expert windows, normalized by one masked softmax and read out by one row-wise
-argmax. Each beam's step adds one candidate per distinct token, and beam
-selection scores each distinct candidate sequence once, which requires the
-scorer to be a pure function of (sequence, scene).
+argmax. The contrast and its exponentials are computed on the plausible
+tokens only, so past one scan of the masks that work scales with the
+plausible set (often a single token), not with the vocabulary size V. Each
+beam's step adds one candidate per distinct token, and beam selection
+scores each distinct candidate sequence once, which requires the scorer to
+be a pure function of (sequence, scene).
 """
 
 from __future__ import annotations
@@ -114,6 +117,8 @@ class DecodeConfig:
             raise InvalidParameterError(f"unknown idk policy {self.idk_policy!r}")
         if self.max_tokens < 1:
             raise InvalidParameterError("max_tokens must be at least 1")
+        if self.seed < 0:
+            raise InvalidParameterError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)

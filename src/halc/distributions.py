@@ -5,6 +5,10 @@ Probability vectors are nonnegative and sum to one. Every operation works
 along the last axis, so one call handles a single vector or an (n, V) stack
 of them, and a vector broadcasts against the rows of a stack. Called on
 plain vectors, the divergences return floats.
+
+The masked contrast exponentiates only the tokens its plausibility mask
+keeps: past one scan of the mask, its work scales with the plausible set,
+not with V. Each KL term of the JSD is computed in one temporary.
 """
 
 from __future__ import annotations
@@ -63,14 +67,20 @@ def _as_logits(values) -> tuple[np.ndarray, np.ndarray]:
     return arr, top
 
 
-def _softmax(arr: np.ndarray) -> np.ndarray:
-    """Max-subtracted softmax of each vector of a float array, rejecting
-    NaN and +inf logits and vectors with every logit masked."""
-    top = arr.max(axis=-1, keepdims=True)
+def _check_maxima(top: np.ndarray) -> None:
+    """Reject the maxima of logit vectors that hold NaN or +inf logits, or
+    mask every logit."""
     if not np.isfinite(top).all():
         if not (top < np.inf).all():  # the maximum propagates NaN
             raise InvalidInputError("logits must be finite or -inf")
         raise InvalidInputError("softmax of an all-masked logit vector")
+
+
+def _softmax(arr: np.ndarray) -> np.ndarray:
+    """Max-subtracted softmax of each vector of a float array, rejecting
+    NaN and +inf logits and vectors with every logit masked."""
+    top = arr.max(axis=-1, keepdims=True)
+    _check_maxima(top)
     out = arr - top
     np.exp(out, out=out)
     out /= out.sum(axis=-1, keepdims=True)
@@ -129,14 +139,25 @@ def jsd(p, q):
     convention.
     """
     p, q = _check_pair(p, q)
-    m = 0.5 * (p + q)
-    # m > 0 wherever p > 0 or q > 0; the masked-out terms may divide 0 by 0.
+    # The midpoint is > 0 wherever p > 0 or q > 0; the zeroed terms may
+    # divide 0 by 0.
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _scalar_or_rows(0.5 * _kl2(p, m) + 0.5 * _kl2(q, m))
+        return _scalar_or_rows(0.5 * _kl2(p, q) + 0.5 * _kl2(q, p))
 
 
-def _kl2(p: np.ndarray, m: np.ndarray) -> np.ndarray:
-    return np.where(p > 0, p * np.log2(p / m), 0.0).sum(axis=-1)
+def _kl2(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Base-2 KL divergence of p from the midpoint 0.5 * (p + q) along the
+    last axis, computed in one temporary; terms where p is not positive
+    count 0."""
+    terms = p + q
+    terms *= 0.5
+    np.divide(p, terms, out=terms)
+    np.log2(terms, out=terms)
+    terms *= p
+    positive = p > 0
+    if not positive.all():
+        terms = np.where(positive, terms, 0.0)
+    return terms.sum(axis=-1)
 
 
 def total_variation(p, q):
@@ -177,16 +198,38 @@ def plausibility_mask(p_expert, beta: float) -> PlausibilityMask:
     return PlausibilityMask(allowed=allowed, beta=beta)
 
 
-def _masked_contrast(f_e: np.ndarray, f_a: np.ndarray, keep: np.ndarray, alpha: float) -> np.ndarray:
-    """Softmax of the contrast logits on the kept tokens; the rest get 0.
+def _masked_contrast(
+    f_e: np.ndarray,
+    f_a: np.ndarray,
+    keep: np.ndarray,
+    experts: np.ndarray,
+    amateurs: np.ndarray,
+    alpha: float,
+) -> np.ndarray:
+    """Softmax of the contrast of rows f_e[experts] against rows
+    f_a[amateurs] on the tokens keep[experts] marks; the rest get 0.
 
     The caller has checked f_e and f_a, and keep excludes every token masked
-    in f_e. The contrast is checked here: an amateur -inf under a kept token
-    makes it +inf or NaN.
+    in f_e. Only the kept entries are gathered, contrasted and exponentiated,
+    so past one scan of the mask the work scales with the plausible set, not
+    with V. Each row sum runs over the whole zero-filled row, so it adds the
+    same values in the same order as a softmax of the contrast with -inf off
+    the mask. The contrast is checked here: an amateur -inf under a kept
+    token makes it +inf or NaN.
     """
+    size = keep.shape[-1]
+    rows, tokens = np.divmod(np.flatnonzero(keep[experts]), size)
+    top = np.full(len(experts), -np.inf)
     with np.errstate(invalid="ignore"):
-        contrasted = np.where(keep, (1.0 + alpha) * f_e - alpha * f_a, -np.inf)
-    return _softmax(contrasted)
+        values = (1.0 + alpha) * f_e[experts[rows], tokens] - alpha * f_a[amateurs[rows], tokens]
+        np.maximum.at(top, rows, values)  # propagates NaN, as max does
+    _check_maxima(top)
+    values -= top[rows]
+    np.exp(values, out=values)
+    out = np.zeros((len(experts), size))
+    out[rows, tokens] = values
+    out[rows, tokens] = values / out.sum(axis=-1)[rows]
+    return out
 
 
 def contrast_distribution(f_expert, f_amateur, alpha: float, beta: float) -> np.ndarray:
@@ -203,7 +246,9 @@ def contrast_distribution(f_expert, f_amateur, alpha: float, beta: float) -> np.
     f_a, _ = _as_logits(f_amateur)
     if f_e.shape != f_a.shape:
         raise InvalidInputError("logit vectors must share a vocabulary size")
-    return _masked_contrast(f_e, f_a, keep, alpha)
+    rows = np.arange(f_e.size // f_e.shape[-1])
+    out = _masked_contrast(*np.atleast_2d(f_e, f_a, keep), rows, rows, alpha)
+    return out.reshape(f_e.shape)
 
 
 def contrast_rows(logits, probs, experts, amateurs, alpha: float, beta: float) -> np.ndarray:
@@ -217,8 +262,7 @@ def contrast_rows(logits, probs, experts, amateurs, alpha: float, beta: float) -
         raise InvalidParameterError("amplification factor must be nonnegative")
     keep = _plausible(probs, beta) & (logits > -np.inf)
     ends = np.array((experts, amateurs))
-    f_e, f_a = logits[ends]
-    return _masked_contrast(f_e, f_a, keep[ends[0]], alpha)
+    return _masked_contrast(logits, logits, keep, ends[0], ends[1], alpha)
 
 
 def top_m_pairs(dists, m: int) -> list[tuple[int, int]]:

@@ -97,7 +97,10 @@ def expand_fov(base: Fov, lam: float, r: float) -> Fov:
     """
     if lam <= -1:
         raise InvalidParameterError("growth factor must satisfy lambda > -1")
-    scale = (1.0 + lam) ** r
+    try:
+        scale = (1.0 + lam) ** r
+    except OverflowError as exc:
+        raise InvalidParameterError(f"growth (1 + {lam})**{r} overflows") from exc
     return Fov(base.width * scale, base.height * scale, base.center_x, base.center_y)
 
 

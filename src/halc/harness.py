@@ -162,7 +162,8 @@ def resolve_scorer(spec, seed: int = 0) -> Scorer:
     if isinstance(spec, Mapping):
         kind = spec.get("kind", "oracle")
         if kind == "noisy":
-            return noisy_match_score(oracle_match_score, spec.get("amp", 0.1), seed)
+            amp = check_number("scorer amp", spec.get("amp", 0.1))
+            return noisy_match_score(oracle_match_score, amp, seed)
         if kind == "random":
             return random_match_score(seed)
         if kind == "oracle":
@@ -383,33 +384,55 @@ _THEOREM_KEYS = frozenset({
 })
 
 
-def _theorem_number(name: str, value):
+def check_section(name: str, value, keys: frozenset) -> Mapping:
+    """A config section: a JSON object (an absent one is empty) whose keys
+    all lie in `keys`."""
+    if value is None:
+        return {}
+    if not isinstance(value, Mapping):
+        raise ConfigError(f"{name} section must be a JSON object, got {value!r}")
+    unknown = sorted(set(value) - keys)
+    if unknown:
+        raise ConfigError(f"unknown {name} keys {unknown}")
+    return value
+
+
+def check_number(label: str, value):
     if isinstance(value, bool) or not isinstance(value, Real) or not abs(value) <= sys.float_info.max:
-        raise ConfigError(f"theorem {name} must be a finite number, got {value!r}")
+        raise ConfigError(f"{label} must be a finite number, got {value!r}")
     return value
 
 
-def _theorem_integer(name: str, value):
+def check_integer(label: str, value):
     if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ConfigError(f"theorem {name} must be an integer, got {value!r}")
+        raise ConfigError(f"{label} must be an integer, got {value!r}")
     return value
 
 
-def _theorem_vector(name: str, value) -> tuple:
-    if not (isinstance(value, (list, tuple)) and len(value) == 3):
-        raise ConfigError(f"theorem {name} must be a list of 3 numbers, got {value!r}")
-    return tuple(_theorem_number(name, v) for v in value)
+def check_choice(label: str, value, choices: Sequence[str]) -> str:
+    if value not in choices:
+        raise ConfigError(f"{label} must be one of {', '.join(map(repr, choices))}, got {value!r}")
+    return value
 
 
-def _theorem_list(name: str, value, item) -> list:
+def check_list(label: str, value, item, nonempty: bool = False) -> list:
+    """The entries of a JSON list, each checked by item(label, entry)."""
     if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"theorem {name} must be a list, got {value!r}")
-    return [item(name, v) for v in value]
+        raise ConfigError(f"{label} must be a list, got {value!r}")
+    if nonempty and not value:
+        raise ConfigError(f"{label} must not be empty")
+    return [item(label, v) for v in value]
 
 
-def _theorem_sampler(name: str, value) -> str:
+def _theorem_vector(label: str, value) -> tuple:
+    if not (isinstance(value, (list, tuple)) and len(value) == 3):
+        raise ConfigError(f"{label} must be a list of 3 numbers, got {value!r}")
+    return tuple(check_number(label, v) for v in value)
+
+
+def _theorem_sampler(label: str, value) -> str:
     if value not in ("normal", "exponential"):
-        raise ConfigError(f"theorem {name} must be 'normal' or 'exponential', got {value!r}")
+        raise ConfigError(f"{label} must be 'normal' or 'exponential', got {value!r}")
     return value
 
 
@@ -422,26 +445,23 @@ def _theorem_grid(options: Optional[Mapping], seed: int):
     """
     from .theory import GaussianBumpModel, TheoremConfig
 
-    if options is None:
-        options = {}
-    if not isinstance(options, Mapping):
-        raise ConfigError(f"theorem section must be a JSON object, got {options!r}")
-    unknown = sorted(set(options) - _THEOREM_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown theorem keys {unknown}")
+    options = check_section("theorem", options, _THEOREM_KEYS)
+
+    def get(key, default, check, *args):
+        return check(f"theorem {key}", options.get(key, default), *args)
 
     def number(key, default):
-        return _theorem_number(key, options.get(key, default))
+        return get(key, default, check_number)
 
-    v_star = _theorem_vector("v_star", options.get("v_star", (4.0, 4.0, 0.0)))
+    v_star = get("v_star", (4.0, 4.0, 0.0), _theorem_vector)
     model = GaussianBumpModel(center=v_star, amp=float(number("amp", 1.0)))
-    n_values = _theorem_list("n_values", options.get("n_values", [2, 4, 8]), _theorem_integer)
-    trials = int(_theorem_integer("trials", options.get("trials", 10_000)))
+    n_values = get("n_values", [2, 4, 8], check_list, check_integer)
+    trials = int(get("trials", 10_000, check_integer))
     divergence = options.get("divergence", "tv")
-    samplers = _theorem_list("samplers", options.get("samplers", ["normal", "exponential"]), _theorem_sampler)
-    etas = _theorem_list("etas", options.get("etas", [(0.0, 0.0, 0.0), (0.8, 0.6, 0.0)]), _theorem_vector)
-    sigmas = _theorem_list("sigmas", options.get("sigmas", [0.5, 1.0]), _theorem_number)
-    epsilons = _theorem_list("epsilons", options.get("epsilons", [0.5, 1.0]), _theorem_number)
+    samplers = get("samplers", ["normal", "exponential"], check_list, _theorem_sampler)
+    etas = get("etas", [(0.0, 0.0, 0.0), (0.8, 0.6, 0.0)], check_list, _theorem_vector)
+    sigmas = get("sigmas", [0.5, 1.0], check_list, check_number)
+    epsilons = get("epsilons", [0.5, 1.0], check_list, check_number)
     ratio = float(number("eta_scale", 0.5))
     exp_epsilon = float(number("exp_epsilon", 1.0))
     lam = float(number("lam", 0.6))

@@ -24,6 +24,7 @@ __all__ = [
     "hallucinated_objects",
     "chair",
     "build_corpus_stats",
+    "POPE_MODES",
     "sample_query_objects",
     "opope",
     "f_beta_score",
@@ -32,6 +33,7 @@ __all__ = [
 ]
 
 BLEU_EPSILON = 1e-9
+POPE_MODES = ("random", "popular", "adversarial")
 
 
 @dataclass(frozen=True)

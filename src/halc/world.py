@@ -482,12 +482,16 @@ def oracle_match_score(
     """
     lex = scene.lexicon
     gt = scene.ground_truth_names
-    nouns = [t for t in sequence if lex.get(t) == "noun"]
+    nouns = matched = 0
+    for t in sequence:
+        if lex.get(t) == "noun":
+            nouns += 1
+            if t in gt:
+                matched += 1
     if not nouns:
         return 0.5
-    matched = sum(1 for t in nouns if t in gt)
-    hallucinated = len(nouns) - matched
-    raw = (matched - penalty * hallucinated) / len(nouns)
+    hallucinated = nouns - matched
+    raw = (matched - penalty * hallucinated) / nouns
     return (raw + penalty) / (1.0 + penalty)
 
 

@@ -2,10 +2,13 @@
 code 0, 2 (config error) or 3 (I/O error) and never with a traceback.
 
 The documents mix valid, wrong-typed, wrong-length and unknown values in
-the `theorem` and `decode` sections; the valid values include combinations
-that TheoremConfig, DecodeConfig or the exponential-sampling conditions
-reject. Sizes are capped (trials <= 500, at most two n values <= 8, a
-2-scene corpus, short captions) so that each run takes milliseconds.
+the `theorem` and `decode` sections, and in the sections of the corpus
+scenarios (`compare`, `oracle_study`, `ablate`, `emit_curve`,
+`length_curve`), `scene_index` and `detector_confidence`; the valid values
+include combinations that TheoremConfig, DecodeConfig or the
+exponential-sampling conditions reject. Sizes are capped (trials <= 500,
+at most two n values <= 8, a 2-scene corpus, short captions, small grids)
+so that each run takes milliseconds.
 """
 
 import contextlib
@@ -19,6 +22,7 @@ from hypothesis import strategies as st
 
 from halc.cli import main
 from halc.decoding import IDK_POLICIES, SAMPLING_MODES
+from halc.metrics import POPE_MODES
 
 WRONG = st.sampled_from(["abc", None, True, [1], {"a": 1}, 1e300, -1, 0, [1, 2], []])
 NUMBER = st.sampled_from([0.25, 0.5, 1, 1.0, 2.0])
@@ -73,6 +77,9 @@ def sections(draw, required, optional):
     return section
 
 
+CORPUS = {"count": 2, "trap_fraction": 0.5, "clauses": 2, "trap_clauses": [1]}
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     scenario=st.sampled_from(["decode", "theorem-verify"]),
@@ -83,10 +90,14 @@ def sections(draw, required, optional):
 def test_fuzzed_config_exits_0_2_or_3_without_traceback(scenario, theorem, decode, seed):
     doc = {
         "seed": seed,
-        "corpus": {"count": 2, "trap_fraction": 0.5, "clauses": 2, "trap_clauses": [1]},
+        "corpus": CORPUS,
         "theorem": theorem,
         "decode": decode,
     }
+    _assert_clean_exit(scenario, doc)
+
+
+def _assert_clean_exit(scenario, doc):
     stderr = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "c.json"
@@ -99,3 +110,59 @@ def test_fuzzed_config_exits_0_2_or_3_without_traceback(scenario, theorem, decod
     assert "Traceback" not in stderr.getvalue()
     if code:
         assert stderr.getvalue().splitlines()[-1].startswith(("config error: ", "i/o error: "))
+
+
+SCENARIO_SECTIONS = {
+    "compare": sections({}, {
+        "pope_mode": st.sampled_from(POPE_MODES),
+        "pope_count": st.integers(1, 3),
+        "beta": NUMBER,
+    }),
+    "oracle_study": sections({}, {
+        "grid_positions": st.integers(1, 2),
+        "grid_scales": st.lists(st.sampled_from([0.2, 0.5, 1.0]), min_size=1, max_size=2),
+    }),
+    "ablate": sections({}, {
+        "detector_eta": st.sampled_from([[12, -9, 7, 5], [1, 2, 3]]),
+        "pope_mode": st.sampled_from(POPE_MODES),
+        "scorer_seeds": st.lists(st.integers(0, 9), min_size=1, max_size=2),
+        "inits": st.lists(st.sampled_from(SAMPLING_MODES), min_size=1, max_size=2),
+        "lambdas": st.lists(st.sampled_from([0.4, 0.6, -1.0]), min_size=1, max_size=2),
+        "beams": st.lists(st.integers(1, 2), min_size=1, max_size=2),
+        "scorers": st.lists(
+            st.sampled_from(["oracle", "random", "noisy", {"kind": "noisy", "amp": 0.2}]),
+            min_size=1,
+            max_size=2,
+        ),
+    }),
+    "emit_curve": sections({}, {
+        "tokens": st.sampled_from([None, [], ["the", "."], ["nope"]]),
+        "r_grid": st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1e308]), max_size=2),
+        "anchor": st.sampled_from([None, "the"]),
+    }),
+    "length_curve": sections({}, {"grid": st.lists(st.integers(1, 8), min_size=1, max_size=2)}),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    scenario=st.sampled_from(
+        ["compare", "oracle-study", "ablate", "emit-curve", "length-curve", "decode"]
+    ),
+    options=st.fixed_dictionaries({}, optional=SCENARIO_SECTIONS),
+    scene_index=st.one_of(st.integers(-1, 2), WRONG),
+    detector_confidence=st.one_of(st.just(0.3), WRONG),
+    seed=st.integers(0, 9),
+)
+def test_fuzzed_scenario_sections_exit_0_2_or_3_without_traceback(
+    scenario, options, scene_index, detector_confidence, seed
+):
+    doc = {
+        "seed": seed,
+        "corpus": CORPUS,
+        "decode": {"max_tokens": 4},
+        "scene_index": scene_index,
+        "detector_confidence": detector_confidence,
+        **options,
+    }
+    _assert_clean_exit(scenario, doc)

@@ -1,12 +1,14 @@
 """The toy model with constant profiles folded into the scene, the one-pass
-FOV samplers, the cheaper proposal check, the contrast masked per window and
-the candidate pool that skips repeated tokens, each checked against the code
-it replaced.
+FOV samplers, the cheaper proposal check, the contrast masked per window,
+the contrast that exponentiates only its plausible tokens, the in-place
+JSD, the candidate pool that skips repeated tokens and the one-pass oracle
+scorer, each checked against the code it replaced.
 
 The references below are the replaced code, kept here verbatim apart from
 names. Besides the unchanged profile formula, slot and co-occurrence
-vectors, they share only softmax and contrast_logits with the code they
-check; tests/test_distributions.py checks those two on their own.
+vectors, they share only softmax, contrast_logits and the unchanged input
+checks of halc.distributions with the code they check;
+tests/test_distributions.py checks those on their own.
 """
 
 import dataclasses
@@ -18,7 +20,19 @@ from hypothesis import strategies as st
 
 from halc import decoding
 from halc.decoding import SAMPLING_MODES, DecodeConfig, decode_halc
-from halc.distributions import argmax_logit, contrast_logits, contrast_rows, softmax, window_softmax
+from halc.distributions import (
+    _as_array,
+    _as_logits,
+    _check_pair,
+    _plausible,
+    argmax_logit,
+    contrast_distribution,
+    contrast_logits,
+    contrast_rows,
+    jsd,
+    softmax,
+    window_softmax,
+)
 from halc.errors import InvalidInputError, InvalidParameterError
 from halc.geometry import (
     Fov,
@@ -351,6 +365,256 @@ def test_contrast_rows_match_the_replaced_contrast(case, alpha, beta):
         np.testing.assert_array_equal(got[1], want[1])
     else:
         assert got[1] == want[1]
+
+
+# ---------------------------------------------------------------------------
+# Sparse contrast: only the plausible tokens are contrasted and exponentiated
+# ---------------------------------------------------------------------------
+
+
+def reference_dense_softmax(arr):
+    top = arr.max(axis=-1, keepdims=True)
+    if not np.isfinite(top).all():
+        if not (top < np.inf).all():  # the maximum propagates NaN
+            raise InvalidInputError("logits must be finite or -inf")
+        raise InvalidInputError("softmax of an all-masked logit vector")
+    out = arr - top
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
+
+
+def reference_masked_contrast(f_e, f_a, keep, alpha):
+    """The replaced kernel: the full (rows, V) contrast, -inf off the mask,
+    then a dense softmax."""
+    with np.errstate(invalid="ignore"):
+        contrasted = np.where(keep, (1.0 + alpha) * f_e - alpha * f_a, -np.inf)
+    return reference_dense_softmax(contrasted)
+
+
+def reference_dense_contrast_distribution(f_expert, f_amateur, alpha, beta):
+    f_e = _as_array(f_expert)
+    keep = _plausible(reference_dense_softmax(f_e), beta) & (f_e > -np.inf)
+    if alpha < 0:
+        raise InvalidParameterError("amplification factor must be nonnegative")
+    f_a, _ = _as_logits(f_amateur)
+    if f_e.shape != f_a.shape:
+        raise InvalidInputError("logit vectors must share a vocabulary size")
+    return reference_masked_contrast(f_e, f_a, keep, alpha)
+
+
+def reference_dense_contrast_rows(logits, probs, experts, amateurs, alpha, beta):
+    if alpha < 0:
+        raise InvalidParameterError("amplification factor must be nonnegative")
+    keep = _plausible(probs, beta) & (logits > -np.inf)
+    ends = np.array((experts, amateurs))
+    f_e, f_a = logits[ends]
+    return reference_masked_contrast(f_e, f_a, keep[ends[0]], alpha)
+
+
+def _exact(fn, *args):
+    """The result's exact bits and type, or the rejection's type and message."""
+    try:
+        value = fn(*args)
+    except (InvalidInputError, InvalidParameterError) as exc:
+        return "error", type(exc), str(exc)
+    if isinstance(value, float):
+        return "float", value.hex()
+    return type(value), value.shape, value.dtype.str, value.tobytes()
+
+
+@st.composite
+def wide_window_stacks(draw):
+    """n windows of V logits, each with a chosen number of tokens near its
+    maximum (the plausible set at beta = 0.1 for 1..V tokens), the rest
+    far below it. Some of the rest are -inf (masked) or so low that their
+    probability underflows to 0; some amateur entries are -inf, also under
+    tokens that other windows keep."""
+    size = draw(st.integers(1, 5000))
+    n = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    logits = rng.uniform(-60.0, -3.0, (n, size))
+    for row in logits:
+        near = rng.choice(size, size=draw(st.integers(1, size)), replace=False)
+        row[near] = rng.uniform(-2.0, 0.0, len(near))
+    low = draw(st.sampled_from([None, -np.inf, -1e4]))
+    if low is not None:
+        far = logits < -3.0
+        logits[far & (rng.random((n, size)) < draw(st.sampled_from([0.1, 0.9])))] = low
+    if draw(st.booleans()):
+        window = draw(st.integers(0, n - 1))
+        holes = rng.random(size) < draw(st.sampled_from([1e-3, 0.05]))
+        holes[np.argmax(logits[window])] = False  # keep one unmasked logit
+        logits[window, holes] = -np.inf
+    experts = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=12))
+    amateurs = draw(st.lists(st.integers(0, n - 1), min_size=len(experts), max_size=len(experts)))
+    return logits, experts, amateurs
+
+
+BETAS = st.one_of(st.floats(1e-6, 0.999), st.just(0.1), st.just(5e-324))
+ALPHAS = st.one_of(st.just(0.0), st.floats(0.0, 3.0))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=wide_window_stacks(), alpha=ALPHAS, beta=BETAS)
+def test_sparse_contrast_matches_the_dense_contrast(case, alpha, beta):
+    stack, experts, amateurs = case
+    logits, probs = window_softmax(stack)
+    assert _exact(contrast_rows, logits, probs, experts, amateurs, alpha, beta) == _exact(
+        reference_dense_contrast_rows, logits, probs, experts, amateurs, alpha, beta
+    )
+    f_e, f_a = stack[experts], stack[amateurs]
+    assert _exact(contrast_distribution, f_e, f_a, alpha, beta) == _exact(
+        reference_dense_contrast_distribution, f_e, f_a, alpha, beta
+    )
+    assert _exact(contrast_distribution, f_e[0], f_a[0], alpha, beta) == _exact(
+        reference_dense_contrast_distribution, f_e[0], f_a[0], alpha, beta
+    )
+
+
+@pytest.mark.parametrize(
+    "f_e,f_a,alpha,beta",
+    [
+        ([[-np.inf, -np.inf], [0.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]], 0.5, 0.1),
+        ([[-1e308, -np.inf]], [[0.0, 0.0]], 2.0, 0.1),
+        ([[1e308, 0.0]], [[0.0, 0.0]], 2.0, 0.1),
+        ([[0.0, 0.0, -5.0]], [[-np.inf, 0.0, 0.0]], 0.5, 0.1),
+        ([[0.0, 0.0, -5.0]], [[-np.inf, 0.0, 0.0]], 0.0, 0.1),
+        ([[0.0, -5.0]], [[0.0, -np.inf]], 0.5, 0.1),
+        ([[0.0, -800.0, -np.inf]], [[0.0, -np.inf, -np.inf]], 0.5, 5e-324),
+        ([[0.0, 1.0]], [[0.0, 0.0]], -0.5, 0.1),
+        ([[0.0, 1.0]], [[0.0, 0.0]], 0.5, 1.0),
+        ([[0.0, 1.0]], [[0.0, 1.0, 2.0]], 0.5, 0.1),
+        ([[0.0, np.nan]], [[0.0, 0.0]], 0.5, 0.1),
+        ([[0.0, 1.0]], [[np.inf, 0.0]], 0.5, 0.1),
+    ],
+    ids=[
+        "all-masked-expert",
+        "contrast-overflows-to-minus-inf",
+        "contrast-overflows-to-inf",
+        "amateur-minus-inf-under-kept",
+        "alpha-zero-amateur-minus-inf",
+        "amateur-minus-inf-off-the-mask",
+        "subnormal-beta-keeps-zero-probabilities",
+        "negative-alpha",
+        "beta-one",
+        "mismatched-sizes",
+        "nan-expert",
+        "inf-amateur",
+    ],
+)
+def test_sparse_contrast_rejects_exactly_what_the_dense_contrast_rejected(f_e, f_a, alpha, beta):
+    f_e, f_a = np.array(f_e), np.array(f_a)
+    with np.errstate(over="ignore"):
+        assert _exact(contrast_distribution, f_e, f_a, alpha, beta) == _exact(
+            reference_dense_contrast_distribution, f_e, f_a, alpha, beta
+        )
+        if f_e.shape != f_a.shape or not np.isfinite(np.concatenate([f_e, f_a]).max(axis=-1)).all():
+            return  # window_softmax rejects such a stack before contrast_rows sees it
+        logits = np.concatenate([f_e, f_a])
+        probs = reference_dense_softmax(logits)
+        ends = list(range(len(f_e))), list(range(len(f_e), len(logits)))
+        assert _exact(contrast_rows, logits, probs, *ends, alpha, beta) == _exact(
+            reference_dense_contrast_rows, logits, probs, *ends, alpha, beta
+        )
+
+
+# ---------------------------------------------------------------------------
+# JSD: each KL term computed in one temporary
+# ---------------------------------------------------------------------------
+
+
+def reference_kl2(p, m):
+    return np.where(p > 0, p * np.log2(p / m), 0.0).sum(axis=-1)
+
+
+def reference_jsd(p, q):
+    p, q = _check_pair(p, q)
+    m = 0.5 * (p + q)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = 0.5 * reference_kl2(p, m) + 0.5 * reference_kl2(q, m)
+    return float(values) if values.ndim == 0 else values
+
+
+@st.composite
+def distribution_pairs(draw):
+    """Softmaxes of random logits, with zeros from -inf logits and from
+    underflow, or raw nonnegative vectors with exact zeros: two vectors, a
+    vector and a stack in either order, or two stacks."""
+    size = draw(st.integers(1, 5000))
+    rows = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vector, stack = (size,), (rows, size)
+    shapes = draw(st.sampled_from([(vector, vector), (vector, stack), (stack, vector), (stack, stack)]))
+    zeros = draw(st.sampled_from([0.0, 0.01, 0.5]))
+    raw = draw(st.booleans())
+    pair = []
+    for shape in shapes:
+        if raw:
+            values = rng.random(shape)
+            values[rng.random(shape) < zeros] = 0.0
+        else:
+            logits = rng.uniform(-30.0, 30.0, shape)
+            logits[rng.random(shape) < zeros] = draw(st.sampled_from([-np.inf, -1e4]))
+            logits[..., 0] = 0.0  # one unmasked logit per vector
+            values = softmax(logits)
+        pair.append(values)
+    return pair
+
+
+@settings(max_examples=200, deadline=None)
+@example(pair=[np.array([1.0, 0.0]), np.array([0.0, 1.0])])
+@example(pair=[np.array([0.0, 0.0]), np.array([[0.0, 0.0], [0.5, 0.5]])])
+@example(pair=[np.array([np.nan, 1.0]), np.array([0.5, 0.5])])
+@example(pair=[np.zeros((0, 3)), np.zeros((0, 3))])
+@given(pair=distribution_pairs())
+def test_in_place_jsd_matches_the_replaced_jsd(pair):
+    p, q = pair
+    assert _exact(jsd, p, q) == _exact(reference_jsd, p, q)
+    assert _exact(jsd, q, p) == _exact(reference_jsd, q, p)
+
+
+@pytest.mark.parametrize(
+    "p,q",
+    [([1.0], [[1.0, 0.0]]), ([[0.5, 0.5], [1.0, 0.0]], [[1.0, 0.0]]), (0.5, 0.5), ([], [])],
+    ids=["sizes-differ", "stack-shapes-differ", "scalars", "empty-vectors"],
+)
+def test_in_place_jsd_rejects_exactly_what_it_rejected(p, q):
+    assert _exact(jsd, p, q) == _exact(reference_jsd, p, q)
+
+
+# ---------------------------------------------------------------------------
+# Oracle scorer: nouns and matches counted in one pass
+# ---------------------------------------------------------------------------
+
+
+def reference_oracle_match_score(sequence, scene, penalty=1.0):
+    lex = scene.lexicon
+    gt = scene.ground_truth_names
+    nouns = [t for t in sequence if lex.get(t) == "noun"]
+    if not nouns:
+        return 0.5
+    matched = sum(1 for t in nouns if t in gt)
+    hallucinated = len(nouns) - matched
+    raw = (matched - penalty * hallucinated) / len(nouns)
+    return (raw + penalty) / (1.0 + penalty)
+
+
+SCORED_SCENES = [demo_scene(), *generate_corpus(5, 4, CorpusSpec(scene_count=4, trap_fraction=0.5))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    scene=st.sampled_from(SCORED_SCENES),
+    data=st.data(),
+    penalty=st.one_of(st.just(1.0), st.floats(0.0, 10.0)),
+)
+def test_one_pass_oracle_score_matches_the_comprehension(scene, data, penalty):
+    token = st.one_of(st.sampled_from(scene.vocabulary), st.sampled_from(["unknown", ""]))
+    sequence = tuple(data.draw(st.lists(token, max_size=80)))
+    got = oracle_match_score(sequence, scene, penalty)
+    assert type(got) is float
+    assert got.hex() == reference_oracle_match_score(sequence, scene, penalty).hex()
 
 
 # ---------------------------------------------------------------------------

@@ -311,6 +311,8 @@ def test_cli_bad_config_json(tmp_path, capsys):
         {"decode": {"seed": "abc"}},
         {"decode": {"lam": "x"}},
         {"decode": {"max_tokens": 2.5}},
+        {"seed": -1},
+        {"decode": {"seed": -1}},
     ],
     ids=[
         "short-detector-eta",
@@ -320,6 +322,8 @@ def test_cli_bad_config_json(tmp_path, capsys):
         "non-integer-decode-seed",
         "string-decode-lam",
         "fractional-max-tokens",
+        "negative-seed",
+        "negative-decode-seed",
     ],
 )
 def test_cli_malformed_config_exits_2_with_one_line(tmp_path, capsys, extra):
@@ -365,6 +369,57 @@ def test_cli_malformed_theorem_config_exits_2_with_one_line(tmp_path, capsys, th
     cfg.write_text(json.dumps({"theorem": theorem}))
     out = tmp_path / "out"
     assert main(["theorem-verify", "--config", str(cfg), "--seed", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert err.count("\n") == 1
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "scenario,extra",
+    [
+        ("compare", {"compare": {"pope_count": "x"}}),
+        ("compare", {"compare": [1]}),
+        ("compare", {"compare": {"pope_mode": "bogus"}}),
+        ("compare", {"compare": {"pope_count": 0}}),
+        ("compare", {"compare": {"beta": 1e300}}),
+        ("oracle-study", {"oracle_study": [1]}),
+        ("oracle-study", {"oracle_study": {"grid_scales": []}}),
+        ("ablate", {"ablate": 3}),
+        ("ablate", {"ablate": {"pope_mode": "bogus"}}),
+        ("ablate", {"ablate": {"inits": []}}),
+        ("emit-curve", {"emit_curve": {"tokens": 5}}),
+        ("emit-curve", {"emit_curve": {"r_grid": [1e308]}}),
+        ("length-curve", {"length_curve": {"grid": 3}}),
+        ("length-curve", {"length_curve": {"grid": []}}),
+        ("decode", {"scene_index": "abc"}),
+        ("decode", {"scene_index": True}),
+        ("decode", {"detector_confidence": "x"}),
+    ],
+    ids=[
+        "string-pope-count",
+        "compare-not-object",
+        "unknown-pope-mode",
+        "zero-pope-count",
+        "overflowing-f-beta-weight",
+        "oracle-study-not-object",
+        "empty-grid-scales",
+        "ablate-not-object",
+        "unknown-ablate-pope-mode",
+        "empty-ablate-inits",
+        "emit-tokens-not-list",
+        "overflowing-emit-r",
+        "length-grid-not-list",
+        "empty-length-grid",
+        "string-scene-index",
+        "bool-scene-index",
+        "string-detector-confidence",
+    ],
+)
+def test_cli_malformed_section_exits_2_with_one_line(tmp_path, capsys, scenario, extra):
+    cfg = _config_file(tmp_path, {"corpus": {**CLI_CORPUS, "count": 2}, **extra})
+    out = tmp_path / "out"
+    assert main([scenario, "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert err.count("\n") == 1
