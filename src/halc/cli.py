@@ -11,6 +11,7 @@ error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -170,6 +171,7 @@ ABLATE_CHECKS = {
     "beams": _list_of(_positive_integer),
     "scorers": _list_of(_scorer_spec),
 }
+COST_MODEL_KEYS = frozenset(field.name for field in dataclasses.fields(CostModel))
 LENGTH_CHECKS = {"grid": _list_of(_positive_integer)}
 EMIT_CHECKS = {
     "tokens": _optional(_list_of(_string, nonempty=False)),
@@ -276,11 +278,8 @@ def _write_outputs(scenario: str, doc: dict, seed: int, out: Path, config: Decod
         return
 
     if scenario == "cost-model":
-        params = doc.get("cost_model", {})
-        try:
-            model = CostModel(**params)
-        except TypeError as exc:
-            raise ConfigError(f"bad cost model: {exc}") from exc
+        params = check_section("cost_model", doc.get("cost_model"), COST_MODEL_KEYS)
+        model = CostModel(**params)
         estimate = cost_estimate(model)
         payload = {"model": params, "estimate": estimate.to_json()}
         write_json(out / "cost_model.json", payload)

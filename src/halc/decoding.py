@@ -304,6 +304,15 @@ def _pair_index(n: int) -> tuple[tuple[tuple[int, int], ...], np.ndarray, np.nda
     return pairs, first, second
 
 
+@functools.lru_cache(maxsize=1)
+def _pair_buffers(pairs: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Scratch (pairs, V) arrays for the first and second windows of each
+    pair, reused while the shape stays the same: at V≈4000, two fresh
+    arrays per step make the allocator grow and trim the heap on most
+    steps."""
+    return np.empty((pairs, size)), np.empty((pairs, size))
+
+
 def halc_step(
     model: Optional[Model],
     detector: Detector,
@@ -328,7 +337,12 @@ def halc_step(
 
     n = len(logits)
     pairs, first, second = _pair_index(n)
-    divergence = jsd(probs[first], probs[second]).tolist()
+    # mode="clip" lets take write into `out` without an intermediate copy;
+    # the indices are in range.
+    pair_first, pair_second = _pair_buffers(len(pairs), probs.shape[1])
+    np.take(probs, first, axis=0, out=pair_first, mode="clip")
+    np.take(probs, second, axis=0, out=pair_second, mode="clip")
+    divergence = jsd(pair_first, pair_second).tolist()
     # Both halves of the trace matrix share one float object per pair:
     # callers keep the traces of whole corpora in memory.
     matrix = [[0.0] * n for _ in range(n)]

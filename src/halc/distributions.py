@@ -161,9 +161,20 @@ def _kl2(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def total_variation(p, q):
-    """Half the L1 distance between probability vectors."""
+    """Half the L1 distance between probability vectors.
+
+    Two-token vectors are summed column by column, |p0 - q0| + |p1 - q1|,
+    the order numpy's sum over a 2-wide axis uses, without that reduction
+    over a short axis, which numpy runs row by row.
+    """
     p, q = _check_pair(p, q)
-    return _scalar_or_rows(0.5 * np.abs(p - q).sum(axis=-1))
+    if p.shape[-1] == 2:
+        l1 = np.abs(p[..., 0] - q[..., 0])
+        l1 += np.abs(p[..., 1] - q[..., 1])
+    else:
+        l1 = np.abs(p - q).sum(axis=-1)
+    l1 *= 0.5
+    return _scalar_or_rows(l1)
 
 
 def contrast_logits(f_expert, f_amateur, alpha: float) -> np.ndarray:

@@ -92,8 +92,14 @@ class CostModel:
     trigger_rate: float = 0.35
 
     def __post_init__(self) -> None:
-        if min(self.tokens, self.t_lvlm, self.t_detector, self.n) < 0:
+        check_integer("cost model tokens", self.tokens)
+        check_integer("cost model n", self.n)
+        for name in ("t_lvlm", "t_detector", "trigger_rate"):
+            check_number(f"cost model {name}", getattr(self, name))
+        if min(self.tokens, self.t_detector, self.n) < 0:
             raise InvalidParameterError("cost model fields must be nonnegative")
+        if self.t_lvlm <= 0:
+            raise InvalidParameterError("cost model t_lvlm must be positive")
         if not 0.0 <= self.trigger_rate <= 1.0:
             raise InvalidParameterError("trigger rate must lie in [0, 1]")
 
@@ -161,6 +167,8 @@ def resolve_scorer(spec, seed: int = 0) -> Scorer:
         return noisy_match_score(oracle_match_score, 0.1, seed)
     if isinstance(spec, Mapping):
         kind = spec.get("kind", "oracle")
+        keys = {"kind", "amp"} if kind == "noisy" else {"kind"}
+        check_section(f"{kind!r} scorer", spec, frozenset(keys))
         if kind == "noisy":
             amp = check_number("scorer amp", spec.get("amp", 0.1))
             return noisy_match_score(oracle_match_score, amp, seed)

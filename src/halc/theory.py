@@ -5,6 +5,11 @@ Everything here runs in the abstract 3-dimensional FOV vector space
 decoding deviation over n sampled windows is estimated empirically and
 compared against the closed-form neighborhood-hit constants for normal and
 exponential-expansion sampling.
+
+numpy reduces a short axis row by row, so the Monte-Carlo arrays are never
+reduced over their 3-wide FOV axis or their n-wide window axis. They are
+combined column by column instead, in the order the axis reduction would
+use, which gives the same bits in a few whole-array passes.
 """
 
 from __future__ import annotations
@@ -150,11 +155,20 @@ class GaussianBumpModel:
 
     def dists(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        d2 = _squared_distance(pts, np.asarray(self.center, dtype=float))
-        bump = self.amp * np.exp(-d2 / (2.0 * self.width**2))
-        expo = np.exp(bump)
-        p0 = expo / (expo + 1.0)
-        return np.stack([p0, 1.0 - p0], axis=1)
+        # In place, the bump amp * exp(-d2 / (2 width^2)), then its
+        # exponential expo, then p0 = expo / (expo + 1) beside 1 - p0.
+        expo = _squared_distance(pts, np.asarray(self.center, dtype=float))
+        np.negative(expo, out=expo)
+        expo /= 2.0 * self.width**2
+        np.exp(expo, out=expo)
+        expo *= self.amp
+        np.exp(expo, out=expo)
+        out = np.empty((len(expo), 2))
+        p0, p1 = out[:, 0], out[:, 1]
+        np.add(expo, 1.0, out=p1)
+        np.divide(expo, p1, out=p0)
+        np.subtract(1.0, p0, out=p1)
+        return out
 
 
 class SceneFovAdapter:
@@ -191,10 +205,9 @@ def _squared_distance(points: np.ndarray, center: np.ndarray) -> np.ndarray:
     """Squared Euclidean distance of each 3-vector in `points` (last axis)
     from `center`.
 
-    The three columns are added left to right, the order in which numpy's
-    sum over a 3-wide axis adds them, so the result is bit-identical to
-    ((points - center) ** 2).sum(axis=-1) without a reduction over a short
-    axis, which numpy runs row by row.
+    The three columns are added left to right, the order numpy's sum over a
+    3-wide axis uses, so the result is bit-identical to
+    ((points - center) ** 2).sum(axis=-1).
     """
     d0 = points[..., 0] - center[0]
     d1 = points[..., 1] - center[1]
@@ -205,6 +218,19 @@ def _squared_distance(points: np.ndarray, center: np.ndarray) -> np.ndarray:
     d0 += d1
     d0 += d2
     return d0
+
+
+def _row_min(values: np.ndarray, minimum: np.ufunc) -> np.ndarray:
+    """The minimum of each row of a (trials, n) array, taken column by
+    column with `minimum` (np.minimum propagates NaN, np.fmin skips it).
+
+    The same bits as minimum.reduce(values, axis=1) for rows without -0.0
+    and with one NaN bit pattern; deviations and distances are never -0.0.
+    """
+    out = values[:, 0].copy()
+    for column in range(1, values.shape[1]):
+        minimum(out, values[:, column], out=out)
+    return out
 
 
 def _divergence_batch(d_star: np.ndarray, d_points: np.ndarray, divergence: str):
@@ -409,7 +435,11 @@ def min_deviation_mc(
     v_d = config.v_d
 
     if sampler == "normal":
-        points = sample_rng.normal(loc=v_d, scale=config.sigma, size=(config.trials, config.n, FOV_DIM))
+        # normal(loc=v_d, scale=sigma) draws the same standard normals and
+        # returns loc + scale * z, but through its slower broadcasting path.
+        points = sample_rng.standard_normal((config.trials, config.n, FOV_DIM))
+        points *= config.sigma
+        points += v_d
     else:
         r = sample_rng.uniform(config.r_min, config.r_max, size=(config.trials, config.n))
         scale = (1.0 + config.lam) ** r
@@ -421,11 +451,12 @@ def min_deviation_mc(
     flat = points.reshape(-1, FOV_DIM)
     d_star = subject.dists(v_star[None, :])[0]
     devs = _divergence_batch(d_star, subject.dists(flat), config.divergence)
-    min_devs = devs.reshape(config.trials, config.n).min(axis=1)
+    min_devs = _row_min(devs.reshape(config.trials, config.n), np.minimum)
 
     # fmin skips NaN distances, as the per-window hit test (dist <= epsilon)
     # does, so min_dist <= epsilon holds exactly when some window hits.
-    min_dist = np.fmin.reduce(np.sqrt(_squared_distance(points, v_star)), axis=1)
+    dist = _squared_distance(points, v_star)
+    min_dist = _row_min(np.sqrt(dist, out=dist), np.fmin)
     return bound_report(subject, config, sampler, min_devs, min_dist)
 
 

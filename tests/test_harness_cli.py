@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -424,6 +425,60 @@ def test_cli_malformed_section_exits_2_with_one_line(tmp_path, capsys, scenario,
     assert err.startswith("config error: ")
     assert err.count("\n") == 1
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "scenario,extra,named",
+    [
+        ("cost-model", {"cost_model": {"n": 2.5}}, "cost model n "),
+        ("cost-model", {"cost_model": {"tokens": True}}, "cost model tokens "),
+        ("cost-model", {"cost_model": {"n": "x"}}, "cost model n "),
+        ("cost-model", {"cost_model": {"n": [1]}}, "cost model n "),
+        ("cost-model", {"cost_model": {"trigger_rate": "x"}}, "cost model trigger_rate "),
+        ("cost-model", {"cost_model": {"t_lvlm": 0}}, "cost model t_lvlm "),
+        ("cost-model", {"cost_model": [1]}, "cost_model section"),
+        ("cost-model", {"cost_model": {"bogus": 1}}, "'bogus'"),
+        ("decode", {"scorer": {"kind": "noisy", "bogus": 1}}, "'bogus'"),
+        ("compare", {"scorer": {"kind": "oracle", "amp": 0.2}}, "'amp'"),
+        ("ablate", {"ablate": {"scorers": [{"kind": "random", "bogus": 1}]}}, "'bogus'"),
+    ],
+    ids=[
+        "fractional-n",
+        "bool-tokens",
+        "string-n",
+        "list-n",
+        "string-trigger-rate",
+        "zero-t-lvlm",
+        "cost-model-not-object",
+        "unknown-cost-model-key",
+        "unknown-noisy-scorer-key",
+        "amp-on-oracle-scorer",
+        "unknown-ablate-scorer-key",
+    ],
+)
+def test_cli_malformed_cost_model_or_scorer_exits_2_naming_the_key(
+    tmp_path, capsys, scenario, extra, named
+):
+    cfg = _config_file(tmp_path, {"corpus": {**CLI_CORPUS, "count": 2}, **extra})
+    out = tmp_path / "out"
+    assert main([scenario, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert err.count("\n") == 1
+    assert named in err
+    assert not (out / "manifest.json").exists()
+
+
+def test_cli_cost_model_rows_for_valid_configs(tmp_path, capsys):
+    cfg = _config_file(tmp_path, {"cost_model": {"tokens": 10, "n": 3, "t_detector": 0.5}})
+    out = tmp_path / "out"
+    assert main(["cost-model", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = list(csv.DictReader((out / "cost_model.csv").open()))
+    expected = cost_estimate(CostModel(tokens=10, n=3, t_detector=0.5)).to_json()
+    assert rows == [
+        {"tokens": "10", "t_lvlm": "1.0", "t_detector": "0.5", "n": "3", "trigger_rate": "0.35",
+         **{key: str(value) for key, value in expected.items()}}
+    ]
 
 
 def test_failed_manifest_write_leaves_no_files(tmp_path):

@@ -183,6 +183,36 @@ def test_equal_area_windows_put_the_first_window_first(demo, monkeypatch):
     assert first_pair[0] != first_pair[1]
 
 
+def test_successive_wide_steps_leave_earlier_results_intact():
+    # The pair gathers reuse scratch buffers of one shape; at V~4032 two
+    # steps of one scene share them, and neither result may hold or see them.
+    spec = CorpusSpec(scene_count=1, trap_fraction=1.0, filler_count=4000)
+    scene = generate_corpus(3, 1, spec)[0]
+    caption = scene.reference_caption
+    names = {obj.name for obj in scene.objects}
+    first_at, second_at = [pos for pos, tok in enumerate(caption) if tok in names][:2]
+    config = DecodeConfig(n=4, m=6)
+
+    def step(pos, seed):
+        beam = BeamState(tokens=tuple(caption[:pos]))
+        return assert_steps_agree(None, CORPUS_DET, scene, beam, caption[pos], config, seed)
+
+    first = step(first_at, 1)
+    matrix = [row[:] for row in first.jsd_matrix]
+    candidates = [(tok, dist.copy()) for tok, dist in first.candidates]
+    second = step(second_at, 2)
+    assert len(scene.vocabulary) > 4000
+    assert first.detector_hit and second.detector_hit
+    assert any(map(any, matrix)) and second.jsd_matrix != matrix
+    assert first.jsd_matrix == matrix
+    assert [tok for tok, _ in first.candidates] == [tok for tok, _ in candidates]
+    for (_, got), (_, want) in zip(first.candidates, candidates):
+        assert got.tobytes() == want.tobytes()
+    scratch = decoding._pair_buffers(6, len(scene.vocabulary))
+    for _, dist in first.candidates + second.candidates:
+        assert not any(np.shares_memory(dist, buffer) for buffer in scratch)
+
+
 # ---------------------------------------------------------------------------
 # Malformed logits still raise
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
 """The theorem sweep that scores each Monte-Carlo trial set once and the
-column-wise distances, each checked against the code it replaced.
+column-wise reductions, each checked against the code it replaced.
 
 The references below are the replaced code, kept here verbatim apart from
-names: the per-row `min_deviation_mc`, the loop of `run_theorem_verify`
-that called it once per grid row, and the bump model that summed its
-3-wide axis with `sum`. They share `estimate_delta`, `c_g_analytic`,
-`c_e_closed_form` and the divergences with the code they check;
-tests/test_theory.py checks those on their own.
+names: the per-row `min_deviation_mc` with its broadcasting normal draw
+(`rng.normal(loc=...)`), its `min(axis=1)` over the n windows and its
+`np.fmin.reduce(axis=1)` over their distances; the loop of
+`run_theorem_verify` that called it once per grid row; the bump model that
+summed its 3-wide axis with `sum` and built its rows with `np.stack`; and
+the total variation that summed its last axis with `sum`. They share
+`estimate_delta`, `c_g_analytic`, `c_e_closed_form`, `_squared_distance`
+and the JSD with the code they check; tests/test_theory.py and the tests
+below check those on their own.
 """
 
 from unittest import mock
@@ -14,6 +18,7 @@ from unittest import mock
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from halc import theory
 from halc.distributions import jsd, total_variation
@@ -22,6 +27,7 @@ from halc.theory import (
     FOV_DIM,
     GaussianBumpModel,
     TheoremConfig,
+    _row_min,
     _squared_distance,
     bound_report,
     c_e_closed_form,
@@ -52,8 +58,13 @@ class ReferenceBump:
         return np.stack([p0, 1.0 - p0], axis=1)
 
 
+def reference_total_variation(p, q):
+    """Half the L1 distance, summed over the last axis."""
+    return 0.5 * np.abs(p - q).sum(axis=-1)
+
+
 def _reference_divergence(d_star, d_points, divergence):
-    return total_variation(d_star, d_points) if divergence == "tv" else jsd(d_star, d_points)
+    return reference_total_variation(d_star, d_points) if divergence == "tv" else jsd(d_star, d_points)
 
 
 def reference_min_deviation_mc(subject, config, sampler):
@@ -92,6 +103,8 @@ def reference_min_deviation_mc(subject, config, sampler):
     devs = devs.reshape(config.trials, config.n)
     min_devs = devs.min(axis=1)
 
+    min_dist = np.fmin.reduce(np.sqrt(_squared_distance(points, v_star)), axis=1)
+
     dist_to_star = np.linalg.norm(points - v_star, axis=2)
     empirical_miss = float((~(dist_to_star <= config.epsilon).any(axis=1)).mean())
 
@@ -112,7 +125,7 @@ def reference_min_deviation_mc(subject, config, sampler):
         "mean_min_deviation": float(min_devs.mean()),
         "violation_fraction": violations,
     }
-    return fields, min_devs
+    return fields, min_devs, min_dist
 
 
 def reference_run_theorem_verify(options, seed):
@@ -149,7 +162,7 @@ def reference_run_theorem_verify(options, seed):
                     divergence=divergence,
                     seed=seed + n,
                 )
-                fields, _ = reference_min_deviation_mc(model, cfg, sampler)
+                fields, _, _ = reference_min_deviation_mc(model, cfg, sampler)
                 row = {
                     "epsilon": eps,
                     "eta_norm": float(np.linalg.norm(eta)),
@@ -266,9 +279,12 @@ def test_rescored_reports_bit_equal_to_per_row_reference(
         report = bound_report(
             model, config(eps), sampler, first.min_deviation_samples, first.min_distance_samples
         )
-        fields, min_devs = reference_min_deviation_mc(ReferenceBump(v_star), config(eps), sampler)
+        fields, min_devs, min_dist = reference_min_deviation_mc(
+            ReferenceBump(v_star), config(eps), sampler
+        )
         assert _bits(report.to_csv_row()) == _bits(fields)
         assert _same_array(report.min_deviation_samples, min_devs)
+        assert _same_array(report.min_distance_samples, min_dist)
     assert _bits(first.to_csv_row()) == _bits(
         reference_min_deviation_mc(ReferenceBump(v_star), config(epsilons[0]), sampler)[0]
     )
@@ -299,3 +315,101 @@ def test_column_sums_bit_equal_to_axis_reductions(rows, n, center, log_scale, se
     reference = ReferenceBump(center, amp=1.5, width=10.0**log_scale)
     assert _same_array(model.dists(flat), reference.dists(flat))
     assert _same_array(model.dists(flat[0]), reference.dists(flat[0]))
+
+
+# ---------------------------------------------------------------------------
+# Column-wise reductions over the 2-token axis and the n windows
+# ---------------------------------------------------------------------------
+
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, 1e308]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    rows=st.integers(0, 30),
+    width=st.integers(1, 4),
+    p_vector=st.booleans(),
+    q_vector=st.booleans(),
+)
+def test_total_variation_bit_equal_to_axis_sum(data, rows, width, p_vector, q_vector):
+    def draw(vector):
+        shape = (width,) if vector else (rows, width)
+        return data.draw(arrays(np.float64, shape, elements=ANY_FLOAT))
+
+    p, q = draw(p_vector), draw(q_vector)
+    with np.errstate(all="ignore"):
+        got = total_variation(p, q)
+        want = reference_total_variation(p, q)
+    if p_vector and q_vector:
+        assert type(got) is float
+        assert np.float64(got).tobytes() == want.tobytes()
+    else:
+        assert _same_array(got, want)
+
+
+# Deviations and distances are never -0.0, and the reductions may pick
+# either of two NaNs with different bits, so minima are compared on rows
+# without -0.0 and with one NaN.
+WINDOW_FLOAT = st.floats(allow_nan=False).map(lambda x: x + 0.0) | st.just(np.nan)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(1, 8)), elements=WINDOW_FLOAT)
+)
+def test_row_minima_bit_equal_to_axis_reductions(values):
+    before = values.copy()
+    assert _same_array(_row_min(values, np.minimum), values.min(axis=1))
+    assert _same_array(_row_min(values, np.fmin), np.fmin.reduce(values, axis=1))
+    assert _same_array(values, before)
+
+
+class HoleyModel:
+    """A model whose distributions are NaN wherever the first coordinate
+    of the window exceeds `cut`."""
+
+    def __init__(self, model, cut):
+        self.model = model
+        self.cut = cut
+
+    def dists(self, points):
+        out = self.model.dists(points)
+        out[np.atleast_2d(points)[:, 0] > self.cut] = np.nan
+        return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sampler=st.sampled_from(["normal", "exponential"]),
+    divergence=st.sampled_from(["tv", "jsd"]),
+    n=st.integers(1, 8),
+    sigma=st.sampled_from(SIGMAS),
+    cut=st.sampled_from([4.5, 5.5, np.inf]),
+    seed=st.integers(0, 2**16),
+)
+def test_nan_windows_bit_equal_to_reference(sampler, divergence, n, sigma, cut, seed):
+    """NaN deviations (from the model) and NaN distances (exponential scales
+    that underflow to 0 times an infinite detection) reduce as before."""
+    if sampler == "normal":
+        v_star, eta, r_min = (4.0, 4.0, 0.0), (0.8, 0.6, 0.0), -5.0
+    else:
+        v_star, eta, r_min = (1e308, 0.0, 0.0), (1e308, 0.0, 0.0), -50_000.0
+    config = TheoremConfig(
+        v_star=v_star, eta=eta, epsilon=1.0, sigma=sigma, lam=1.0, r_min=r_min, r_max=5.0,
+        n=n, trials=200, divergence=divergence, seed=seed,
+    )
+    with np.errstate(all="ignore"):
+        report = min_deviation_mc(HoleyModel(GaussianBumpModel(center=v_star), cut), config, sampler)
+        fields, min_devs, min_dist = reference_min_deviation_mc(
+            HoleyModel(ReferenceBump(v_star), cut), config, sampler
+        )
+    assert _bits(report.to_csv_row()) == _bits(fields)
+    assert _same_array(report.min_deviation_samples, min_devs)
+    assert _same_array(report.min_distance_samples, min_dist)
+    if sampler == "exponential":
+        assert np.isnan(min_dist).any()
+    elif cut == 4.5:
+        assert np.isnan(min_devs).any()
