@@ -1,0 +1,209 @@
+"""The config document, declared once as frozen dataclasses read by
+`halc.schema`: field names are the keys, annotations the JSON types,
+defaults the defaults and `__post_init__` the ranges. The `decode` and
+`corpus` sections are DecodeConfig and CorpusSpec. A default that depends on
+the scenario is None here and is resolved by the scenario.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass, replace
+from typing import Literal, Optional, Union
+
+from .decoding import SAMPLING_MODES, DecodeConfig
+from .errors import ConfigError
+from .metrics import POPE_MODES
+from .schema import check_types, parse
+from .world import CORPUS_DETECTOR_ETA, CorpusSpec
+
+SCORER_KINDS = ("oracle", "random", "noisy")
+DEFAULT_GRID_SCALES = (0.1, 0.2, 0.3, 0.4, 0.6, 0.9)
+
+
+@dataclass(frozen=True)
+class CostModel:
+    """Closed-form runtime accounting for corrective decoding."""
+
+    tokens: int = 64
+    t_lvlm: float = 1.0
+    t_detector: float = 0.0
+    n: int = 4
+    trigger_rate: float = 0.35
+
+    def __post_init__(self) -> None:
+        require = check_types(self, "cost model")
+        for name in ("tokens", "t_detector", "n"):
+            require(name, getattr(self, name) >= 0, "must be nonnegative")
+        require("t_lvlm", self.t_lvlm > 0, "must be positive")
+        require("trigger_rate", 0 <= self.trigger_rate <= 1, "must lie in [0, 1]")
+
+
+@dataclass(frozen=True)
+class ScorerSpec:
+    """A matching scorer. A bare kind string in the document means the
+    same; `amp`, the noisy scorer's amplitude, defaults to 0.1."""
+
+    kind: Literal[SCORER_KINDS] = "oracle"
+    amp: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        require = check_types(self, "scorer")
+        if self.amp is not None and self.kind != "noisy":
+            raise ConfigError(f"unknown {self.kind!r} scorer keys ['amp']")
+        require("amp", self.amp is None or self.amp >= 0, "must be nonnegative")
+
+    def __str__(self) -> str:
+        """The mapping form, which is how ablate rows name the scorer."""
+        return str({key: value for key, value in vars(self).items() if value is not None})
+
+
+ScorerConfig = Union[Literal[SCORER_KINDS], ScorerSpec]
+
+
+@dataclass(frozen=True)
+class CompareSection:
+    pope_mode: Literal[POPE_MODES] = "random"
+    pope_count: int = 3
+    beta: float = 0.2  # the F-beta weight; its square must stay finite
+
+    def __post_init__(self) -> None:
+        require = check_types(self, "compare")
+        require("pope_count", self.pope_count >= 1, "must be at least 1")
+        require("beta", 0 <= self.beta <= 1e150, "must lie in [0, 1e150]")
+
+
+@dataclass(frozen=True)
+class OracleStudySection:
+    grid_positions: int = 8
+    grid_scales: tuple[float, ...] = DEFAULT_GRID_SCALES
+
+    def __post_init__(self) -> None:
+        require = check_types(self, "oracle_study")
+        require("grid_positions", self.grid_positions >= 1, "must be at least 1")
+        scales = self.grid_scales
+        require("grid_scales", min(scales, default=0) > 0, "must be nonempty and positive")
+
+
+@dataclass(frozen=True)
+class AblateSection:
+    detector_eta: tuple[float, float, float, float] = CORPUS_DETECTOR_ETA
+    pope_mode: Literal[POPE_MODES] = "random"
+    scorer_seeds: Optional[tuple[int, ...]] = None  # None: the run seed and the next four
+    inits: tuple[Literal[SAMPLING_MODES], ...] = ("random", "center", "original", "detector")
+    lambdas: tuple[float, ...] = (0.2, 0.4, 0.6, 0.8, 1.0)
+    beams: tuple[int, ...] = (1, 2, 3, 5, 8)
+    scorers: tuple[ScorerConfig, ...] = ("random", "oracle", "noisy")
+
+    def __post_init__(self) -> None:
+        require = check_types(self, "ablate")
+        for name in ("inits", "lambdas", "scorers"):
+            require(name, bool(getattr(self, name)), "must not be empty")
+        require("beams", min(self.beams, default=0) >= 1, "must be nonempty and at least 1")
+        seeds = self.scorer_seeds
+        ok = seeds is None or min(seeds, default=-1) >= 0
+        require("scorer_seeds", ok, "must be nonempty and nonnegative")
+
+
+@dataclass(frozen=True)
+class LengthCurveSection:
+    grid: tuple[int, ...] = (16, 32, 64)
+
+    def __post_init__(self) -> None:
+        require = check_types(self, "length_curve")
+        require("grid", min(self.grid, default=0) >= 1, "must be nonempty and at least 1")
+
+
+@dataclass(frozen=True)
+class EmitCurveSection:
+    """None or an empty list: the scene's objects, and r from -2 to 3 in
+    steps of 0.5. None anchor: the scene's trap, else its first object."""
+
+    tokens: Optional[tuple[str, ...]] = None
+    r_grid: Optional[tuple[float, ...]] = None
+    anchor: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        check_types(self, "emit_curve")
+
+
+@dataclass(frozen=True)
+class TheoremSection:
+    """The bound-verification grid: normal sampling takes every (epsilon,
+    eta, sigma), exponential sampling one row at exp_epsilon whose
+    detection is eta_scale times v_star. TheoremConfig checks the ranges
+    when theorem-verify builds the grid."""
+
+    v_star: tuple[float, float, float] = (4.0, 4.0, 0.0)
+    amp: float = 1.0
+    n_values: tuple[int, ...] = (2, 4, 8)
+    trials: int = 10_000
+    divergence: Literal["tv", "jsd"] = "tv"
+    samplers: tuple[Literal["normal", "exponential"], ...] = ("normal", "exponential")
+    etas: tuple[tuple[float, float, float], ...] = ((0.0, 0.0, 0.0), (0.8, 0.6, 0.0))
+    sigmas: tuple[float, ...] = (0.5, 1.0)
+    epsilons: tuple[float, ...] = (0.5, 1.0)
+    eta_scale: float = 0.5
+    exp_epsilon: float = 1.0
+    lam: float = 0.6
+    r_min: float = -5.0
+    r_max: float = 5.0
+
+    def __post_init__(self) -> None:
+        check_types(self, "theorem")
+        normal = len(self.epsilons) * len(self.etas) * len(self.sigmas)
+        if not sum(normal if s == "normal" else 1 for s in self.samplers) * len(self.n_values):
+            raise ConfigError("theorem grid has no rows")
+
+
+@dataclass(frozen=True)
+class Config:
+    """The whole document. A None seed must come from --seed, a None corpus
+    is the scenario's default corpus (the demo scene for decode and
+    emit-curve), and a None detector_eta the demo or corpus default."""
+
+    seed: Optional[int] = None
+    scene_index: int = 0
+    detector_eta: Optional[tuple[float, float, float, float]] = None
+    detector_confidence: float = 0.3
+    scorer: ScorerConfig = "oracle"
+    decode: DecodeConfig = DecodeConfig()
+    corpus: Optional[CorpusSpec] = None
+    cost_model: CostModel = CostModel()
+    compare: CompareSection = CompareSection()
+    oracle_study: OracleStudySection = OracleStudySection()
+    ablate: AblateSection = AblateSection()
+    length_curve: LengthCurveSection = LengthCurveSection()
+    emit_curve: EmitCurveSection = EmitCurveSection()
+    theorem: TheoremSection = TheoremSection()
+
+    def __post_init__(self) -> None:
+        require = check_types(self, "")
+        require("seed", self.seed is None or self.seed >= 0, "must be nonnegative")
+
+
+def load_config(path: Optional[str], seed: Optional[int] = None) -> tuple[dict, Config]:
+    """The document at `path` (none: an empty one) as given, and as a Config
+    checked whole before any scenario runs. A manifest from a previous run
+    gives its config and its seed. `seed` (from --seed) replaces the seed;
+    the decode seed defaults to the run seed."""
+    doc = {}
+    if path is not None:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except FileNotFoundError as exc:
+            raise ConfigError(f"config file not found: {path}") from exc
+        except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
+            raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+        if isinstance(doc, dict) and "config" in doc and "scenario" in doc:
+            seed = doc.get("seed") if seed is None else seed
+            doc = doc["config"]
+    config = parse(Config, doc, "top-level")
+    if seed is not None:
+        config = replace(config, seed=seed)
+    if config.seed is None:
+        raise ConfigError("a seed is required (config 'seed' or --seed)")
+    if "seed" not in doc.get("decode", {}):
+        config = replace(config, decode=replace(config.decode, seed=config.seed))
+    return doc, config

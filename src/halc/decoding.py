@@ -24,8 +24,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from itertools import combinations
-from numbers import Integral, Real
-from typing import Callable, Optional, Sequence
+from typing import Callable, Literal, Optional, Sequence
 
 import numpy as np
 
@@ -50,6 +49,7 @@ from .geometry import (
     sample_fovs_normal,
     sample_fovs_random,
 )
+from .schema import check_types
 from .world import END_TOKEN, IDK_TOKEN, Scene, Scorer, tag_token, toy_model_logits
 
 __all__ = [
@@ -84,41 +84,23 @@ class DecodeConfig:
     k: int = 1
     alpha: float = 0.05
     beta: float = 0.1
-    sampling_mode: str = "exponential"
+    sampling_mode: Literal[SAMPLING_MODES] = "exponential"
     sigma: float = 40.0
-    idk_policy: str = "off"
+    idk_policy: Literal[IDK_POLICIES] = "off"
     idk_confidence: float = 0.3
     max_tokens: int = 64
     seed: int = 0
     exponent_offset: int = -1
 
     def __post_init__(self) -> None:
-        for name in ("n", "m", "k", "max_tokens", "seed", "exponent_offset"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
-        for name in ("lam", "alpha", "beta", "sigma", "idk_confidence"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Real):
-                raise InvalidParameterError(f"{name} must be a number, got {value!r}")
-        if self.n < 2:
-            raise InvalidParameterError("need n >= 2 FOV samples")
-        if not 1 <= self.m <= self.n * (self.n - 1) // 2:
-            raise InvalidParameterError("m must lie in [1, n*(n-1)/2]")
-        if self.k < 1:
-            raise InvalidParameterError("beam size must be at least 1")
-        if self.alpha < 0:
-            raise InvalidParameterError("alpha must be nonnegative")
-        if not 0 < self.beta < 1:
-            raise InvalidParameterError("beta must lie in (0, 1)")
-        if self.sampling_mode not in SAMPLING_MODES:
-            raise InvalidParameterError(f"unknown sampling mode {self.sampling_mode!r}")
-        if self.idk_policy not in IDK_POLICIES:
-            raise InvalidParameterError(f"unknown idk policy {self.idk_policy!r}")
-        if self.max_tokens < 1:
-            raise InvalidParameterError("max_tokens must be at least 1")
-        if self.seed < 0:
-            raise InvalidParameterError("seed must be nonnegative")
+        require = check_types(self, "decode")
+        require("n", self.n >= 2, "must be at least 2")
+        require("m", 1 <= self.m <= self.n * (self.n - 1) // 2, "must lie in [1, n*(n-1)/2]")
+        require("k", self.k >= 1, "must be at least 1")
+        require("alpha", self.alpha >= 0, "must be nonnegative")
+        require("beta", 0 < self.beta < 1, "must lie in (0, 1)")
+        require("max_tokens", self.max_tokens >= 1, "must be at least 1")
+        require("seed", self.seed >= 0, "must be nonnegative")
 
 
 @dataclass(frozen=True)

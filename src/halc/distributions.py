@@ -13,7 +13,6 @@ not with V. Each KL term of the JSD is computed in one temporary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -21,30 +20,17 @@ import numpy as np
 from .errors import InvalidInputError, InvalidParameterError
 
 __all__ = [
-    "PlausibilityMask",
     "softmax",
     "argmax_logit",
     "jsd",
     "total_variation",
     "contrast_logits",
-    "plausibility_mask",
     "contrast_distribution",
     "window_softmax",
     "contrast_rows",
     "top_m_pairs",
     "argmax_token",
 ]
-
-
-@dataclass(frozen=True)
-class PlausibilityMask:
-    """Token ids whose expert probability clears beta times the maximum."""
-
-    allowed: frozenset[int]
-    beta: float
-
-    def __contains__(self, token_id: int) -> bool:
-        return token_id in self.allowed
 
 
 def _as_array(values, ndims: tuple[int, ...] = (1, 2)) -> np.ndarray:
@@ -201,12 +187,6 @@ def _plausible(p_expert, beta: float) -> np.ndarray:
         raise InvalidParameterError("plausibility threshold must lie in (0, 1)")
     p = np.asarray(p_expert, dtype=float)
     return p >= beta * p.max(axis=-1, keepdims=True)
-
-
-def plausibility_mask(p_expert, beta: float) -> PlausibilityMask:
-    """Adaptive plausibility set of one expert vector, as token ids."""
-    allowed = frozenset(int(i) for i in np.flatnonzero(_plausible(p_expert, beta)))
-    return PlausibilityMask(allowed=allowed, beta=beta)
 
 
 def _masked_contrast(

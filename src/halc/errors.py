@@ -9,5 +9,5 @@ class InvalidInputError(ValueError):
     """Runtime data (distributions, tokens, files) violates an input contract."""
 
 
-class ConfigError(Exception):
-    """Harness configuration is malformed; maps to CLI exit code 2."""
+class ConfigError(InvalidParameterError):
+    """The config document is malformed; maps to CLI exit code 2."""

@@ -12,15 +12,17 @@ import csv
 import dataclasses
 import json
 import os
-import sys
 from dataclasses import dataclass
-from numbers import Integral, Real
+from itertools import product
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from . import __version__
+from .config import (
+    DEFAULT_GRID_SCALES, AblateSection, CompareSection, CostModel, ScorerSpec, TheoremSection,
+)
 from .decoding import (
     DecodeConfig,
     DecodeResult,
@@ -30,7 +32,7 @@ from .decoding import (
     decode_halc,
 )
 from .distributions import argmax_token, softmax
-from .errors import ConfigError, InvalidInputError, InvalidParameterError
+from .errors import InvalidInputError, InvalidParameterError
 from .geometry import Fov, clamp_to_image, expand_fov
 from .metrics import (
     CaptionRecord,
@@ -41,6 +43,7 @@ from .metrics import (
     opope,
     sample_query_objects,
 )
+from .schema import parse
 from .world import (
     CORPUS_DETECTOR_ETA,
     CorpusSpec,
@@ -48,6 +51,7 @@ from .world import (
     Scene,
     Scorer,
     generate_corpus,
+    load_corpus,
     noisy_match_score,
     oracle_match_score,
     random_match_score,
@@ -79,29 +83,6 @@ METHOD_ORDER = ("greedy", "beam", "halc")
 # ---------------------------------------------------------------------------
 # Time-cost model
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CostModel:
-    """Closed-form runtime accounting for corrective decoding."""
-
-    tokens: int = 64
-    t_lvlm: float = 1.0
-    t_detector: float = 0.0
-    n: int = 4
-    trigger_rate: float = 0.35
-
-    def __post_init__(self) -> None:
-        check_integer("cost model tokens", self.tokens)
-        check_integer("cost model n", self.n)
-        for name in ("t_lvlm", "t_detector", "trigger_rate"):
-            check_number(f"cost model {name}", getattr(self, name))
-        if min(self.tokens, self.t_detector, self.n) < 0:
-            raise InvalidParameterError("cost model fields must be nonnegative")
-        if self.t_lvlm <= 0:
-            raise InvalidParameterError("cost model t_lvlm must be positive")
-        if not 0.0 <= self.trigger_rate <= 1.0:
-            raise InvalidParameterError("trigger rate must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -156,27 +137,23 @@ def verify_cost_accounting(trace: DecodeTrace, model: CostModel) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def resolve_scorer(spec, seed: int = 0) -> Scorer:
-    if spec is None or spec == "oracle":
-        return oracle_match_score
-    if callable(spec):
-        return spec
-    if spec == "random":
+def resolve_scorer(spec: str | ScorerSpec, seed: int = 0) -> Scorer:
+    """The scorer a config names: a kind or a ScorerSpec."""
+    if isinstance(spec, str):
+        spec = ScorerSpec(kind=spec)
+    if spec.kind == "noisy":
+        return noisy_match_score(oracle_match_score, 0.1 if spec.amp is None else spec.amp, seed)
+    if spec.kind == "random":
         return random_match_score(seed)
-    if spec == "noisy":
-        return noisy_match_score(oracle_match_score, 0.1, seed)
-    if isinstance(spec, Mapping):
-        kind = spec.get("kind", "oracle")
-        keys = {"kind", "amp"} if kind == "noisy" else {"kind"}
-        check_section(f"{kind!r} scorer", spec, frozenset(keys))
-        if kind == "noisy":
-            amp = check_number("scorer amp", spec.get("amp", 0.1))
-            return noisy_match_score(oracle_match_score, amp, seed)
-        if kind == "random":
-            return random_match_score(seed)
-        if kind == "oracle":
-            return oracle_match_score
-    raise InvalidParameterError(f"unknown scorer spec {spec!r}")
+    return oracle_match_score
+
+
+def build_corpus(spec: CorpusSpec, seed: int) -> list[Scene]:
+    """The scenes of a corpus section: its file when it names one, else
+    generated from the seed."""
+    if spec.path is not None:
+        return load_corpus(spec.path)
+    return generate_corpus(seed, spec.scene_count, spec)
 
 
 def decode_corpus(
@@ -255,20 +232,18 @@ def run_compare(
     scenes: Sequence[Scene],
     config: DecodeConfig,
     seed: int,
-    pope_mode: str = "random",
-    pope_count: int = 3,
-    beta: float = 0.2,
+    options: CompareSection = CompareSection(),
     detector=None,
     scorer: Optional[Scorer] = None,
     methods: Sequence[str] = METHOD_ORDER,
 ) -> list[dict]:
     """Greedy, beam and corrective decoding over one corpus, one row each."""
-    queries = _pope_queries(scenes, seed, pope_mode, pope_count)
+    queries = _pope_queries(scenes, seed, options.pope_mode, options.pope_count)
     rows = []
     for method in methods:
         captions, _ = decode_corpus(scenes, method, config, detector, scorer)
         row = {"method": method}
-        row.update(evaluate_captions(scenes, captions, queries, beta))
+        row.update(evaluate_captions(scenes, captions, queries, options.beta))
         rows.append(row)
     return rows
 
@@ -277,7 +252,6 @@ def run_compare(
 # Scenario: oracle FOV study
 # ---------------------------------------------------------------------------
 
-DEFAULT_GRID_SCALES = (0.1, 0.2, 0.3, 0.4, 0.6, 0.9)
 CATEGORIES = ("existence", "attribute", "relationship")
 
 
@@ -386,124 +360,36 @@ def run_oracle_study(
 # ---------------------------------------------------------------------------
 
 
-_THEOREM_KEYS = frozenset({
-    "v_star", "amp", "n_values", "trials", "divergence", "samplers", "etas", "sigmas",
-    "epsilons", "eta_scale", "exp_epsilon", "lam", "r_min", "r_max",
-})
-
-
-def check_section(name: str, value, keys: frozenset) -> Mapping:
-    """A config section: a JSON object (an absent one is empty) whose keys
-    all lie in `keys`."""
-    if value is None:
-        return {}
-    if not isinstance(value, Mapping):
-        raise ConfigError(f"{name} section must be a JSON object, got {value!r}")
-    unknown = sorted(set(value) - keys)
-    if unknown:
-        raise ConfigError(f"unknown {name} keys {unknown}")
-    return value
-
-
-def check_number(label: str, value):
-    if isinstance(value, bool) or not isinstance(value, Real) or not abs(value) <= sys.float_info.max:
-        raise ConfigError(f"{label} must be a finite number, got {value!r}")
-    return value
-
-
-def check_integer(label: str, value):
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ConfigError(f"{label} must be an integer, got {value!r}")
-    return value
-
-
-def check_choice(label: str, value, choices: Sequence[str]) -> str:
-    if value not in choices:
-        raise ConfigError(f"{label} must be one of {', '.join(map(repr, choices))}, got {value!r}")
-    return value
-
-
-def check_list(label: str, value, item, nonempty: bool = False) -> list:
-    """The entries of a JSON list, each checked by item(label, entry)."""
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{label} must be a list, got {value!r}")
-    if nonempty and not value:
-        raise ConfigError(f"{label} must not be empty")
-    return [item(label, v) for v in value]
-
-
-def _theorem_vector(label: str, value) -> tuple:
-    if not (isinstance(value, (list, tuple)) and len(value) == 3):
-        raise ConfigError(f"{label} must be a list of 3 numbers, got {value!r}")
-    return tuple(check_number(label, v) for v in value)
-
-
-def _theorem_sampler(label: str, value) -> str:
-    if value not in ("normal", "exponential"):
-        raise ConfigError(f"{label} must be 'normal' or 'exponential', got {value!r}")
-    return value
-
-
-def _theorem_grid(options: Optional[Mapping], seed: int):
+def _theorem_grid(section: TheoremSection, seed: int):
     """The bump model and the (sampler, TheoremConfig) rows of a theorem
-    section, in output order, checked before any trial is drawn.
-
-    Unknown keys, wrong types and an empty grid raise ConfigError; values
-    outside a TheoremConfig's ranges raise InvalidParameterError.
-    """
+    section, in output order, built before any trial is drawn; values
+    outside a TheoremConfig's ranges raise InvalidParameterError."""
     from .theory import GaussianBumpModel, TheoremConfig
 
-    options = check_section("theorem", options, _THEOREM_KEYS)
-
-    def get(key, default, check, *args):
-        return check(f"theorem {key}", options.get(key, default), *args)
-
-    def number(key, default):
-        return get(key, default, check_number)
-
-    v_star = get("v_star", (4.0, 4.0, 0.0), _theorem_vector)
-    model = GaussianBumpModel(center=v_star, amp=float(number("amp", 1.0)))
-    n_values = get("n_values", [2, 4, 8], check_list, check_integer)
-    trials = int(get("trials", 10_000, check_integer))
-    divergence = options.get("divergence", "tv")
-    samplers = get("samplers", ["normal", "exponential"], check_list, _theorem_sampler)
-    etas = get("etas", [(0.0, 0.0, 0.0), (0.8, 0.6, 0.0)], check_list, _theorem_vector)
-    sigmas = get("sigmas", [0.5, 1.0], check_list, check_number)
-    epsilons = get("epsilons", [0.5, 1.0], check_list, check_number)
-    ratio = float(number("eta_scale", 0.5))
-    exp_epsilon = float(number("exp_epsilon", 1.0))
-    lam = float(number("lam", 0.6))
-    r_min = float(number("r_min", -5.0))
-    r_max = float(number("r_max", 5.0))
-
+    v_star = section.v_star
+    model = GaussianBumpModel(center=v_star, amp=float(section.amp))
+    ratio = float(section.eta_scale)
+    shared = dict(
+        v_star=v_star,
+        lam=float(section.lam),
+        r_min=float(section.r_min),
+        r_max=float(section.r_max),
+        trials=section.trials,
+        divergence=section.divergence,
+    )
     grid = []
-    for sampler in samplers:
+    for sampler in section.samplers:
         if sampler == "normal":
-            combos = [
-                (eps, eta, sigma) for eps in epsilons for eta in etas for sigma in sigmas
-            ]
+            combos = list(product(section.epsilons, section.etas, section.sigmas))
         else:
             # Exponential sampling must keep the detection aspect ratio equal
             # to the optimum's and the center offset inside epsilon.
-            combos = [(exp_epsilon, (ratio * v_star[0], ratio * v_star[1], 0.1), 1.0)]
+            eta = (ratio * v_star[0], ratio * v_star[1], 0.1)
+            combos = [(float(section.exp_epsilon), eta, 1.0)]
         for eps, eta, sigma in combos:
-            for n in n_values:
-                cfg = TheoremConfig(
-                    v_star=v_star,
-                    eta=eta,
-                    epsilon=eps,
-                    sigma=sigma,
-                    lam=lam,
-                    r_min=r_min,
-                    r_max=r_max,
-                    n=n,
-                    trials=trials,
-                    divergence=divergence,
-                    seed=seed + n,
-                )
+            for n in section.n_values:
+                cfg = TheoremConfig(eta=eta, epsilon=eps, sigma=sigma, n=n, seed=seed + n, **shared)
                 grid.append((sampler, cfg))
-    if not grid:
-        raise ConfigError("theorem grid has no rows")
     return model, grid
 
 
@@ -531,7 +417,9 @@ def _theorem_rows(model, members: Sequence[tuple]) -> list[dict]:
     return rows
 
 
-def run_theorem_verify(options: Optional[Mapping] = None, seed: int = 0) -> list[dict]:
+def run_theorem_verify(
+    options: TheoremSection | Mapping | None = None, seed: int = 0
+) -> list[dict]:
     """Bound reports over a grid of sampler configurations.
 
     Rows that differ only in epsilon draw the same trial set: the draw
@@ -539,7 +427,8 @@ def run_theorem_verify(options: Optional[Mapping] = None, seed: int = 0) -> list
     is the same for the whole grid. Each such set is drawn and scored
     once, and the rows keep the grid order.
     """
-    model, grid = _theorem_grid(options, seed)
+    section = parse(TheoremSection, {} if options is None else options, "theorem")
+    model, grid = _theorem_grid(section, seed)
     groups: dict[tuple, list[int]] = {}
     for i, (sampler, cfg) in enumerate(grid):
         groups.setdefault((sampler, cfg.eta, cfg.sigma, cfg.n), []).append(i)
@@ -558,12 +447,6 @@ def run_theorem_verify(options: Optional[Mapping] = None, seed: int = 0) -> list
 # ---------------------------------------------------------------------------
 # Scenario: ablations
 # ---------------------------------------------------------------------------
-
-ABLATE_INITS = ("random", "center", "original", "detector")
-ABLATE_LAMBDAS = (0.2, 0.4, 0.6, 0.8, 1.0)
-ABLATE_BEAMS = (1, 2, 3, 5, 8)
-ABLATE_SCORERS = ("random", "oracle", "noisy")
-
 
 def _averaged_halc_eval(
     scenes: Sequence[Scene],
@@ -589,20 +472,20 @@ def run_ablations(
     scenes: Sequence[Scene],
     config: DecodeConfig,
     seed: int,
-    options: Optional[Mapping] = None,
+    options: AblateSection | Mapping | None = None,
 ) -> dict[str, list[dict]]:
     """Sweeps over sampling initialization, growth factor, beam size and
     scorer. Stochastic sweeps average over several seeds."""
-    options = dict(options or {})
-    detector = DetectorSim(tuple(options.get("detector_eta", CORPUS_DETECTOR_ETA)))
-    queries = _pope_queries(scenes, seed, options.get("pope_mode", "random"), 3)
-    scorer_seeds = list(options.get("scorer_seeds", [seed + i for i in range(5)]))
+    options = parse(AblateSection, {} if options is None else options, "ablate")
+    detector = DetectorSim(options.detector_eta)
+    queries = _pope_queries(scenes, seed, options.pope_mode, 3)
+    scorer_seeds = options.scorer_seeds or [seed + i for i in range(5)]
     single = [seed]
 
     tables: dict[str, list[dict]] = {}
 
     rows = []
-    for init in options.get("inits", ABLATE_INITS):
+    for init in options.inits:
         mode = "exponential" if init == "detector" else init
         cfg = dataclasses.replace(config, sampling_mode=mode)
         row = {"init": init}
@@ -611,7 +494,7 @@ def run_ablations(
     tables["init"] = rows
 
     rows = []
-    for lam in options.get("lambdas", ABLATE_LAMBDAS):
+    for lam in options.lambdas:
         cfg = dataclasses.replace(config, lam=lam)
         row = {"lambda": lam}
         row.update(_averaged_halc_eval(scenes, cfg, queries, single, detector, "oracle"))
@@ -619,7 +502,7 @@ def run_ablations(
     tables["lambda"] = rows
 
     rows = []
-    for k in options.get("beams", ABLATE_BEAMS):
+    for k in options.beams:
         cfg = dataclasses.replace(config, k=k)
         row = {"k": k}
         row.update(_averaged_halc_eval(scenes, cfg, queries, single, detector, "oracle"))
@@ -627,11 +510,11 @@ def run_ablations(
     tables["beam"] = rows
 
     rows = []
-    for scorer_name in options.get("scorers", ABLATE_SCORERS):
-        row = {"scorer": scorer_name}
+    for scorer_spec in options.scorers:
+        row = {"scorer": scorer_spec}
         row.update(
             _averaged_halc_eval(
-                scenes, config, queries, scorer_seeds, detector, scorer_name
+                scenes, config, queries, scorer_seeds, detector, scorer_spec
             )
         )
         rows.append(row)
@@ -763,29 +646,3 @@ def write_manifest(out_dir: Path, scenario: str, seed: int, config_echo: Mapping
 def read_csv(path: Path) -> list[dict]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         return list(csv.DictReader(fh))
-
-
-def corpus_from_spec(spec, seed: int) -> list[Scene]:
-    """Build a corpus from an inline parameter mapping or a JSON file path."""
-    from .world import load_corpus
-
-    if isinstance(spec, (str, Path)):
-        return load_corpus(spec)
-    if isinstance(spec, CorpusSpec):
-        return generate_corpus(seed, spec.scene_count, spec)
-    if isinstance(spec, Mapping):
-        if "path" in spec:
-            return load_corpus(spec["path"])
-        params = dict(spec)
-        count = params.pop("count", params.pop("scene_count", 100))
-        try:
-            if "trap_clauses" in params:
-                params["trap_clauses"] = tuple(params["trap_clauses"])
-            cs = CorpusSpec(scene_count=count, **params)
-        except TypeError as exc:
-            raise ConfigError(f"bad corpus spec: {exc}") from exc
-        return generate_corpus(seed, cs.scene_count, cs)
-    if spec is None:
-        cs = CorpusSpec()
-        return generate_corpus(seed, cs.scene_count, cs)
-    raise InvalidParameterError(f"cannot interpret corpus spec {spec!r}")

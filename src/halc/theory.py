@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Protocol, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy import stats
@@ -133,11 +133,6 @@ class BoundReport:
 # ---------------------------------------------------------------------------
 # Conditional models over the abstract FOV space
 # ---------------------------------------------------------------------------
-
-
-class FovConditionalModel(Protocol):
-    def dists(self, points: np.ndarray) -> np.ndarray:
-        """Token distributions for an (N, 3) array of FOV vectors."""
 
 
 @dataclass(frozen=True)
@@ -269,7 +264,7 @@ def _uniform_ball(
 
 
 def estimate_delta(
-    subject: FovConditionalModel,
+    subject: GaussianBumpModel | SceneFovAdapter,
     v_star: Sequence[float],
     epsilon: float,
     probes: int,
@@ -416,7 +411,7 @@ def exponential_miss_probability_mc(
 
 
 def min_deviation_mc(
-    subject: FovConditionalModel,
+    subject: GaussianBumpModel | SceneFovAdapter,
     config: TheoremConfig,
     sampler: str,
 ) -> BoundReport:
@@ -461,7 +456,7 @@ def min_deviation_mc(
 
 
 def bound_report(
-    subject: FovConditionalModel,
+    subject: GaussianBumpModel | SceneFovAdapter,
     config: TheoremConfig,
     sampler: str,
     min_deviations: np.ndarray,

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import InvalidInputError, InvalidParameterError
 from .geometry import Fov, ImageSpec, clamp_to_image, fov_distance
+from .schema import check_types
 
 __all__ = [
     "StableHigh",
@@ -78,13 +79,6 @@ def hash_noise(seed: int, *values: int) -> float:
     state = _mix64(seed & _M64)
     for v in values:
         state = _mix64(state ^ (int(v) & _M64))
-    return (state >> 11) / float(1 << 53) * 2.0 - 1.0
-
-
-def _string_noise(seed: int, text: str) -> float:
-    state = _mix64(seed & _M64)
-    for b in text.encode("utf-8"):
-        state = _mix64(state ^ b)
     return (state >> 11) / float(1 << 53) * 2.0 - 1.0
 
 
@@ -502,7 +496,7 @@ def noisy_match_score(base: Scorer, noise_amp: float, seed: int) -> Scorer:
 
     def scorer(sequence: Sequence[str], scene: Scene) -> float:
         value = base(sequence, scene)
-        noise = noise_amp * _string_noise(seed, "\x1f".join(sequence))
+        noise = noise_amp * hash_noise(seed, *"\x1f".join(sequence).encode("utf-8"))
         return min(1.0, max(0.0, value + noise))
 
     return scorer
@@ -512,7 +506,7 @@ def random_match_score(seed: int) -> Scorer:
     """Content-blind scorer: a seeded uniform draw per sequence."""
 
     def scorer(sequence: Sequence[str], scene: Scene) -> float:
-        return (_string_noise(seed, "\x1f".join(sequence)) + 1.0) / 2.0
+        return (hash_noise(seed, *"\x1f".join(sequence).encode("utf-8")) + 1.0) / 2.0
 
     return scorer
 
@@ -598,9 +592,9 @@ def demo_scene(filler_count: int = 64) -> Scene:
 
 @dataclass(frozen=True)
 class CorpusSpec:
-    """Parameters of a generated scene corpus."""
+    """Parameters of a generated scene corpus, or the path of a saved one."""
 
-    scene_count: int = 100
+    scene_count: int = field(default=100, metadata={"key": "count"})
     trap_fraction: float = 0.5
     correctable_fraction: float = 1.0
     clauses: int = 7
@@ -611,18 +605,24 @@ class CorpusSpec:
     # Clause indices eligible for trap placement, cycled in a 1:2:3 ratio so
     # hallucinations concentrate late in the caption.
     trap_clauses: tuple[int, ...] = (1, 3, 6)
+    # A corpus file written by save_corpus, loaded in place of generating.
+    path: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.scene_count < 1:
-            raise InvalidParameterError("corpus needs at least one scene")
-        if not 0.0 <= self.trap_fraction <= 1.0:
-            raise InvalidParameterError("trap fraction must lie in [0, 1]")
-        if not 0.0 <= self.correctable_fraction <= 1.0:
-            raise InvalidParameterError("correctable fraction must lie in [0, 1]")
-        if self.noun_pool < 3 * self.clauses + 1:
-            raise InvalidParameterError("noun pool too small for the clause count")
-        if self.trap_fraction > 0 and max(self.trap_clauses) >= self.clauses:
-            raise InvalidParameterError("trap clause index outside the skeleton")
+        require = check_types(self, "corpus")
+        require("count", self.scene_count >= 1, "must be at least 1")
+        require("trap_fraction", 0 <= self.trap_fraction <= 1, "must lie in [0, 1]")
+        require("correctable_fraction", 0 <= self.correctable_fraction <= 1, "must lie in [0, 1]")
+        require("clauses", self.clauses >= 1, "must be at least 1")
+        need = 3 * self.clauses + 1
+        require("noun_pool", self.noun_pool >= need, "must be at least 3 * clauses + 1")
+        require("filler_count", self.filler_count >= 0, "must be nonnegative")
+        require("image_width", self.image_width > 0, "must be positive")
+        require("image_height", self.image_height > 0, "must be positive")
+        # Untrapped scenes read a trap clause too, but never index with it.
+        clauses = self.trap_clauses
+        ok = clauses and (self.trap_fraction == 0 or all(0 <= c < self.clauses for c in clauses))
+        require("trap_clauses", bool(ok), "must be nonempty clause indices in [0, clauses)")
 
 
 _VERB_POOL = ("holds", "sees", "keeps", "shows")

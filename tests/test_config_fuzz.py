@@ -2,13 +2,15 @@
 code 0, 2 (config error) or 3 (I/O error) and never with a traceback.
 
 The documents mix valid, wrong-typed, wrong-length and unknown values in
-the `theorem` and `decode` sections, and in the sections of the corpus
+the `theorem` and `decode` sections, in the sections of the corpus
 scenarios (`compare`, `oracle_study`, `ablate`, `emit_curve`,
-`length_curve`), `scene_index` and `detector_confidence`; the valid values
-include combinations that TheoremConfig, DecodeConfig or the
-exponential-sampling conditions reject. Sizes are capped (trials <= 500,
-at most two n values <= 8, a 2-scene corpus, short captions, small grids)
-so that each run takes milliseconds.
+`length_curve`), in the `corpus` section and among the top-level keys
+(`seed`, `scene_index`, `detector_eta`, `detector_confidence`, `scorer`
+and unknown ones); the valid values include combinations that
+TheoremConfig, DecodeConfig, CorpusSpec or the exponential-sampling
+conditions reject. Sizes are capped (trials <= 500, at most two n values
+<= 8, a 2-scene corpus, short captions, small grids) so that each run takes
+milliseconds.
 """
 
 import contextlib
@@ -20,7 +22,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halc.cli import main
+from halc.cli import SCENARIOS, main
 from halc.decoding import IDK_POLICIES, SAMPLING_MODES
 from halc.metrics import POPE_MODES
 
@@ -165,4 +167,51 @@ def test_fuzzed_scenario_sections_exit_0_2_or_3_without_traceback(
         "detector_confidence": detector_confidence,
         **options,
     }
+    _assert_clean_exit(scenario, doc)
+
+
+CORPUS_REQUIRED = {
+    "count": st.integers(1, 2),
+    "clauses": st.sampled_from([2, 3]),
+    "trap_clauses": st.lists(st.integers(-1, 3), max_size=2),
+}
+CORPUS_OPTIONAL = {
+    "trap_fraction": st.sampled_from([0, 0.5, 1.0, 1.5]),
+    "correctable_fraction": st.sampled_from([0.0, 1.0]),
+    "noun_pool": st.sampled_from([7, 24]),
+    "filler_count": st.sampled_from([0, 4]),
+    "image_width": st.sampled_from([100, 1000.0]),
+    "image_height": st.sampled_from([100, 1000.0]),
+    "path": st.just("no-such-corpus.json"),
+}
+TOP_LEVEL_OPTIONAL = {
+    "scene_index": st.integers(-1, 2),
+    "detector_eta": st.sampled_from([[12, -9, 7, 5], [30.0, 30.0, 20.0, -15.0]]),
+    "detector_confidence": st.sampled_from([0.1, 0.3]),
+    "scorer": st.sampled_from(
+        ["oracle", "random", "noisy", {"kind": "noisy", "amp": 0.2}, {"kind": "random"}]
+    ),
+}
+# Small settings of the sections that are not fuzzed here.
+SMALL_SECTIONS = {
+    "decode": {"max_tokens": 4},
+    "theorem": {"trials": 100, "n_values": [2], "samplers": ["exponential"]},
+    "oracle_study": {"grid_positions": 1, "grid_scales": [1.0]},
+    "ablate": {"inits": ["center"], "lambdas": [0.6], "beams": [1], "scorers": ["oracle"],
+               "scorer_seeds": [1]},
+    "length_curve": {"grid": [2]},
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    scenario=st.sampled_from(SCENARIOS),
+    doc=sections(
+        {"seed": st.integers(0, 9), "corpus": sections(CORPUS_REQUIRED, CORPUS_OPTIONAL)},
+        TOP_LEVEL_OPTIONAL,
+    ),
+)
+def test_fuzzed_top_level_and_corpus_exit_0_2_or_3_without_traceback(scenario, doc):
+    if isinstance(doc, dict):
+        doc = {**SMALL_SECTIONS, **doc}
     _assert_clean_exit(scenario, doc)

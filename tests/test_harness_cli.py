@@ -6,12 +6,14 @@ import pytest
 from halc.cli import main
 from halc.decoding import DecodeConfig, decode_greedy, decode_halc
 from halc.errors import InvalidInputError
+from halc.config import ScorerSpec
 from halc.harness import (
     CostModel,
     cost_estimate,
     emit_profile_curve,
     grid_fovs,
     read_csv,
+    resolve_scorer,
     run_ablations,
     run_compare,
     run_length_curve,
@@ -28,7 +30,9 @@ from halc.world import (
     DetectorSim,
     demo_scene,
     generate_corpus,
+    noisy_match_score,
     oracle_match_score,
+    random_match_score,
 )
 
 DET = DetectorSim(CORPUS_DETECTOR_ETA)
@@ -302,18 +306,42 @@ def test_cli_bad_config_json(tmp_path, capsys):
     assert main(["compare", "--config", str(bad), "--seed", "1"]) == 2
 
 
+def test_cli_config_not_utf8_exits_2_with_one_line(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"seed": \xff}')
+    out = tmp_path / "out"
+    assert main(["compare", "--config", str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config file is not valid JSON")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
-    "extra",
+    "extra,named",
     [
-        {"detector_eta": [1, 2]},
-        {"decode": [1, 2]},
-        {"corpus": {"bogus": 1}},
-        {"seed": "abc"},
-        {"decode": {"seed": "abc"}},
-        {"decode": {"lam": "x"}},
-        {"decode": {"max_tokens": 2.5}},
-        {"seed": -1},
-        {"decode": {"seed": -1}},
+        ({"detector_eta": [1, 2]}, "detector_eta must be a list of 4 values"),
+        ({"decode": [1, 2]}, "decode section must be a JSON object"),
+        ({"corpus": {"bogus": 1}}, "unknown corpus keys ['bogus']"),
+        ({"seed": "abc"}, "seed must be an integer"),
+        ({"decode": {"seed": "abc"}}, "decode seed must be an integer"),
+        ({"decode": {"lam": "x"}}, "decode lam must be a finite number"),
+        ({"decode": {"max_tokens": 2.5}}, "decode max_tokens must be an integer"),
+        ({"seed": -1}, "seed must be nonnegative"),
+        ({"decode": {"seed": -1}}, "decode seed must be nonnegative"),
+        ({"decod": {"lam": 0.5}}, "unknown top-level keys ['decod']"),
+        ({"corpus": {"count": 2.5}}, "corpus count must be an integer"),
+        ({"corpus": {"image_width": "x"}}, "corpus image_width must be a finite number, got 'x'"),
+        ({"corpus": {"image_width": float("inf")}}, "corpus image_width must be a finite number"),
+        ({"corpus": {"filler_count": 2.5}}, "corpus filler_count must be an integer"),
+        ({"corpus": {"trap_clauses": [-9]}}, "corpus trap_clauses "),
+        ({"corpus": {"trap_clauses": [], "trap_fraction": 0}}, "corpus trap_clauses "),
+        ({"corpus": {"path": 0}}, "corpus path must be a string"),
+        ({"corpus": {"path": True}}, "corpus path must be a string"),
+        ({"corpus": {"scene_count": 3}}, "unknown corpus keys ['scene_count']"),
+        ({"corpus": {"clauses": 0, "trap_fraction": 0}}, "corpus clauses must be at least 1"),
+        ({"seed": 1.5}, "seed must be an integer"),
+        ({"seed": "3"}, "seed must be an integer"),
+        ({"seed": True}, "seed must be an integer"),
     ],
     ids=[
         "short-detector-eta",
@@ -325,9 +353,23 @@ def test_cli_bad_config_json(tmp_path, capsys):
         "fractional-max-tokens",
         "negative-seed",
         "negative-decode-seed",
+        "unknown-top-level-key",
+        "fractional-corpus-count",
+        "string-image-width",
+        "infinite-image-width",
+        "fractional-filler-count",
+        "negative-trap-clause",
+        "empty-trap-clauses",
+        "int-corpus-path",
+        "bool-corpus-path",
+        "scene-count-spelling",
+        "zero-clauses",
+        "fractional-seed",
+        "string-seed",
+        "bool-seed",
     ],
 )
-def test_cli_malformed_config_exits_2_with_one_line(tmp_path, capsys, extra):
+def test_cli_malformed_config_exits_2_with_one_line(tmp_path, capsys, extra, named):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"seed": 1, **extra}))
     out = tmp_path / "out"
@@ -335,6 +377,7 @@ def test_cli_malformed_config_exits_2_with_one_line(tmp_path, capsys, extra):
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert err.count("\n") == 1
+    assert named in err
     assert not (out / "manifest.json").exists()
 
 
@@ -441,6 +484,8 @@ def test_cli_malformed_section_exits_2_with_one_line(tmp_path, capsys, scenario,
         ("decode", {"scorer": {"kind": "noisy", "bogus": 1}}, "'bogus'"),
         ("compare", {"scorer": {"kind": "oracle", "amp": 0.2}}, "'amp'"),
         ("ablate", {"ablate": {"scorers": [{"kind": "random", "bogus": 1}]}}, "'bogus'"),
+        ("cost-model", {"corpus": {"count": 2.5}}, "corpus count "),
+        ("cost-model", {"corpus": {"image_width": 0}}, "corpus image_width "),
     ],
     ids=[
         "fractional-n",
@@ -454,6 +499,8 @@ def test_cli_malformed_section_exits_2_with_one_line(tmp_path, capsys, scenario,
         "unknown-noisy-scorer-key",
         "amp-on-oracle-scorer",
         "unknown-ablate-scorer-key",
+        "cost-model-with-bad-corpus",
+        "cost-model-with-zero-image-width",
     ],
 )
 def test_cli_malformed_cost_model_or_scorer_exits_2_naming_the_key(
@@ -549,6 +596,55 @@ def test_cli_scenarios_rerun_byte_identical(tmp_path, scenario, capsys):
         assert (outs[0] / f).read_bytes() == (outs[1] / f).read_bytes()
 
 
+def test_cli_ablate_names_mapping_scorers_as_given(tmp_path, capsys):
+    ablate = {"inits": ["center"], "lambdas": [0.6], "beams": [1], "scorer_seeds": [4],
+              "scorers": ["noisy", {"kind": "noisy", "amp": 0.2}]}
+    cfg = _config_file(tmp_path, {"corpus": {**CLI_CORPUS, "count": 2}, "ablate": ablate})
+    out = tmp_path / "out"
+    assert main(["ablate", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = read_csv(out / "ablate_scorer.csv")
+    assert [r["scorer"] for r in rows] == ["noisy", "{'kind': 'noisy', 'amp': 0.2}"]
+
+
+def test_resolve_scorer_kinds_and_specs(demo):
+    tokens = ["a", "man", "holds", "a", "surfboard"]
+
+    def score(scorer):
+        return scorer(tokens, demo)
+
+    assert score(resolve_scorer("oracle", 3)) == score(oracle_match_score)
+    assert score(resolve_scorer("random", 3)) == score(random_match_score(3))
+    assert score(resolve_scorer("noisy", 3)) == score(noisy_match_score(oracle_match_score, 0.1, 3))
+    noisy = resolve_scorer(ScorerSpec(kind="noisy", amp=0.4), 3)
+    assert score(noisy) == score(noisy_match_score(oracle_match_score, 0.4, 3))
+    assert score(noisy) != score(resolve_scorer("noisy", 3))
+    assert score(resolve_scorer("random", 3)) != score(resolve_scorer("random", 4))
+
+
+def test_cli_decode_seed_defaults_to_the_run_seed(tmp_path, capsys):
+    traces = []
+    for name, decode in (("run", {}), ("same", {"seed": 7}), ("other", {"seed": 8})):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({"seed": 7, "decode": {"sampling_mode": "random", **decode}}))
+        out = tmp_path / name
+        assert main(["decode", "--config", str(cfg), "--out", str(out)]) == 0
+        traces.append((out / "trace_halc.json").read_bytes())
+    assert traces[0] == traces[1] != traces[2]
+
+
+def test_cli_demo_scene_uses_the_demo_detector(tmp_path, capsys, demo):
+    out = tmp_path / "out"
+    assert main(["decode", "--seed", "7", "--out", str(out)]) == 0
+    written = json.loads((out / "trace_halc.json").read_text())
+    traces = {
+        eta: json.loads(json.dumps(decode_halc(
+            None, DetectorSim(eta), oracle_match_score, None, demo, DecodeConfig(seed=7)
+        ).trace.to_json()))
+        for eta in (DEMO_DETECTOR_ETA, CORPUS_DETECTOR_ETA)
+    }
+    assert written == traces[DEMO_DETECTOR_ETA] != traces[CORPUS_DETECTOR_ETA]
+
+
 def test_cli_theorem_verify(tmp_path, capsys):
     cfg = _config_file(tmp_path, {"theorem": {"trials": 500, "n_values": [2]}})
     out = tmp_path / "tv"
@@ -588,6 +684,16 @@ def test_cli_manifest_reproduces_run(tmp_path, capsys):
     manifest = first / "manifest.json"
     assert main(["compare", "--config", str(manifest), "--out", str(second)]) == 0
     assert (first / "compare.csv").read_bytes() == (second / "compare.csv").read_bytes()
+
+
+def test_cli_manifest_rerun_keeps_the_seed_flag(tmp_path, capsys):
+    cfg = _config_file(tmp_path)
+    first = tmp_path / "first"
+    assert main(["compare", "--config", str(cfg), "--seed", "99", "--out", str(first)]) == 0
+    second = tmp_path / "second"
+    assert main(["compare", "--config", str(first / "manifest.json"), "--out", str(second)]) == 0
+    assert (first / "compare.csv").read_bytes() == (second / "compare.csv").read_bytes()
+    assert (first / "manifest.json").read_bytes() == (second / "manifest.json").read_bytes()
 
 
 def test_report_csv_rows(demo):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from halc.distributions import argmax_token
 from halc.errors import InvalidInputError, InvalidParameterError
@@ -17,6 +19,7 @@ from halc.world import (
     noisy_match_score,
     oracle_match_score,
     profile_value,
+    random_match_score,
     save_corpus,
     scene_from_json,
     scene_to_json,
@@ -129,6 +132,37 @@ def test_hash_noise_frozen_values():
     values = [hash_noise(s, 10, 20, 30, 40) for s in range(200)]
     assert all(-1.0 <= v <= 1.0 for v in values)
     assert abs(sum(values) / len(values)) < 0.2
+
+
+def reference_string_noise(seed: int, text: str) -> float:
+    """The per-byte string mixer the seeded scorers used before they called
+    hash_noise on the UTF-8 bytes."""
+    mask = (1 << 64) - 1
+
+    def mix(z):
+        z = (z + 0x9E3779B97F4A7C15) & mask
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        return (z ^ (z >> 31)) & mask
+
+    state = mix(seed & mask)
+    for b in text.encode("utf-8"):
+        state = mix(state ^ b)
+    return (state >> 11) / float(1 << 53) * 2.0 - 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 + 5),
+    sequence=st.lists(st.text(max_size=6), max_size=4),
+    amp=st.sampled_from([0.0, 0.1, 0.7]),
+)
+def test_seeded_scorers_keep_their_bits(demo, seed, sequence, amp):
+    noise = reference_string_noise(seed, "\x1f".join(sequence))
+    assert random_match_score(seed)(sequence, demo).hex() == ((noise + 1.0) / 2.0).hex()
+    base = oracle_match_score(sequence, demo)
+    want = min(1.0, max(0.0, base + amp * noise))
+    assert noisy_match_score(oracle_match_score, amp, seed)(sequence, demo).hex() == float(want).hex()
 
 
 def test_tag_token_category_mapping(demo):
