@@ -11,13 +11,16 @@ import json
 from dataclasses import dataclass, replace
 from typing import Literal, Optional, Union
 
-from .decoding import SAMPLING_MODES, DecodeConfig
+from .decoding import DecodeConfig
 from .errors import ConfigError
 from .metrics import POPE_MODES
 from .schema import check_types, parse
 from .world import CORPUS_DETECTOR_ETA, CorpusSpec
 
 SCORER_KINDS = ("oracle", "random", "noisy")
+# The ablate sampling initializations: "detector" is exponential sampling
+# from the detector's grounding, the rest are the sampling modes so named.
+ABLATE_INITS = ("detector", "normal", "random", "center", "original")
 DEFAULT_GRID_SCALES = (0.1, 0.2, 0.3, 0.4, 0.6, 0.9)
 
 
@@ -90,7 +93,7 @@ class AblateSection:
     detector_eta: tuple[float, float, float, float] = CORPUS_DETECTOR_ETA
     pope_mode: Literal[POPE_MODES] = "random"
     scorer_seeds: Optional[tuple[int, ...]] = None  # None: the run seed and the next four
-    inits: tuple[Literal[SAMPLING_MODES], ...] = ("random", "center", "original", "detector")
+    inits: tuple[Literal[ABLATE_INITS], ...] = ("random", "center", "original", "detector")
     lambdas: tuple[float, ...] = (0.2, 0.4, 0.6, 0.8, 1.0)
     beams: tuple[int, ...] = (1, 2, 3, 5, 8)
     scorers: tuple[ScorerConfig, ...] = ("random", "oracle", "noisy")

@@ -1,10 +1,13 @@
 """Decoders: greedy and log-prob beam baselines plus the focal-contrast
-corrector with matching-based beam search.
+corrector with matching-based beam search, as three step policies over one
+decode loop. A policy proposes the candidates of a live beam and picks the
+beams to keep; the loop owns the beams and the trace accounting.
 
 The corrector runs per generated token: tagged tokens are re-grounded via the
 detector, re-decoded under n sampled FOVs, the most divergent FOV pairs are
-contrasted bi-directionally, and the resulting candidate tokens compete in a
-beam selection scored by text/image matching rather than log-probability.
+contrasted bi-directionally, and the resulting candidate tokens, after the
+abstention policy, compete in a beam selection scored by text/image matching
+rather than log-probability.
 
 The correction step works on the (n, V) stack of per-window logits as a few
 array operations: one checked row-wise softmax, the JSD of every window pair
@@ -24,7 +27,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable, Literal, Optional, Sequence
+from typing import Callable, Literal, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -33,7 +36,6 @@ import numpy as np
 # (perfbench/probes.py) wraps them here.
 from .distributions import (  # noqa: F401
     argmax_logit,
-    argmax_token,
     contrast_distribution,
     contrast_rows,
     jsd,
@@ -70,7 +72,7 @@ __all__ = [
 Model = Callable[[Scene, Fov, Optional[Sequence[str]]], np.ndarray]
 Detector = Callable[[str, Scene], Optional[Fov]]
 
-SAMPLING_MODES = ("exponential", "detector", "normal", "random", "center", "original")
+SAMPLING_MODES = ("exponential", "normal", "random", "center", "original")
 IDK_POLICIES = ("off", "literal", "confidence")
 
 
@@ -103,14 +105,13 @@ class DecodeConfig:
         require("seed", self.seed >= 0, "must be nonnegative")
 
 
-@dataclass(frozen=True)
-class BeamState:
+class BeamState(NamedTuple):
     tokens: tuple[str, ...]
     score: float = 0.0
     terminated: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class StepRecord:
     step: int
     beam: int
@@ -167,8 +168,62 @@ class DecodeResult:
 
 
 # ---------------------------------------------------------------------------
-# Baseline decoders
+# The decode loop and the baseline policies
 # ---------------------------------------------------------------------------
+
+# A candidate is a plain tuple, so that a step builds no object per
+# candidate: (key, logp, grown, chosen, record). `key` is the beam grown by
+# the proposed token, which matching-based selection dedupes and scores;
+# `logp` the accumulated log-probability that log-prob selection ranks;
+# `grown` the beam it becomes, `key` unless the abstention policy replaced
+# the proposed token by `chosen`; `record` reports `chosen` if it is kept.
+Key = tuple[tuple[str, ...], bool]
+Candidate = tuple[Key, float, Key, Optional[str], Optional[StepRecord]]
+Expand = Callable[[list[Candidate], BeamState, int, int], StepRecord]
+Select = Callable[[list[Candidate]], Sequence[tuple[Candidate, float]]]
+
+
+def _extend(tokens: tuple[str, ...], token: str) -> Key:
+    """A beam grown by one token; the end token ends it and is dropped."""
+    return (tokens, True) if token == END_TOKEN else (tokens + (token,), False)
+
+
+def _decode(
+    config: DecodeConfig, expand: Expand, select: Select
+) -> tuple[list[BeamState], DecodeTrace]:
+    """Grow beams from the empty caption one token per step, until every
+    beam has ended or config.max_tokens steps have run.
+
+    `expand(pool, beam, step, b)` adds the candidates of live beam b to the
+    pool and returns the step's record; an ended beam joins the pool as it
+    is. `select(pool)` returns the kept (candidate, score) pairs, which
+    become the next beams.
+    """
+    trace = DecodeTrace()
+    beams = [BeamState(())]
+    for step in range(config.max_tokens):
+        pool: list[Candidate] = []
+        for b, beam in enumerate(beams):
+            if beam.terminated:
+                key = (beam.tokens, True)
+                pool.append((key, beam.score, key, None, None))
+                continue
+            record = expand(pool, beam, step, b)
+            trace.steps.append(record)
+            trace.model_calls += record.model_call_count
+            if record.triggered:
+                trace.triggered += 1
+                trace.detector_calls += 1
+        beams = []
+        live = False
+        for (_, _, (tokens, terminated), chosen, record), score in select(pool):
+            if record is not None:
+                record.chosen_token = chosen
+            beams.append(BeamState(tokens, score, terminated))
+            live = live or not terminated
+        if not live:
+            break
+    return beams, trace
 
 
 def decode_greedy(
@@ -176,22 +231,28 @@ def decode_greedy(
     scene: Scene,
     config: DecodeConfig,
 ) -> DecodeResult:
-    """Argmax decoding on the full-image window until end token or budget."""
+    """Argmax decoding on the full-image window until end token or budget:
+    one beam, which proposes its argmax token."""
     model = model or toy_model_logits
     full = scene.image.full_fov()
-    trace = DecodeTrace()
-    tokens: list[str] = []
-    for step in range(config.max_tokens):
-        logits = model(scene, full, tokens)
-        trace.model_calls += 1
-        tok = scene.vocabulary[argmax_token(logits)]
-        trace.steps.append(
-            StepRecord(step, 0, False, False, 1, chosen_token=tok)
-        )
-        if tok == END_TOKEN:
-            break
-        tokens.append(tok)
-    return DecodeResult(tuple(tokens), trace)
+    vocabulary = scene.vocabulary
+
+    def expand(pool: list[Candidate], beam: BeamState, step: int, b: int) -> StepRecord:
+        token = vocabulary[argmax_logit(model(scene, full, beam.tokens))]
+        record = StepRecord(step, b, False, False, 1)
+        grown = _extend(beam.tokens, token)
+        pool.append((grown, 0.0, grown, token, record))
+        return record
+
+    beams, trace = _decode(config, expand, lambda pool: [(pool[0], 0.0)])
+    return DecodeResult(beams[0].tokens, trace)
+
+
+def _by_logp(pool: list[Candidate], k: int) -> list[tuple[Candidate, float]]:
+    """The k candidates of highest accumulated log-probability, ties in
+    pool order."""
+    pool.sort(key=lambda cand: -cand[1])
+    return [(cand, cand[1]) for cand in pool[:k]]
 
 
 def decode_beam(
@@ -200,41 +261,28 @@ def decode_beam(
     k: int,
     config: DecodeConfig,
 ) -> DecodeResult:
-    """Token-wise beam search on accumulated log probability, full image only."""
+    """Token-wise beam search on accumulated log probability, full image
+    only: each live beam proposes its k most probable tokens, the k best
+    candidates survive, and ended beams win over live ones."""
     if k < 1:
         raise InvalidParameterError("beam size must be at least 1")
     model = model or toy_model_logits
     full = scene.image.full_fov()
-    trace = DecodeTrace()
-    beams: list[tuple[tuple[str, ...], float, bool]] = [((), 0.0, False)]
-    for step in range(config.max_tokens):
-        pool: list[tuple[tuple[str, ...], float, bool]] = []
-        any_live = False
-        for b, (tokens, logp, terminated) in enumerate(beams):
-            if terminated:
-                pool.append((tokens, logp, True))
-                continue
-            any_live = True
-            logits = model(scene, full, list(tokens))
-            trace.model_calls += 1
-            trace.steps.append(StepRecord(step, b, False, False, 1))
-            probs = softmax(logits)
-            with np.errstate(divide="ignore"):
-                logprobs = np.log(probs)
-            order = np.argsort(-logprobs, kind="stable")[:k]
-            for v in order:
-                tok = scene.vocabulary[int(v)]
-                if tok == END_TOKEN:
-                    pool.append((tokens, logp + float(logprobs[v]), True))
-                else:
-                    pool.append((tokens + (tok,), logp + float(logprobs[v]), False))
-        if not any_live:
-            break
-        pool.sort(key=lambda item: -item[1])
-        beams = pool[:k]
-    beams.sort(key=lambda item: (not item[2], -item[1]))
-    best_tokens, _, _ = beams[0]
-    return DecodeResult(best_tokens, trace)
+    vocabulary = scene.vocabulary
+
+    def expand(pool: list[Candidate], beam: BeamState, step: int, b: int) -> StepRecord:
+        tokens, score, _ = beam
+        probs = softmax(model(scene, full, tokens))
+        with np.errstate(divide="ignore"):
+            logprobs = np.log(probs)
+        for v in (-logprobs).argsort(kind="stable")[:k].tolist():
+            grown = _extend(tokens, vocabulary[v])
+            pool.append((grown, score + logprobs.item(v), grown, None, None))
+        return StepRecord(step, b, False, False, 1)
+
+    beams, trace = _decode(config, expand, lambda pool: _by_logp(pool, k))
+    best = min(beams, key=lambda beam: (not beam.terminated, -beam.score))
+    return DecodeResult(best.tokens, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +297,6 @@ class HalcStepResult:
     jsd_matrix: list[list[float]]
     selected_pairs: list[tuple[int, int]]
     detector_hit: bool
-    grounding: Optional[Fov]
 
 
 def _sample_fovs(
@@ -262,7 +309,7 @@ def _sample_fovs(
     mode = config.sampling_mode
     if v_d is None or mode == "random":
         return sample_fovs_random(image, config.n, rng)
-    if mode in ("exponential", "detector"):
+    if mode == "exponential":
         return sample_fovs_exponential(v_d, config.lam, config.n, image, config.exponent_offset)
     if mode == "normal":
         return sample_fovs_normal(v_d, config.sigma, config.n, rng, image)
@@ -322,8 +369,8 @@ def halc_step(
     # mode="clip" lets take write into `out` without an intermediate copy;
     # the indices are in range.
     pair_first, pair_second = _pair_buffers(len(pairs), probs.shape[1])
-    np.take(probs, first, axis=0, out=pair_first, mode="clip")
-    np.take(probs, second, axis=0, out=pair_second, mode="clip")
+    probs.take(first, axis=0, out=pair_first, mode="clip")
+    probs.take(second, axis=0, out=pair_second, mode="clip")
     divergence = jsd(pair_first, pair_second).tolist()
     # Both halves of the trace matrix share one float object per pair:
     # callers keep the traces of whole corpora in memory.
@@ -342,14 +389,13 @@ def halc_step(
         experts += (larger, smaller)
         amateurs += (smaller, larger)
     dists = contrast_rows(logits, probs, experts, amateurs, config.alpha, config.beta)
-    tokens = map(scene.vocabulary.__getitem__, np.argmax(dists, axis=-1).tolist())
+    tokens = map(scene.vocabulary.__getitem__, dists.argmax(axis=-1).tolist())
     return HalcStepResult(
         candidates=tuple(zip(tokens, dists)),
         fovs=fovs,
         jsd_matrix=matrix,
         selected_pairs=selected,
         detector_hit=v_d is not None,
-        grounding=v_d,
     )
 
 
@@ -384,24 +430,12 @@ def apply_idk_policy(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Candidate:
-    tokens: tuple[str, ...]  # full extended sequence (token already applied)
-    token: Optional[str]  # newly appended token; None for pass-through beams
-    terminated: bool
-    triggered: bool
-    original: Optional[str]
-    detector_hit: bool
-    prob: Optional[float]
-    record: Optional[StepRecord]
-
-
 def select_beams(
-    candidates: Sequence[_Candidate],
+    candidates: Sequence[Candidate],
     scorer: Scorer,
     k: int,
     scene: Scene,
-) -> list[tuple[_Candidate, float]]:
+) -> list[tuple[Candidate, float]]:
     """Keep the k best-scoring pairwise-distinct sequences.
 
     The pool is first reduced to the first candidate of each distinct
@@ -412,16 +446,16 @@ def select_beams(
     """
     if not candidates:
         raise InvalidParameterError("candidate pool is empty")
-    distinct: dict[tuple, _Candidate] = {}
+    distinct: dict[Key, Candidate] = {}
     for cand in candidates:
-        distinct.setdefault((cand.tokens, cand.terminated), cand)
-    scored = [(cand, scorer(cand.tokens, scene)) for cand in distinct.values()]
+        distinct.setdefault(cand[0], cand)
+    scored = [(cand, scorer(tokens, scene)) for (tokens, _), cand in distinct.items()]
     scored.sort(key=lambda item: -item[1])  # stable: ties keep pool order
     return scored[:k]
 
 
 # ---------------------------------------------------------------------------
-# Full decoding loop
+# The corrector's policy
 # ---------------------------------------------------------------------------
 
 
@@ -434,119 +468,43 @@ def decode_halc(
     config: DecodeConfig,
 ) -> DecodeResult:
     """Corrective decoding: per live beam propose one token greedily, run the
-    focal-contrast step on tagged tokens, pool candidates across beams, keep
-    the k best by visual matching, then apply the abstention policy.
+    focal-contrast step on tagged tokens, apply the abstention policy to
+    each candidate, pool candidates across beams and keep the k best by
+    visual matching; the best-matching final beam wins.
     """
     model = model or toy_model_logits
     lexicon = lexicon if lexicon is not None else scene.lexicon
     rng = np.random.default_rng(config.seed)
     full = scene.image.full_fov()
-    trace = DecodeTrace()
-    beams = [BeamState(tokens=(), score=0.0, terminated=False)]
+    vocabulary = scene.vocabulary
+    policy = config.idk_policy
 
-    for step in range(config.max_tokens):
-        pool: list[_Candidate] = []
-        for b, beam in enumerate(beams):
-            if beam.terminated:
-                pool.append(
-                    _Candidate(beam.tokens, None, True, False, None, False, None, None)
-                )
+    def expand(pool: list[Candidate], beam: BeamState, step: int, b: int) -> StepRecord:
+        proposed = vocabulary[argmax_logit(model(scene, full, beam.tokens))]
+        if tag_token(lexicon, proposed) == "none":
+            record = StepRecord(step, b, False, False, 1, candidate_tokens=[proposed])
+            grown = _extend(beam.tokens, proposed)
+            pool.append((grown, 0.0, grown, proposed, record))
+            return record
+        result = halc_step(model, detector, scene, beam, proposed, config, rng)
+        hit = result.detector_hit
+        candidates = [tok for tok, _ in result.candidates]
+        record = StepRecord(step, b, True, hit, 1 + config.n, result.fovs, result.jsd_matrix,
+                            result.selected_pairs, candidates)
+        # select_beams keeps the first candidate of each key, and a repeated
+        # token here repeats this beam's key.
+        seen: set[str] = set()
+        for token, dist in result.candidates:
+            if token in seen:
                 continue
-            logits = model(scene, full, beam.tokens)
-            trace.model_calls += 1
-            proposed = scene.vocabulary[argmax_logit(logits)]
-            category = tag_token(lexicon, proposed)
-            if category != "none":
-                trace.triggered += 1
-                trace.detector_calls += 1
-                result = halc_step(model, detector, scene, beam, proposed, config, rng)
-                trace.model_calls += config.n
-                record = StepRecord(
-                    step=step,
-                    beam=b,
-                    triggered=True,
-                    detector_hit=result.detector_hit,
-                    model_call_count=1 + config.n,
-                    fovs=result.fovs,
-                    jsd_matrix=result.jsd_matrix,
-                    selected_pairs=result.selected_pairs,
-                    candidate_tokens=[tok for tok, _ in result.candidates],
-                )
-                trace.steps.append(record)
-                # select_beams keeps the first candidate of each sequence, and
-                # a repeated token here repeats this beam's sequence.
-                seen: set[str] = set()
-                for tok, dist in result.candidates:
-                    if tok in seen:
-                        continue
-                    seen.add(tok)
-                    extended = beam.tokens if tok == END_TOKEN else beam.tokens + (tok,)
-                    pool.append(
-                        _Candidate(
-                            tokens=extended,
-                            token=tok,
-                            terminated=tok == END_TOKEN,
-                            triggered=True,
-                            original=proposed,
-                            detector_hit=result.detector_hit,
-                            prob=float(dist[scene.token_id(tok)]),
-                            record=record,
-                        )
-                    )
-            else:
-                record = StepRecord(
-                    step=step,
-                    beam=b,
-                    triggered=False,
-                    detector_hit=False,
-                    model_call_count=1,
-                    candidate_tokens=[proposed],
-                )
-                trace.steps.append(record)
-                extended = beam.tokens if proposed == END_TOKEN else beam.tokens + (proposed,)
-                pool.append(
-                    _Candidate(
-                        tokens=extended,
-                        token=proposed,
-                        terminated=proposed == END_TOKEN,
-                        triggered=False,
-                        original=proposed,
-                        detector_hit=False,
-                        prob=None,
-                        record=record,
-                    )
-                )
-        selected = select_beams(pool, scorer, config.k, scene)
-        new_beams: list[BeamState] = []
-        for cand, score in selected:
-            if cand.token is None:
-                new_beams.append(BeamState(cand.tokens, score, True))
-                continue
-            final_tok = cand.token
-            if cand.triggered:
-                final_tok = apply_idk_policy(
-                    cand.original,
-                    cand.token,
-                    cand.detector_hit,
-                    config.idk_policy,
-                    cand.prob,
-                    config.idk_confidence,
-                )
-            if final_tok == END_TOKEN:
-                tokens = cand.tokens
-                terminated = True
-            elif final_tok == cand.token:
-                tokens = cand.tokens
-                terminated = cand.terminated
-            else:
-                tokens = cand.tokens[:-1] + (final_tok,)
-                terminated = False
-            if cand.record is not None:
-                cand.record.chosen_token = final_tok
-            new_beams.append(BeamState(tokens, score, terminated))
-        beams = new_beams
-        if all(beam.terminated for beam in beams):
-            break
+            seen.add(token)
+            key = _extend(beam.tokens, token)
+            prob = float(dist[scene.token_id(token)])
+            chosen = apply_idk_policy(proposed, token, hit, policy, prob, config.idk_confidence)
+            grown = key if chosen == token else _extend(beam.tokens, chosen)
+            pool.append((key, 0.0, grown, chosen, record))
+        return record
 
+    beams, trace = _decode(config, expand, lambda pool: select_beams(pool, scorer, config.k, scene))
     best = max(range(len(beams)), key=lambda i: (scorer(beams[i].tokens, scene), -i))
     return DecodeResult(beams[best].tokens, trace)

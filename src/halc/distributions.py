@@ -95,8 +95,8 @@ def argmax_logit(logits) -> int:
     arr = _as_array(logits, ndims=(1,))
     # argmax returns the first NaN when there is one, so one look at the
     # winning entry rejects NaN, +inf and an all-masked vector.
-    best = int(np.argmax(arr))
-    top = arr[best]
+    best = int(arr.argmax())
+    top = arr.item(best)
     if not top < np.inf:
         raise InvalidInputError("logits must be finite or -inf")
     if top == -np.inf:
@@ -277,5 +277,5 @@ def top_m_pairs(dists, m: int) -> list[tuple[int, int]]:
 
 def argmax_token(p):
     """Lowest token id among the maximal probabilities of each vector."""
-    top = np.argmax(np.asarray(p, dtype=float), axis=-1)
+    top = np.asarray(p, dtype=float).argmax(axis=-1)
     return int(top) if top.ndim == 0 else top

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -590,6 +590,11 @@ def demo_scene(filler_count: int = 64) -> Scene:
 # ---------------------------------------------------------------------------
 
 
+# The largest generated corpus, 50 times oracle-study's 200-scene default.
+# A default scene holds about 35 KB, so such a corpus holds about 350 MB.
+MAX_SCENE_COUNT = 10_000
+
+
 @dataclass(frozen=True)
 class CorpusSpec:
     """Parameters of a generated scene corpus, or the path of a saved one."""
@@ -605,12 +610,14 @@ class CorpusSpec:
     # Clause indices eligible for trap placement, cycled in a 1:2:3 ratio so
     # hallucinations concentrate late in the caption.
     trap_clauses: tuple[int, ...] = (1, 3, 6)
-    # A corpus file written by save_corpus, loaded in place of generating.
+    # A corpus file written by save_corpus, loaded in place of generating,
+    # so no other key may leave its default.
     path: Optional[str] = None
 
     def __post_init__(self) -> None:
         require = check_types(self, "corpus")
-        require("count", self.scene_count >= 1, "must be at least 1")
+        count_ok = 1 <= self.scene_count <= MAX_SCENE_COUNT
+        require("count", count_ok, f"must lie in [1, {MAX_SCENE_COUNT}]")
         require("trap_fraction", 0 <= self.trap_fraction <= 1, "must lie in [0, 1]")
         require("correctable_fraction", 0 <= self.correctable_fraction <= 1, "must lie in [0, 1]")
         require("clauses", self.clauses >= 1, "must be at least 1")
@@ -623,6 +630,9 @@ class CorpusSpec:
         clauses = self.trap_clauses
         ok = clauses and (self.trap_fraction == 0 or all(0 <= c < self.clauses for c in clauses))
         require("trap_clauses", bool(ok), "must be nonempty clause indices in [0, clauses)")
+        for f in fields(self) if self.path is not None else ():
+            given = f.name != "path" and getattr(self, f.name) != f.default
+            require(f.metadata.get("key", f.name), not given, "cannot be given with path")
 
 
 _VERB_POOL = ("holds", "sees", "keeps", "shows")

@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halc.cli import SCENARIOS, main
+from halc.config import ABLATE_INITS
 from halc.decoding import IDK_POLICIES, SAMPLING_MODES
 from halc.metrics import POPE_MODES
 
@@ -128,7 +129,7 @@ SCENARIO_SECTIONS = {
         "detector_eta": st.sampled_from([[12, -9, 7, 5], [1, 2, 3]]),
         "pope_mode": st.sampled_from(POPE_MODES),
         "scorer_seeds": st.lists(st.integers(0, 9), min_size=1, max_size=2),
-        "inits": st.lists(st.sampled_from(SAMPLING_MODES), min_size=1, max_size=2),
+        "inits": st.lists(st.sampled_from(ABLATE_INITS), min_size=1, max_size=2),
         "lambdas": st.lists(st.sampled_from([0.4, 0.6, -1.0]), min_size=1, max_size=2),
         "beams": st.lists(st.integers(1, 2), min_size=1, max_size=2),
         "scorers": st.lists(
@@ -171,7 +172,7 @@ def test_fuzzed_scenario_sections_exit_0_2_or_3_without_traceback(
 
 
 CORPUS_REQUIRED = {
-    "count": st.integers(1, 2),
+    "count": st.one_of(st.integers(1, 2), st.just(10**30)),
     "clauses": st.sampled_from([2, 3]),
     "trap_clauses": st.lists(st.integers(-1, 3), max_size=2),
 }

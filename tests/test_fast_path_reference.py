@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from halc import decoding
-from halc.decoding import SAMPLING_MODES, DecodeConfig, decode_halc
+from halc.decoding import IDK_POLICIES, SAMPLING_MODES, DecodeConfig, apply_idk_policy, decode_halc
 from halc.distributions import (
     _as_array,
     _as_logits,
@@ -622,33 +622,39 @@ def test_one_pass_oracle_score_matches_the_comprehension(scene, data, penalty):
 # ---------------------------------------------------------------------------
 
 
-def reference_step_candidates(beam_tokens, proposed, result, record, scene):
-    """The replaced loop: one candidate per (token, distribution) pair."""
+def reference_step_candidates(beam_tokens, proposed, result, record, config, scene):
+    """The replaced loop: one candidate per (token, distribution) pair, each
+    growing into the beam that the replaced post-selection branch built
+    from it."""
     pool = []
     for tok, dist in result.candidates:
         extended = beam_tokens if tok == END_TOKEN else beam_tokens + (tok,)
-        pool.append(
-            decoding._Candidate(
-                tokens=extended,
-                token=tok,
-                terminated=tok == END_TOKEN,
-                triggered=True,
-                original=proposed,
-                detector_hit=result.detector_hit,
-                prob=float(dist[scene.token_id(tok)]),
-                record=record,
-            )
+        terminated = tok == END_TOKEN
+        final_tok = apply_idk_policy(
+            proposed,
+            tok,
+            result.detector_hit,
+            config.idk_policy,
+            float(dist[scene.token_id(tok)]),
+            config.idk_confidence,
         )
+        if final_tok == END_TOKEN:
+            grown = (extended, True)
+        elif final_tok == tok:
+            grown = (extended, terminated)
+        else:
+            grown = (extended[:-1] + (final_tok,), False)
+        pool.append(((extended, terminated), 0.0, grown, final_tok, record))
     return pool
 
 
 def _first_by_key(pool):
     first = {}
     for cand in pool:
-        first.setdefault((cand.tokens, cand.terminated), cand)
+        first.setdefault(cand[0], cand)
     return [
-        (key, c.token, c.triggered, c.original, c.detector_hit, c.prob, id(c.record))
-        for key, c in first.items()
+        (key, logp, grown, chosen, id(record))
+        for key, (_, logp, grown, chosen, record) in first.items()
     ]
 
 
@@ -668,13 +674,14 @@ def _recorded_pools(scene, detector, config):
         # sit together, in the order the steps ran.
         reference, done = [], set()
         for cand in pool:
-            if not cand.triggered:
+            record = cand[4]
+            if record is None or not record.triggered:
                 reference.append(cand)
-            elif id(cand.record) not in done:
-                done.add(id(cand.record))
+            elif id(record) not in done:
+                done.add(id(record))
                 beam_tokens, proposed, result = steps.pop(0)
                 reference += reference_step_candidates(
-                    beam_tokens, proposed, result, cand.record, scene
+                    beam_tokens, proposed, result, record, config, scene
                 )
         pairs.append((list(pool), reference))
         return real_select(pool, scorer, k, scene)
@@ -696,10 +703,14 @@ def _recorded_pools(scene, detector, config):
     data=st.data(),
 )
 def test_pool_keeps_the_first_candidate_of_every_sequence(seed, k, mode, n, data):
-    scene = generate_corpus(seed, 1, CorpusSpec(scene_count=1, trap_fraction=1.0))[0]
+    correctable = data.draw(st.sampled_from([0.0, 1.0]))
+    spec = CorpusSpec(scene_count=1, trap_fraction=1.0, correctable_fraction=correctable)
+    scene = generate_corpus(seed, 1, spec)[0]
     config = DecodeConfig(
         n=n, m=data.draw(st.integers(1, n * (n - 1) // 2)), k=k, sampling_mode=mode,
         alpha=data.draw(st.floats(0.0, 3.0)), seed=seed, max_tokens=40,
+        idk_policy=data.draw(st.sampled_from(IDK_POLICIES)),
+        idk_confidence=data.draw(st.floats(0.0, 1.0)),
     )
     _, pairs = _recorded_pools(scene, DetectorSim(CORPUS_DETECTOR_ETA), config)
     assert pairs

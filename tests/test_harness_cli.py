@@ -342,6 +342,9 @@ def test_cli_config_not_utf8_exits_2_with_one_line(tmp_path, capsys):
         ({"seed": 1.5}, "seed must be an integer"),
         ({"seed": "3"}, "seed must be an integer"),
         ({"seed": True}, "seed must be an integer"),
+        ({"corpus": {"count": 10**30}}, "corpus count must lie in [1, 10000]"),
+        ({"corpus": {"path": "c2.json", "count": 5}}, "corpus count cannot be given with path"),
+        ({"decode": {"sampling_mode": "detector"}}, "decode sampling_mode must be one of"),
     ],
     ids=[
         "short-detector-eta",
@@ -367,6 +370,9 @@ def test_cli_config_not_utf8_exits_2_with_one_line(tmp_path, capsys):
         "fractional-seed",
         "string-seed",
         "bool-seed",
+        "huge-corpus-count",
+        "corpus-path-with-count",
+        "detector-sampling-alias",
     ],
 )
 def test_cli_malformed_config_exits_2_with_one_line(tmp_path, capsys, extra, named):

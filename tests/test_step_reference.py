@@ -18,7 +18,8 @@ from halc.decoding import (
     SAMPLING_MODES,
     BeamState,
     DecodeConfig,
-    _Candidate,
+    decode_beam,
+    decode_greedy,
     decode_halc,
     halc_step,
     select_beams,
@@ -253,6 +254,27 @@ def test_decode_halc_rejects_malformed_proposal_logits(demo, kind):
     assert calls == [0]
 
 
+@pytest.mark.parametrize(
+    "decode",
+    [decode_greedy, lambda model, scene, config: decode_beam(model, scene, 2, config)],
+    ids=["greedy", "beam"],
+)
+@pytest.mark.parametrize("kind", sorted(BAD_ROWS))
+def test_baseline_decoders_reject_malformed_logits(demo, kind, decode):
+    # Each step's logits are checked before a token is chosen, as in the
+    # corrective decoder, so the first model call raises.
+    message, corrupt = BAD_ROWS[kind]
+    calls = []
+
+    def model(scene, fov, prefix):
+        calls.append(len(prefix))
+        return corrupt(toy_model_logits(scene, fov, prefix))
+
+    with pytest.raises(InvalidInputError, match=message):
+        decode(model, demo, DecodeConfig(seed=7))
+    assert calls == [0]
+
+
 @pytest.mark.parametrize("kind", sorted(BAD_ROWS))
 def test_decode_halc_rejects_malformed_window_logits(demo, kind):
     # Full-image proposals stay well formed; the first triggered step's
@@ -280,13 +302,13 @@ def test_decode_halc_rejects_malformed_window_logits(demo, kind):
 
 def reference_select_beams(candidates, scorer, k, scene):
     """Score every candidate, then keep the first k distinct keys by score."""
-    scored = [(cand, scorer(cand.tokens, scene)) for cand in candidates]
+    scored = [(cand, scorer(cand[0][0], scene)) for cand in candidates]
     order = sorted(range(len(scored)), key=lambda idx: (-scored[idx][1], idx))
     seen = set()
     kept = []
     for idx in order:
         cand, score = scored[idx]
-        key = (cand.tokens, cand.terminated)
+        key = cand[0]
         if key in seen:
             continue
         seen.add(key)
@@ -302,7 +324,8 @@ def tie_heavy_score(sequence, scene):
 
 
 def _candidate(tokens, terminated):
-    return _Candidate(tokens, tokens[-1] if tokens else None, terminated, False, None, False, None, None)
+    key = (tokens, terminated)
+    return (key, 0.0, key, tokens[-1] if tokens else None, None)
 
 
 pools = st.lists(
@@ -323,7 +346,7 @@ def test_select_beams_scores_each_distinct_sequence_once(demo, pool, k):
         return tie_heavy_score(sequence, scene)
 
     kept = select_beams(candidates, counting_scorer, k, demo)
-    distinct = {(c.tokens, c.terminated) for c in candidates}
+    distinct = {c[0] for c in candidates}
     assert len(calls) == len(distinct)
     want = reference_select_beams(candidates, tie_heavy_score, k, demo)
     assert [(id(c), s) for c, s in kept] == [(id(c), s) for c, s in want]
