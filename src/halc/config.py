@@ -134,8 +134,8 @@ class EmitCurveSection:
 class TheoremSection:
     """The bound-verification grid: normal sampling takes every (epsilon,
     eta, sigma), exponential sampling one row at exp_epsilon whose
-    detection is eta_scale times v_star. TheoremConfig checks the ranges
-    when theorem-verify builds the grid."""
+    detection is eta_scale times v_star. The ranges are those of
+    theory.TheoremConfig, checked here so that every scenario rejects them."""
 
     v_star: tuple[float, float, float] = (4.0, 4.0, 0.0)
     amp: float = 1.0
@@ -153,7 +153,14 @@ class TheoremSection:
     r_max: float = 5.0
 
     def __post_init__(self) -> None:
-        check_types(self, "theorem")
+        require = check_types(self, "theorem")
+        require("trials", self.trials >= 100, "must be at least 100")
+        require("n_values", min(self.n_values, default=1) >= 1, "must be at least 1")
+        for name in ("epsilons", "sigmas"):
+            require(name, min(getattr(self, name), default=1) > 0, "must be positive")
+        for name in ("exp_epsilon", "lam"):
+            require(name, getattr(self, name) > 0, "must be positive")
+        require("r_min", self.r_min < self.r_max, "must be less than r_max")
         normal = len(self.epsilons) * len(self.etas) * len(self.sigmas)
         if not sum(normal if s == "normal" else 1 for s in self.samplers) * len(self.n_values):
             raise ConfigError("theorem grid has no rows")

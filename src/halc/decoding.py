@@ -44,13 +44,7 @@ from .distributions import (  # noqa: F401
     window_softmax,
 )
 from .errors import InvalidParameterError
-from .geometry import (
-    Fov,
-    FovSampleSet,
-    sample_fovs_exponential,
-    sample_fovs_normal,
-    sample_fovs_random,
-)
+from .geometry import Fov, sample_fovs_exponential, sample_fovs_normal, sample_fovs_random
 from .schema import check_types
 from .world import END_TOKEN, IDK_TOKEN, Scene, Scorer, tag_token, toy_model_logits
 
@@ -118,7 +112,7 @@ class StepRecord:
     triggered: bool
     detector_hit: bool
     model_call_count: int
-    fovs: Optional[FovSampleSet] = None
+    fovs: Optional[tuple[Fov, ...]] = None
     jsd_matrix: Optional[list[list[float]]] = None
     selected_pairs: Optional[list[tuple[int, int]]] = None
     candidate_tokens: list[str] = field(default_factory=list)
@@ -131,7 +125,7 @@ class StepRecord:
             "triggered": self.triggered,
             "detector_hit": self.detector_hit,
             "model_calls": self.model_call_count,
-            "fovs": [f.to_json() for f in self.fovs.samples] if self.fovs else None,
+            "fovs": [f.to_json() for f in self.fovs] if self.fovs else None,
             "jsd": self.jsd_matrix,
             "pairs": [list(p) for p in self.selected_pairs] if self.selected_pairs else None,
             "candidates": list(self.candidate_tokens),
@@ -272,15 +266,15 @@ def decode_beam(
 
     def expand(pool: list[Candidate], beam: BeamState, step: int, b: int) -> StepRecord:
         tokens, score, _ = beam
-        probs = softmax(model(scene, full, tokens))
-        with np.errstate(divide="ignore"):
-            logprobs = np.log(probs)
+        logprobs = np.log(softmax(model(scene, full, tokens)))
         for v in (-logprobs).argsort(kind="stable")[:k].tolist():
             grown = _extend(tokens, vocabulary[v])
             pool.append((grown, score + logprobs.item(v), grown, None, None))
         return StepRecord(step, b, False, False, 1)
 
-    beams, trace = _decode(config, expand, lambda pool: _by_logp(pool, k))
+    # A token of probability 0 gets log-probability -inf.
+    with np.errstate(divide="ignore"):
+        beams, trace = _decode(config, expand, lambda pool: _by_logp(pool, k))
     best = min(beams, key=lambda beam: (not beam.terminated, -beam.score))
     return DecodeResult(best.tokens, trace)
 
@@ -293,7 +287,7 @@ def decode_beam(
 @dataclass(frozen=True)
 class HalcStepResult:
     candidates: tuple[tuple[str, np.ndarray], ...]
-    fovs: FovSampleSet
+    fovs: tuple[Fov, ...]
     jsd_matrix: list[list[float]]
     selected_pairs: list[tuple[int, int]]
     detector_hit: bool
@@ -304,7 +298,7 @@ def _sample_fovs(
     v_d: Optional[Fov],
     config: DecodeConfig,
     rng: np.random.Generator,
-) -> FovSampleSet:
+) -> tuple[Fov, ...]:
     image = scene.image
     mode = config.sampling_mode
     if v_d is None or mode == "random":
@@ -362,7 +356,7 @@ def halc_step(
     model = model or toy_model_logits
     v_d = detector(proposed, scene)
     fovs = _sample_fovs(scene, v_d, config, rng)
-    logits, probs = window_softmax([model(scene, f, beam.tokens) for f in fovs.samples])
+    logits, probs = window_softmax([model(scene, f, beam.tokens) for f in fovs])
 
     n = len(logits)
     pairs, first, second = _pair_index(n)
@@ -381,7 +375,7 @@ def halc_step(
     ranked = sorted(range(len(pairs)), key=lambda k: -divergence[k])
     selected = [pairs[k] for k in ranked[: config.m]]
 
-    area = [f.area for f in fovs.samples]
+    area = [f.area for f in fovs]
     experts: list[int] = []
     amateurs: list[int] = []
     for i, j in selected:

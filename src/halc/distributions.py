@@ -24,12 +24,10 @@ __all__ = [
     "argmax_logit",
     "jsd",
     "total_variation",
-    "contrast_logits",
     "contrast_distribution",
     "window_softmax",
     "contrast_rows",
     "top_m_pairs",
-    "argmax_token",
 ]
 
 
@@ -42,15 +40,6 @@ def _as_array(values, ndims: tuple[int, ...] = (1, 2)) -> np.ndarray:
     if arr.ndim not in ndims or arr.shape[-1] == 0:
         raise InvalidInputError("logits must be a nonempty 1-D vector or (n, V) stack")
     return arr
-
-
-def _as_logits(values) -> tuple[np.ndarray, np.ndarray]:
-    """The logits as a float array, and the maximum of each vector."""
-    arr = _as_array(values)
-    top = arr.max(axis=-1, keepdims=True)
-    if not (top < np.inf).all():  # the maximum propagates NaN
-        raise InvalidInputError("logits must be finite or -inf")
-    return arr, top
 
 
 def _check_maxima(top: np.ndarray) -> None:
@@ -163,24 +152,6 @@ def total_variation(p, q):
     return _scalar_or_rows(l1)
 
 
-def contrast_logits(f_expert, f_amateur, alpha: float) -> np.ndarray:
-    """Log-space contrast (1 + alpha) * f_expert - alpha * f_amateur.
-
-    Entries masked (-inf) in the expert vector stay masked.
-    """
-    if alpha < 0:
-        raise InvalidParameterError("amplification factor must be nonnegative")
-    f_e, _ = _as_logits(f_expert)
-    f_a, _ = _as_logits(f_amateur)
-    if f_e.shape != f_a.shape:
-        raise InvalidInputError("logit vectors must share a vocabulary size")
-    masked = np.isneginf(f_e)
-    with np.errstate(invalid="ignore"):
-        out = (1.0 + alpha) * f_e - alpha * f_a
-    out[masked] = -np.inf
-    return out
-
-
 def _plausible(p_expert, beta: float) -> np.ndarray:
     """Boolean adaptive plausibility mask: p >= beta * max(p) in each vector."""
     if not 0 < beta < 1:
@@ -234,7 +205,9 @@ def contrast_distribution(f_expert, f_amateur, alpha: float, beta: float) -> np.
     keep = _plausible(_softmax(f_e), beta) & (f_e > -np.inf)
     if alpha < 0:
         raise InvalidParameterError("amplification factor must be nonnegative")
-    f_a, _ = _as_logits(f_amateur)
+    f_a = _as_array(f_amateur)
+    if not (f_a.max(axis=-1) < np.inf).all():  # the maximum propagates NaN
+        raise InvalidInputError("logits must be finite or -inf")
     if f_e.shape != f_a.shape:
         raise InvalidInputError("logit vectors must share a vocabulary size")
     rows = np.arange(f_e.size // f_e.shape[-1])
@@ -274,8 +247,3 @@ def top_m_pairs(dists, m: int) -> list[tuple[int, int]]:
     order = np.argsort(-jsd(probs[first], probs[second]), kind="stable")[:m]
     return [(int(first[k]), int(second[k])) for k in order]
 
-
-def argmax_token(p):
-    """Lowest token id among the maximal probabilities of each vector."""
-    top = np.asarray(p, dtype=float).argmax(axis=-1)
-    return int(top) if top.ndim == 0 else top

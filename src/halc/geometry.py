@@ -12,11 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
+from .schema import check_value
 
 __all__ = [
     "ImageSpec",
     "Fov",
-    "FovSampleSet",
     "expand_fov",
     "clamp_to_image",
     "fov_distance",
@@ -76,18 +76,8 @@ class Fov:
 
     @staticmethod
     def from_json(doc: dict) -> "Fov":
-        return Fov(doc["w"], doc["h"], doc["cx"], doc["cy"])
-
-
-@dataclass(frozen=True)
-class FovSampleSet:
-    """Ordered FOV samples plus the exponents or Gaussian draws behind them."""
-
-    samples: tuple[Fov, ...]
-    exponents_or_draws: tuple
-
-    def __len__(self) -> int:
-        return len(self.samples)
+        """The window of a to_json document, whose values must be numbers."""
+        return Fov(*(check_value(float, doc[key], f"fov {key}") for key in ("w", "h", "cx", "cy")))
 
 
 def expand_fov(base: Fov, lam: float, r: float) -> Fov:
@@ -128,7 +118,7 @@ def sample_fovs_exponential(
     n: int,
     image: ImageSpec,
     offset: int = -1,
-) -> FovSampleSet:
+) -> tuple[Fov, ...]:
     """Deterministic expansion set at consecutive integer exponents.
 
     Exponents run from `offset` upward, so the default offset of -1 yields
@@ -139,16 +129,15 @@ def sample_fovs_exponential(
         raise InvalidParameterError("need n >= 2 samples to form divergence pairs")
     if lam <= -1:
         raise InvalidParameterError("growth factor must satisfy lambda > -1")
-    exponents = tuple(range(offset, offset + n))
     samples = []
-    for r in exponents:
+    for r in range(offset, offset + n):
         # expand_fov then clamp_to_image, without building the unclamped
         # window: clamping keeps a non-positive size, which Fov rejects.
         scale = (1.0 + lam) ** r
         samples.append(
             _clamped(base.width * scale, base.height * scale, base.center_x, base.center_y, image)
         )
-    return FovSampleSet(samples=tuple(samples), exponents_or_draws=exponents)
+    return tuple(samples)
 
 
 def sample_fovs_normal(
@@ -157,11 +146,11 @@ def sample_fovs_normal(
     n: int,
     rng: np.random.Generator,
     image: ImageSpec,
-) -> FovSampleSet:
+) -> tuple[Fov, ...]:
     """Component-wise Gaussian samples around the base window.
 
     Draws with non-positive width or height are resampled rather than
-    truncated; accepted raw draws are recorded alongside the clamped FOVs.
+    truncated; the accepted draws are clamped to the image.
     """
     if sigma <= 0:
         raise InvalidParameterError("sigma must be positive")
@@ -169,22 +158,20 @@ def sample_fovs_normal(
         raise InvalidParameterError("need n >= 2 samples to form divergence pairs")
     center = np.asarray(base.as_tuple(), dtype=float)
     samples = []
-    draws = []
     for _ in range(n):
         while True:
             draw = rng.normal(loc=center, scale=sigma)
             if draw[0] > 0 and draw[1] > 0:
                 break
-        draws.append(tuple(draw))
         samples.append(clamp_to_image(Fov(*draw), image))
-    return FovSampleSet(samples=tuple(samples), exponents_or_draws=tuple(draws))
+    return tuple(samples)
 
 
 def sample_fovs_random(
     image: ImageSpec,
     n: int,
     rng: np.random.Generator,
-) -> FovSampleSet:
+) -> tuple[Fov, ...]:
     """Uniform random windows fully inside the image.
 
     Widths and heights are uniform in [0.05, 1.0] times the image extent.
@@ -198,5 +185,4 @@ def sample_fovs_random(
     h = (0.05 + (1.0 - 0.05) * u[:, 1]) * image.height
     cx = w / 2.0 + ((image.width - w / 2.0) - w / 2.0) * u[:, 2]
     cy = h / 2.0 + ((image.height - h / 2.0) - h / 2.0) * u[:, 3]
-    draws = tuple(zip(w.tolist(), h.tolist(), cx.tolist(), cy.tolist()))
-    return FovSampleSet(samples=tuple(Fov(*d) for d in draws), exponents_or_draws=draws)
+    return tuple(map(Fov, w.tolist(), h.tolist(), cx.tolist(), cy.tolist()))

@@ -31,7 +31,7 @@ from .decoding import (
     decode_greedy,
     decode_halc,
 )
-from .distributions import argmax_token, softmax
+from .distributions import argmax_logit, softmax
 from .errors import InvalidInputError, InvalidParameterError
 from .geometry import Fov, clamp_to_image, expand_fov
 from .metrics import (
@@ -39,7 +39,6 @@ from .metrics import (
     build_corpus_stats,
     chair,
     corpus_bleu,
-    hallucination_vs_length,
     opope,
     sample_query_objects,
 )
@@ -156,6 +155,19 @@ def build_corpus(spec: CorpusSpec, seed: int) -> list[Scene]:
     return generate_corpus(seed, spec.scene_count, spec)
 
 
+def _decode_scene(
+    scene: Scene, method: str, config: DecodeConfig, detector, scorer: Scorer
+) -> DecodeResult:
+    """One scene decoded by the method a scenario names."""
+    if method == "greedy":
+        return decode_greedy(None, scene, config)
+    if method == "beam":
+        return decode_beam(None, scene, config.k, config)
+    if method == "halc":
+        return decode_halc(None, detector, scorer, None, scene, config)
+    raise InvalidParameterError(f"unknown decode method {method!r}")
+
+
 def decode_corpus(
     scenes: Sequence[Scene],
     method: str,
@@ -170,17 +182,8 @@ def decode_corpus(
     traces: list[DecodeTrace] = []
     for idx, scene in enumerate(scenes):
         cfg = dataclasses.replace(config, seed=config.seed + idx)
-        if method == "greedy":
-            result = decode_greedy(None, scene, cfg)
-        elif method == "beam":
-            result = decode_beam(None, scene, cfg.k, cfg)
-        elif method == "halc":
-            result = decode_halc(None, detector, scorer, None, scene, cfg)
-        else:
-            raise InvalidParameterError(f"unknown decode method {method!r}")
-        captions.append(
-            CaptionRecord.from_tokens(scene.scene_id, result.tokens, scene.lexicon)
-        )
+        result = _decode_scene(scene, method, cfg, detector, scorer)
+        captions.append(CaptionRecord.from_tokens(scene.scene_id, result.tokens, scene.lexicon))
         traces.append(result.trace)
     return captions, traces
 
@@ -349,7 +352,7 @@ def run_oracle_study(
             prefix = list(tokens[:t])
             target = scene.token_id(reference[t])
             for fov in grid:
-                if argmax_token(toy_model_logits(scene, fov, prefix)) == target:
+                if argmax_logit(toy_model_logits(scene, fov, prefix)) == target:
                     eliminated[category] += 1
                     break
     return OracleStudyReport(observed=observed, eliminated=eliminated)
@@ -362,8 +365,7 @@ def run_oracle_study(
 
 def _theorem_grid(section: TheoremSection, seed: int):
     """The bump model and the (sampler, TheoremConfig) rows of a theorem
-    section, in output order, built before any trial is drawn; values
-    outside a TheoremConfig's ranges raise InvalidParameterError."""
+    section, in output order, built before any trial is drawn."""
     from .theory import GaussianBumpModel, TheoremConfig
 
     v_star = section.v_star
@@ -448,26 +450,6 @@ def run_theorem_verify(
 # Scenario: ablations
 # ---------------------------------------------------------------------------
 
-def _averaged_halc_eval(
-    scenes: Sequence[Scene],
-    config: DecodeConfig,
-    queries,
-    seeds: Sequence[int],
-    detector,
-    scorer_spec,
-    beta: float = 0.2,
-) -> dict:
-    acc: dict[str, float] = {}
-    for s in seeds:
-        cfg = dataclasses.replace(config, seed=s)
-        scorer = resolve_scorer(scorer_spec, seed=s)
-        captions, _ = decode_corpus(scenes, "halc", cfg, detector, scorer)
-        result = evaluate_captions(scenes, captions, queries, beta)
-        for key, value in result.items():
-            acc[key] = acc.get(key, 0.0) + value
-    return {key: value / len(seeds) for key, value in acc.items()}
-
-
 def run_ablations(
     scenes: Sequence[Scene],
     config: DecodeConfig,
@@ -475,50 +457,35 @@ def run_ablations(
     options: AblateSection | Mapping | None = None,
 ) -> dict[str, list[dict]]:
     """Sweeps over sampling initialization, growth factor, beam size and
-    scorer. Stochastic sweeps average over several seeds."""
+    scorer, one table each. A row decodes the corpus with HALC once per
+    seed and averages the metrics; only the scorer sweep, whose scorers
+    may be seeded, uses several seeds."""
     options = parse(AblateSection, {} if options is None else options, "ablate")
     detector = DetectorSim(options.detector_eta)
     queries = _pope_queries(scenes, seed, options.pope_mode, 3)
     scorer_seeds = options.scorer_seeds or [seed + i for i in range(5)]
-    single = [seed]
-
+    # (table, column, values, value -> changed decode fields); the scorer
+    # sweep changes the scorer instead.
+    sweeps = (
+        ("init", "init", options.inits,
+         lambda init: {"sampling_mode": "exponential" if init == "detector" else init}),
+        ("lambda", "lambda", options.lambdas, lambda lam: {"lam": lam}),
+        ("beam", "k", options.beams, lambda k: {"k": k}),
+        ("scorer", "scorer", options.scorers, lambda spec: {}),
+    )
     tables: dict[str, list[dict]] = {}
-
-    rows = []
-    for init in options.inits:
-        mode = "exponential" if init == "detector" else init
-        cfg = dataclasses.replace(config, sampling_mode=mode)
-        row = {"init": init}
-        row.update(_averaged_halc_eval(scenes, cfg, queries, single, detector, "oracle"))
-        rows.append(row)
-    tables["init"] = rows
-
-    rows = []
-    for lam in options.lambdas:
-        cfg = dataclasses.replace(config, lam=lam)
-        row = {"lambda": lam}
-        row.update(_averaged_halc_eval(scenes, cfg, queries, single, detector, "oracle"))
-        rows.append(row)
-    tables["lambda"] = rows
-
-    rows = []
-    for k in options.beams:
-        cfg = dataclasses.replace(config, k=k)
-        row = {"k": k}
-        row.update(_averaged_halc_eval(scenes, cfg, queries, single, detector, "oracle"))
-        rows.append(row)
-    tables["beam"] = rows
-
-    rows = []
-    for scorer_spec in options.scorers:
-        row = {"scorer": scorer_spec}
-        row.update(
-            _averaged_halc_eval(
-                scenes, config, queries, scorer_seeds, detector, scorer_spec
-            )
-        )
-        rows.append(row)
-    tables["scorer"] = rows
+    for table, column, values, change in sweeps:
+        tables[table] = rows = []
+        for value in values:
+            spec, seeds = (value, scorer_seeds) if table == "scorer" else ("oracle", [seed])
+            totals: dict[str, float] = {}
+            for s in seeds:
+                cfg = dataclasses.replace(config, seed=s, **change(value))
+                scorer = resolve_scorer(spec, seed=s)
+                captions, _ = decode_corpus(scenes, "halc", cfg, detector, scorer)
+                for key, metric in evaluate_captions(scenes, captions, queries).items():
+                    totals[key] = totals.get(key, 0.0) + metric
+            rows.append({column: value, **{key: t / len(seeds) for key, t in totals.items()}})
     return tables
 
 
@@ -535,28 +502,35 @@ def run_length_curve(
     scorer: Optional[Scorer] = None,
     trace_sink: Optional[list[DecodeTrace]] = None,
 ) -> list[dict]:
+    """Object mentions and the instance-level hallucination ratio of greedy
+    and HALC captions at each token budget. Every scene decodes with the
+    one decode seed; each trace goes to trace_sink when one is given."""
+    if not grid:
+        raise InvalidInputError("max-token grid must be nonempty")
     detector = detector or DetectorSim(CORPUS_DETECTOR_ETA)
     scorer = scorer or oracle_match_score
-
-    def record(result: DecodeResult) -> Sequence[str]:
-        if trace_sink is not None:
-            trace_sink.append(result.trace)
-        return result.tokens
-
-    def greedy_decoder(scene: Scene, budget: int) -> Sequence[str]:
-        cfg = dataclasses.replace(config, max_tokens=budget)
-        return record(decode_greedy(None, scene, cfg))
-
-    def halc_decoder(scene: Scene, budget: int) -> Sequence[str]:
-        cfg = dataclasses.replace(config, max_tokens=budget)
-        return record(decode_halc(None, detector, scorer, None, scene, cfg))
-
+    scene_map = {s.scene_id: s for s in scenes}
     rows = []
-    for method, decoder in (("greedy", greedy_decoder), ("halc", halc_decoder)):
-        for entry in hallucination_vs_length(scenes, decoder, grid):
-            row = {"method": method}
-            row.update(entry)
-            rows.append(row)
+    for method in ("greedy", "halc"):
+        for budget in grid:
+            cfg = dataclasses.replace(config, max_tokens=budget)
+            captions = []
+            for scene in scenes:
+                result = _decode_scene(scene, method, cfg, detector, scorer)
+                if trace_sink is not None:
+                    trace_sink.append(result.trace)
+                tokens = result.tokens
+                captions.append(CaptionRecord.from_tokens(scene.scene_id, tokens, scene.lexicon))
+            report = chair(captions, scene_map)
+            rows.append(
+                {
+                    "method": method,
+                    "max_tokens": budget,
+                    "objects": report.mentions,
+                    "hallucinated": report.hallucinated_mentions,
+                    "chair_i": report.chair_i,
+                }
+            )
     return rows
 
 

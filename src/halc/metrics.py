@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -29,7 +29,6 @@ __all__ = [
     "opope",
     "f_beta_score",
     "corpus_bleu",
-    "hallucination_vs_length",
 ]
 
 BLEU_EPSILON = 1e-9
@@ -43,25 +42,16 @@ class CaptionRecord:
     scene_id: str
     tokens: tuple[str, ...]
     mentioned: tuple[str, ...]
-    meta: Mapping = field(default_factory=dict)
 
     @staticmethod
     def from_tokens(
-        scene_id: str,
-        tokens: Sequence[str],
-        lexicon: Mapping[str, str],
-        meta: Optional[Mapping] = None,
+        scene_id: str, tokens: Sequence[str], lexicon: Mapping[str, str]
     ) -> "CaptionRecord":
         seen: dict[str, None] = {}
         for tok in tokens:
             if lexicon.get(tok) == "noun":
                 seen.setdefault(tok, None)
-        return CaptionRecord(
-            scene_id=scene_id,
-            tokens=tuple(tokens),
-            mentioned=tuple(seen),
-            meta=meta or {},
-        )
+        return CaptionRecord(scene_id=scene_id, tokens=tuple(tokens), mentioned=tuple(seen))
 
 
 def hallucinated_objects(caption: CaptionRecord, scene: Scene) -> set[str]:
@@ -78,32 +68,6 @@ class ChairReport:
     hallucinated_captions: int
     mentions: int
     hallucinated_mentions: int
-
-    def to_json(self) -> dict:
-        return {
-            "chair_s": self.chair_s,
-            "chair_i": self.chair_i,
-            "captions": self.captions,
-            "hallucinated_captions": self.hallucinated_captions,
-            "mentions": self.mentions,
-            "hallucinated_mentions": self.hallucinated_mentions,
-        }
-
-    def to_csv_rows(self) -> list[dict]:
-        return [
-            {
-                "metric": "chair_s",
-                "value": self.chair_s,
-                "count": self.hallucinated_captions,
-                "total": self.captions,
-            },
-            {
-                "metric": "chair_i",
-                "value": self.chair_i,
-                "count": self.hallucinated_mentions,
-                "total": self.mentions,
-            },
-        ]
 
 
 def chair(
@@ -232,28 +196,6 @@ class OpopeReport:
     tn: int
     fn: int
 
-    def to_json(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f_beta": self.f_beta,
-            "beta": self.beta,
-            "tp": self.tp,
-            "fp": self.fp,
-            "tn": self.tn,
-            "fn": self.fn,
-        }
-
-    def to_csv_rows(self) -> list[dict]:
-        total = self.tp + self.fp + self.tn + self.fn
-        return [
-            {"metric": "accuracy", "value": self.accuracy, "count": self.tp + self.tn, "total": total},
-            {"metric": "precision", "value": self.precision, "count": self.tp, "total": self.tp + self.fp},
-            {"metric": "recall", "value": self.recall, "count": self.tp, "total": self.tp + self.fn},
-            {"metric": "f_beta", "value": self.f_beta, "count": "", "total": ""},
-        ]
-
 
 def opope(
     captions: Sequence[CaptionRecord],
@@ -341,35 +283,3 @@ def corpus_bleu(
     brevity = 1.0 if cand_len > ref_len else math.exp(1.0 - ref_len / cand_len)
     return brevity * math.exp(log_sum / orders)
 
-
-# ---------------------------------------------------------------------------
-# Hallucination growth with generation length
-# ---------------------------------------------------------------------------
-
-
-def hallucination_vs_length(
-    corpus: Sequence[Scene],
-    decoder: Callable[[Scene, int], Sequence[str]],
-    max_token_grid: Sequence[int],
-) -> list[dict]:
-    """Decode the corpus at each token budget and report mention counts and
-    the instance-level hallucination ratio."""
-    if not max_token_grid:
-        raise InvalidInputError("max-token grid must be nonempty")
-    rows = []
-    scenes = {s.scene_id: s for s in corpus}
-    for budget in max_token_grid:
-        captions = []
-        for scene in corpus:
-            tokens = decoder(scene, budget)
-            captions.append(CaptionRecord.from_tokens(scene.scene_id, tokens, scene.lexicon))
-        report = chair(captions, scenes)
-        rows.append(
-            {
-                "max_tokens": budget,
-                "objects": report.mentions,
-                "hallucinated": report.hallucinated_mentions,
-                "chair_i": report.chair_i,
-            }
-        )
-    return rows

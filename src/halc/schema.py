@@ -58,6 +58,12 @@ def check_types(obj, label: str) -> Callable[[str, bool, str], None]:
     return require
 
 
+def check_value(hint, value, label: str):
+    """`value` checked and converted as a field annotated `hint` is, for
+    JSON read outside a dataclass; errors are ConfigErrors naming `label`."""
+    return _checker(hint)(value, label)
+
+
 @functools.cache
 def _keys(cls) -> dict[str, str]:
     return {f.metadata.get("key", f.name): f.name for f in dataclasses.fields(cls) if f.init}

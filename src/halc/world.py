@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InvalidInputError, InvalidParameterError
 from .geometry import Fov, ImageSpec, clamp_to_image, fov_distance
-from .schema import check_types
+from .schema import check_types, check_value
 
 __all__ = [
     "StableHigh",
@@ -401,16 +401,14 @@ def toy_model_logits(
 def toy_detector(
     token: str,
     scene: Scene,
-    eta: Optional[tuple[float, float, float, float]] = None,
+    eta: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0),
     confidence_threshold: float = 0.3,
-    rng: Optional[np.random.Generator] = None,
 ) -> Optional[Fov]:
     """Grounding box for a token, or None when nothing can be located.
 
     Ground-truth objects are located at their region; hallucinated tokens
     with an anchor snap to the anchor object's region. Both are offset by
-    eta. When eta is None and an rng is supplied, a small random jitter is
-    drawn instead; otherwise the box is exact.
+    eta, so the default box is exact.
     """
     obj = scene.find_object(token)
     if obj is None:
@@ -424,11 +422,6 @@ def toy_detector(
         if anchor is None:
             return None
         region = anchor.region
-    if eta is None:
-        if rng is not None:
-            eta = tuple(rng.normal(0.0, 4.0, size=4))
-        else:
-            eta = (0.0, 0.0, 0.0, 0.0)
     w = max(region.width + eta[0], 1e-6)
     h = max(region.height + eta[1], 1e-6)
     box = Fov(w, h, region.center_x + eta[2], region.center_y + eta[3])
@@ -848,14 +841,18 @@ def _profile_to_json(profile: TokenProfile) -> dict:
 
 def _profile_from_json(doc: dict) -> TokenProfile:
     kind = doc["kind"]
+
+    def number(key: str, hint: type = float):
+        return check_value(hint, doc[key], f"{kind} profile {key}")
+
     if kind == "stable_high":
-        return StableHigh(doc["level"])
+        return StableHigh(number("level"))
     if kind == "peaking":
-        return Peaking(Fov.from_json(doc["v_star"]), doc["width"], doc["amp"], doc["base"])
+        return Peaking(Fov.from_json(doc["v_star"]), number("width"), number("amp"), number("base"))
     if kind == "context_shift":
-        return ContextShift(doc["slope"], doc["base"])
+        return ContextShift(number("slope"), number("base"))
     if kind == "noisy":
-        return Noisy(doc["amp"], doc["noise_seed"], doc["base"])
+        return Noisy(number("amp"), number("noise_seed", int), number("base"))
     raise InvalidInputError(f"unknown profile kind {kind!r}")
 
 
@@ -911,12 +908,16 @@ def scene_to_json(scene: Scene) -> dict:
 
 
 def scene_from_json(doc: dict) -> Scene:
+    """The scene of a scene_to_json document. Its numbers are checked here,
+    once, so that a mistyped one fails the read and not a later decode."""
     trap = None
     if doc.get("trap"):
         t = doc["trap"]
-        trap = TrapInfo(t["victim"], t["trap"], t["position"], t["correctable"])
+        position = check_value(int, t["position"], "trap position")
+        trap = TrapInfo(t["victim"], t["trap"], position, t["correctable"])
+    image = doc["image"]
     return Scene(
-        image=ImageSpec(doc["image"]["w"], doc["image"]["h"]),
+        image=ImageSpec(*(check_value(float, image[key], f"image {key}") for key in ("w", "h"))),
         objects=tuple(
             SceneObject(
                 name=o["name"],
@@ -930,7 +931,10 @@ def scene_from_json(doc: dict) -> Scene:
         verbs=tuple(doc["verbs"]),
         fillers=tuple(doc["fillers"]),
         skeleton=tuple(_slot_from_json(s) for s in doc["skeleton"]),
-        cooccurrence={(p, t): b for p, t, b in doc.get("cooccurrence", [])},
+        cooccurrence={
+            (p, t): check_value(float, b, "cooccurrence bonus")
+            for p, t, b in doc.get("cooccurrence", [])
+        },
         reference_caption=tuple(doc["reference"]),
         scene_id=doc.get("id", "scene"),
         trap=trap,
@@ -952,6 +956,7 @@ def load_corpus(path) -> list[Scene]:
         try:
             return [scene_from_json(doc) for doc in json.load(fh)["scenes"]]
         except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidInputError(
-                f"malformed corpus file {path}: {type(exc).__name__}: {exc}"
-            ) from exc
+            # The package's own errors name the key; a builtin one needs its type.
+            own = isinstance(exc, InvalidParameterError)
+            detail = str(exc) if own else f"{type(exc).__name__}: {exc}"
+            raise InvalidInputError(f"malformed corpus file {path}: {detail}") from exc

@@ -2,7 +2,7 @@
 policies, checked against the three loops they replaced.
 
 The references below are the replaced code, kept here verbatim apart from
-names: greedy's own loop with the unchecked `argmax_token`, the beam loop
+names: greedy's own loop with an unchecked argmax, the beam loop
 over (tokens, logp, terminated) tuples, and the corrective loop with its
 8-field candidate, the selection over it and the abstention rewrite applied
 after selection. They share the correction step (`halc_step`), the
@@ -34,7 +34,7 @@ from halc.decoding import (
     decode_halc,
     halc_step,
 )
-from halc.distributions import argmax_logit, argmax_token, softmax
+from halc.distributions import argmax_logit, softmax
 from halc.errors import InvalidParameterError
 from halc.world import (
     CORPUS_DETECTOR_ETA,
@@ -65,7 +65,7 @@ def reference_decode_greedy(model, scene, config):
     for step in range(config.max_tokens):
         logits = model(scene, full, tokens)
         trace.model_calls += 1
-        tok = scene.vocabulary[argmax_token(logits)]
+        tok = scene.vocabulary[int(np.argmax(logits))]
         trace.steps.append(
             StepRecord(step, 0, False, False, 1, chosen_token=tok)
         )

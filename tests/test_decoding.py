@@ -114,7 +114,7 @@ def test_halc_step_detector_miss_uses_random_windows(demo):
     detector = lambda token, scene: None
     result = halc_step(None, detector, demo, beam, "man", cfg, np.random.default_rng(3))
     assert not result.detector_hit
-    assert len(result.fovs.samples) == cfg.n
+    assert len(result.fovs) == cfg.n
 
 
 def test_halc_step_propagates_model_failure(demo):

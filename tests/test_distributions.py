@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from halc.distributions import (
     _plausible,
-    argmax_token,
+    argmax_logit,
     contrast_distribution,
-    contrast_logits,
     jsd,
     softmax,
     top_m_pairs,
@@ -81,24 +80,30 @@ def test_total_variation_examples():
     assert total_variation([0.7, 0.3], [0.4, 0.6]) == pytest.approx(0.3)
 
 
+# A plausibility threshold that keeps every unmasked token of the vectors below.
+KEEP_ALL = 1e-3
+
+
 def test_contrast_alpha_zero_is_identity():
     f_e = np.array([1.0, 3.0, -2.0])
-    np.testing.assert_array_equal(contrast_logits(f_e, [0.0, 9.0, 4.0], 0.0), f_e)
+    out = contrast_distribution(f_e, [0.0, 9.0, 4.0], 0.0, KEEP_ALL)
+    np.testing.assert_allclose(out, softmax(f_e), rtol=1e-15)
 
 
 def test_contrast_direct_arithmetic():
-    out = contrast_logits([2.0, 0.0], [0.0, 2.0], 1.0)
-    np.testing.assert_allclose(out, [4.0, -2.0])
+    # (1 + 1) * [2, 0] - 1 * [0, 2] = [4, -2]
+    out = contrast_distribution([2.0, 0.0], [0.0, 2.0], 1.0, KEEP_ALL)
+    np.testing.assert_allclose(out, softmax([4.0, -2.0]), rtol=1e-15)
 
 
 def test_contrast_self_identity():
     f = np.array([1.0, 2.0, 3.0])
-    np.testing.assert_allclose(contrast_logits(f, f, 0.7), f)
+    np.testing.assert_allclose(contrast_distribution(f, f, 0.7, KEEP_ALL), softmax(f), rtol=1e-15)
 
 
 def test_contrast_preserves_expert_mask():
-    out = contrast_logits([-np.inf, 1.0], [-np.inf, 0.0], 0.5)
-    assert np.isneginf(out[0])
+    out = contrast_distribution([-np.inf, 1.0], [-np.inf, 0.0], 0.5, KEEP_ALL)
+    assert out[0] == 0.0
 
 
 def test_logits_reject_nan_and_positive_infinity():
@@ -107,7 +112,9 @@ def test_logits_reject_nan_and_positive_infinity():
     with pytest.raises(InvalidInputError):
         softmax([np.inf, 0.0])
     with pytest.raises(InvalidInputError):
-        contrast_logits([np.nan, 0.0], [0.0, 0.0], 0.1)
+        contrast_distribution([np.nan, 0.0], [0.0, 0.0], 0.1, 0.1)
+    with pytest.raises(InvalidInputError):
+        contrast_distribution([1.0, 0.0], [np.nan, 0.0], 0.1, 0.1)
 
 
 def plausible_ids(p, beta):
@@ -194,10 +201,10 @@ def test_top_m_pairs_tie_break_lexicographic():
     assert top_m_pairs([d, d, d], 3) == [(0, 1), (0, 2), (1, 2)]
 
 
-def test_argmax_token_rules():
-    assert argmax_token([0.0, 0.0, 1.0]) == 2
-    assert argmax_token([0.25, 0.25, 0.25, 0.25]) == 0
-    assert argmax_token([0.2, 0.5, 0.3]) == 1
+def test_argmax_logit_rules():
+    assert argmax_logit([0.0, 0.0, 1.0]) == 2
+    assert argmax_logit([0.25, 0.25, 0.25, 0.25]) == 0
+    assert argmax_logit([0.2, 0.5, 0.3]) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +241,7 @@ def test_contrast_argmax_alpha_zero_matches_expert(seed):
     rng = np.random.default_rng(seed)
     f_e = rng.normal(size=12)
     f_a = rng.normal(size=12)
-    out = contrast_logits(f_e, f_a, 0.0)
+    out = contrast_distribution(f_e, f_a, 0.0, 0.1)
     assert int(np.argmax(out)) == int(np.argmax(f_e))
 
 

@@ -6,8 +6,8 @@ scorer, each checked against the code it replaced.
 
 The references below are the replaced code, kept here verbatim apart from
 names. Besides the unchanged profile formula, slot and co-occurrence
-vectors, they share only softmax, contrast_logits and the unchanged input
-checks of halc.distributions with the code they check;
+vectors, they share only softmax and the unchanged input checks of
+halc.distributions with the code they check;
 tests/test_distributions.py checks those on their own.
 """
 
@@ -22,12 +22,10 @@ from halc import decoding
 from halc.decoding import IDK_POLICIES, SAMPLING_MODES, DecodeConfig, apply_idk_policy, decode_halc
 from halc.distributions import (
     _as_array,
-    _as_logits,
     _check_pair,
     _plausible,
     argmax_logit,
     contrast_distribution,
-    contrast_logits,
     contrast_rows,
     jsd,
     softmax,
@@ -36,7 +34,6 @@ from halc.distributions import (
 from halc.errors import InvalidInputError, InvalidParameterError
 from halc.geometry import (
     Fov,
-    FovSampleSet,
     ImageSpec,
     clamp_to_image,
     expand_fov,
@@ -190,30 +187,25 @@ def reference_sample_fovs_exponential(base, lam, n, image, offset=-1):
     if n < 2:
         raise InvalidParameterError("need n >= 2 samples to form divergence pairs")
     exponents = tuple(range(offset, offset + n))
-    samples = tuple(clamp_to_image(expand_fov(base, lam, r), image) for r in exponents)
-    return FovSampleSet(samples=samples, exponents_or_draws=exponents)
+    return tuple(clamp_to_image(expand_fov(base, lam, r), image) for r in exponents)
 
 
 def reference_sample_fovs_random(image, n, rng):
     if n < 2:
         raise InvalidParameterError("need n >= 2 samples to form divergence pairs")
     samples = []
-    draws = []
     for _ in range(n):
         w = rng.uniform(0.05, 1.0) * image.width
         h = rng.uniform(0.05, 1.0) * image.height
         cx = rng.uniform(w / 2.0, image.width - w / 2.0)
         cy = rng.uniform(h / 2.0, image.height - h / 2.0)
-        draws.append((w, h, cx, cy))
         samples.append(Fov(w, h, cx, cy))
-    return FovSampleSet(samples=tuple(samples), exponents_or_draws=tuple(draws))
+    return tuple(samples)
 
 
-def _bits(sample_set):
+def _bits(samples):
     """Every float of a sample set, as its exact bit pattern."""
-    values = [v for fov in sample_set.samples for v in fov.as_tuple()]
-    for draw in sample_set.exponents_or_draws:
-        values += list(draw) if isinstance(draw, tuple) else [draw]
+    values = [v for fov in samples for v in fov.as_tuple()]
     return [type(v) for v in values], np.array(values, dtype=float).view(np.int64).tolist()
 
 
@@ -313,12 +305,39 @@ def test_argmax_logit_rejects_bad_shapes_as_before(logits):
 # ---------------------------------------------------------------------------
 
 
+def reference_as_logits(values):
+    """The logits as a float array, and the maximum of each vector."""
+    arr = _as_array(values)
+    top = arr.max(axis=-1, keepdims=True)
+    if not (top < np.inf).all():  # the maximum propagates NaN
+        raise InvalidInputError("logits must be finite or -inf")
+    return arr, top
+
+
+def reference_contrast_logits(f_expert, f_amateur, alpha):
+    """Log-space contrast (1 + alpha) * f_expert - alpha * f_amateur.
+
+    Entries masked (-inf) in the expert vector stay masked.
+    """
+    if alpha < 0:
+        raise InvalidParameterError("amplification factor must be nonnegative")
+    f_e, _ = reference_as_logits(f_expert)
+    f_a, _ = reference_as_logits(f_amateur)
+    if f_e.shape != f_a.shape:
+        raise InvalidInputError("logit vectors must share a vocabulary size")
+    masked = np.isneginf(f_e)
+    with np.errstate(invalid="ignore"):
+        out = (1.0 + alpha) * f_e - alpha * f_a
+    out[masked] = -np.inf
+    return out
+
+
 def reference_contrast_distribution(f_expert, f_amateur, alpha, beta):
     """The replaced batched contrast: a second softmax over the 2m expert rows
     builds their masks."""
     p_e = softmax(f_expert)
     keep = p_e >= beta * p_e.max(axis=-1, keepdims=True)
-    return softmax(np.where(keep, contrast_logits(f_expert, f_amateur, alpha), -np.inf))
+    return softmax(np.where(keep, reference_contrast_logits(f_expert, f_amateur, alpha), -np.inf))
 
 
 @st.composite
@@ -397,7 +416,7 @@ def reference_dense_contrast_distribution(f_expert, f_amateur, alpha, beta):
     keep = _plausible(reference_dense_softmax(f_e), beta) & (f_e > -np.inf)
     if alpha < 0:
         raise InvalidParameterError("amplification factor must be nonnegative")
-    f_a, _ = _as_logits(f_amateur)
+    f_a, _ = reference_as_logits(f_amateur)
     if f_e.shape != f_a.shape:
         raise InvalidInputError("logit vectors must share a vocabulary size")
     return reference_masked_contrast(f_e, f_a, keep, alpha)

@@ -69,20 +69,19 @@ def test_exponential_sampling_widths_match_direct_arithmetic():
     # Oracle: (1+0.6)^r * 10 evaluated by hand for r in {-1, 0, 1, 2}.
     base = Fov(10.0, 20.0, 500.0, 500.0)
     out = sample_fovs_exponential(base, 0.6, 4, IMAGE)
-    assert [f.width for f in out.samples] == pytest.approx([6.25, 10.0, 16.0, 25.6])
-    assert out.exponents_or_draws == (-1, 0, 1, 2)
+    assert [f.width for f in out] == pytest.approx([6.25, 10.0, 16.0, 25.6])
 
 
 def test_exponential_sampling_two_samples():
     base = Fov(10.0, 20.0, 500.0, 500.0)
     out = sample_fovs_exponential(base, 0.6, 2, IMAGE)
-    assert [f.width for f in out.samples] == pytest.approx([10.0 / 1.6, 10.0])
+    assert [f.width for f in out] == pytest.approx([10.0 / 1.6, 10.0])
 
 
 def test_exponential_sampling_clamps_expansions():
     base = Fov(1000.0, 1000.0, 500.0, 500.0)
     out = sample_fovs_exponential(base, 0.6, 4, IMAGE)
-    for fov in out.samples[1:]:
+    for fov in out[1:]:
         assert fov.width <= IMAGE.width
         assert fov.height <= IMAGE.height
 
@@ -96,7 +95,7 @@ def test_normal_sampling_degenerate_variance():
     base = Fov(400.0, 400.0, 500.0, 500.0)
     rng = np.random.default_rng(0)
     out = sample_fovs_normal(base, 1e-9, 8, rng, IMAGE)
-    for fov in out.samples:
+    for fov in out:
         assert fov_distance(fov, base) < 3e-9
 
 
@@ -111,7 +110,7 @@ def test_normal_sampling_law_of_large_numbers():
     # Independent oracle: the empirical mean of 1000 width draws.
     base = Fov(500.0, 500.0, 500.0, 500.0)
     out = sample_fovs_normal(base, 1.0, 1000, np.random.default_rng(7), IMAGE)
-    mean_width = sum(f.width for f in out.samples) / len(out.samples)
+    mean_width = sum(f.width for f in out) / len(out)
     assert abs(mean_width - base.width) < 0.1
 
 
@@ -119,8 +118,8 @@ def test_random_sampling_contract():
     a = sample_fovs_random(IMAGE, 16, np.random.default_rng(5))
     b = sample_fovs_random(IMAGE, 16, np.random.default_rng(5))
     assert a == b
-    assert len(a.samples) == 16
-    for fov in a.samples:
+    assert len(a) == 16
+    for fov in a:
         assert 0.05 * IMAGE.width <= fov.width <= IMAGE.width
         assert fov.center_x - fov.width / 2 >= -1e-9
         assert fov.center_x + fov.width / 2 <= IMAGE.width + 1e-9

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from halc.cli import main
+from halc.cli import SCENARIOS, main
 from halc.decoding import DecodeConfig, decode_greedy, decode_halc
 from halc.errors import InvalidInputError
 from halc.config import ScorerSpec
@@ -345,6 +345,14 @@ def test_cli_config_not_utf8_exits_2_with_one_line(tmp_path, capsys):
         ({"corpus": {"count": 10**30}}, "corpus count must lie in [1, 10000]"),
         ({"corpus": {"path": "c2.json", "count": 5}}, "corpus count cannot be given with path"),
         ({"decode": {"sampling_mode": "detector"}}, "decode sampling_mode must be one of"),
+        ({"theorem": {"trials": 5}}, "theorem trials must be at least 100, got 5"),
+        ({"theorem": {"n_values": [2, 0]}}, "theorem n_values must be at least 1, got (2, 0)"),
+        ({"theorem": {"epsilons": [0.5, 0.0]}}, "theorem epsilons must be positive"),
+        ({"theorem": {"sigmas": [-1.0]}}, "theorem sigmas must be positive, got (-1.0,)"),
+        ({"theorem": {"exp_epsilon": 0}}, "theorem exp_epsilon must be positive, got 0"),
+        ({"theorem": {"lam": -3.0}}, "theorem lam must be positive, got -3.0"),
+        ({"theorem": {"r_min": 5.0}}, "theorem r_min must be less than r_max, got 5.0"),
+        ({"theorem": {"r_min": 1.0, "r_max": -1.0}}, "theorem r_min must be less than r_max"),
     ],
     ids=[
         "short-detector-eta",
@@ -373,6 +381,14 @@ def test_cli_config_not_utf8_exits_2_with_one_line(tmp_path, capsys):
         "huge-corpus-count",
         "corpus-path-with-count",
         "detector-sampling-alias",
+        "theorem-few-trials",
+        "theorem-zero-n",
+        "theorem-zero-epsilon",
+        "theorem-negative-sigma",
+        "theorem-zero-exp-epsilon",
+        "theorem-negative-lam",
+        "theorem-r-min-at-r-max",
+        "theorem-r-range-reversed",
     ],
 )
 def test_cli_malformed_config_exits_2_with_one_line(tmp_path, capsys, extra, named):
@@ -566,6 +582,77 @@ def test_cli_corpus_file_without_image_exits_3_with_one_line(tmp_path, capsys, s
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_cli_theorem_ranges_fail_every_scenario(tmp_path, capsys, scenario):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"theorem": {"trials": 5, "sigmas": [-1.0], "lam": -3.0}}))
+    out = tmp_path / "out"
+    assert main([scenario, "--config", str(cfg), "--seed", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: theorem trials must be at least 100, got 5\n"
+    assert not out.exists()
+
+
+def _edit_profile(kind, key, value):
+    def edit(doc):
+        profile = next(o["profile"] for o in doc["objects"] if o["profile"]["kind"] == kind)
+        profile[key] = value
+
+    return edit
+
+
+def _edit_region(key, value):
+    def edit(doc):
+        doc["objects"][0]["region"][key] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (_edit_profile("noisy", "noise_seed", 1.5), "noisy profile noise_seed must be an integer"),
+        (_edit_profile("context_shift", "slope", "0.8"), "context_shift profile slope "),
+        (_edit_profile("noisy", "base", "1.5"), "noisy profile base must be a finite number"),
+        (_edit_region("cx", "330"), "fov cx must be a finite number, got '330'"),
+        (_edit_profile("stable_high", "level", "6"), "stable_high profile level "),
+        (_edit_profile("peaking", "amp", True), "peaking profile amp "),
+        (lambda doc: doc["image"].update(w="1280"), "image w "),
+        (lambda doc: doc["cooccurrence"][0].__setitem__(2, "abc"), "cooccurrence bonus "),
+        (lambda doc: doc["trap"].update(position=4.0), "trap position must be an integer"),
+    ],
+    ids=[
+        "fractional-noise-seed",
+        "string-slope",
+        "string-noisy-base",
+        "string-region-cx",
+        "string-stable-level",
+        "bool-peak-amp",
+        "string-image-width",
+        "string-cooccurrence-bonus",
+        "fractional-trap-position",
+    ],
+)
+def test_cli_corpus_file_with_a_mistyped_number_exits_3_naming_the_key(
+    tmp_path, capsys, demo, edit, named
+):
+    from halc.world import scene_to_json
+
+    doc = scene_to_json(demo)
+    edit(doc)
+    corpus_path = tmp_path / "corpus.json"
+    corpus_path.write_text(json.dumps({"scenes": [doc]}))
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"seed": 2, "corpus": {"path": str(corpus_path)}}))
+    out = tmp_path / "out"
+    assert main(["decode", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"i/o error: malformed corpus file {corpus_path}: ")
+    assert err.count("\n") == 1
+    assert named in err
+    assert not (out / "manifest.json").exists()
+
+
 def test_cli_decode_demo(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["decode", "--seed", "7", "--out", str(out)]) == 0
@@ -700,21 +787,6 @@ def test_cli_manifest_rerun_keeps_the_seed_flag(tmp_path, capsys):
     assert main(["compare", "--config", str(first / "manifest.json"), "--out", str(second)]) == 0
     assert (first / "compare.csv").read_bytes() == (second / "compare.csv").read_bytes()
     assert (first / "manifest.json").read_bytes() == (second / "manifest.json").read_bytes()
-
-
-def test_report_csv_rows(demo):
-    from halc.metrics import CaptionRecord, chair, opope
-
-    cap = CaptionRecord.from_tokens(
-        demo.scene_id, ["a", "man", "holds", "a", "surfboard"], demo.lexicon
-    )
-    chair_rows = chair([cap], {demo.scene_id: demo}).to_csv_rows()
-    assert [r["metric"] for r in chair_rows] == ["chair_s", "chair_i"]
-    queries = {demo.scene_id: (("man", "beach"), ("surfboard", "book"))}
-    opope_rows = opope([cap], {demo.scene_id: demo}, queries).to_csv_rows()
-    assert [r["metric"] for r in opope_rows] == [
-        "accuracy", "precision", "recall", "f_beta",
-    ]
 
 
 def test_cli_corpus_file_input(tmp_path, capsys, small_clean_corpus):

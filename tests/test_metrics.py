@@ -4,7 +4,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from halc.decoding import DecodeConfig
 from halc.errors import InvalidInputError
+from halc.harness import run_length_curve
 from halc.metrics import (
     CaptionRecord,
     build_corpus_stats,
@@ -12,7 +14,6 @@ from halc.metrics import (
     corpus_bleu,
     f_beta_score,
     hallucinated_objects,
-    hallucination_vs_length,
     opope,
     sample_query_objects,
 )
@@ -261,40 +262,29 @@ def test_bleu_empty_corpus_is_error():
 
 
 # ---------------------------------------------------------------------------
-# Hallucination-vs-length table
+# Hallucination-vs-length table (harness.run_length_curve)
 # ---------------------------------------------------------------------------
 
 
 def test_length_table_single_row(small_clean_corpus):
-    from halc.decoding import DecodeConfig, decode_greedy
-
-    def decoder(scene, budget):
-        return decode_greedy(None, scene, DecodeConfig(seed=0, max_tokens=budget)).tokens
-
-    rows = hallucination_vs_length(small_clean_corpus, decoder, [8])
-    assert len(rows) == 1
-    assert rows[0]["max_tokens"] == 8
+    rows = run_length_curve(small_clean_corpus, DecodeConfig(seed=0), [8])
+    assert [(r["method"], r["max_tokens"]) for r in rows] == [("greedy", 8), ("halc", 8)]
     assert rows[0]["chair_i"] == 0.0
 
 
 def test_length_table_rejects_empty_grid(small_clean_corpus):
     with pytest.raises(InvalidInputError):
-        hallucination_vs_length(small_clean_corpus, lambda s, b: [], [])
+        run_length_curve(small_clean_corpus, DecodeConfig(seed=0), [])
 
 
 @pytest.mark.parametrize("count,frac,seed", [(15, 1.0, 9), (25, 0.3, 7), (22, 0.5, 2)])
 def test_greedy_hallucination_ratio_monotone_in_budget(count, frac, seed):
     # Trap placement must keep the cumulative ratio non-decreasing for any
     # trap count, not just for counts divisible by the tier cycle.
-    from halc.decoding import DecodeConfig, decode_greedy
     from halc.world import CorpusSpec, generate_corpus
 
     scenes = generate_corpus(seed, count, CorpusSpec(scene_count=count, trap_fraction=frac))
-
-    def decoder(scene, budget):
-        return decode_greedy(None, scene, DecodeConfig(seed=0, max_tokens=budget)).tokens
-
-    rows = hallucination_vs_length(scenes, decoder, [16, 32, 64])
-    ratios = [r["chair_i"] for r in rows]
+    rows = run_length_curve(scenes, DecodeConfig(seed=0), [16, 32, 64])
+    ratios = [r["chair_i"] for r in rows if r["method"] == "greedy"]
     assert ratios == sorted(ratios)
     assert ratios[-1] > 0.0

@@ -25,7 +25,7 @@ from halc.decoding import (
     select_beams,
 )
 from halc.errors import InvalidInputError
-from halc.geometry import Fov, FovSampleSet
+from halc.geometry import Fov
 from halc.world import (
     CORPUS_DETECTOR_ETA,
     DEMO_DETECTOR_ETA,
@@ -90,7 +90,7 @@ def reference_halc_step(model, detector, scene, beam, proposed, config, rng):
     model = model or toy_model_logits
     v_d = detector(proposed, scene)
     fovs = decoding._sample_fovs(scene, v_d, config, rng)
-    logit_rows = [np.asarray(model(scene, f, list(beam.tokens)), dtype=float) for f in fovs.samples]
+    logit_rows = [np.asarray(model(scene, f, list(beam.tokens)), dtype=float) for f in fovs]
     dists = [_ref_softmax(row) for row in logit_rows]
 
     n = len(dists)
@@ -102,7 +102,7 @@ def reference_halc_step(model, detector, scene, beam, proposed, config, rng):
 
     candidates = []
     for i, j in pairs:
-        if fovs.samples[i].area >= fovs.samples[j].area:
+        if fovs[i].area >= fovs[j].area:
             larger, smaller = i, j
         else:
             larger, smaller = j, i
@@ -174,9 +174,7 @@ def test_equal_area_windows_put_the_first_window_first(demo, monkeypatch):
     # Same-size windows at different centers: the pair's lower index is the
     # expert of its first contrast, as in the reference.
     windows = tuple(Fov(200.0, 200.0, 150.0 + 230.0 * i, 500.0) for i in range(4))
-    monkeypatch.setattr(
-        decoding, "_sample_fovs", lambda scene, v_d, config, rng: FovSampleSet(windows, ())
-    )
+    monkeypatch.setattr(decoding, "_sample_fovs", lambda scene, v_d, config, rng: windows)
     config = DecodeConfig(alpha=1.0, beta=1e-6)
     beam = BeamState(tokens=tuple(demo.reference_caption[:4]))
     result = assert_steps_agree(None, DEMO_DET, demo, beam, "surfboard", config, 0)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halc.distributions import argmax_token
+from halc.distributions import argmax_logit
 from halc.errors import InvalidInputError, InvalidParameterError
 from halc.geometry import Fov, ImageSpec, fov_distance
 from halc.world import (
@@ -89,6 +89,7 @@ def test_detector_exact_region_without_perturbation(demo):
     clock = demo.find_object("clock")
     box = toy_detector("clock", demo, eta=(0.0, 0.0, 0.0, 0.0))
     assert box == clock.region
+    assert toy_detector("clock", demo) == clock.region
 
 
 def test_detector_absent_token(demo):
@@ -109,15 +110,6 @@ def test_detector_confidence_threshold(demo):
     assert toy_detector("surfboard", demo, confidence_threshold=0.6) is None
     assert toy_detector("clock", demo, confidence_threshold=0.6) is not None
     assert toy_detector("clock", demo, confidence_threshold=0.95) is None
-
-
-def test_detector_jitter_only_without_explicit_offset(demo):
-    exact = toy_detector("clock", demo)
-    assert exact == demo.find_object("clock").region
-    jittered = toy_detector("clock", demo, eta=None, rng=np.random.default_rng(3))
-    assert jittered != exact
-    repeat = toy_detector("clock", demo, eta=None, rng=np.random.default_rng(3))
-    assert jittered == repeat
 
 
 def test_hash_noise_frozen_values():
@@ -201,8 +193,8 @@ def test_demo_greedy_argmax_at_detector_box_hallucinates(demo):
     # Direct decoding from the grounding box alone does not correct the trap.
     prefix = trap_slot_prefix(demo)
     v_d = toy_detector("surfboard", demo, eta=DEMO_DETECTOR_ETA)
-    tok = demo.vocabulary[argmax_token(toy_model_logits(demo, v_d, prefix))]
-    full_tok = demo.vocabulary[argmax_token(toy_model_logits(demo, demo.image.full_fov(), prefix))]
+    tok = demo.vocabulary[argmax_logit(toy_model_logits(demo, v_d, prefix))]
+    full_tok = demo.vocabulary[argmax_logit(toy_model_logits(demo, demo.image.full_fov(), prefix))]
     assert full_tok == "surfboard"
     assert tok == "surfboard"
 
@@ -210,7 +202,7 @@ def test_demo_greedy_argmax_at_detector_box_hallucinates(demo):
 def test_demo_argmax_at_v_star_yields_victim(demo):
     prefix = trap_slot_prefix(demo)
     v_star = demo.find_object("clock").profile.v_star
-    tok = demo.vocabulary[argmax_token(toy_model_logits(demo, v_star, prefix))]
+    tok = demo.vocabulary[argmax_logit(toy_model_logits(demo, v_star, prefix))]
     assert tok == "clock"
 
 
