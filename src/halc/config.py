@@ -22,6 +22,11 @@ SCORER_KINDS = ("oracle", "random", "noisy")
 # from the detector's grounding, the rest are the sampling modes so named.
 ABLATE_INITS = ("detector", "normal", "random", "center", "original")
 DEFAULT_GRID_SCALES = (0.1, 0.2, 0.3, 0.4, 0.6, 0.9)
+# The most windows (trials x n) one theorem trial set may hold. A set
+# peaks at about 75 bytes of float64 work arrays per window (jsd; tv
+# less), so this keeps a theorem run under about 0.75 GB; it is 12.5 times
+# the 100k x 8 sets of the theorem-mc benchmark.
+MAX_THEOREM_WINDOWS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -156,6 +161,12 @@ class TheoremSection:
         require = check_types(self, "theorem")
         require("trials", self.trials >= 100, "must be at least 100")
         require("n_values", min(self.n_values, default=1) >= 1, "must be at least 1")
+        largest_n = max(self.n_values, default=1)
+        if self.trials * largest_n > MAX_THEOREM_WINDOWS:
+            raise ConfigError(
+                f"theorem trials x max(n_values) must be at most {MAX_THEOREM_WINDOWS}, "
+                f"got {self.trials} x {largest_n}"
+            )
         for name in ("epsilons", "sigmas"):
             require(name, min(getattr(self, name), default=1) > 0, "must be positive")
         for name in ("exp_epsilon", "lam"):

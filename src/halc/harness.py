@@ -395,16 +395,16 @@ def _theorem_grid(section: TheoremSection, seed: int):
     return model, grid
 
 
-def _theorem_rows(model, members: Sequence[tuple]) -> list[dict]:
-    """CSV rows of grid rows that share one trial set: the first row draws
-    and scores it, the others rescore it at their epsilon."""
+def _theorem_rows(model, members: Sequence[tuple], block) -> list[dict]:
+    """CSV rows of grid rows that share one trial set: the first row scores
+    the drawn `block`, the others rescore its minima at their epsilon."""
     from .theory import bound_report, min_deviation_mc
 
     first = None
     rows = []
     for sampler, cfg in members:
         if first is None:
-            report = first = min_deviation_mc(model, cfg, sampler)
+            report = first = min_deviation_mc(model, cfg, sampler, block)
         else:
             report = bound_report(
                 model, cfg, sampler, first.min_deviation_samples, first.min_distance_samples
@@ -424,25 +424,33 @@ def run_theorem_verify(
 ) -> list[dict]:
     """Bound reports over a grid of sampler configurations.
 
-    Rows that differ only in epsilon draw the same trial set: the draw
-    depends on the sampler, eta, sigma and n, and every other input of it
-    is the same for the whole grid. Each such set is drawn and scored
-    once, and the rows keep the grid order.
+    The random draw of a trial set depends on the sampler and n, and every
+    other input of it is the same for the whole grid, so each (sampler, n)
+    block is drawn once. Each (eta, sigma) scores the block once, and rows
+    that differ only in epsilon rescore that trial set. The rows keep the
+    grid order.
     """
+    from .theory import draw_trials
+
     section = parse(TheoremSection, {} if options is None else options, "theorem")
     model, grid = _theorem_grid(section, seed)
-    groups: dict[tuple, list[int]] = {}
+    draws: dict[tuple, dict[tuple, list[int]]] = {}
     for i, (sampler, cfg) in enumerate(grid):
-        groups.setdefault((sampler, cfg.eta, cfg.sigma, cfg.n), []).append(i)
+        sets = draws.setdefault((sampler, cfg.n), {})
+        sets.setdefault((cfg.eta, cfg.sigma), []).append(i)
     rows: list = [None] * len(grid)
-    for indices in groups.values():
+    for sets in draws.values():
+        first = next(iter(sets.values()))[0]
+        sampler, cfg = grid[first]
         try:
-            group_rows = _theorem_rows(model, [grid[i] for i in indices])
+            block = draw_trials(cfg, sampler)
+            for indices in sets.values():
+                for i, row in zip(indices, _theorem_rows(model, [grid[i] for i in indices], block)):
+                    rows[i] = row
         except OverflowError as exc:
-            # The bound formulas square the configured values.
+            # The r range and the bound formulas overflow on huge values.
             raise InvalidParameterError(f"theorem values too large: {exc}") from exc
-        for i, row in zip(indices, group_rows):
-            rows[i] = row
+        del block  # before the next block is drawn
     return rows
 
 

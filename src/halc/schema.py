@@ -3,7 +3,7 @@
 A dataclass declares a JSON object: field names (or a field's `key`
 metadata) are the keys, annotations the JSON types, defaults the defaults
 and `__post_init__` the ranges. Understood annotations: `int`, `float`
-(finite), `str`, `Literal[...]` of strings, `tuple[X, ...]` and fixed-length
+(finite), `str`, `bool`, `Literal[...]` of strings, `tuple[X, ...]` and fixed-length
 tuples (JSON lists), `Optional[X]`, a union of a dataclass and one other
 type, and a nested dataclass. bool is never a number. Errors are one-line
 ConfigErrors naming the key.
@@ -76,14 +76,19 @@ def _checks(cls) -> tuple[tuple[str, str, Check], ...]:
 
 
 # Annotation -> the values it accepts, and the error that names them.
-_SCALARS = {int: (Integral, "an integer"), float: (Real, "a finite number"), str: (str, "a string")}
+_SCALARS = {
+    int: (Integral, "an integer"),
+    float: (Real, "a finite number"),
+    str: (str, "a string"),
+    bool: (bool, "true or false"),
+}
 
 
 def _scalar(hint) -> Check:
     kind, what = _SCALARS[hint]
 
     def check(value, label):
-        wrong = isinstance(value, bool) or not isinstance(value, kind)
+        wrong = not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool)
         # NaN, the infinities and ints beyond the float range fail this.
         if wrong or (kind is Real and not abs(value) <= sys.float_info.max):
             _fail(label, f"must be {what}", value)

@@ -6,6 +6,12 @@ decoding deviation over n sampled windows is estimated empirically and
 compared against the closed-form neighborhood-hit constants for normal and
 exponential-expansion sampling.
 
+A trial set is scored from a block of random draws (`draw_trials`) that
+does not depend on eta, sigma or epsilon, so a sweep draws each block once
+and scores it for each (eta, sigma). A bump model centred at the optimum
+measures each window's squared distance to it once, for the hit test and
+the bump alike, without building the windows.
+
 numpy reduces a short axis row by row, so the Monte-Carlo arrays are never
 reduced over their 3-wide FOV axis or their n-wide window axis. They are
 combined column by column instead, in the order the axis reduction would
@@ -39,6 +45,7 @@ __all__ = [
     "ball_miss_probability_mc",
     "c_e_closed_form",
     "exponential_miss_probability_mc",
+    "draw_trials",
     "min_deviation_mc",
     "bound_report",
 ]
@@ -150,9 +157,14 @@ class GaussianBumpModel:
 
     def dists(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        # In place, the bump amp * exp(-d2 / (2 width^2)), then its
-        # exponential expo, then p0 = expo / (expo + 1) beside 1 - p0.
-        expo = _squared_distance(pts, np.asarray(self.center, dtype=float))
+        return self.dists_at(_squared_distance(pts, np.asarray(self.center, dtype=float)))
+
+    def dists_at(self, d2: np.ndarray) -> np.ndarray:
+        """The rows of `dists` for windows at squared distances `d2` (1-D)
+        from the center, computed in place: `d2` is overwritten."""
+        # The bump amp * exp(-d2 / (2 width^2)), then its exponential expo,
+        # then p0 = expo / (expo + 1) beside 1 - p0.
+        expo = d2
         np.negative(expo, out=expo)
         expo /= 2.0 * self.width**2
         np.exp(expo, out=expo)
@@ -410,48 +422,108 @@ def exponential_miss_probability_mc(
 # ---------------------------------------------------------------------------
 
 
-def min_deviation_mc(
-    subject: GaussianBumpModel | SceneFovAdapter,
-    config: TheoremConfig,
-    sampler: str,
-) -> BoundReport:
-    """Estimate the distribution of the minimum decoding deviation over n
-    FOV samples and compare against delta + (1 - C)^n.
+def draw_trials(config: TheoremConfig, sampler: str) -> np.ndarray:
+    """The random draw of a config's trial set: (trials, n, 3) standard
+    normals for normal sampling, (trials, n) window scales (1 + lam)**r for
+    exponential sampling.
 
-    Trials are seeded independently of the delta estimation so results do
-    not depend on evaluation order. The draw does not depend on epsilon:
-    `bound_report` rescores the returned trial set at another epsilon.
+    It depends on the seed, trials and n, and for exponential sampling on
+    lam and the r range, but not on eta, sigma or epsilon:
+    `min_deviation_mc` scores one block for each (eta, sigma) that shares
+    those inputs. Trials are seeded independently of the delta estimation
+    so results do not depend on evaluation order.
     """
     if sampler not in ("normal", "exponential"):
         raise InvalidParameterError("sampler must be 'normal' or 'exponential'")
     sample_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(2)[1])
+    if sampler == "normal":
+        return sample_rng.standard_normal((config.trials, config.n, FOV_DIM))
+    r = sample_rng.uniform(config.r_min, config.r_max, size=(config.trials, config.n))
+    return (1.0 + config.lam) ** r
 
+
+def _window_coordinate(
+    block: np.ndarray, sampler: str, sigma: float, v_d: np.ndarray, k: int, out: np.ndarray
+) -> np.ndarray:
+    """Coordinate k of every window of a trial block, written into the
+    (trials, n) array `out`: v_d + sigma * z for normal sampling (the
+    values normal(loc=v_d, scale=sigma) returns for the same standard
+    normals z), scale * v_d for exponential sampling, whose center
+    coordinate stays v_d[2]."""
+    if sampler == "normal":
+        np.multiply(block[..., k], sigma, out=out)
+        out += v_d[k]
+    elif k < 2:
+        np.multiply(block, v_d[k], out=out)
+    else:
+        out[...] = v_d[k]
+    return out
+
+
+def _squared_window_distance(
+    block: np.ndarray, sampler: str, sigma: float, v_d: np.ndarray, center: np.ndarray
+) -> np.ndarray:
+    """The squared distance of every window of a trial block from `center`,
+    as a (trials, n) array, without building the windows.
+
+    The coordinate differences are squared and added left to right, column
+    by column, so the result is bit-identical to _squared_distance of the
+    windows.
+    """
+    dist = np.empty(block.shape[:2])
+    column = np.empty_like(dist)
+    for k in range(FOV_DIM):
+        target = column if k else dist
+        _window_coordinate(block, sampler, sigma, v_d, k, target)
+        target -= center[k]
+        target *= target
+        if k:
+            dist += column
+    return dist
+
+
+def min_deviation_mc(
+    subject: GaussianBumpModel | SceneFovAdapter,
+    config: TheoremConfig,
+    sampler: str,
+    block: Optional[np.ndarray] = None,
+) -> BoundReport:
+    """Estimate the distribution of the minimum decoding deviation over n
+    FOV samples and compare against delta + (1 - C)^n.
+
+    `block` is the config's `draw_trials` (drawn here when None); it is
+    read, never written. The report does not depend on epsilon:
+    `bound_report` rescores its trial set at another epsilon.
+
+    A bump model centred at the optimum measures each window's squared
+    distance to it once, for both the hit test and the bump, without
+    building the windows; any other subject scores the windows themselves.
+    """
+    if block is None:
+        block = draw_trials(config, sampler)
     v_star = np.asarray(config.v_star, dtype=float)
     v_d = config.v_d
-
-    if sampler == "normal":
-        # normal(loc=v_d, scale=sigma) draws the same standard normals and
-        # returns loc + scale * z, but through its slower broadcasting path.
-        points = sample_rng.standard_normal((config.trials, config.n, FOV_DIM))
-        points *= config.sigma
-        points += v_d
-    else:
-        r = sample_rng.uniform(config.r_min, config.r_max, size=(config.trials, config.n))
-        scale = (1.0 + config.lam) ** r
-        points = np.empty((config.trials, config.n, FOV_DIM))
-        points[:, :, 0] = scale * v_d[0]
-        points[:, :, 1] = scale * v_d[1]
-        points[:, :, 2] = v_d[2]
-
-    flat = points.reshape(-1, FOV_DIM)
+    shape = (config.trials, config.n)
     d_star = subject.dists(v_star[None, :])[0]
-    devs = _divergence_batch(d_star, subject.dists(flat), config.divergence)
-    min_devs = _row_min(devs.reshape(config.trials, config.n), np.minimum)
 
-    # fmin skips NaN distances, as the per-window hit test (dist <= epsilon)
-    # does, so min_dist <= epsilon holds exactly when some window hits.
-    dist = _squared_distance(points, v_star)
-    min_dist = _row_min(np.sqrt(dist, out=dist), np.fmin)
+    if isinstance(subject, GaussianBumpModel) and np.array_equal(subject.center, v_star):
+        dist = _squared_window_distance(block, sampler, config.sigma, v_d, v_star)
+        # fmin skips NaN distances, as the per-window hit test (dist <=
+        # epsilon) does, so min_dist <= epsilon holds exactly when some
+        # window hits. sqrt is monotone, so it commutes with the minimum.
+        min_dist = np.sqrt(_row_min(dist, np.fmin))
+        window_dists = subject.dists_at(dist.reshape(-1))
+        del dist
+    else:
+        points = np.empty(shape + (FOV_DIM,))
+        for k in range(FOV_DIM):
+            _window_coordinate(block, sampler, config.sigma, v_d, k, points[..., k])
+        window_dists = subject.dists(points.reshape(-1, FOV_DIM))
+        dist = _squared_distance(points, v_star)
+        min_dist = _row_min(np.sqrt(dist, out=dist), np.fmin)
+
+    devs = _divergence_batch(d_star, window_dists, config.divergence)
+    min_devs = _row_min(devs.reshape(shape), np.minimum)
     return bound_report(subject, config, sampler, min_devs, min_dist)
 
 

@@ -865,13 +865,13 @@ def _slot_to_json(slot: Slot) -> dict:
 
 
 def _slot_from_json(doc: dict) -> Slot:
-    if doc["kind"] == "word":
-        return WordSlot(doc["token"])
-    if doc["kind"] == "noun":
-        return NounSlot(tuple(doc["candidates"]))
-    if doc["kind"] == "verb":
-        return VerbSlot(tuple(doc["candidates"]))
-    raise InvalidInputError(f"unknown slot kind {doc['kind']!r}")
+    kind = doc["kind"]
+    if kind == "word":
+        return WordSlot(check_value(str, doc["token"], "word slot token"))
+    if kind in ("noun", "verb"):
+        candidates = check_value(tuple[str, ...], doc["candidates"], f"{kind} slot candidates")
+        return NounSlot(candidates) if kind == "noun" else VerbSlot(candidates)
+    raise InvalidInputError(f"unknown slot kind {kind!r}")
 
 
 def scene_to_json(scene: Scene) -> dict:
@@ -908,37 +908,43 @@ def scene_to_json(scene: Scene) -> dict:
 
 
 def scene_from_json(doc: dict) -> Scene:
-    """The scene of a scene_to_json document. Its numbers are checked here,
+    """The scene of a scene_to_json document. Its values are checked here,
     once, so that a mistyped one fails the read and not a later decode."""
+    words = tuple[str, ...]
     trap = None
     if doc.get("trap"):
         t = doc["trap"]
-        position = check_value(int, t["position"], "trap position")
-        trap = TrapInfo(t["victim"], t["trap"], position, t["correctable"])
+        trap = TrapInfo(
+            check_value(str, t["victim"], "trap victim"),
+            check_value(str, t["trap"], "trap trap"),
+            check_value(int, t["position"], "trap position"),
+            check_value(bool, t["correctable"], "trap correctable"),
+        )
     image = doc["image"]
     return Scene(
         image=ImageSpec(*(check_value(float, image[key], f"image {key}") for key in ("w", "h"))),
         objects=tuple(
             SceneObject(
-                name=o["name"],
+                name=check_value(str, o["name"], "object name"),
                 region=Fov.from_json(o["region"]),
                 profile=_profile_from_json(o["profile"]),
-                is_ground_truth=o["ground_truth"],
-                anchor=o.get("anchor"),
+                is_ground_truth=check_value(bool, o["ground_truth"], "object ground_truth"),
+                anchor=check_value(Optional[str], o.get("anchor"), "object anchor"),
             )
             for o in doc["objects"]
         ),
-        verbs=tuple(doc["verbs"]),
-        fillers=tuple(doc["fillers"]),
+        verbs=check_value(words, doc["verbs"], "verbs"),
+        fillers=check_value(words, doc["fillers"], "fillers"),
         skeleton=tuple(_slot_from_json(s) for s in doc["skeleton"]),
         cooccurrence={
-            (p, t): check_value(float, b, "cooccurrence bonus")
+            check_value(tuple[str, str], (p, t), "cooccurrence tokens"):
+                check_value(float, b, "cooccurrence bonus")
             for p, t, b in doc.get("cooccurrence", [])
         },
-        reference_caption=tuple(doc["reference"]),
-        scene_id=doc.get("id", "scene"),
+        reference_caption=check_value(words, doc["reference"], "reference"),
+        scene_id=check_value(str, doc.get("id", "scene"), "id"),
         trap=trap,
-        vocabulary=tuple(doc["vocabulary"]),
+        vocabulary=check_value(words, doc["vocabulary"], "vocabulary"),
     )
 
 

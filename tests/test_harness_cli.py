@@ -353,6 +353,8 @@ def test_cli_config_not_utf8_exits_2_with_one_line(tmp_path, capsys):
         ({"theorem": {"lam": -3.0}}, "theorem lam must be positive, got -3.0"),
         ({"theorem": {"r_min": 5.0}}, "theorem r_min must be less than r_max, got 5.0"),
         ({"theorem": {"r_min": 1.0, "r_max": -1.0}}, "theorem r_min must be less than r_max"),
+        ({"theorem": {"trials": 10**30}}, "theorem trials x max(n_values) must be at most 10000000"),
+        ({"theorem": {"n_values": [2, 10**30]}}, "theorem trials x max(n_values) must be at most"),
     ],
     ids=[
         "short-detector-eta",
@@ -389,6 +391,8 @@ def test_cli_config_not_utf8_exits_2_with_one_line(tmp_path, capsys):
         "theorem-negative-lam",
         "theorem-r-min-at-r-max",
         "theorem-r-range-reversed",
+        "theorem-huge-trials",
+        "theorem-huge-n",
     ],
 )
 def test_cli_malformed_config_exits_2_with_one_line(tmp_path, capsys, extra, named):
@@ -416,6 +420,8 @@ def test_cli_malformed_config_exits_2_with_one_line(tmp_path, capsys, extra, nam
         {"samplers": []},
         {"samplers": ["exponential"], "eta_scale": -1.0, "trials": 100, "n_values": [2]},
         {"samplers": ["normal"], "epsilons": [1e300], "trials": 100, "n_values": [2]},
+        {"trials": 10**30},
+        {"n_values": [10**30]},
     ],
     ids=[
         "string-trials",
@@ -428,6 +434,8 @@ def test_cli_malformed_config_exits_2_with_one_line(tmp_path, capsys, extra, nam
         "empty-grid",
         "zero-size-detection",
         "overflowing-epsilon",
+        "huge-trials",
+        "huge-n",
     ],
 )
 def test_cli_malformed_theorem_config_exits_2_with_one_line(tmp_path, capsys, theorem):
@@ -620,6 +628,11 @@ def _edit_region(key, value):
         (lambda doc: doc["image"].update(w="1280"), "image w "),
         (lambda doc: doc["cooccurrence"][0].__setitem__(2, "abc"), "cooccurrence bonus "),
         (lambda doc: doc["trap"].update(position=4.0), "trap position must be an integer"),
+        (lambda doc: doc["skeleton"][1].update(candidates="abc"), "noun slot candidates must be a list"),
+        (lambda doc: doc["objects"][0].update(ground_truth="no"), "object ground_truth must be true or false"),
+        (lambda doc: doc["reference"].__setitem__(1, 7), "reference must be a string, got 7"),
+        (lambda doc: doc.update(verbs="rides"), "verbs must be a list, got 'rides'"),
+        (lambda doc: doc["trap"].update(correctable=1), "trap correctable must be true or false"),
     ],
     ids=[
         "fractional-noise-seed",
@@ -631,6 +644,11 @@ def _edit_region(key, value):
         "string-image-width",
         "string-cooccurrence-bonus",
         "fractional-trap-position",
+        "string-noun-candidates",
+        "string-ground-truth",
+        "int-reference-token",
+        "string-verbs",
+        "int-trap-correctable",
     ],
 )
 def test_cli_corpus_file_with_a_mistyped_number_exits_3_naming_the_key(

@@ -1,18 +1,22 @@
-"""The theorem sweep that scores each Monte-Carlo trial set once and the
-column-wise reductions, each checked against the code it replaced.
+"""The theorem sweep that draws each Monte-Carlo trial block once and
+scores each trial set once, and the column-wise reductions, each checked
+against the code it replaced.
 
 The references below are the replaced code, kept here verbatim apart from
 names: the per-row `min_deviation_mc` with its broadcasting normal draw
 (`rng.normal(loc=...)`), its `min(axis=1)` over the n windows and its
 `np.fmin.reduce(axis=1)` over their distances; the loop of
 `run_theorem_verify` that called it once per grid row; the bump model that
-summed its 3-wide axis with `sum` and built its rows with `np.stack`; and
-the total variation that summed its last axis with `sum`. They share
-`estimate_delta`, `c_g_analytic`, `c_e_closed_form`, `_squared_distance`
-and the JSD with the code they check; tests/test_theory.py and the tests
-below check those on their own.
+summed its 3-wide axis with `sum` and built its rows with `np.stack`; the
+total variation that summed its last axis with `sum`; and the
+`min_deviation_mc` that drew its own trial set and built every window to
+measure its distance twice, once in the model and once for the hit test.
+They share `estimate_delta`, `c_g_analytic`, `c_e_closed_form`,
+`_squared_distance` and the JSD with the code they check;
+tests/test_theory.py and the tests below check those on their own.
 """
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -22,16 +26,19 @@ from hypothesis.extra.numpy import arrays
 
 from halc import theory
 from halc.distributions import jsd, total_variation
+from halc.errors import InvalidParameterError
 from halc.harness import run_theorem_verify
 from halc.theory import (
     FOV_DIM,
     GaussianBumpModel,
     TheoremConfig,
+    _divergence_batch,
     _row_min,
     _squared_distance,
     bound_report,
     c_e_closed_form,
     c_g_analytic,
+    draw_trials,
     estimate_delta,
     min_deviation_mc,
 )
@@ -173,6 +180,42 @@ def reference_run_theorem_verify(options, seed):
     return rows
 
 
+def previous_min_deviation_mc(subject, config, sampler):
+    """The min_deviation_mc that drew its own trial set and scored every
+    window through subject.dists."""
+    if sampler not in ("normal", "exponential"):
+        raise InvalidParameterError("sampler must be 'normal' or 'exponential'")
+    sample_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(2)[1])
+
+    v_star = np.asarray(config.v_star, dtype=float)
+    v_d = config.v_d
+
+    if sampler == "normal":
+        # normal(loc=v_d, scale=sigma) draws the same standard normals and
+        # returns loc + scale * z, but through its slower broadcasting path.
+        points = sample_rng.standard_normal((config.trials, config.n, FOV_DIM))
+        points *= config.sigma
+        points += v_d
+    else:
+        r = sample_rng.uniform(config.r_min, config.r_max, size=(config.trials, config.n))
+        scale = (1.0 + config.lam) ** r
+        points = np.empty((config.trials, config.n, FOV_DIM))
+        points[:, :, 0] = scale * v_d[0]
+        points[:, :, 1] = scale * v_d[1]
+        points[:, :, 2] = v_d[2]
+
+    flat = points.reshape(-1, FOV_DIM)
+    d_star = subject.dists(v_star[None, :])[0]
+    devs = _divergence_batch(d_star, subject.dists(flat), config.divergence)
+    min_devs = _row_min(devs.reshape(config.trials, config.n), np.minimum)
+
+    # fmin skips NaN distances, as the per-window hit test (dist <= epsilon)
+    # does, so min_dist <= epsilon holds exactly when some window hits.
+    dist = _squared_distance(points, v_star)
+    min_dist = _row_min(np.sqrt(dist, out=dist), np.fmin)
+    return bound_report(subject, config, sampler, min_devs, min_dist)
+
+
 def _bits(row: dict) -> list:
     """Keys in order, with values as repr, which is exact for floats."""
     return [(key, repr(value)) for key, value in row.items()]
@@ -210,23 +253,30 @@ grids = st.fixed_dictionaries(
 
 
 def _sweep_with_draws(options, seed):
-    """run_theorem_verify's rows and the (sampler, eta, sigma, n) of each
-    trial set it drew."""
-    draws = []
+    """run_theorem_verify's rows, the (sampler, n) of each trial block it
+    drew and the (sampler, eta, sigma, n) of each trial set it scored."""
+    drawn, blocks, scored = [], {}, []
 
-    def counting(subject, config, sampler):
-        draws.append((sampler, config.eta, config.sigma, config.n))
-        return min_deviation_mc(subject, config, sampler)
+    def counting_draw(config, sampler):
+        drawn.append((sampler, config.n))
+        blocks[sampler, config.n] = block = draw_trials(config, sampler)
+        return block
 
-    with mock.patch.object(theory, "min_deviation_mc", counting):
+    def counting_score(subject, config, sampler, block):
+        assert block is blocks[sampler, config.n]
+        scored.append((sampler, config.eta, config.sigma, config.n))
+        return min_deviation_mc(subject, config, sampler, block)
+
+    with mock.patch.object(theory, "draw_trials", counting_draw), \
+            mock.patch.object(theory, "min_deviation_mc", counting_score):
         rows = run_theorem_verify(options, seed)
-    return rows, draws
+    return rows, drawn, scored
 
 
 @settings(max_examples=40, deadline=None)
 @given(options=grids, seed=st.integers(0, 2**16))
 def test_sweep_rows_bit_equal_to_per_row_reference(options, seed):
-    rows, draws = _sweep_with_draws(options, seed)
+    rows, drawn, scored = _sweep_with_draws(options, seed)
     reference = reference_run_theorem_verify(options, seed)
     assert [_bits(r) for r in rows] == [_bits(r) for r in reference]
     distinct = set()
@@ -238,15 +288,32 @@ def test_sweep_rows_bit_equal_to_per_row_reference(options, seed):
             v_star = options["v_star"]
             etas, sigmas = [(ratio * v_star[0], ratio * v_star[1], 0.1)], [1.0]
         distinct |= {(sampler, tuple(e), s, n) for e in etas for s in sigmas for n in options["n_values"]}
-    assert len(draws) == len(set(draws)) == len(distinct)
+    assert len(scored) == len(set(scored)) == len(distinct)
+    assert len(drawn) == len(set(drawn)) == len({(s, n) for s, _, _, n in distinct})
 
 
 def test_default_sweep_draws_each_trial_set_once():
     options = {"trials": 500}
-    rows, draws = _sweep_with_draws(options, 3)
+    rows, drawn, scored = _sweep_with_draws(options, 3)
     assert len(rows) == 27
-    assert len(draws) == len(set(draws)) == 15
+    assert len(drawn) == len(set(drawn)) == 6
+    assert len(scored) == len(set(scored)) == 15
     assert [_bits(r) for r in rows] == [_bits(r) for r in reference_run_theorem_verify(options, 3)]
+
+
+def test_sweep_retains_no_trial_arrays():
+    options = {"trials": 2000}
+    run_theorem_verify(options, 0)  # fills the parsers' caches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rows = run_theorem_verify(options, 0)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 27
+    # One trial set of n = 8 windows holds 2000 * 8 float64 values.
+    assert retained < 2000 * 8 * 8
 
 
 @settings(max_examples=40, deadline=None)
@@ -413,3 +480,57 @@ def test_nan_windows_bit_equal_to_reference(sampler, divergence, n, sigma, cut, 
         assert np.isnan(min_dist).any()
     elif cut == 4.5:
         assert np.isnan(min_devs).any()
+
+
+# ---------------------------------------------------------------------------
+# One distance per window, from a shared block
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    sampler=st.sampled_from(["normal", "exponential"]),
+    divergence=st.sampled_from(["tv", "jsd"]),
+    n=st.integers(1, 8),
+    eta=st.sampled_from(ETAS),
+    sigma=st.sampled_from(SIGMAS),
+    subject=st.sampled_from(["centred", "off-centre", "holey", "nan-distances"]),
+    trials=st.integers(100, 400),
+    seed=st.integers(0, 2**16),
+)
+def test_block_scores_bit_equal_to_previous_min_deviation_mc(
+    sampler, divergence, n, eta, sigma, subject, trials, seed
+):
+    """The centred bump's one-distance path and the window path of any
+    other subject, each scoring a shared block, give the previous per-row
+    code's report and per-trial minima bit for bit."""
+    v_star, r_min = (4.0, 4.0, 0.0), -5.0
+    if sampler == "exponential":
+        eta = (2.0, 2.0, 0.1)
+    if subject == "nan-distances":
+        # Exponential scales that underflow to 0 times an infinite
+        # detection give NaN distances.
+        v_star, eta, r_min = (1e308, 0.0, 0.0), (1e308, 0.0, 0.0), -50_000.0
+    config = TheoremConfig(
+        v_star=v_star, eta=eta, epsilon=1.0, sigma=sigma, lam=1.0, r_min=r_min, r_max=5.0,
+        n=n, trials=trials, divergence=divergence, seed=seed,
+    )
+    centre = (4.5, 3.75, 0.0) if subject == "off-centre" else v_star
+    model = GaussianBumpModel(center=centre, amp=1.5)
+    if subject == "holey":
+        model = HoleyModel(model, 4.5)
+
+    block = draw_trials(config, sampler)
+    drawn = block.copy()
+    with np.errstate(all="ignore"):
+        got = min_deviation_mc(model, config, sampler, block)
+        alone = min_deviation_mc(model, config, sampler)
+        want = previous_min_deviation_mc(model, config, sampler)
+    assert _same_array(block, drawn)
+    for report in (got, alone):
+        assert _bits(report.to_csv_row()) == _bits(want.to_csv_row())
+        assert _same_array(report.min_deviation_samples, want.min_deviation_samples)
+        assert _same_array(report.min_distance_samples, want.min_distance_samples)
+    if subject == "nan-distances" and sampler == "exponential":
+        assert np.isnan(want.min_distance_samples).any()
+
