@@ -8,9 +8,10 @@ exponential-expansion sampling.
 
 A trial set is scored from a block of random draws (`draw_trials`) that
 does not depend on eta, sigma or epsilon, so a sweep draws each block once
-and scores it for each (eta, sigma). A bump model centred at the optimum
-measures each window's squared distance to it once, for the hit test and
-the bump alike, without building the windows.
+and scores it for each (eta, sigma). Each window's squared distance to the
+optimum is measured once, straight from the block, for the hit test; a
+bump model centred at the optimum reads its distributions off the same
+distances, so it never builds the windows.
 
 numpy reduces a short axis row by row, so the Monte-Carlo arrays are never
 reduced over their 3-wide FOV axis or their n-wide window axis. They are
@@ -422,6 +423,11 @@ def exponential_miss_probability_mc(
 # ---------------------------------------------------------------------------
 
 
+def _check_sampler(sampler: str) -> None:
+    if sampler not in ("normal", "exponential"):
+        raise InvalidParameterError("sampler must be 'normal' or 'exponential'")
+
+
 def draw_trials(config: TheoremConfig, sampler: str) -> np.ndarray:
     """The random draw of a config's trial set: (trials, n, 3) standard
     normals for normal sampling, (trials, n) window scales (1 + lam)**r for
@@ -433,8 +439,7 @@ def draw_trials(config: TheoremConfig, sampler: str) -> np.ndarray:
     those inputs. Trials are seeded independently of the delta estimation
     so results do not depend on evaluation order.
     """
-    if sampler not in ("normal", "exponential"):
-        raise InvalidParameterError("sampler must be 'normal' or 'exponential'")
+    _check_sampler(sampler)
     sample_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(2)[1])
     if sampler == "normal":
         return sample_rng.standard_normal((config.trials, config.n, FOV_DIM))
@@ -495,32 +500,37 @@ def min_deviation_mc(
     read, never written. The report does not depend on epsilon:
     `bound_report` rescores its trial set at another epsilon.
 
-    A bump model centred at the optimum measures each window's squared
-    distance to it once, for both the hit test and the bump, without
-    building the windows; any other subject scores the windows themselves.
+    Each window's squared distance to the optimum is measured once, without
+    building the windows; it gives the hit test and, for a bump model
+    centred at the optimum, the bump itself. Any other subject scores the
+    windows.
     """
+    _check_sampler(sampler)
+    shape = (config.trials, config.n)
     if block is None:
         block = draw_trials(config, sampler)
+    elif block.shape != shape + ((FOV_DIM,) if sampler == "normal" else ()):
+        raise InvalidParameterError(
+            f"a {sampler} trial block for {config.trials} trials of {config.n} samples "
+            f"cannot have shape {block.shape}"
+        )
     v_star = np.asarray(config.v_star, dtype=float)
     v_d = config.v_d
-    shape = (config.trials, config.n)
     d_star = subject.dists(v_star[None, :])[0]
 
+    dist = _squared_window_distance(block, sampler, config.sigma, v_d, v_star)
+    # fmin skips NaN distances, as the per-window hit test (dist <= epsilon)
+    # does, so min_dist <= epsilon holds exactly when some window hits. sqrt
+    # is monotone, so it commutes with the minimum.
+    min_dist = np.sqrt(_row_min(dist, np.fmin))
     if isinstance(subject, GaussianBumpModel) and np.array_equal(subject.center, v_star):
-        dist = _squared_window_distance(block, sampler, config.sigma, v_d, v_star)
-        # fmin skips NaN distances, as the per-window hit test (dist <=
-        # epsilon) does, so min_dist <= epsilon holds exactly when some
-        # window hits. sqrt is monotone, so it commutes with the minimum.
-        min_dist = np.sqrt(_row_min(dist, np.fmin))
         window_dists = subject.dists_at(dist.reshape(-1))
-        del dist
     else:
         points = np.empty(shape + (FOV_DIM,))
         for k in range(FOV_DIM):
             _window_coordinate(block, sampler, config.sigma, v_d, k, points[..., k])
         window_dists = subject.dists(points.reshape(-1, FOV_DIM))
-        dist = _squared_distance(points, v_star)
-        min_dist = _row_min(np.sqrt(dist, out=dist), np.fmin)
+    del dist  # before the divergences are computed
 
     devs = _divergence_batch(d_star, window_dists, config.divergence)
     min_devs = _row_min(devs.reshape(shape), np.minimum)

@@ -17,6 +17,7 @@ from halc.theory import (
     deviation_g,
     estimate_delta,
     exponential_miss_probability_mc,
+    draw_trials,
     min_deviation_mc,
 )
 
@@ -276,6 +277,34 @@ def test_c_e_closed_form_degenerate_detections():
     assert c_e_closed_form(1.0, V_STAR, (-4.0, -4.0, 0.1), 0.6, -5.0, 5.0) == 0.0
     with pytest.raises(InvalidParameterError):
         c_e_closed_form(1.0, V_STAR, (0.0, 0.0, 0.1), 0.6, -5.0, 5.0)
+
+
+@pytest.mark.parametrize("block", [None, "normal"])
+def test_min_deviation_mc_rejects_an_unknown_sampler(block):
+    cfg = TheoremConfig(v_star=V_STAR, eta=(0.8, 0.6, 0.0), epsilon=1.0, n=2, trials=100)
+    if block is not None:
+        block = draw_trials(cfg, block)
+    with pytest.raises(InvalidParameterError, match="sampler must be"):
+        min_deviation_mc(MODEL, cfg, "uniform", block)
+
+
+@pytest.mark.parametrize(
+    "drawn_for, drawn_by, sampler",
+    [
+        ({"n": 3}, "normal", "normal"),
+        ({"trials": 101}, "normal", "normal"),
+        ({"n": 3}, "exponential", "exponential"),
+        ({}, "exponential", "normal"),
+        ({}, "normal", "exponential"),
+    ],
+)
+def test_min_deviation_mc_rejects_a_block_of_another_shape(drawn_for, drawn_by, sampler):
+    """A block drawn for another n, another trial count or the other
+    sampler is rejected before it is read."""
+    fields = dict(v_star=V_STAR, eta=(2.0, 2.0, 0.1), epsilon=1.0, n=2, trials=100)
+    block = draw_trials(TheoremConfig(**{**fields, **drawn_for}), drawn_by)
+    with pytest.raises(InvalidParameterError, match="trial block"):
+        min_deviation_mc(MODEL, TheoremConfig(**fields), sampler, block)
 
 
 def test_theorem_config_validation():
