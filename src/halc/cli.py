@@ -116,7 +116,8 @@ def _write_outputs(scenario: str, config: Config, out: Path, echo: dict) -> None
         return
 
     if scenario == "ablate":
-        tables = run_ablations(_scenes(config, ABLATE_CORPUS), decode, seed, config.ablate)
+        scenes, detector = _scenes(config, ABLATE_CORPUS), _detector(config, demo=False)
+        tables = run_ablations(scenes, decode, seed, config.ablate, detector)
         for name, rows in tables.items():
             write_csv(out / f"ablate_{name}.csv", rows)
         return

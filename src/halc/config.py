@@ -15,7 +15,7 @@ from .decoding import DecodeConfig
 from .errors import ConfigError
 from .metrics import POPE_MODES
 from .schema import check_types, parse
-from .world import CORPUS_DETECTOR_ETA, CorpusSpec
+from .world import CorpusSpec
 
 SCORER_KINDS = ("oracle", "random", "noisy")
 # The ablate sampling initializations: "detector" is exponential sampling
@@ -27,6 +27,9 @@ DEFAULT_GRID_SCALES = (0.1, 0.2, 0.3, 0.4, 0.6, 0.9)
 # less), so this keeps a theorem run under about 0.75 GB; it is 12.5 times
 # the 100k x 8 sets of the theorem-mc benchmark.
 MAX_THEOREM_WINDOWS = 10_000_000
+# The most oracle-study grid windows, grid_positions^2 x scales: each scene
+# builds the grid at about 160 bytes a window (16 MB here); the default has 384.
+MAX_GRID_WINDOWS = 100_000
 
 
 @dataclass(frozen=True)
@@ -91,11 +94,12 @@ class OracleStudySection:
         require("grid_positions", self.grid_positions >= 1, "must be at least 1")
         scales = self.grid_scales
         require("grid_scales", min(scales, default=0) > 0, "must be nonempty and positive")
+        ok = self.grid_positions**2 * len(scales) <= MAX_GRID_WINDOWS
+        require("grid_positions", ok, f"squared x len(grid_scales) must be at most {MAX_GRID_WINDOWS}")
 
 
 @dataclass(frozen=True)
 class AblateSection:
-    detector_eta: tuple[float, float, float, float] = CORPUS_DETECTOR_ETA
     pope_mode: Literal[POPE_MODES] = "random"
     scorer_seeds: Optional[tuple[int, ...]] = None  # None: the run seed and the next four
     inits: tuple[Literal[ABLATE_INITS], ...] = ("random", "center", "original", "detector")

@@ -68,6 +68,9 @@ Detector = Callable[[str, Scene], Optional[Fov]]
 
 SAMPLING_MODES = ("exponential", "normal", "random", "center", "original")
 IDK_POLICIES = ("off", "literal", "confidence")
+# The most FOV samples per HALC step: a triggered step copies its n(n-1)/2
+# window pairs into two (pairs, V) float64 buffers, 130 MB at n = 64, V≈4000.
+MAX_FOV_SAMPLES = 64
 
 
 @dataclass(frozen=True)
@@ -90,7 +93,7 @@ class DecodeConfig:
 
     def __post_init__(self) -> None:
         require = check_types(self, "decode")
-        require("n", self.n >= 2, "must be at least 2")
+        require("n", 2 <= self.n <= MAX_FOV_SAMPLES, f"must lie in [2, {MAX_FOV_SAMPLES}]")
         require("m", 1 <= self.m <= self.n * (self.n - 1) // 2, "must lie in [1, n*(n-1)/2]")
         require("k", self.k >= 1, "must be at least 1")
         require("alpha", self.alpha >= 0, "must be nonnegative")

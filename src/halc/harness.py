@@ -76,9 +76,6 @@ __all__ = [
     "write_manifest",
 ]
 
-METHOD_ORDER = ("greedy", "beam", "halc")
-
-
 # ---------------------------------------------------------------------------
 # Time-cost model
 # ---------------------------------------------------------------------------
@@ -141,7 +138,7 @@ def resolve_scorer(spec: str | ScorerSpec, seed: int = 0) -> Scorer:
     if isinstance(spec, str):
         spec = ScorerSpec(kind=spec)
     if spec.kind == "noisy":
-        return noisy_match_score(oracle_match_score, 0.1 if spec.amp is None else spec.amp, seed)
+        return noisy_match_score(0.1 if spec.amp is None else spec.amp, seed)
     if spec.kind == "random":
         return random_match_score(seed)
     return oracle_match_score
@@ -238,12 +235,11 @@ def run_compare(
     options: CompareSection = CompareSection(),
     detector=None,
     scorer: Optional[Scorer] = None,
-    methods: Sequence[str] = METHOD_ORDER,
 ) -> list[dict]:
     """Greedy, beam and corrective decoding over one corpus, one row each."""
     queries = _pope_queries(scenes, seed, options.pope_mode, options.pope_count)
     rows = []
-    for method in methods:
+    for method in ("greedy", "beam", "halc"):
         captions, _ = decode_corpus(scenes, method, config, detector, scorer)
         row = {"method": method}
         row.update(evaluate_captions(scenes, captions, queries, options.beta))
@@ -463,13 +459,13 @@ def run_ablations(
     config: DecodeConfig,
     seed: int,
     options: AblateSection | Mapping | None = None,
+    detector=None,
 ) -> dict[str, list[dict]]:
     """Sweeps over sampling initialization, growth factor, beam size and
     scorer, one table each. A row decodes the corpus with HALC once per
     seed and averages the metrics; only the scorer sweep, whose scorers
     may be seeded, uses several seeds."""
     options = parse(AblateSection, {} if options is None else options, "ablate")
-    detector = DetectorSim(options.detector_eta)
     queries = _pope_queries(scenes, seed, options.pope_mode, 3)
     scorer_seeds = options.scorer_seeds or [seed + i for i in range(5)]
     # (table, column, values, value -> changed decode fields); the scorer
@@ -561,6 +557,8 @@ def emit_profile_curve(
     for tok in tokens:
         scene.token_id(tok)
     if anchor_token is None:
+        if not (scene.trap or scene.objects):
+            raise InvalidInputError(f"scene {scene.scene_id!r} has no object to anchor the curve")
         anchor_token = scene.trap.trap if scene.trap else scene.objects[0].name
     v_d = detector(anchor_token, scene)
     if v_d is None:
@@ -583,10 +581,10 @@ def emit_profile_curve(
 # ---------------------------------------------------------------------------
 
 
-def write_csv(path: Path, rows: Sequence[Mapping], fieldnames: Optional[Sequence[str]] = None) -> None:
+def write_csv(path: Path, rows: Sequence[Mapping]) -> None:
     if not rows:
         raise InvalidInputError(f"refusing to write empty table {path}")
-    names = list(fieldnames or rows[0].keys())
+    names = list(rows[0])
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=names, lineterminator="\n")

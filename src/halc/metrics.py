@@ -249,9 +249,8 @@ def _ngrams(tokens: Sequence[str], n: int) -> Counter:
 def corpus_bleu(
     candidates: Sequence[Sequence[str]],
     references: Sequence[Sequence[str]],
-    max_n: int = 4,
 ) -> float:
-    """Corpus BLEU with modified n-gram precision and brevity penalty.
+    """Corpus BLEU-4 with modified n-gram precision and brevity penalty.
 
     Convention: n-gram orders with no candidate n-grams anywhere in the
     corpus are skipped; a zero match count at an available order is smoothed
@@ -265,7 +264,7 @@ def corpus_bleu(
         return 0.0
     log_sum = 0.0
     orders = 0
-    for n in range(1, max_n + 1):
+    for n in range(1, 5):
         matches = 0
         total = 0
         for cand, ref in zip(candidates, references):

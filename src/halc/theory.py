@@ -52,6 +52,8 @@ __all__ = [
 ]
 
 FOV_DIM = 3
+# Uniform epsilon-ball probes behind each bound report's delta estimate.
+DELTA_PROBES = 200
 
 
 @dataclass(frozen=True)
@@ -61,7 +63,6 @@ class TheoremConfig:
     v_star: tuple[float, float, float]
     eta: tuple[float, float, float]
     epsilon: float
-    delta: Optional[float] = None  # None: estimate from ball probes
     sigma: float = 1.0
     lam: float = 0.6
     r_min: float = -5.0
@@ -69,7 +70,6 @@ class TheoremConfig:
     n: int = 4
     trials: int = 10_000
     divergence: str = "tv"
-    probes: int = 200
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -87,8 +87,6 @@ class TheoremConfig:
             raise InvalidParameterError("need at least one sample per trial")
         if self.divergence not in ("tv", "jsd"):
             raise InvalidParameterError("divergence must be 'tv' or 'jsd'")
-        if self.probes < 10:
-            raise InvalidParameterError("need at least 10 ball probes")
 
     @property
     def v_d(self) -> np.ndarray:
@@ -560,12 +558,10 @@ def bound_report(
             config.epsilon, config.v_star, tuple(config.v_d), config.lam, config.r_min, config.r_max
         )
 
-    delta = config.delta
-    if delta is None:
-        delta_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(2)[0])
-        delta = estimate_delta(
-            subject, config.v_star, config.epsilon, config.probes, delta_rng, config.divergence
-        )
+    delta_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(2)[0])
+    delta = estimate_delta(
+        subject, config.v_star, config.epsilon, DELTA_PROBES, delta_rng, config.divergence
+    )
 
     empirical_miss = float((~(min_distances <= config.epsilon)).mean())
     analytic_miss = (1.0 - analytic_c) ** config.n

@@ -35,7 +35,6 @@ __all__ = [
     "END_TOKEN",
     "IDK_TOKEN",
     "tag_token",
-    "hallucination_category",
     "toy_model_logits",
     "toy_detector",
     "DetectorSim",
@@ -310,25 +309,19 @@ class Scene:
 
     # -- grammar -------------------------------------------------------------
 
-    def slot_at(self, position: int) -> Optional[Slot]:
-        if position < len(self.skeleton):
-            return self.skeleton[position]
-        return None  # end-of-sequence slot
-
     def _slot_vector(self, position: int) -> np.ndarray:
         pos = min(position, len(self.skeleton))
         cached = self._slot_cache.get(pos)
         if cached is not None:
             return cached
         vec = np.zeros(len(self.vocabulary), dtype=float)
-        slot = self.slot_at(pos)
-        if slot is None:
-            vec[self._index[END_TOKEN]] = SLOT_BONUS
-        elif isinstance(slot, WordSlot):
-            vec[self._index[slot.token]] = SLOT_BONUS
+        if pos == len(self.skeleton):  # the end-of-sequence slot
+            tokens = (END_TOKEN,)
         else:
-            for cand in slot.candidates:
-                vec[self._index[cand]] = SLOT_BONUS
+            slot = self.skeleton[pos]
+            tokens = (slot.token,) if isinstance(slot, WordSlot) else slot.candidates
+        for tok in tokens:
+            vec[self._index[tok]] = SLOT_BONUS
         self._slot_cache[pos] = vec
         return vec
 
@@ -347,10 +340,7 @@ class Scene:
 
 def tag_token(lexicon: Mapping[str, str], word: str) -> str:
     """Map a word to its hallucination category via its POS tag."""
-    return hallucination_category(lexicon.get(word, "other"))
-
-
-def hallucination_category(pos: str) -> str:
+    pos = lexicon.get(word, "other")
     if pos == "noun":
         return "existence"
     if pos in ("adjective", "adverb", "number", "verb", "pronoun"):
@@ -457,15 +447,11 @@ noisy and random ones, keys its output on the sequence and scene alone.
 """
 
 
-def oracle_match_score(
-    sequence: Sequence[str],
-    scene: Scene,
-    penalty: float = 1.0,
-) -> float:
+def oracle_match_score(sequence: Sequence[str], scene: Scene) -> float:
     """Ground-truth text/image agreement over the sequence's noun tokens.
 
-    Matched minus penalized hallucinated mentions, rescaled to [0, 1].
-    A sequence with no nouns scores a neutral 0.5.
+    Matched minus hallucinated mentions over all mentions, rescaled from
+    [-1, 1] to [0, 1]. A sequence with no nouns scores a neutral 0.5.
     """
     lex = scene.lexicon
     gt = scene.ground_truth_names
@@ -477,18 +463,17 @@ def oracle_match_score(
                 matched += 1
     if not nouns:
         return 0.5
-    hallucinated = nouns - matched
-    raw = (matched - penalty * hallucinated) / nouns
-    return (raw + penalty) / (1.0 + penalty)
+    raw = (matched - (nouns - matched)) / nouns
+    return (raw + 1.0) / 2.0
 
 
-def noisy_match_score(base: Scorer, noise_amp: float, seed: int) -> Scorer:
-    """Wrap a scorer with seeded bounded noise, clipped to [0, 1]."""
+def noisy_match_score(noise_amp: float, seed: int) -> Scorer:
+    """The oracle score with seeded bounded noise, clipped to [0, 1]."""
     if noise_amp < 0:
         raise InvalidParameterError("noise amplitude must be nonnegative")
 
     def scorer(sequence: Sequence[str], scene: Scene) -> float:
-        value = base(sequence, scene)
+        value = oracle_match_score(sequence, scene)
         noise = noise_amp * hash_noise(seed, *"\x1f".join(sequence).encode("utf-8"))
         return min(1.0, max(0.0, value + noise))
 
@@ -504,9 +489,11 @@ def random_match_score(seed: int) -> Scorer:
     return scorer
 
 
-def constant_match_score(value: float = 0.5) -> Scorer:
+def constant_match_score() -> Scorer:
+    """Content-blind scorer that rates every sequence 0.5."""
+
     def scorer(sequence: Sequence[str], scene: Scene) -> float:
-        return value
+        return 0.5
 
     return scorer
 
@@ -518,7 +505,7 @@ def constant_match_score(value: float = 0.5) -> Scorer:
 DEMO_DETECTOR_ETA = (30.0, 30.0, 20.0, -15.0)
 
 
-def demo_scene(filler_count: int = 64) -> Scene:
+def demo_scene() -> Scene:
     """Fixture scene where greedy decoding hallucinates and HALC corrects.
 
     The clock is the victim token with a peaking profile; the surfboard is
@@ -569,7 +556,7 @@ def demo_scene(filler_count: int = 64) -> Scene:
         image=image,
         objects=objects,
         verbs=("holds",),
-        fillers=tuple(f"w{i:02d}" for i in range(filler_count)),
+        fillers=tuple(f"w{i:02d}" for i in range(64)),
         skeleton=skeleton,
         cooccurrence={("a", "surfboard"): 0.3},
         reference_caption=("a", "man", "holds", "a", "clock", "on", "the", "beach", "."),
@@ -586,6 +573,10 @@ def demo_scene(filler_count: int = 64) -> Scene:
 # The largest generated corpus, 50 times oracle-study's 200-scene default.
 # A default scene holds about 35 KB, so such a corpus holds about 350 MB.
 MAX_SCENE_COUNT = 10_000
+# The bound on count x (noun_pool + filler_count): a built scene holds about
+# 100 bytes per filler (200 MB at the bound) and scans the noun pool. It
+# admits 10,000 default scenes (x 120) and the wide-vocab benchmark's 30 x 4024.
+MAX_CORPUS_WORDS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -617,6 +608,12 @@ class CorpusSpec:
         need = 3 * self.clauses + 1
         require("noun_pool", self.noun_pool >= need, "must be at least 3 * clauses + 1")
         require("filler_count", self.filler_count >= 0, "must be nonnegative")
+        words = self.noun_pool + self.filler_count
+        if self.scene_count * words > MAX_CORPUS_WORDS:
+            raise InvalidParameterError(
+                f"corpus count x (noun_pool + filler_count) must be at most {MAX_CORPUS_WORDS}, "
+                f"got {self.scene_count} x {words}"
+            )
         require("image_width", self.image_width > 0, "must be positive")
         require("image_height", self.image_height > 0, "must be positive")
         # Untrapped scenes read a trap clause too, but never index with it.

@@ -126,7 +126,6 @@ SCENARIO_SECTIONS = {
         "grid_scales": st.lists(st.sampled_from([0.2, 0.5, 1.0]), min_size=1, max_size=2),
     }),
     "ablate": sections({}, {
-        "detector_eta": st.sampled_from([[12, -9, 7, 5], [1, 2, 3]]),
         "pope_mode": st.sampled_from(POPE_MODES),
         "scorer_seeds": st.lists(st.integers(0, 9), min_size=1, max_size=2),
         "inits": st.lists(st.sampled_from(ABLATE_INITS), min_size=1, max_size=2),

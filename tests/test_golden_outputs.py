@@ -1,0 +1,95 @@
+"""Golden output bytes: every scenario run in-process at a small fixed size
+and seed must write exactly the files it wrote when these digests were
+recorded, `manifest.json` included. A change that claims to keep outputs
+identical is checked here rather than by hand with `diff -r`.
+
+To re-record after a deliberate output change, print
+`_digests(tmp_path, scenario)` for every scenario and say in the change
+which files moved and why.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from halc.cli import SCENARIOS, main
+
+SMALL_CORPUS = {"count": 4, "clauses": 2, "trap_clauses": [1]}
+
+CONFIGS = {
+    "decode": {"seed": 3},
+    "compare": {"seed": 5, "corpus": SMALL_CORPUS, "detector_eta": [5, -3, 2, 1]},
+    "oracle-study": {
+        "seed": 6,
+        "corpus": {**SMALL_CORPUS, "trap_fraction": 1.0},
+        "oracle_study": {"grid_positions": 3},
+    },
+    "theorem-verify": {"seed": 7, "theorem": {"trials": 200, "n_values": [2, 4]}},
+    "ablate": {
+        "seed": 8,
+        "corpus": {**SMALL_CORPUS, "count": 3},
+        "ablate": {"lambdas": [0.4, 1.0], "beams": [1, 2], "scorer_seeds": [1, 2]},
+    },
+    "length-curve": {"seed": 9, "corpus": SMALL_CORPUS, "length_curve": {"grid": [8, 16]}},
+    "cost-model": {"seed": 10, "cost_model": {"n": 3, "trigger_rate": 0.5}},
+    "emit-curve": {"seed": 11},
+}
+
+GOLDEN = {
+    "ablate": {
+        "ablate_beam.csv": "9cd108852f6339c54f8b21d3cd4555425b69a012f0056e4724451fa911e8ea86",
+        "ablate_init.csv": "41ef91cb9d19bc97472caa24e64789b6e3d808e8fcc9292e30d9b494a7cadada",
+        "ablate_lambda.csv": "8635c79f9908815834c0379ed221a1a74e5d7a449ec3a82f49c5fa2168e787d0",
+        "ablate_scorer.csv": "c5514b560d7cd129669ae34adfd686698cc59f5d57cdfc9d0fe7cea409e53a44",
+        "manifest.json": "5b2ee81bce31043c529c741938c3cdd6f513cdeab8877dd1c9dea2033e535987",
+    },
+    "compare": {
+        "compare.csv": "487abd9f5214286e493cbed8ca535dc54730fa2df3b8a857976ef726dd593ced",
+        "manifest.json": "5729a454ee7b8eca19c6f131ab9457c0edbfdce1cd89f3051ff559090d982b8a",
+    },
+    "cost-model": {
+        "cost_model.csv": "786d17f700190f4540f2b630e298979ee89b3dc2e5dc52997ab90ffe64db81f6",
+        "cost_model.json": "40dc102bf58544ae5cd389230fc50192ac74c40942c0316898cad5a12e2fc460",
+        "manifest.json": "c9baa67b8f276c225020c711821d51607f12a6f179b6f26d531a13cfc55da036",
+    },
+    "decode": {
+        "decode.json": "252aa67b3ed680be0057153b951f09fab4863016135ab2785096bbba4d57261c",
+        "manifest.json": "c95e01b009e0305a714fe1a2d21a88042c956fe3519a239c6b6b2d0c36ca2d1c",
+        "trace_greedy.json": "fe626499255941a2f9af3831c237b75926e8a591b150f3a7399107df17bb21cd",
+        "trace_halc.json": "c975833bfccf8ee459305bb3d24d934cfdce5402d8baef39edae5934da8a6753",
+    },
+    "emit-curve": {
+        "manifest.json": "cc0174d8255f9006c0e4b19e6eefe36ec190bd71bd50d11e4daf964fcae20e6a",
+        "profile_curve.csv": "81c08dbd9be463f4dec8c1854358490f5090dbaed8a80dea06baaf6eb2439284",
+    },
+    "length-curve": {
+        "length_curve.csv": "93c2797dc96323a9ff1d0cc3431f6961cd76b455874458b65f2d51411bd937bb",
+        "manifest.json": "f63753ff2e385902ba1633e19b6832b83478ba20cdce09ffb5c4cbe482ff0e1d",
+    },
+    "oracle-study": {
+        "manifest.json": "d82ea7862ed7c7293c4f1ac6b4ed84b9a1f054ef6affa54f39bab90ea89bbba3",
+        "oracle_study.csv": "e164d85e45570e71e4d4b90699357c83ca9e52e78c6d68eabdc88c82ee5864ca",
+    },
+    "theorem-verify": {
+        "manifest.json": "fc42b7081bb36f1b5196ddc50b1933f55c9ac36acdd1fdaab2ccbd7fee6996c1",
+        "theorem.csv": "a235a8be5cb210305a47dafb19bcd95dca95ff1210e4b4cb063e98d661642555",
+    },
+}
+
+
+def _digests(tmp_path, scenario):
+    cfg = tmp_path / f"{scenario}.json"
+    cfg.write_text(json.dumps(CONFIGS[scenario]))
+    out = tmp_path / scenario
+    assert main([scenario, "--config", str(cfg), "--out", str(out)]) == 0
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+
+
+def test_every_scenario_has_a_golden_run():
+    assert sorted(CONFIGS) == sorted(SCENARIOS) == sorted(GOLDEN)
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_scenario_output_bytes_match_golden(tmp_path, scenario):
+    assert _digests(tmp_path, scenario) == GOLDEN[scenario]

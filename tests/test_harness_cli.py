@@ -355,6 +355,10 @@ def test_cli_config_not_utf8_exits_2_with_one_line(tmp_path, capsys):
         ({"theorem": {"r_min": 1.0, "r_max": -1.0}}, "theorem r_min must be less than r_max"),
         ({"theorem": {"trials": 10**30}}, "theorem trials x max(n_values) must be at most 10000000"),
         ({"theorem": {"n_values": [2, 10**30]}}, "theorem trials x max(n_values) must be at most"),
+        ({"decode": {"n": 5000, "m": 1}}, "decode n must lie in [2, 64], got 5000"),
+        ({"corpus": {"noun_pool": 10**9}}, "corpus count x (noun_pool + filler_count) must"),
+        ({"corpus": {"filler_count": 10**9}}, "corpus count x (noun_pool + filler_count) must"),
+        ({"oracle_study": {"grid_positions": 10**6}}, "oracle_study grid_positions squared x "),
     ],
     ids=[
         "short-detector-eta",
@@ -393,6 +397,10 @@ def test_cli_config_not_utf8_exits_2_with_one_line(tmp_path, capsys):
         "theorem-r-range-reversed",
         "theorem-huge-trials",
         "theorem-huge-n",
+        "huge-decode-n",
+        "huge-noun-pool",
+        "huge-filler-count",
+        "huge-oracle-grid",
     ],
 )
 def test_cli_malformed_config_exits_2_with_one_line(tmp_path, capsys, extra, named):
@@ -514,6 +522,7 @@ def test_cli_malformed_section_exits_2_with_one_line(tmp_path, capsys, scenario,
         ("decode", {"scorer": {"kind": "noisy", "bogus": 1}}, "'bogus'"),
         ("compare", {"scorer": {"kind": "oracle", "amp": 0.2}}, "'amp'"),
         ("ablate", {"ablate": {"scorers": [{"kind": "random", "bogus": 1}]}}, "'bogus'"),
+        ("ablate", {"ablate": {"detector_eta": [12, -9, 7, 5]}}, "ablate keys ['detector_eta']"),
         ("cost-model", {"corpus": {"count": 2.5}}, "corpus count "),
         ("cost-model", {"corpus": {"image_width": 0}}, "corpus image_width "),
     ],
@@ -529,6 +538,7 @@ def test_cli_malformed_section_exits_2_with_one_line(tmp_path, capsys, scenario,
         "unknown-noisy-scorer-key",
         "amp-on-oracle-scorer",
         "unknown-ablate-scorer-key",
+        "ablate-section-detector",
         "cost-model-with-bad-corpus",
         "cost-model-with-zero-image-width",
     ],
@@ -671,6 +681,21 @@ def test_cli_corpus_file_with_a_mistyped_number_exits_3_naming_the_key(
     assert not (out / "manifest.json").exists()
 
 
+def test_cli_emit_curve_on_a_scene_without_objects_exits_3_with_one_line(tmp_path, capsys, demo):
+    from halc.world import scene_to_json
+
+    doc = {**scene_to_json(demo), "objects": [], "trap": None}
+    corpus_path = tmp_path / "corpus.json"
+    corpus_path.write_text(json.dumps({"scenes": [doc]}))
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"seed": 2, "corpus": {"path": str(corpus_path)}}))
+    out = tmp_path / "out"
+    assert main(["emit-curve", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == "i/o error: scene 'demo' has no object to anchor the curve\n"
+    assert not (out / "manifest.json").exists()
+
+
 def test_cli_decode_demo(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["decode", "--seed", "7", "--out", str(out)]) == 0
@@ -717,6 +742,25 @@ def test_cli_ablate_names_mapping_scorers_as_given(tmp_path, capsys):
     assert [r["scorer"] for r in rows] == ["noisy", "{'kind': 'noisy', 'amp': 0.2}"]
 
 
+def test_cli_ablate_uses_the_top_level_detector(tmp_path, capsys):
+    ablate = {"inits": ["detector"], "lambdas": [0.6], "beams": [1], "scorers": ["oracle"],
+              "scorer_seeds": [4]}
+    detectors = {
+        "default": {},
+        "same": {"detector_eta": list(CORPUS_DETECTOR_ETA), "detector_confidence": 0.3},
+        "whole-image-box": {"detector_eta": [2000, 2000, 0, 0]},
+        "trap-blind": {"detector_confidence": 0.6},
+    }
+    tables = {}
+    for name, detector in detectors.items():
+        cfg = _config_file(tmp_path, {"ablate": ablate, **detector})
+        out = tmp_path / name
+        assert main(["ablate", "--config", str(cfg), "--out", str(out)]) == 0
+        tables[name] = [(out / f"ablate_{t}.csv").read_bytes() for t in ("init", "beam")]
+    assert tables["default"] == tables["same"]
+    assert tables["whole-image-box"] != tables["default"] != tables["trap-blind"]
+
+
 def test_resolve_scorer_kinds_and_specs(demo):
     tokens = ["a", "man", "holds", "a", "surfboard"]
 
@@ -725,9 +769,9 @@ def test_resolve_scorer_kinds_and_specs(demo):
 
     assert score(resolve_scorer("oracle", 3)) == score(oracle_match_score)
     assert score(resolve_scorer("random", 3)) == score(random_match_score(3))
-    assert score(resolve_scorer("noisy", 3)) == score(noisy_match_score(oracle_match_score, 0.1, 3))
+    assert score(resolve_scorer("noisy", 3)) == score(noisy_match_score(0.1, 3))
     noisy = resolve_scorer(ScorerSpec(kind="noisy", amp=0.4), 3)
-    assert score(noisy) == score(noisy_match_score(oracle_match_score, 0.4, 3))
+    assert score(noisy) == score(noisy_match_score(0.4, 3))
     assert score(noisy) != score(resolve_scorer("noisy", 3))
     assert score(resolve_scorer("random", 3)) != score(resolve_scorer("random", 4))
 

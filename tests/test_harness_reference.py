@@ -2,8 +2,9 @@
 replaced.
 
 The references below are the replaced code, kept here verbatim apart from
-names: `run_ablations` with its four copied sweep loops over
-`_averaged_halc_eval`, and `run_length_curve` with its decoder closures over
+names and the ablate detector, which the caller now passes in:
+`run_ablations` with its four copied sweep loops over `_averaged_halc_eval`,
+and `run_length_curve` with its decoder closures over
 `metrics.hallucination_vs_length`. They share the corpus decoding
 (`decode_corpus`), the caption metrics and the POPE queries with the code
 they check; tests/test_harness_cli.py and tests/test_metrics.py check those
@@ -71,9 +72,9 @@ def reference_run_ablations(
     config: DecodeConfig,
     seed: int,
     options: AblateSection | Mapping | None = None,
+    detector=None,
 ) -> dict[str, list[dict]]:
     options = parse(AblateSection, {} if options is None else options, "ablate")
-    detector = DetectorSim(options.detector_eta)
     queries = _pope_queries(scenes, seed, options.pope_mode, 3)
     scorer_seeds = options.scorer_seeds or [seed + i for i in range(5)]
     single = [seed]
@@ -214,8 +215,9 @@ def test_ablations_match_the_four_sweep_loops(corpus, mode, k):
         "scorers": [SCORERS[1], SCORERS[2], {"kind": "oracle"}],
         "scorer_seeds": [4, 9],
     }
-    got = run_ablations(corpus, config, 5, options)
-    want = reference_run_ablations(corpus, config, 5, options)
+    detector = DetectorSim((5.0, -3.0, 2.0, 1.0), 0.6)
+    got = run_ablations(corpus, config, 5, options, detector)
+    want = reference_run_ablations(corpus, config, 5, options, detector)
     assert list(got) == list(want) == ["init", "lambda", "beam", "scorer"]
     assert _rows(got) == _rows(want)
 

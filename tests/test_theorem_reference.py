@@ -3,7 +3,9 @@ scores each trial set once, and the column-wise reductions, each checked
 against the code it replaced.
 
 The references below are the replaced code, kept here verbatim apart from
-names: the per-row `min_deviation_mc` with its broadcasting normal draw
+names and the delta estimate, which always runs on `DELTA_PROBES` probes
+now that the config holds neither a given delta nor a probe count: the
+per-row `min_deviation_mc` with its broadcasting normal draw
 (`rng.normal(loc=...)`), its `min(axis=1)` over the n windows and its
 `np.fmin.reduce(axis=1)` over their distances; the loop of
 `run_theorem_verify` that called it once per grid row; the bump model that
@@ -29,6 +31,7 @@ from halc.distributions import jsd, total_variation
 from halc.errors import InvalidParameterError
 from halc.harness import run_theorem_verify
 from halc.theory import (
+    DELTA_PROBES,
     FOV_DIM,
     GaussianBumpModel,
     TheoremConfig,
@@ -98,11 +101,9 @@ def reference_min_deviation_mc(subject, config, sampler):
             config.epsilon, config.v_star, tuple(v_d), config.lam, config.r_min, config.r_max
         )
 
-    delta = config.delta
-    if delta is None:
-        delta = estimate_delta(
-            subject, config.v_star, config.epsilon, config.probes, delta_rng, config.divergence
-        )
+    delta = estimate_delta(
+        subject, config.v_star, config.epsilon, DELTA_PROBES, delta_rng, config.divergence
+    )
 
     flat = points.reshape(-1, FOV_DIM)
     d_star = subject.dists(v_star[None, :])[0]

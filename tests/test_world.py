@@ -154,7 +154,7 @@ def test_seeded_scorers_keep_their_bits(demo, seed, sequence, amp):
     assert random_match_score(seed)(sequence, demo).hex() == ((noise + 1.0) / 2.0).hex()
     base = oracle_match_score(sequence, demo)
     want = min(1.0, max(0.0, base + amp * noise))
-    assert noisy_match_score(oracle_match_score, amp, seed)(sequence, demo).hex() == float(want).hex()
+    assert noisy_match_score(amp, seed)(sequence, demo).hex() == float(want).hex()
 
 
 def test_tag_token_category_mapping(demo):
@@ -174,9 +174,9 @@ def test_oracle_match_score_extremes(demo):
 
 def test_noisy_match_score_contract(demo):
     seq = ["a", "man", "holds", "a", "clock"]
-    exact = noisy_match_score(oracle_match_score, 0.0, 3)
+    exact = noisy_match_score(0.0, 3)
     assert exact(seq, demo) == oracle_match_score(seq, demo)
-    noisy = noisy_match_score(oracle_match_score, 0.3, 3)
+    noisy = noisy_match_score(0.3, 3)
     assert noisy(seq, demo) == noisy(seq, demo)
     rng = np.random.default_rng(0)
     for _ in range(50):
