@@ -7,12 +7,12 @@ Samplers produce ordered, seed-reproducible window sets used by the decoder.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import InvalidParameterError
-from .schema import check_value
 
 __all__ = [
     "ImageSpec",
@@ -30,8 +30,9 @@ __all__ = [
 class ImageSpec:
     """Extent of the (abstract) input image in pixels."""
 
-    width: float
-    height: float
+    label: ClassVar[str] = "image"
+    width: float = field(metadata={"key": "w"})
+    height: float = field(metadata={"key": "h"})
 
     def __post_init__(self) -> None:
         if self.width <= 0 or self.height <= 0:
@@ -49,10 +50,11 @@ class ImageSpec:
 class Fov:
     """A rectangular visual context window: dimensions plus 2-D center."""
 
-    width: float
-    height: float
-    center_x: float
-    center_y: float
+    label: ClassVar[str] = "fov"
+    width: float = field(metadata={"key": "w"})
+    height: float = field(metadata={"key": "h"})
+    center_x: float = field(metadata={"key": "cx"})
+    center_y: float = field(metadata={"key": "cy"})
 
     def __post_init__(self) -> None:
         if self.width <= 0 or self.height <= 0:
@@ -66,18 +68,13 @@ class Fov:
         return (self.width, self.height, self.center_x, self.center_y)
 
     def to_json(self) -> dict:
-        # 6-decimal fixed precision is part of the harness output contract.
+        # 6-decimal precision is part of the trace format; corpus files keep full precision.
         return {
             "w": round(self.width, 6),
             "h": round(self.height, 6),
             "cx": round(self.center_x, 6),
             "cy": round(self.center_y, 6),
         }
-
-    @staticmethod
-    def from_json(doc: dict) -> "Fov":
-        """The window of a to_json document, whose values must be numbers."""
-        return Fov(*(check_value(float, doc[key], f"fov {key}") for key in ("w", "h", "cx", "cy")))
 
 
 def expand_fov(base: Fov, lam: float, r: float) -> Fov:

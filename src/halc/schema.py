@@ -5,8 +5,15 @@ metadata) are the keys, annotations the JSON types, defaults the defaults
 and `__post_init__` the ranges. Understood annotations: `int`, `float`
 (finite), `str`, `bool`, `Literal[...]` of strings, `tuple[X, ...]` and fixed-length
 tuples (JSON lists), `Optional[X]`, a union of a dataclass and one other
-type, and a nested dataclass. bool is never a number. Errors are one-line
-ConfigErrors naming the key.
+type, a nested dataclass, a tagged union of records (the JSON object's
+"kind" is the `kind` ClassVar of one), `Mapping[tuple[...], V]` (a list of
+[*key, value] rows) and `Annotated[X, name]` (errors labelled `<label> <name>`).
+bool is never a number. Errors are one-line ConfigErrors naming the key.
+
+A config section checks itself: its `__post_init__` calls `check_types`.
+A record, a dataclass with a `label` ClassVar, does not, so that building
+one costs nothing: `read` checks the JSON values before it builds one (a
+key without a default is required), and `write` is its inverse.
 """
 
 from __future__ import annotations
@@ -14,8 +21,10 @@ from __future__ import annotations
 import dataclasses
 import functools
 import sys
+from collections.abc import Mapping
 from numbers import Integral, Real
-from typing import Callable, Literal, Mapping, Union, get_args, get_origin, get_type_hints
+from types import UnionType
+from typing import Annotated, Callable, Literal, Union, get_args, get_origin, get_type_hints
 
 from .errors import ConfigError
 
@@ -23,7 +32,8 @@ Check = Callable[[object, str], object]
 
 
 def _fail(label: str, what: str, value) -> None:
-    raise ConfigError(f"{label} {what}, got {value!r}")
+    shown = repr(value)  # cut, since a malformed corpus file may hold a whole corpus here
+    raise ConfigError(f"{label} {what}, got {shown if len(shown) <= 200 else shown[:200] + ' ...'}")
 
 
 def parse(cls, value, label: str):
@@ -58,10 +68,31 @@ def check_types(obj, label: str) -> Callable[[str, bool, str], None]:
     return require
 
 
-def check_value(hint, value, label: str):
-    """`value` checked and converted as a field annotated `hint` is, for
-    JSON read outside a dataclass; errors are ConfigErrors naming `label`."""
-    return _checker(hint)(value, label)
+def read(cls, value):
+    """The `cls` record of a JSON value, its values checked and converted
+    (a tuple for a list, a record for a mapping) before it is built."""
+    label = cls.label
+    if not isinstance(value, Mapping):
+        _fail(label, "must be a JSON object", value)
+    unknown = sorted(set(value) - set(_keys(cls)) - ({"kind"} if hasattr(cls, "kind") else set()))
+    if unknown:
+        raise ConfigError(f"unknown {label} keys {unknown}")
+    missing = [key for key in _required(cls) if key not in value]
+    if missing:
+        raise ConfigError(f"missing {label} keys {missing}")
+    return cls(**{n: check(value[k], f"{label} {k}") for n, k, check in _checks(cls) if k in value})
+
+
+def write(value):
+    """The JSON value that `read` reads back as `value`, at full precision."""
+    if dataclasses.is_dataclass(value):
+        tag = {"kind": value.kind} if hasattr(value, "kind") else {}
+        return tag | {key: write(getattr(value, name)) for key, name in _keys(type(value)).items()}
+    if isinstance(value, Mapping):
+        return [[*key, write(item)] for key, item in sorted(value.items())]
+    if isinstance(value, tuple):
+        return [write(item) for item in value]
+    return value
 
 
 @functools.cache
@@ -70,8 +101,14 @@ def _keys(cls) -> dict[str, str]:
 
 
 @functools.cache
+def _required(cls) -> tuple[str, ...]:
+    return tuple(f.metadata.get("key", f.name) for f in dataclasses.fields(cls)
+                 if f.init and f.default is f.default_factory is dataclasses.MISSING)
+
+
+@functools.cache
 def _checks(cls) -> tuple[tuple[str, str, Check], ...]:
-    hints = get_type_hints(cls)
+    hints = get_type_hints(cls, include_extras=True)
     return tuple((name, key, _checker(hints[name])) for key, name in _keys(cls).items())
 
 
@@ -100,7 +137,15 @@ def _scalar(hint) -> Check:
 def _checker(hint) -> Check:
     origin, args = get_origin(hint), get_args(hint)
     if dataclasses.is_dataclass(hint):
+        if hasattr(hint, "label"):
+            return lambda value, label: read(hint, value)
         return lambda value, label: parse(hint, value, label)
+    if origin is Annotated:
+        check, name = _checker(args[0]), args[1]
+        return lambda value, label: check(value, f"{label} {name}")
+    if origin is Mapping:
+        rows = _tuple((tuple[(*get_args(args[0]), args[1])], Ellipsis))
+        return lambda value, label: {row[:-1]: row[-1] for row in rows(value, label)}
     if origin is Literal:
         what = f"must be one of {', '.join(map(repr, args))}"
 
@@ -112,8 +157,8 @@ def _checker(hint) -> Check:
         return choice
     if origin is tuple:
         return _tuple(args)
-    if origin is Union:
-        return _union(args)
+    if origin in (Union, UnionType):
+        return _tagged(args) if all(hasattr(a, "label") for a in args) else _union(args)
     return _scalar(hint)
 
 
@@ -142,5 +187,17 @@ def _union(args) -> Check:
             return None
         section = isinstance(value, Mapping) or dataclasses.is_dataclass(value)
         return checks.get(section, fallback)(value, label)
+
+    return check
+
+
+def _tagged(records) -> Check:
+    """A union of records: the mapping's "kind" names the member."""
+    by_kind = {r.kind: r for r in records}
+    tag = _checker(Literal[tuple(by_kind)])
+
+    def check(value, label):
+        kind = value.get("kind") if isinstance(value, Mapping) else None
+        return read(by_kind[tag(kind, f"{label} kind")], value)
 
     return check

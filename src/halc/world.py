@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
-from typing import Callable, Mapping, Optional, Sequence
+from collections import Counter
+from dataclasses import dataclass, field, fields, replace
+from typing import Annotated, Callable, ClassVar, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .errors import InvalidInputError, InvalidParameterError
 from .geometry import Fov, ImageSpec, clamp_to_image, fov_distance
-from .schema import check_types, check_value
+from .schema import check_types, read, write
 
 __all__ = [
     "StableHigh",
@@ -90,6 +91,8 @@ def hash_noise(seed: int, *values: int) -> float:
 class StableHigh:
     """Constant likelihood regardless of visual context."""
 
+    kind: ClassVar[str] = "stable_high"
+    label: ClassVar[str] = "stable_high profile"
     level: float
 
 
@@ -97,6 +100,8 @@ class StableHigh:
 class Peaking:
     """Gaussian bump around an optimal window; the victim-token pattern."""
 
+    kind: ClassVar[str] = "peaking"
+    label: ClassVar[str] = "peaking profile"
     v_star: Fov
     width: float
     amp: float
@@ -113,6 +118,8 @@ class Peaking:
 class ContextShift:
     """Likelihood drifting with the log area fraction of the window."""
 
+    kind: ClassVar[str] = "context_shift"
+    label: ClassVar[str] = "context_shift profile"
     slope: float
     base: float
 
@@ -121,6 +128,8 @@ class ContextShift:
 class Noisy:
     """Seeded bounded noise over quantized windows."""
 
+    kind: ClassVar[str] = "noisy"
+    label: ClassVar[str] = "noisy profile"
     amp: float
     noise_seed: int
     base: float
@@ -154,10 +163,11 @@ def profile_value(profile: TokenProfile, fov: Fov, image: ImageSpec) -> float:
 
 @dataclass(frozen=True)
 class SceneObject:
+    label: ClassVar[str] = "object"
     name: str
     region: Fov
     profile: TokenProfile
-    is_ground_truth: bool = True
+    is_ground_truth: bool = field(default=True, metadata={"key": "ground_truth"})
     anchor: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -171,6 +181,7 @@ class SceneObject:
 class TrapInfo:
     """Bookkeeping for a constructed victim/hallucination pair."""
 
+    label: ClassVar[str] = "trap"
     victim: str
     trap: str
     position: int
@@ -179,16 +190,22 @@ class TrapInfo:
 
 @dataclass(frozen=True)
 class WordSlot:
+    kind: ClassVar[str] = "word"
+    label: ClassVar[str] = "word slot"
     token: str
 
 
 @dataclass(frozen=True)
 class NounSlot:
+    kind: ClassVar[str] = "noun"
+    label: ClassVar[str] = "noun slot"
     candidates: tuple[str, ...]
 
 
 @dataclass(frozen=True)
 class VerbSlot:
+    kind: ClassVar[str] = "verb"
+    label: ClassVar[str] = "verb slot"
     candidates: tuple[str, ...]
 
 
@@ -199,14 +216,15 @@ Slot = WordSlot | NounSlot | VerbSlot
 class Scene:
     """Immutable synthetic scene: image, objects, grammar and vocabulary."""
 
+    label: ClassVar[str] = "scene"
     image: ImageSpec
     objects: tuple[SceneObject, ...]
     verbs: tuple[str, ...]
     fillers: tuple[str, ...]
     skeleton: tuple[Slot, ...]
-    cooccurrence: Mapping[tuple[str, str], float]
-    reference_caption: tuple[str, ...]
-    scene_id: str = "scene"
+    cooccurrence: Mapping[tuple[str, str], Annotated[float, "bonus"]]
+    reference_caption: tuple[str, ...] = field(metadata={"key": "reference"})
+    scene_id: str = field(default="scene", metadata={"key": "id"})
     trap: Optional[TrapInfo] = None
     vocabulary: tuple[str, ...] = field(default=())
 
@@ -676,9 +694,7 @@ def generate_corpus(seed: int, count: int, spec: Optional[CorpusSpec] = None) ->
     and exactly round(correctable_fraction * traps) of those are correctable
     by some visual context window.
     """
-    spec = spec or CorpusSpec()
-    if count < 1:
-        raise InvalidParameterError("corpus needs at least one scene")
+    spec = replace(spec or CorpusSpec(), scene_count=count)  # CorpusSpec checks count's caps
     rng = np.random.default_rng(seed)
     image = ImageSpec(spec.image_width, spec.image_height)
     pool = _noun_pool(spec.noun_pool)
@@ -815,150 +831,44 @@ def _build_scene(
 # ---------------------------------------------------------------------------
 
 
-def _profile_to_json(profile: TokenProfile) -> dict:
-    if isinstance(profile, StableHigh):
-        return {"kind": "stable_high", "level": profile.level}
-    if isinstance(profile, Peaking):
-        return {
-            "kind": "peaking",
-            "v_star": profile.v_star.to_json(),
-            "width": profile.width,
-            "amp": profile.amp,
-            "base": profile.base,
-        }
-    if isinstance(profile, ContextShift):
-        return {"kind": "context_shift", "slope": profile.slope, "base": profile.base}
-    return {
-        "kind": "noisy",
-        "amp": profile.amp,
-        "noise_seed": profile.noise_seed,
-        "base": profile.base,
-    }
-
-
-def _profile_from_json(doc: dict) -> TokenProfile:
-    kind = doc["kind"]
-
-    def number(key: str, hint: type = float):
-        return check_value(hint, doc[key], f"{kind} profile {key}")
-
-    if kind == "stable_high":
-        return StableHigh(number("level"))
-    if kind == "peaking":
-        return Peaking(Fov.from_json(doc["v_star"]), number("width"), number("amp"), number("base"))
-    if kind == "context_shift":
-        return ContextShift(number("slope"), number("base"))
-    if kind == "noisy":
-        return Noisy(number("amp"), number("noise_seed", int), number("base"))
-    raise InvalidInputError(f"unknown profile kind {kind!r}")
-
-
-def _slot_to_json(slot: Slot) -> dict:
-    if isinstance(slot, WordSlot):
-        return {"kind": "word", "token": slot.token}
-    if isinstance(slot, NounSlot):
-        return {"kind": "noun", "candidates": list(slot.candidates)}
-    return {"kind": "verb", "candidates": list(slot.candidates)}
-
-
-def _slot_from_json(doc: dict) -> Slot:
-    kind = doc["kind"]
-    if kind == "word":
-        return WordSlot(check_value(str, doc["token"], "word slot token"))
-    if kind in ("noun", "verb"):
-        candidates = check_value(tuple[str, ...], doc["candidates"], f"{kind} slot candidates")
-        return NounSlot(candidates) if kind == "noun" else VerbSlot(candidates)
-    raise InvalidInputError(f"unknown slot kind {kind!r}")
-
-
 def scene_to_json(scene: Scene) -> dict:
-    return {
-        "id": scene.scene_id,
-        "image": {"w": scene.image.width, "h": scene.image.height},
-        "vocabulary": list(scene.vocabulary),
-        "objects": [
-            {
-                "name": o.name,
-                "region": o.region.to_json(),
-                "profile": _profile_to_json(o.profile),
-                "ground_truth": o.is_ground_truth,
-                "anchor": o.anchor,
-            }
-            for o in scene.objects
-        ],
-        "cooccurrence": [[p, t, b] for (p, t), b in sorted(scene.cooccurrence.items())],
-        "reference": list(scene.reference_caption),
-        "skeleton": [_slot_to_json(s) for s in scene.skeleton],
-        "verbs": list(scene.verbs),
-        "fillers": list(scene.fillers),
-        "trap": (
-            {
-                "victim": scene.trap.victim,
-                "trap": scene.trap.trap,
-                "position": scene.trap.position,
-                "correctable": scene.trap.correctable,
-            }
-            if scene.trap
-            else None
-        ),
-    }
+    return write(scene)
 
 
 def scene_from_json(doc: dict) -> Scene:
-    """The scene of a scene_to_json document. Its values are checked here,
-    once, so that a mistyped one fails the read and not a later decode."""
-    words = tuple[str, ...]
-    trap = None
-    if doc.get("trap"):
-        t = doc["trap"]
-        trap = TrapInfo(
-            check_value(str, t["victim"], "trap victim"),
-            check_value(str, t["trap"], "trap trap"),
-            check_value(int, t["position"], "trap position"),
-            check_value(bool, t["correctable"], "trap correctable"),
-        )
-    image = doc["image"]
-    return Scene(
-        image=ImageSpec(*(check_value(float, image[key], f"image {key}") for key in ("w", "h"))),
-        objects=tuple(
-            SceneObject(
-                name=check_value(str, o["name"], "object name"),
-                region=Fov.from_json(o["region"]),
-                profile=_profile_from_json(o["profile"]),
-                is_ground_truth=check_value(bool, o["ground_truth"], "object ground_truth"),
-                anchor=check_value(Optional[str], o.get("anchor"), "object anchor"),
-            )
-            for o in doc["objects"]
-        ),
-        verbs=check_value(words, doc["verbs"], "verbs"),
-        fillers=check_value(words, doc["fillers"], "fillers"),
-        skeleton=tuple(_slot_from_json(s) for s in doc["skeleton"]),
-        cooccurrence={
-            check_value(tuple[str, str], (p, t), "cooccurrence tokens"):
-                check_value(float, b, "cooccurrence bonus")
-            for p, t, b in doc.get("cooccurrence", [])
-        },
-        reference_caption=check_value(words, doc["reference"], "reference"),
-        scene_id=check_value(str, doc.get("id", "scene"), "id"),
-        trap=trap,
-        vocabulary=check_value(words, doc["vocabulary"], "vocabulary"),
-    )
+    """The scene of a scene_to_json document, every value checked once, here."""
+    return read(Scene, doc)
+
+
+@dataclass(frozen=True)
+class _CorpusFile:
+    """The document of a corpus file: nonempty, each scene id once."""
+
+    label: ClassVar[str] = "corpus file"
+    scenes: tuple[Scene, ...]
+
+    def __post_init__(self) -> None:
+        if not self.scenes:
+            raise InvalidParameterError("scenes must not be empty")
+        repeated = [i for i, n in Counter(s.scene_id for s in self.scenes).items() if n > 1]
+        if repeated:
+            raise InvalidParameterError(f"scene id {repeated[0]!r} is repeated")
 
 
 def save_corpus(scenes: Sequence[Scene], path) -> None:
-    payload = {"scenes": [scene_to_json(s) for s in scenes]}
+    payload = write(_CorpusFile(tuple(scenes)))  # checked before the file is opened
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 
 def load_corpus(path) -> list[Scene]:
-    """Scenes of a corpus file written by `save_corpus`. A file that is not
-    such a document raises InvalidInputError."""
+    """Scenes of a corpus file written by `save_corpus`. Any other file (an
+    unknown key, no scene, a repeated scene id) raises InvalidInputError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return [scene_from_json(doc) for doc in json.load(fh)["scenes"]]
-        except (KeyError, TypeError, ValueError) as exc:
+            return list(read(_CorpusFile, json.load(fh)).scenes)
+        except (TypeError, ValueError) as exc:
             # The package's own errors name the key; a builtin one needs its type.
             own = isinstance(exc, InvalidParameterError)
             detail = str(exc) if own else f"{type(exc).__name__}: {exc}"

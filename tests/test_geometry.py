@@ -16,6 +16,7 @@ from halc.geometry import (
     sample_fovs_normal,
     sample_fovs_random,
 )
+from halc.schema import read, write
 
 IMAGE = ImageSpec(1000.0, 1000.0)
 
@@ -180,5 +181,7 @@ def test_fov_json_round_trip():
     fov = Fov(123.456789123, 80.0, 400.25, 300.5)
     doc = fov.to_json()
     assert doc == {"w": 123.456789, "h": 80.0, "cx": 400.25, "cy": 300.5}
-    back = Fov.from_json(doc)
+    back = read(Fov, doc)
     assert math.isclose(back.width, fov.width, abs_tol=1e-6)
+    # A corpus file keeps the window exactly.
+    assert read(Fov, write(fov)) == fov

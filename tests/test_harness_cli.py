@@ -33,6 +33,7 @@ from halc.world import (
     noisy_match_score,
     oracle_match_score,
     random_match_score,
+    scene_to_json,
 )
 
 DET = DetectorSim(CORPUS_DETECTOR_ETA)
@@ -694,6 +695,99 @@ def test_cli_emit_curve_on_a_scene_without_objects_exits_3_with_one_line(tmp_pat
     err = capsys.readouterr().err
     assert err == "i/o error: scene 'demo' has no object to anchor the curve\n"
     assert not (out / "manifest.json").exists()
+
+
+def _run_on_corpus_file(tmp_path, capsys, doc, scenario="decode"):
+    """The exit code and stderr of a scenario run on a corpus file holding `doc`."""
+    corpus_path = tmp_path / "corpus.json"
+    corpus_path.write_text(json.dumps(doc))
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"seed": 2, "corpus": {"path": str(corpus_path)}}))
+    out = tmp_path / "out"
+    code = main([scenario, "--config", str(cfg), "--out", str(out)])
+    assert not (out / "manifest.json").exists()
+    return code, capsys.readouterr().err
+
+
+def _peaking(doc):
+    return next(o["profile"] for o in doc["objects"] if o["profile"]["kind"] == "peaking")
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda doc: doc.update(anchr="clock"), "unknown scene keys ['anchr']"),
+        (lambda doc: doc["objects"][0].update(anchr="man"), "unknown object keys ['anchr']"),
+        (lambda doc: doc["objects"][0]["region"].update(x=1), "unknown fov keys ['x']"),
+        (lambda doc: _peaking(doc).update(sigma=1), "unknown peaking profile keys ['sigma']"),
+        (lambda doc: _peaking(doc)["v_star"].update(cz=1), "unknown fov keys ['cz']"),
+        (lambda doc: doc["skeleton"][0].update(tok="a"), "unknown word slot keys ['tok']"),
+        (lambda doc: doc["trap"].update(victims=[]), "unknown trap keys ['victims']"),
+        (lambda doc: doc["image"].update(d=3), "unknown image keys ['d']"),
+        (
+            lambda doc: doc["objects"][0]["profile"].update(kind="bumpy"),
+            "object profile kind must be one of 'stable_high', 'peaking', 'context_shift', "
+            "'noisy', got 'bumpy'",
+        ),
+        (
+            lambda doc: doc["skeleton"][0].update(kind="adjective"),
+            "scene skeleton kind must be one of 'word', 'noun', 'verb', got 'adjective'",
+        ),
+    ],
+    ids=[
+        "scene", "object", "region", "profile", "v-star", "slot", "trap", "image",
+        "profile-kind", "slot-kind",
+    ],
+)
+def test_cli_corpus_file_with_an_unknown_key_or_kind_exits_3_naming_it(
+    tmp_path, capsys, demo, edit, named
+):
+    doc = scene_to_json(demo)
+    edit(doc)
+    code, err = _run_on_corpus_file(tmp_path, capsys, {"scenes": [doc]})
+    assert code == 3
+    assert err == f"i/o error: malformed corpus file {tmp_path / 'corpus.json'}: {named}\n"
+
+
+@pytest.mark.parametrize(
+    "wrap, named",
+    [
+        (lambda docs: {"scenes": docs, "meta": 1}, ": unknown corpus file keys ['meta']"),
+        # The value shown is cut short, not the whole corpus.
+        (lambda docs: docs, ": corpus file must be a JSON object, got [{"),
+    ],
+    ids=["unknown-key", "list"],
+)
+def test_cli_corpus_file_with_a_malformed_top_level_exits_3_with_one_short_line(
+    tmp_path, capsys, small_clean_corpus, wrap, named
+):
+    docs = [scene_to_json(s) for s in small_clean_corpus]
+    code, err = _run_on_corpus_file(tmp_path, capsys, wrap(docs))
+    assert code == 3
+    assert named in err
+    assert err.count("\n") == 1 and len(err) < 400
+
+
+def test_cli_corpus_file_with_a_repeated_scene_id_exits_3_naming_it(tmp_path, capsys):
+    # Scenes without an id all default to "scene"; keyed by id, the metrics
+    # would score every caption against the last of them.
+    docs = [scene_to_json(s) for s in generate_corpus(3, 4, CorpusSpec(scene_count=4))]
+    for doc in docs:
+        del doc["id"]
+    code, err = _run_on_corpus_file(tmp_path, capsys, {"scenes": docs}, "compare")
+    assert code == 3
+    path = tmp_path / "corpus.json"
+    assert err == f"i/o error: malformed corpus file {path}: scene id 'scene' is repeated\n"
+
+
+@pytest.mark.parametrize(
+    "scenario", ["decode", "compare", "oracle-study", "ablate", "length-curve", "emit-curve"]
+)
+def test_cli_corpus_file_without_scenes_fails_every_corpus_scenario(tmp_path, capsys, scenario):
+    code, err = _run_on_corpus_file(tmp_path, capsys, {"scenes": []}, scenario)
+    assert code == 3
+    path = tmp_path / "corpus.json"
+    assert err == f"i/o error: malformed corpus file {path}: scenes must not be empty\n"
 
 
 def test_cli_decode_demo(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,11 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from halc.decoding import DecodeConfig
 from halc.distributions import argmax_logit
 from halc.errors import InvalidInputError, InvalidParameterError
 from halc.geometry import Fov, ImageSpec, fov_distance
+from halc.harness import decode_corpus
 from halc.world import (
     DEMO_DETECTOR_ETA,
+    MAX_CORPUS_WORDS,
+    MAX_SCENE_COUNT,
     CorpusSpec,
     Scene,
     SceneObject,
@@ -252,6 +257,21 @@ def test_corpus_rejects_bad_parameters():
         CorpusSpec(clauses=10, noun_pool=12)
 
 
+@pytest.mark.parametrize(
+    "count, spec",
+    [
+        (0, None),
+        (MAX_SCENE_COUNT + 1, None),
+        # 498 scenes of 4024 words: under MAX_SCENE_COUNT, over MAX_CORPUS_WORDS.
+        (MAX_CORPUS_WORDS // 4024 + 1, CorpusSpec(scene_count=1, filler_count=4000)),
+    ],
+    ids=["zero", "over-scene-count", "over-corpus-words"],
+)
+def test_generate_corpus_caps_count_before_building_a_scene(count, spec):
+    with pytest.raises(InvalidParameterError, match="corpus count"):
+        generate_corpus(0, count, spec)
+
+
 def test_hallucinated_object_requires_anchor():
     with pytest.raises(InvalidParameterError):
         SceneObject(
@@ -312,6 +332,20 @@ def test_scene_json_round_trip(demo):
     np.testing.assert_array_equal(
         toy_model_logits(demo, fov, prefix), toy_model_logits(rebuilt, fov, prefix)
     )
+
+
+def test_saved_corpus_decodes_as_generated(tmp_path):
+    # The windows of a corpus file are kept exactly, so the loaded corpus
+    # decodes to the same tokens and the same rounded traces.
+    scenes = generate_corpus(21, 20, CorpusSpec(scene_count=20))
+    path = tmp_path / "corpus.json"
+    save_corpus(scenes, path)
+    config = DecodeConfig(seed=21)
+    want_captions, want_traces = decode_corpus(scenes, "halc", config)
+    got_captions, got_traces = decode_corpus(load_corpus(path), "halc", config)
+    assert [c.tokens for c in got_captions] == [c.tokens for c in want_captions]
+    got, want = ([json.dumps(t.to_json()) for t in traces] for traces in (got_traces, want_traces))
+    assert got == want
 
 
 def test_corpus_file_round_trip(tmp_path, small_trap_corpus):
