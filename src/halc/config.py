@@ -111,6 +111,7 @@ class AblateSection:
         require = check_types(self, "ablate")
         for name in ("inits", "lambdas", "scorers"):
             require(name, bool(getattr(self, name)), "must not be empty")
+        require("lambdas", min(self.lambdas) > -1, "must be greater than -1")
         require("beams", min(self.beams, default=0) >= 1, "must be nonempty and at least 1")
         seeds = self.scorer_seeds
         ok = seeds is None or min(seeds, default=-1) >= 0

@@ -93,11 +93,13 @@ class DecodeConfig:
 
     def __post_init__(self) -> None:
         require = check_types(self, "decode")
+        require("lam", self.lam > -1, "must be greater than -1")
         require("n", 2 <= self.n <= MAX_FOV_SAMPLES, f"must lie in [2, {MAX_FOV_SAMPLES}]")
         require("m", 1 <= self.m <= self.n * (self.n - 1) // 2, "must lie in [1, n*(n-1)/2]")
         require("k", self.k >= 1, "must be at least 1")
         require("alpha", self.alpha >= 0, "must be nonnegative")
         require("beta", 0 < self.beta < 1, "must lie in (0, 1)")
+        require("sigma", self.sigma > 0, "must be positive")
         require("max_tokens", self.max_tokens >= 1, "must be at least 1")
         require("seed", self.seed >= 0, "must be nonnegative")
 

@@ -140,12 +140,17 @@ def total_variation(p, q):
 
     Two-token vectors are summed column by column, |p0 - q0| + |p1 - q1|,
     the order numpy's sum over a 2-wide axis uses, without that reduction
-    over a short axis, which numpy runs row by row.
+    over a short axis, which numpy runs row by row. Where two NaNs meet,
+    numpy's elementwise loops may keep either one, so when a row holds a
+    NaN all rows are summed again by that reduction, which keeps the first.
     """
     p, q = _check_pair(p, q)
     if p.shape[-1] == 2:
         l1 = np.abs(p[..., 0] - q[..., 0])
         l1 += np.abs(p[..., 1] - q[..., 1])
+        # The terms are >= 0, so the total is NaN iff some row is.
+        if np.isnan(l1.sum()):
+            l1 = np.abs(p - q).sum(axis=-1)
     else:
         l1 = np.abs(p - q).sum(axis=-1)
     l1 *= 0.5

@@ -82,13 +82,19 @@ def expand_fov(base: Fov, lam: float, r: float) -> Fov:
 
     The center is kept; the result is not clamped to any image.
     """
+    scale = _growth(lam, r)
+    return Fov(base.width * scale, base.height * scale, base.center_x, base.center_y)
+
+
+def _growth(lam: float, r: float) -> float:
+    """The growth factor (1 + lam)**r, for lam > -1; an overflow is a
+    parameter error."""
     if lam <= -1:
         raise InvalidParameterError("growth factor must satisfy lambda > -1")
     try:
-        scale = (1.0 + lam) ** r
+        return (1.0 + lam) ** r
     except OverflowError as exc:
         raise InvalidParameterError(f"growth (1 + {lam})**{r} overflows") from exc
-    return Fov(base.width * scale, base.height * scale, base.center_x, base.center_y)
 
 
 def clamp_to_image(fov: Fov, image: ImageSpec) -> Fov:
@@ -124,13 +130,11 @@ def sample_fovs_exponential(
     """
     if n < 2:
         raise InvalidParameterError("need n >= 2 samples to form divergence pairs")
-    if lam <= -1:
-        raise InvalidParameterError("growth factor must satisfy lambda > -1")
     samples = []
     for r in range(offset, offset + n):
         # expand_fov then clamp_to_image, without building the unclamped
         # window: clamping keeps a non-positive size, which Fov rejects.
-        scale = (1.0 + lam) ** r
+        scale = _growth(lam, r)
         samples.append(
             _clamped(base.width * scale, base.height * scale, base.center_x, base.center_y, image)
         )

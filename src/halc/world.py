@@ -47,8 +47,6 @@ __all__ = [
     "generate_corpus",
     "save_corpus",
     "load_corpus",
-    "scene_to_json",
-    "scene_from_json",
 ]
 
 END_TOKEN = "[END]"
@@ -242,14 +240,31 @@ class Scene:
         for tok in self.reference_caption:
             if tok in by_name and tok not in gt:
                 raise InvalidParameterError("reference caption uses a non-ground-truth object")
+        allowed = [(s.token,) if isinstance(s, WordSlot) else s.candidates for s in self.skeleton]
+        allowed.append((END_TOKEN,))  # the end-of-sequence slot
+        named = {tok for toks in allowed for tok in toks}.union(*self.cooccurrence)
+        missing = sorted(named.difference(index))
+        if missing:
+            raise InvalidParameterError(f"scene tokens {missing} missing from vocabulary")
+        # Row p is the bonus of the slot at caption position p; _cooc maps a
+        # previous token to its co-occurrence bonus.
+        slots = np.zeros((len(allowed), len(self.vocabulary)), dtype=float)
+        for p, toks in enumerate(allowed):
+            for tok in toks:
+                slots[p, index[tok]] = SLOT_BONUS
+        cooc: dict[str, np.ndarray] = {}
+        for (prev, tok), bonus in self.cooccurrence.items():
+            if prev not in cooc:
+                cooc[prev] = np.zeros(len(self.vocabulary), dtype=float)
+            cooc[prev][index[tok]] += bonus
         levels, varying = self._levels_and_profiles(index, by_name)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_by_name", by_name)
         object.__setattr__(self, "_ground_truth", gt)
         object.__setattr__(self, "_levels", levels)
         object.__setattr__(self, "_varying", varying)
-        object.__setattr__(self, "_slot_cache", {})
-        object.__setattr__(self, "_cooc_cache", {})
+        object.__setattr__(self, "_slots", slots)
+        object.__setattr__(self, "_cooc", cooc)
         object.__setattr__(self, "_lexicon", self._build_lexicon())
 
     def _assemble_vocabulary(self) -> tuple[str, ...]:
@@ -325,36 +340,6 @@ class Scene:
     def find_object(self, name: str) -> Optional[SceneObject]:
         return self._by_name.get(name)
 
-    # -- grammar -------------------------------------------------------------
-
-    def _slot_vector(self, position: int) -> np.ndarray:
-        pos = min(position, len(self.skeleton))
-        cached = self._slot_cache.get(pos)
-        if cached is not None:
-            return cached
-        vec = np.zeros(len(self.vocabulary), dtype=float)
-        if pos == len(self.skeleton):  # the end-of-sequence slot
-            tokens = (END_TOKEN,)
-        else:
-            slot = self.skeleton[pos]
-            tokens = (slot.token,) if isinstance(slot, WordSlot) else slot.candidates
-        for tok in tokens:
-            vec[self._index[tok]] = SLOT_BONUS
-        self._slot_cache[pos] = vec
-        return vec
-
-    def _cooc_vector(self, prev: str) -> Optional[np.ndarray]:
-        if prev in self._cooc_cache:
-            return self._cooc_cache[prev]
-        vec = None
-        for (p, tok), bonus in self.cooccurrence.items():
-            if p == prev:
-                if vec is None:
-                    vec = np.zeros(len(self.vocabulary), dtype=float)
-                vec[self._index[tok]] += bonus
-        self._cooc_cache[prev] = vec
-        return vec
-
 
 def tag_token(lexicon: Mapping[str, str], word: str) -> str:
     """Map a word to its hallucination category via its POS tag."""
@@ -393,11 +378,9 @@ def toy_model_logits(
     for tok in prefix:
         if tok not in scene._index:
             raise InvalidInputError(f"prefix token {tok!r} not in vocabulary")
-    logits += scene._slot_vector(len(prefix))
-    if prefix:
-        cooc = scene._cooc_vector(prefix[-1])
-        if cooc is not None:
-            logits = logits + cooc
+    logits += scene._slots[min(len(prefix), len(scene.skeleton))]
+    if prefix and prefix[-1] in scene._cooc:
+        logits += scene._cooc[prefix[-1]]
     return logits
 
 
@@ -829,15 +812,6 @@ def _build_scene(
 # ---------------------------------------------------------------------------
 # Scene serialization (JSON corpus files)
 # ---------------------------------------------------------------------------
-
-
-def scene_to_json(scene: Scene) -> dict:
-    return write(scene)
-
-
-def scene_from_json(doc: dict) -> Scene:
-    """The scene of a scene_to_json document, every value checked once, here."""
-    return read(Scene, doc)
 
 
 @dataclass(frozen=True)

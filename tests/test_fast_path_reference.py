@@ -5,9 +5,10 @@ JSD, the candidate pool that skips repeated tokens and the one-pass oracle
 scorer, each checked against the code it replaced.
 
 The references below are the replaced code, kept here verbatim apart from
-names. Besides the unchanged profile formula, slot and co-occurrence
-vectors, they share only softmax and the unchanged input checks of
-halc.distributions with the code they check;
+names. The model reference builds its slot and co-occurrence bonuses from
+the scene's skeleton and co-occurrence rows. Besides the unchanged profile
+formula, the references share only softmax and the unchanged input checks
+of halc.distributions with the code they check;
 tests/test_distributions.py checks those on their own.
 """
 
@@ -51,6 +52,7 @@ from halc.world import (
     Peaking,
     SceneObject,
     StableHigh,
+    WordSlot,
     demo_scene,
     generate_corpus,
     oracle_match_score,
@@ -95,12 +97,35 @@ def reference_model_logits(scene, fov, prefix):
     for tok in prefix:
         if tok not in index:
             raise InvalidInputError(f"prefix token {tok!r} not in vocabulary")
-    logits += scene._slot_vector(len(prefix))
+    logits += reference_slot_bonus(scene, len(prefix))
     if prefix:
-        cooc = scene._cooc_vector(prefix[-1])
+        cooc = reference_cooc_bonus(scene, prefix[-1])
         if cooc is not None:
             logits = logits + cooc
     return logits
+
+
+def reference_slot_bonus(scene, position):
+    pos = min(position, len(scene.skeleton))
+    vec = np.zeros(len(scene.vocabulary), dtype=float)
+    if pos == len(scene.skeleton):  # the end-of-sequence slot
+        tokens = (END_TOKEN,)
+    else:
+        slot = scene.skeleton[pos]
+        tokens = (slot.token,) if isinstance(slot, WordSlot) else slot.candidates
+    for tok in tokens:
+        vec[scene.token_index[tok]] = 8.0
+    return vec
+
+
+def reference_cooc_bonus(scene, prev):
+    vec = None
+    for (p, tok), bonus in scene.cooccurrence.items():
+        if p == prev:
+            if vec is None:
+                vec = np.zeros(len(scene.vocabulary), dtype=float)
+            vec[scene.token_index[tok]] += bonus
+    return vec
 
 
 def duplicate_name_scene():

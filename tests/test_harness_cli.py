@@ -23,6 +23,7 @@ from halc.harness import (
     write_csv,
     write_manifest,
 )
+from halc.schema import write
 from halc.world import (
     CORPUS_DETECTOR_ETA,
     DEMO_DETECTOR_ETA,
@@ -33,7 +34,6 @@ from halc.world import (
     noisy_match_score,
     oracle_match_score,
     random_match_score,
-    scene_to_json,
 )
 
 DET = DetectorSim(CORPUS_DETECTOR_ETA)
@@ -360,6 +360,12 @@ def test_cli_config_not_utf8_exits_2_with_one_line(tmp_path, capsys):
         ({"corpus": {"noun_pool": 10**9}}, "corpus count x (noun_pool + filler_count) must"),
         ({"corpus": {"filler_count": 10**9}}, "corpus count x (noun_pool + filler_count) must"),
         ({"oracle_study": {"grid_positions": 10**6}}, "oracle_study grid_positions squared x "),
+        ({"decode": {"lam": 1e300}}, "growth (1 + 1e+300)**2 overflows"),
+        ({"decode": {"exponent_offset": 100000}}, "growth (1 + 0.6)**100000 overflows"),
+        ({"decode": {"lam": -2}}, "decode lam must be greater than -1, got -2"),
+        ({"decode": {"sigma": 0, "sampling_mode": "normal"}}, "decode sigma must be positive, got 0"),
+        ({"decode": {"sigma": 0}}, "decode sigma must be positive, got 0"),
+        ({"ablate": {"lambdas": [0.5, -1.0]}}, "ablate lambdas must be greater than -1, got (0.5, -1.0)"),
     ],
     ids=[
         "short-detector-eta",
@@ -402,6 +408,12 @@ def test_cli_config_not_utf8_exits_2_with_one_line(tmp_path, capsys):
         "huge-noun-pool",
         "huge-filler-count",
         "huge-oracle-grid",
+        "overflowing-decode-lam",
+        "overflowing-exponent-offset",
+        "decode-lam-at-most-minus-one",
+        "zero-sigma-normal-sampling",
+        "zero-sigma-exponential-sampling",
+        "ablate-lambda-at-most-minus-one",
     ],
 )
 def test_cli_malformed_config_exits_2_with_one_line(tmp_path, capsys, extra, named):
@@ -665,9 +677,7 @@ def _edit_region(key, value):
 def test_cli_corpus_file_with_a_mistyped_number_exits_3_naming_the_key(
     tmp_path, capsys, demo, edit, named
 ):
-    from halc.world import scene_to_json
-
-    doc = scene_to_json(demo)
+    doc = write(demo)
     edit(doc)
     corpus_path = tmp_path / "corpus.json"
     corpus_path.write_text(json.dumps({"scenes": [doc]}))
@@ -683,9 +693,7 @@ def test_cli_corpus_file_with_a_mistyped_number_exits_3_naming_the_key(
 
 
 def test_cli_emit_curve_on_a_scene_without_objects_exits_3_with_one_line(tmp_path, capsys, demo):
-    from halc.world import scene_to_json
-
-    doc = {**scene_to_json(demo), "objects": [], "trap": None}
+    doc = {**write(demo), "objects": [], "trap": None}
     corpus_path = tmp_path / "corpus.json"
     corpus_path.write_text(json.dumps({"scenes": [doc]}))
     cfg = tmp_path / "c.json"
@@ -742,11 +750,33 @@ def _peaking(doc):
 def test_cli_corpus_file_with_an_unknown_key_or_kind_exits_3_naming_it(
     tmp_path, capsys, demo, edit, named
 ):
-    doc = scene_to_json(demo)
+    doc = write(demo)
     edit(doc)
     code, err = _run_on_corpus_file(tmp_path, capsys, {"scenes": [doc]})
     assert code == 3
     assert err == f"i/o error: malformed corpus file {tmp_path / 'corpus.json'}: {named}\n"
+
+
+@pytest.mark.parametrize(
+    "edit, token",
+    [
+        (lambda doc: doc["skeleton"][0].update(token="zzz"), "zzz"),
+        (lambda doc: doc["cooccurrence"].append(["a", "zzz", 0.3]), "zzz"),
+        (lambda doc: doc["vocabulary"].remove("[END]"), "[END]"),
+    ],
+    ids=["skeleton-token", "cooccurrence-token", "no-end-token"],
+)
+def test_cli_corpus_file_naming_a_token_outside_the_vocabulary_exits_3_naming_it(
+    tmp_path, capsys, demo, edit, token
+):
+    doc = write(demo)
+    edit(doc)
+    code, err = _run_on_corpus_file(tmp_path, capsys, {"scenes": [doc]})
+    assert code == 3
+    path = tmp_path / "corpus.json"
+    assert err == (
+        f"i/o error: malformed corpus file {path}: scene tokens [{token!r}] missing from vocabulary\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -761,7 +791,7 @@ def test_cli_corpus_file_with_an_unknown_key_or_kind_exits_3_naming_it(
 def test_cli_corpus_file_with_a_malformed_top_level_exits_3_with_one_short_line(
     tmp_path, capsys, small_clean_corpus, wrap, named
 ):
-    docs = [scene_to_json(s) for s in small_clean_corpus]
+    docs = [write(s) for s in small_clean_corpus]
     code, err = _run_on_corpus_file(tmp_path, capsys, wrap(docs))
     assert code == 3
     assert named in err
@@ -771,7 +801,7 @@ def test_cli_corpus_file_with_a_malformed_top_level_exits_3_with_one_short_line(
 def test_cli_corpus_file_with_a_repeated_scene_id_exits_3_naming_it(tmp_path, capsys):
     # Scenes without an id all default to "scene"; keyed by id, the metrics
     # would score every caption against the last of them.
-    docs = [scene_to_json(s) for s in generate_corpus(3, 4, CorpusSpec(scene_count=4))]
+    docs = [write(s) for s in generate_corpus(3, 4, CorpusSpec(scene_count=4))]
     for doc in docs:
         del doc["id"]
     code, err = _run_on_corpus_file(tmp_path, capsys, {"scenes": docs}, "compare")

@@ -11,6 +11,7 @@ from halc.distributions import argmax_logit
 from halc.errors import InvalidInputError, InvalidParameterError
 from halc.geometry import Fov, ImageSpec, fov_distance
 from halc.harness import decode_corpus
+from halc.schema import read, write
 from halc.world import (
     DEMO_DETECTOR_ETA,
     MAX_CORPUS_WORDS,
@@ -26,8 +27,6 @@ from halc.world import (
     profile_value,
     random_match_score,
     save_corpus,
-    scene_from_json,
-    scene_to_json,
     tag_token,
     toy_detector,
     toy_model_logits,
@@ -221,7 +220,7 @@ def test_corpus_deterministic_across_runs():
     a = generate_corpus(5, 100, spec)
     b = generate_corpus(5, 100, spec)
     assert len(a) == 100
-    assert [scene_to_json(s) for s in a] == [scene_to_json(s) for s in b]
+    assert [write(s) for s in a] == [write(s) for s in b]
 
 
 def test_trap_fraction_one_means_trap_everywhere():
@@ -305,7 +304,7 @@ def test_reference_caption_must_use_ground_truth(demo):
 
 def test_scene_json_field_name_contract(demo):
     # Field names are part of the corpus file contract.
-    doc = scene_to_json(demo)
+    doc = write(demo)
     assert {"image", "vocabulary", "objects", "cooccurrence", "reference"} <= set(doc)
     assert set(doc["image"]) == {"w", "h"}
     obj = doc["objects"][0]
@@ -324,9 +323,9 @@ def test_oracle_score_range_on_random_sequences(demo):
 
 
 def test_scene_json_round_trip(demo):
-    doc = scene_to_json(demo)
-    rebuilt = scene_from_json(doc)
-    assert scene_to_json(rebuilt) == doc
+    doc = write(demo)
+    rebuilt = read(Scene, doc)
+    assert write(rebuilt) == doc
     fov = Fov(220.0, 180.0, 600.0, 310.0)
     prefix = trap_slot_prefix(demo)
     np.testing.assert_array_equal(
@@ -352,6 +351,6 @@ def test_corpus_file_round_trip(tmp_path, small_trap_corpus):
     path = tmp_path / "corpus.json"
     save_corpus(small_trap_corpus, path)
     loaded = load_corpus(path)
-    assert [scene_to_json(s) for s in loaded] == [
-        scene_to_json(s) for s in small_trap_corpus
+    assert [write(s) for s in loaded] == [
+        write(s) for s in small_trap_corpus
     ]
