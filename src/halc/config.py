@@ -27,8 +27,9 @@ DEFAULT_GRID_SCALES = (0.1, 0.2, 0.3, 0.4, 0.6, 0.9)
 # less), so this keeps a theorem run under about 0.75 GB; it is 12.5 times
 # the 100k x 8 sets of the theorem-mc benchmark.
 MAX_THEOREM_WINDOWS = 10_000_000
-# The most oracle-study grid windows, grid_positions^2 x scales: each scene
-# builds the grid at about 160 bytes a window (16 MB here); the default has 384.
+# The most oracle-study grid windows, grid_positions^2 x scales: the study
+# holds one grid at a time, about 160 bytes a window (16 MB here); the
+# default has 384.
 MAX_GRID_WINDOWS = 100_000
 
 

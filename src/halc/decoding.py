@@ -44,7 +44,7 @@ from .distributions import (  # noqa: F401
     window_softmax,
 )
 from .errors import InvalidParameterError
-from .geometry import Fov, sample_fovs_exponential, sample_fovs_normal, sample_fovs_random
+from .geometry import Fov, _growth, sample_fovs_exponential, sample_fovs_normal, sample_fovs_random
 from .schema import check_types
 from .world import END_TOKEN, IDK_TOKEN, Scene, Scorer, tag_token, toy_model_logits
 
@@ -102,6 +102,27 @@ class DecodeConfig:
         require("sigma", self.sigma > 0, "must be positive")
         require("max_tokens", self.max_tokens >= 1, "must be at least 1")
         require("seed", self.seed >= 0, "must be nonnegative")
+        # A mode that expands windows scales them by (1 + lam)**r, which is
+        # monotone in r, so its lowest and highest exponent decide whether
+        # every window keeps a finite, positive size.
+        if self.sampling_mode in ("exponential", "center"):
+            low = self.exponent_offset
+            ends = [("exponent_offset", low), ("lam", low + self.n - 1)]
+        elif self.sampling_mode == "original":
+            ends = [("lam", 1 - self.n)]  # its highest exponent, 0, gives 1
+        else:
+            ends = []
+        for key, r in ends:
+            problem = _growth_problem(self.lam, r)
+            require(key, not problem, f"is out of range: {problem}")
+
+
+def _growth_problem(lam: float, r: int) -> str:
+    """Why the growth (1 + lam)**r cannot scale a window, or ''."""
+    try:
+        return "" if _growth(lam, r) > 0 else f"growth (1 + {lam})**{r} underflows to 0"
+    except InvalidParameterError as exc:  # it overflows
+        return str(exc)
 
 
 class BeamState(NamedTuple):

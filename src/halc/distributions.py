@@ -123,7 +123,11 @@ def jsd(p, q):
 def _kl2(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Base-2 KL divergence of p from the midpoint 0.5 * (p + q) along the
     last axis, computed in one temporary; terms where p is not positive
-    count 0."""
+    count 0.
+
+    Two-token terms are summed column by column, as in total_variation,
+    and summed again along the axis when a row is NaN.
+    """
     terms = p + q
     terms *= 0.5
     np.divide(p, terms, out=terms)
@@ -132,6 +136,12 @@ def _kl2(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     positive = p > 0
     if not positive.all():
         terms = np.where(positive, terms, 0.0)
+    if terms.shape[-1] == 2:
+        kl = terms[..., 0] + terms[..., 1]
+        # A total of rows that are not NaN may still be NaN (inf - inf);
+        # summing those again only costs time.
+        if not np.isnan(kl.sum()):
+            return kl
     return terms.sum(axis=-1)
 
 

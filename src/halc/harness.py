@@ -33,7 +33,7 @@ from .decoding import (
 )
 from .distributions import argmax_logit, softmax
 from .errors import InvalidInputError, InvalidParameterError
-from .geometry import Fov, clamp_to_image, expand_fov
+from .geometry import Fov, _clamped, clamp_to_image, expand_fov
 from .metrics import (
     CaptionRecord,
     build_corpus_stats,
@@ -310,7 +310,7 @@ def grid_fovs(
             for j in range(positions):
                 cx = (i + 0.5) * image.width / positions
                 cy = (j + 0.5) * image.height / positions
-                fovs.append(clamp_to_image(Fov(w, h, cx, cy), image))
+                fovs.append(_clamped(w, h, cx, cy, image))
     return fovs
 
 
@@ -327,13 +327,19 @@ def run_oracle_study(
     """
     observed = {cat: 0 for cat in CATEGORIES}
     eliminated = {cat: 0 for cat in CATEGORIES}
+    # The grid depends on the image only; a generated corpus shares one, so
+    # it is built again only when a scene's image differs from the last
+    # scene's. One grid is held at a time.
+    image = grid = None
     for scene in scenes:
         result = decode_greedy(None, scene, config)
         tokens = result.tokens
         lexicon = scene.lexicon
         gt = scene.ground_truth_names
         reference = scene.reference_caption
-        grid = grid_fovs(scene.image, positions, scales)
+        if scene.image != image:
+            image = scene.image
+            grid = grid_fovs(image, positions, scales)
         for t, tok in enumerate(tokens):
             category = tag_token(lexicon, tok)
             if category == "none" or t >= len(reference):

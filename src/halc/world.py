@@ -655,11 +655,14 @@ def _noun_pool(size: int) -> tuple[str, ...]:
 
 
 def _random_region(rng: np.random.Generator, image: ImageSpec) -> Fov:
-    s = rng.uniform(0.15, 0.3)
+    # rng.uniform(low, high) is low + (high - low) * rng.random(), so one
+    # block of 4 doubles gives the four scalar draws bit for bit.
+    u = rng.random(4).tolist()
+    s = 0.15 + (0.3 - 0.15) * u[0]
     w = s * image.width
-    h = s * rng.uniform(0.85, 1.15) * image.height
-    cx = rng.uniform(w / 2.0, image.width - w / 2.0)
-    cy = rng.uniform(h / 2.0, image.height - h / 2.0)
+    h = s * (0.85 + (1.15 - 0.85) * u[1]) * image.height
+    cx = w / 2.0 + ((image.width - w / 2.0) - w / 2.0) * u[2]
+    cy = h / 2.0 + ((image.height - h / 2.0) - h / 2.0) * u[3]
     return Fov(w, h, cx, cy)
 
 
@@ -686,7 +689,7 @@ def generate_corpus(seed: int, count: int, spec: Optional[CorpusSpec] = None) ->
     n_traps = round(spec.trap_fraction * count)
     trap_ids = sorted(rng.permutation(count)[:n_traps].tolist())
     n_corr = round(spec.correctable_fraction * n_traps)
-    correctable_ids = set(trap_ids[:n_corr])
+    trapped_ids, correctable_ids = set(trap_ids), set(trap_ids[:n_corr])
     tiers = {sid: _TIER_CYCLE[i % len(_TIER_CYCLE)] for i, sid in enumerate(trap_ids)}
 
     scenes = []
@@ -699,7 +702,7 @@ def generate_corpus(seed: int, count: int, spec: Optional[CorpusSpec] = None) ->
                 fillers=fillers,
                 spec=spec,
                 scene_id=f"scene{idx:04d}",
-                trapped=idx in trap_ids,
+                trapped=idx in trapped_ids,
                 correctable=idx in correctable_ids,
                 tier=tiers.get(idx, 0),
             )

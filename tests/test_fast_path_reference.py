@@ -610,6 +610,12 @@ def distribution_pairs(draw):
 @example(pair=[np.array([1.0, 0.0]), np.array([0.0, 1.0])])
 @example(pair=[np.array([0.0, 0.0]), np.array([[0.0, 0.0], [0.5, 0.5]])])
 @example(pair=[np.array([np.nan, 1.0]), np.array([0.5, 0.5])])
+# Two-token stacks: a row of two NaNs that differ in sign, and rows of
+# +inf and -inf, whose total is NaN though no row is.
+@example(pair=[np.full((9, 2), 0.5), np.vstack([np.full((8, 2), 0.5), [[np.nan, -np.nan]]])])
+@example(
+    pair=[np.array([[1.0, 0.0], [1.0, 0.0], [0.2, 0.8]]), np.array([[-1.0, 2.0], [np.inf, 0.0], [0.6, 0.4]])]
+)
 @example(pair=[np.zeros((0, 3)), np.zeros((0, 3))])
 @given(pair=distribution_pairs())
 def test_in_place_jsd_matches_the_replaced_jsd(pair):

@@ -362,6 +362,14 @@ def test_cli_config_not_utf8_exits_2_with_one_line(tmp_path, capsys):
         ({"oracle_study": {"grid_positions": 10**6}}, "oracle_study grid_positions squared x "),
         ({"decode": {"lam": 1e300}}, "growth (1 + 1e+300)**2 overflows"),
         ({"decode": {"exponent_offset": 100000}}, "growth (1 + 0.6)**100000 overflows"),
+        (
+            {"decode": {"exponent_offset": -100000}},
+            "decode exponent_offset is out of range: growth (1 + 0.6)**-100000 underflows to 0",
+        ),
+        (
+            {"decode": {"sampling_mode": "original", "lam": -0.99999999, "n": 64, "m": 1}},
+            "decode lam is out of range: growth (1 + -0.99999999)**-63 overflows",
+        ),
         ({"decode": {"lam": -2}}, "decode lam must be greater than -1, got -2"),
         ({"decode": {"sigma": 0, "sampling_mode": "normal"}}, "decode sigma must be positive, got 0"),
         ({"decode": {"sigma": 0}}, "decode sigma must be positive, got 0"),
@@ -410,6 +418,8 @@ def test_cli_config_not_utf8_exits_2_with_one_line(tmp_path, capsys):
         "huge-oracle-grid",
         "overflowing-decode-lam",
         "overflowing-exponent-offset",
+        "underflowing-exponent-offset",
+        "overflowing-original-lam-near-minus-one",
         "decode-lam-at-most-minus-one",
         "zero-sigma-normal-sampling",
         "zero-sigma-exponential-sampling",

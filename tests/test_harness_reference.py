@@ -1,34 +1,48 @@
-"""The ablate sweeps and the length curve, checked against the code they
-replaced.
+"""The ablate sweeps, the length curve, the oracle study and the corpus
+region draw, checked against the code they replaced.
 
 The references below are the replaced code, kept here verbatim apart from
 names and the ablate detector, which the caller now passes in:
 `run_ablations` with its four copied sweep loops over `_averaged_halc_eval`,
-and `run_length_curve` with its decoder closures over
-`metrics.hallucination_vs_length`. They share the corpus decoding
-(`decode_corpus`), the caption metrics and the POPE queries with the code
-they check; tests/test_harness_cli.py and tests/test_metrics.py check those
-on their own. Random window sampling draws from the decode seed, so only
-`sampling_mode: random` tells one decode seed for every scene apart from
-one seed per scene.
+`run_length_curve` with its decoder closures over
+`metrics.hallucination_vs_length`, `run_oracle_study` with its grid built
+for every scene, `grid_fovs` with its unclamped window per grid point, and
+`world._random_region` with its four scalar uniform draws. They share the
+corpus decoding (`decode_corpus`), the caption metrics, the POPE queries,
+greedy decoding and the model with the code they check;
+tests/test_harness_cli.py, tests/test_metrics.py and the other reference
+files check those on their own. Random window sampling draws from the
+decode seed, so only `sampling_mode: random` tells one decode seed for
+every scene apart from one seed per scene.
 """
 
+import contextlib
 import dataclasses
 import json
 from typing import Callable, Mapping, Optional, Sequence
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from halc.config import AblateSection, ScorerSpec
+from halc import harness, world
+from halc.config import DEFAULT_GRID_SCALES, AblateSection, ScorerSpec
 from halc.decoding import DecodeConfig, DecodeResult, DecodeTrace, decode_greedy, decode_halc
-from halc.errors import InvalidInputError
+from halc.distributions import argmax_logit
+from halc.errors import InvalidInputError, InvalidParameterError
+from halc.geometry import Fov, ImageSpec, clamp_to_image
 from halc.harness import (
+    CATEGORIES,
+    OracleStudyReport,
     _pope_queries,
     decode_corpus,
     evaluate_captions,
+    grid_fovs,
     resolve_scorer,
     run_ablations,
     run_length_curve,
+    run_oracle_study,
 )
 from halc.metrics import CaptionRecord, chair
 from halc.schema import parse
@@ -38,8 +52,11 @@ from halc.world import (
     DetectorSim,
     Scene,
     Scorer,
+    _random_region,
     generate_corpus,
     oracle_match_score,
+    tag_token,
+    toy_model_logits,
 )
 
 # ---------------------------------------------------------------------------
@@ -178,6 +195,66 @@ def reference_run_length_curve(
     return rows
 
 
+def reference_grid_fovs(
+    image,
+    positions: int = 8,
+    scales: Sequence[float] = DEFAULT_GRID_SCALES,
+) -> list[Fov]:
+    fovs = []
+    for s in scales:
+        w, h = s * image.width, s * image.height
+        for i in range(positions):
+            for j in range(positions):
+                cx = (i + 0.5) * image.width / positions
+                cy = (j + 0.5) * image.height / positions
+                fovs.append(clamp_to_image(Fov(w, h, cx, cy), image))
+    return fovs
+
+
+def reference_run_oracle_study(
+    scenes: Sequence[Scene],
+    config: DecodeConfig,
+    positions: int = 8,
+    scales: Sequence[float] = DEFAULT_GRID_SCALES,
+) -> OracleStudyReport:
+    observed = {cat: 0 for cat in CATEGORIES}
+    eliminated = {cat: 0 for cat in CATEGORIES}
+    for scene in scenes:
+        result = decode_greedy(None, scene, config)
+        tokens = result.tokens
+        lexicon = scene.lexicon
+        gt = scene.ground_truth_names
+        reference = scene.reference_caption
+        grid = reference_grid_fovs(scene.image, positions, scales)
+        for t, tok in enumerate(tokens):
+            category = tag_token(lexicon, tok)
+            if category == "none" or t >= len(reference):
+                continue
+            if category == "existence":
+                hallucinated = tok not in gt
+            else:
+                hallucinated = tok != reference[t]
+            if not hallucinated:
+                continue
+            observed[category] += 1
+            prefix = list(tokens[:t])
+            target = scene.token_id(reference[t])
+            for fov in grid:
+                if argmax_logit(toy_model_logits(scene, fov, prefix)) == target:
+                    eliminated[category] += 1
+                    break
+    return OracleStudyReport(observed=observed, eliminated=eliminated)
+
+
+def reference_random_region(rng: np.random.Generator, image: ImageSpec) -> Fov:
+    s = rng.uniform(0.15, 0.3)
+    w = s * image.width
+    h = s * rng.uniform(0.85, 1.15) * image.height
+    cx = rng.uniform(w / 2.0, image.width - w / 2.0)
+    cy = rng.uniform(h / 2.0, image.height - h / 2.0)
+    return Fov(w, h, cx, cy)
+
+
 # ---------------------------------------------------------------------------
 # Checks
 # ---------------------------------------------------------------------------
@@ -256,3 +333,110 @@ def test_length_curve_defaults_and_empty_grid_match(corpus):
     for run in (run_length_curve, reference_run_length_curve):
         with pytest.raises(InvalidInputError, match="max-token grid must be nonempty"):
             run(corpus, config, [])
+
+
+def _hex(fov: Fov) -> list[str]:
+    return [value.hex() for value in fov.as_tuple()]
+
+
+def _exact_grid(build, image, positions, scales):
+    """Each window's fields as float hex, or the rejection's type and message."""
+    try:
+        return [_hex(fov) for fov in build(image, positions, scales)]
+    except InvalidParameterError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    width=st.floats(1.0, 5000.0),
+    height=st.floats(1.0, 5000.0),
+    positions=st.integers(1, 6),
+    scales=st.lists(
+        st.floats(0.01, 3.0) | st.sampled_from([1.0, 0.0, -0.5]), min_size=1, max_size=4
+    ),
+)
+def test_grid_windows_match_the_unclamped_windows_clamped(width, height, positions, scales):
+    image = ImageSpec(width, height)
+    assert _exact_grid(grid_fovs, image, positions, scales) == _exact_grid(
+        reference_grid_fovs, image, positions, scales
+    )
+
+
+@contextlib.contextmanager
+def recorded_calls():
+    """The (scene id, window, prefix) of every model call, from the study
+    (through the harness module global) and from the reference, and the
+    images the study built a grid for."""
+    calls = {"study": [], "reference": [], "grids": []}
+
+    def recorder(name):
+        def model(scene, fov, prefix):
+            calls[name].append((scene.scene_id, fov, tuple(prefix)))
+            return world.toy_model_logits(scene, fov, prefix)
+
+        return model
+
+    def counted_grid(image, positions, scales):
+        calls["grids"].append(image)
+        return grid_fovs(image, positions, scales)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "toy_model_logits", recorder("study"))
+        patch.setattr(harness, "grid_fovs", counted_grid)
+        patch.setitem(globals(), "toy_model_logits", recorder("reference"))
+        yield calls
+
+
+def _check_study(scenes, config, positions, scales):
+    with recorded_calls() as calls:
+        got = run_oracle_study(scenes, config, positions, scales)
+        want = reference_run_oracle_study(scenes, config, positions, scales)
+    assert (got.observed, got.eliminated) == (want.observed, want.eliminated)
+    assert calls["study"] == calls["reference"]
+    images = [scene.image for scene in scenes]
+    assert calls["grids"] == [b for a, b in zip([None] + images, images) if a != b]
+    return got, calls
+
+
+# A few scenes of every kind: trapped and correctable, trapped and not, and
+# untrapped, with captions long enough to reach the traps.
+STUDY_SPEC = CorpusSpec(
+    scene_count=3, trap_fraction=2 / 3, correctable_fraction=0.5, clauses=3, trap_clauses=(1, 2)
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    positions=st.integers(1, 4),
+    scales=st.lists(st.sampled_from([0.1, 0.25, 0.4, 0.9, 1.0, 1.3, 2.5]), min_size=1, max_size=3),
+)
+def test_oracle_study_matches_a_grid_per_scene(seed, positions, scales):
+    scenes = generate_corpus(seed, 3, STUDY_SPEC)
+    _check_study(scenes, DecodeConfig(max_tokens=24), positions, scales)
+
+
+def test_oracle_study_rebuilds_the_grid_when_the_image_changes():
+    first = generate_corpus(5, 3, STUDY_SPEC)
+    wide = dataclasses.replace(STUDY_SPEC, scene_count=4, image_width=1600.0, image_height=700.0)
+    second = generate_corpus(6, 4, wide)
+    scenes = [first[0], first[1], second[3], first[2]]  # images A, A, B, A
+    report, calls = _check_study(scenes, DecodeConfig(max_tokens=24), 3, (0.2, 0.6, 1.2))
+    assert [image.width for image in calls["grids"]] == [1000.0, 1600.0, 1000.0]
+    assert report.total_observed > 0 and calls["study"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    width=st.floats(1.0, 5000.0),
+    height=st.floats(1.0, 5000.0),
+    regions=st.integers(1, 25),
+)
+def test_region_draw_matches_four_uniform_draws(seed, width, height, regions):
+    image = ImageSpec(width, height)
+    got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(regions):
+        assert _hex(_random_region(got, image)) == _hex(reference_random_region(want, image))
+    assert got.bit_generator.state == want.bit_generator.state
