@@ -8,6 +8,7 @@ run byte-for-byte.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import json
@@ -32,7 +33,7 @@ from .decoding import (
     decode_halc,
 )
 from .distributions import argmax_logit, softmax
-from .errors import InvalidInputError, InvalidParameterError
+from .errors import ConfigError, InvalidInputError, InvalidParameterError
 from .geometry import Fov, _clamped, clamp_to_image, expand_fov
 from .metrics import (
     CaptionRecord,
@@ -96,20 +97,23 @@ def cost_estimate(model: CostModel) -> CostEstimate:
     """Expected decode wall time and its ratio over plain greedy decoding.
 
     The parallel variant assumes the n per-window re-decodings run
-    concurrently, costing one decoding step each triggered token.
+    concurrently, costing one decoding step each triggered token. Values
+    too large for a finite float estimate raise ConfigError.
     """
     length, t, td = model.tokens, model.t_lvlm, model.t_detector
     rate, n = model.trigger_rate, model.n
-    sequential = length * ((1.0 + rate * n) * t + rate * td)
-    parallel = length * ((1.0 + rate) * t + rate * td)
     # Ratio grouping 1 + rate*(n + td/t) keeps the reference 2.4x and 1.7x
     # values bit-exact for the canonical inputs.
-    return CostEstimate(
-        sequential_seconds=sequential,
-        sequential_ratio=1.0 + rate * (n + td / t),
-        parallel_seconds=parallel,
-        parallel_ratio=1.0 + rate * (1.0 + td / t),
-    )
+    with contextlib.suppress(OverflowError):  # an int too large for a float
+        estimate = CostEstimate(
+            sequential_seconds=length * ((1.0 + rate * n) * t + rate * td),
+            sequential_ratio=1.0 + rate * (n + td / t),
+            parallel_seconds=length * ((1.0 + rate) * t + rate * td),
+            parallel_ratio=1.0 + rate * (1.0 + td / t),
+        )
+        if np.isfinite(dataclasses.astuple(estimate)).all():
+            return estimate
+    raise ConfigError("cost model values are too large: the estimate is not a finite float")
 
 
 def verify_cost_accounting(trace: DecodeTrace, model: CostModel) -> bool:

@@ -60,7 +60,7 @@ END_LEVEL = 2.0
 IDK_LEVEL = -30.0
 
 _PREPOSITIONS = frozenset({"on", "in", "under", "near", "beside", "above"})
-_ARTICLES = frozenset({"a", "the"})
+_FUNCTION_WORDS = ("a", "the", ".")  # the articles and the full stop
 
 _M64 = (1 << 64) - 1
 
@@ -229,12 +229,9 @@ class Scene:
     def __post_init__(self) -> None:
         if not self.vocabulary:
             object.__setattr__(self, "vocabulary", self._assemble_vocabulary())
-        index = {tok: i for i, tok in enumerate(self.vocabulary)}
+        index = dict(zip(self.vocabulary, range(len(self.vocabulary))))
         if len(index) != len(self.vocabulary):
             raise InvalidParameterError("vocabulary contains duplicates")
-        for obj in self.objects:
-            if obj.name not in index:
-                raise InvalidParameterError(f"object {obj.name!r} missing from vocabulary")
         by_name = {o.name: o for o in self.objects}  # the last object of a name wins
         gt = frozenset(o.name for o in self.objects if o.is_ground_truth)
         for tok in self.reference_caption:
@@ -242,7 +239,7 @@ class Scene:
                 raise InvalidParameterError("reference caption uses a non-ground-truth object")
         allowed = [(s.token,) if isinstance(s, WordSlot) else s.candidates for s in self.skeleton]
         allowed.append((END_TOKEN,))  # the end-of-sequence slot
-        named = {tok for toks in allowed for tok in toks}.union(*self.cooccurrence)
+        named = {tok for toks in allowed for tok in toks}.union(by_name, *self.cooccurrence)
         missing = sorted(named.difference(index))
         if missing:
             raise InvalidParameterError(f"scene tokens {missing} missing from vocabulary")
@@ -257,7 +254,7 @@ class Scene:
             if prev not in cooc:
                 cooc[prev] = np.zeros(len(self.vocabulary), dtype=float)
             cooc[prev][index[tok]] += bonus
-        levels, varying = self._levels_and_profiles(index, by_name)
+        levels, lexicon, varying = _token_tables(index, self.verbs, by_name)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_by_name", by_name)
         object.__setattr__(self, "_ground_truth", gt)
@@ -265,43 +262,12 @@ class Scene:
         object.__setattr__(self, "_varying", varying)
         object.__setattr__(self, "_slots", slots)
         object.__setattr__(self, "_cooc", cooc)
-        object.__setattr__(self, "_lexicon", self._build_lexicon())
+        object.__setattr__(self, "_lexicon", lexicon)
 
     def _assemble_vocabulary(self) -> tuple[str, ...]:
         words = (END_TOKEN, IDK_TOKEN, "a", "the", ".", "on", *self.verbs,
                  *(obj.name for obj in self.objects), *self.fillers)
         return tuple(dict.fromkeys(words))
-
-    def _levels_and_profiles(
-        self, index: Mapping[str, int], by_name: Mapping[str, SceneObject]
-    ) -> tuple[np.ndarray, tuple[tuple[int, TokenProfile], ...]]:
-        """Logits that no window changes, and the (token id, profile) pairs
-        of the object tokens whose logit depends on the window.
-
-        StableHigh object levels are constants, so they are written here once
-        rather than on every model call.
-        """
-        levels = np.empty(len(self.vocabulary), dtype=float)
-        for tok, i in index.items():
-            if tok == END_TOKEN:
-                levels[i] = END_LEVEL
-            elif tok == IDK_TOKEN:
-                levels[i] = IDK_LEVEL
-            elif tok in by_name:
-                levels[i] = 0.0  # set below or per window
-            elif tok in self.verbs:
-                levels[i] = VERB_LEVEL
-            elif tok in _ARTICLES or tok in _PREPOSITIONS or tok == ".":
-                levels[i] = FUNCTION_LEVEL
-            else:
-                levels[i] = FILLER_LEVEL
-        varying = []
-        for name, obj in by_name.items():
-            if isinstance(obj.profile, StableHigh):
-                levels[index[name]] = obj.profile.level
-            else:
-                varying.append((index[name], obj.profile))
-        return levels, tuple(varying)
 
     # -- token bookkeeping ---------------------------------------------------
 
@@ -324,33 +290,51 @@ class Scene:
         """Total POS map over this scene's vocabulary."""
         return self._lexicon
 
-    def _build_lexicon(self) -> dict[str, str]:
-        lex: dict[str, str] = {}
-        for tok in self.vocabulary:
-            if tok in self._by_name:
-                lex[tok] = "noun"
-            elif tok in self.verbs:
-                lex[tok] = "verb"
-            elif tok in _PREPOSITIONS:
-                lex[tok] = "preposition"
-            else:
-                lex[tok] = "other"
-        return lex
-
     def find_object(self, name: str) -> Optional[SceneObject]:
         return self._by_name.get(name)
 
 
+def _token_tables(
+    index: Mapping[str, int], verbs: Sequence[str], by_name: Mapping[str, SceneObject]
+) -> tuple[np.ndarray, dict[str, str], tuple[tuple[int, TokenProfile], ...]]:
+    """A scene's logits that no window changes, its POS lexicon, and the
+    (token id, profile) pairs of its window-dependent object tokens. A token
+    in several classes takes the last class's level and tag. StableHigh
+    object levels are constants, so they are written once here."""
+    levels = np.full(len(index), FILLER_LEVEL)
+    lexicon = dict.fromkeys(index, "other")
+    for tokens, level, pos in (
+        (_FUNCTION_WORDS, FUNCTION_LEVEL, None),
+        (_PREPOSITIONS, FUNCTION_LEVEL, "preposition"),
+        (verbs, VERB_LEVEL, "verb"),
+        (by_name, 0.0, "noun"),  # set below or per window
+        ((IDK_TOKEN,), IDK_LEVEL, None),
+        ((END_TOKEN,), END_LEVEL, None),
+    ):
+        present = [tok for tok in tokens if tok in index]
+        levels[[index[tok] for tok in present]] = level
+        if pos:
+            lexicon.update(dict.fromkeys(present, pos))
+    varying = []
+    for name, obj in by_name.items():
+        if isinstance(obj.profile, StableHigh):
+            levels[index[name]] = obj.profile.level
+        else:
+            varying.append((index[name], obj.profile))
+    return levels, lexicon, tuple(varying)
+
+
+# The hallucination category of a POS tag; any other tag has none.
+_CATEGORIES = {
+    "noun": "existence",
+    **dict.fromkeys(("adjective", "adverb", "number", "verb", "pronoun"), "attribute"),
+    "preposition": "relationship",
+}
+
+
 def tag_token(lexicon: Mapping[str, str], word: str) -> str:
     """Map a word to its hallucination category via its POS tag."""
-    pos = lexicon.get(word, "other")
-    if pos == "noun":
-        return "existence"
-    if pos in ("adjective", "adverb", "number", "verb", "pronoun"):
-        return "attribute"
-    if pos == "preposition":
-        return "relationship"
-    return "none"
+    return _CATEGORIES.get(lexicon.get(word, "other"), "none")
 
 
 # ---------------------------------------------------------------------------

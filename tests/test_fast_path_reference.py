@@ -1,8 +1,9 @@
-"""The toy model with constant profiles folded into the scene, the one-pass
-FOV samplers, the cheaper proposal check, the contrast masked per window,
-the contrast that exponentiates only its plausible tokens, the in-place
-JSD, the candidate pool that skips repeated tokens and the one-pass oracle
-scorer, each checked against the code it replaced.
+"""The toy model with constant profiles folded into the scene, the scene's
+token tables built one token class at a time, the one-pass FOV samplers,
+the cheaper proposal check, the contrast masked per window, the contrast
+that exponentiates only its plausible tokens, the in-place JSD, the
+candidate pool that skips repeated tokens and the one-pass oracle scorer,
+each checked against the code it replaced.
 
 The references below are the replaced code, kept here verbatim apart from
 names. The model reference builds its slot and co-occurrence bonuses from
@@ -44,12 +45,19 @@ from halc.geometry import (
 from halc.world import (
     CORPUS_DETECTOR_ETA,
     DEMO_DETECTOR_ETA,
+    END_LEVEL,
     END_TOKEN,
+    FILLER_LEVEL,
+    FUNCTION_LEVEL,
+    IDK_LEVEL,
     IDK_TOKEN,
+    VERB_LEVEL,
+    ContextShift,
     CorpusSpec,
     DetectorSim,
     Noisy,
     Peaking,
+    Scene,
     SceneObject,
     StableHigh,
     WordSlot,
@@ -57,6 +65,7 @@ from halc.world import (
     generate_corpus,
     oracle_match_score,
     profile_value,
+    tag_token,
     toy_model_logits,
 )
 
@@ -201,6 +210,126 @@ def test_demo_scene_folds_only_constant_profiles(demo):
     assert sorted(varying) == sorted(index[t] for t in ("clock", "surfboard", "book"))
     assert isinstance(varying[index["clock"]], Peaking)
     assert demo._levels[index["man"]] == 6.0
+
+
+# ---------------------------------------------------------------------------
+# Token tables: each token class written in one pass, lowest priority first
+# ---------------------------------------------------------------------------
+
+
+def reference_levels_and_profiles(self, index, by_name):
+    """Logits that no window changes, and the (token id, profile) pairs
+    of the object tokens whose logit depends on the window.
+
+    StableHigh object levels are constants, so they are written here once
+    rather than on every model call.
+    """
+    levels = np.empty(len(self.vocabulary), dtype=float)
+    for tok, i in index.items():
+        if tok == END_TOKEN:
+            levels[i] = END_LEVEL
+        elif tok == IDK_TOKEN:
+            levels[i] = IDK_LEVEL
+        elif tok in by_name:
+            levels[i] = 0.0  # set below or per window
+        elif tok in self.verbs:
+            levels[i] = VERB_LEVEL
+        elif tok in _ARTICLES or tok in _PREPOSITIONS or tok == ".":
+            levels[i] = FUNCTION_LEVEL
+        else:
+            levels[i] = FILLER_LEVEL
+    varying = []
+    for name, obj in by_name.items():
+        if isinstance(obj.profile, StableHigh):
+            levels[index[name]] = obj.profile.level
+        else:
+            varying.append((index[name], obj.profile))
+    return levels, tuple(varying)
+
+
+def reference_build_lexicon(self):
+    lex = {}
+    for tok in self.vocabulary:
+        if tok in self._by_name:
+            lex[tok] = "noun"
+        elif tok in self.verbs:
+            lex[tok] = "verb"
+        elif tok in _PREPOSITIONS:
+            lex[tok] = "preposition"
+        else:
+            lex[tok] = "other"
+    return lex
+
+
+def reference_tag_token(lexicon, word):
+    """Map a word to its hallucination category via its POS tag."""
+    pos = lexicon.get(word, "other")
+    if pos == "noun":
+        return "existence"
+    if pos in ("adjective", "adverb", "number", "verb", "pronoun"):
+        return "attribute"
+    if pos == "preposition":
+        return "relationship"
+    return "none"
+
+
+# Object names and verbs that collide with every other token class.
+_CLASH_NAMES = ("holds", "sees", "on", "in", "a", "the", ".", "w0", END_TOKEN, IDK_TOKEN, "dog")
+_CLASH_VERBS = ("holds", "sees", "on", "a", ".", "w0", "dog")
+_CLASH_FILLERS = ("w0", "w1", "on", "the", "dog", IDK_TOKEN)
+# Words an explicit vocabulary may hold beyond the assembled one.
+_EXTRA_WORDS = ("in", "under", ".", "w9")
+
+
+@st.composite
+def token_class_scenes(draw):
+    region = Fov(20.0, 20.0, 50.0, 50.0)
+    profiles = st.one_of(
+        st.floats(-10.0, 10.0).map(StableHigh),
+        st.just(Peaking(v_star=region, width=5.0, amp=1.0, base=0.5)),
+        st.just(ContextShift(slope=0.5, base=1.0)),
+        st.just(Noisy(amp=0.3, noise_seed=2, base=1.0)),
+    )
+    names = draw(st.lists(st.sampled_from(_CLASH_NAMES), min_size=1, max_size=6))
+    scene = Scene(
+        image=ImageSpec(100.0, 100.0),
+        objects=tuple(SceneObject(name, region, draw(profiles)) for name in names),
+        verbs=tuple(draw(st.lists(st.sampled_from(_CLASH_VERBS), max_size=3))),
+        fillers=tuple(draw(st.lists(st.sampled_from(_CLASH_FILLERS), max_size=4))),
+        skeleton=(),
+        cooccurrence={},
+        reference_caption=(),
+    )
+    if draw(st.booleans()):
+        # An explicit vocabulary: [END], the objects and any of the rest, in any order.
+        need = sorted({END_TOKEN, *names})
+        optional = sorted(set(scene.vocabulary).union(_EXTRA_WORDS).difference(need))
+        kept = draw(st.lists(st.sampled_from(optional), unique=True))
+        vocabulary = tuple(draw(st.permutations(need + kept)))
+        scene = dataclasses.replace(scene, vocabulary=vocabulary)
+    return scene
+
+
+@settings(max_examples=300, deadline=None)
+@given(scene=token_class_scenes())
+def test_token_tables_match_the_per_token_classifiers(scene):
+    index = {tok: i for i, tok in enumerate(scene.vocabulary)}
+    by_name = {o.name: o for o in scene.objects}
+    levels, varying = reference_levels_and_profiles(scene, index, by_name)
+    lexicon = reference_build_lexicon(scene)
+    assert scene._levels.dtype == levels.dtype
+    assert scene._levels.tobytes() == levels.tobytes()
+    assert scene._varying == varying
+    assert list(scene.lexicon.items()) == list(lexicon.items())
+    assert list(scene.token_index.items()) == list(index.items())
+    custom = {
+        "n": "noun", "v": "verb", "p": "preposition", "adj": "adjective",
+        "adv": "adverb", "num": "number", "pro": "pronoun", "o": "other",
+    }
+    cases = [(scene.lexicon, tok) for tok in (*scene.vocabulary, "unknown-word")]
+    cases += [(custom, word) for word in (*custom, "unknown-word")]
+    for lex, word in cases:
+        assert tag_token(lex, word) == reference_tag_token(lex, word)
 
 
 # ---------------------------------------------------------------------------

@@ -541,6 +541,15 @@ def test_cli_malformed_section_exits_2_with_one_line(tmp_path, capsys, scenario,
         ("cost-model", {"cost_model": {"trigger_rate": "x"}}, "cost model trigger_rate "),
         ("cost-model", {"cost_model": {"t_lvlm": 0}}, "cost model t_lvlm "),
         ("cost-model", {"cost_model": [1]}, "cost_model section"),
+        # Values the float estimate cannot hold: an int too large to convert,
+        # and a time ratio t_detector / t_lvlm that overflows to inf.
+        ("cost-model", {"cost_model": {"tokens": 10**400}}, "cost model values are too large"),
+        ("cost-model", {"cost_model": {"n": 10**400}}, "cost model values are too large"),
+        (
+            "cost-model",
+            {"cost_model": {"t_lvlm": 1e-300, "t_detector": 1e300}},
+            "cost model values are too large",
+        ),
         ("cost-model", {"cost_model": {"bogus": 1}}, "'bogus'"),
         ("decode", {"scorer": {"kind": "noisy", "bogus": 1}}, "'bogus'"),
         ("compare", {"scorer": {"kind": "oracle", "amp": 0.2}}, "'amp'"),
@@ -557,6 +566,9 @@ def test_cli_malformed_section_exits_2_with_one_line(tmp_path, capsys, scenario,
         "string-trigger-rate",
         "zero-t-lvlm",
         "cost-model-not-object",
+        "huge-tokens",
+        "huge-n",
+        "infinite-ratio",
         "unknown-cost-model-key",
         "unknown-noisy-scorer-key",
         "amp-on-oracle-scorer",
@@ -773,8 +785,9 @@ def test_cli_corpus_file_with_an_unknown_key_or_kind_exits_3_naming_it(
         (lambda doc: doc["skeleton"][0].update(token="zzz"), "zzz"),
         (lambda doc: doc["cooccurrence"].append(["a", "zzz", 0.3]), "zzz"),
         (lambda doc: doc["vocabulary"].remove("[END]"), "[END]"),
+        (lambda doc: doc["objects"].append({**doc["objects"][0], "name": "x"}), "x"),
     ],
-    ids=["skeleton-token", "cooccurrence-token", "no-end-token"],
+    ids=["skeleton-token", "cooccurrence-token", "no-end-token", "object-name"],
 )
 def test_cli_corpus_file_naming_a_token_outside_the_vocabulary_exits_3_naming_it(
     tmp_path, capsys, demo, edit, token
