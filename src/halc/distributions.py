@@ -8,7 +8,8 @@ plain vectors, the divergences return floats.
 
 The masked contrast exponentiates only the tokens its plausibility mask
 keeps: past one scan of the mask, its work scales with the plausible set,
-not with V. Each KL term of the JSD is computed in one temporary.
+not with V. The JSD computes its midpoint once and each KL term in one
+temporary.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ __all__ = [
     "jsd",
     "total_variation",
     "contrast_distribution",
+    "distinct_rows",
     "window_softmax",
     "contrast_rows",
     "top_m_pairs",
@@ -66,6 +68,25 @@ def softmax(logits) -> np.ndarray:
     """Max-subtracted exponentiation and normalization of each logit
     vector; -inf maps to 0."""
     return _softmax(_as_array(logits))
+
+
+def distinct_rows(rows) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The distinct vectors of an (n, V) logit stack as a (d, V) float
+    stack, in order of first appearance, and for each of the n rows the
+    index of its vector in that stack.
+
+    Rows are the same when their float64 bytes are, so 0.0 and -0.0, or two
+    NaN payloads, stay apart; nothing beyond the shape is checked here.
+    Comparing two rows' bytes stops at the first difference.
+    """
+    logits = _as_array(rows, ndims=(2,))
+    blob = logits.tobytes()
+    size = logits.itemsize * logits.shape[-1]
+    keys = [blob[k : k + size] for k in range(0, len(blob), size)]
+    first = list(map(keys.index, keys))  # the first row with the same bytes
+    firsts = list(dict.fromkeys(first))
+    distinct = logits if len(firsts) == len(logits) else logits[firsts]
+    return distinct, tuple(map(firsts.index, first))
 
 
 def window_softmax(rows) -> tuple[np.ndarray, np.ndarray]:
@@ -114,23 +135,22 @@ def jsd(p, q):
     convention.
     """
     p, q = _check_pair(p, q)
+    mid = p + q
+    mid *= 0.5
     # The midpoint is > 0 wherever p > 0 or q > 0; the zeroed terms may
     # divide 0 by 0.
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _scalar_or_rows(0.5 * _kl2(p, q) + 0.5 * _kl2(q, p))
+        return _scalar_or_rows(0.5 * _kl2(p, mid) + 0.5 * _kl2(q, mid))
 
 
-def _kl2(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Base-2 KL divergence of p from the midpoint 0.5 * (p + q) along the
-    last axis, computed in one temporary; terms where p is not positive
-    count 0.
+def _kl2(p: np.ndarray, mid: np.ndarray) -> np.ndarray:
+    """Base-2 KL divergence of p from the midpoint `mid` along the last
+    axis, computed in one temporary; terms where p is not positive count 0.
 
     Two-token terms are summed column by column, as in total_variation,
     and summed again along the axis when a row is NaN.
     """
-    terms = p + q
-    terms *= 0.5
-    np.divide(p, terms, out=terms)
+    terms = p / mid
     np.log2(terms, out=terms)
     terms *= p
     positive = p > 0

@@ -13,6 +13,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
+from operator import itemgetter
 from typing import Annotated, Callable, ClassVar, Mapping, Optional, Sequence
 
 import numpy as np
@@ -359,9 +360,15 @@ def toy_model_logits(
         logits[i] = profile_value(profile, fov, scene.image)
     if prefix is None:
         return logits
-    for tok in prefix:
-        if tok not in scene._index:
-            raise InvalidInputError(f"prefix token {tok!r} not in vocabulary")
+    # One C-level lookup of every token passes a valid prefix; only a failing
+    # one is scanned, so that the message names its first bad token.
+    try:
+        if prefix:
+            itemgetter(*prefix)(scene._index)
+    except KeyError:
+        for tok in prefix:
+            if tok not in scene._index:
+                raise InvalidInputError(f"prefix token {tok!r} not in vocabulary") from None
     logits += scene._slots[min(len(prefix), len(scene.skeleton))]
     if prefix and prefix[-1] in scene._cooc:
         logits += scene._cooc[prefix[-1]]

@@ -7,6 +7,7 @@ the comparison does not lean on the batched code it checks.
 """
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -18,12 +19,14 @@ from halc.decoding import (
     SAMPLING_MODES,
     BeamState,
     DecodeConfig,
+    HalcStepResult,
     decode_beam,
     decode_greedy,
     decode_halc,
     halc_step,
     select_beams,
 )
+from halc.distributions import contrast_rows, jsd, window_softmax
 from halc.errors import InvalidInputError
 from halc.geometry import Fov
 from halc.world import (
@@ -348,3 +351,207 @@ def test_select_beams_scores_each_distinct_sequence_once(demo, pool, k):
     assert len(calls) == len(distinct)
     want = reference_select_beams(candidates, tie_heavy_score, k, demo)
     assert [(id(c), s) for c, s in kept] == [(id(c), s) for c, s in want]
+
+
+# ---------------------------------------------------------------------------
+# Windows with equal logits share one row
+# ---------------------------------------------------------------------------
+
+
+def per_window_halc_step(model, detector, scene, beam, proposed, config, rng):
+    """halc_step as it was before windows with equal logits shared a row:
+    one softmax row per window, one JSD per window pair and one contrast
+    row per candidate, through the same halc.distributions calls."""
+    model = model or toy_model_logits
+    v_d = detector(proposed, scene)
+    fovs = decoding._sample_fovs(scene, v_d, config, rng)
+    logits, probs = window_softmax([model(scene, f, beam.tokens) for f in fovs])
+
+    n = len(logits)
+    pairs = list(combinations(range(n), 2))
+    first, second = np.array(pairs).T
+    divergence = jsd(probs[first], probs[second]).tolist()
+    matrix = [[0.0] * n for _ in range(n)]
+    for (i, j), value in zip(pairs, divergence):
+        matrix[i][j] = matrix[j][i] = value
+    ranked = sorted(range(len(pairs)), key=lambda k: -divergence[k])
+    selected = [pairs[k] for k in ranked[: config.m]]
+
+    area = [f.area for f in fovs]
+    experts, amateurs = [], []
+    for i, j in selected:
+        larger, smaller = (i, j) if area[i] >= area[j] else (j, i)
+        experts += (larger, smaller)
+        amateurs += (smaller, larger)
+    dists = contrast_rows(logits, probs, experts, amateurs, config.alpha, config.beta)
+    tokens = map(scene.vocabulary.__getitem__, dists.argmax(axis=-1).tolist())
+    return HalcStepResult(
+        candidates=tuple(zip(tokens, dists)),
+        fovs=fovs,
+        jsd_matrix=matrix,
+        selected_pairs=selected,
+        detector_hit=v_d is not None,
+    )
+
+
+class BucketModel:
+    """The toy model with the windows of a step put into buckets: the k-th
+    window of each step gets the logits of the first window of its bucket
+    `buckets[k]`, plus that bucket's offset row, so windows of one bucket
+    have the same bits. `corrupt(row, bucket)` may then spoil a row."""
+
+    def __init__(self, buckets, offsets, corrupt=None):
+        self.buckets, self.offsets, self.corrupt = buckets, offsets, corrupt
+        self.calls = []
+
+    def __call__(self, scene, fov, prefix):
+        self.calls.append(fov)
+        step = len(self.calls) - 1 - (len(self.calls) - 1) % len(self.buckets)
+        bucket = self.buckets[len(self.calls) - 1 - step]
+        first = step + self.buckets.index(bucket)
+        row = toy_model_logits(scene, self.calls[first], prefix) + self.offsets[bucket]
+        return row if self.corrupt is None else self.corrupt(row, bucket)
+
+
+def _outcome(step, model, scene, beam, proposed, config, seed):
+    """The step's result as comparable bits, or its rejection."""
+    try:
+        result = step(model, CORPUS_DET, scene, beam, proposed, config, np.random.default_rng(seed))
+    except InvalidInputError as exc:
+        return "error", str(exc)
+    return (
+        result.fovs,
+        [[value.hex() for value in row] for row in result.jsd_matrix],
+        result.selected_pairs,
+        [tok for tok, _ in result.candidates],
+        [(dist.dtype.str, dist.shape, dist.tobytes()) for _, dist in result.candidates],
+        result.detector_hit,
+    )
+
+
+def assert_bucketed_steps_agree(buckets, offsets, scene, beam, proposed, config, seed, corrupt=None):
+    want_model = BucketModel(buckets, offsets, corrupt)
+    got_model = BucketModel(buckets, offsets, corrupt)
+    want = _outcome(per_window_halc_step, want_model, scene, beam, proposed, config, seed)
+    got = _outcome(halc_step, got_model, scene, beam, proposed, config, seed)
+    assert got == want
+    assert len(got_model.calls) == len(want_model.calls) == config.n
+    return got
+
+
+def _restricted_growth(draw, n):
+    """Bucket labels of n windows in order of first appearance: 1..n buckets."""
+    buckets = [0]
+    for _ in range(n - 1):
+        buckets.append(draw(st.integers(0, max(buckets) + 1)))
+    return buckets
+
+
+@st.composite
+def bucketed_steps(draw):
+    scene, beam, proposed, config, seed = draw(step_cases())
+    buckets = _restricted_growth(draw, config.n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = (max(buckets) + 1, len(scene.vocabulary))
+    kind = draw(st.sampled_from(["noise", "shift", "none"]))
+    if kind == "noise":  # buckets differ in their logits
+        offsets = rng.normal(0.0, draw(st.sampled_from([1e-9, 0.3, 3.0])), size)
+    elif kind == "shift":  # buckets differ in bits but share probabilities
+        offsets = np.repeat(rng.normal(0.0, 1.0, (size[0], 1)), size[1], axis=1)
+    else:  # buckets differ only where their windows do
+        offsets = np.zeros(size)
+    return buckets, offsets, scene, beam, proposed, config, seed
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=bucketed_steps())
+def test_step_on_windows_of_equal_logits_matches_the_per_window_step(case):
+    assert_bucketed_steps_agree(*case)
+
+
+# Non-adjacent duplicates put a pair's first window on the later row, so
+# the row pair of (i, j) is read in the other orientation.
+PATTERNS = [
+    [0, 0], [0, 1], [0, 1, 0], [0, 0, 1], [0, 1, 1], [0, 1, 0, 1], [0, 1, 1, 0],
+    [0, 1, 2, 0], [0, 0, 0, 0], [0, 1, 2, 3], [0, 1, 2, 1, 0, 3, 3, 2],
+]
+
+
+@pytest.mark.parametrize("buckets", PATTERNS, ids=["".join(map(str, p)) for p in PATTERNS])
+@pytest.mark.parametrize("trap_fraction", [0.0, 1.0])
+def test_bucket_patterns_match_the_per_window_step(buckets, trap_fraction):
+    spec = CorpusSpec(scene_count=1, trap_fraction=trap_fraction)
+    scene = generate_corpus(31, 1, spec)[0]
+    names = {obj.name for obj in scene.objects}
+    pos = next(p for p, tok in enumerate(scene.reference_caption) if tok in names)
+    beam = BeamState(tuple(scene.reference_caption[:pos]))
+    n = len(buckets)
+    config = DecodeConfig(n=n, m=n * (n - 1) // 2, alpha=0.5, beta=0.05)
+    offsets = np.random.default_rng(5).normal(0.0, 0.3, (max(buckets) + 1, len(scene.vocabulary)))
+    got = assert_bucketed_steps_agree(buckets, offsets, scene, beam, scene.reference_caption[pos],
+                                      config, 0)
+    matrix = got[1]
+    for i, j in combinations(range(n), 2):
+        assert (matrix[i][j] == (0.0).hex()) == (buckets[i] == buckets[j])
+
+
+@pytest.mark.parametrize("buckets", [[0, 0], [0, 1, 0], [0, 1, 1, 0], [0, 0, 0, 0, 1]])
+@pytest.mark.parametrize("kind", sorted(BAD_ROWS))
+def test_duplicated_malformed_rows_raise_as_before(demo, buckets, kind):
+    message, spoil = BAD_ROWS[kind]
+    beam = BeamState(tuple(demo.reference_caption[:4]))
+    offsets = np.zeros((max(buckets) + 1, len(demo.vocabulary)))
+    for bad in range(max(buckets) + 1):
+        n = len(buckets)
+
+        def corrupt(row, bucket):
+            return spoil(row) if bucket == bad else row
+
+        config = DecodeConfig(n=n, m=n * (n - 1) // 2, seed=0)
+        got = assert_bucketed_steps_agree(buckets, offsets, demo, beam, "surfboard", config, 0,
+                                          corrupt)
+        assert got == ("error", message)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+@pytest.mark.parametrize("buckets", [[0, 1], [0, 1, 0], [1, 0, 1, 0], [0, 0, 1, 1]])
+def test_duplicated_amateur_minus_inf_under_a_kept_token_raises_as_before(demo, buckets, alpha):
+    # Bucket 1's windows keep one token that bucket 0's windows mask, so the
+    # contrast with expert 1 and amateur 0 is +inf (or NaN at alpha 0).
+    buckets = [b if buckets[0] == 0 else 1 - b for b in buckets]
+    token = demo.token_id("clock")
+
+    def corrupt(row, bucket):
+        row[token] = -np.inf if bucket == 0 else row.max() + 5.0
+        return row
+
+    n = len(buckets)
+    offsets = np.zeros((2, len(demo.vocabulary)))
+    config = DecodeConfig(n=n, m=n * (n - 1) // 2, alpha=alpha, seed=0)
+    beam = BeamState(tuple(demo.reference_caption[:4]))
+    got = assert_bucketed_steps_agree(buckets, offsets, demo, beam, "surfboard", config, 0, corrupt)
+    assert got == ("error", "logits must be finite or -inf")
+
+
+def test_steps_of_every_distinct_count_share_one_pair_buffer():
+    # The scratch pair buffers keep the shape of n windows: a step with
+    # fewer distinct rows uses their leading rows and allocates nothing.
+    spec = CorpusSpec(scene_count=1, trap_fraction=1.0)
+    scene = generate_corpus(3, 1, spec)[0]
+    beam = BeamState(tuple(scene.reference_caption[:3]))
+    config = DecodeConfig(n=5, m=10)
+    offsets = np.random.default_rng(2).normal(0.0, 0.3, (5, len(scene.vocabulary)))
+
+    def step(buckets):
+        model = BucketModel(buckets, offsets)
+        halc_step(model, CORPUS_DET, scene, beam, scene.reference_caption[3], config,
+                  np.random.default_rng(0))
+
+    step([0, 1, 2, 3, 4])
+    info = decoding._pair_buffers.cache_info()
+    for buckets in ([0, 0, 0, 0, 0], [0, 1, 0, 1, 0], [0, 1, 2, 0, 1], [0, 1, 2, 3, 0],
+                    [0, 1, 2, 3, 4], [0, 0, 1, 1, 2]):
+        step(buckets)
+    after = decoding._pair_buffers.cache_info()
+    assert after.misses == info.misses
+    assert after.hits > info.hits

@@ -66,6 +66,23 @@ def test_model_rejects_unknown_prefix_token(demo):
         toy_model_logits(demo, demo.image.full_fov(), ["not-a-token"])
 
 
+@pytest.mark.parametrize("container", [list, tuple])
+def test_model_names_the_first_bad_token_of_a_long_prefix(demo, container):
+    # A valid prefix passes one lookup of all its tokens; a failing one is
+    # scanned in order, so the message names the first bad token.
+    caption = list(demo.reference_caption)
+    prefix = (caption * (60 // len(caption) + 1))[:60]
+    prefix[30], prefix[45] = "not-a-token", "also-bad"
+    full = demo.image.full_fov()
+    with pytest.raises(InvalidInputError, match=r"^prefix token 'not-a-token' not in vocabulary$"):
+        toy_model_logits(demo, full, container(prefix))
+    prefix[30] = caption[0]
+    with pytest.raises(InvalidInputError, match=r"^prefix token 'also-bad' not in vocabulary$"):
+        toy_model_logits(demo, full, container(prefix))
+    prefix[45] = caption[0]
+    assert toy_model_logits(demo, full, container(prefix)).shape == (len(demo.vocabulary),)
+
+
 def test_peaking_value_decreases_with_distance(demo):
     clock = demo.find_object("clock")
     v_star = clock.profile.v_star
