@@ -9,21 +9,21 @@ contrasted bi-directionally, and the resulting candidate tokens, after the
 abstention policy, compete in a beam selection scored by text/image matching
 rather than log-probability.
 
-The correction step calls the model once per window, then works on the
-distinct rows of the (n, V) stack of window logits: windows whose logits have
-the same bits share one row, as every window does in a scene without a
-window-dependent token. It takes a few array operations: one checked
-row-wise softmax of the distinct rows, the JSD of every pair of distinct rows
-from one batched call (shared by the trace matrix and pair selection; two
-windows on one row get 0.0), and one contrast row per distinct (expert row,
-amateur row) pair among the 2m candidates, under the plausibility mask of its
-expert row, normalized by one masked softmax and read out by one row-wise
-argmax. The contrast and its exponentials are computed on the plausible
-tokens only, so past one scan of the masks that work scales with the
-plausible set (often a single token), not with the vocabulary size V. Each
-beam's step adds one candidate per distinct token, and beam selection
-scores each distinct candidate sequence once, which requires the scorer to
-be a pure function of (sequence, scene).
+The correction step calls the model once per window and checks the (n, V)
+stack of window logits. When every window's logits have the bits of the
+first window's, as in a scene without a window-dependent token, the windows
+share that row: one softmax row, JSD 0.0 for every pair and one contrast row
+for all 2m candidates. Otherwise it takes a few array operations over the
+windows: one checked row-wise softmax, the JSD of every window pair from one
+batched call (shared by the trace matrix and pair selection), and one
+contrast row per candidate under the plausibility mask of its expert window,
+normalized by one masked softmax and read out by one row-wise argmax. The
+contrast and its exponentials are computed on the plausible tokens only, so
+past one scan of the masks that work scales with the plausible set (often a
+single token), not with the vocabulary size V. Each beam's step adds one
+candidate per distinct token, and beam selection scores each distinct
+candidate sequence once, which requires the scorer to be a pure function of
+(sequence, scene).
 """
 
 from __future__ import annotations
@@ -39,10 +39,10 @@ import numpy as np
 # stay importable from it because the benchmark's span recorder
 # (perfbench/probes.py) wraps them here.
 from .distributions import (  # noqa: F401
+    _as_array,
     argmax_logit,
     contrast_distribution,
     contrast_rows,
-    distinct_rows,
     jsd,
     softmax,
     top_m_pairs,
@@ -73,8 +73,8 @@ Detector = Callable[[str, Scene], Optional[Fov]]
 
 SAMPLING_MODES = ("exponential", "normal", "random", "center", "original")
 IDK_POLICIES = ("off", "literal", "confidence")
-# The most FOV samples per HALC step: a triggered step copies the pairs of
-# its distinct window rows into two (n(n-1)/2, V) float64 buffers, 130 MB at
+# The most FOV samples per HALC step: a triggered step whose windows differ
+# copies its window pairs into two (n(n-1)/2, V) float64 buffers, 130 MB at
 # n = 64, V≈4000.
 MAX_FOV_SAMPLES = 64
 
@@ -359,23 +359,12 @@ def _pair_index(n: int) -> tuple[tuple[tuple[int, int], ...], np.ndarray, np.nda
     return pairs, first, second
 
 
-@functools.lru_cache(maxsize=64)
-def _row_pairs(of: tuple[int, ...]) -> tuple[int, ...]:
-    """For windows on the distinct rows `of`, the position of each window
-    pair's pair of rows among the pairs of rows, both in lexicographic
-    order, or -1 for two windows on one row."""
-    position = {pair: k for k, pair in enumerate(_pair_index(max(of) + 1)[0])}
-    ends = ((of[i], of[j]) for i, j in _pair_index(len(of))[0])
-    return tuple(position.get((min(a, b), max(a, b)), -1) for a, b in ends)
-
-
 @functools.lru_cache(maxsize=1)
 def _pair_buffers(pairs: int, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Scratch (pairs, V) arrays for the first and second rows of each
+    """Scratch (pairs, V) arrays for the first and second windows of each
     pair, reused while the shape stays the same: at V≈4000, two fresh
     arrays per step make the allocator grow and trim the heap on most
-    steps. A step with fewer distinct rows than windows uses the leading
-    rows, so the shape follows the window count only."""
+    steps."""
     return np.empty((pairs, size)), np.empty((pairs, size))
 
 
@@ -396,32 +385,34 @@ def halc_step(
     pair contrasts (larger window as expert, smaller as amateur), then the
     reverse; the mask keeps tokens with p_e >= beta * max(p_e).
 
-    Windows whose logits have the same bits share one row: the softmax, the
-    JSD of each pair of rows and the contrast of each (expert row, amateur
-    row) pair are computed once, and two windows on one row get JSD 0.0,
-    which is what jsd(p, p) returns.
+    When every window's logits have the bits of the first window's, as in a
+    scene without a window-dependent token, the windows share that one row:
+    it is softmaxed once, every pair gets JSD 0.0, which is what jsd(p, p)
+    returns, and its one contrast with itself stands for all 2m candidates.
+    Otherwise every window is its own row.
     """
     model = model or toy_model_logits
     v_d = detector(proposed, scene)
     fovs = _sample_fovs(scene, v_d, config, rng)
-    # Window i's logits are row of[i] of the distinct rows.
-    rows, of = distinct_rows([model(scene, f, beam.tokens) for f in fovs])
-    logits, probs = window_softmax(rows)
+    logits = _as_array([model(scene, f, beam.tokens) for f in fovs], ndims=(2,))
+    # Every row has the first row's bits iff each row after the first has
+    # the bits of the row before it: one comparison of two runs of bytes.
+    blob = logits.tobytes()
+    size = len(blob) // len(logits)
+    shared = blob.startswith(memoryview(blob)[:-size], size)
+    logits, probs = window_softmax(logits[:1] if shared else logits)
 
-    n = len(of)
-    pairs = _pair_index(n)[0]
-    row_pairs, first, second = _pair_index(len(logits))
-    values = []
-    if row_pairs:  # with one distinct row there is no JSD to compute
+    n = len(fovs)
+    pairs, first, second = _pair_index(n)
+    if shared:
+        divergence = [0.0] * len(pairs)
+    else:
         # mode="clip" lets take write into `out` without an intermediate
         # copy; the indices are in range.
         pair_first, pair_second = _pair_buffers(len(pairs), probs.shape[1])
-        pair_first, pair_second = pair_first[: len(row_pairs)], pair_second[: len(row_pairs)]
         probs.take(first, axis=0, out=pair_first, mode="clip")
         probs.take(second, axis=0, out=pair_second, mode="clip")
-        values = jsd(pair_first, pair_second).tolist()
-    values.append(0.0)  # position -1: two windows on one row
-    divergence = [values[k] for k in _row_pairs(of)]
+        divergence = jsd(pair_first, pair_second).tolist()
     # Both halves of the trace matrix share one float object per pair:
     # callers keep the traces of whole corpora in memory.
     matrix = [[0.0] * n for _ in range(n)]
@@ -431,21 +422,21 @@ def halc_step(
     ranked = sorted(range(len(pairs)), key=lambda k: -divergence[k])
     selected = [pairs[k] for k in ranked[: config.m]]
 
-    area = [f.area for f in fovs]
-    # Each (expert row, amateur row) pair is contrasted once, into the row
-    # `ends[pair]` of dists; `slots` names that row for each candidate.
-    ends: dict[tuple[int, int], int] = {}
-    slots: list[int] = []
-    for i, j in selected:
-        larger, smaller = (of[i], of[j]) if area[i] >= area[j] else (of[j], of[i])
-        slots += (ends.setdefault((larger, smaller), len(ends)),
-                  ends.setdefault((smaller, larger), len(ends)))
-    experts, amateurs = zip(*ends)
+    if shared:
+        experts = amateurs = [0]
+    else:
+        area = [f.area for f in fovs]
+        experts, amateurs = [], []
+        for i, j in selected:
+            larger, smaller = (i, j) if area[i] >= area[j] else (j, i)
+            experts += (larger, smaller)
+            amateurs += (smaller, larger)
     dists = contrast_rows(logits, probs, experts, amateurs, config.alpha, config.beta)
     tokens = map(scene.vocabulary.__getitem__, dists.argmax(axis=-1).tolist())
-    contrasted = list(zip(tokens, dists))
+    candidates = tuple(zip(tokens, dists))
     return HalcStepResult(
-        candidates=tuple(map(contrasted.__getitem__, slots)),
+        # A shared row's one candidate repeats for each of the 2m.
+        candidates=candidates * (2 * len(selected) // len(candidates)),
         fovs=fovs,
         jsd_matrix=matrix,
         selected_pairs=selected,

@@ -26,7 +26,6 @@ __all__ = [
     "jsd",
     "total_variation",
     "contrast_distribution",
-    "distinct_rows",
     "window_softmax",
     "contrast_rows",
     "top_m_pairs",
@@ -68,25 +67,6 @@ def softmax(logits) -> np.ndarray:
     """Max-subtracted exponentiation and normalization of each logit
     vector; -inf maps to 0."""
     return _softmax(_as_array(logits))
-
-
-def distinct_rows(rows) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The distinct vectors of an (n, V) logit stack as a (d, V) float
-    stack, in order of first appearance, and for each of the n rows the
-    index of its vector in that stack.
-
-    Rows are the same when their float64 bytes are, so 0.0 and -0.0, or two
-    NaN payloads, stay apart; nothing beyond the shape is checked here.
-    Comparing two rows' bytes stops at the first difference.
-    """
-    logits = _as_array(rows, ndims=(2,))
-    blob = logits.tobytes()
-    size = logits.itemsize * logits.shape[-1]
-    keys = [blob[k : k + size] for k in range(0, len(blob), size)]
-    first = list(map(keys.index, keys))  # the first row with the same bytes
-    firsts = list(dict.fromkeys(first))
-    distinct = logits if len(firsts) == len(logits) else logits[firsts]
-    return distinct, tuple(map(firsts.index, first))
 
 
 def window_softmax(rows) -> tuple[np.ndarray, np.ndarray]:

@@ -632,7 +632,3 @@ def write_manifest(out_dir: Path, scenario: str, seed: int, config_echo: Mapping
         tmp.unlink(missing_ok=True)
         raise
 
-
-def read_csv(path: Path) -> list[dict]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return list(csv.DictReader(fh))

@@ -39,7 +39,6 @@ __all__ = [
     "McEstimate",
     "GaussianBumpModel",
     "SceneFovAdapter",
-    "deviation_g",
     "estimate_delta",
     "c_g_estimate",
     "c_g_analytic",
@@ -247,14 +246,6 @@ def _divergence_batch(d_star: np.ndarray, d_points: np.ndarray, divergence: str)
     if divergence == "jsd":
         return jsd(d_star, d_points)
     raise InvalidParameterError("divergence must be 'tv' or 'jsd'")
-
-
-def deviation_g(v_star_fov: Fov, v_fov: Fov, scene: Scene, divergence: str = "tv") -> float:
-    """Divergence between the scene model's distributions at two windows,
-    under bare visual conditioning."""
-    p = softmax(toy_model_logits(scene, v_star_fov, None))
-    q = softmax(toy_model_logits(scene, v_fov, None))
-    return _divergence_batch(p, q, divergence)
 
 
 # ---------------------------------------------------------------------------

@@ -272,10 +272,6 @@ class Scene:
 
     # -- token bookkeeping ---------------------------------------------------
 
-    @property
-    def token_index(self) -> Mapping[str, int]:
-        return self._index
-
     def token_id(self, token: str) -> int:
         try:
             return self._index[token]

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from halc import decoding
 from halc.decoding import (
     BeamState,
     DecodeConfig,
@@ -23,6 +24,7 @@ from halc.world import (
     constant_match_score,
     generate_corpus,
     oracle_match_score,
+    toy_model_logits,
 )
 
 DEMO_DET = DetectorSim(DEMO_DETECTOR_ETA)
@@ -106,6 +108,51 @@ def test_halc_step_pair_count_n2_m1(demo):
     beam = BeamState(tokens=tuple(demo.reference_caption[:4]))
     result = halc_step(None, DEMO_DET, demo, beam, "surfboard", cfg, np.random.default_rng(0))
     assert len(result.candidates) == 2
+
+
+@pytest.mark.parametrize("trap_fraction", [0.0, 1.0], ids=["untrapped", "trapped"])
+def test_halc_step_computes_a_shared_row_once(monkeypatch, trap_fraction):
+    # An untrapped scene has no window-dependent token, so its windows share
+    # one row: one softmax row, no JSD call and one contrast row for all 2m
+    # candidates. A trapped scene's windows differ, one row each.
+    scene = generate_corpus(3, 1, CorpusSpec(scene_count=1, trap_fraction=trap_fraction))[0]
+    names = {obj.name for obj in scene.objects}
+    pos = next(p for p, tok in enumerate(scene.reference_caption) if tok in names)
+    beam = BeamState(tuple(scene.reference_caption[:pos]))
+    cfg = DecodeConfig(n=4, m=6)
+    rows, softmaxed, contrasted, jsd_calls = [], [], [], []
+
+    def model(scene, fov, prefix):
+        row = toy_model_logits(scene, fov, prefix)
+        rows.append(row.tobytes())
+        return row
+
+    def spy(name, record):
+        real = getattr(decoding, name)
+
+        def wrapper(*args):
+            out = real(*args)
+            record.append(out)
+            return out
+
+        monkeypatch.setattr(decoding, name, wrapper)
+
+    spy("window_softmax", softmaxed)
+    spy("jsd", jsd_calls)
+    spy("contrast_rows", contrasted)
+    result = halc_step(model, CORPUS_DET, scene, beam, scene.reference_caption[pos], cfg,
+                       np.random.default_rng(0))
+    assert len(result.candidates) == 2 * cfg.m
+    [(_, probs)] = softmaxed
+    [dists] = contrasted
+    if trap_fraction == 0.0:
+        assert len(set(rows)) == 1
+        assert (len(probs), len(jsd_calls), len(dists)) == (1, 0, 1)
+        assert not any(map(any, result.jsd_matrix))
+        assert all(dist is result.candidates[0][1] for _, dist in result.candidates)
+    else:
+        assert len(set(rows)) == cfg.n
+        assert (len(probs), len(jsd_calls), len(dists)) == (cfg.n, 1, 2 * cfg.m)
 
 
 def test_halc_step_detector_miss_uses_random_windows(demo):

@@ -96,8 +96,13 @@ def reference_static_levels(scene):
     return levels
 
 
+def token_index(scene):
+    """Each vocabulary token's id: its position in the vocabulary."""
+    return {tok: i for i, tok in enumerate(scene.vocabulary)}
+
+
 def reference_model_logits(scene, fov, prefix):
-    index = scene.token_index
+    index = token_index(scene)
     logits = reference_static_levels(scene)
     for obj in scene.objects:
         logits[index[obj.name]] = profile_value(obj.profile, fov, scene.image)
@@ -123,7 +128,7 @@ def reference_slot_bonus(scene, position):
         slot = scene.skeleton[pos]
         tokens = (slot.token,) if isinstance(slot, WordSlot) else slot.candidates
     for tok in tokens:
-        vec[scene.token_index[tok]] = 8.0
+        vec[scene.vocabulary.index(tok)] = 8.0
     return vec
 
 
@@ -133,7 +138,7 @@ def reference_cooc_bonus(scene, prev):
         if p == prev:
             if vec is None:
                 vec = np.zeros(len(scene.vocabulary), dtype=float)
-            vec[scene.token_index[tok]] += bonus
+            vec[scene.vocabulary.index(tok)] += bonus
     return vec
 
 
@@ -194,7 +199,7 @@ def test_folded_model_matches_on_generated_scenes(seed, trap_fraction, correctab
 
 def test_duplicate_names_last_object_wins():
     scene = duplicate_name_scene()
-    index = scene.token_index
+    index = token_index(scene)
     full = scene.image.full_fov()
     near = Fov(300.0, 300.0, 640.0, 300.0)
     for fov in (full, near):
@@ -205,7 +210,7 @@ def test_duplicate_names_last_object_wins():
 
 
 def test_demo_scene_folds_only_constant_profiles(demo):
-    index = demo.token_index
+    index = token_index(demo)
     varying = dict(demo._varying)
     assert sorted(varying) == sorted(index[t] for t in ("clock", "surfboard", "book"))
     assert isinstance(varying[index["clock"]], Peaking)
@@ -313,7 +318,7 @@ def token_class_scenes(draw):
 @settings(max_examples=300, deadline=None)
 @given(scene=token_class_scenes())
 def test_token_tables_match_the_per_token_classifiers(scene):
-    index = {tok: i for i, tok in enumerate(scene.vocabulary)}
+    index = token_index(scene)
     by_name = {o.name: o for o in scene.objects}
     levels, varying = reference_levels_and_profiles(scene, index, by_name)
     lexicon = reference_build_lexicon(scene)
@@ -321,7 +326,7 @@ def test_token_tables_match_the_per_token_classifiers(scene):
     assert scene._levels.tobytes() == levels.tobytes()
     assert scene._varying == varying
     assert list(scene.lexicon.items()) == list(lexicon.items())
-    assert list(scene.token_index.items()) == list(index.items())
+    assert list(scene._index.items()) == list(index.items())
     custom = {
         "n": "noun", "v": "verb", "p": "preposition", "adj": "adjective",
         "adv": "adverb", "num": "number", "pro": "pronoun", "o": "other",

@@ -1,18 +1,33 @@
-"""Golden output bytes: every scenario run in-process at a small fixed size
-and seed must write exactly the files it wrote when these digests were
-recorded, `manifest.json` included. A change that claims to keep outputs
-identical is checked here rather than by hand with `diff -r`.
+"""Golden output bytes: every scenario run at a small fixed size and seed
+must write exactly the files it wrote when these digests were recorded,
+`manifest.json` included. A change that claims to keep outputs identical is
+checked here rather than by hand with `diff -r`.
 
-To re-record after a deliberate output change, print
-`_digests(tmp_path, scenario)` for every scenario and say in the change
+numpy picks its exp and log loops by the CPU it runs on, and its AVX-512
+loops round some results differently in the last bit from its AVX2 ones. So
+each scenario runs in a child process with every dispatch target of numpy
+switched off through NPY_DISABLE_CPU_FEATURES: numpy then runs only its
+baseline loops, which every CPU its build supports has, and the digests are
+those of that baseline on any such CPU. They were recorded with numpy 2.4.6
+on x86-64, the version the CI job pins.
+
+To re-record after a deliberate output change, run
+`python tests/test_golden_outputs.py OUT SCENARIO` for every scenario under
+the same environment (`_pinned_digests` shows it) and say in the change
 which files moved and why.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from numpy._core._multiarray_umath import __cpu_dispatch__
 
+import halc
 from halc.cli import SCENARIOS, main
 
 SMALL_CORPUS = {"count": 4, "clauses": 2, "trap_clauses": [1]}
@@ -57,7 +72,7 @@ GOLDEN = {
         "decode.json": "252aa67b3ed680be0057153b951f09fab4863016135ab2785096bbba4d57261c",
         "manifest.json": "c95e01b009e0305a714fe1a2d21a88042c956fe3519a239c6b6b2d0c36ca2d1c",
         "trace_greedy.json": "fe626499255941a2f9af3831c237b75926e8a591b150f3a7399107df17bb21cd",
-        "trace_halc.json": "c975833bfccf8ee459305bb3d24d934cfdce5402d8baef39edae5934da8a6753",
+        "trace_halc.json": "20ccf1dbd0cad8e94d637e76bf5ddd911fb748ce1922e3053b5881193a03f341",
     },
     "emit-curve": {
         "manifest.json": "cc0174d8255f9006c0e4b19e6eefe36ec190bd71bd50d11e4daf964fcae20e6a",
@@ -73,7 +88,7 @@ GOLDEN = {
     },
     "theorem-verify": {
         "manifest.json": "fc42b7081bb36f1b5196ddc50b1933f55c9ac36acdd1fdaab2ccbd7fee6996c1",
-        "theorem.csv": "a235a8be5cb210305a47dafb19bcd95dca95ff1210e4b4cb063e98d661642555",
+        "theorem.csv": "1c31aadf0ed13ded6894430743e424e459b502bcedfa1b488e530c81eac0e52a",
     },
 }
 
@@ -86,10 +101,29 @@ def _digests(tmp_path, scenario):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
 
 
+def _pinned_digests(tmp_path, scenario):
+    """_digests of the scenario in a child process that runs numpy's
+    baseline loops only."""
+    source = str(Path(halc.__file__).resolve().parents[1])
+    env = {
+        **os.environ,
+        "NPY_DISABLE_CPU_FEATURES": " ".join(__cpu_dispatch__),
+        "PYTHONPATH": os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")])),
+    }
+    subprocess.run([sys.executable, __file__, str(tmp_path), scenario], env=env, check=True,
+                   stdout=subprocess.DEVNULL)
+    return json.loads((tmp_path / "digests.json").read_text())
+
+
 def test_every_scenario_has_a_golden_run():
     assert sorted(CONFIGS) == sorted(SCENARIOS) == sorted(GOLDEN)
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_scenario_output_bytes_match_golden(tmp_path, scenario):
-    assert _digests(tmp_path, scenario) == GOLDEN[scenario]
+    assert _pinned_digests(tmp_path, scenario) == GOLDEN[scenario]
+
+
+if __name__ == "__main__":
+    where, scenario = Path(sys.argv[1]), sys.argv[2]
+    (where / "digests.json").write_text(json.dumps(_digests(where, scenario)))

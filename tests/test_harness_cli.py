@@ -12,7 +12,6 @@ from halc.harness import (
     cost_estimate,
     emit_profile_curve,
     grid_fovs,
-    read_csv,
     resolve_scorer,
     run_ablations,
     run_compare,
@@ -37,6 +36,11 @@ from halc.world import (
 )
 
 DET = DetectorSim(CORPUS_DETECTOR_ETA)
+
+
+def read_csv(path):
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from halc.distributions import softmax
 from halc.errors import InvalidParameterError
 from halc.geometry import Fov
 from halc.theory import (
@@ -14,12 +15,12 @@ from halc.theory import (
     c_e_closed_form,
     c_g_analytic,
     c_g_estimate,
-    deviation_g,
     estimate_delta,
     exponential_miss_probability_mc,
     draw_trials,
     min_deviation_mc,
 )
+from halc.world import toy_model_logits
 
 V_STAR = (4.0, 4.0, 0.0)
 MODEL = GaussianBumpModel(center=V_STAR, amp=1.0)
@@ -43,15 +44,6 @@ def oracle_c_e(epsilon, v_star, v_d, lam, r_min, r_max):
 # ---------------------------------------------------------------------------
 # Deviation and delta
 # ---------------------------------------------------------------------------
-
-
-def test_deviation_identity_symmetry_range(demo):
-    a = Fov(200.0, 200.0, 640.0, 300.0)
-    b = Fov(500.0, 400.0, 500.0, 500.0)
-    assert deviation_g(a, a, demo) == 0.0
-    assert deviation_g(a, b, demo) == pytest.approx(deviation_g(b, a, demo))
-    for div in ("tv", "jsd"):
-        assert 0.0 <= deviation_g(a, b, demo, div) <= 1.0
 
 
 def test_delta_vanishes_with_epsilon():
@@ -266,7 +258,8 @@ def test_scene_adapter_matches_direct_deviation(demo):
     fov = adapter.to_fov(point)
     assert fov == Fov(250.0, 250.0, anchor.center_x + 10.0, anchor.center_y)
     star_point = (anchor.width, anchor.height, 0.0)
-    direct = deviation_g(anchor, fov, demo, "tv")
+    at_star, at_point = (softmax(toy_model_logits(demo, f, None)) for f in (anchor, fov))
+    direct = 0.5 * np.abs(at_star - at_point).sum()
     d = adapter.dists(np.array([star_point, point]))
     assert 0.5 * np.abs(d[0] - d[1]).sum() == pytest.approx(direct, abs=1e-12)
 
