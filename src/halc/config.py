@@ -175,6 +175,9 @@ class TheoremSection:
             )
         for name in ("epsilons", "sigmas"):
             require(name, min(getattr(self, name), default=1) > 0, "must be positive")
+        # The ball mass divides by sigma**2, which is 0 below about 2e-162.
+        # s * s gives inf for a huge sigma, where s**2 would raise.
+        require("sigmas", all(s * s > 0 for s in self.sigmas), "must square to above 0")
         for name in ("exp_epsilon", "lam"):
             require(name, getattr(self, name) > 0, "must be positive")
         require("r_min", self.r_min < self.r_max, "must be less than r_max")

@@ -4,7 +4,10 @@ Everything here runs in the abstract 3-dimensional FOV vector space
 (width, height, scalar center) used by the bound derivation. The minimum
 decoding deviation over n sampled windows is estimated empirically and
 compared against the closed-form neighborhood-hit constants for normal and
-exponential-expansion sampling.
+exponential-expansion sampling. The normal-sampling constant, the Gaussian
+mass of the epsilon-ball, comes from scipy.special's chndtr/chdtr: the
+chi-square CDFs that ncx2 and chi2 in scipy's stats subpackage call, without
+the second it takes to import that subpackage.
 
 A trial set is scored from a block of random draws (`draw_trials`) that
 does not depend on eta, sigma or epsilon, so a sweep draws each block once
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .distributions import jsd, softmax, total_variation
 from .errors import InvalidParameterError
@@ -307,12 +310,22 @@ def c_g_estimate(
 
 
 def c_g_analytic(epsilon: float, eta: Sequence[float], sigma: float) -> float:
-    """Exact Gaussian ball mass via the noncentral chi-square distribution."""
+    """Exact Gaussian ball mass: the noncentral chi-square CDF chndtr, or
+    the central one chdtr when eta is 0.
+
+    These are the ufuncs that ncx2.cdf and chi2.cdf call, and give their
+    bits. Like those, the mass is 0 and 1 at the ends of the support,
+    x = 0 and x = inf, where chndtr gives NaN for a huge nc.
+    """
     nc = float(np.linalg.norm(np.asarray(eta, dtype=float)) ** 2) / sigma**2
     x = (epsilon / sigma) ** 2
+    if x == 0.0:
+        return 0.0
+    if x == math.inf:
+        return 1.0
     if nc == 0.0:
-        return float(stats.chi2.cdf(x, FOV_DIM))
-    return float(stats.ncx2.cdf(x, FOV_DIM, nc))
+        return float(special.chdtr(FOV_DIM, x))
+    return float(special.chndtr(x, FOV_DIM, nc))
 
 
 def ball_miss_probability_mc(

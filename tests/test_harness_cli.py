@@ -354,6 +354,7 @@ def test_cli_config_not_utf8_exits_2_with_one_line(tmp_path, capsys):
         ({"theorem": {"n_values": [2, 0]}}, "theorem n_values must be at least 1, got (2, 0)"),
         ({"theorem": {"epsilons": [0.5, 0.0]}}, "theorem epsilons must be positive"),
         ({"theorem": {"sigmas": [-1.0]}}, "theorem sigmas must be positive, got (-1.0,)"),
+        ({"theorem": {"sigmas": [1.0, 1e-200]}}, "theorem sigmas must square to above 0, got (1.0, 1e-200)"),
         ({"theorem": {"exp_epsilon": 0}}, "theorem exp_epsilon must be positive, got 0"),
         ({"theorem": {"lam": -3.0}}, "theorem lam must be positive, got -3.0"),
         ({"theorem": {"r_min": 5.0}}, "theorem r_min must be less than r_max, got 5.0"),
@@ -410,6 +411,7 @@ def test_cli_config_not_utf8_exits_2_with_one_line(tmp_path, capsys):
         "theorem-zero-n",
         "theorem-zero-epsilon",
         "theorem-negative-sigma",
+        "theorem-sigma-square-underflows",
         "theorem-zero-exp-epsilon",
         "theorem-negative-lam",
         "theorem-r-min-at-r-max",
@@ -455,6 +457,8 @@ def test_cli_malformed_config_exits_2_with_one_line(tmp_path, capsys, extra, nam
         {"samplers": []},
         {"samplers": ["exponential"], "eta_scale": -1.0, "trials": 100, "n_values": [2]},
         {"samplers": ["normal"], "epsilons": [1e300], "trials": 100, "n_values": [2]},
+        {"sigmas": [1e-200]},
+        {"samplers": ["normal"], "sigmas": [1e200], "trials": 100, "n_values": [2]},
         {"trials": 10**30},
         {"n_values": [10**30]},
     ],
@@ -469,6 +473,8 @@ def test_cli_malformed_config_exits_2_with_one_line(tmp_path, capsys, extra, nam
         "empty-grid",
         "zero-size-detection",
         "overflowing-epsilon",
+        "sigma-square-underflows",
+        "huge-normal-sigma",
         "huge-trials",
         "huge-n",
     ],
@@ -949,6 +955,19 @@ def test_cli_demo_scene_uses_the_demo_detector(tmp_path, capsys, demo):
         for eta in (DEMO_DETECTOR_ETA, CORPUS_DETECTOR_ETA)
     }
     assert written == traces[DEMO_DETECTOR_ETA] != traces[CORPUS_DETECTOR_ETA]
+
+
+@pytest.mark.parametrize(
+    "scenario,samplers", [("decode", ["normal"]), ("theorem-verify", ["exponential"])]
+)
+def test_cli_huge_sigma_runs_where_nothing_squares_it(tmp_path, capsys, scenario, samplers):
+    # A sigma of 1e200 squares to inf, which the config accepts; only the
+    # normal sampler's arithmetic overflows on it (exit 2, tested above).
+    theorem = {"sigmas": [1e200], "samplers": samplers, "trials": 100, "n_values": [2]}
+    cfg = _config_file(tmp_path, {"theorem": theorem})
+    out = tmp_path / "out"
+    assert main([scenario, "--config", str(cfg), "--seed", "1", "--out", str(out)]) == 0
+    assert (out / "manifest.json").exists()
 
 
 def test_cli_theorem_verify(tmp_path, capsys):

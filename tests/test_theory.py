@@ -1,9 +1,17 @@
 import math
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+import halc
 from halc.distributions import softmax
 from halc.errors import InvalidParameterError
 from halc.geometry import Fov
@@ -89,6 +97,70 @@ def test_c_g_far_offset_tail():
     est = c_g_estimate(1.0, (10.0, 0.0, 0.0), 1.0, 50_000, np.random.default_rng(4))
     assert est.value < 1e-4
     assert c_g_analytic(1.0, (10.0, 0.0, 0.0), 1.0) < 1e-4
+
+
+def _scipy_stats_ball_mass(epsilon, eta, sigma):
+    """The ball mass as scipy.stats computes it: the chi-square(3) CDF at
+    (epsilon / sigma)^2, noncentral with nc = |eta|^2 / sigma^2 unless eta
+    is 0."""
+    nc = float(np.linalg.norm(np.asarray(eta, dtype=float)) ** 2) / sigma**2
+    x = (epsilon / sigma) ** 2
+    return float(stats.chi2.cdf(x, 3) if nc == 0.0 else stats.ncx2.cdf(x, 3, nc))
+
+
+_powers_of_ten = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+_coordinates = st.one_of(st.just(0.0), st.floats(-1e300, 1e300), _powers_of_ten)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    epsilon=_powers_of_ten,
+    eta=st.one_of(st.just((0.0, 0.0, 0.0)), st.tuples(_coordinates, _coordinates, _coordinates)),
+    # Down to about 1e-161, the smallest sigma whose square is above 0.
+    sigma=st.floats(-161.0, 300.0).map(lambda e: 10.0**e),
+)
+@example(epsilon=1.0, eta=(0.0, 0.0, 0.0), sigma=1.0)
+@example(epsilon=1e-150, eta=(0.8, 0.6, 0.0), sigma=1.0)  # x = 1e-300
+@example(epsilon=1e-150, eta=(0.0, 0.0, 0.0), sigma=1.0)
+@example(epsilon=1e-200, eta=(0.0, 0.0, 3e9), sigma=1.0)  # x = 0, nc = 9e18
+@example(epsilon=1e-200, eta=(0.0, 0.0, 0.0), sigma=1.0)
+@example(epsilon=1e150, eta=(0.8, 0.6, 0.0), sigma=1.0)  # x = 1e300
+@example(epsilon=1e300, eta=(0.8, 0.6, 0.0), sigma=1e-10)  # x = inf
+@example(epsilon=1e300, eta=(0.0, 0.0, 0.0), sigma=1e-10)
+@example(epsilon=1.0, eta=(1e200, 0.0, 0.0), sigma=1.0)  # nc = inf
+@example(epsilon=1e300, eta=(1e200, 0.0, 0.0), sigma=1e-10)  # x = nc = inf
+def test_c_g_analytic_has_the_bits_of_scipy_stats(epsilon, eta, sigma):
+    # theorem.csv's analytic_c column was computed with scipy.stats.
+    with np.errstate(over="ignore"):
+        try:
+            expected = _scipy_stats_ball_mass(epsilon, eta, sigma)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                c_g_analytic(epsilon, eta, sigma)
+            return
+        got = c_g_analytic(epsilon, eta, sigma)
+    if math.isnan(expected):
+        assert math.isnan(got)
+    else:
+        assert struct.pack("<d", got) == struct.pack("<d", expected)
+
+
+def test_importing_the_cli_and_theory_leaves_scipy_stats_unloaded():
+    # A fresh interpreter: this one has loaded scipy.stats for the tests.
+    source = str(Path(halc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, halc.cli, halc.theory;"
+        "print('scipy.special' in sys.modules, 'scipy.stats' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout == "True False\n"
 
 
 def test_ball_miss_matches_analytic_over_grid():
