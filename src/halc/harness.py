@@ -12,6 +12,7 @@ import contextlib
 import csv
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass
 from itertools import product
@@ -417,7 +418,7 @@ def _theorem_rows(model, members: Sequence[tuple], block) -> list[dict]:
             )
         row = {
             "epsilon": cfg.epsilon,
-            "eta_norm": float(np.linalg.norm(cfg.eta)),
+            "eta_norm": math.hypot(*cfg.eta),
             "sigma": cfg.sigma if sampler == "normal" else "",
         }
         row.update(report.to_csv_row())

@@ -14,7 +14,11 @@ does not depend on eta, sigma or epsilon, so a sweep draws each block once
 and scores it for each (eta, sigma). Each window's squared distance to the
 optimum is measured once, straight from the block, for the hit test; a
 bump model centred at the optimum reads its distributions off the same
-distances, so it never builds the windows.
+distances, so it never builds the windows. Under TV that bump's deviation
+grows with the squared distance, so it is evaluated at each trial's
+nearest window only, save for the few trials whose windows are close
+enough in bump for rounding to reorder their deviations; JSD, whose
+rounding reorders saturated windows more often, evaluates every window.
 
 numpy reduces a short axis row by row, so the Monte-Carlo arrays are never
 reduced over their 3-wide FOV axis or their n-wide window axis. They are
@@ -150,11 +154,29 @@ class GaussianBumpModel:
     The output deviation from the center distribution grows monotonically
     with distance and saturates below sigmoid(amp) - 0.5, which keeps the
     per-trial bound checks interpretable.
+
+    `min_deviation_mc` relies on this for TV: it evaluates the bump at
+    each trial's nearest window only, save where rounding can reorder the
+    windows (`_nearest_window_tv`). The finite amp and 2 * width**2 checked
+    here keep far windows from turning NaN (0 * inf, -inf / inf) beside a
+    finite nearest one.
+    JSD scores every window: its logarithms round by more than it changes
+    between saturated windows. On the default theorem grid's exponential
+    row (200k trials, seeds 3, 5 and 9), the nearest window's JSD differed
+    from the per-window minimum by at most 5.6e-17 in 522, 166 and 7
+    trials at amp 2.5 and n = 2, 4 and 8, and in 564, 185 and 7 at amp -1,
+    where the nearest window's TV never did; neither differed at amp 1 or
+    under normal sampling at eta (0.8, 0.6, 0) and sigma 1.
     """
 
     center: tuple[float, float, float]
     amp: float = 1.0
     width: float = 1.0
+
+    def __post_init__(self) -> None:
+        width = float(self.width)
+        if not (math.isfinite(self.amp) and math.isfinite(2.0 * width * width)):
+            raise InvalidParameterError("bump amp and 2 * width**2 must be finite")
 
     def dists(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -489,6 +511,74 @@ def _squared_window_distance(
     return dist
 
 
+def _window_distance(
+    block: np.ndarray, sampler: str, sigma: float, v_d: np.ndarray, center: np.ndarray
+) -> np.ndarray:
+    """The distance of every window of a trial block from `center`, taken
+    with hypot, which stays finite where the squared distance overflows (a
+    coordinate difference above about 1.3e154)."""
+    dist = np.zeros(block.shape[:2])
+    column = np.empty_like(dist)
+    for k in range(FOV_DIM):
+        _window_coordinate(block, sampler, sigma, v_d, k, column)
+        column -= center[k]
+        np.hypot(dist, column, out=dist)
+    return dist
+
+
+def _nearest_window_tv(
+    model: GaussianBumpModel, d_star: np.ndarray, dist: np.ndarray, near: np.ndarray
+) -> np.ndarray:
+    """Each trial's minimum TV deviation of a bump model centred at the
+    optimum, with the bits of the per-window minimum, from its windows'
+    squared distances `dist` (trials, n) and their np.fmin minimum `near`,
+    which is overwritten.
+
+    The deviation grows with the distance of the bump amp * exp(-d2 / c)
+    from the centre's, but its computed value can dip by an ulp where
+    x = exp(bump) moves by a few ulps (x / (x + 1) is rounded twice), and
+    for x in [2**53, 2**54) it alternates between two values. With
+    u = 2**-53 and exp taken as accurate to 4 ulps, a computed ln x is
+    within 6u|amp| + 4u of the exact bump, and a gap of 4.02u(1 + x) in
+    ln x clears the rounding of x / (x + 1). So a window whose exact bump
+    is farther than `slop` (over twice the sum of these) from the nearest
+    window's has a larger computed deviation, provided the nearest
+    window's bump is as far from the centre's. A trial takes its nearest
+    window's deviation when every other window is that far: by
+    1 - exp(-t) >= t / (1 + t), when every other squared distance lies
+    beyond `reach`. Any other trial, and any with a NaN distance, takes
+    the minimum over all its windows.
+    """
+    scale = 2.0 * model.width**2
+    amp = abs(model.amp)
+    slop = 32 * 2.0**-53 * (amp + 1.0 + math.exp(min(max(model.amp, 0.0), 709.0)))
+    decay = np.negative(near)
+    decay /= scale
+    np.exp(decay, out=decay)
+    reach = decay * amp
+    reach -= slop
+    clear = reach > 0
+    clear &= amp * (1.0 - decay) > slop
+    np.divide(scale * slop, reach, out=reach)
+    reach += near
+    reach[~clear] = np.inf
+    beyond = dist > reach[:, None]
+    crossable = np.empty(0, dtype=np.intp)
+    if np.count_nonzero(beyond) < beyond.size - len(near):
+        # Each trial's nearest window is within reach; a trial with another
+        # one lists its row twice.
+        within = np.flatnonzero(~beyond) // dist.shape[1]
+        crossable = np.unique(within[1:][within[1:] == within[:-1]])
+
+    devs = total_variation(d_star, model.dists_at(near))
+    if crossable.size:
+        rows = dist[crossable]
+        window_devs = total_variation(d_star, model.dists_at(rows.reshape(-1)))
+        devs[crossable] = _row_min(window_devs.reshape(rows.shape), np.minimum)
+    return devs
+
+
+@np.errstate(all="ignore")
 def min_deviation_mc(
     subject: GaussianBumpModel | SceneFovAdapter,
     config: TheoremConfig,
@@ -504,8 +594,16 @@ def min_deviation_mc(
 
     Each window's squared distance to the optimum is measured once, without
     building the windows; it gives the hit test and, for a bump model
-    centred at the optimum, the bump itself. Any other subject scores the
-    windows.
+    centred at the optimum, the bump itself. Under TV such a bump is
+    evaluated at each trial's nearest window only, whose deviation is the
+    trial's minimum bit for bit, except in the trials where rounding could
+    reorder the windows' deviations (`_nearest_window_tv`); these, JSD and
+    any other subject score every window.
+    A trial whose smallest squared distance is inf (it may have overflowed)
+    has its minimum distance measured again with hypot.
+
+    Windows at inf or NaN are part of a trial set, so numpy's
+    floating-point warnings are off.
     """
     _check_sampler(sampler)
     shape = (config.trials, config.n)
@@ -524,8 +622,16 @@ def min_deviation_mc(
     # fmin skips NaN distances, as the per-window hit test (dist <= epsilon)
     # does, so min_dist <= epsilon holds exactly when some window hits. sqrt
     # is monotone, so it commutes with the minimum.
-    min_dist = np.sqrt(_row_min(dist, np.fmin))
+    nearest = _row_min(dist, np.fmin)
+    min_dist = np.sqrt(nearest)
+    far = np.flatnonzero(min_dist == np.inf)
+    if far.size:
+        far_dist = _window_distance(block[far], sampler, config.sigma, v_d, v_star)
+        min_dist[far] = _row_min(far_dist, np.fmin)
     if isinstance(subject, GaussianBumpModel) and np.array_equal(subject.center, v_star):
+        if config.divergence == "tv":
+            min_devs = _nearest_window_tv(subject, d_star, dist, nearest)
+            return bound_report(subject, config, sampler, min_devs, min_dist)
         window_dists = subject.dists_at(dist.reshape(-1))
     else:
         points = np.empty(shape + (FOV_DIM,))
@@ -539,6 +645,7 @@ def min_deviation_mc(
     return bound_report(subject, config, sampler, min_devs, min_dist)
 
 
+@np.errstate(all="ignore")
 def bound_report(
     subject: GaussianBumpModel | SceneFovAdapter,
     config: TheoremConfig,
@@ -553,7 +660,8 @@ def bound_report(
     `min_deviation_mc` returns them for a config that differs from this one
     at most in epsilon. Only delta (re-estimated from the config's seed),
     the analytic constant, the bound and the miss and violation fractions
-    depend on epsilon.
+    depend on epsilon. As in `min_deviation_mc`, floating-point warnings
+    are off.
     """
     if sampler == "normal":
         analytic_c = c_g_analytic(config.epsilon, config.eta, config.sigma)

@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import halc
 from halc.cli import SCENARIOS, main
 from halc.decoding import DecodeConfig, decode_greedy, decode_halc
 from halc.errors import InvalidInputError
@@ -968,6 +973,44 @@ def test_cli_huge_sigma_runs_where_nothing_squares_it(tmp_path, capsys, scenario
     out = tmp_path / "out"
     assert main([scenario, "--config", str(cfg), "--seed", "1", "--out", str(out)]) == 0
     assert (out / "manifest.json").exists()
+
+
+def _cli_process(tmp_path, theorem):
+    """`python -m halc.cli theorem-verify` on a theorem section in a fresh
+    interpreter, whose stderr (unlike capsys) shows numpy's warnings."""
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"theorem": theorem}))
+    source = str(Path(halc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    out = tmp_path / "out"
+    args = ["theorem-verify", "--config", str(cfg), "--seed", "1", "--out", str(out)]
+    result = subprocess.run(
+        [sys.executable, "-m", "halc.cli", *args],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    return result, out
+
+
+def test_cli_huge_theorem_values_run_silently_with_exact_norms(tmp_path):
+    # eta_norm and the window distances are 1e200, whose squares overflow.
+    theorem = {"etas": [[1e200, 0, 0]], "epsilons": [1e300], "sigmas": [1e-10],
+               "samplers": ["normal"], "n_values": [2], "trials": 100}
+    result, out = _cli_process(tmp_path, theorem)
+    assert (result.returncode, result.stderr) == (0, "")
+    (row,) = read_csv(out / "theorem.csv")
+    assert float(row["eta_norm"]) == 1e200
+    assert float(row["analytic_c"]) == 1.0
+    assert float(row["empirical_miss"]) == 0.0
+
+
+def test_cli_overflowing_normal_sigma_prints_one_line(tmp_path):
+    result, out = _cli_process(tmp_path, {"sigmas": [1e200]})
+    assert result.returncode == 2
+    assert result.stderr.startswith("config error: theorem values too large")
+    assert result.stderr.count("\n") == 1
+    assert not (out / "manifest.json").exists()
 
 
 def test_cli_theorem_verify(tmp_path, capsys):

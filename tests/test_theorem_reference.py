@@ -22,7 +22,7 @@ import tracemalloc
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -535,3 +535,130 @@ def test_block_scores_bit_equal_to_previous_min_deviation_mc(
     if subject == "nan-distances" and sampler == "exponential":
         assert np.isnan(want.min_distance_samples).any()
 
+
+# ---------------------------------------------------------------------------
+# Under TV, a centred bump scores each trial at its nearest window
+# ---------------------------------------------------------------------------
+
+AMPS = st.floats(-50.0, 50.0) | st.sampled_from([0.0, -0.0, 36.8125, 40.0, 709.0, 710.0, 1e300, -1e300])
+WIDTHS = st.floats(1e-3, 1e3) | st.sampled_from([0.0, 1e-160, 1e150])
+N_VALUES = st.integers(1, 8) | st.just(64)
+SQUARED_DISTANCE = st.floats(min_value=0.0) | st.sampled_from([5e-324, 1e-2, 10.0, np.inf, np.nan])
+
+
+@st.composite
+def squared_distances(draw):
+    shape = draw(st.tuples(st.integers(1, 30), N_VALUES))
+    if draw(st.booleans()):
+        return draw(arrays(np.float64, shape, elements=SQUARED_DISTANCE))
+    # Windows a few ulps apart, where rounding can reorder their deviations.
+    base = draw(st.floats(0.0, 200.0) | st.sampled_from([1e-12, 1e-9, 1e-6]))
+    step = draw(st.sampled_from([1.0, 2.0**10, 2.0**20, 2.0**30, 2.0**40])) * np.spacing(base)
+    return base + step * draw(arrays(np.int64, shape, elements=st.integers(0, 16)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(d2=squared_distances(), amp=AMPS, width=WIDTHS)
+# The nearest window's deviation is not the minimum here: its x = exp(bump)
+# lies in [2**53, 2**54), where x / (x + 1) alternates between two values.
+@example(d2=np.array([[10.0] + [1.0] * 63]), amp=36.8125, width=337.0)
+# Nor here, where x / (x + 1) dips by an ulp between windows ulps apart
+# in bump: the farther window's TV is the smaller by 2**-53.
+@example(d2=np.array([[1.18e-12, 1.179e-12]]), amp=0.5, width=1.0)
+def test_nearest_window_tv_bit_equal_to_per_window_minimum(d2, amp, width):
+    """_nearest_window_tv gives the per-window minimum bit for bit, through
+    inf and NaN distances and windows whose deviations rounding reorders."""
+    model = GaussianBumpModel(center=(0.0, 0.0, 0.0), amp=amp, width=width)
+    with np.errstate(all="ignore"):
+        d_star = model.dists(np.zeros((1, FOV_DIM)))[0]
+        nearest = theory._nearest_window_tv(model, d_star, d2, _row_min(d2, np.fmin))
+        # dists_at writes over its argument, so the per-window call comes last.
+        per_window = total_variation(d_star, model.dists_at(d2.reshape(-1)))
+    assert _same_array(nearest, _row_min(per_window.reshape(d2.shape), np.minimum))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sampler=st.sampled_from(["normal", "exponential"]),
+    regime=st.sampled_from(["plain", "clustered", "overflowing", "nan-distances"]),
+    n=N_VALUES,
+    amp=AMPS,
+    width=WIDTHS,
+    trials=st.integers(100, 300),
+    seed=st.integers(0, 2**16),
+)
+def test_tv_min_deviations_bit_equal_to_per_window_reference(
+    sampler, regime, n, amp, width, trials, seed
+):
+    """min_deviation_mc's nearest-window minima equal the per-window
+    minima of the code it replaced, on windows a few ulps apart in bump and
+    on windows whose squared distances overflow to inf (some or all of a
+    trial's) or are NaN."""
+    v_star, eta, sigma, lam, r_max, r_min = (4.0, 4.0, 0.0), (0.8, 0.6, 0.0), 1.0, 0.6, 5.0, -5.0
+    if sampler == "exponential":
+        eta = (2.0, 2.0, 0.1)
+    if regime == "clustered":
+        # Windows within about 1e-6 of the optimum, or of one another.
+        eta, sigma, lam = (0.0, 0.0, 0.0), 1e-6, 1e-9
+    elif regime == "overflowing":
+        # Coordinates near 1e154 square past the largest float.
+        sigma, lam, r_max = 1e154, 1e10, 16.0
+    elif regime == "nan-distances":
+        # Scales that underflow to 0 times an infinite detection.
+        v_star, eta, lam, r_min = (1e308, 0.0, 0.0), (1e308, 0.0, 0.0), 1.0, -50_000.0
+    config = TheoremConfig(
+        v_star=v_star, eta=eta, epsilon=1.0, sigma=sigma, lam=lam, r_min=r_min, r_max=r_max,
+        n=n, trials=trials, divergence="tv", seed=seed,
+    )
+    model = GaussianBumpModel(center=v_star, amp=amp, width=width)
+    with np.errstate(all="ignore"):
+        got = min_deviation_mc(model, config, sampler)
+        want = previous_min_deviation_mc(model, config, sampler)
+    assert _same_array(got.min_deviation_samples, want.min_deviation_samples)
+    for field in ("delta", "bound", "mean_min_deviation", "violation_fraction"):
+        assert repr(getattr(got, field)) == repr(getattr(want, field))
+
+
+def test_jsd_nearest_window_is_not_the_per_window_minimum():
+    """Why JSD scores every window: at this measured config the nearest
+    window's JSD (d2 = 74.6) exceeds the farther one's (d2 = 248.4) by a
+    rounding error, so the two minima differ in trial 27."""
+    v_star = (4.0, 4.0, 0.0)
+    config = TheoremConfig(
+        v_star=v_star, eta=(2.0, 2.0, 0.1), epsilon=1.0, n=2, trials=100, divergence="jsd", seed=2
+    )
+    model = GaussianBumpModel(center=v_star, amp=2.5)
+    report = min_deviation_mc(model, config, "exponential")
+    want = previous_min_deviation_mc(model, config, "exponential")
+    assert _same_array(report.min_deviation_samples, want.min_deviation_samples)
+
+    d2 = theory._squared_window_distance(
+        draw_trials(config, "exponential"), "exponential", 1.0, config.v_d, np.asarray(v_star)
+    )
+    d_star = model.dists(np.asarray(v_star)[None, :])[0]
+    nearest = jsd(d_star, model.dists_at(_row_min(d2, np.minimum)))
+    assert np.flatnonzero(nearest != report.min_deviation_samples).tolist() == [27]
+    assert nearest[27] - report.min_deviation_samples[27] == 2.0**-54
+
+
+@settings(max_examples=20, deadline=None)
+@given(divergence=st.sampled_from(["tv", "jsd"]), n=st.integers(2, 8), trials=st.integers(100, 300))
+def test_bump_evaluates_one_window_per_trial_under_tv(divergence, n, trials):
+    # No trial of this normal row has two windows close enough in bump to
+    # be scored at every window.
+    v_star = (4.0, 4.0, 0.0)
+    config = TheoremConfig(
+        v_star=v_star, eta=(0.8, 0.6, 0.0), epsilon=1.0, n=n, trials=trials, divergence=divergence
+    )
+    sizes = []
+    dists_at = GaussianBumpModel.dists_at
+
+    def spy(model, d2):
+        sizes.append(d2.size)
+        return dists_at(model, d2)
+
+    with mock.patch.object(GaussianBumpModel, "dists_at", spy):
+        min_deviation_mc(GaussianBumpModel(center=v_star), config, "normal")
+    windows = trials if divergence == "tv" else trials * n
+    # The center, the windows, then the delta estimate's center and probes.
+    assert sizes == [1, windows, 1, DELTA_PROBES]

@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -370,6 +371,32 @@ def test_min_deviation_mc_rejects_a_block_of_another_shape(drawn_for, drawn_by, 
     block = draw_trials(TheoremConfig(**{**fields, **drawn_for}), drawn_by)
     with pytest.raises(InvalidParameterError, match="trial block"):
         min_deviation_mc(MODEL, TheoremConfig(**fields), sampler, block)
+
+
+@pytest.mark.parametrize(
+    "amp,width",
+    [(math.inf, 1.0), (-math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, math.nan),
+     (1.0, 1e200), (1.0, np.float64(1e200))],
+)
+def test_bump_rejects_an_infinite_amp_or_width_squared(amp, width):
+    # Either would make far windows NaN beside a finite nearest one.
+    with pytest.raises(InvalidParameterError, match="bump amp"):
+        GaussianBumpModel(center=V_STAR, amp=amp, width=width)
+
+
+def test_min_distance_survives_squared_distances_that_overflow():
+    # Windows about 1e200 from the optimum, inside a ball of radius 1e300:
+    # their squared distances overflow, their distances do not.
+    cfg = TheoremConfig(
+        v_star=V_STAR, eta=(1e200, 0.0, 0.0), epsilon=1e300, sigma=1e-10, n=2, trials=100
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = min_deviation_mc(MODEL, cfg, "normal")
+    windows = cfg.v_d + cfg.sigma * draw_trials(cfg, "normal") - np.asarray(V_STAR)
+    distances = np.hypot(np.hypot(windows[..., 0], windows[..., 1]), windows[..., 2])
+    assert report.min_distance_samples.tobytes() == distances.min(axis=1).tobytes()
+    assert report.empirical_miss == report.analytic_miss == 0.0
 
 
 def test_theorem_config_validation():
