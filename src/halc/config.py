@@ -8,8 +8,11 @@ the scenario is None here and is resolved by the scenario.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass, replace
-from typing import Literal, Optional, Union
+from itertools import product
+from typing import Iterator, Literal, Optional, Union
 
 from .decoding import DecodeConfig
 from .errors import ConfigError
@@ -27,6 +30,9 @@ DEFAULT_GRID_SCALES = (0.1, 0.2, 0.3, 0.4, 0.6, 0.9)
 # less), so this keeps a theorem run under about 0.75 GB; it is 12.5 times
 # the 100k x 8 sets of the theorem-mc benchmark.
 MAX_THEOREM_WINDOWS = 10_000_000
+# The largest theorem amp, ln of the largest float (about 709.78): the bump
+# model takes exp(amp) at its center, which overflows above it.
+MAX_THEOREM_AMP = math.log(sys.float_info.max)
 # The most oracle-study grid windows, grid_positions^2 x scales: the study
 # holds one grid at a time, about 160 bytes a window (16 MB here); the
 # default has 384.
@@ -143,10 +149,10 @@ class EmitCurveSection:
 
 @dataclass(frozen=True)
 class TheoremSection:
-    """The bound-verification grid: normal sampling takes every (epsilon,
-    eta, sigma), exponential sampling one row at exp_epsilon whose
-    detection is eta_scale times v_star. The ranges are those of
-    theory.TheoremConfig, checked here so that every scenario rejects them."""
+    """The bound-verification grid of `rows`. The ranges are those of
+    theory.TheoremConfig and the amp and lam at which the bump model and
+    the exponential constant stay finite, checked here so that every
+    scenario rejects them."""
 
     v_star: tuple[float, float, float] = (4.0, 4.0, 0.0)
     amp: float = 1.0
@@ -180,10 +186,29 @@ class TheoremSection:
         require("sigmas", all(s * s > 0 for s in self.sigmas), "must square to above 0")
         for name in ("exp_epsilon", "lam"):
             require(name, getattr(self, name) > 0, "must be positive")
+        # The exponent interval is divided by ln(1 + lam).
+        require("lam", 1.0 + self.lam > 1.0, "must not round 1 + lam to 1")
+        require("amp", self.amp <= MAX_THEOREM_AMP, f"must be at most {MAX_THEOREM_AMP!r}")
         require("r_min", self.r_min < self.r_max, "must be less than r_max")
-        normal = len(self.epsilons) * len(self.etas) * len(self.sigmas)
-        if not sum(normal if s == "normal" else 1 for s in self.samplers) * len(self.n_values):
+        if next(self.rows(), None) is None:
             raise ConfigError("theorem grid has no rows")
+
+    def rows(self) -> Iterator[tuple]:
+        """The grid's (sampler, epsilon, eta, sigma, n) rows in output order.
+        Normal sampling takes every (epsilon, eta, sigma). Exponential
+        sampling takes one, at exp_epsilon and sigma 1 (unused), whose eta
+        is eta_scale times v_star's size, keeping its aspect ratio. Each is
+        taken at every n."""
+        ratio = float(self.eta_scale)
+        detection = (ratio * self.v_star[0], ratio * self.v_star[1], 0.1)
+        for sampler in self.samplers:
+            if sampler == "normal":
+                combos = product(self.epsilons, self.etas, self.sigmas)
+            else:
+                combos = [(float(self.exp_epsilon), detection, 1.0)]
+            for eps, eta, sigma in combos:
+                for n in self.n_values:
+                    yield sampler, eps, eta, sigma, n
 
 
 @dataclass(frozen=True)

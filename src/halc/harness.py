@@ -15,7 +15,6 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from itertools import product
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -370,94 +369,64 @@ def run_oracle_study(
 # ---------------------------------------------------------------------------
 
 
-def _theorem_grid(section: TheoremSection, seed: int):
-    """The bump model and the (sampler, TheoremConfig) rows of a theorem
-    section, in output order, built before any trial is drawn."""
-    from .theory import GaussianBumpModel, TheoremConfig
+def run_theorem_verify(
+    options: TheoremSection | Mapping | None = None, seed: int = 0
+) -> list[dict]:
+    """Bound reports of a theorem grid's rows (`TheoremSection.rows`), in
+    its order; a row's trials are seeded by seed + n.
 
-    v_star = section.v_star
-    model = GaussianBumpModel(center=v_star, amp=float(section.amp))
-    ratio = float(section.eta_scale)
+    A trial set's random draw depends only on the sampler and n, so the
+    rows are visited sorted by (sampler, in the section's order; n; eta;
+    sigma): a block is drawn when (sampler, n) changes and scored when
+    (eta, sigma) changes, and the rows that differ only in epsilon rescore
+    that trial set. No earlier block or trial set is held while the next
+    is drawn or scored.
+    """
+    from .theory import (
+        GaussianBumpModel, TheoremConfig, bound_report, draw_trials, min_deviation_mc,
+    )
+
+    section = parse(TheoremSection, {} if options is None else options, "theorem")
+    model = GaussianBumpModel(center=section.v_star, amp=float(section.amp))
     shared = dict(
-        v_star=v_star,
+        v_star=section.v_star,
         lam=float(section.lam),
         r_min=float(section.r_min),
         r_max=float(section.r_max),
         trials=section.trials,
         divergence=section.divergence,
     )
-    grid = []
-    for sampler in section.samplers:
-        if sampler == "normal":
-            combos = list(product(section.epsilons, section.etas, section.sigmas))
-        else:
-            # Exponential sampling must keep the detection aspect ratio equal
-            # to the optimum's and the center offset inside epsilon.
-            eta = (ratio * v_star[0], ratio * v_star[1], 0.1)
-            combos = [(float(section.exp_epsilon), eta, 1.0)]
-        for eps, eta, sigma in combos:
-            for n in section.n_values:
-                cfg = TheoremConfig(eta=eta, epsilon=eps, sigma=sigma, n=n, seed=seed + n, **shared)
-                grid.append((sampler, cfg))
-    return model, grid
-
-
-def _theorem_rows(model, members: Sequence[tuple], block) -> list[dict]:
-    """CSV rows of grid rows that share one trial set: the first row scores
-    the drawn `block`, the others rescore its minima at their epsilon."""
-    from .theory import bound_report, min_deviation_mc
-
-    first = None
-    rows = []
-    for sampler, cfg in members:
-        if first is None:
-            report = first = min_deviation_mc(model, cfg, sampler, block)
-        else:
-            report = bound_report(
-                model, cfg, sampler, first.min_deviation_samples, first.min_distance_samples
-            )
-        row = {
-            "epsilon": cfg.epsilon,
-            "eta_norm": math.hypot(*cfg.eta),
-            "sigma": cfg.sigma if sampler == "normal" else "",
-        }
-        row.update(report.to_csv_row())
-        rows.append(row)
-    return rows
-
-
-def run_theorem_verify(
-    options: TheoremSection | Mapping | None = None, seed: int = 0
-) -> list[dict]:
-    """Bound reports over a grid of sampler configurations.
-
-    The random draw of a trial set depends on the sampler and n, and every
-    other input of it is the same for the whole grid, so each (sampler, n)
-    block is drawn once. Each (eta, sigma) scores the block once, and rows
-    that differ only in epsilon rescore that trial set. The rows keep the
-    grid order.
-    """
-    from .theory import draw_trials
-
-    section = parse(TheoremSection, {} if options is None else options, "theorem")
-    model, grid = _theorem_grid(section, seed)
-    draws: dict[tuple, dict[tuple, list[int]]] = {}
-    for i, (sampler, cfg) in enumerate(grid):
-        sets = draws.setdefault((sampler, cfg.n), {})
-        sets.setdefault((cfg.eta, cfg.sigma), []).append(i)
+    grid = [
+        (sampler, TheoremConfig(eta=eta, epsilon=eps, sigma=sigma, n=n, seed=seed + n, **shared))
+        for sampler, eps, eta, sigma, n in section.rows()
+    ]
+    keys = [(section.samplers.index(s), cfg.n, cfg.eta, cfg.sigma) for s, cfg in grid]
     rows: list = [None] * len(grid)
-    for sets in draws.values():
-        first = next(iter(sets.values()))[0]
-        sampler, cfg = grid[first]
-        try:
-            block = draw_trials(cfg, sampler)
-            for indices in sets.values():
-                for i, row in zip(indices, _theorem_rows(model, [grid[i] for i in indices], block)):
-                    rows[i] = row
-        except OverflowError as exc:
-            # The r range and the bound formulas overflow on huge values.
-            raise InvalidParameterError(f"theorem values too large: {exc}") from exc
-        del block  # before the next block is drawn
+    last = ()
+    try:
+        for i in sorted(range(len(grid)), key=keys.__getitem__):
+            sampler, cfg = grid[i]
+            if keys[i][:2] != last[:2]:
+                block = scored = None  # before the next block is drawn
+                block = draw_trials(cfg, sampler)
+            if keys[i] != last:
+                scored = None  # before the next trial set is scored
+                scored = min_deviation_mc(model, cfg, sampler, block)
+                report = scored.to_csv_row()
+            else:
+                report = bound_report(
+                    model, cfg, sampler, scored.min_deviation_samples, scored.min_distance_samples
+                ).to_csv_row()
+            last = keys[i]
+            rows[i] = {
+                "epsilon": cfg.epsilon,
+                "eta_norm": math.hypot(*cfg.eta),
+                "sigma": cfg.sigma if sampler == "normal" else "",
+                **report,
+            }
+    except OverflowError as exc:
+        # The r range and the bound formulas overflow on huge values.
+        raise InvalidParameterError(f"theorem values too large: {exc}") from exc
     return rows
 
 

@@ -388,8 +388,8 @@ def c_e_closed_form(
     """
     ws, hs, ps = (float(x) for x in v_star)
     wd, hd, pd = (float(x) for x in v_d)
-    if lam <= 0:
-        raise InvalidParameterError("lambda must be positive")
+    if not 1.0 + lam > 1.0:  # the exponents are divided by ln(1 + lam)
+        raise InvalidParameterError("lambda must be positive, with 1 + lambda above 1")
     if r_min >= r_max:
         raise InvalidParameterError("need r_min < r_max")
     if epsilon**2 <= (pd - ps) ** 2:
@@ -661,10 +661,15 @@ def bound_report(
     at most in epsilon. Only delta (re-estimated from the config's seed),
     the analytic constant, the bound and the miss and violation fractions
     depend on epsilon. As in `min_deviation_mc`, floating-point warnings
-    are off.
+    are off. A normal ball mass that comes out NaN raises
+    InvalidParameterError.
     """
     if sampler == "normal":
         analytic_c = c_g_analytic(config.epsilon, config.eta, config.sigma)
+        if math.isnan(analytic_c):  # chndtr's, from a noncentrality of about 1e19 on
+            raise InvalidParameterError(
+                f"theorem values too large: NaN ball mass at eta {config.eta}, sigma {config.sigma}"
+            )
     else:
         analytic_c = c_e_closed_form(
             config.epsilon, config.v_star, tuple(config.v_d), config.lam, config.r_min, config.r_max

@@ -362,6 +362,8 @@ def test_cli_config_not_utf8_exits_2_with_one_line(tmp_path, capsys):
         ({"theorem": {"sigmas": [1.0, 1e-200]}}, "theorem sigmas must square to above 0, got (1.0, 1e-200)"),
         ({"theorem": {"exp_epsilon": 0}}, "theorem exp_epsilon must be positive, got 0"),
         ({"theorem": {"lam": -3.0}}, "theorem lam must be positive, got -3.0"),
+        ({"theorem": {"lam": 1e-17}}, "theorem lam must not round 1 + lam to 1, got 1e-17"),
+        ({"theorem": {"amp": 800}}, "theorem amp must be at most 709.78"),
         ({"theorem": {"r_min": 5.0}}, "theorem r_min must be less than r_max, got 5.0"),
         ({"theorem": {"r_min": 1.0, "r_max": -1.0}}, "theorem r_min must be less than r_max"),
         ({"theorem": {"trials": 10**30}}, "theorem trials x max(n_values) must be at most 10000000"),
@@ -419,6 +421,8 @@ def test_cli_config_not_utf8_exits_2_with_one_line(tmp_path, capsys):
         "theorem-sigma-square-underflows",
         "theorem-zero-exp-epsilon",
         "theorem-negative-lam",
+        "theorem-lam-lost-beside-1",
+        "theorem-amp-overflows-exp",
         "theorem-r-min-at-r-max",
         "theorem-r-range-reversed",
         "theorem-huge-trials",
@@ -1011,6 +1015,18 @@ def test_cli_overflowing_normal_sigma_prints_one_line(tmp_path):
     assert result.stderr.startswith("config error: theorem values too large")
     assert result.stderr.count("\n") == 1
     assert not (out / "manifest.json").exists()
+
+
+def test_cli_noncentrality_beyond_the_ball_mass_prints_one_line(tmp_path):
+    # chndtr gives NaN at a noncentrality |eta|^2 / sigma^2 of 1e200.
+    theorem = {"etas": [[1e100, 0, 0]], "epsilons": [1.0], "sigmas": [1.0],
+               "samplers": ["normal"], "n_values": [2], "trials": 100}
+    result, out = _cli_process(tmp_path, theorem)
+    assert result.returncode == 2
+    assert result.stderr.startswith("config error: theorem values too large")
+    assert result.stderr.count("\n") == 1
+    assert not (out / "manifest.json").exists()
+    assert not (out / "theorem.csv").exists()
 
 
 def test_cli_theorem_verify(tmp_path, capsys):

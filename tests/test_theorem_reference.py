@@ -19,6 +19,7 @@ tests/test_theory.py and the tests below check those on their own.
 """
 
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -315,6 +316,33 @@ def test_sweep_retains_no_trial_arrays():
     assert len(rows) == 27
     # One trial set of n = 8 windows holds 2000 * 8 float64 values.
     assert retained < 2000 * 8 * 8
+
+
+def test_sweep_holds_no_earlier_trial_arrays_while_drawing_or_scoring():
+    # A trial set's arrays left alive while the next is drawn or scored
+    # raise the sweep's peak memory, which the retained total above misses.
+    blocks, minima = [], []
+
+    def alive(refs):
+        return [ref for ref in refs if ref() is not None]
+
+    def spying_draw(config, sampler):
+        assert not alive(blocks) and not alive(minima)
+        block = draw_trials(config, sampler)
+        blocks.append(weakref.ref(block))
+        return block
+
+    def spying_score(subject, config, sampler, block):
+        assert not alive(minima)
+        report = min_deviation_mc(subject, config, sampler, block)
+        minima.append(weakref.ref(report.min_deviation_samples))
+        minima.append(weakref.ref(report.min_distance_samples))
+        return report
+
+    with mock.patch.object(theory, "draw_trials", spying_draw), \
+            mock.patch.object(theory, "min_deviation_mc", spying_score):
+        rows = run_theorem_verify({"trials": 200}, 0)
+    assert (len(rows), len(blocks), len(minima)) == (27, 6, 30)
 
 
 @settings(max_examples=40, deadline=None)

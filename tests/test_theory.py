@@ -220,6 +220,12 @@ def test_c_e_precondition_violation():
         c_e_closed_form(0.5, (2.0, 1.0, 0.0), (1.0, 1.0, 0.0), 0.6, -5.0, 5.0)
 
 
+def test_c_e_rejects_a_lambda_lost_beside_1():
+    # ln(1 + 1e-17) is 0, by which the exponent interval would be divided.
+    with pytest.raises(InvalidParameterError, match="1 \\+ lambda"):
+        c_e_closed_form(0.5, (2.0, 2.0, 0.0), (1.0, 1.0, 0.0), 1e-17, -5.0, 5.0)
+
+
 def test_c_e_scale_invariance():
     base = c_e_closed_form(0.5, (2.0, 2.0, 0.1), (1.0, 1.0, 0.05), 0.6, -5.0, 5.0)
     for scale in (0.25, 3.0, 117.0):
