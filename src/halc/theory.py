@@ -12,13 +12,11 @@ the second it takes to import that subpackage.
 A trial set is scored from a block of random draws (`draw_trials`) that
 does not depend on eta, sigma or epsilon, so a sweep draws each block once
 and scores it for each (eta, sigma). Each window's squared distance to the
-optimum is measured once, straight from the block, for the hit test; a
-bump model centred at the optimum reads its distributions off the same
-distances, so it never builds the windows. Under TV that bump's deviation
-grows with the squared distance, so it is evaluated at each trial's
-nearest window only, save for the few trials whose windows are close
-enough in bump for rounding to reorder their deviations; JSD, whose
-rounding reorders saturated windows more often, evaluates every window.
+optimum is measured once, straight from the block, for the hit test. As in
+the bound's argument, where a window within epsilon of the optimum bounds
+the deviation by delta, the minimum deviation of a bump model centred at
+the optimum is its deviation at each trial's nearest window, the only
+window at which it is evaluated.
 
 numpy reduces a short axis row by row, so the Monte-Carlo arrays are never
 reduced over their 3-wide FOV axis or their n-wide window axis. They are
@@ -153,20 +151,8 @@ class GaussianBumpModel:
 
     The output deviation from the center distribution grows monotonically
     with distance and saturates below sigmoid(amp) - 0.5, which keeps the
-    per-trial bound checks interpretable.
-
-    `min_deviation_mc` relies on this for TV: it evaluates the bump at
-    each trial's nearest window only, save where rounding can reorder the
-    windows (`_nearest_window_tv`). The finite amp and 2 * width**2 checked
-    here keep far windows from turning NaN (0 * inf, -inf / inf) beside a
-    finite nearest one.
-    JSD scores every window: its logarithms round by more than it changes
-    between saturated windows. On the default theorem grid's exponential
-    row (200k trials, seeds 3, 5 and 9), the nearest window's JSD differed
-    from the per-window minimum by at most 5.6e-17 in 522, 166 and 7
-    trials at amp 2.5 and n = 2, 4 and 8, and in 564, 185 and 7 at amp -1,
-    where the nearest window's TV never did; neither differed at amp 1 or
-    under normal sampling at eta (0.8, 0.6, 0) and sigma 1.
+    per-trial bound checks interpretable, and makes the nearest window's
+    deviation a trial's minimum (`min_deviation_mc`).
     """
 
     center: tuple[float, float, float]
@@ -452,6 +438,7 @@ def _check_sampler(sampler: str) -> None:
         raise InvalidParameterError("sampler must be 'normal' or 'exponential'")
 
 
+@np.errstate(all="ignore")
 def draw_trials(config: TheoremConfig, sampler: str) -> np.ndarray:
     """The random draw of a config's trial set: (trials, n, 3) standard
     normals for normal sampling, (trials, n) window scales (1 + lam)**r for
@@ -461,7 +448,9 @@ def draw_trials(config: TheoremConfig, sampler: str) -> np.ndarray:
     lam and the r range, but not on eta, sigma or epsilon:
     `min_deviation_mc` scores one block for each (eta, sigma) that shares
     those inputs. Trials are seeded independently of the delta estimation
-    so results do not depend on evaluation order.
+    so results do not depend on evaluation order. A huge lam overflows the
+    scales to inf, so, as in `min_deviation_mc`, floating-point warnings
+    are off.
     """
     _check_sampler(sampler)
     sample_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(2)[1])
@@ -526,58 +515,6 @@ def _window_distance(
     return dist
 
 
-def _nearest_window_tv(
-    model: GaussianBumpModel, d_star: np.ndarray, dist: np.ndarray, near: np.ndarray
-) -> np.ndarray:
-    """Each trial's minimum TV deviation of a bump model centred at the
-    optimum, with the bits of the per-window minimum, from its windows'
-    squared distances `dist` (trials, n) and their np.fmin minimum `near`,
-    which is overwritten.
-
-    The deviation grows with the distance of the bump amp * exp(-d2 / c)
-    from the centre's, but its computed value can dip by an ulp where
-    x = exp(bump) moves by a few ulps (x / (x + 1) is rounded twice), and
-    for x in [2**53, 2**54) it alternates between two values. With
-    u = 2**-53 and exp taken as accurate to 4 ulps, a computed ln x is
-    within 6u|amp| + 4u of the exact bump, and a gap of 4.02u(1 + x) in
-    ln x clears the rounding of x / (x + 1). So a window whose exact bump
-    is farther than `slop` (over twice the sum of these) from the nearest
-    window's has a larger computed deviation, provided the nearest
-    window's bump is as far from the centre's. A trial takes its nearest
-    window's deviation when every other window is that far: by
-    1 - exp(-t) >= t / (1 + t), when every other squared distance lies
-    beyond `reach`. Any other trial, and any with a NaN distance, takes
-    the minimum over all its windows.
-    """
-    scale = 2.0 * model.width**2
-    amp = abs(model.amp)
-    slop = 32 * 2.0**-53 * (amp + 1.0 + math.exp(min(max(model.amp, 0.0), 709.0)))
-    decay = np.negative(near)
-    decay /= scale
-    np.exp(decay, out=decay)
-    reach = decay * amp
-    reach -= slop
-    clear = reach > 0
-    clear &= amp * (1.0 - decay) > slop
-    np.divide(scale * slop, reach, out=reach)
-    reach += near
-    reach[~clear] = np.inf
-    beyond = dist > reach[:, None]
-    crossable = np.empty(0, dtype=np.intp)
-    if np.count_nonzero(beyond) < beyond.size - len(near):
-        # Each trial's nearest window is within reach; a trial with another
-        # one lists its row twice.
-        within = np.flatnonzero(~beyond) // dist.shape[1]
-        crossable = np.unique(within[1:][within[1:] == within[:-1]])
-
-    devs = total_variation(d_star, model.dists_at(near))
-    if crossable.size:
-        rows = dist[crossable]
-        window_devs = total_variation(d_star, model.dists_at(rows.reshape(-1)))
-        devs[crossable] = _row_min(window_devs.reshape(rows.shape), np.minimum)
-    return devs
-
-
 @np.errstate(all="ignore")
 def min_deviation_mc(
     subject: GaussianBumpModel | SceneFovAdapter,
@@ -593,14 +530,14 @@ def min_deviation_mc(
     `bound_report` rescores its trial set at another epsilon.
 
     Each window's squared distance to the optimum is measured once, without
-    building the windows; it gives the hit test and, for a bump model
-    centred at the optimum, the bump itself. Under TV such a bump is
-    evaluated at each trial's nearest window only, whose deviation is the
-    trial's minimum bit for bit, except in the trials where rounding could
-    reorder the windows' deviations (`_nearest_window_tv`); these, JSD and
-    any other subject score every window.
-    A trial whose smallest squared distance is inf (it may have overflowed)
-    has its minimum distance measured again with hypot.
+    building the windows, for the hit test. A bump model centred at the
+    optimum is evaluated at each trial's nearest window (NaN distances
+    skipped) only, and its deviation there is the trial's minimum. In exact
+    arithmetic that is the minimum over the windows; computed, it lies at
+    most 2**-51 above the smallest computed window deviation. Any other
+    subject scores every window. A trial whose smallest squared distance is
+    inf (it may have overflowed) has its minimum distance measured again
+    with hypot.
 
     Windows at inf or NaN are part of a trial set, so numpy's
     floating-point warnings are off.
@@ -629,19 +566,14 @@ def min_deviation_mc(
         far_dist = _window_distance(block[far], sampler, config.sigma, v_d, v_star)
         min_dist[far] = _row_min(far_dist, np.fmin)
     if isinstance(subject, GaussianBumpModel) and np.array_equal(subject.center, v_star):
-        if config.divergence == "tv":
-            min_devs = _nearest_window_tv(subject, d_star, dist, nearest)
-            return bound_report(subject, config, sampler, min_devs, min_dist)
-        window_dists = subject.dists_at(dist.reshape(-1))
+        min_devs = _divergence_batch(d_star, subject.dists_at(nearest), config.divergence)
     else:
         points = np.empty(shape + (FOV_DIM,))
         for k in range(FOV_DIM):
             _window_coordinate(block, sampler, config.sigma, v_d, k, points[..., k])
         window_dists = subject.dists(points.reshape(-1, FOV_DIM))
-    del dist  # before the divergences are computed
-
-    devs = _divergence_batch(d_star, window_dists, config.divergence)
-    min_devs = _row_min(devs.reshape(shape), np.minimum)
+        devs = _divergence_batch(d_star, window_dists, config.divergence)
+        min_devs = _row_min(devs.reshape(shape), np.minimum)
     return bound_report(subject, config, sampler, min_devs, min_dist)
 
 

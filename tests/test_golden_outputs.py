@@ -11,8 +11,9 @@ baseline loops, which every CPU its build supports has, and the digests are
 those of that baseline on any such CPU. They were recorded with numpy 2.4.6
 on x86-64, the version the CI job pins.
 
-To re-record after a deliberate output change, run
-`python tests/test_golden_outputs.py OUT SCENARIO` for every scenario under
+A scenario may have more than one case: `theorem-verify-jsd` runs
+`theorem-verify` under JSD. To re-record after a deliberate output change,
+run `python tests/test_golden_outputs.py OUT CASE` for every case under
 the same environment (`_pinned_digests` shows it) and say in the change
 which files moved and why.
 """
@@ -49,7 +50,15 @@ CONFIGS = {
     "length-curve": {"seed": 9, "corpus": SMALL_CORPUS, "length_curve": {"grid": [8, 16]}},
     "cost-model": {"seed": 10, "cost_model": {"n": 3, "trigger_rate": 0.5}},
     "emit-curve": {"seed": 11},
+    "theorem-verify-jsd": {
+        "seed": 7,
+        "theorem": {"trials": 200, "n_values": [2, 4], "divergence": "jsd"},
+    },
 }
+
+# Cases beyond the one per scenario, with the scenario each runs.
+SCENARIO_OF = {"theorem-verify-jsd": "theorem-verify"}
+CASES = [*SCENARIOS, *SCENARIO_OF]
 
 GOLDEN = {
     "ablate": {
@@ -90,40 +99,45 @@ GOLDEN = {
         "manifest.json": "fc42b7081bb36f1b5196ddc50b1933f55c9ac36acdd1fdaab2ccbd7fee6996c1",
         "theorem.csv": "1c31aadf0ed13ded6894430743e424e459b502bcedfa1b488e530c81eac0e52a",
     },
+    "theorem-verify-jsd": {
+        "manifest.json": "491732a50980411ccd9599a5abbdea0733bca10839bd1fbe169e4ffae72aee55",
+        "theorem.csv": "787de7851cf6692c66a7211acdf9c2b266a41a38386938c8231724ca9c60861a",
+    },
 }
 
 
-def _digests(tmp_path, scenario):
-    cfg = tmp_path / f"{scenario}.json"
-    cfg.write_text(json.dumps(CONFIGS[scenario]))
-    out = tmp_path / scenario
-    assert main([scenario, "--config", str(cfg), "--out", str(out)]) == 0
+def _digests(tmp_path, case):
+    cfg = tmp_path / f"{case}.json"
+    cfg.write_text(json.dumps(CONFIGS[case]))
+    out = tmp_path / case
+    assert main([SCENARIO_OF.get(case, case), "--config", str(cfg), "--out", str(out)]) == 0
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
 
 
-def _pinned_digests(tmp_path, scenario):
-    """_digests of the scenario in a child process that runs numpy's
-    baseline loops only."""
+def _pinned_digests(tmp_path, case):
+    """_digests of the case in a child process that runs numpy's baseline
+    loops only."""
     source = str(Path(halc.__file__).resolve().parents[1])
     env = {
         **os.environ,
         "NPY_DISABLE_CPU_FEATURES": " ".join(__cpu_dispatch__),
         "PYTHONPATH": os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")])),
     }
-    subprocess.run([sys.executable, __file__, str(tmp_path), scenario], env=env, check=True,
+    subprocess.run([sys.executable, __file__, str(tmp_path), case], env=env, check=True,
                    stdout=subprocess.DEVNULL)
     return json.loads((tmp_path / "digests.json").read_text())
 
 
 def test_every_scenario_has_a_golden_run():
-    assert sorted(CONFIGS) == sorted(SCENARIOS) == sorted(GOLDEN)
+    assert sorted(CONFIGS) == sorted(CASES) == sorted(GOLDEN)
+    assert set(SCENARIO_OF.values()) <= set(SCENARIOS)
 
 
-@pytest.mark.parametrize("scenario", SCENARIOS)
+@pytest.mark.parametrize("scenario", CASES)
 def test_scenario_output_bytes_match_golden(tmp_path, scenario):
     assert _pinned_digests(tmp_path, scenario) == GOLDEN[scenario]
 
 
 if __name__ == "__main__":
-    where, scenario = Path(sys.argv[1]), sys.argv[2]
-    (where / "digests.json").write_text(json.dumps(_digests(where, scenario)))
+    where, case = Path(sys.argv[1]), sys.argv[2]
+    (where / "digests.json").write_text(json.dumps(_digests(where, case)))

@@ -1009,6 +1009,15 @@ def test_cli_huge_theorem_values_run_silently_with_exact_norms(tmp_path):
     assert float(row["empirical_miss"]) == 0.0
 
 
+def test_cli_huge_lam_draws_its_trials_silently(tmp_path):
+    # (1 + lam)**r overflows to inf for every positive exponent r.
+    theorem = {"lam": 1e300, "samplers": ["exponential"], "n_values": [2], "trials": 100}
+    result, out = _cli_process(tmp_path, theorem)
+    assert (result.returncode, result.stderr) == (0, "")
+    (row,) = read_csv(out / "theorem.csv")
+    assert float(row["empirical_miss"]) == 1.0
+
+
 def test_cli_overflowing_normal_sigma_prints_one_line(tmp_path):
     result, out = _cli_process(tmp_path, {"sigmas": [1e200]})
     assert result.returncode == 2

@@ -7,7 +7,9 @@ names and the delta estimate, which always runs on `DELTA_PROBES` probes
 now that the config holds neither a given delta nor a probe count: the
 per-row `min_deviation_mc` with its broadcasting normal draw
 (`rng.normal(loc=...)`), its `min(axis=1)` over the n windows and its
-`np.fmin.reduce(axis=1)` over their distances; the loop of
+`np.fmin.reduce(axis=1)` over their distances (a bump centred at the
+optimum now takes each trial's nearest window in place of that minimum,
+which `nearest_window_deviations` defines); the loop of
 `run_theorem_verify` that called it once per grid row; the bump model that
 summed its 3-wide axis with `sum` and built its rows with `np.stack`; the
 total variation that summed its last axis with `sum`; and the
@@ -110,9 +112,16 @@ def reference_min_deviation_mc(subject, config, sampler):
     d_star = subject.dists(v_star[None, :])[0]
     devs = _reference_divergence(d_star, subject.dists(flat), config.divergence)
     devs = devs.reshape(config.trials, config.n)
-    min_devs = devs.min(axis=1)
+    d2 = _squared_distance(points, v_star)
+    if isinstance(subject, ReferenceBump) and np.array_equal(subject.center, v_star):
+        # Each trial's first window at its smallest distance, or window 0
+        # where every distance is NaN.
+        nearest = np.argmax(d2 == np.fmin.reduce(d2, axis=1)[:, None], axis=1)
+        min_devs = devs[np.arange(config.trials), nearest]
+    else:
+        min_devs = devs.min(axis=1)
 
-    min_dist = np.fmin.reduce(np.sqrt(_squared_distance(points, v_star)), axis=1)
+    min_dist = np.fmin.reduce(np.sqrt(d2), axis=1)
 
     dist_to_star = np.linalg.norm(points - v_star, axis=2)
     empirical_miss = float((~(dist_to_star <= config.epsilon).any(axis=1)).mean())
@@ -182,14 +191,12 @@ def reference_run_theorem_verify(options, seed):
     return rows
 
 
-def previous_min_deviation_mc(subject, config, sampler):
-    """The min_deviation_mc that drew its own trial set and scored every
-    window through subject.dists."""
+def previous_windows(config, sampler):
+    """The (trials, n, 3) windows of a config's trial set, drawn as the
+    min_deviation_mc that drew its own trial set drew them."""
     if sampler not in ("normal", "exponential"):
         raise InvalidParameterError("sampler must be 'normal' or 'exponential'")
     sample_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(2)[1])
-
-    v_star = np.asarray(config.v_star, dtype=float)
     v_d = config.v_d
 
     if sampler == "normal":
@@ -205,7 +212,14 @@ def previous_min_deviation_mc(subject, config, sampler):
         points[:, :, 0] = scale * v_d[0]
         points[:, :, 1] = scale * v_d[1]
         points[:, :, 2] = v_d[2]
+    return points
 
+
+def previous_min_deviation_mc(subject, config, sampler):
+    """The min_deviation_mc that drew its own trial set and scored every
+    window through subject.dists."""
+    points = previous_windows(config, sampler)
+    v_star = np.asarray(config.v_star, dtype=float)
     flat = points.reshape(-1, FOV_DIM)
     d_star = subject.dists(v_star[None, :])[0]
     devs = _divergence_batch(d_star, subject.dists(flat), config.divergence)
@@ -216,6 +230,25 @@ def previous_min_deviation_mc(subject, config, sampler):
     dist = _squared_distance(points, v_star)
     min_dist = _row_min(np.sqrt(dist, out=dist), np.fmin)
     return bound_report(subject, config, sampler, min_devs, min_dist)
+
+
+def nearest_window_deviations(model, config, sampler):
+    """The minimum deviation of a bump model centred at the optimum, by
+    definition: the deviation at each trial's nearest window (NaN distances
+    skipped), of the windows as `previous_windows` draws them."""
+    v_star = np.asarray(config.v_star, dtype=float)
+    d2 = _squared_distance(previous_windows(config, sampler), v_star)
+    d_star = model.dists(v_star[None, :])[0]
+    return _divergence_batch(d_star, model.dists_at(np.fmin.reduce(d2, axis=1)), config.divergence)
+
+
+def assert_near_per_window_minimum(nearest, per_window):
+    """Where both are finite, a nearest window's deviation is at least the
+    minimum over the windows, and at most 2**-51 above it: in exact
+    arithmetic the two are equal, and only rounding separates them."""
+    both = np.isfinite(nearest) & np.isfinite(per_window)
+    gap = nearest[both] - per_window[both]
+    assert (gap >= 0).all() and (gap <= 2.0**-51).all(), gap
 
 
 def _bits(row: dict) -> list:
@@ -515,57 +548,102 @@ def test_nan_windows_bit_equal_to_reference(sampler, divergence, n, sigma, cut, 
 # One distance per window, from a shared block
 # ---------------------------------------------------------------------------
 
-
-@settings(max_examples=80, deadline=None)
-@given(
+BLOCK_CASES = dict(
     sampler=st.sampled_from(["normal", "exponential"]),
     divergence=st.sampled_from(["tv", "jsd"]),
     n=st.integers(1, 8),
     eta=st.sampled_from(ETAS),
     sigma=st.sampled_from(SIGMAS),
-    subject=st.sampled_from(["centred", "off-centre", "holey", "nan-distances"]),
     trials=st.integers(100, 400),
     seed=st.integers(0, 2**16),
 )
-def test_block_scores_bit_equal_to_previous_min_deviation_mc(
-    sampler, divergence, n, eta, sigma, subject, trials, seed
-):
-    """The centred bump's one-distance path and the window path of any
-    other subject, each scoring a shared block, give the previous per-row
-    code's report and per-trial minima bit for bit."""
+
+
+def _block_config(sampler, divergence, n, eta, sigma, trials, seed, nan_distances=False):
     v_star, r_min = (4.0, 4.0, 0.0), -5.0
     if sampler == "exponential":
         eta = (2.0, 2.0, 0.1)
-    if subject == "nan-distances":
+    if nan_distances:
         # Exponential scales that underflow to 0 times an infinite
         # detection give NaN distances.
         v_star, eta, r_min = (1e308, 0.0, 0.0), (1e308, 0.0, 0.0), -50_000.0
-    config = TheoremConfig(
+    return TheoremConfig(
         v_star=v_star, eta=eta, epsilon=1.0, sigma=sigma, lam=1.0, r_min=r_min, r_max=5.0,
         n=n, trials=trials, divergence=divergence, seed=seed,
     )
-    centre = (4.5, 3.75, 0.0) if subject == "off-centre" else v_star
-    model = GaussianBumpModel(center=centre, amp=1.5)
-    if subject == "holey":
-        model = HoleyModel(model, 4.5)
 
+
+def _shared_and_own_block_reports(model, config, sampler):
+    """min_deviation_mc's reports from a drawn block, which it must not
+    write, and from the block it draws itself."""
     block = draw_trials(config, sampler)
     drawn = block.copy()
     with np.errstate(all="ignore"):
-        got = min_deviation_mc(model, config, sampler, block)
-        alone = min_deviation_mc(model, config, sampler)
-        want = previous_min_deviation_mc(model, config, sampler)
+        reports = (
+            min_deviation_mc(model, config, sampler, block),
+            min_deviation_mc(model, config, sampler),
+        )
     assert _same_array(block, drawn)
-    for report in (got, alone):
+    return reports
+
+
+@settings(max_examples=60, deadline=None)
+@given(subject=st.sampled_from(["off-centre", "holey"]), **BLOCK_CASES)
+def test_block_scores_bit_equal_to_previous_min_deviation_mc(
+    sampler, divergence, n, eta, sigma, subject, trials, seed
+):
+    """The window path of any subject but a bump centred at the optimum,
+    scoring a shared block, gives the previous per-row code's report and
+    per-trial minima bit for bit."""
+    config = _block_config(sampler, divergence, n, eta, sigma, trials, seed)
+    centre = (4.5, 3.75, 0.0) if subject == "off-centre" else config.v_star
+    model = GaussianBumpModel(center=centre, amp=1.5)
+    if subject == "holey":
+        model = HoleyModel(model, 4.5)
+    with np.errstate(all="ignore"):
+        want = previous_min_deviation_mc(model, config, sampler)
+    for report in _shared_and_own_block_reports(model, config, sampler):
         assert _bits(report.to_csv_row()) == _bits(want.to_csv_row())
         assert _same_array(report.min_deviation_samples, want.min_deviation_samples)
         assert _same_array(report.min_distance_samples, want.min_distance_samples)
-    if subject == "nan-distances" and sampler == "exponential":
-        assert np.isnan(want.min_distance_samples).any()
+
+
+def _assert_nearest_window_report(report, model, config, sampler):
+    """`report` scores the trial set at each trial's nearest window, and
+    its distances are the previous code's save where that code's squared
+    distance overflowed to inf."""
+    with np.errstate(all="ignore"):
+        definition = nearest_window_deviations(model, config, sampler)
+        previous = previous_min_deviation_mc(model, config, sampler)
+        want = bound_report(model, config, sampler, definition, report.min_distance_samples)
+    assert _same_array(report.min_deviation_samples, definition)
+    measured = previous.min_distance_samples != np.inf
+    assert _same_array(
+        report.min_distance_samples[measured], previous.min_distance_samples[measured]
+    )
+    assert _bits(report.to_csv_row()) == _bits(want.to_csv_row())
+    assert_near_per_window_minimum(definition, previous.min_deviation_samples)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nan_distances=st.booleans(), **BLOCK_CASES)
+def test_centred_block_scores_are_the_nearest_window_deviations(
+    sampler, divergence, n, eta, sigma, nan_distances, trials, seed
+):
+    """A bump centred at the optimum, scoring a shared block, takes each
+    trial's nearest window, which is NaN only where every distance is."""
+    config = _block_config(sampler, divergence, n, eta, sigma, trials, seed, nan_distances)
+    model = GaussianBumpModel(center=config.v_star, amp=1.5)
+    for report in _shared_and_own_block_reports(model, config, sampler):
+        _assert_nearest_window_report(report, model, config, sampler)
+        nan_trials = np.isnan(report.min_distance_samples)
+        assert _same_array(np.isnan(report.min_deviation_samples), nan_trials)
+    if nan_distances and sampler == "exponential":
+        assert np.isnan(report.min_distance_samples).any()
 
 
 # ---------------------------------------------------------------------------
-# Under TV, a centred bump scores each trial at its nearest window
+# A centred bump scores each trial at its nearest window
 # ---------------------------------------------------------------------------
 
 AMPS = st.floats(-50.0, 50.0) | st.sampled_from([0.0, -0.0, 36.8125, 40.0, 709.0, 710.0, 1e300, -1e300])
@@ -586,28 +664,41 @@ def squared_distances(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(d2=squared_distances(), amp=AMPS, width=WIDTHS)
-# The nearest window's deviation is not the minimum here: its x = exp(bump)
-# lies in [2**53, 2**54), where x / (x + 1) alternates between two values.
-@example(d2=np.array([[10.0] + [1.0] * 63]), amp=36.8125, width=337.0)
+@given(d2=squared_distances(), amp=AMPS, width=WIDTHS, divergence=st.sampled_from(["tv", "jsd"]))
+# The nearest window's TV is not the per-window minimum here: its
+# x = exp(bump) lies in [2**53, 2**54), where x / (x + 1) alternates
+# between two values.
+@example(d2=np.array([[10.0] + [1.0] * 63]), amp=36.8125, width=337.0, divergence="tv")
 # Nor here, where x / (x + 1) dips by an ulp between windows ulps apart
 # in bump: the farther window's TV is the smaller by 2**-53.
-@example(d2=np.array([[1.18e-12, 1.179e-12]]), amp=0.5, width=1.0)
-def test_nearest_window_tv_bit_equal_to_per_window_minimum(d2, amp, width):
-    """_nearest_window_tv gives the per-window minimum bit for bit, through
-    inf and NaN distances and windows whose deviations rounding reorders."""
-    model = GaussianBumpModel(center=(0.0, 0.0, 0.0), amp=amp, width=width)
+@example(d2=np.array([[1.18e-12, 1.179e-12]]), amp=0.5, width=1.0, divergence="tv")
+def test_min_deviations_are_the_nearest_window_deviations(d2, amp, width, divergence):
+    """Given its windows' squared distances, min_deviation_mc scores a
+    centred bump at each trial's nearest window bit for bit, through inf
+    and NaN distances and windows whose deviations rounding reorders."""
+    rows = np.tile(d2, (-(-100 // len(d2)), 1))  # a trial set has 100 trials or more
+    trials, n = rows.shape
+    config = TheoremConfig(
+        v_star=(0.0, 0.0, 0.0), eta=(0.0, 0.0, 0.0), epsilon=1.0, n=n, trials=trials,
+        divergence=divergence,
+    )
+    model = GaussianBumpModel(center=config.v_star, amp=amp, width=width)
+    with mock.patch.object(theory, "_squared_window_distance", lambda *args: rows.copy()):
+        got = min_deviation_mc(model, config, "normal", np.zeros((trials, n, FOV_DIM)))
     with np.errstate(all="ignore"):
         d_star = model.dists(np.zeros((1, FOV_DIM)))[0]
-        nearest = theory._nearest_window_tv(model, d_star, d2, _row_min(d2, np.fmin))
+        nearest_d2 = np.fmin.reduce(rows, axis=1)
+        nearest = _divergence_batch(d_star, model.dists_at(nearest_d2), divergence)
         # dists_at writes over its argument, so the per-window call comes last.
-        per_window = total_variation(d_star, model.dists_at(d2.reshape(-1)))
-    assert _same_array(nearest, _row_min(per_window.reshape(d2.shape), np.minimum))
+        per_window = _divergence_batch(d_star, model.dists_at(rows.reshape(-1)), divergence)
+    assert _same_array(got.min_deviation_samples, nearest)
+    assert_near_per_window_minimum(nearest, per_window.reshape(rows.shape).min(axis=1))
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     sampler=st.sampled_from(["normal", "exponential"]),
+    divergence=st.sampled_from(["tv", "jsd"]),
     regime=st.sampled_from(["plain", "clustered", "overflowing", "nan-distances"]),
     n=N_VALUES,
     amp=AMPS,
@@ -615,13 +706,14 @@ def test_nearest_window_tv_bit_equal_to_per_window_minimum(d2, amp, width):
     trials=st.integers(100, 300),
     seed=st.integers(0, 2**16),
 )
-def test_tv_min_deviations_bit_equal_to_per_window_reference(
-    sampler, regime, n, amp, width, trials, seed
+def test_min_deviations_are_the_nearest_window_reference(
+    sampler, divergence, regime, n, amp, width, trials, seed
 ):
-    """min_deviation_mc's nearest-window minima equal the per-window
-    minima of the code it replaced, on windows a few ulps apart in bump and
-    on windows whose squared distances overflow to inf (some or all of a
-    trial's) or are NaN."""
+    """min_deviation_mc's nearest-window minima equal the definition
+    computed from the previous code's windows, and lie within 2**-51 of its
+    per-window minima, on windows a few ulps apart in bump and on windows
+    whose squared distances overflow to inf (some or all of a trial's) or
+    are NaN."""
     v_star, eta, sigma, lam, r_max, r_min = (4.0, 4.0, 0.0), (0.8, 0.6, 0.0), 1.0, 0.6, 5.0, -5.0
     if sampler == "exponential":
         eta = (2.0, 2.0, 0.1)
@@ -636,44 +728,50 @@ def test_tv_min_deviations_bit_equal_to_per_window_reference(
         v_star, eta, lam, r_min = (1e308, 0.0, 0.0), (1e308, 0.0, 0.0), 1.0, -50_000.0
     config = TheoremConfig(
         v_star=v_star, eta=eta, epsilon=1.0, sigma=sigma, lam=lam, r_min=r_min, r_max=r_max,
-        n=n, trials=trials, divergence="tv", seed=seed,
+        n=n, trials=trials, divergence=divergence, seed=seed,
     )
     model = GaussianBumpModel(center=v_star, amp=amp, width=width)
-    with np.errstate(all="ignore"):
-        got = min_deviation_mc(model, config, sampler)
-        want = previous_min_deviation_mc(model, config, sampler)
-    assert _same_array(got.min_deviation_samples, want.min_deviation_samples)
-    for field in ("delta", "bound", "mean_min_deviation", "violation_fraction"):
-        assert repr(getattr(got, field)) == repr(getattr(want, field))
+    _assert_nearest_window_report(min_deviation_mc(model, config, sampler), model, config, sampler)
 
 
-def test_jsd_nearest_window_is_not_the_per_window_minimum():
-    """Why JSD scores every window: at this measured config the nearest
-    window's JSD (d2 = 74.6) exceeds the farther one's (d2 = 248.4) by a
-    rounding error, so the two minima differ in trial 27."""
+def test_jsd_takes_the_nearest_window_above_the_per_window_minimum():
+    """At this measured config the nearest window's JSD (d2 = 74.6)
+    exceeds the farther one's (d2 = 248.4) by a rounding error, so trial 27
+    scores 2**-54 above the minimum over its windows."""
     v_star = (4.0, 4.0, 0.0)
     config = TheoremConfig(
         v_star=v_star, eta=(2.0, 2.0, 0.1), epsilon=1.0, n=2, trials=100, divergence="jsd", seed=2
     )
     model = GaussianBumpModel(center=v_star, amp=2.5)
-    report = min_deviation_mc(model, config, "exponential")
-    want = previous_min_deviation_mc(model, config, "exponential")
-    assert _same_array(report.min_deviation_samples, want.min_deviation_samples)
+    got = min_deviation_mc(model, config, "exponential").min_deviation_samples
+    assert _same_array(got, nearest_window_deviations(model, config, "exponential"))
+    gap = got - previous_min_deviation_mc(model, config, "exponential").min_deviation_samples
+    assert np.flatnonzero(gap).tolist() == [27]
+    assert gap[27] == 2.0**-54
 
-    d2 = theory._squared_window_distance(
-        draw_trials(config, "exponential"), "exponential", 1.0, config.v_d, np.asarray(v_star)
-    )
-    d_star = model.dists(np.asarray(v_star)[None, :])[0]
-    nearest = jsd(d_star, model.dists_at(_row_min(d2, np.minimum)))
-    assert np.flatnonzero(nearest != report.min_deviation_samples).tolist() == [27]
-    assert nearest[27] - report.min_deviation_samples[27] == 2.0**-54
+
+def test_amp_40_normal_tv_row_is_the_nearest_window_definition():
+    """Near the optimum an amp-40 bump takes x = exp(bump) through
+    [2**53, 2**54), where x / (x + 1) rounds to 1.0 or 1 - 2**-52 by the
+    parity of x / 2, so the computed TV does not grow with the distance. This default-grid row
+    (seed 1, eta 0, sigma 0.5, n 2) reads the nearest windows' deviations,
+    whose mean differs from that of the per-window minima in its last
+    digits."""
+    options = {"amp": 40.0, "samplers": ["normal"], "etas": [[0, 0, 0]], "sigmas": [0.5],
+               "epsilons": [0.5], "n_values": [2]}
+    (row,) = run_theorem_verify(options, 1)
+    v_star = (4.0, 4.0, 0.0)
+    config = TheoremConfig(v_star=v_star, eta=(0, 0, 0), epsilon=0.5, sigma=0.5, n=2, seed=3)
+    model = GaussianBumpModel(center=v_star, amp=40.0)
+    definition = nearest_window_deviations(model, config, "normal")
+    assert row["mean_min_deviation"] == float(definition.mean())
+    previous = previous_min_deviation_mc(model, config, "normal")
+    assert_near_per_window_minimum(definition, previous.min_deviation_samples)
 
 
 @settings(max_examples=20, deadline=None)
 @given(divergence=st.sampled_from(["tv", "jsd"]), n=st.integers(2, 8), trials=st.integers(100, 300))
-def test_bump_evaluates_one_window_per_trial_under_tv(divergence, n, trials):
-    # No trial of this normal row has two windows close enough in bump to
-    # be scored at every window.
+def test_bump_evaluates_one_window_per_trial(divergence, n, trials):
     v_star = (4.0, 4.0, 0.0)
     config = TheoremConfig(
         v_star=v_star, eta=(0.8, 0.6, 0.0), epsilon=1.0, n=n, trials=trials, divergence=divergence
@@ -687,6 +785,5 @@ def test_bump_evaluates_one_window_per_trial_under_tv(divergence, n, trials):
 
     with mock.patch.object(GaussianBumpModel, "dists_at", spy):
         min_deviation_mc(GaussianBumpModel(center=v_star), config, "normal")
-    windows = trials if divergence == "tv" else trials * n
     # The center, the windows, then the delta estimate's center and probes.
-    assert sizes == [1, windows, 1, DELTA_PROBES]
+    assert sizes == [1, trials, 1, DELTA_PROBES]
