@@ -35,9 +35,8 @@ from typing import Callable, Literal, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-# contrast_distribution and top_m_pairs are not called in this module. They
-# stay importable from it because the benchmark's span recorder
-# (perfbench/probes.py) wraps them here.
+# contrast_distribution is not called in this module. It stays importable
+# from it because the benchmark's span recorder (perfbench/probes.py) wraps it.
 from .distributions import (  # noqa: F401
     _as_array,
     argmax_logit,
@@ -45,7 +44,6 @@ from .distributions import (  # noqa: F401
     contrast_rows,
     jsd,
     softmax,
-    top_m_pairs,
     window_softmax,
 )
 from .errors import InvalidParameterError
@@ -63,6 +61,7 @@ __all__ = [
     "decode_greedy",
     "decode_beam",
     "halc_step",
+    "top_m_pairs",
     "select_beams",
     "apply_idk_policy",
     "decode_halc",
@@ -77,6 +76,11 @@ IDK_POLICIES = ("off", "literal", "confidence")
 # copies its window pairs into two (n(n-1)/2, V) float64 buffers, 130 MB at
 # n = 64, V≈4000.
 MAX_FOV_SAMPLES = 64
+# The largest amplification alpha. The contrast (1 + alpha) * f_e - alpha * f_a
+# overflows, and the step rejects it as a non-finite logit, once it passes the
+# largest float (about 1.8e308); up to this cap, logits within +-9e7 keep it
+# finite.
+MAX_ALPHA = 1e300
 
 
 @dataclass(frozen=True)
@@ -103,7 +107,7 @@ class DecodeConfig:
         require("n", 2 <= self.n <= MAX_FOV_SAMPLES, f"must lie in [2, {MAX_FOV_SAMPLES}]")
         require("m", 1 <= self.m <= self.n * (self.n - 1) // 2, "must lie in [1, n*(n-1)/2]")
         require("k", self.k >= 1, "must be at least 1")
-        require("alpha", self.alpha >= 0, "must be nonnegative")
+        require("alpha", 0 <= self.alpha <= MAX_ALPHA, f"must lie in [0, {MAX_ALPHA!r}]")
         require("beta", 0 < self.beta < 1, "must lie in (0, 1)")
         require("sigma", self.sigma > 0, "must be positive")
         require("max_tokens", self.max_tokens >= 1, "must be at least 1")
@@ -368,6 +372,15 @@ def _pair_buffers(pairs: int, size: int) -> tuple[np.ndarray, np.ndarray]:
     return np.empty((pairs, size)), np.empty((pairs, size))
 
 
+def top_m_pairs(
+    pairs: Sequence[tuple[int, int]], divergence: Sequence[float], m: int
+) -> list[tuple[int, int]]:
+    """The m pairs of highest divergence, divergence[k] being that of
+    pairs[k]; equal divergences keep their order in `pairs` (sorted is stable)."""
+    ranked = sorted(range(len(pairs)), key=lambda k: -divergence[k])
+    return [pairs[k] for k in ranked[:m]]
+
+
 def halc_step(
     model: Optional[Model],
     detector: Detector,
@@ -381,9 +394,9 @@ def halc_step(
     decoder: ground it, re-decode under n FOVs, contrast the top-m most
     divergent pairs bi-directionally and emit the 2m candidate tokens.
 
-    Pairs rank by JSD descending with ties in lexicographic pair order. Each
-    pair contrasts (larger window as expert, smaller as amateur), then the
-    reverse; the mask keeps tokens with p_e >= beta * max(p_e).
+    Pairs rank by JSD descending with ties in lexicographic pair order
+    (`top_m_pairs`). Each pair contrasts (larger window as expert, smaller
+    as amateur), then the reverse; the mask keeps p_e >= beta * max(p_e).
 
     When every window's logits have the bits of the first window's, as in a
     scene without a window-dependent token, the windows share that one row:
@@ -418,9 +431,7 @@ def halc_step(
     matrix = [[0.0] * n for _ in range(n)]
     for (i, j), value in zip(pairs, divergence):
         matrix[i][j] = matrix[j][i] = value
-    # sorted is stable, so equal divergences keep lexicographic pair order.
-    ranked = sorted(range(len(pairs)), key=lambda k: -divergence[k])
-    selected = [pairs[k] for k in ranked[: config.m]]
+    selected = top_m_pairs(pairs, divergence, config.m)
 
     if shared:
         experts = amateurs = [0]

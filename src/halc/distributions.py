@@ -14,8 +14,6 @@ temporary.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 import numpy as np
 
 from .errors import InvalidInputError, InvalidParameterError
@@ -28,7 +26,6 @@ __all__ = [
     "contrast_distribution",
     "window_softmax",
     "contrast_rows",
-    "top_m_pairs",
 ]
 
 
@@ -112,7 +109,8 @@ def jsd(p, q):
     """Base-2 Jensen-Shannon divergence; symmetric, 0 iff p == q, at most 1.
 
     Zero-probability terms follow the 0 * log(0 / x) := 0 continuity
-    convention.
+    convention. Rounding can take the divergence of nearly equal
+    distributions below 0, so it is clamped at 0; NaN stays NaN.
     """
     p, q = _check_pair(p, q)
     mid = p + q
@@ -120,7 +118,8 @@ def jsd(p, q):
     # The midpoint is > 0 wherever p > 0 or q > 0; the zeroed terms may
     # divide 0 by 0.
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _scalar_or_rows(0.5 * _kl2(p, mid) + 0.5 * _kl2(q, mid))
+        div = 0.5 * _kl2(p, mid) + 0.5 * _kl2(q, mid)
+    return _scalar_or_rows(np.maximum(div, 0.0))  # maximum propagates NaN
 
 
 def _kl2(p: np.ndarray, mid: np.ndarray) -> np.ndarray:
@@ -242,23 +241,3 @@ def contrast_rows(logits, probs, experts, amateurs, alpha: float, beta: float) -
     keep = _plausible(probs, beta) & (logits > -np.inf)
     ends = np.array((experts, amateurs))
     return _masked_contrast(logits, logits, keep, ends[0], ends[1], alpha)
-
-
-def top_m_pairs(dists, m: int) -> list[tuple[int, int]]:
-    """Unordered index pairs ranked by JSD descending, lexicographic on ties.
-
-    Returns the first min(m, n*(n-1)/2) pairs. Selection sees the full
-    (unmasked) distributions; their JSDs come from one batched call.
-    """
-    if len(dists) < 2:
-        raise InvalidInputError("need at least two distributions to pair")
-    if m < 1:
-        raise InvalidParameterError("pair buffer size must be at least 1")
-    try:
-        probs = np.asarray(dists, dtype=float)
-    except ValueError as exc:
-        raise InvalidInputError("distributions must share a vocabulary size") from exc
-    first, second = np.array(list(combinations(range(len(probs)), 2))).T
-    order = np.argsort(-jsd(probs[first], probs[second]), kind="stable")[:m]
-    return [(int(first[k]), int(second[k])) for k in order]
-

@@ -14,9 +14,9 @@ does not depend on eta, sigma or epsilon, so a sweep draws each block once
 and scores it for each (eta, sigma). Each window's squared distance to the
 optimum is measured once, straight from the block, for the hit test. As in
 the bound's argument, where a window within epsilon of the optimum bounds
-the deviation by delta, the minimum deviation of a bump model centred at
-the optimum is its deviation at each trial's nearest window, the only
-window at which it is evaluated.
+the deviation by delta, the subject is a bump model centred at the
+optimum, and its minimum deviation is its deviation at each trial's
+nearest window, the only window at which it is evaluated.
 
 numpy reduces a short axis row by row, so the Monte-Carlo arrays are never
 reduced over their 3-wide FOV axis or their n-wide window axis. They are
@@ -187,6 +187,8 @@ class GaussianBumpModel:
         return out
 
 
+# No halc code scores a SceneFovAdapter. It stays because the benchmark's
+# span recorder (perfbench/probes.py) wraps its dists.
 class SceneFovAdapter:
     """Expose a synthetic scene as a model over 3-vectors.
 
@@ -236,16 +238,16 @@ def _squared_distance(points: np.ndarray, center: np.ndarray) -> np.ndarray:
     return d0
 
 
-def _row_min(values: np.ndarray, minimum: np.ufunc) -> np.ndarray:
-    """The minimum of each row of a (trials, n) array, taken column by
-    column with `minimum` (np.minimum propagates NaN, np.fmin skips it).
+def _row_min(values: np.ndarray) -> np.ndarray:
+    """The minimum of each row of a (trials, n) array, skipping NaN, taken
+    column by column with np.fmin.
 
-    The same bits as minimum.reduce(values, axis=1) for rows without -0.0
-    and with one NaN bit pattern; deviations and distances are never -0.0.
+    The same bits as np.fmin.reduce(values, axis=1) for rows without -0.0
+    and with one NaN bit pattern; distances are never -0.0.
     """
     out = values[:, 0].copy()
     for column in range(1, values.shape[1]):
-        minimum(out, values[:, column], out=out)
+        np.fmin(out, values[:, column], out=out)
     return out
 
 
@@ -277,7 +279,7 @@ def _uniform_ball(
 
 
 def estimate_delta(
-    subject: GaussianBumpModel | SceneFovAdapter,
+    subject: GaussianBumpModel,
     v_star: Sequence[float],
     epsilon: float,
     probes: int,
@@ -386,6 +388,8 @@ def c_e_closed_form(
     size2 = wd**2 + hd**2
     if size2 == 0.0:
         raise InvalidParameterError("the detection window must have a nonzero size")
+    if size2 == math.inf:  # a detection at infinity: every scale of it is too
+        return 0.0
     c_a = (epsilon**2 - (pd - ps) ** 2) / size2
     c_b = (wd * ws + hd * hs) / size2
     root = math.sqrt(c_a)
@@ -517,7 +521,7 @@ def _window_distance(
 
 @np.errstate(all="ignore")
 def min_deviation_mc(
-    subject: GaussianBumpModel | SceneFovAdapter,
+    subject: GaussianBumpModel,
     config: TheoremConfig,
     sampler: str,
     block: Optional[np.ndarray] = None,
@@ -529,29 +533,29 @@ def min_deviation_mc(
     read, never written. The report does not depend on epsilon:
     `bound_report` rescores its trial set at another epsilon.
 
-    Each window's squared distance to the optimum is measured once, without
-    building the windows, for the hit test. A bump model centred at the
-    optimum is evaluated at each trial's nearest window (NaN distances
-    skipped) only, and its deviation there is the trial's minimum. In exact
-    arithmetic that is the minimum over the windows; computed, it lies at
-    most 2**-51 above the smallest computed window deviation. Any other
-    subject scores every window. A trial whose smallest squared distance is
-    inf (it may have overflowed) has its minimum distance measured again
-    with hypot.
+    The subject must be a bump model centred at the optimum. Each window's
+    squared distance to the optimum is measured once, without building the
+    windows, for the hit test. The bump is evaluated at each trial's nearest
+    window (NaN distances skipped) only, and its deviation there is the
+    trial's minimum. In exact arithmetic that is the minimum over the
+    windows; computed, it lies at most 2**-51 above the smallest computed
+    window deviation. A trial whose smallest squared distance is inf (it
+    may have overflowed) has its minimum distance measured again with hypot.
 
     Windows at inf or NaN are part of a trial set, so numpy's
     floating-point warnings are off.
     """
     _check_sampler(sampler)
-    shape = (config.trials, config.n)
+    v_star = np.asarray(config.v_star, dtype=float)
+    if not (isinstance(subject, GaussianBumpModel) and np.array_equal(subject.center, v_star)):
+        raise InvalidParameterError("the theorem subject must be a bump centred at v_star")
     if block is None:
         block = draw_trials(config, sampler)
-    elif block.shape != shape + ((FOV_DIM,) if sampler == "normal" else ()):
+    elif block.shape != (config.trials, config.n) + ((FOV_DIM,) if sampler == "normal" else ()):
         raise InvalidParameterError(
             f"a {sampler} trial block for {config.trials} trials of {config.n} samples "
             f"cannot have shape {block.shape}"
         )
-    v_star = np.asarray(config.v_star, dtype=float)
     v_d = config.v_d
     d_star = subject.dists(v_star[None, :])[0]
 
@@ -559,27 +563,19 @@ def min_deviation_mc(
     # fmin skips NaN distances, as the per-window hit test (dist <= epsilon)
     # does, so min_dist <= epsilon holds exactly when some window hits. sqrt
     # is monotone, so it commutes with the minimum.
-    nearest = _row_min(dist, np.fmin)
+    nearest = _row_min(dist)
     min_dist = np.sqrt(nearest)
     far = np.flatnonzero(min_dist == np.inf)
     if far.size:
         far_dist = _window_distance(block[far], sampler, config.sigma, v_d, v_star)
-        min_dist[far] = _row_min(far_dist, np.fmin)
-    if isinstance(subject, GaussianBumpModel) and np.array_equal(subject.center, v_star):
-        min_devs = _divergence_batch(d_star, subject.dists_at(nearest), config.divergence)
-    else:
-        points = np.empty(shape + (FOV_DIM,))
-        for k in range(FOV_DIM):
-            _window_coordinate(block, sampler, config.sigma, v_d, k, points[..., k])
-        window_dists = subject.dists(points.reshape(-1, FOV_DIM))
-        devs = _divergence_batch(d_star, window_dists, config.divergence)
-        min_devs = _row_min(devs.reshape(shape), np.minimum)
+        min_dist[far] = _row_min(far_dist)
+    min_devs = _divergence_batch(d_star, subject.dists_at(nearest), config.divergence)
     return bound_report(subject, config, sampler, min_devs, min_dist)
 
 
 @np.errstate(all="ignore")
 def bound_report(
-    subject: GaussianBumpModel | SceneFovAdapter,
+    subject: GaussianBumpModel,
     config: TheoremConfig,
     sampler: str,
     min_deviations: np.ndarray,

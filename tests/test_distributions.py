@@ -1,20 +1,22 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from halc.decoding import top_m_pairs
 from halc.distributions import (
     _plausible,
     argmax_logit,
     contrast_distribution,
     jsd,
     softmax,
-    top_m_pairs,
     total_variation,
 )
 from halc.errors import InvalidInputError
+from halc.theory import GaussianBumpModel
 
 
 def brute_force_jsd(p, q):
@@ -181,15 +183,21 @@ def test_contrast_distribution_matches_step_by_step_oracle():
         )
 
 
+def _ranked_pairs(dists, m):
+    """top_m_pairs of the lexicographic pairs of `dists`, scored by JSD."""
+    pairs = list(combinations(range(len(dists)), 2))
+    return top_m_pairs(pairs, [jsd(dists[i], dists[j]) for i, j in pairs], m)
+
+
 def test_top_m_pairs_single_pair():
     dists = [np.array([0.9, 0.1]), np.array([0.1, 0.9])]
-    assert top_m_pairs(dists, 10) == [(0, 1)]
+    assert _ranked_pairs(dists, 10) == [(0, 1)]
 
 
 def test_top_m_pairs_full_set_sorted():
     rng = np.random.default_rng(11)
     dists = [random_dist(rng, 8) for _ in range(4)]
-    pairs = top_m_pairs(dists, 6)
+    pairs = _ranked_pairs(dists, 6)
     assert len(pairs) == 6
     scores = [jsd(dists[i], dists[j]) for i, j in pairs]
     assert scores == sorted(scores, reverse=True)
@@ -198,7 +206,7 @@ def test_top_m_pairs_full_set_sorted():
 
 def test_top_m_pairs_tie_break_lexicographic():
     d = np.array([0.5, 0.5])
-    assert top_m_pairs([d, d, d], 3) == [(0, 1), (0, 2), (1, 2)]
+    assert _ranked_pairs([d, d, d], 3) == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_argmax_logit_rules():
@@ -233,6 +241,27 @@ def test_jsd_zero_iff_equal():
     q = random_dist(rng, 16)
     if np.abs(p - q).max() >= 1e-12:
         assert jsd(p, q) > 0.0
+
+
+def test_jsd_of_nearly_equal_bump_rows_is_not_negative():
+    # Unclamped, rounding took the JSD of the first row and the last to -8.0e-17.
+    d2 = np.array([0.0, 1e-14, 1e-13, 1e-12, 1e-11])
+    rows = GaussianBumpModel(center=(0, 0, 0), amp=0.5).dists_at(d2)
+    assert (jsd(rows[0], rows) >= 0.0).all()
+    assert jsd(rows[0], rows[4]) == 0.0
+    assert math.isnan(jsd([np.nan, 1.0], [0.5, 0.5]))
+    assert np.isnan(jsd(rows[0], [[np.nan, 1.0], [0.5, 0.5]])).tolist() == [True, False]
+
+
+@settings(max_examples=200)
+@given(seed=dist_pairs, size=st.integers(2, 16), log_step=st.integers(-17, -8))
+def test_jsd_is_nonnegative_for_nearly_equal_distributions(seed, size, log_step):
+    rng = np.random.default_rng(seed)
+    p = random_dist(rng, size)
+    q = p * (1.0 + 10.0**log_step * rng.standard_normal(size))
+    q /= q.sum()
+    assert jsd(p, q) >= 0.0
+    assert (jsd(p, np.stack([p, q])) >= 0.0).all()
 
 
 @settings(max_examples=100)

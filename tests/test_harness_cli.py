@@ -979,15 +979,15 @@ def test_cli_huge_sigma_runs_where_nothing_squares_it(tmp_path, capsys, scenario
     assert (out / "manifest.json").exists()
 
 
-def _cli_process(tmp_path, theorem):
-    """`python -m halc.cli theorem-verify` on a theorem section in a fresh
-    interpreter, whose stderr (unlike capsys) shows numpy's warnings."""
+def _cli_process(tmp_path, doc, scenario="theorem-verify"):
+    """`python -m halc.cli <scenario> --seed 1` on the config `doc` in a
+    fresh interpreter, whose stderr (unlike capsys) shows numpy's warnings."""
     cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"theorem": theorem}))
+    cfg.write_text(json.dumps(doc))
     source = str(Path(halc.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
     out = tmp_path / "out"
-    args = ["theorem-verify", "--config", str(cfg), "--seed", "1", "--out", str(out)]
+    args = [scenario, "--config", str(cfg), "--seed", "1", "--out", str(out)]
     result = subprocess.run(
         [sys.executable, "-m", "halc.cli", *args],
         env={**os.environ, "PYTHONPATH": path},
@@ -1001,7 +1001,7 @@ def test_cli_huge_theorem_values_run_silently_with_exact_norms(tmp_path):
     # eta_norm and the window distances are 1e200, whose squares overflow.
     theorem = {"etas": [[1e200, 0, 0]], "epsilons": [1e300], "sigmas": [1e-10],
                "samplers": ["normal"], "n_values": [2], "trials": 100}
-    result, out = _cli_process(tmp_path, theorem)
+    result, out = _cli_process(tmp_path, {"theorem": theorem})
     assert (result.returncode, result.stderr) == (0, "")
     (row,) = read_csv(out / "theorem.csv")
     assert float(row["eta_norm"]) == 1e200
@@ -1012,14 +1012,37 @@ def test_cli_huge_theorem_values_run_silently_with_exact_norms(tmp_path):
 def test_cli_huge_lam_draws_its_trials_silently(tmp_path):
     # (1 + lam)**r overflows to inf for every positive exponent r.
     theorem = {"lam": 1e300, "samplers": ["exponential"], "n_values": [2], "trials": 100}
-    result, out = _cli_process(tmp_path, theorem)
+    result, out = _cli_process(tmp_path, {"theorem": theorem})
     assert (result.returncode, result.stderr) == (0, "")
     (row,) = read_csv(out / "theorem.csv")
     assert float(row["empirical_miss"]) == 1.0
 
 
+def test_cli_detection_at_infinity_reads_no_hits(tmp_path):
+    # v_star + eta overflows to an infinite detection width, which no window
+    # scale brings within epsilon of the optimum.
+    theorem = {"v_star": [1e308, 0, 0], "eta_scale": 1.0, "samplers": ["exponential"],
+               "n_values": [2], "trials": 100}
+    result, out = _cli_process(tmp_path, {"theorem": theorem})
+    assert (result.returncode, result.stderr) == (0, "")
+    (row,) = read_csv(out / "theorem.csv")
+    assert float(row["analytic_c"]) == 0.0
+    assert float(row["analytic_miss"]) == float(row["empirical_miss"]) == 1.0
+    assert float(row["violation_fraction"]) == 0.0
+
+
+def test_cli_alpha_beyond_its_cap_prints_one_line(tmp_path):
+    # Uncapped, the contrast overflowed: numpy warned, then the step
+    # rejected the logits as an i/o error.
+    result, out = _cli_process(tmp_path, {"decode": {"alpha": 1e308}}, "decode")
+    assert result.returncode == 2
+    assert result.stderr.startswith("config error: decode alpha")
+    assert result.stderr.count("\n") == 1
+    assert not (out / "manifest.json").exists()
+
+
 def test_cli_overflowing_normal_sigma_prints_one_line(tmp_path):
-    result, out = _cli_process(tmp_path, {"sigmas": [1e200]})
+    result, out = _cli_process(tmp_path, {"theorem": {"sigmas": [1e200]}})
     assert result.returncode == 2
     assert result.stderr.startswith("config error: theorem values too large")
     assert result.stderr.count("\n") == 1
@@ -1030,7 +1053,7 @@ def test_cli_noncentrality_beyond_the_ball_mass_prints_one_line(tmp_path):
     # chndtr gives NaN at a noncentrality |eta|^2 / sigma^2 of 1e200.
     theorem = {"etas": [[1e100, 0, 0]], "epsilons": [1.0], "sigmas": [1.0],
                "samplers": ["normal"], "n_values": [2], "trials": 100}
-    result, out = _cli_process(tmp_path, theorem)
+    result, out = _cli_process(tmp_path, {"theorem": theorem})
     assert result.returncode == 2
     assert result.stderr.startswith("config error: theorem values too large")
     assert result.stderr.count("\n") == 1

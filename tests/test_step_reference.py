@@ -216,6 +216,44 @@ def test_successive_wide_steps_leave_earlier_results_intact():
 
 
 # ---------------------------------------------------------------------------
+# Pairs rank through decoding.top_m_pairs
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_each_triggered_step_ranks_its_pairs_once_through_top_m_pairs(
+    demo, small_trap_corpus, monkeypatch, k
+):
+    # The benchmark's span recorder wraps decoding.top_m_pairs and counts its
+    # calls as the steps' pair selections, so each step makes exactly one.
+    rank, step = decoding.top_m_pairs, decoding.halc_step
+    steps = []
+
+    def spy_rank(pairs, divergence, m):
+        ranked = rank(pairs, divergence, m)
+        steps[-1]["ranked"].append(ranked)
+        return ranked
+
+    def spy_step(model, detector, scene, beam, proposed, config, rng):
+        steps.append({"ranked": []})
+        result = step(model, detector, scene, beam, proposed, config, rng)
+        steps[-1].update(scene=scene, beam=beam, config=config, result=result)
+        return result
+
+    monkeypatch.setattr(decoding, "top_m_pairs", spy_rank)
+    monkeypatch.setattr(decoding, "halc_step", spy_step)
+    for scene in [demo, *small_trap_corpus[:4]]:
+        decode_halc(None, CORPUS_DET, oracle_match_score, None, scene, DecodeConfig(k=k, seed=1))
+    assert len(steps) > 10
+    for record in steps:
+        scene, beam, result = record["scene"], record["beam"], record["result"]
+        dists = [_ref_softmax(toy_model_logits(scene, f, beam.tokens)) for f in result.fovs]
+        want = _ref_top_m_pairs(dists, record["config"].m)
+        assert record["ranked"] == [want]
+        assert result.selected_pairs == want
+
+
+# ---------------------------------------------------------------------------
 # Malformed logits still raise
 # ---------------------------------------------------------------------------
 

@@ -113,13 +113,10 @@ def reference_min_deviation_mc(subject, config, sampler):
     devs = _reference_divergence(d_star, subject.dists(flat), config.divergence)
     devs = devs.reshape(config.trials, config.n)
     d2 = _squared_distance(points, v_star)
-    if isinstance(subject, ReferenceBump) and np.array_equal(subject.center, v_star):
-        # Each trial's first window at its smallest distance, or window 0
-        # where every distance is NaN.
-        nearest = np.argmax(d2 == np.fmin.reduce(d2, axis=1)[:, None], axis=1)
-        min_devs = devs[np.arange(config.trials), nearest]
-    else:
-        min_devs = devs.min(axis=1)
+    # Each trial's first window at its smallest distance, or window 0 where
+    # every distance is NaN.
+    nearest = np.argmax(d2 == np.fmin.reduce(d2, axis=1)[:, None], axis=1)
+    min_devs = devs[np.arange(config.trials), nearest]
 
     min_dist = np.fmin.reduce(np.sqrt(d2), axis=1)
 
@@ -223,12 +220,12 @@ def previous_min_deviation_mc(subject, config, sampler):
     flat = points.reshape(-1, FOV_DIM)
     d_star = subject.dists(v_star[None, :])[0]
     devs = _divergence_batch(d_star, subject.dists(flat), config.divergence)
-    min_devs = _row_min(devs.reshape(config.trials, config.n), np.minimum)
+    min_devs = devs.reshape(config.trials, config.n).min(axis=1)
 
     # fmin skips NaN distances, as the per-window hit test (dist <= epsilon)
     # does, so min_dist <= epsilon holds exactly when some window hits.
     dist = _squared_distance(points, v_star)
-    min_dist = _row_min(np.sqrt(dist, out=dist), np.fmin)
+    min_dist = _row_min(np.sqrt(dist, out=dist))
     return bound_report(subject, config, sampler, min_devs, min_dist)
 
 
@@ -479,9 +476,9 @@ def test_total_variation_bit_equal_to_axis_sum(data, rows, width, p_vector, q_ve
         assert _same_array(got, want)
 
 
-# Deviations and distances are never -0.0, and the reductions may pick
-# either of two NaNs with different bits, so minima are compared on rows
-# without -0.0 and with one NaN.
+# Distances are never -0.0, and the reductions may pick either of two NaNs
+# with different bits, so minima are compared on rows without -0.0 and with
+# one NaN.
 WINDOW_FLOAT = st.floats(allow_nan=False).map(lambda x: x + 0.0) | st.just(np.nan)
 
 
@@ -491,57 +488,8 @@ WINDOW_FLOAT = st.floats(allow_nan=False).map(lambda x: x + 0.0) | st.just(np.na
 )
 def test_row_minima_bit_equal_to_axis_reductions(values):
     before = values.copy()
-    assert _same_array(_row_min(values, np.minimum), values.min(axis=1))
-    assert _same_array(_row_min(values, np.fmin), np.fmin.reduce(values, axis=1))
+    assert _same_array(_row_min(values), np.fmin.reduce(values, axis=1))
     assert _same_array(values, before)
-
-
-class HoleyModel:
-    """A model whose distributions are NaN wherever the first coordinate
-    of the window exceeds `cut`."""
-
-    def __init__(self, model, cut):
-        self.model = model
-        self.cut = cut
-
-    def dists(self, points):
-        out = self.model.dists(points)
-        out[np.atleast_2d(points)[:, 0] > self.cut] = np.nan
-        return out
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    sampler=st.sampled_from(["normal", "exponential"]),
-    divergence=st.sampled_from(["tv", "jsd"]),
-    n=st.integers(1, 8),
-    sigma=st.sampled_from(SIGMAS),
-    cut=st.sampled_from([4.5, 5.5, np.inf]),
-    seed=st.integers(0, 2**16),
-)
-def test_nan_windows_bit_equal_to_reference(sampler, divergence, n, sigma, cut, seed):
-    """NaN deviations (from the model) and NaN distances (exponential scales
-    that underflow to 0 times an infinite detection) reduce as before."""
-    if sampler == "normal":
-        v_star, eta, r_min = (4.0, 4.0, 0.0), (0.8, 0.6, 0.0), -5.0
-    else:
-        v_star, eta, r_min = (1e308, 0.0, 0.0), (1e308, 0.0, 0.0), -50_000.0
-    config = TheoremConfig(
-        v_star=v_star, eta=eta, epsilon=1.0, sigma=sigma, lam=1.0, r_min=r_min, r_max=5.0,
-        n=n, trials=200, divergence=divergence, seed=seed,
-    )
-    with np.errstate(all="ignore"):
-        report = min_deviation_mc(HoleyModel(GaussianBumpModel(center=v_star), cut), config, sampler)
-        fields, min_devs, min_dist = reference_min_deviation_mc(
-            HoleyModel(ReferenceBump(v_star), cut), config, sampler
-        )
-    assert _bits(report.to_csv_row()) == _bits(fields)
-    assert _same_array(report.min_deviation_samples, min_devs)
-    assert _same_array(report.min_distance_samples, min_dist)
-    if sampler == "exponential":
-        assert np.isnan(min_dist).any()
-    elif cut == 4.5:
-        assert np.isnan(min_devs).any()
 
 
 # ---------------------------------------------------------------------------
@@ -585,27 +533,6 @@ def _shared_and_own_block_reports(model, config, sampler):
         )
     assert _same_array(block, drawn)
     return reports
-
-
-@settings(max_examples=60, deadline=None)
-@given(subject=st.sampled_from(["off-centre", "holey"]), **BLOCK_CASES)
-def test_block_scores_bit_equal_to_previous_min_deviation_mc(
-    sampler, divergence, n, eta, sigma, subject, trials, seed
-):
-    """The window path of any subject but a bump centred at the optimum,
-    scoring a shared block, gives the previous per-row code's report and
-    per-trial minima bit for bit."""
-    config = _block_config(sampler, divergence, n, eta, sigma, trials, seed)
-    centre = (4.5, 3.75, 0.0) if subject == "off-centre" else config.v_star
-    model = GaussianBumpModel(center=centre, amp=1.5)
-    if subject == "holey":
-        model = HoleyModel(model, 4.5)
-    with np.errstate(all="ignore"):
-        want = previous_min_deviation_mc(model, config, sampler)
-    for report in _shared_and_own_block_reports(model, config, sampler):
-        assert _bits(report.to_csv_row()) == _bits(want.to_csv_row())
-        assert _same_array(report.min_deviation_samples, want.min_deviation_samples)
-        assert _same_array(report.min_distance_samples, want.min_distance_samples)
 
 
 def _assert_nearest_window_report(report, model, config, sampler):

@@ -312,21 +312,18 @@ def test_min_deviation_monotone_in_n_with_shared_prefixes():
     assert all(a >= b for a, b in zip(means, means[1:]))
 
 
-def test_scene_subject_bound_verification(demo):
-    # The theorem machinery also runs against the synthetic scene model via
-    # the 3-vector adapter anchored at the victim's optimal window.
-    clock = demo.find_object("clock")
-    anchor = clock.profile.v_star
-    adapter = SceneFovAdapter(demo, anchor)
+def test_min_deviation_mc_scores_only_a_bump_centred_at_the_optimum(demo):
+    # Its minimum deviation is the deviation at each trial's nearest window,
+    # which holds for a bump centred at the optimum only.
+    anchor = demo.find_object("clock").profile.v_star
     v_star = (anchor.width, anchor.height, 0.0)
-    cfg = TheoremConfig(
-        v_star=v_star, eta=(30.0, 30.0, 10.0), epsilon=40.0, sigma=30.0, n=4,
-        trials=1000, seed=6,
-    )
-    report = min_deviation_mc(adapter, cfg, "normal")
-    se = math.sqrt(max(report.analytic_miss * (1 - report.analytic_miss), 1e-9) / cfg.trials)
-    assert abs(report.empirical_miss - report.analytic_miss) <= 4 * se
-    assert report.expectation_holds
+    cfg = TheoremConfig(v_star=v_star, eta=(30.0, 30.0, 10.0), epsilon=40.0, sigma=30.0, trials=100)
+    for subject in (
+        SceneFovAdapter(demo, anchor),
+        GaussianBumpModel(center=(anchor.width + 1.0, anchor.height, 0.0)),
+    ):
+        with pytest.raises(InvalidParameterError, match="bump centred at v_star"):
+            min_deviation_mc(subject, cfg, "normal")
 
 
 def test_scene_adapter_matches_direct_deviation(demo):
@@ -349,6 +346,13 @@ def test_c_e_closed_form_degenerate_detections():
     assert c_e_closed_form(1.0, V_STAR, (-4.0, -4.0, 0.1), 0.6, -5.0, 5.0) == 0.0
     with pytest.raises(InvalidParameterError):
         c_e_closed_form(1.0, V_STAR, (0.0, 0.0, 0.1), 0.6, -5.0, 5.0)
+
+
+def test_c_e_closed_form_of_a_detection_at_infinity_is_zero():
+    # v_star + eta overflows to an infinite width: no scale of it reaches the
+    # ball, where the unguarded formula read NaN offsets and gave C = 1.
+    assert c_e_closed_form(1.0, (1e308, 0.0, 0.0), (math.inf, 0.0, 0.1), 0.6, -5.0, 5.0) == 0.0
+    assert c_e_closed_form(1.0, (1e308, 0.0, 0.0), (-math.inf, 0.0, 0.1), 0.6, -5.0, 5.0) == 0.0
 
 
 @pytest.mark.parametrize("block", [None, "normal"])
