@@ -19,6 +19,7 @@ from .config import Config, load_config
 from .decoding import decode_greedy, decode_halc
 from .errors import ConfigError, InvalidInputError, InvalidParameterError
 from .harness import (
+    ABLATE_POPE_COUNT,
     build_corpus,
     cost_estimate,
     emit_profile_curve,
@@ -59,6 +60,26 @@ def _scenes(config: Config, default: CorpusSpec = CorpusSpec()) -> list:
     return build_corpus(config.corpus or default, config.seed)
 
 
+def _polled_scenes(config: Config, default: CorpusSpec, count: int, key: str) -> list:
+    """The scenes of a scenario that polls `count` absent objects per scene.
+
+    A generated corpus always holds the same objects for the same keys, so
+    one that leaves some scene fewer is a config error; a corpus file is
+    data, and sample_query_objects rejects it as such.
+    """
+    spec = config.corpus or default
+    scenes = build_corpus(spec, config.seed)
+    if spec.path is None:
+        universe = frozenset().union(*(s.ground_truth_names for s in scenes))
+        fewest = min(len(universe - s.ground_truth_names) for s in scenes)
+        if fewest < count:
+            raise ConfigError(
+                "generated corpus keys count, clauses and noun_pool leave a scene "
+                f"{fewest} absent objects, fewer than the {count} POPE negatives of {key}"
+            )
+    return scenes
+
+
 def _scene_for_decode(config: Config):
     if config.corpus is None:
         return demo_scene()
@@ -90,7 +111,7 @@ def _write_outputs(scenario: str, config: Config, out: Path, echo: dict) -> None
 
     if scenario == "compare":
         rows = run_compare(
-            _scenes(config),
+            _polled_scenes(config, CorpusSpec(), config.compare.pope_count, "compare.pope_count"),
             decode,
             seed,
             config.compare,
@@ -116,7 +137,8 @@ def _write_outputs(scenario: str, config: Config, out: Path, echo: dict) -> None
         return
 
     if scenario == "ablate":
-        scenes, detector = _scenes(config, ABLATE_CORPUS), _detector(config, demo=False)
+        scenes = _polled_scenes(config, ABLATE_CORPUS, ABLATE_POPE_COUNT, "ablate")
+        detector = _detector(config, demo=False)
         tables = run_ablations(scenes, decode, seed, config.ablate, detector)
         for name, rows in tables.items():
             write_csv(out / f"ablate_{name}.csv", rows)

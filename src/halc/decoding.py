@@ -19,8 +19,10 @@ batched call (shared by the trace matrix and pair selection), and one
 contrast row per candidate under the plausibility mask of its expert window,
 normalized by one masked softmax and read out by one row-wise argmax. The
 contrast and its exponentials are computed on the plausible tokens only, so
-past one scan of the masks that work scales with the plausible set (often a
-single token), not with the vocabulary size V. Each beam's step adds one
+past one scan of the masks that work scales with the plausible set, not with
+the vocabulary size V. On most steps every window's mask keeps a single
+token: then each candidate's row is one-hot at its expert's token, and only
+that token's contrast is computed, to be checked. Each beam's step adds one
 candidate per distinct token, and beam selection scores each distinct
 candidate sequence once, which requires the scorer to be a pure function of
 (sequence, scene).
@@ -437,11 +439,14 @@ def halc_step(
         experts = amateurs = [0]
     else:
         area = [f.area for f in fovs]
-        experts, amateurs = [], []
+        # Rows (larger, smaller) and (smaller, larger) of each pair: column
+        # 0 holds the experts and column 1 the amateurs.
+        ends = []
         for i, j in selected:
-            larger, smaller = (i, j) if area[i] >= area[j] else (j, i)
-            experts += (larger, smaller)
-            amateurs += (smaller, larger)
+            if area[i] < area[j]:
+                i, j = j, i
+            ends += (i, j, j, i)
+        experts, amateurs = np.array(ends, dtype=np.intp).reshape(-1, 2).T
     dists = contrast_rows(logits, probs, experts, amateurs, config.alpha, config.beta)
     tokens = map(scene.vocabulary.__getitem__, dists.argmax(axis=-1).tolist())
     candidates = tuple(zip(tokens, dists))

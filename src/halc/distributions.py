@@ -8,7 +8,9 @@ plain vectors, the divergences return floats.
 
 The masked contrast exponentiates only the tokens its plausibility mask
 keeps: past one scan of the mask, its work scales with the plausible set,
-not with V. The JSD computes its midpoint once and each KL term in one
+not with V. When every mask keeps a single token, as on most decode steps,
+it computes one contrast value per row, to check it, and returns one-hot
+rows. The JSD computes its midpoint once and each KL term in one
 temporary.
 """
 
@@ -185,15 +187,29 @@ def _masked_contrast(
     """Softmax of the contrast of rows f_e[experts] against rows
     f_a[amateurs] on the tokens keep[experts] marks; the rest get 0.
 
-    The caller has checked f_e and f_a, and keep excludes every token masked
-    in f_e. Only the kept entries are gathered, contrasted and exponentiated,
-    so past one scan of the mask the work scales with the plausible set, not
-    with V. Each row sum runs over the whole zero-filled row, so it adds the
-    same values in the same order as a softmax of the contrast with -inf off
-    the mask. The contrast is checked here: an amateur -inf under a kept
-    token makes it +inf or NaN.
+    The caller has checked f_e and f_a, and each row of keep marks its
+    row's most probable token and no token masked in f_e, so every row
+    keeps at least one token. When each keeps exactly one, every output row
+    is one-hot at its expert's kept token: the contrast is computed at that
+    token only, checked as below, and the row is 1.0 there, which is what
+    the softmax of a single finite value gives.
+
+    Otherwise only the kept entries are gathered, contrasted and
+    exponentiated, so past one scan of the mask the work scales with the
+    plausible set, not with V. Each row sum runs over the whole zero-filled
+    row, so it adds the same values in the same order as a softmax of the
+    contrast with -inf off the mask. The contrast is checked here: an
+    amateur -inf under a kept token makes it +inf or NaN.
     """
     size = keep.shape[-1]
+    if np.count_nonzero(keep) == len(keep):
+        tokens = keep.argmax(axis=-1)[experts]
+        with np.errstate(invalid="ignore"):
+            top = (1.0 + alpha) * f_e[experts, tokens] - alpha * f_a[amateurs, tokens]
+        _check_maxima(top)
+        out = np.zeros((len(experts), size))
+        out[np.arange(len(experts)), tokens] = 1.0
+        return out
     rows, tokens = np.divmod(np.flatnonzero(keep[experts]), size)
     top = np.full(len(experts), -np.inf)
     with np.errstate(invalid="ignore"):
@@ -233,11 +249,13 @@ def contrast_rows(logits, probs, experts, amateurs, alpha: float, beta: float) -
     """contrast_distribution of the rows `experts` of a window stack against
     its rows `amateurs`, for a stack and its softmax from window_softmax.
 
-    The plausibility mask of each window is built once from its row of
-    probs, then indexed by expert.
+    `experts` and `amateurs` are row indices, best given as intp arrays,
+    which are used as they are. The plausibility mask of each window is
+    built once from its row of probs, then indexed by expert.
     """
     if alpha < 0:
         raise InvalidParameterError("amplification factor must be nonnegative")
     keep = _plausible(probs, beta) & (logits > -np.inf)
-    ends = np.array((experts, amateurs))
-    return _masked_contrast(logits, logits, keep, ends[0], ends[1], alpha)
+    experts = np.asarray(experts, dtype=np.intp)
+    amateurs = np.asarray(amateurs, dtype=np.intp)
+    return _masked_contrast(logits, logits, keep, experts, amateurs, alpha)

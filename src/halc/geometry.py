@@ -176,14 +176,21 @@ def sample_fovs_random(
     """Uniform random windows fully inside the image.
 
     Widths and heights are uniform in [0.05, 1.0] times the image extent.
+    The n rows of 4 doubles come from one draw, and each window's
+    arithmetic runs on Python floats: the same IEEE operations as ufuncs
+    over length-n arrays, at a fraction of their call cost for a step's
+    few windows.
     """
     if n < 2:
         raise InvalidParameterError("need n >= 2 samples to form divergence pairs")
     # rng.uniform(low, high) is low + (high - low) * rng.random(), so one
     # block of n rows of 4 doubles gives the per-draw values bit for bit.
-    u = rng.random((n, 4))
-    w = (0.05 + (1.0 - 0.05) * u[:, 0]) * image.width
-    h = (0.05 + (1.0 - 0.05) * u[:, 1]) * image.height
-    cx = w / 2.0 + ((image.width - w / 2.0) - w / 2.0) * u[:, 2]
-    cy = h / 2.0 + ((image.height - h / 2.0) - h / 2.0) * u[:, 3]
-    return tuple(map(Fov, w.tolist(), h.tolist(), cx.tolist(), cy.tolist()))
+    width, height = image.width, image.height
+    samples = []
+    for u_w, u_h, u_x, u_y in rng.random((n, 4)).tolist():
+        w = (0.05 + (1.0 - 0.05) * u_w) * width
+        h = (0.05 + (1.0 - 0.05) * u_h) * height
+        cx = w / 2.0 + ((width - w / 2.0) - w / 2.0) * u_x
+        cy = h / 2.0 + ((height - h / 2.0) - h / 2.0) * u_y
+        samples.append(Fov(w, h, cx, cy))
+    return tuple(samples)

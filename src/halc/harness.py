@@ -434,6 +434,10 @@ def run_theorem_verify(
 # Scenario: ablations
 # ---------------------------------------------------------------------------
 
+# The negatives, and at most as many positives, polled per scene by ablate.
+ABLATE_POPE_COUNT = 3
+
+
 def run_ablations(
     scenes: Sequence[Scene],
     config: DecodeConfig,
@@ -446,7 +450,7 @@ def run_ablations(
     seed and averages the metrics; only the scorer sweep, whose scorers
     may be seeded, uses several seeds."""
     options = parse(AblateSection, {} if options is None else options, "ablate")
-    queries = _pope_queries(scenes, seed, options.pope_mode, 3)
+    queries = _pope_queries(scenes, seed, options.pope_mode, ABLATE_POPE_COUNT)
     scorer_seeds = options.scorer_seeds or [seed + i for i in range(5)]
     # (table, column, values, value -> changed decode fields); the scorer
     # sweep changes the scorer instead.

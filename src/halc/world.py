@@ -19,7 +19,7 @@ from typing import Annotated, Callable, ClassVar, Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, InvalidParameterError
-from .geometry import Fov, ImageSpec, clamp_to_image, fov_distance
+from .geometry import Fov, ImageSpec, clamp_to_image
 from .schema import check_types, read, write
 
 __all__ = [
@@ -142,10 +142,19 @@ TokenProfile = StableHigh | Peaking | ContextShift | Noisy
 
 
 def profile_value(profile: TokenProfile, fov: Fov, image: ImageSpec) -> float:
+    """The likelihood a profile gives a token under one window.
+
+    Peaking takes fov_distance's math.dist of the two windows, with the
+    (width, height, center_x, center_y) tuples built in place.
+    """
     if isinstance(profile, StableHigh):
         return profile.level
     if isinstance(profile, Peaking):
-        d = fov_distance(fov, profile.v_star)
+        v = profile.v_star
+        d = math.dist(
+            (fov.width, fov.height, fov.center_x, fov.center_y),
+            (v.width, v.height, v.center_x, v.center_y),
+        )
         return profile.base + profile.amp * math.exp(-(d * d) / (2.0 * profile.width**2))
     if isinstance(profile, ContextShift):
         return profile.base + profile.slope * math.log(fov.area / image.area)
@@ -440,17 +449,17 @@ def oracle_match_score(sequence: Sequence[str], scene: Scene) -> float:
 
     Matched minus hallucinated mentions over all mentions, rescaled from
     [-1, 1] to [0, 1]. A sequence with no nouns scores a neutral 0.5.
+
+    The tokens the lexicon tags as nouns are exactly the scene's object
+    names, and the ground-truth names are among them, so the nouns are the
+    tokens found in the scene's name table, and the matched mentions those
+    of its nouns found among the ground-truth names: two filters run in C.
     """
-    lex = scene.lexicon
-    gt = scene.ground_truth_names
-    nouns = matched = 0
-    for t in sequence:
-        if lex.get(t) == "noun":
-            nouns += 1
-            if t in gt:
-                matched += 1
-    if not nouns:
+    mentions = list(filter(scene._by_name.__contains__, sequence))
+    if not mentions:
         return 0.5
+    nouns = len(mentions)
+    matched = len(list(filter(scene._ground_truth.__contains__, mentions)))
     raw = (matched - (nouns - matched)) / nouns
     return (raw + 1.0) / 2.0
 
@@ -604,6 +613,12 @@ class CorpusSpec:
             )
         require("image_width", self.image_width > 0, "must be positive")
         require("image_height", self.image_height > 0, "must be positive")
+        # ContextShift profiles divide window areas by the image area.
+        if not 0 < self.image_width * self.image_height < math.inf:
+            raise InvalidParameterError(
+                "corpus image_width x image_height must be a finite positive area, "
+                f"got {self.image_width!r} x {self.image_height!r}"
+            )
         # Untrapped scenes read a trap clause too, but never index with it.
         clauses = self.trap_clauses
         ok = clauses and (self.trap_fraction == 0 or all(0 <= c < self.clauses for c in clauses))

@@ -1,8 +1,10 @@
 """The toy model with constant profiles folded into the scene, the scene's
-token tables built one token class at a time, the one-pass FOV samplers,
-the cheaper proposal check, the contrast masked per window, the contrast
-that exponentiates only its plausible tokens, the in-place JSD, the
-candidate pool that skips repeated tokens and the one-pass oracle scorer,
+token tables built one token class at a time, the Peaking profile's
+distance tuples built in place, the one-pass FOV samplers, the cheaper
+proposal check, the contrast masked per window, the contrast that
+exponentiates only its plausible tokens, the one-hot contrast of
+single-token masks, the in-place JSD, the candidate pool that skips
+repeated tokens and the oracle scorer that counts nouns by set lookups,
 each checked against the code it replaced.
 
 The references below are the replaced code, kept here verbatim apart from
@@ -14,6 +16,7 @@ tests/test_distributions.py checks those on their own.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -21,7 +24,14 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from halc import decoding
-from halc.decoding import IDK_POLICIES, SAMPLING_MODES, DecodeConfig, apply_idk_policy, decode_halc
+from halc.decoding import (
+    IDK_POLICIES,
+    MAX_ALPHA,
+    SAMPLING_MODES,
+    DecodeConfig,
+    apply_idk_policy,
+    decode_halc,
+)
 from halc.distributions import (
     _as_array,
     _check_pair,
@@ -39,6 +49,7 @@ from halc.geometry import (
     ImageSpec,
     clamp_to_image,
     expand_fov,
+    fov_distance,
     sample_fovs_exponential,
     sample_fovs_random,
 )
@@ -195,6 +206,22 @@ def test_folded_model_matches_on_generated_scenes(seed, trap_fraction, correctab
     fov = data.draw(_windows(scene.image))
     for prefix in (None, [], list(scene.reference_caption[: data.draw(st.integers(1, 20))])):
         _assert_model_agrees(scene, fov, prefix)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    width=st.floats(1e-3, 1e4),
+    amp=st.floats(0.0, 50.0),
+    base=st.floats(-50.0, 50.0),
+)
+def test_peaking_profile_builds_the_fov_distance_tuples_in_place(data, width, amp, base):
+    image = ImageSpec(1000.0, 800.0)
+    fov, v_star = data.draw(_windows(image)), data.draw(_windows(image))
+    d = fov_distance(fov, v_star)
+    want = base + amp * math.exp(-(d * d) / (2.0 * width**2))
+    got = profile_value(Peaking(v_star=v_star, width=width, amp=amp, base=base), fov, image)
+    assert got.hex() == want.hex()
 
 
 def test_duplicate_names_last_object_wins():
@@ -698,6 +725,86 @@ def test_sparse_contrast_rejects_exactly_what_the_dense_contrast_rejected(f_e, f
 
 
 # ---------------------------------------------------------------------------
+# One-token contrast: every plausibility mask keeps a single token
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def one_token_stacks(draw):
+    """n windows of V logits, each with one dominant logit: the rest lie 40
+    to 80 below it or are -inf, so every plausibility mask at beta >= 1e-6
+    keeps that token alone. The dominant logits lie within +-1, +-9e7 or
+    +-1e8, so that at the largest alpha the contrast comes near and past
+    overflow, and the -inf entries let an amateur window mask the token its
+    expert keeps. With `two`, one window gets a second token at its
+    maximum, and its mask keeps both."""
+    size = draw(st.sampled_from([1, 2, 3, 7, 64, 600]))
+    n = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1.0, 9e7, 1e8]))
+    top = rng.uniform(-1.0, 1.0, n) * scale
+    logits = top[:, None] - rng.uniform(40.0, 80.0, (n, size))
+    dominant = rng.integers(size, size=n)
+    holes = rng.random((n, size)) < draw(st.sampled_from([0.0, 0.3, 0.9]))
+    holes[np.arange(n), dominant] = False
+    logits[holes] = -np.inf
+    logits[np.arange(n), dominant] = top
+    two = size > 1 and draw(st.booleans())
+    if two:
+        window = draw(st.integers(0, n - 1))
+        logits[window, (dominant[window] + draw(st.integers(1, size - 1))) % size] = top[window]
+    experts = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=12))
+    amateurs = draw(st.lists(st.integers(0, n - 1), min_size=len(experts), max_size=len(experts)))
+    return logits, np.array(experts, dtype=np.intp), np.array(amateurs, dtype=np.intp), two
+
+
+ONE_TOKEN_ALPHAS = st.one_of(
+    st.sampled_from([0.0, 0.05, 3.0, 1e150, MAX_ALPHA]), st.floats(0.0, MAX_ALPHA)
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+# An amateur -inf under the expert's kept token: +inf, and NaN at alpha 0.
+@example(
+    case=(np.array([[0.0, -50.0], [-np.inf, 0.0]]), np.array([0]), np.array([1]), False),
+    alpha=0.5,
+    beta=0.1,
+)
+@example(
+    case=(np.array([[0.0, -50.0], [-np.inf, 0.0]]), np.array([0, 1]), np.array([1, 0]), False),
+    alpha=0.0,
+    beta=0.1,
+)
+# One token: the softmax of a single logit.
+@example(
+    case=(np.array([[3.0], [-2.0]]), np.array([0, 1]), np.array([1, 0]), False), alpha=2.0, beta=0.5
+)
+# Past overflow: 9e7 * (1 + 1e300) + 9e7 * 1e300 is +inf; 9e7 + 9e7 * 1e300 is finite.
+@example(
+    case=(np.array([[9e7, 0.0], [-9e7, -1e8]]), np.array([0, 1]), np.array([1, 0]), False),
+    alpha=MAX_ALPHA,
+    beta=0.1,
+)
+@given(case=one_token_stacks(), alpha=ONE_TOKEN_ALPHAS, beta=st.floats(1e-6, 0.999))
+def test_one_token_contrast_matches_the_dense_contrast(case, alpha, beta):
+    stack, experts, amateurs, two = case
+    logits, probs = window_softmax(stack)
+    keep = _plausible(probs, beta) & (logits > -np.inf)
+    assert np.count_nonzero(keep) == len(stack) + two  # the case drawn is the case claimed
+    with np.errstate(over="ignore"):
+        assert _exact(contrast_rows, logits, probs, experts, amateurs, alpha, beta) == _exact(
+            reference_dense_contrast_rows, logits, probs, experts, amateurs, alpha, beta
+        )
+        f_e, f_a = stack[experts], stack[amateurs]
+        assert _exact(contrast_distribution, f_e, f_a, alpha, beta) == _exact(
+            reference_dense_contrast_distribution, f_e, f_a, alpha, beta
+        )
+        assert _exact(contrast_distribution, f_e[0], f_a[0], alpha, beta) == _exact(
+            reference_dense_contrast_distribution, f_e[0], f_a[0], alpha, beta
+        )
+
+
+# ---------------------------------------------------------------------------
 # JSD: each KL term computed in one temporary
 # ---------------------------------------------------------------------------
 
@@ -797,6 +904,61 @@ def test_one_pass_oracle_score_matches_the_comprehension(scene, data):
     got = oracle_match_score(sequence, scene)
     assert type(got) is float
     assert got.hex() == reference_oracle_match_score(sequence, scene).hex()
+
+
+def reference_lexicon_walk_score(sequence, scene):
+    """The replaced one-pass walk: a token counts as a noun when the
+    lexicon tags it so, and as matched when it is a ground-truth name."""
+    lex = scene.lexicon
+    gt = scene.ground_truth_names
+    nouns = matched = 0
+    for t in sequence:
+        if lex.get(t) == "noun":
+            nouns += 1
+            if t in gt:
+                matched += 1
+    if not nouns:
+        return 0.5
+    raw = (matched - (nouns - matched)) / nouns
+    return (raw + 1.0) / 2.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    trap_fraction=st.sampled_from([0.0, 1.0]),
+    correctable=st.sampled_from([0.0, 1.0]),
+    clauses=st.integers(1, 3),
+    spare=st.integers(0, 6),
+    data=st.data(),
+)
+def test_set_count_oracle_score_matches_the_lexicon_walk(
+    seed, trap_fraction, correctable, clauses, spare, data
+):
+    spec = CorpusSpec(
+        scene_count=1,
+        trap_fraction=trap_fraction,
+        correctable_fraction=correctable,
+        clauses=clauses,
+        noun_pool=3 * clauses + 1 + spare,
+        filler_count=data.draw(st.integers(0, 12)),
+        trap_clauses=(0,),
+    )
+    scene = generate_corpus(seed, 1, spec)[0]
+    names = sorted({o.name for o in scene.objects})
+    # The claim the scorer rests on: the lexicon's nouns are the object names.
+    assert sorted(t for t, pos in scene.lexicon.items() if pos == "noun") == names
+    token = st.one_of(
+        st.sampled_from(scene.vocabulary),
+        st.sampled_from(names),
+        st.sampled_from(["unknown", "", END_TOKEN, IDK_TOKEN]),
+    )
+    sequence = data.draw(st.lists(token, max_size=60))
+    at = data.draw(st.integers(0, len(sequence)))
+    sequence[at:at] = [data.draw(st.sampled_from(names))] * data.draw(st.integers(0, 4))
+    got = oracle_match_score(tuple(sequence), scene)
+    assert type(got) is float
+    assert got.hex() == reference_lexicon_walk_score(tuple(sequence), scene).hex()
 
 
 # ---------------------------------------------------------------------------

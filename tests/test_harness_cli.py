@@ -654,6 +654,65 @@ def test_cli_corpus_file_without_image_exits_3_with_one_line(tmp_path, capsys, s
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("scenario", ["compare", "ablate", "oracle-study", "length-curve"])
+@pytest.mark.parametrize(
+    "image,got",
+    [
+        ({"image_width": 1e308}, "1e+308 x 1000.0"),
+        ({"image_width": 1e160, "image_height": 1e160}, "1e+160 x 1e+160"),
+        ({"image_width": 1e-200, "image_height": 1e-200}, "1e-200 x 1e-200"),
+    ],
+    ids=["wide", "both-large", "underflow"],
+)
+def test_cli_corpus_image_area_out_of_range_exits_2_naming_the_keys(
+    tmp_path, capsys, scenario, image, got
+):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"seed": 1, "corpus": {**image, "count": 3}}))
+    out = tmp_path / "out"
+    assert main([scenario, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    area = "corpus image_width x image_height must be a finite positive area"
+    want = f"config error: {area}, got {got}\n"
+    assert err == want
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scenario,key", [("compare", "compare.pope_count"), ("ablate", "ablate")])
+@pytest.mark.parametrize(
+    "corpus,absent",
+    [({"count": 1}, 0), ({"clauses": 1, "noun_pool": 4, "count": 5, "trap_clauses": [0]}, 1)],
+    ids=["one-scene", "small-pool"],
+)
+def test_cli_generated_corpus_too_small_for_pope_exits_2(
+    tmp_path, capsys, scenario, key, corpus, absent
+):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"seed": 1, "corpus": corpus}))
+    out = tmp_path / "out"
+    assert main([scenario, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "config error: generated corpus keys count, clauses and noun_pool leave a scene "
+        f"{absent} absent objects, fewer than the 3 POPE negatives of {key}\n"
+    )
+    assert not out.exists()
+
+
+def test_cli_corpus_file_too_small_for_pope_exits_3(tmp_path, capsys):
+    from halc.world import save_corpus
+
+    corpus_path = tmp_path / "corpus.json"
+    save_corpus(generate_corpus(1, 1, CorpusSpec(scene_count=1)), corpus_path)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"seed": 1, "corpus": {"path": str(corpus_path)}}))
+    out = tmp_path / "out"
+    assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == "i/o error: corpus vocabulary too small: 0 absent objects, need 3\n"
+    assert not (out / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_cli_theorem_ranges_fail_every_scenario(tmp_path, capsys, scenario):
     cfg = tmp_path / "c.json"
