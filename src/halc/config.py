@@ -235,6 +235,7 @@ class Config:
     def __post_init__(self) -> None:
         require = check_types(self, "")
         require("seed", self.seed is None or self.seed >= 0, "must be nonnegative")
+        require("detector_confidence", 0 <= self.detector_confidence <= 1, "must lie in [0, 1]")
 
 
 def load_config(path: Optional[str], seed: Optional[int] = None) -> tuple[dict, Config]:

@@ -14,18 +14,16 @@ stack of window logits. When every window's logits have the bits of the
 first window's, as in a scene without a window-dependent token, the windows
 share that row: one softmax row, JSD 0.0 for every pair and one contrast row
 for all 2m candidates. Otherwise it takes a few array operations over the
-windows: one checked row-wise softmax, the JSD of every window pair from one
-batched call (shared by the trace matrix and pair selection), and one
-contrast row per candidate under the plausibility mask of its expert window,
-normalized by one masked softmax and read out by one row-wise argmax. The
-contrast and its exponentials are computed on the plausible tokens only, so
-past one scan of the masks that work scales with the plausible set, not with
-the vocabulary size V. On most steps every window's mask keeps a single
-token: then each candidate's row is one-hot at its expert's token, and only
-that token's contrast is computed, to be checked. Each beam's step adds one
-candidate per distinct token, and beam selection scores each distinct
-candidate sequence once, which requires the scorer to be a pure function of
-(sequence, scene).
+windows: one row-wise softmax, the JSD of every window pair from one batched
+call (shared by the trace matrix and pair selection), and one contrast row
+per candidate under the plausibility mask of its expert window, normalized
+by one masked softmax. A candidate is its row's most probable token and that
+token's probability, which the abstention policy reads. On most steps every
+window's mask keeps a single token: then each candidate is its expert's
+token with probability 1.0, and only that token's contrast is computed, to
+be checked. Each beam's step adds one candidate per distinct token, and beam
+selection scores each distinct candidate sequence once, which requires the
+scorer to be a pure function of (sequence, scene).
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ from .distributions import (  # noqa: F401
     contrast_rows,
     jsd,
     softmax,
-    window_softmax,
 )
 from .errors import InvalidParameterError
 from .geometry import Fov, _growth, sample_fovs_exponential, sample_fovs_normal, sample_fovs_random
@@ -112,6 +109,7 @@ class DecodeConfig:
         require("alpha", 0 <= self.alpha <= MAX_ALPHA, f"must lie in [0, {MAX_ALPHA!r}]")
         require("beta", 0 < self.beta < 1, "must lie in (0, 1)")
         require("sigma", self.sigma > 0, "must be positive")
+        require("idk_confidence", 0 <= self.idk_confidence <= 1, "must lie in [0, 1]")
         require("max_tokens", self.max_tokens >= 1, "must be at least 1")
         require("seed", self.seed >= 0, "must be nonnegative")
         # A mode that expands windows scales them by (1 + lam)**r, which is
@@ -324,7 +322,7 @@ def decode_beam(
 
 @dataclass(frozen=True)
 class HalcStepResult:
-    candidates: tuple[tuple[str, np.ndarray], ...]
+    candidates: tuple[tuple[str, float], ...]
     fovs: tuple[Fov, ...]
     jsd_matrix: list[list[float]]
     selected_pairs: list[tuple[int, int]]
@@ -415,7 +413,9 @@ def halc_step(
     blob = logits.tobytes()
     size = len(blob) // len(logits)
     shared = blob.startswith(memoryview(blob)[:-size], size)
-    logits, probs = window_softmax(logits[:1] if shared else logits)
+    if shared:
+        logits = logits[:1]
+    probs = softmax(logits)
 
     n = len(fovs)
     pairs, first, second = _pair_index(n)
@@ -447,9 +447,8 @@ def halc_step(
                 i, j = j, i
             ends += (i, j, j, i)
         experts, amateurs = np.array(ends, dtype=np.intp).reshape(-1, 2).T
-    dists = contrast_rows(logits, probs, experts, amateurs, config.alpha, config.beta)
-    tokens = map(scene.vocabulary.__getitem__, dists.argmax(axis=-1).tolist())
-    candidates = tuple(zip(tokens, dists))
+    tokens, top = contrast_rows(logits, probs, experts, amateurs, config.alpha, config.beta)
+    candidates = tuple(zip(map(scene.vocabulary.__getitem__, tokens.tolist()), top.tolist()))
     return HalcStepResult(
         # A shared row's one candidate repeats for each of the 2m.
         candidates=candidates * (2 * len(selected) // len(candidates)),
@@ -555,12 +554,11 @@ def decode_halc(
         # select_beams keeps the first candidate of each key, and a repeated
         # token here repeats this beam's key.
         seen: set[str] = set()
-        for token, dist in result.candidates:
+        for token, prob in result.candidates:
             if token in seen:
                 continue
             seen.add(token)
             key = _extend(beam.tokens, token)
-            prob = float(dist[scene.token_id(token)])
             chosen = apply_idk_policy(proposed, token, hit, policy, prob, config.idk_confidence)
             grown = key if chosen == token else _extend(beam.tokens, chosen)
             pool.append((key, 0.0, grown, chosen, record))

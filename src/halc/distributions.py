@@ -6,12 +6,12 @@ along the last axis, so one call handles a single vector or an (n, V) stack
 of them, and a vector broadcasts against the rows of a stack. Called on
 plain vectors, the divergences return floats.
 
-The masked contrast exponentiates only the tokens its plausibility mask
-keeps: past one scan of the mask, its work scales with the plausible set,
-not with V. When every mask keeps a single token, as on most decode steps,
-it computes one contrast value per row, to check it, and returns one-hot
-rows. The JSD computes its midpoint once and each KL term in one
-temporary.
+The masked contrast is one softmax of the contrast with -inf off the
+plausibility mask. For window rows it returns each row's most probable
+token and that token's probability; when every mask keeps a single token,
+as on most decode steps, it computes one contrast value per row, to check
+it, and that token's probability is 1.0. The JSD computes its midpoint once
+and each KL term in one temporary.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ __all__ = [
     "jsd",
     "total_variation",
     "contrast_distribution",
-    "window_softmax",
     "contrast_rows",
 ]
 
@@ -51,12 +50,13 @@ def _check_maxima(top: np.ndarray) -> None:
         raise InvalidInputError("softmax of an all-masked logit vector")
 
 
-def _softmax(arr: np.ndarray) -> np.ndarray:
+def _softmax(arr: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Max-subtracted softmax of each vector of a float array, rejecting
-    NaN and +inf logits and vectors with every logit masked."""
+    NaN and +inf logits and vectors with every logit masked; written to
+    `out` (which may be arr) if given, as numpy's ufuncs do."""
     top = arr.max(axis=-1, keepdims=True)
     _check_maxima(top)
-    out = arr - top
+    out = np.subtract(arr, top, out=out)
     np.exp(out, out=out)
     out /= out.sum(axis=-1, keepdims=True)
     return out
@@ -66,16 +66,6 @@ def softmax(logits) -> np.ndarray:
     """Max-subtracted exponentiation and normalization of each logit
     vector; -inf maps to 0."""
     return _softmax(_as_array(logits))
-
-
-def window_softmax(rows) -> tuple[np.ndarray, np.ndarray]:
-    """The (n, V) float stack of n logit vectors and its row-wise softmax.
-
-    The stack is checked once, with the checks and messages of softmax, and
-    both arrays can then go to contrast_rows without being checked again.
-    """
-    logits = _as_array(rows, ndims=(2,))
-    return logits, _softmax(logits)
 
 
 def argmax_logit(logits) -> int:
@@ -176,52 +166,19 @@ def _plausible(p_expert, beta: float) -> np.ndarray:
     return p >= beta * p.max(axis=-1, keepdims=True)
 
 
-def _masked_contrast(
-    f_e: np.ndarray,
-    f_a: np.ndarray,
-    keep: np.ndarray,
-    experts: np.ndarray,
-    amateurs: np.ndarray,
-    alpha: float,
-) -> np.ndarray:
-    """Softmax of the contrast of rows f_e[experts] against rows
-    f_a[amateurs] on the tokens keep[experts] marks; the rest get 0.
-
-    The caller has checked f_e and f_a, and each row of keep marks its
-    row's most probable token and no token masked in f_e, so every row
-    keeps at least one token. When each keeps exactly one, every output row
-    is one-hot at its expert's kept token: the contrast is computed at that
-    token only, checked as below, and the row is 1.0 there, which is what
-    the softmax of a single finite value gives.
-
-    Otherwise only the kept entries are gathered, contrasted and
-    exponentiated, so past one scan of the mask the work scales with the
-    plausible set, not with V. Each row sum runs over the whole zero-filled
-    row, so it adds the same values in the same order as a softmax of the
-    contrast with -inf off the mask. The contrast is checked here: an
-    amateur -inf under a kept token makes it +inf or NaN.
+def _masked_contrast(f_e, f_a, keep, alpha: float) -> np.ndarray:
+    """Softmax of the contrast (1 + alpha) * f_e - alpha * f_a with -inf off
+    the mask keep, computed in place in the checked float arrays f_e and
+    f_a, which the caller hands over. The softmax checks the contrast: an
+    amateur -inf under a kept token makes it +inf or NaN. Off the mask, -inf
+    replaces what inf - inf or an overflow left there.
     """
-    size = keep.shape[-1]
-    if np.count_nonzero(keep) == len(keep):
-        tokens = keep.argmax(axis=-1)[experts]
-        with np.errstate(invalid="ignore"):
-            top = (1.0 + alpha) * f_e[experts, tokens] - alpha * f_a[amateurs, tokens]
-        _check_maxima(top)
-        out = np.zeros((len(experts), size))
-        out[np.arange(len(experts)), tokens] = 1.0
-        return out
-    rows, tokens = np.divmod(np.flatnonzero(keep[experts]), size)
-    top = np.full(len(experts), -np.inf)
-    with np.errstate(invalid="ignore"):
-        values = (1.0 + alpha) * f_e[experts[rows], tokens] - alpha * f_a[amateurs[rows], tokens]
-        np.maximum.at(top, rows, values)  # propagates NaN, as max does
-    _check_maxima(top)
-    values -= top[rows]
-    np.exp(values, out=values)
-    out = np.zeros((len(experts), size))
-    out[rows, tokens] = values
-    out[rows, tokens] = values / out.sum(axis=-1)[rows]
-    return out
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_e *= 1.0 + alpha
+        f_a *= alpha
+        f_e -= f_a
+    f_e[~keep] = -np.inf
+    return _softmax(f_e, out=f_e)
 
 
 def contrast_distribution(f_expert, f_amateur, alpha: float, beta: float) -> np.ndarray:
@@ -240,22 +197,33 @@ def contrast_distribution(f_expert, f_amateur, alpha: float, beta: float) -> np.
         raise InvalidInputError("logits must be finite or -inf")
     if f_e.shape != f_a.shape:
         raise InvalidInputError("logit vectors must share a vocabulary size")
-    rows = np.arange(f_e.size // f_e.shape[-1])
-    out = _masked_contrast(*np.atleast_2d(f_e, f_a, keep), rows, rows, alpha)
-    return out.reshape(f_e.shape)
+    return _masked_contrast(f_e.copy(), f_a.copy(), keep, alpha)
 
 
-def contrast_rows(logits, probs, experts, amateurs, alpha: float, beta: float) -> np.ndarray:
-    """contrast_distribution of the rows `experts` of a window stack against
-    its rows `amateurs`, for a stack and its softmax from window_softmax.
+def contrast_rows(
+    logits, probs, experts, amateurs, alpha: float, beta: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The most probable token (lowest id on ties) and its probability in
+    contrast_distribution of each row `experts` of a checked window stack
+    against its row `amateurs`, given the stack's softmax.
 
-    `experts` and `amateurs` are row indices, best given as intp arrays,
-    which are used as they are. The plausibility mask of each window is
-    built once from its row of probs, then indexed by expert.
+    `experts` and `amateurs` are row indices, best given as intp arrays.
+    The plausibility mask of each window is built once from its row of
+    probs, then indexed by expert. Each mask keeps its window's most
+    probable token; when each keeps only that one, only that token's
+    contrast is computed, to be checked, and its probability is 1.0, the
+    softmax of a single finite value.
     """
     if alpha < 0:
         raise InvalidParameterError("amplification factor must be nonnegative")
     keep = _plausible(probs, beta) & (logits > -np.inf)
     experts = np.asarray(experts, dtype=np.intp)
     amateurs = np.asarray(amateurs, dtype=np.intp)
-    return _masked_contrast(logits, logits, keep, experts, amateurs, alpha)
+    if np.count_nonzero(keep) == len(keep):
+        tokens = keep.argmax(axis=-1)[experts]
+        with np.errstate(over="ignore", invalid="ignore"):
+            top = (1.0 + alpha) * logits[experts, tokens] - alpha * logits[amateurs, tokens]
+        _check_maxima(top)
+        return tokens, np.ones(len(tokens))
+    dists = _masked_contrast(logits[experts], logits[amateurs], keep[experts], alpha)
+    return dists.argmax(axis=-1), dists.max(axis=-1)

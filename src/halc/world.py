@@ -157,7 +157,12 @@ def profile_value(profile: TokenProfile, fov: Fov, image: ImageSpec) -> float:
         )
         return profile.base + profile.amp * math.exp(-(d * d) / (2.0 * profile.width**2))
     if isinstance(profile, ContextShift):
-        return profile.base + profile.slope * math.log(fov.area / image.area)
+        try:
+            return profile.base + profile.slope * math.log(fov.area / image.area)
+        except ValueError:  # the ratio underflows to 0
+            raise InvalidParameterError(
+                f"window area {fov.area!r} over image area {image.area!r} underflows to 0"
+            ) from None
     if isinstance(profile, Noisy):
         q = (round(fov.width), round(fov.height), round(fov.center_x), round(fov.center_y))
         return profile.base + profile.amp * hash_noise(profile.noise_seed, *q)

@@ -181,7 +181,7 @@ def reference_decode_halc(model, detector, scorer, lexicon, scene, config):
                 # select_beams keeps the first candidate of each sequence, and
                 # a repeated token here repeats this beam's sequence.
                 seen: set[str] = set()
-                for tok, dist in result.candidates:
+                for tok, prob in result.candidates:
                     if tok in seen:
                         continue
                     seen.add(tok)
@@ -194,7 +194,7 @@ def reference_decode_halc(model, detector, scorer, lexicon, scene, config):
                             triggered=True,
                             original=proposed,
                             detector_hit=result.detector_hit,
-                            prob=float(dist[scene.token_id(tok)]),
+                            prob=prob,
                             record=record,
                         )
                     )

@@ -137,22 +137,22 @@ def test_halc_step_computes_a_shared_row_once(monkeypatch, trap_fraction):
 
         monkeypatch.setattr(decoding, name, wrapper)
 
-    spy("window_softmax", softmaxed)
+    spy("softmax", softmaxed)
     spy("jsd", jsd_calls)
     spy("contrast_rows", contrasted)
     result = halc_step(model, CORPUS_DET, scene, beam, scene.reference_caption[pos], cfg,
                        np.random.default_rng(0))
     assert len(result.candidates) == 2 * cfg.m
-    [(_, probs)] = softmaxed
-    [dists] = contrasted
+    [probs] = softmaxed
+    [(tokens, top)] = contrasted
     if trap_fraction == 0.0:
         assert len(set(rows)) == 1
-        assert (len(probs), len(jsd_calls), len(dists)) == (1, 0, 1)
+        assert (len(probs), len(jsd_calls), len(tokens)) == (1, 0, 1)
         assert not any(map(any, result.jsd_matrix))
-        assert all(dist is result.candidates[0][1] for _, dist in result.candidates)
+        assert set(result.candidates) == {(scene.vocabulary[tokens[0]], top[0])}
     else:
         assert len(set(rows)) == cfg.n
-        assert (len(probs), len(jsd_calls), len(dists)) == (cfg.n, 1, 2 * cfg.m)
+        assert (len(probs), len(jsd_calls), len(tokens)) == (cfg.n, 1, 2 * cfg.m)
 
 
 def test_halc_step_detector_miss_uses_random_windows(demo):

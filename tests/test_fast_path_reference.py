@@ -1,8 +1,8 @@
 """The toy model with constant profiles folded into the scene, the scene's
 token tables built one token class at a time, the Peaking profile's
 distance tuples built in place, the one-pass FOV samplers, the cheaper
-proposal check, the contrast masked per window, the contrast that
-exponentiates only its plausible tokens, the one-hot contrast of
+proposal check, the contrast masked per window and read out as each
+row's top token and its probability, the one-token contrast of
 single-token masks, the in-place JSD, the candidate pool that skips
 repeated tokens and the oracle scorer that counts nouns by set lookups,
 each checked against the code it replaced.
@@ -41,7 +41,6 @@ from halc.distributions import (
     contrast_rows,
     jsd,
     softmax,
-    window_softmax,
 )
 from halc.errors import InvalidInputError, InvalidParameterError
 from halc.geometry import (
@@ -556,24 +555,16 @@ def window_stacks(draw):
 )
 def test_contrast_rows_match_the_replaced_contrast(case, alpha, beta):
     rows, experts, amateurs = case
-    logits, probs = window_softmax(rows)
-    np.testing.assert_array_equal(probs, softmax(rows))
     stack = np.array(rows)
-    want = _outcome(
-        lambda _: reference_contrast_distribution(stack[experts], stack[amateurs], alpha, beta), None
+    assert _exact(contrast_rows, stack, softmax(stack), experts, amateurs, alpha, beta) == _exact(
+        lambda: reference_top(
+            reference_contrast_distribution(stack[experts], stack[amateurs], alpha, beta)
+        )
     )
-    got = _outcome(
-        lambda _: contrast_rows(logits, probs, experts, amateurs, alpha, beta), None
-    )
-    assert got[0] == want[0]
-    if got[0] == "ok":
-        np.testing.assert_array_equal(got[1], want[1])
-    else:
-        assert got[1] == want[1]
 
 
 # ---------------------------------------------------------------------------
-# Sparse contrast: only the plausible tokens are contrasted and exponentiated
+# Dense contrast: one softmax of the contrast with -inf off the mask
 # ---------------------------------------------------------------------------
 
 
@@ -590,8 +581,8 @@ def reference_dense_softmax(arr):
 
 
 def reference_masked_contrast(f_e, f_a, keep, alpha):
-    """The replaced kernel: the full (rows, V) contrast, -inf off the mask,
-    then a dense softmax."""
+    """The full (rows, V) contrast, -inf off the mask, then a dense
+    softmax."""
     with np.errstate(invalid="ignore"):
         contrasted = np.where(keep, (1.0 + alpha) * f_e - alpha * f_a, -np.inf)
     return reference_dense_softmax(contrasted)
@@ -617,15 +608,40 @@ def reference_dense_contrast_rows(logits, probs, experts, amateurs, alpha, beta)
     return reference_masked_contrast(f_e, f_a, keep[ends[0]], alpha)
 
 
+def reference_top(dists):
+    """What contrast_rows returns for contrast rows `dists`: each row's most
+    probable token, lowest id on ties, and that token's probability."""
+    tokens = dists.argmax(axis=-1)
+    return tokens, dists[np.arange(len(dists)), tokens]
+
+
+def reference_top_contrast_rows(*args):
+    return reference_top(reference_dense_contrast_rows(*args))
+
+
+def _value_bits(value):
+    if isinstance(value, tuple):
+        return tuple(map(_value_bits, value))
+    if isinstance(value, float):
+        return "float", value.hex()
+    return type(value), value.shape, value.dtype.str, value.tobytes()
+
+
 def _exact(fn, *args):
-    """The result's exact bits and type, or the rejection's type and message."""
+    """The result's exact bits and types, or the rejection's type and message."""
     try:
         value = fn(*args)
     except (InvalidInputError, InvalidParameterError) as exc:
         return "error", type(exc), str(exc)
-    if isinstance(value, float):
-        return "float", value.hex()
-    return type(value), value.shape, value.dtype.str, value.tobytes()
+    return _value_bits(value)
+
+
+def _exact_reference(fn, *args):
+    """_exact of a dense reference, whose contrast may overflow. The code it
+    is compared with runs without this errstate, so a RuntimeWarning that
+    leaks from it fails the test."""
+    with np.errstate(over="ignore"):
+        return _exact(fn, *args)
 
 
 @st.composite
@@ -662,12 +678,8 @@ ALPHAS = st.one_of(st.just(0.0), st.floats(0.0, 3.0))
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(case=wide_window_stacks(), alpha=ALPHAS, beta=BETAS)
-def test_sparse_contrast_matches_the_dense_contrast(case, alpha, beta):
+def test_contrast_distribution_matches_the_dense_reference(case, alpha, beta):
     stack, experts, amateurs = case
-    logits, probs = window_softmax(stack)
-    assert _exact(contrast_rows, logits, probs, experts, amateurs, alpha, beta) == _exact(
-        reference_dense_contrast_rows, logits, probs, experts, amateurs, alpha, beta
-    )
     f_e, f_a = stack[experts], stack[amateurs]
     assert _exact(contrast_distribution, f_e, f_a, alpha, beta) == _exact(
         reference_dense_contrast_distribution, f_e, f_a, alpha, beta
@@ -708,20 +720,19 @@ def test_sparse_contrast_matches_the_dense_contrast(case, alpha, beta):
         "inf-amateur",
     ],
 )
-def test_sparse_contrast_rejects_exactly_what_the_dense_contrast_rejected(f_e, f_a, alpha, beta):
+def test_contrast_rejects_exactly_what_the_dense_reference_rejects(f_e, f_a, alpha, beta):
     f_e, f_a = np.array(f_e), np.array(f_a)
-    with np.errstate(over="ignore"):
-        assert _exact(contrast_distribution, f_e, f_a, alpha, beta) == _exact(
-            reference_dense_contrast_distribution, f_e, f_a, alpha, beta
-        )
-        if f_e.shape != f_a.shape or not np.isfinite(np.concatenate([f_e, f_a]).max(axis=-1)).all():
-            return  # window_softmax rejects such a stack before contrast_rows sees it
-        logits = np.concatenate([f_e, f_a])
-        probs = reference_dense_softmax(logits)
-        ends = list(range(len(f_e))), list(range(len(f_e), len(logits)))
-        assert _exact(contrast_rows, logits, probs, *ends, alpha, beta) == _exact(
-            reference_dense_contrast_rows, logits, probs, *ends, alpha, beta
-        )
+    assert _exact(contrast_distribution, f_e, f_a, alpha, beta) == _exact_reference(
+        reference_dense_contrast_distribution, f_e, f_a, alpha, beta
+    )
+    if f_e.shape != f_a.shape or not np.isfinite(np.concatenate([f_e, f_a]).max(axis=-1)).all():
+        return  # halc_step rejects such a stack before contrast_rows sees it
+    logits = np.concatenate([f_e, f_a])
+    probs = reference_dense_softmax(logits)
+    ends = list(range(len(f_e))), list(range(len(f_e), len(logits)))
+    assert _exact(contrast_rows, logits, probs, *ends, alpha, beta) == _exact_reference(
+        reference_top_contrast_rows, logits, probs, *ends, alpha, beta
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -763,45 +774,61 @@ ONE_TOKEN_ALPHAS = st.one_of(
 )
 
 
+# Cases that the one-token path must reject or compute as the dense contrast
+# does: an amateur -inf under the expert's kept token gives +inf, and NaN at
+# alpha 0; one token is the softmax of a single logit; past overflow,
+# 9e7 * (1 + 1e300) + 9e7 * 1e300 is +inf and 9e7 + 9e7 * 1e300 is finite.
+ONE_TOKEN_EXAMPLES = [
+    ((np.array([[0.0, -50.0], [-np.inf, 0.0]]), np.array([0]), np.array([1]), False), 0.5, 0.1),
+    ((np.array([[0.0, -50.0], [-np.inf, 0.0]]), np.array([0, 1]), np.array([1, 0]), False),
+     0.0, 0.1),
+    ((np.array([[3.0], [-2.0]]), np.array([0, 1]), np.array([1, 0]), False), 2.0, 0.5),
+    ((np.array([[9e7, 0.0], [-9e7, -1e8]]), np.array([0, 1]), np.array([1, 0]), False),
+     MAX_ALPHA, 0.1),
+]
+
+
+def _with_examples(cases):
+    def decorate(test):
+        for case, alpha, beta in cases:
+            test = example(case=case, alpha=alpha, beta=beta)(test)
+        return test
+
+    return decorate
+
+
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-# An amateur -inf under the expert's kept token: +inf, and NaN at alpha 0.
-@example(
-    case=(np.array([[0.0, -50.0], [-np.inf, 0.0]]), np.array([0]), np.array([1]), False),
-    alpha=0.5,
-    beta=0.1,
-)
-@example(
-    case=(np.array([[0.0, -50.0], [-np.inf, 0.0]]), np.array([0, 1]), np.array([1, 0]), False),
-    alpha=0.0,
-    beta=0.1,
-)
-# One token: the softmax of a single logit.
-@example(
-    case=(np.array([[3.0], [-2.0]]), np.array([0, 1]), np.array([1, 0]), False), alpha=2.0, beta=0.5
-)
-# Past overflow: 9e7 * (1 + 1e300) + 9e7 * 1e300 is +inf; 9e7 + 9e7 * 1e300 is finite.
-@example(
-    case=(np.array([[9e7, 0.0], [-9e7, -1e8]]), np.array([0, 1]), np.array([1, 0]), False),
-    alpha=MAX_ALPHA,
-    beta=0.1,
-)
+@_with_examples(ONE_TOKEN_EXAMPLES)
 @given(case=one_token_stacks(), alpha=ONE_TOKEN_ALPHAS, beta=st.floats(1e-6, 0.999))
-def test_one_token_contrast_matches_the_dense_contrast(case, alpha, beta):
+def test_one_token_contrast_distribution_matches_the_dense_contrast(case, alpha, beta):
     stack, experts, amateurs, two = case
-    logits, probs = window_softmax(stack)
-    keep = _plausible(probs, beta) & (logits > -np.inf)
+    keep = _plausible(softmax(stack), beta) & (stack > -np.inf)
     assert np.count_nonzero(keep) == len(stack) + two  # the case drawn is the case claimed
-    with np.errstate(over="ignore"):
-        assert _exact(contrast_rows, logits, probs, experts, amateurs, alpha, beta) == _exact(
-            reference_dense_contrast_rows, logits, probs, experts, amateurs, alpha, beta
-        )
-        f_e, f_a = stack[experts], stack[amateurs]
-        assert _exact(contrast_distribution, f_e, f_a, alpha, beta) == _exact(
-            reference_dense_contrast_distribution, f_e, f_a, alpha, beta
-        )
-        assert _exact(contrast_distribution, f_e[0], f_a[0], alpha, beta) == _exact(
-            reference_dense_contrast_distribution, f_e[0], f_a[0], alpha, beta
-        )
+    f_e, f_a = stack[experts], stack[amateurs]
+    assert _exact(contrast_distribution, f_e, f_a, alpha, beta) == _exact_reference(
+        reference_dense_contrast_distribution, f_e, f_a, alpha, beta
+    )
+    assert _exact(contrast_distribution, f_e[0], f_a[0], alpha, beta) == _exact_reference(
+        reference_dense_contrast_distribution, f_e[0], f_a[0], alpha, beta
+    )
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@_with_examples(ONE_TOKEN_EXAMPLES)
+@given(
+    case=st.one_of(one_token_stacks(), wide_window_stacks().map(lambda case: (*case, None))),
+    alpha=st.one_of(ONE_TOKEN_ALPHAS, ALPHAS),
+    beta=BETAS,
+)
+def test_contrast_rows_are_the_top_of_the_dense_rows(case, alpha, beta):
+    # One-token stacks, with and without a window that keeps two tokens,
+    # and wide stacks whose masks keep 1..V tokens: each row's token and
+    # probability, or the rejection, are those of the dense reference row.
+    stack, experts, amateurs, _ = case
+    probs = softmax(stack)
+    assert _exact(contrast_rows, stack, probs, experts, amateurs, alpha, beta) == _exact_reference(
+        reference_top_contrast_rows, stack, probs, experts, amateurs, alpha, beta
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -967,11 +994,11 @@ def test_set_count_oracle_score_matches_the_lexicon_walk(
 
 
 def reference_step_candidates(beam_tokens, proposed, result, record, config, scene):
-    """The replaced loop: one candidate per (token, distribution) pair, each
+    """The replaced loop: one candidate per (token, probability) pair, each
     growing into the beam that the replaced post-selection branch built
     from it."""
     pool = []
-    for tok, dist in result.candidates:
+    for tok, prob in result.candidates:
         extended = beam_tokens if tok == END_TOKEN else beam_tokens + (tok,)
         terminated = tok == END_TOKEN
         final_tok = apply_idk_policy(
@@ -979,7 +1006,7 @@ def reference_step_candidates(beam_tokens, proposed, result, record, config, sce
             tok,
             result.detector_hit,
             config.idk_policy,
-            float(dist[scene.token_id(tok)]),
+            prob,
             config.idk_confidence,
         )
         if final_tok == END_TOKEN:

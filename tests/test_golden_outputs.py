@@ -12,7 +12,9 @@ those of that baseline on any such CPU. They were recorded with numpy 2.4.6
 on x86-64, the version the CI job pins.
 
 A scenario may have more than one case: `theorem-verify-jsd` runs
-`theorem-verify` under JSD. To re-record after a deliberate output change,
+`theorem-verify` under JSD, and `decode-idk` runs `decode` with the
+confidence abstention policy and a plausibility threshold low enough that
+most contrast masks keep several tokens. To re-record after a deliberate output change,
 run `python tests/test_golden_outputs.py OUT CASE` for every case under
 the same environment (`_pinned_digests` shows it) and say in the change
 which files moved and why.
@@ -54,10 +56,16 @@ CONFIGS = {
         "seed": 7,
         "theorem": {"trials": 200, "n_values": [2, 4], "divergence": "jsd"},
     },
+    "decode-idk": {
+        "seed": 3,
+        "corpus": {"count": 4},
+        "scene_index": 2,
+        "decode": {"beta": 0.001, "idk_policy": "confidence", "idk_confidence": 0.99},
+    },
 }
 
 # Cases beyond the one per scenario, with the scenario each runs.
-SCENARIO_OF = {"theorem-verify-jsd": "theorem-verify"}
+SCENARIO_OF = {"theorem-verify-jsd": "theorem-verify", "decode-idk": "decode"}
 CASES = [*SCENARIOS, *SCENARIO_OF]
 
 GOLDEN = {
@@ -82,6 +90,12 @@ GOLDEN = {
         "manifest.json": "c95e01b009e0305a714fe1a2d21a88042c956fe3519a239c6b6b2d0c36ca2d1c",
         "trace_greedy.json": "fe626499255941a2f9af3831c237b75926e8a591b150f3a7399107df17bb21cd",
         "trace_halc.json": "20ccf1dbd0cad8e94d637e76bf5ddd911fb748ce1922e3053b5881193a03f341",
+    },
+    "decode-idk": {
+        "decode.json": "31c790eaeab99eb739b9c3e8a049659093c48bc55b3bc0d99b08f734dd8326dc",
+        "manifest.json": "137e21ff0f72979c13cffbcc33bcb475a6fc9755e208656cc774abefb56924d5",
+        "trace_greedy.json": "5ae44ad962bc008760ba266144624b619d346dec7273d18c706763ec03b1e599",
+        "trace_halc.json": "328e9aec1742e5e4af1082ee23d3dd2968ee9190b88fd4a5f2056871ed7519d0",
     },
     "emit-curve": {
         "manifest.json": "cc0174d8255f9006c0e4b19e6eefe36ec190bd71bd50d11e4daf964fcae20e6a",

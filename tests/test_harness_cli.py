@@ -386,6 +386,10 @@ def test_cli_config_not_utf8_exits_2_with_one_line(tmp_path, capsys):
         ({"decode": {"sigma": 0, "sampling_mode": "normal"}}, "decode sigma must be positive, got 0"),
         ({"decode": {"sigma": 0}}, "decode sigma must be positive, got 0"),
         ({"ablate": {"lambdas": [0.5, -1.0]}}, "ablate lambdas must be greater than -1, got (0.5, -1.0)"),
+        ({"decode": {"idk_confidence": -5.0}}, "decode idk_confidence must lie in [0, 1], got -5.0"),
+        ({"decode": {"idk_confidence": 7.0}}, "decode idk_confidence must lie in [0, 1], got 7.0"),
+        ({"detector_confidence": -5.0}, "detector_confidence must lie in [0, 1], got -5.0"),
+        ({"detector_confidence": 7.0}, "detector_confidence must lie in [0, 1], got 7.0"),
     ],
     ids=[
         "short-detector-eta",
@@ -439,6 +443,10 @@ def test_cli_config_not_utf8_exits_2_with_one_line(tmp_path, capsys):
         "zero-sigma-normal-sampling",
         "zero-sigma-exponential-sampling",
         "ablate-lambda-at-most-minus-one",
+        "negative-idk-confidence",
+        "idk-confidence-above-one",
+        "negative-detector-confidence",
+        "detector-confidence-above-one",
     ],
 )
 def test_cli_malformed_config_exits_2_with_one_line(tmp_path, capsys, extra, named):
@@ -676,6 +684,52 @@ def test_cli_corpus_image_area_out_of_range_exits_2_naming_the_keys(
     want = f"config error: {area}, got {got}\n"
     assert err == want
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "scenario,extra",
+    [
+        ("decode", {"corpus": {"count": 4}, "decode": {"exponent_offset": -820}}),
+        ("compare", {"corpus": {"count": 4}, "decode": {"exponent_offset": -830}}),
+        ("compare", {"corpus": {"count": 4, "image_width": 1e-160, "image_height": 1e-162}}),
+        (
+            "decode",
+            {
+                "corpus": {"count": 4, "image_width": 1e154, "image_height": 1e154},
+                "decode": {"exponent_offset": -1400},
+            },
+        ),
+        (
+            "oracle-study",
+            {"corpus": {"count": 2, "trap_fraction": 1.0}, "oracle_study": {"grid_scales": [1e-200]}},
+        ),
+        (
+            "oracle-study",
+            {"corpus": {"count": 2, "trap_fraction": 1.0}, "oracle_study": {"grid_scales": [5e-324]}},
+        ),
+    ],
+    ids=[
+        "decode-offset",
+        "compare-offset",
+        "compare-tiny-image",
+        "decode-huge-image-positive-window",
+        "oracle-tiny-scale",
+        "oracle-subnormal-scale",
+    ],
+)
+def test_cli_window_area_ratio_underflow_exits_2_with_one_line(tmp_path, capsys, scenario, extra):
+    # A ContextShift profile takes the log of a window's area over the image
+    # area; where that ratio underflows to 0, even for a window of positive
+    # area, the run stops with one line instead of a traceback.
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"seed": 1, **extra}))
+    out = tmp_path / "out"
+    assert main([scenario, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: window area ")
+    assert err.endswith(" underflows to 0\n")
+    assert err.count("\n") == 1
+    assert not (out / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("scenario,key", [("compare", "compare.pope_count"), ("ablate", "ablate")])

@@ -26,7 +26,7 @@ from halc.decoding import (
     halc_step,
     select_beams,
 )
-from halc.distributions import contrast_rows, jsd, window_softmax
+from halc.distributions import _as_array, contrast_rows, jsd, softmax
 from halc.errors import InvalidInputError
 from halc.geometry import Fov
 from halc.world import (
@@ -89,7 +89,8 @@ def _ref_top_m_pairs(dists, m):
 
 
 def reference_halc_step(model, detector, scene, beam, proposed, config, rng):
-    """The per-pair correction step: returns (fovs, matrix, pairs, candidates)."""
+    """The per-pair correction step: returns (fovs, matrix, pairs,
+    candidates), each candidate a token and its contrast row."""
     model = model or toy_model_logits
     v_d = detector(proposed, scene)
     fovs = decoding._sample_fovs(scene, v_d, config, rng)
@@ -124,9 +125,11 @@ def assert_steps_agree(model, detector, scene, beam, proposed, config, seed):
     result = halc_step(model, detector, scene, beam, proposed, config, np.random.default_rng(seed))
     assert result.fovs == fovs
     assert result.selected_pairs == pairs
-    assert [tok for tok, _ in result.candidates] == [tok for tok, _ in candidates]
-    for (_, got), (_, want) in zip(result.candidates, candidates):
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    # Each candidate is its reference row's top token and, bit for bit, that
+    # token's probability in the row.
+    assert [(tok, prob.hex()) for tok, prob in result.candidates] == [
+        (tok, float(dist.max()).hex()) for tok, dist in candidates
+    ]
     np.testing.assert_allclose(result.jsd_matrix, matrix, rtol=0, atol=1e-12)
     return result
 
@@ -201,18 +204,15 @@ def test_successive_wide_steps_leave_earlier_results_intact():
 
     first = step(first_at, 1)
     matrix = [row[:] for row in first.jsd_matrix]
-    candidates = [(tok, dist.copy()) for tok, dist in first.candidates]
     second = step(second_at, 2)
     assert len(scene.vocabulary) > 4000
     assert first.detector_hit and second.detector_hit
     assert any(map(any, matrix)) and second.jsd_matrix != matrix
     assert first.jsd_matrix == matrix
-    assert [tok for tok, _ in first.candidates] == [tok for tok, _ in candidates]
-    for (_, got), (_, want) in zip(first.candidates, candidates):
-        assert got.tobytes() == want.tobytes()
-    scratch = decoding._pair_buffers(6, len(scene.vocabulary))
-    for _, dist in first.candidates + second.candidates:
-        assert not any(np.shares_memory(dist, buffer) for buffer in scratch)
+    # Candidates are (token, probability) pairs of Python objects, which
+    # hold no view of the scratch buffers.
+    for tok, prob in first.candidates + second.candidates:
+        assert type(tok) is str and type(prob) is float
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +403,8 @@ def per_window_halc_step(model, detector, scene, beam, proposed, config, rng):
     model = model or toy_model_logits
     v_d = detector(proposed, scene)
     fovs = decoding._sample_fovs(scene, v_d, config, rng)
-    logits, probs = window_softmax([model(scene, f, beam.tokens) for f in fovs])
+    logits = _as_array([model(scene, f, beam.tokens) for f in fovs], ndims=(2,))
+    probs = softmax(logits)
 
     n = len(logits)
     pairs = list(combinations(range(n), 2))
@@ -421,10 +422,9 @@ def per_window_halc_step(model, detector, scene, beam, proposed, config, rng):
         larger, smaller = (i, j) if area[i] >= area[j] else (j, i)
         experts += (larger, smaller)
         amateurs += (smaller, larger)
-    dists = contrast_rows(logits, probs, experts, amateurs, config.alpha, config.beta)
-    tokens = map(scene.vocabulary.__getitem__, dists.argmax(axis=-1).tolist())
+    tokens, top = contrast_rows(logits, probs, experts, amateurs, config.alpha, config.beta)
     return HalcStepResult(
-        candidates=tuple(zip(tokens, dists)),
+        candidates=tuple(zip(map(scene.vocabulary.__getitem__, tokens.tolist()), top.tolist())),
         fovs=fovs,
         jsd_matrix=matrix,
         selected_pairs=selected,
@@ -461,8 +461,7 @@ def _outcome(step, model, scene, beam, proposed, config, seed):
         result.fovs,
         [[value.hex() for value in row] for row in result.jsd_matrix],
         result.selected_pairs,
-        [tok for tok, _ in result.candidates],
-        [(dist.dtype.str, dist.shape, dist.tobytes()) for _, dist in result.candidates],
+        [(tok, type(prob), prob.hex()) for tok, prob in result.candidates],
         result.detector_hit,
     )
 
