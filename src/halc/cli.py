@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .config import Config, load_config
 from .decoding import decode_greedy, decode_halc
-from .errors import ConfigError, InvalidInputError, InvalidParameterError
+from .errors import InvalidInputError, InvalidParameterError
 from .harness import (
     ABLATE_POPE_COUNT,
     build_corpus,
@@ -73,7 +73,7 @@ def _polled_scenes(config: Config, default: CorpusSpec, count: int, key: str) ->
         universe = frozenset().union(*(s.ground_truth_names for s in scenes))
         fewest = min(len(universe - s.ground_truth_names) for s in scenes)
         if fewest < count:
-            raise ConfigError(
+            raise InvalidParameterError(
                 "generated corpus keys count, clauses and noun_pool leave a scene "
                 f"{fewest} absent objects, fewer than the {count} POPE negatives of {key}"
             )
@@ -85,7 +85,9 @@ def _scene_for_decode(config: Config):
         return demo_scene()
     scenes = _scenes(config)
     if not 0 <= config.scene_index < len(scenes):
-        raise ConfigError(f"scene_index {config.scene_index} outside corpus of {len(scenes)}")
+        raise InvalidParameterError(
+            f"scene_index {config.scene_index} outside corpus of {len(scenes)}"
+        )
     return scenes[config.scene_index]
 
 
@@ -178,7 +180,7 @@ def _write_outputs(scenario: str, config: Config, out: Path, echo: dict) -> None
         write_csv(out / "profile_curve.csv", rows)
         return
 
-    raise ConfigError(f"unknown scenario {scenario!r}")
+    raise InvalidParameterError(f"unknown scenario {scenario!r}")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -15,7 +15,7 @@ from itertools import product
 from typing import Iterator, Literal, Optional, Union
 
 from .decoding import DecodeConfig
-from .errors import ConfigError
+from .errors import InvalidParameterError
 from .metrics import POPE_MODES
 from .schema import check_types, parse
 from .world import CorpusSpec
@@ -68,7 +68,7 @@ class ScorerSpec:
     def __post_init__(self) -> None:
         require = check_types(self, "scorer")
         if self.amp is not None and self.kind != "noisy":
-            raise ConfigError(f"unknown {self.kind!r} scorer keys ['amp']")
+            raise InvalidParameterError(f"unknown {self.kind!r} scorer keys ['amp']")
         require("amp", self.amp is None or self.amp >= 0, "must be nonnegative")
 
     def __str__(self) -> str:
@@ -175,7 +175,7 @@ class TheoremSection:
         require("n_values", min(self.n_values, default=1) >= 1, "must be at least 1")
         largest_n = max(self.n_values, default=1)
         if self.trials * largest_n > MAX_THEOREM_WINDOWS:
-            raise ConfigError(
+            raise InvalidParameterError(
                 f"theorem trials x max(n_values) must be at most {MAX_THEOREM_WINDOWS}, "
                 f"got {self.trials} x {largest_n}"
             )
@@ -191,7 +191,7 @@ class TheoremSection:
         require("amp", self.amp <= MAX_THEOREM_AMP, f"must be at most {MAX_THEOREM_AMP!r}")
         require("r_min", self.r_min < self.r_max, "must be less than r_max")
         if next(self.rows(), None) is None:
-            raise ConfigError("theorem grid has no rows")
+            raise InvalidParameterError("theorem grid has no rows")
 
     def rows(self) -> Iterator[tuple]:
         """The grid's (sampler, epsilon, eta, sigma, n) rows in output order.
@@ -249,9 +249,9 @@ def load_config(path: Optional[str], seed: Optional[int] = None) -> tuple[dict, 
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
         except FileNotFoundError as exc:
-            raise ConfigError(f"config file not found: {path}") from exc
+            raise InvalidParameterError(f"config file not found: {path}") from exc
         except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
-            raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+            raise InvalidParameterError(f"config file is not valid JSON: {exc}") from exc
         if isinstance(doc, dict) and "config" in doc and "scenario" in doc:
             seed = doc.get("seed") if seed is None else seed
             doc = doc["config"]
@@ -259,7 +259,7 @@ def load_config(path: Optional[str], seed: Optional[int] = None) -> tuple[dict, 
     if seed is not None:
         config = replace(config, seed=seed)
     if config.seed is None:
-        raise ConfigError("a seed is required (config 'seed' or --seed)")
+        raise InvalidParameterError("a seed is required (config 'seed' or --seed)")
     if "seed" not in doc.get("decode", {}):
         config = replace(config, decode=replace(config.decode, seed=config.seed))
     return doc, config

@@ -7,7 +7,3 @@ class InvalidParameterError(ValueError):
 
 class InvalidInputError(ValueError):
     """Runtime data (distributions, tokens, files) violates an input contract."""
-
-
-class ConfigError(InvalidParameterError):
-    """The config document is malformed; maps to CLI exit code 2."""

@@ -12,7 +12,6 @@ import contextlib
 import csv
 import dataclasses
 import json
-import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,7 +32,7 @@ from .decoding import (
     decode_halc,
 )
 from .distributions import argmax_logit, softmax
-from .errors import ConfigError, InvalidInputError, InvalidParameterError
+from .errors import InvalidInputError, InvalidParameterError
 from .geometry import Fov, _clamped, clamp_to_image, expand_fov
 from .metrics import (
     CaptionRecord,
@@ -98,7 +97,7 @@ def cost_estimate(model: CostModel) -> CostEstimate:
 
     The parallel variant assumes the n per-window re-decodings run
     concurrently, costing one decoding step each triggered token. Values
-    too large for a finite float estimate raise ConfigError.
+    too large for a finite float estimate raise InvalidParameterError.
     """
     length, t, td = model.tokens, model.t_lvlm, model.t_detector
     rate, n = model.trigger_rate, model.n
@@ -113,7 +112,9 @@ def cost_estimate(model: CostModel) -> CostEstimate:
         )
         if np.isfinite(dataclasses.astuple(estimate)).all():
             return estimate
-    raise ConfigError("cost model values are too large: the estimate is not a finite float")
+    raise InvalidParameterError(
+        "cost model values are too large: the estimate is not a finite float"
+    )
 
 
 def verify_cost_accounting(trace: DecodeTrace, model: CostModel) -> bool:
@@ -372,15 +373,15 @@ def run_oracle_study(
 def run_theorem_verify(
     options: TheoremSection | Mapping | None = None, seed: int = 0
 ) -> list[dict]:
-    """Bound reports of a theorem grid's rows (`TheoremSection.rows`), in
-    its order; a row's trials are seeded by seed + n.
+    """The theorem.csv rows of a theorem grid (`TheoremSection.rows`), in
+    its order: each grid point's `bound_report`, its trials seeded by seed + n.
 
     A trial set's random draw depends only on the sampler and n, so the
     rows are visited sorted by (sampler, in the section's order; n; eta;
     sigma): a block is drawn when (sampler, n) changes and scored when
-    (eta, sigma) changes, and the rows that differ only in epsilon rescore
-    that trial set. No earlier block or trial set is held while the next
-    is drawn or scored.
+    (eta, sigma) changes, and each row reports that trial set at its own
+    epsilon. No earlier block or trial set is held while the next is drawn
+    or scored.
     """
     from .theory import (
         GaussianBumpModel, TheoremConfig, bound_report, draw_trials, min_deviation_mc,
@@ -397,33 +398,23 @@ def run_theorem_verify(
         divergence=section.divergence,
     )
     grid = [
-        (sampler, TheoremConfig(eta=eta, epsilon=eps, sigma=sigma, n=n, seed=seed + n, **shared))
-        for sampler, eps, eta, sigma, n in section.rows()
+        TheoremConfig(sampler=s, eta=eta, epsilon=eps, sigma=sigma, n=n, seed=seed + n, **shared)
+        for s, eps, eta, sigma, n in section.rows()
     ]
-    keys = [(section.samplers.index(s), cfg.n, cfg.eta, cfg.sigma) for s, cfg in grid]
+    keys = [(section.samplers.index(cfg.sampler), cfg.n, cfg.eta, cfg.sigma) for cfg in grid]
     rows: list = [None] * len(grid)
     last = ()
     try:
         for i in sorted(range(len(grid)), key=keys.__getitem__):
-            sampler, cfg = grid[i]
+            cfg = grid[i]
             if keys[i][:2] != last[:2]:
                 block = scored = None  # before the next block is drawn
-                block = draw_trials(cfg, sampler)
+                block = draw_trials(cfg)
             if keys[i] != last:
                 scored = None  # before the next trial set is scored
-                scored = min_deviation_mc(model, cfg, sampler, block)
-                report = scored.to_csv_row()
-            else:
-                report = bound_report(
-                    model, cfg, sampler, scored.min_deviation_samples, scored.min_distance_samples
-                ).to_csv_row()
+                scored = min_deviation_mc(model, cfg, block)
             last = keys[i]
-            rows[i] = {
-                "epsilon": cfg.epsilon,
-                "eta_norm": math.hypot(*cfg.eta),
-                "sigma": cfg.sigma if sampler == "normal" else "",
-                **report,
-            }
+            rows[i] = bound_report(model, cfg, *scored).to_csv_row()
     except OverflowError as exc:
         # The r range and the bound formulas overflow on huge values.
         raise InvalidParameterError(f"theorem values too large: {exc}") from exc

@@ -8,7 +8,7 @@ tuples (JSON lists), `Optional[X]`, a union of a dataclass and one other
 type, a nested dataclass, a tagged union of records (the JSON object's
 "kind" is the `kind` ClassVar of one), `Mapping[tuple[...], V]` (a list of
 [*key, value] rows) and `Annotated[X, name]` (errors labelled `<label> <name>`).
-bool is never a number. Errors are one-line ConfigErrors naming the key.
+bool is never a number. Errors are one-line InvalidParameterErrors naming the key.
 
 A config section checks itself: its `__post_init__` calls `check_types`.
 A record, a dataclass with a `label` ClassVar, does not, so that building
@@ -26,14 +26,15 @@ from numbers import Integral, Real
 from types import UnionType
 from typing import Annotated, Callable, Literal, Union, get_args, get_origin, get_type_hints
 
-from .errors import ConfigError
+from .errors import InvalidParameterError
 
 Check = Callable[[object, str], object]
 
 
 def _fail(label: str, what: str, value) -> None:
     shown = repr(value)  # cut, since a malformed corpus file may hold a whole corpus here
-    raise ConfigError(f"{label} {what}, got {shown if len(shown) <= 200 else shown[:200] + ' ...'}")
+    shown = shown if len(shown) <= 200 else shown[:200] + " ..."
+    raise InvalidParameterError(f"{label} {what}, got {shown}")
 
 
 def parse(cls, value, label: str):
@@ -45,7 +46,7 @@ def parse(cls, value, label: str):
     keys = _keys(cls)
     unknown = sorted(set(value) - set(keys))
     if unknown:
-        raise ConfigError(f"unknown {label} keys {unknown}")
+        raise InvalidParameterError(f"unknown {label} keys {unknown}")
     return cls(**{keys[key]: item for key, item in value.items()})
 
 
@@ -76,10 +77,10 @@ def read(cls, value):
         _fail(label, "must be a JSON object", value)
     unknown = sorted(set(value) - set(_keys(cls)) - ({"kind"} if hasattr(cls, "kind") else set()))
     if unknown:
-        raise ConfigError(f"unknown {label} keys {unknown}")
+        raise InvalidParameterError(f"unknown {label} keys {unknown}")
     missing = [key for key in _required(cls) if key not in value]
     if missing:
-        raise ConfigError(f"missing {label} keys {missing}")
+        raise InvalidParameterError(f"missing {label} keys {missing}")
     return cls(**{n: check(value[k], f"{label} {k}") for n, k, check in _checks(cls) if k in value})
 
 

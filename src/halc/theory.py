@@ -9,12 +9,12 @@ mass of the epsilon-ball, comes from scipy.special's chndtr/chdtr: the
 chi-square CDFs that ncx2 and chi2 in scipy's stats subpackage call, without
 the second it takes to import that subpackage.
 
-A trial set is scored from a block of random draws (`draw_trials`) that
-does not depend on eta, sigma or epsilon, so a sweep draws each block once
-and scores it for each (eta, sigma). Each window's squared distance to the
-optimum is measured once, straight from the block, for the hit test. As in
-the bound's argument, where a window within epsilon of the optimum bounds
-the deviation by delta, the subject is a bump model centred at the
+A `TheoremConfig` is one grid point (sampler, epsilon, eta, sigma, n). A
+sweep draws a trial block (`draw_trials`) once per (sampler, n), scores it
+once per (eta, sigma) (`min_deviation_mc`: each trial's minimum deviation
+and distance to the optimum) and reports each epsilon (`bound_report`).
+As in the bound's argument, where a window within epsilon of the optimum
+bounds the deviation by delta, the subject is a bump model centred at the
 optimum, and its minimum deviation is its deviation at each trial's
 nearest window, the only window at which it is evaluated.
 
@@ -27,7 +27,7 @@ use, which gives the same bits in a few whole-array passes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -62,11 +62,12 @@ DELTA_PROBES = 200
 
 @dataclass(frozen=True)
 class TheoremConfig:
-    """Inputs for one bound-verification run."""
+    """One point of the bound's grid, with the trial set that checks it."""
 
     v_star: tuple[float, float, float]
     eta: tuple[float, float, float]
     epsilon: float
+    sampler: str = "normal"
     sigma: float = 1.0
     lam: float = 0.6
     r_min: float = -5.0
@@ -89,6 +90,8 @@ class TheoremConfig:
             raise InvalidParameterError("lambda must be positive")
         if self.n < 1:
             raise InvalidParameterError("need at least one sample per trial")
+        if self.sampler not in ("normal", "exponential"):
+            raise InvalidParameterError("sampler must be 'normal' or 'exponential'")
         if self.divergence not in ("tv", "jsd"):
             raise InvalidParameterError("divergence must be 'tv' or 'jsd'")
 
@@ -106,10 +109,7 @@ class McEstimate:
 
 @dataclass(frozen=True)
 class BoundReport:
-    sampler: str
-    divergence: str
-    n: int
-    trials: int
+    config: TheoremConfig
     delta: float
     analytic_c: float
     analytic_miss: float
@@ -117,26 +117,23 @@ class BoundReport:
     bound: float
     mean_min_deviation: float
     violation_fraction: float
-    min_deviation_samples: np.ndarray
-    min_distance_samples: np.ndarray
 
     @property
     def expectation_holds(self) -> bool:
         return self.mean_min_deviation <= self.bound + 1e-12
 
     def to_csv_row(self) -> dict:
+        """The theorem.csv row: the grid point, then the report's fields."""
+        cfg = self.config
         return {
-            "sampler": self.sampler,
-            "divergence": self.divergence,
-            "n": self.n,
-            "trials": self.trials,
-            "delta": self.delta,
-            "analytic_c": self.analytic_c,
-            "analytic_miss": self.analytic_miss,
-            "empirical_miss": self.empirical_miss,
-            "bound": self.bound,
-            "mean_min_deviation": self.mean_min_deviation,
-            "violation_fraction": self.violation_fraction,
+            "epsilon": cfg.epsilon,
+            "eta_norm": math.hypot(*cfg.eta),
+            "sigma": cfg.sigma if cfg.sampler == "normal" else "",
+            "sampler": cfg.sampler,
+            "divergence": cfg.divergence,
+            "n": cfg.n,
+            "trials": cfg.trials,
+            **{f.name: getattr(self, f.name) for f in fields(self) if f.name != "config"},
         }
 
 
@@ -437,43 +434,37 @@ def exponential_miss_probability_mc(
 # ---------------------------------------------------------------------------
 
 
-def _check_sampler(sampler: str) -> None:
-    if sampler not in ("normal", "exponential"):
-        raise InvalidParameterError("sampler must be 'normal' or 'exponential'")
-
-
 @np.errstate(all="ignore")
-def draw_trials(config: TheoremConfig, sampler: str) -> np.ndarray:
+def draw_trials(config: TheoremConfig) -> np.ndarray:
     """The random draw of a config's trial set: (trials, n, 3) standard
     normals for normal sampling, (trials, n) window scales (1 + lam)**r for
     exponential sampling.
 
-    It depends on the seed, trials and n, and for exponential sampling on
-    lam and the r range, but not on eta, sigma or epsilon:
+    It depends on the sampler, seed, trials and n, and for exponential
+    sampling on lam and the r range, but not on eta, sigma or epsilon:
     `min_deviation_mc` scores one block for each (eta, sigma) that shares
     those inputs. Trials are seeded independently of the delta estimation
     so results do not depend on evaluation order. A huge lam overflows the
     scales to inf, so, as in `min_deviation_mc`, floating-point warnings
     are off.
     """
-    _check_sampler(sampler)
     sample_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(2)[1])
-    if sampler == "normal":
+    if config.sampler == "normal":
         return sample_rng.standard_normal((config.trials, config.n, FOV_DIM))
     r = sample_rng.uniform(config.r_min, config.r_max, size=(config.trials, config.n))
     return (1.0 + config.lam) ** r
 
 
 def _window_coordinate(
-    block: np.ndarray, sampler: str, sigma: float, v_d: np.ndarray, k: int, out: np.ndarray
+    block: np.ndarray, config: TheoremConfig, v_d: np.ndarray, k: int, out: np.ndarray
 ) -> np.ndarray:
     """Coordinate k of every window of a trial block, written into the
     (trials, n) array `out`: v_d + sigma * z for normal sampling (the
     values normal(loc=v_d, scale=sigma) returns for the same standard
     normals z), scale * v_d for exponential sampling, whose center
     coordinate stays v_d[2]."""
-    if sampler == "normal":
-        np.multiply(block[..., k], sigma, out=out)
+    if config.sampler == "normal":
+        np.multiply(block[..., k], config.sigma, out=out)
         out += v_d[k]
     elif k < 2:
         np.multiply(block, v_d[k], out=out)
@@ -483,7 +474,7 @@ def _window_coordinate(
 
 
 def _squared_window_distance(
-    block: np.ndarray, sampler: str, sigma: float, v_d: np.ndarray, center: np.ndarray
+    block: np.ndarray, config: TheoremConfig, v_d: np.ndarray, center: np.ndarray
 ) -> np.ndarray:
     """The squared distance of every window of a trial block from `center`,
     as a (trials, n) array, without building the windows.
@@ -496,7 +487,7 @@ def _squared_window_distance(
     column = np.empty_like(dist)
     for k in range(FOV_DIM):
         target = column if k else dist
-        _window_coordinate(block, sampler, sigma, v_d, k, target)
+        _window_coordinate(block, config, v_d, k, target)
         target -= center[k]
         target *= target
         if k:
@@ -505,7 +496,7 @@ def _squared_window_distance(
 
 
 def _window_distance(
-    block: np.ndarray, sampler: str, sigma: float, v_d: np.ndarray, center: np.ndarray
+    block: np.ndarray, config: TheoremConfig, v_d: np.ndarray, center: np.ndarray
 ) -> np.ndarray:
     """The distance of every window of a trial block from `center`, taken
     with hypot, which stays finite where the squared distance overflows (a
@@ -513,7 +504,7 @@ def _window_distance(
     dist = np.zeros(block.shape[:2])
     column = np.empty_like(dist)
     for k in range(FOV_DIM):
-        _window_coordinate(block, sampler, sigma, v_d, k, column)
+        _window_coordinate(block, config, v_d, k, column)
         column -= center[k]
         np.hypot(dist, column, out=dist)
     return dist
@@ -521,17 +512,15 @@ def _window_distance(
 
 @np.errstate(all="ignore")
 def min_deviation_mc(
-    subject: GaussianBumpModel,
-    config: TheoremConfig,
-    sampler: str,
-    block: Optional[np.ndarray] = None,
-) -> BoundReport:
-    """Estimate the distribution of the minimum decoding deviation over n
-    FOV samples and compare against delta + (1 - C)^n.
+    subject: GaussianBumpModel, config: TheoremConfig, block: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The scored trial set of a config: each trial's minimum deviation
+    and minimum distance to the optimum over its n sampled windows, as two
+    (trials,) arrays for `bound_report`.
 
     `block` is the config's `draw_trials` (drawn here when None); it is
-    read, never written. The report does not depend on epsilon:
-    `bound_report` rescores its trial set at another epsilon.
+    read, never written. The scores do not depend on epsilon, so one
+    scored trial set serves every epsilon of a grid point.
 
     The subject must be a bump model centred at the optimum. Each window's
     squared distance to the optimum is measured once, without building the
@@ -545,21 +534,21 @@ def min_deviation_mc(
     Windows at inf or NaN are part of a trial set, so numpy's
     floating-point warnings are off.
     """
-    _check_sampler(sampler)
     v_star = np.asarray(config.v_star, dtype=float)
     if not (isinstance(subject, GaussianBumpModel) and np.array_equal(subject.center, v_star)):
         raise InvalidParameterError("the theorem subject must be a bump centred at v_star")
+    normal = config.sampler == "normal"
     if block is None:
-        block = draw_trials(config, sampler)
-    elif block.shape != (config.trials, config.n) + ((FOV_DIM,) if sampler == "normal" else ()):
+        block = draw_trials(config)
+    elif block.shape != (config.trials, config.n) + ((FOV_DIM,) if normal else ()):
         raise InvalidParameterError(
-            f"a {sampler} trial block for {config.trials} trials of {config.n} samples "
+            f"a {config.sampler} trial block for {config.trials} trials of {config.n} samples "
             f"cannot have shape {block.shape}"
         )
     v_d = config.v_d
     d_star = subject.dists(v_star[None, :])[0]
 
-    dist = _squared_window_distance(block, sampler, config.sigma, v_d, v_star)
+    dist = _squared_window_distance(block, config, v_d, v_star)
     # fmin skips NaN distances, as the per-window hit test (dist <= epsilon)
     # does, so min_dist <= epsilon holds exactly when some window hits. sqrt
     # is monotone, so it commutes with the minimum.
@@ -567,32 +556,28 @@ def min_deviation_mc(
     min_dist = np.sqrt(nearest)
     far = np.flatnonzero(min_dist == np.inf)
     if far.size:
-        far_dist = _window_distance(block[far], sampler, config.sigma, v_d, v_star)
-        min_dist[far] = _row_min(far_dist)
+        min_dist[far] = _row_min(_window_distance(block[far], config, v_d, v_star))
     min_devs = _divergence_batch(d_star, subject.dists_at(nearest), config.divergence)
-    return bound_report(subject, config, sampler, min_devs, min_dist)
+    return min_devs, min_dist
 
 
 @np.errstate(all="ignore")
 def bound_report(
     subject: GaussianBumpModel,
     config: TheoremConfig,
-    sampler: str,
     min_deviations: np.ndarray,
     min_distances: np.ndarray,
 ) -> BoundReport:
-    """The bound report of a scored trial set at config.epsilon.
+    """The `BoundReport` of a scored trial set at config.epsilon; no other
+    code builds one.
 
-    `min_deviations` and `min_distances` hold each trial's minimum deviation
-    and minimum distance to the optimum over its n windows, as
-    `min_deviation_mc` returns them for a config that differs from this one
-    at most in epsilon. Only delta (re-estimated from the config's seed),
-    the analytic constant, the bound and the miss and violation fractions
-    depend on epsilon. As in `min_deviation_mc`, floating-point warnings
-    are off. A normal ball mass that comes out NaN raises
-    InvalidParameterError.
+    `min_deviations` and `min_distances` are what `min_deviation_mc`
+    returns for a config that differs from this one at most in epsilon.
+    Delta is re-estimated from the config's seed. As in `min_deviation_mc`,
+    floating-point warnings are off. A normal ball mass that comes out NaN
+    raises InvalidParameterError.
     """
-    if sampler == "normal":
+    if config.sampler == "normal":
         analytic_c = c_g_analytic(config.epsilon, config.eta, config.sigma)
         if math.isnan(analytic_c):  # chndtr's, from a noncentrality of about 1e19 on
             raise InvalidParameterError(
@@ -614,10 +599,7 @@ def bound_report(
     violations = float((min_deviations > bound + 1e-12).mean())
 
     return BoundReport(
-        sampler=sampler,
-        divergence=config.divergence,
-        n=config.n,
-        trials=config.trials,
+        config=config,
         delta=float(delta),
         analytic_c=float(analytic_c),
         analytic_miss=float(analytic_miss),
@@ -625,6 +607,4 @@ def bound_report(
         bound=float(bound),
         mean_min_deviation=float(min_deviations.mean()),
         violation_fraction=violations,
-        min_deviation_samples=min_deviations,
-        min_distance_samples=min_distances,
     )

@@ -3,9 +3,11 @@ scores each trial set once, and the column-wise reductions, each checked
 against the code it replaced.
 
 The references below are the replaced code, kept here verbatim apart from
-names and the delta estimate, which always runs on `DELTA_PROBES` probes
-now that the config holds neither a given delta nor a probe count: the
-per-row `min_deviation_mc` with its broadcasting normal draw
+names; the sampler, which they read from the config, as the code does; a
+row's epsilon, eta_norm and sigma columns, which the per-row reference
+writes with the rest of its row; and the delta estimate, which always runs
+on `DELTA_PROBES` probes now that the config holds neither a given delta
+nor a probe count. They are: the per-row `min_deviation_mc` with its broadcasting normal draw
 (`rng.normal(loc=...)`), its `min(axis=1)` over the n windows and its
 `np.fmin.reduce(axis=1)` over their distances (a bump centred at the
 optimum now takes each trial's nearest window in place of that minimum,
@@ -31,7 +33,6 @@ from hypothesis.extra.numpy import arrays
 
 from halc import theory
 from halc.distributions import jsd, total_variation
-from halc.errors import InvalidParameterError
 from halc.harness import run_theorem_verify
 from halc.theory import (
     DELTA_PROBES,
@@ -80,9 +81,10 @@ def _reference_divergence(d_star, d_points, divergence):
     return reference_total_variation(d_star, d_points) if divergence == "tv" else jsd(d_star, d_points)
 
 
-def reference_min_deviation_mc(subject, config, sampler):
-    """The CSV fields and per-trial minimum deviations of one grid row,
-    drawn and scored for that row alone."""
+def reference_min_deviation_mc(subject, config):
+    """The CSV row and per-trial minimum deviations and distances of one
+    grid row, drawn and scored for that row alone."""
+    sampler = config.sampler
     seeds = np.random.SeedSequence(config.seed).spawn(2)
     delta_rng = np.random.default_rng(seeds[0])
     sample_rng = np.random.default_rng(seeds[1])
@@ -128,6 +130,9 @@ def reference_min_deviation_mc(subject, config, sampler):
     violations = float((min_devs > bound + 1e-12).mean())
 
     fields = {
+        "epsilon": config.epsilon,
+        "eta_norm": float(np.linalg.norm(config.eta)),
+        "sigma": config.sigma if sampler == "normal" else "",
         "sampler": sampler,
         "divergence": config.divergence,
         "n": config.n,
@@ -168,6 +173,7 @@ def reference_run_theorem_verify(options, seed):
                     v_star=v_star,
                     eta=eta,
                     epsilon=eps,
+                    sampler=sampler,
                     sigma=sigma if sigma is not None else 1.0,
                     lam=float(options.get("lam", 0.6)),
                     r_min=float(options.get("r_min", -5.0)),
@@ -177,26 +183,17 @@ def reference_run_theorem_verify(options, seed):
                     divergence=divergence,
                     seed=seed + n,
                 )
-                fields, _, _ = reference_min_deviation_mc(model, cfg, sampler)
-                row = {
-                    "epsilon": eps,
-                    "eta_norm": float(np.linalg.norm(eta)),
-                    "sigma": cfg.sigma if sampler == "normal" else "",
-                }
-                row.update(fields)
-                rows.append(row)
+                rows.append(reference_min_deviation_mc(model, cfg)[0])
     return rows
 
 
-def previous_windows(config, sampler):
+def previous_windows(config):
     """The (trials, n, 3) windows of a config's trial set, drawn as the
     min_deviation_mc that drew its own trial set drew them."""
-    if sampler not in ("normal", "exponential"):
-        raise InvalidParameterError("sampler must be 'normal' or 'exponential'")
     sample_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(2)[1])
     v_d = config.v_d
 
-    if sampler == "normal":
+    if config.sampler == "normal":
         # normal(loc=v_d, scale=sigma) draws the same standard normals and
         # returns loc + scale * z, but through its slower broadcasting path.
         points = sample_rng.standard_normal((config.trials, config.n, FOV_DIM))
@@ -212,10 +209,11 @@ def previous_windows(config, sampler):
     return points
 
 
-def previous_min_deviation_mc(subject, config, sampler):
+def previous_min_deviation_mc(subject, config):
     """The min_deviation_mc that drew its own trial set and scored every
-    window through subject.dists."""
-    points = previous_windows(config, sampler)
+    window through subject.dists: each trial's minimum deviation and
+    distance."""
+    points = previous_windows(config)
     v_star = np.asarray(config.v_star, dtype=float)
     flat = points.reshape(-1, FOV_DIM)
     d_star = subject.dists(v_star[None, :])[0]
@@ -226,15 +224,15 @@ def previous_min_deviation_mc(subject, config, sampler):
     # does, so min_dist <= epsilon holds exactly when some window hits.
     dist = _squared_distance(points, v_star)
     min_dist = _row_min(np.sqrt(dist, out=dist))
-    return bound_report(subject, config, sampler, min_devs, min_dist)
+    return min_devs, min_dist
 
 
-def nearest_window_deviations(model, config, sampler):
+def nearest_window_deviations(model, config):
     """The minimum deviation of a bump model centred at the optimum, by
     definition: the deviation at each trial's nearest window (NaN distances
     skipped), of the windows as `previous_windows` draws them."""
     v_star = np.asarray(config.v_star, dtype=float)
-    d2 = _squared_distance(previous_windows(config, sampler), v_star)
+    d2 = _squared_distance(previous_windows(config), v_star)
     d_star = model.dists(v_star[None, :])[0]
     return _divergence_batch(d_star, model.dists_at(np.fmin.reduce(d2, axis=1)), config.divergence)
 
@@ -289,15 +287,15 @@ def _sweep_with_draws(options, seed):
     drew and the (sampler, eta, sigma, n) of each trial set it scored."""
     drawn, blocks, scored = [], {}, []
 
-    def counting_draw(config, sampler):
-        drawn.append((sampler, config.n))
-        blocks[sampler, config.n] = block = draw_trials(config, sampler)
+    def counting_draw(config):
+        drawn.append((config.sampler, config.n))
+        blocks[config.sampler, config.n] = block = draw_trials(config)
         return block
 
-    def counting_score(subject, config, sampler, block):
-        assert block is blocks[sampler, config.n]
-        scored.append((sampler, config.eta, config.sigma, config.n))
-        return min_deviation_mc(subject, config, sampler, block)
+    def counting_score(subject, config, block):
+        assert block is blocks[config.sampler, config.n]
+        scored.append((config.sampler, config.eta, config.sigma, config.n))
+        return min_deviation_mc(subject, config, block)
 
     with mock.patch.object(theory, "draw_trials", counting_draw), \
             mock.patch.object(theory, "min_deviation_mc", counting_score):
@@ -356,18 +354,17 @@ def test_sweep_holds_no_earlier_trial_arrays_while_drawing_or_scoring():
     def alive(refs):
         return [ref for ref in refs if ref() is not None]
 
-    def spying_draw(config, sampler):
+    def spying_draw(config):
         assert not alive(blocks) and not alive(minima)
-        block = draw_trials(config, sampler)
+        block = draw_trials(config)
         blocks.append(weakref.ref(block))
         return block
 
-    def spying_score(subject, config, sampler, block):
+    def spying_score(subject, config, block):
         assert not alive(minima)
-        report = min_deviation_mc(subject, config, sampler, block)
-        minima.append(weakref.ref(report.min_deviation_samples))
-        minima.append(weakref.ref(report.min_distance_samples))
-        return report
+        scored = min_deviation_mc(subject, config, block)
+        minima.extend(weakref.ref(array) for array in scored)
+        return scored
 
     with mock.patch.object(theory, "draw_trials", spying_draw), \
             mock.patch.object(theory, "min_deviation_mc", spying_score):
@@ -395,25 +392,18 @@ def test_rescored_reports_bit_equal_to_per_row_reference(
 
     def config(eps):
         return TheoremConfig(
-            v_star=v_star, eta=eta, epsilon=eps, sigma=sigma, n=n, trials=trials,
+            v_star=v_star, eta=eta, epsilon=eps, sampler=sampler, sigma=sigma, n=n, trials=trials,
             divergence=divergence, seed=seed,
         )
 
     model = GaussianBumpModel(center=v_star)
-    first = min_deviation_mc(model, config(epsilons[0]), sampler)
+    first = min_deviation_mc(model, config(epsilons[0]))
     for eps in epsilons:
-        report = bound_report(
-            model, config(eps), sampler, first.min_deviation_samples, first.min_distance_samples
-        )
-        fields, min_devs, min_dist = reference_min_deviation_mc(
-            ReferenceBump(v_star), config(eps), sampler
-        )
+        report = bound_report(model, config(eps), *first)
+        fields, min_devs, min_dist = reference_min_deviation_mc(ReferenceBump(v_star), config(eps))
         assert _bits(report.to_csv_row()) == _bits(fields)
-        assert _same_array(report.min_deviation_samples, min_devs)
-        assert _same_array(report.min_distance_samples, min_dist)
-    assert _bits(first.to_csv_row()) == _bits(
-        reference_min_deviation_mc(ReferenceBump(v_star), config(epsilons[0]), sampler)[0]
-    )
+        assert _same_array(first[0], min_devs)
+        assert _same_array(first[1], min_dist)
 
 
 # ---------------------------------------------------------------------------
@@ -516,40 +506,37 @@ def _block_config(sampler, divergence, n, eta, sigma, trials, seed, nan_distance
         # detection give NaN distances.
         v_star, eta, r_min = (1e308, 0.0, 0.0), (1e308, 0.0, 0.0), -50_000.0
     return TheoremConfig(
-        v_star=v_star, eta=eta, epsilon=1.0, sigma=sigma, lam=1.0, r_min=r_min, r_max=5.0,
-        n=n, trials=trials, divergence=divergence, seed=seed,
+        v_star=v_star, eta=eta, epsilon=1.0, sampler=sampler, sigma=sigma, lam=1.0, r_min=r_min,
+        r_max=5.0, n=n, trials=trials, divergence=divergence, seed=seed,
     )
 
 
-def _shared_and_own_block_reports(model, config, sampler):
-    """min_deviation_mc's reports from a drawn block, which it must not
-    write, and from the block it draws itself."""
-    block = draw_trials(config, sampler)
+def _shared_and_own_block_scores(model, config):
+    """min_deviation_mc's scored trial sets from a drawn block, which it
+    must not write, and from the block it draws itself."""
+    block = draw_trials(config)
     drawn = block.copy()
     with np.errstate(all="ignore"):
-        reports = (
-            min_deviation_mc(model, config, sampler, block),
-            min_deviation_mc(model, config, sampler),
-        )
+        scores = (min_deviation_mc(model, config, block), min_deviation_mc(model, config))
     assert _same_array(block, drawn)
-    return reports
+    return scores
 
 
-def _assert_nearest_window_report(report, model, config, sampler):
-    """`report` scores the trial set at each trial's nearest window, and
+def _assert_nearest_window_scores(scored, model, config):
+    """`scored` scores the trial set at each trial's nearest window, and
     its distances are the previous code's save where that code's squared
     distance overflowed to inf."""
+    min_devs, min_dist = scored
     with np.errstate(all="ignore"):
-        definition = nearest_window_deviations(model, config, sampler)
-        previous = previous_min_deviation_mc(model, config, sampler)
-        want = bound_report(model, config, sampler, definition, report.min_distance_samples)
-    assert _same_array(report.min_deviation_samples, definition)
-    measured = previous.min_distance_samples != np.inf
-    assert _same_array(
-        report.min_distance_samples[measured], previous.min_distance_samples[measured]
-    )
+        definition = nearest_window_deviations(model, config)
+        previous_devs, previous_dist = previous_min_deviation_mc(model, config)
+        report = bound_report(model, config, min_devs, min_dist)
+        want = bound_report(model, config, definition, min_dist)
+    assert _same_array(min_devs, definition)
+    measured = previous_dist != np.inf
+    assert _same_array(min_dist[measured], previous_dist[measured])
     assert _bits(report.to_csv_row()) == _bits(want.to_csv_row())
-    assert_near_per_window_minimum(definition, previous.min_deviation_samples)
+    assert_near_per_window_minimum(definition, previous_devs)
 
 
 @settings(max_examples=60, deadline=None)
@@ -561,12 +548,11 @@ def test_centred_block_scores_are_the_nearest_window_deviations(
     trial's nearest window, which is NaN only where every distance is."""
     config = _block_config(sampler, divergence, n, eta, sigma, trials, seed, nan_distances)
     model = GaussianBumpModel(center=config.v_star, amp=1.5)
-    for report in _shared_and_own_block_reports(model, config, sampler):
-        _assert_nearest_window_report(report, model, config, sampler)
-        nan_trials = np.isnan(report.min_distance_samples)
-        assert _same_array(np.isnan(report.min_deviation_samples), nan_trials)
+    for min_devs, min_dist in _shared_and_own_block_scores(model, config):
+        _assert_nearest_window_scores((min_devs, min_dist), model, config)
+        assert _same_array(np.isnan(min_devs), np.isnan(min_dist))
     if nan_distances and sampler == "exponential":
-        assert np.isnan(report.min_distance_samples).any()
+        assert np.isnan(min_dist).any()
 
 
 # ---------------------------------------------------------------------------
@@ -611,14 +597,14 @@ def test_min_deviations_are_the_nearest_window_deviations(d2, amp, width, diverg
     )
     model = GaussianBumpModel(center=config.v_star, amp=amp, width=width)
     with mock.patch.object(theory, "_squared_window_distance", lambda *args: rows.copy()):
-        got = min_deviation_mc(model, config, "normal", np.zeros((trials, n, FOV_DIM)))
+        got, _ = min_deviation_mc(model, config, np.zeros((trials, n, FOV_DIM)))
     with np.errstate(all="ignore"):
         d_star = model.dists(np.zeros((1, FOV_DIM)))[0]
         nearest_d2 = np.fmin.reduce(rows, axis=1)
         nearest = _divergence_batch(d_star, model.dists_at(nearest_d2), divergence)
         # dists_at writes over its argument, so the per-window call comes last.
         per_window = _divergence_batch(d_star, model.dists_at(rows.reshape(-1)), divergence)
-    assert _same_array(got.min_deviation_samples, nearest)
+    assert _same_array(got, nearest)
     assert_near_per_window_minimum(nearest, per_window.reshape(rows.shape).min(axis=1))
 
 
@@ -654,11 +640,11 @@ def test_min_deviations_are_the_nearest_window_reference(
         # Scales that underflow to 0 times an infinite detection.
         v_star, eta, lam, r_min = (1e308, 0.0, 0.0), (1e308, 0.0, 0.0), 1.0, -50_000.0
     config = TheoremConfig(
-        v_star=v_star, eta=eta, epsilon=1.0, sigma=sigma, lam=lam, r_min=r_min, r_max=r_max,
-        n=n, trials=trials, divergence=divergence, seed=seed,
+        v_star=v_star, eta=eta, epsilon=1.0, sampler=sampler, sigma=sigma, lam=lam, r_min=r_min,
+        r_max=r_max, n=n, trials=trials, divergence=divergence, seed=seed,
     )
     model = GaussianBumpModel(center=v_star, amp=amp, width=width)
-    _assert_nearest_window_report(min_deviation_mc(model, config, sampler), model, config, sampler)
+    _assert_nearest_window_scores(min_deviation_mc(model, config), model, config)
 
 
 def test_jsd_takes_the_nearest_window_above_the_per_window_minimum():
@@ -667,12 +653,13 @@ def test_jsd_takes_the_nearest_window_above_the_per_window_minimum():
     scores 2**-54 above the minimum over its windows."""
     v_star = (4.0, 4.0, 0.0)
     config = TheoremConfig(
-        v_star=v_star, eta=(2.0, 2.0, 0.1), epsilon=1.0, n=2, trials=100, divergence="jsd", seed=2
+        v_star=v_star, eta=(2.0, 2.0, 0.1), epsilon=1.0, sampler="exponential", n=2, trials=100,
+        divergence="jsd", seed=2,
     )
     model = GaussianBumpModel(center=v_star, amp=2.5)
-    got = min_deviation_mc(model, config, "exponential").min_deviation_samples
-    assert _same_array(got, nearest_window_deviations(model, config, "exponential"))
-    gap = got - previous_min_deviation_mc(model, config, "exponential").min_deviation_samples
+    got, _ = min_deviation_mc(model, config)
+    assert _same_array(got, nearest_window_deviations(model, config))
+    gap = got - previous_min_deviation_mc(model, config)[0]
     assert np.flatnonzero(gap).tolist() == [27]
     assert gap[27] == 2.0**-54
 
@@ -690,10 +677,9 @@ def test_amp_40_normal_tv_row_is_the_nearest_window_definition():
     v_star = (4.0, 4.0, 0.0)
     config = TheoremConfig(v_star=v_star, eta=(0, 0, 0), epsilon=0.5, sigma=0.5, n=2, seed=3)
     model = GaussianBumpModel(center=v_star, amp=40.0)
-    definition = nearest_window_deviations(model, config, "normal")
+    definition = nearest_window_deviations(model, config)
     assert row["mean_min_deviation"] == float(definition.mean())
-    previous = previous_min_deviation_mc(model, config, "normal")
-    assert_near_per_window_minimum(definition, previous.min_deviation_samples)
+    assert_near_per_window_minimum(definition, previous_min_deviation_mc(model, config)[0])
 
 
 @settings(max_examples=20, deadline=None)
@@ -710,7 +696,8 @@ def test_bump_evaluates_one_window_per_trial(divergence, n, trials):
         sizes.append(d2.size)
         return dists_at(model, d2)
 
+    model = GaussianBumpModel(center=v_star)
     with mock.patch.object(GaussianBumpModel, "dists_at", spy):
-        min_deviation_mc(GaussianBumpModel(center=v_star), config, "normal")
+        bound_report(model, config, *min_deviation_mc(model, config))
     # The center, the windows, then the delta estimate's center and probes.
     assert sizes == [1, trials, 1, DELTA_PROBES]

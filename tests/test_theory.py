@@ -26,6 +26,7 @@ from halc.theory import (
     c_g_estimate,
     estimate_delta,
     exponential_miss_probability_mc,
+    bound_report,
     draw_trials,
     min_deviation_mc,
 )
@@ -263,7 +264,7 @@ def test_large_n_drives_miss_probability_down():
         v_star=V_STAR, eta=(0.8, 0.6, 0.0), epsilon=1.0, sigma=1.0, n=64,
         trials=1000, seed=3,
     )
-    report = min_deviation_mc(MODEL, cfg, "normal")
+    report = bound_report(MODEL, cfg, *min_deviation_mc(MODEL, cfg))
     assert report.empirical_miss < 0.01
 
 
@@ -272,8 +273,9 @@ def test_zero_offset_generous_ball_keeps_min_below_delta():
         v_star=V_STAR, eta=(0.0, 0.0, 0.0), epsilon=3.0, sigma=1.0, n=4,
         trials=2000, seed=5,
     )
-    report = min_deviation_mc(MODEL, cfg, "normal")
-    below = (report.min_deviation_samples <= report.delta + 1e-12).mean()
+    min_devs, min_dist = min_deviation_mc(MODEL, cfg)
+    report = bound_report(MODEL, cfg, min_devs, min_dist)
+    below = (min_devs <= report.delta + 1e-12).mean()
     assert below >= 0.99
 
 
@@ -282,7 +284,7 @@ def test_normal_bound_report_consistency():
         v_star=V_STAR, eta=(0.8, 0.6, 0.0), epsilon=1.0, sigma=1.0, n=4,
         trials=10_000, seed=2,
     )
-    report = min_deviation_mc(MODEL, cfg, "normal")
+    report = bound_report(MODEL, cfg, *min_deviation_mc(MODEL, cfg))
     se = math.sqrt(report.analytic_miss * (1 - report.analytic_miss) / cfg.trials)
     assert abs(report.empirical_miss - report.analytic_miss) <= 3 * se
     assert report.expectation_holds
@@ -291,10 +293,10 @@ def test_normal_bound_report_consistency():
 
 def test_exponential_bound_report_consistency():
     cfg = TheoremConfig(
-        v_star=V_STAR, eta=(2.0, 2.0, 0.1), epsilon=1.0, n=4,
+        v_star=V_STAR, eta=(2.0, 2.0, 0.1), epsilon=1.0, sampler="exponential", n=4,
         trials=10_000, seed=2,
     )
-    report = min_deviation_mc(MODEL, cfg, "exponential")
+    report = bound_report(MODEL, cfg, *min_deviation_mc(MODEL, cfg))
     se = math.sqrt(report.analytic_miss * (1 - report.analytic_miss) / cfg.trials)
     assert abs(report.empirical_miss - report.analytic_miss) <= 3 * se
     assert report.expectation_holds
@@ -323,7 +325,7 @@ def test_min_deviation_mc_scores_only_a_bump_centred_at_the_optimum(demo):
         GaussianBumpModel(center=(anchor.width + 1.0, anchor.height, 0.0)),
     ):
         with pytest.raises(InvalidParameterError, match="bump centred at v_star"):
-            min_deviation_mc(subject, cfg, "normal")
+            min_deviation_mc(subject, cfg)
 
 
 def test_scene_adapter_matches_direct_deviation(demo):
@@ -355,13 +357,10 @@ def test_c_e_closed_form_of_a_detection_at_infinity_is_zero():
     assert c_e_closed_form(1.0, (1e308, 0.0, 0.0), (-math.inf, 0.0, 0.1), 0.6, -5.0, 5.0) == 0.0
 
 
-@pytest.mark.parametrize("block", [None, "normal"])
-def test_min_deviation_mc_rejects_an_unknown_sampler(block):
-    cfg = TheoremConfig(v_star=V_STAR, eta=(0.8, 0.6, 0.0), epsilon=1.0, n=2, trials=100)
-    if block is not None:
-        block = draw_trials(cfg, block)
-    with pytest.raises(InvalidParameterError, match="sampler must be"):
-        min_deviation_mc(MODEL, cfg, "uniform", block)
+@pytest.mark.parametrize("sampler", ["uniform", "Normal"])
+def test_theorem_config_rejects_an_unknown_sampler(sampler):
+    with pytest.raises(InvalidParameterError, match="sampler must be 'normal' or 'exponential'"):
+        TheoremConfig(v_star=V_STAR, eta=(0.8, 0.6, 0.0), epsilon=1.0, sampler=sampler)
 
 
 @pytest.mark.parametrize(
@@ -378,9 +377,9 @@ def test_min_deviation_mc_rejects_a_block_of_another_shape(drawn_for, drawn_by, 
     """A block drawn for another n, another trial count or the other
     sampler is rejected before it is read."""
     fields = dict(v_star=V_STAR, eta=(2.0, 2.0, 0.1), epsilon=1.0, n=2, trials=100)
-    block = draw_trials(TheoremConfig(**{**fields, **drawn_for}), drawn_by)
+    block = draw_trials(TheoremConfig(**{**fields, **drawn_for, "sampler": drawn_by}))
     with pytest.raises(InvalidParameterError, match="trial block"):
-        min_deviation_mc(MODEL, TheoremConfig(**fields), sampler, block)
+        min_deviation_mc(MODEL, TheoremConfig(**fields, sampler=sampler), block)
 
 
 @pytest.mark.parametrize(
@@ -402,10 +401,11 @@ def test_min_distance_survives_squared_distances_that_overflow():
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        report = min_deviation_mc(MODEL, cfg, "normal")
-    windows = cfg.v_d + cfg.sigma * draw_trials(cfg, "normal") - np.asarray(V_STAR)
+        min_devs, min_dist = min_deviation_mc(MODEL, cfg)
+        report = bound_report(MODEL, cfg, min_devs, min_dist)
+    windows = cfg.v_d + cfg.sigma * draw_trials(cfg) - np.asarray(V_STAR)
     distances = np.hypot(np.hypot(windows[..., 0], windows[..., 1]), windows[..., 2])
-    assert report.min_distance_samples.tobytes() == distances.min(axis=1).tobytes()
+    assert min_dist.tobytes() == distances.min(axis=1).tobytes()
     assert report.empirical_miss == report.analytic_miss == 0.0
 
 
