@@ -190,6 +190,9 @@ class TheoremSection:
         require("lam", 1.0 + self.lam > 1.0, "must not round 1 + lam to 1")
         require("amp", self.amp <= MAX_THEOREM_AMP, f"must be at most {MAX_THEOREM_AMP!r}")
         require("r_min", self.r_min < self.r_max, "must be less than r_max")
+        # theorem.csv writes an exponential row's eta as its norm.
+        norm = math.hypot(*self._detection()) if "exponential" in self.samplers else 0.0
+        require("eta_scale", math.isfinite(norm), "must keep the detection eta_scale x v_star finite")
         if next(self.rows(), None) is None:
             raise InvalidParameterError("theorem grid has no rows")
 
@@ -199,8 +202,7 @@ class TheoremSection:
         sampling takes one, at exp_epsilon and sigma 1 (unused), whose eta
         is eta_scale times v_star's size, keeping its aspect ratio. Each is
         taken at every n."""
-        ratio = float(self.eta_scale)
-        detection = (ratio * self.v_star[0], ratio * self.v_star[1], 0.1)
+        detection = self._detection()
         for sampler in self.samplers:
             if sampler == "normal":
                 combos = product(self.epsilons, self.etas, self.sigmas)
@@ -209,6 +211,11 @@ class TheoremSection:
             for eps, eta, sigma in combos:
                 for n in self.n_values:
                     yield sampler, eps, eta, sigma, n
+
+    def _detection(self) -> tuple[float, float, float]:
+        """The exponential rows' eta: eta_scale times v_star's size."""
+        ratio = float(self.eta_scale)
+        return (ratio * self.v_star[0], ratio * self.v_star[1], 0.1)
 
 
 @dataclass(frozen=True)

@@ -213,10 +213,14 @@ def contrast_rows(
     probable token; when each keeps only that one, only that token's
     contrast is computed, to be checked, and its probability is 1.0, the
     softmax of a single finite value.
+
+    Only a threshold beta * max(p) that underflows to 0 keeps a -inf
+    logit (probability 0), and it keeps the whole row, so the -inf logits
+    are masked off for the full contrast only.
     """
     if alpha < 0:
         raise InvalidParameterError("amplification factor must be nonnegative")
-    keep = _plausible(probs, beta) & (logits > -np.inf)
+    keep = _plausible(probs, beta)
     experts = np.asarray(experts, dtype=np.intp)
     amateurs = np.asarray(amateurs, dtype=np.intp)
     if np.count_nonzero(keep) == len(keep):
@@ -225,5 +229,6 @@ def contrast_rows(
             top = (1.0 + alpha) * logits[experts, tokens] - alpha * logits[amateurs, tokens]
         _check_maxima(top)
         return tokens, np.ones(len(tokens))
+    keep &= logits > -np.inf
     dists = _masked_contrast(logits[experts], logits[amateurs], keep[experts], alpha)
     return dists.argmax(axis=-1), dists.max(axis=-1)

@@ -259,15 +259,18 @@ class Scene:
         if missing:
             raise InvalidParameterError(f"scene tokens {missing} missing from vocabulary")
         # Row p is the bonus of the slot at caption position p; _cooc maps a
-        # previous token to its co-occurrence bonus.
-        slots = np.zeros((len(allowed), len(self.vocabulary)), dtype=float)
+        # previous token to its co-occurrence bonus. Both span only the
+        # vocabulary head, the ids up to the last named token: a generated
+        # scene's fillers come after it, so a row is about 32 wide, not V.
+        head = 1 + max(map(index.__getitem__, named))
+        slots = np.zeros((len(allowed), head), dtype=float)
         for p, toks in enumerate(allowed):
             for tok in toks:
                 slots[p, index[tok]] = SLOT_BONUS
         cooc: dict[str, np.ndarray] = {}
         for (prev, tok), bonus in self.cooccurrence.items():
             if prev not in cooc:
-                cooc[prev] = np.zeros(len(self.vocabulary), dtype=float)
+                cooc[prev] = np.zeros(head, dtype=float)
             cooc[prev][index[tok]] += bonus
         levels, lexicon, varying = _token_tables(index, self.verbs, by_name)
         object.__setattr__(self, "_index", index)
@@ -379,9 +382,12 @@ def toy_model_logits(
         for tok in prefix:
             if tok not in scene._index:
                 raise InvalidInputError(f"prefix token {tok!r} not in vocabulary") from None
-    logits += scene._slots[min(len(prefix), len(scene.skeleton))]
+    # The bonuses are added to the head's view only. Past it each logit is a
+    # nonzero token-class level, which adding 0.0 would leave as it is.
+    head = logits[: scene._slots.shape[1]]
+    head += scene._slots[min(len(prefix), len(scene.skeleton))]
     if prefix and prefix[-1] in scene._cooc:
-        logits += scene._cooc[prefix[-1]]
+        head += scene._cooc[prefix[-1]]
     return logits
 
 
@@ -573,11 +579,12 @@ def demo_scene() -> Scene:
 
 
 # The largest generated corpus, 50 times oracle-study's 200-scene default.
-# A default scene holds about 35 KB, so such a corpus holds about 350 MB.
+# Building it peaks at about 520 MB of RSS (measured in a fresh process).
 MAX_SCENE_COUNT = 10_000
-# The bound on count x (noun_pool + filler_count): a built scene holds about
-# 100 bytes per filler (200 MB at the bound) and scans the noun pool. It
-# admits 10,000 default scenes (x 120) and the wide-vocab benchmark's 30 x 4024.
+# The bound on count x (noun_pool + filler_count): a built scene holds a few
+# V-wide tables (levels, index, lexicon) and scans the noun pool. At the
+# bound, 62 scenes x 32,258 words peak at about 250 MB of RSS. It admits
+# 10,000 default scenes (x 120) and the wide-vocab benchmark's 30 x 4024.
 MAX_CORPUS_WORDS = 2_000_000
 
 

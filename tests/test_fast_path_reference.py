@@ -1,5 +1,6 @@
-"""The toy model with constant profiles folded into the scene, the scene's
-token tables built one token class at a time, the Peaking profile's
+"""The toy model with constant profiles folded into the scene and its
+bonus tables cut to the vocabulary head, the scene's token tables built
+one token class at a time, the Peaking profile's
 distance tuples built in place, the one-pass FOV samplers, the cheaper
 proposal check, the contrast masked per window and read out as each
 row's top token and its probability, the one-token contrast of
@@ -9,7 +10,8 @@ each checked against the code it replaced.
 
 The references below are the replaced code, kept here verbatim apart from
 names. The model reference builds its slot and co-occurrence bonuses from
-the scene's skeleton and co-occurrence rows. Besides the unchanged profile
+the scene's skeleton and co-occurrence rows, V wide, and is compared by
+bytes, so that a -0.0 counts. Besides the unchanged profile
 formula, the references share only softmax and the unchanged input checks
 of halc.distributions with the code they check;
 tests/test_distributions.py checks those on their own.
@@ -73,8 +75,10 @@ from halc.world import (
     WordSlot,
     demo_scene,
     generate_corpus,
+    load_corpus,
     oracle_match_score,
     profile_value,
+    save_corpus,
     tag_token,
     toy_model_logits,
 )
@@ -164,6 +168,28 @@ def duplicate_name_scene():
     return dataclasses.replace(demo, objects=demo.objects + extra, vocabulary=())
 
 
+def negative_zero_scene():
+    """The demo scene plus objects whose profiles give -0.0 under some or
+    every window, which a dense add of 0.0 would turn into 0.0."""
+    demo = demo_scene()
+    region = Fov(200.0, 200.0, 500.0, 500.0)
+    extra = (
+        SceneObject("zero-stable", region, StableHigh(-0.0)),
+        SceneObject("zero-peak", region, Peaking(v_star=region, width=50.0, amp=-0.0, base=-0.0)),
+        SceneObject("zero-shift", region, ContextShift(slope=0.0, base=-0.0)),
+        SceneObject("zero-noise", region, Noisy(amp=-0.0, noise_seed=5, base=-0.0)),
+    )
+    return dataclasses.replace(demo, objects=demo.objects + extra, vocabulary=())
+
+
+def bonus_last_scene():
+    """The -0.0 scene with its vocabulary reversed: the fillers come first
+    and the end token, a bonus token, last, so the vocabulary head is all
+    of it."""
+    scene = negative_zero_scene()
+    return dataclasses.replace(scene, scene_id="bonus-last", vocabulary=scene.vocabulary[::-1])
+
+
 def _windows(image):
     coords = st.tuples(
         st.floats(1.0, image.width), st.floats(1.0, image.height),
@@ -172,13 +198,20 @@ def _windows(image):
     return coords.map(lambda c: clamp_to_image(Fov(*c), image))
 
 
-SCENES = {"demo": demo_scene(), "duplicate-names": duplicate_name_scene()}
+SCENES = {
+    "demo": demo_scene(),
+    "duplicate-names": duplicate_name_scene(),
+    "negative-zero": negative_zero_scene(),
+    "bonus-last": bonus_last_scene(),
+}
 
 
 def _assert_model_agrees(scene, fov, prefix):
+    # By bytes: assert_array_equal would take -0.0 for 0.0.
     got = toy_model_logits(scene, fov, prefix)
     want = reference_model_logits(scene, fov, prefix)
-    np.testing.assert_array_equal(got, want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(SCENES))
@@ -197,14 +230,48 @@ def test_folded_model_matches_per_object_loop(name, data):
     seed=st.integers(0, 10_000),
     trap_fraction=st.sampled_from([0.0, 1.0]),
     correctable=st.sampled_from([0.0, 1.0]),
+    filler_count=st.integers(0, 4000),
     data=st.data(),
 )
-def test_folded_model_matches_on_generated_scenes(seed, trap_fraction, correctable, data):
-    spec = CorpusSpec(scene_count=1, trap_fraction=trap_fraction, correctable_fraction=correctable)
+def test_folded_model_matches_on_generated_scenes(
+    seed, trap_fraction, correctable, filler_count, data
+):
+    spec = CorpusSpec(
+        scene_count=1,
+        trap_fraction=trap_fraction,
+        correctable_fraction=correctable,
+        filler_count=filler_count,
+    )
     scene = generate_corpus(seed, 1, spec)[0]
     fov = data.draw(_windows(scene.image))
-    for prefix in (None, [], list(scene.reference_caption[: data.draw(st.integers(1, 20))])):
+    cut = data.draw(st.integers(1, len(scene.reference_caption)))
+    for prefix in (None, [], list(scene.reference_caption[:cut])):
         _assert_model_agrees(scene, fov, prefix)
+
+
+def test_the_vocabulary_head_bounds_the_bonus_tables():
+    # Generated fillers come after every bonus token; a vocabulary with a
+    # bonus token last keeps tables as wide as itself.
+    demo, bonus_last = SCENES["demo"], SCENES["bonus-last"]
+    assert demo._slots.shape[1] == demo.vocabulary.index("book") + 1 < len(demo.vocabulary)
+    assert bonus_last._slots.shape[1] == len(bonus_last.vocabulary)
+    assert {row.size for row in bonus_last._cooc.values()} == {len(bonus_last.vocabulary)}
+    logits = toy_model_logits(SCENES["negative-zero"], demo.image.full_fov(), None)
+    assert np.signbit(logits[SCENES["negative-zero"].token_id("zero-stable")])
+
+
+def test_model_logits_keep_their_bits_through_a_corpus_round_trip(tmp_path):
+    scenes = generate_corpus(3, 4, CorpusSpec(scene_count=4, filler_count=300))
+    scenes += [SCENES["negative-zero"], SCENES["bonus-last"]]
+    save_corpus(scenes, tmp_path / "corpus.json")
+    for scene, loaded in zip(scenes, load_corpus(tmp_path / "corpus.json")):
+        windows = [scene.image.full_fov(), *(o.region for o in scene.objects)]
+        caption = scene.reference_caption
+        for fov in windows:
+            for prefix in (None, *(list(caption[:cut]) for cut in range(len(caption) + 1))):
+                got = toy_model_logits(loaded, fov, prefix)
+                assert got.tobytes() == toy_model_logits(scene, fov, prefix).tobytes()
+                _assert_model_agrees(loaded, fov, prefix)
 
 
 @settings(max_examples=200, deadline=None)

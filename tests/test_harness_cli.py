@@ -390,6 +390,8 @@ def test_cli_config_not_utf8_exits_2_with_one_line(tmp_path, capsys):
         ({"decode": {"idk_confidence": 7.0}}, "decode idk_confidence must lie in [0, 1], got 7.0"),
         ({"detector_confidence": -5.0}, "detector_confidence must lie in [0, 1], got -5.0"),
         ({"detector_confidence": 7.0}, "detector_confidence must lie in [0, 1], got 7.0"),
+        ({"theorem": {"eta_scale": 1.7976931348623157e308}}, "theorem eta_scale must keep"),
+        ({"theorem": {"eta_scale": 4e307}}, "theorem eta_scale must keep the detection"),
     ],
     ids=[
         "short-detector-eta",
@@ -447,6 +449,8 @@ def test_cli_config_not_utf8_exits_2_with_one_line(tmp_path, capsys):
         "idk-confidence-above-one",
         "negative-detector-confidence",
         "detector-confidence-above-one",
+        "theorem-eta-scale-overflows-detection",
+        "theorem-eta-scale-overflows-detection-norm",
     ],
 )
 def test_cli_malformed_config_exits_2_with_one_line(tmp_path, capsys, extra, named):

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -286,6 +287,25 @@ def test_corpus_rejects_bad_parameters():
 def test_generate_corpus_caps_count_before_building_a_scene(count, spec):
     with pytest.raises(InvalidParameterError, match="corpus count"):
         generate_corpus(0, count, spec)
+
+
+def test_wide_corpus_tables_do_not_grow_with_the_fillers():
+    # The slot and co-occurrence tables span the vocabulary head, which
+    # ends before the fillers: 10 scenes at V of about 32k peak at about
+    # 38 MB, where V-wide tables took about 210 MB.
+    tracemalloc.start()
+    try:
+        generate_corpus(7, 10, CorpusSpec(scene_count=10, filler_count=31_900))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 60e6
+    narrow, wide = (
+        generate_corpus(7, 3, CorpusSpec(scene_count=3, filler_count=f)) for f in (96, 4000)
+    )
+    for a, b in zip(narrow, wide):
+        assert a._slots.nbytes == b._slots.nbytes
+        assert {k: v.size for k, v in a._cooc.items()} == {k: v.size for k, v in b._cooc.items()}
 
 
 def test_hallucinated_object_requires_anchor():
