@@ -26,7 +26,7 @@ def main() -> None:
         if not step.triggered:
             continue
         pairs = ", ".join(f"({i},{j})" for i, j in step.selected_pairs[:3])
-        cands = sorted(set(step.candidate_tokens))
+        cands = sorted({token for token, _ in step.candidates})
         print(
             f"step {step.step:2d}: detector_hit={step.detector_hit} "
             f"top pairs {pairs} candidates {cands} -> chosen {step.chosen_token!r}"

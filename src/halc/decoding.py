@@ -56,7 +56,6 @@ __all__ = [
     "StepRecord",
     "DecodeTrace",
     "DecodeResult",
-    "HalcStepResult",
     "decode_greedy",
     "decode_beam",
     "halc_step",
@@ -143,15 +142,19 @@ class BeamState(NamedTuple):
 
 @dataclass(slots=True)
 class StepRecord:
-    step: int
-    beam: int
+    """One live beam's step. The policy fills in what the step did, with its
+    (token, probability) candidates; the decode loop stamps the step and
+    beam numbers and, once a candidate is kept, the kept token."""
+
     triggered: bool
     detector_hit: bool
     model_call_count: int
+    candidates: tuple[tuple[str, Optional[float]], ...] = ()
     fovs: Optional[tuple[Fov, ...]] = None
     jsd_matrix: Optional[list[list[float]]] = None
     selected_pairs: Optional[list[tuple[int, int]]] = None
-    candidate_tokens: list[str] = field(default_factory=list)
+    step: int = 0
+    beam: int = 0
     chosen_token: Optional[str] = None
 
     def to_json(self) -> dict:
@@ -164,7 +167,7 @@ class StepRecord:
             "fovs": [f.to_json() for f in self.fovs] if self.fovs else None,
             "jsd": self.jsd_matrix,
             "pairs": [list(p) for p in self.selected_pairs] if self.selected_pairs else None,
-            "candidates": list(self.candidate_tokens),
+            "candidates": [token for token, _ in self.candidates],
             "chosen": self.chosen_token,
         }
 
@@ -202,14 +205,14 @@ class DecodeResult:
 # ---------------------------------------------------------------------------
 
 # A candidate is a plain tuple, so that a step builds no object per
-# candidate: (key, logp, grown, chosen, record). `key` is the beam grown by
-# the proposed token, which matching-based selection dedupes and scores;
-# `logp` the accumulated log-probability that log-prob selection ranks;
-# `grown` the beam it becomes, `key` unless the abstention policy replaced
-# the proposed token by `chosen`; `record` reports `chosen` if it is kept.
+# candidate: (key, logp, grown, record). `key` is the beam grown by the
+# proposed token, which matching-based selection dedupes and scores; `logp`
+# the accumulated log-probability that log-prob selection ranks; `grown` the
+# beam it becomes, `key` unless the abstention policy replaced the proposed
+# token; `record` is the step that proposed it, None for an ended beam.
 Key = tuple[tuple[str, ...], bool]
-Candidate = tuple[Key, float, Key, Optional[str], Optional[StepRecord]]
-Expand = Callable[[list[Candidate], BeamState, int, int], StepRecord]
+Candidate = tuple[Key, float, Key, Optional[StepRecord]]
+Expand = Callable[[list[Candidate], BeamState], StepRecord]
 Select = Callable[[list[Candidate]], Sequence[tuple[Candidate, float]]]
 
 
@@ -224,10 +227,11 @@ def _decode(
     """Grow beams from the empty caption one token per step, until every
     beam has ended or config.max_tokens steps have run.
 
-    `expand(pool, beam, step, b)` adds the candidates of live beam b to the
-    pool and returns the step's record; an ended beam joins the pool as it
-    is. `select(pool)` returns the kept (candidate, score) pairs, which
-    become the next beams.
+    `expand(pool, beam)` adds the candidates of a live beam to the pool and
+    returns the step's record; an ended beam joins the pool as it is.
+    `select(pool)` returns the kept (candidate, score) pairs, which become
+    the next beams; the record of a kept candidate gets the token that
+    candidate adds, [END] if it ends the beam.
     """
     trace = DecodeTrace()
     beams = [BeamState(())]
@@ -236,9 +240,10 @@ def _decode(
         for b, beam in enumerate(beams):
             if beam.terminated:
                 key = (beam.tokens, True)
-                pool.append((key, beam.score, key, None, None))
+                pool.append((key, beam.score, key, None))
                 continue
-            record = expand(pool, beam, step, b)
+            record = expand(pool, beam)
+            record.step, record.beam = step, b
             trace.steps.append(record)
             trace.model_calls += record.model_call_count
             if record.triggered:
@@ -246,9 +251,9 @@ def _decode(
                 trace.detector_calls += 1
         beams = []
         live = False
-        for (_, _, (tokens, terminated), chosen, record), score in select(pool):
+        for (_, _, (tokens, terminated), record), score in select(pool):
             if record is not None:
-                record.chosen_token = chosen
+                record.chosen_token = END_TOKEN if terminated else tokens[-1]
             beams.append(BeamState(tokens, score, terminated))
             live = live or not terminated
         if not live:
@@ -267,11 +272,11 @@ def decode_greedy(
     full = scene.image.full_fov()
     vocabulary = scene.vocabulary
 
-    def expand(pool: list[Candidate], beam: BeamState, step: int, b: int) -> StepRecord:
+    def expand(pool: list[Candidate], beam: BeamState) -> StepRecord:
         token = vocabulary[argmax_logit(model(scene, full, beam.tokens))]
-        record = StepRecord(step, b, False, False, 1)
+        record = StepRecord(False, False, 1)
         grown = _extend(beam.tokens, token)
-        pool.append((grown, 0.0, grown, token, record))
+        pool.append((grown, 0.0, grown, record))
         return record
 
     beams, trace = _decode(config, expand, lambda pool: [(pool[0], 0.0)])
@@ -300,13 +305,13 @@ def decode_beam(
     full = scene.image.full_fov()
     vocabulary = scene.vocabulary
 
-    def expand(pool: list[Candidate], beam: BeamState, step: int, b: int) -> StepRecord:
+    def expand(pool: list[Candidate], beam: BeamState) -> StepRecord:
         tokens, score, _ = beam
         logprobs = np.log(softmax(model(scene, full, tokens)))
         for v in (-logprobs).argsort(kind="stable")[:k].tolist():
             grown = _extend(tokens, vocabulary[v])
-            pool.append((grown, score + logprobs.item(v), grown, None, None))
-        return StepRecord(step, b, False, False, 1)
+            pool.append((grown, score + logprobs.item(v), grown, None))
+        return StepRecord(False, False, 1)
 
     # A token of probability 0 gets log-probability -inf.
     with np.errstate(divide="ignore"):
@@ -318,15 +323,6 @@ def decode_beam(
 # ---------------------------------------------------------------------------
 # Focal-contrast correction step
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HalcStepResult:
-    candidates: tuple[tuple[str, float], ...]
-    fovs: tuple[Fov, ...]
-    jsd_matrix: list[list[float]]
-    selected_pairs: list[tuple[int, int]]
-    detector_hit: bool
 
 
 def _sample_fovs(
@@ -389,10 +385,11 @@ def halc_step(
     proposed: str,
     config: DecodeConfig,
     rng: np.random.Generator,
-) -> HalcStepResult:
+) -> StepRecord:
     """One correction round for a tagged token already proposed by the base
     decoder: ground it, re-decode under n FOVs, contrast the top-m most
-    divergent pairs bi-directionally and emit the 2m candidate tokens.
+    divergent pairs bi-directionally and record the 2m candidates. The
+    record counts the proposing call among its model calls.
 
     Pairs rank by JSD descending with ties in lexicographic pair order
     (`top_m_pairs`). Each pair contrasts (larger window as expert, smaller
@@ -449,14 +446,12 @@ def halc_step(
         experts, amateurs = np.array(ends, dtype=np.intp).reshape(-1, 2).T
     tokens, top = contrast_rows(logits, probs, experts, amateurs, config.alpha, config.beta)
     candidates = tuple(zip(map(scene.vocabulary.__getitem__, tokens.tolist()), top.tolist()))
-    return HalcStepResult(
-        # A shared row's one candidate repeats for each of the 2m.
-        candidates=candidates * (2 * len(selected) // len(candidates)),
-        fovs=fovs,
-        jsd_matrix=matrix,
-        selected_pairs=selected,
-        detector_hit=v_d is not None,
-    )
+    if shared:  # its one candidate repeats for each of the 2m
+        candidates *= 2 * len(selected)
+    else:  # equal candidates share one tuple, as equal JSDs share one float
+        unique: dict = {}
+        candidates = tuple([unique.setdefault(c, c) for c in candidates])
+    return StepRecord(True, v_d is not None, 1 + n, candidates, fovs, matrix, selected)
 
 
 def apply_idk_policy(
@@ -543,30 +538,30 @@ def decode_halc(
     full = scene.image.full_fov()
     vocabulary = scene.vocabulary
     policy = config.idk_policy
+    # Callers hold the traces of whole corpora: untagged steps share one
+    # candidates tuple per token.
+    untagged: dict[str, tuple] = {}
 
-    def expand(pool: list[Candidate], beam: BeamState, step: int, b: int) -> StepRecord:
+    def expand(pool: list[Candidate], beam: BeamState) -> StepRecord:
         proposed = vocabulary[argmax_logit(model(scene, full, beam.tokens))]
         if tag_token(lexicon, proposed) == "none":
-            record = StepRecord(step, b, False, False, 1, candidate_tokens=[proposed])
+            record = StepRecord(False, False, 1, untagged.setdefault(proposed, ((proposed, None),)))
             grown = _extend(beam.tokens, proposed)
-            pool.append((grown, 0.0, grown, proposed, record))
+            pool.append((grown, 0.0, grown, record))
             return record
-        result = halc_step(model, detector, scene, beam, proposed, config, rng)
-        hit = result.detector_hit
-        candidates = [tok for tok, _ in result.candidates]
-        record = StepRecord(step, b, True, hit, 1 + config.n, result.fovs, result.jsd_matrix,
-                            result.selected_pairs, candidates)
+        record = halc_step(model, detector, scene, beam, proposed, config, rng)
+        hit = record.detector_hit
         # select_beams keeps the first candidate of each key, and a repeated
         # token here repeats this beam's key.
         seen: set[str] = set()
-        for token, prob in result.candidates:
+        for token, prob in record.candidates:
             if token in seen:
                 continue
             seen.add(token)
             key = _extend(beam.tokens, token)
             chosen = apply_idk_policy(proposed, token, hit, policy, prob, config.idk_confidence)
             grown = key if chosen == token else _extend(beam.tokens, chosen)
-            pool.append((key, 0.0, grown, chosen, record))
+            pool.append((key, 0.0, grown, record))
         return record
 
     beams, trace = _decode(config, expand, lambda pool: select_beams(pool, scorer, config.k, scene))

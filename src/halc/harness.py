@@ -527,7 +527,8 @@ def emit_profile_curve(
     anchor_token: Optional[str] = None,
 ) -> list[dict]:
     """Log-probability of each token at windows expanded from the grounding
-    box, under bare visual conditioning."""
+    box, under bare visual conditioning. A window that overflows or vanishes
+    is a config error that names its r and lam."""
     detector = detector or DetectorSim(CORPUS_DETECTOR_ETA)
     for tok in tokens:
         scene.token_id(tok)
@@ -540,8 +541,11 @@ def emit_profile_curve(
         raise InvalidInputError(f"no grounding available for {anchor_token!r}")
     rows = []
     for r in r_grid:
-        fov = clamp_to_image(expand_fov(v_d, lam, r), scene.image)
-        probs = softmax(toy_model_logits(scene, fov, None))
+        try:
+            fov = clamp_to_image(expand_fov(v_d, lam, r), scene.image)
+            probs = softmax(toy_model_logits(scene, fov, None))
+        except InvalidParameterError as exc:
+            raise InvalidParameterError(f"emit_curve r_grid {r!r} at lam {lam!r}: {exc}") from None
         with np.errstate(divide="ignore"):
             logprobs = np.log(probs)
         for tok in tokens:

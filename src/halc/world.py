@@ -301,7 +301,7 @@ class Scene:
 
     @property
     def lexicon(self) -> dict[str, str]:
-        """Total POS map over this scene's vocabulary."""
+        """POS map of this scene's tagged tokens; any other token is "other"."""
         return self._lexicon
 
     def find_object(self, name: str) -> Optional[SceneObject]:
@@ -311,12 +311,12 @@ class Scene:
 def _token_tables(
     index: Mapping[str, int], verbs: Sequence[str], by_name: Mapping[str, SceneObject]
 ) -> tuple[np.ndarray, dict[str, str], tuple[tuple[int, TokenProfile], ...]]:
-    """A scene's logits that no window changes, its POS lexicon, and the
-    (token id, profile) pairs of its window-dependent object tokens. A token
-    in several classes takes the last class's level and tag. StableHigh
-    object levels are constants, so they are written once here."""
+    """A scene's logits that no window changes, its POS lexicon of tagged
+    tokens, and the (token id, profile) pairs of its window-dependent object
+    tokens. A token in several classes takes the last class's level and
+    tag. StableHigh object levels are constants, so they are written once here."""
     levels = np.full(len(index), FILLER_LEVEL)
-    lexicon = dict.fromkeys(index, "other")
+    lexicon: dict[str, str] = {}
     for tokens, level, pos in (
         (_FUNCTION_WORDS, FUNCTION_LEVEL, None),
         (_PREPOSITIONS, FUNCTION_LEVEL, "preposition"),
@@ -579,12 +579,12 @@ def demo_scene() -> Scene:
 
 
 # The largest generated corpus, 50 times oracle-study's 200-scene default.
-# Building it peaks at about 520 MB of RSS (measured in a fresh process).
+# Building it peaks at about 495 MB of RSS (measured in a fresh process).
 MAX_SCENE_COUNT = 10_000
-# The bound on count x (noun_pool + filler_count): a built scene holds a few
-# V-wide tables (levels, index, lexicon) and scans the noun pool. At the
-# bound, 62 scenes x 32,258 words peak at about 250 MB of RSS. It admits
-# 10,000 default scenes (x 120) and the wide-vocab benchmark's 30 x 4024.
+# The bound on count x (noun_pool + filler_count): a built scene holds two
+# V-wide tables (levels, index) and scans the noun pool. At the bound, 62
+# scenes x 32,258 words peak at about 200 MB of RSS. It admits 10,000
+# default scenes (x 120) and the wide-vocab benchmark's 30 x 4024.
 MAX_CORPUS_WORDS = 2_000_000
 
 

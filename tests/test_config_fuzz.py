@@ -8,14 +8,23 @@ scenarios (`compare`, `oracle_study`, `ablate`, `emit_curve`,
 (`seed`, `scene_index`, `detector_eta`, `detector_confidence`, `scorer`
 and unknown ones); the valid values include combinations that
 TheoremConfig, DecodeConfig, CorpusSpec or the exponential-sampling
-conditions reject. Sizes are capped (trials <= 500, at most two n values
-<= 8, a 2-scene corpus, short captions, small grids) so that each run takes
+conditions reject. The valid numbers include extremes and boundaries: the
+smallest subnormal, 1 -+ 1 ulp, about ln of the largest float, the largest
+float and -0.0. Sizes are capped (trials <= 500, at most two n values <= 8,
+a 2-scene corpus, short captions, small grids) so that each run takes
 milliseconds.
+
+The last test holds every run to the whole exit contract: exit 0 leaves an
+empty stderr and no nan or inf in any CSV or JSON it wrote, and exit 2 or 3
+prints exactly one line.
 """
 
 import contextlib
+import csv
 import io
 import json
+import math
+import sys
 import tempfile
 from pathlib import Path
 
@@ -28,7 +37,9 @@ from halc.decoding import IDK_POLICIES, SAMPLING_MODES
 from halc.metrics import POPE_MODES
 
 WRONG = st.sampled_from(["abc", None, True, [1], {"a": 1}, 1e300, -1, 0, [1, 2], []])
-NUMBER = st.sampled_from([0.25, 0.5, 1, 1.0, 2.0])
+EXTREMES = [5e-324, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0), 709.78,
+            sys.float_info.max, -0.0]
+NUMBER = st.sampled_from([0.25, 0.5, 1, 1.0, 2.0, *EXTREMES])
 VECTOR = st.sampled_from([[0, 0, 0], [0.8, 0.6, 0.0], [4.0, 4.0, 0.0], [2, 1, 0.5]])
 
 THEOREM_REQUIRED = {
@@ -43,37 +54,39 @@ THEOREM_OPTIONAL = {
     "etas": st.lists(VECTOR, min_size=1, max_size=2),
     "sigmas": st.lists(NUMBER, min_size=1, max_size=2),
     "epsilons": st.lists(NUMBER, min_size=1, max_size=2),
-    "eta_scale": st.sampled_from([0.5, 0.25, -1.0, -2.0]),
-    "exp_epsilon": st.sampled_from([0.05, 1.0, 2.0]),
+    "eta_scale": st.sampled_from([0.5, 0.25, -1.0, -2.0, *EXTREMES]),
+    "exp_epsilon": st.sampled_from([0.05, 1.0, 2.0, *EXTREMES]),
     "lam": NUMBER,
     "r_min": st.sampled_from([-5.0, -1.0]),
     "r_max": st.sampled_from([5.0, 1.0]),
 }
 DECODE_REQUIRED = {"max_tokens": st.sampled_from([1, 4, 8])}
 DECODE_OPTIONAL = {
-    "lam": st.sampled_from([0.4, 0.6]),
+    "lam": st.sampled_from([0.4, 0.6, *EXTREMES]),
     "n": st.sampled_from([2, 3, 4]),
     "m": st.sampled_from([1, 2, 3]),
     "k": st.sampled_from([1, 2]),
-    "alpha": st.sampled_from([0.0, 0.05]),
-    "beta": st.sampled_from([0.1, 0.5]),
+    "alpha": st.sampled_from([0.0, 0.05, *EXTREMES]),
+    "beta": st.sampled_from([0.1, 0.5, *EXTREMES]),
     "sampling_mode": st.sampled_from(SAMPLING_MODES),
-    "sigma": st.sampled_from([20.0, 40.0]),
+    "sigma": st.sampled_from([20.0, 40.0, *EXTREMES]),
     "idk_policy": st.sampled_from(IDK_POLICIES),
-    "idk_confidence": st.sampled_from([0.3, 0.9]),
+    "idk_confidence": st.sampled_from([0.3, 0.9, *EXTREMES]),
     "seed": st.integers(0, 9),
     "exponent_offset": st.sampled_from([-1, 0]),
 }
 
 
 @st.composite
-def sections(draw, required, optional):
-    """A section of valid values in which up to two keys, possibly unknown
-    ones, carry a wrong-typed or wrong-length value; now and then the whole
-    section is such a value."""
-    if draw(st.integers(0, 9)) == 0:
+def sections(draw, required, optional, wrong=True):
+    """A section of valid values in which, if `wrong`, up to two keys,
+    possibly unknown ones, carry a wrong-typed or wrong-length value, and
+    now and then the whole section is such a value."""
+    if wrong and draw(st.integers(0, 9)) == 0:
         return draw(WRONG)
     section = draw(st.fixed_dictionaries(required, optional=optional))
+    if not wrong:
+        return section
     keys = sorted({*required, *optional, "bogus"})
     for key in draw(st.lists(st.sampled_from(keys), max_size=2, unique=True)):
         section[key] = draw(WRONG)
@@ -83,24 +96,27 @@ def sections(draw, required, optional):
 CORPUS = {"count": 2, "trap_fraction": 0.5, "clauses": 2, "trap_clauses": [1]}
 
 
-@settings(max_examples=120, deadline=None)
-@given(
-    scenario=st.sampled_from(["decode", "theorem-verify"]),
-    theorem=sections(THEOREM_REQUIRED, THEOREM_OPTIONAL),
-    decode=sections(DECODE_REQUIRED, DECODE_OPTIONAL),
-    seed=st.integers(0, 9),
-)
-def test_fuzzed_config_exits_0_2_or_3_without_traceback(scenario, theorem, decode, seed):
+@st.composite
+def theorem_and_decode_docs(draw, wrong=True):
+    scenario = draw(st.sampled_from(["decode", "theorem-verify"]))
     doc = {
-        "seed": seed,
+        "seed": draw(st.integers(0, 9)),
         "corpus": CORPUS,
-        "theorem": theorem,
-        "decode": decode,
+        "theorem": draw(sections(THEOREM_REQUIRED, THEOREM_OPTIONAL, wrong)),
+        "decode": draw(sections(DECODE_REQUIRED, DECODE_OPTIONAL, wrong)),
     }
-    _assert_clean_exit(scenario, doc)
+    return scenario, doc
 
 
-def _assert_clean_exit(scenario, doc):
+@settings(max_examples=120, deadline=None)
+@given(case=theorem_and_decode_docs())
+def test_fuzzed_config_exits_0_2_or_3_without_traceback(case):
+    _assert_clean_exit(*case)
+
+
+def _run(scenario, doc):
+    """The run's exit code, its stderr, and the nan and inf values of the
+    CSV and JSON files it wrote."""
     stderr = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "c.json"
@@ -109,65 +125,100 @@ def _assert_clean_exit(scenario, doc):
         with contextlib.redirect_stderr(stderr):
             code = main([scenario, "--config", str(cfg), "--out", str(out)])
         assert (out / "manifest.json").exists() == (code == 0)
+        return code, stderr.getvalue(), _nonfinite_values(out)
+
+
+def _nonfinite_values(out):
+    found = []
+    for path in sorted(out.rglob("*")):
+        if path.suffix == ".csv":
+            with open(path, newline="", encoding="utf-8") as fh:
+                found += [cell for row in csv.reader(fh) for cell in row if _nonfinite_text(cell)]
+        elif path.suffix == ".json":
+            found += [v for v in _leaves(json.loads(path.read_text())) if _nonfinite_number(v)]
+    return found
+
+
+def _nonfinite_text(cell):
+    try:
+        return not math.isfinite(float(cell))
+    except ValueError:
+        return False
+
+
+def _nonfinite_number(value):
+    return isinstance(value, float) and not math.isfinite(value)
+
+
+def _leaves(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [leaf for item in value for leaf in _leaves(item)]
+    return [value]
+
+
+def _assert_clean_exit(scenario, doc):
+    code, stderr, _ = _run(scenario, doc)
     assert code in (0, 2, 3)
-    assert "Traceback" not in stderr.getvalue()
+    assert "Traceback" not in stderr
     if code:
-        assert stderr.getvalue().splitlines()[-1].startswith(("config error: ", "i/o error: "))
+        assert stderr.splitlines()[-1].startswith(("config error: ", "i/o error: "))
 
 
-SCENARIO_SECTIONS = {
-    "compare": sections({}, {
+SCENARIO_KEYS = {
+    "compare": {
         "pope_mode": st.sampled_from(POPE_MODES),
         "pope_count": st.integers(1, 3),
         "beta": NUMBER,
-    }),
-    "oracle_study": sections({}, {
+    },
+    "oracle_study": {
         "grid_positions": st.integers(1, 2),
-        "grid_scales": st.lists(st.sampled_from([0.2, 0.5, 1.0]), min_size=1, max_size=2),
-    }),
-    "ablate": sections({}, {
+        "grid_scales": st.lists(st.sampled_from([0.2, 0.5, 1.0, *EXTREMES]), min_size=1,
+                                max_size=2),
+    },
+    "ablate": {
         "pope_mode": st.sampled_from(POPE_MODES),
         "scorer_seeds": st.lists(st.integers(0, 9), min_size=1, max_size=2),
         "inits": st.lists(st.sampled_from(ABLATE_INITS), min_size=1, max_size=2),
-        "lambdas": st.lists(st.sampled_from([0.4, 0.6, -1.0]), min_size=1, max_size=2),
+        "lambdas": st.lists(st.sampled_from([0.4, 0.6, -1.0, *EXTREMES]), min_size=1, max_size=2),
         "beams": st.lists(st.integers(1, 2), min_size=1, max_size=2),
         "scorers": st.lists(
             st.sampled_from(["oracle", "random", "noisy", {"kind": "noisy", "amp": 0.2}]),
             min_size=1,
             max_size=2,
         ),
-    }),
-    "emit_curve": sections({}, {
+    },
+    "emit_curve": {
         "tokens": st.sampled_from([None, [], ["the", "."], ["nope"]]),
-        "r_grid": st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1e308]), max_size=2),
+        "r_grid": st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1e308, -2000, *EXTREMES]), max_size=2),
         "anchor": st.sampled_from([None, "the"]),
-    }),
-    "length_curve": sections({}, {"grid": st.lists(st.integers(1, 8), min_size=1, max_size=2)}),
+    },
+    "length_curve": {"grid": st.lists(st.integers(1, 8), min_size=1, max_size=2)},
 }
 
 
-@settings(max_examples=80, deadline=None)
-@given(
-    scenario=st.sampled_from(
+@st.composite
+def scenario_section_docs(draw, wrong=True):
+    scenario = draw(st.sampled_from(
         ["compare", "oracle-study", "ablate", "emit-curve", "length-curve", "decode"]
-    ),
-    options=st.fixed_dictionaries({}, optional=SCENARIO_SECTIONS),
-    scene_index=st.one_of(st.integers(-1, 2), WRONG),
-    detector_confidence=st.one_of(st.just(0.3), WRONG),
-    seed=st.integers(0, 9),
-)
-def test_fuzzed_scenario_sections_exit_0_2_or_3_without_traceback(
-    scenario, options, scene_index, detector_confidence, seed
-):
+    ))
+    options = {name: sections({}, keys, wrong) for name, keys in SCENARIO_KEYS.items()}
     doc = {
-        "seed": seed,
+        "seed": draw(st.integers(0, 9)),
         "corpus": CORPUS,
         "decode": {"max_tokens": 4},
-        "scene_index": scene_index,
-        "detector_confidence": detector_confidence,
-        **options,
+        "scene_index": draw(st.one_of(st.integers(-1, 2), WRONG) if wrong else st.integers(0, 1)),
+        "detector_confidence": draw(st.one_of(st.just(0.3), WRONG) if wrong else NUMBER),
+        **draw(st.fixed_dictionaries({}, optional=options)),
     }
-    _assert_clean_exit(scenario, doc)
+    return scenario, doc
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=scenario_section_docs())
+def test_fuzzed_scenario_sections_exit_0_2_or_3_without_traceback(case):
+    _assert_clean_exit(*case)
 
 
 CORPUS_REQUIRED = {
@@ -180,14 +231,14 @@ CORPUS_OPTIONAL = {
     "correctable_fraction": st.sampled_from([0.0, 1.0]),
     "noun_pool": st.sampled_from([7, 24]),
     "filler_count": st.sampled_from([0, 4]),
-    "image_width": st.sampled_from([100, 1000.0]),
-    "image_height": st.sampled_from([100, 1000.0]),
+    "image_width": st.sampled_from([100, 1000.0, *EXTREMES]),
+    "image_height": st.sampled_from([100, 1000.0, *EXTREMES]),
     "path": st.just("no-such-corpus.json"),
 }
 TOP_LEVEL_OPTIONAL = {
     "scene_index": st.integers(-1, 2),
     "detector_eta": st.sampled_from([[12, -9, 7, 5], [30.0, 30.0, 20.0, -15.0]]),
-    "detector_confidence": st.sampled_from([0.1, 0.3]),
+    "detector_confidence": st.sampled_from([0.1, 0.3, *EXTREMES]),
     "scorer": st.sampled_from(
         ["oracle", "random", "noisy", {"kind": "noisy", "amp": 0.2}, {"kind": "random"}]
     ),
@@ -203,15 +254,35 @@ SMALL_SECTIONS = {
 }
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    scenario=st.sampled_from(SCENARIOS),
-    doc=sections(
-        {"seed": st.integers(0, 9), "corpus": sections(CORPUS_REQUIRED, CORPUS_OPTIONAL)},
+@st.composite
+def top_level_docs(draw, wrong=True):
+    scenario = draw(st.sampled_from(SCENARIOS))
+    doc = draw(sections(
+        {"seed": st.integers(0, 9), "corpus": sections(CORPUS_REQUIRED, CORPUS_OPTIONAL, wrong)},
         TOP_LEVEL_OPTIONAL,
-    ),
-)
-def test_fuzzed_top_level_and_corpus_exit_0_2_or_3_without_traceback(scenario, doc):
+        wrong,
+    ))
     if isinstance(doc, dict):
         doc = {**SMALL_SECTIONS, **doc}
-    _assert_clean_exit(scenario, doc)
+    return scenario, doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=top_level_docs())
+def test_fuzzed_top_level_and_corpus_exit_0_2_or_3_without_traceback(case):
+    _assert_clean_exit(*case)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.one_of(*(
+    docs(wrong) for docs in (theorem_and_decode_docs, scenario_section_docs, top_level_docs)
+    for wrong in (False, True)
+)))
+def test_fuzzed_config_keeps_the_whole_exit_contract(case):
+    code, stderr, nonfinite = _run(*case)
+    if code == 0:
+        assert stderr == ""
+        assert nonfinite == []
+    else:
+        assert code in (2, 3)
+        assert stderr.count("\n") == 1 and stderr.endswith("\n")

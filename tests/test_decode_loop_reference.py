@@ -67,7 +67,7 @@ def reference_decode_greedy(model, scene, config):
         trace.model_calls += 1
         tok = scene.vocabulary[int(np.argmax(logits))]
         trace.steps.append(
-            StepRecord(step, 0, False, False, 1, chosen_token=tok)
+            StepRecord(False, False, 1, step=step, beam=0, chosen_token=tok)
         )
         if tok == END_TOKEN:
             break
@@ -93,7 +93,7 @@ def reference_decode_beam(model, scene, k, config):
             any_live = True
             logits = model(scene, full, list(tokens))
             trace.model_calls += 1
-            trace.steps.append(StepRecord(step, b, False, False, 1))
+            trace.steps.append(StepRecord(False, False, 1, step=step, beam=b))
             probs = softmax(logits)
             with np.errstate(divide="ignore"):
                 logprobs = np.log(probs)
@@ -175,7 +175,7 @@ def reference_decode_halc(model, detector, scorer, lexicon, scene, config):
                     fovs=result.fovs,
                     jsd_matrix=result.jsd_matrix,
                     selected_pairs=result.selected_pairs,
-                    candidate_tokens=[tok for tok, _ in result.candidates],
+                    candidates=result.candidates,
                 )
                 trace.steps.append(record)
                 # select_beams keeps the first candidate of each sequence, and
@@ -205,7 +205,7 @@ def reference_decode_halc(model, detector, scorer, lexicon, scene, config):
                     triggered=False,
                     detector_hit=False,
                     model_call_count=1,
-                    candidate_tokens=[proposed],
+                    candidates=((proposed, None),),
                 )
                 trace.steps.append(record)
                 extended = beam.tokens if proposed == END_TOKEN else beam.tokens + (proposed,)
@@ -286,6 +286,14 @@ def _recorded(decode, noise, salt):
     return decode(model, scorer), calls, scored
 
 
+def _candidate_bits(trace):
+    """Each step's (token, probability) candidates, probabilities as hex."""
+    return [
+        [(tok, None if prob is None else prob.hex()) for tok, prob in step.candidates]
+        for step in trace.steps
+    ]
+
+
 def assert_decoders_agree(scene, config, noise=0.0, salt=0, detector=CORPUS_DET):
     pairs = {
         "greedy": (
@@ -306,6 +314,7 @@ def assert_decoders_agree(scene, config, noise=0.0, salt=0, detector=CORPUS_DET)
         want, want_calls, want_scored = _recorded(reference, noise, salt)
         assert got.tokens == want.tokens, name
         assert json.dumps(got.trace.to_json()) == json.dumps(want.trace.to_json()), name
+        assert _candidate_bits(got.trace) == _candidate_bits(want.trace), name
         assert got_calls == want_calls, name
         assert got_scored == want_scored, name
 

@@ -1,10 +1,14 @@
+import dataclasses
+import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from halc import decoding
 from halc.decoding import (
+    SAMPLING_MODES,
     BeamState,
     DecodeConfig,
     apply_idk_policy,
@@ -14,10 +18,12 @@ from halc.decoding import (
     halc_step,
     select_beams,
 )
+from halc.distributions import argmax_logit
 from halc.errors import InvalidParameterError
 from halc.world import (
     CORPUS_DETECTOR_ETA,
     DEMO_DETECTOR_ETA,
+    END_TOKEN,
     CorpusSpec,
     DetectorSim,
     IDK_TOKEN,
@@ -371,3 +377,80 @@ def test_trace_json_schema(demo):
         assert len(step["fovs"]) == cfg.n
         assert len(step["candidates"]) == 2 * min(cfg.m, cfg.n * (cfg.n - 1) // 2)
         assert step["chosen"] is not None
+
+
+# ---------------------------------------------------------------------------
+# One step record
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_step_records_count_their_calls_and_list_their_candidates(small_trap_corpus, k):
+    for idx, scene in enumerate(small_trap_corpus):
+        config = DecodeConfig(seed=idx, k=k, idk_policy="literal")
+        trace = decode_halc(None, CORPUS_DET, oracle_match_score, None, scene, config).trace
+        assert sum(record.model_call_count for record in trace.steps) == trace.model_calls
+        untagged = {}
+        for record in trace.steps:
+            doc = record.to_json()
+            assert doc["candidates"] == [tok for tok, _ in record.candidates]
+            if record.triggered:
+                assert record.model_call_count == 1 + len(record.fovs)
+                assert len(record.candidates) == 2 * len(record.selected_pairs)
+            else:
+                assert record.model_call_count == 1
+                [(proposed, prob)] = record.candidates
+                assert prob is None and record.chosen_token in (None, proposed)
+                # The untagged steps of a decode share one tuple per token.
+                assert untagged.setdefault(proposed, record.candidates) is record.candidates
+
+
+@pytest.mark.parametrize("mode", SAMPLING_MODES)
+def test_halc_step_called_directly_gives_the_traced_record(small_trap_corpus, mode):
+    # At k = 1 each step grows the one beam by its kept token, so the
+    # steps can be replayed on the same rng.
+    config = DecodeConfig(seed=3, sampling_mode=mode, idk_policy="literal")
+    replayed = 0
+    for scene in small_trap_corpus[:6]:
+        trace = decode_halc(None, CORPUS_DET, oracle_match_score, None, scene, config).trace
+        rng = np.random.default_rng(config.seed)
+        full = scene.image.full_fov()
+        prefix = ()
+        for record in trace.steps:
+            if record.triggered:
+                proposed = scene.vocabulary[argmax_logit(toy_model_logits(scene, full, prefix))]
+                beam = BeamState(prefix)
+                direct = halc_step(None, CORPUS_DET, scene, beam, proposed, config, rng)
+                assert (direct.step, direct.beam, direct.chosen_token) == (0, 0, None)
+                stamped = dataclasses.replace(
+                    direct, step=record.step, beam=record.beam, chosen_token=record.chosen_token
+                )
+                assert stamped == record
+                replayed += 1
+            if record.chosen_token != END_TOKEN:
+                prefix += (record.chosen_token,)
+    assert replayed >= 6
+
+
+def test_held_halc_traces_stay_small():
+    # Corpus runs hold every trace. Equal candidates of a step share one
+    # tuple, and the untagged steps of a decode one tuple per token: the
+    # 40 traces below hold about 2.8 MB, and 3.5 MB when equal candidates
+    # do not share a tuple.
+    scenes = generate_corpus(7, 20, CorpusSpec(scene_count=20))
+    decode_halc(None, CORPUS_DET, oracle_match_score, None, scenes[0], DecodeConfig(max_tokens=4))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        traces = [
+            decode_halc(None, CORPUS_DET, oracle_match_score, None, scene,
+                        DecodeConfig(seed=idx, k=k)).trace
+            for k in (1, 3)
+            for idx, scene in enumerate(scenes)
+        ]
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(record.triggered for trace in traces for record in trace.steps) > 1000
+    assert held <= 3.2e6

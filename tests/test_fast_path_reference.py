@@ -418,16 +418,18 @@ def test_token_tables_match_the_per_token_classifiers(scene):
     assert scene._levels.dtype == levels.dtype
     assert scene._levels.tobytes() == levels.tobytes()
     assert scene._varying == varying
-    assert list(scene.lexicon.items()) == list(lexicon.items())
+    # The lexicon holds the tagged tokens only; tag_token reads any other
+    # token as "other".
+    assert scene.lexicon == {tok: pos for tok, pos in lexicon.items() if pos != "other"}
     assert list(scene._index.items()) == list(index.items())
     custom = {
         "n": "noun", "v": "verb", "p": "preposition", "adj": "adjective",
         "adv": "adverb", "num": "number", "pro": "pronoun", "o": "other",
     }
-    cases = [(scene.lexicon, tok) for tok in (*scene.vocabulary, "unknown-word")]
-    cases += [(custom, word) for word in (*custom, "unknown-word")]
-    for lex, word in cases:
-        assert tag_token(lex, word) == reference_tag_token(lex, word)
+    cases = [(scene.lexicon, lexicon, tok) for tok in (*scene.vocabulary, "unknown-word")]
+    cases += [(custom, custom, word) for word in (*custom, "unknown-word")]
+    for lex, reference_lex, word in cases:
+        assert tag_token(lex, word) == reference_tag_token(reference_lex, word)
 
 
 # ---------------------------------------------------------------------------
@@ -1060,18 +1062,18 @@ def test_set_count_oracle_score_matches_the_lexicon_walk(
 # ---------------------------------------------------------------------------
 
 
-def reference_step_candidates(beam_tokens, proposed, result, record, config, scene):
+def reference_step_candidates(beam_tokens, proposed, record, config, scene):
     """The replaced loop: one candidate per (token, probability) pair, each
     growing into the beam that the replaced post-selection branch built
-    from it."""
+    from it, with the token that branch recorded as chosen."""
     pool = []
-    for tok, prob in result.candidates:
+    for tok, prob in record.candidates:
         extended = beam_tokens if tok == END_TOKEN else beam_tokens + (tok,)
         terminated = tok == END_TOKEN
         final_tok = apply_idk_policy(
             proposed,
             tok,
-            result.detector_hit,
+            record.detector_hit,
             config.idk_policy,
             prob,
             config.idk_confidence,
@@ -1086,9 +1088,20 @@ def reference_step_candidates(beam_tokens, proposed, result, record, config, sce
     return pool
 
 
+def _chosen(cand):
+    """A pool candidate as (key, logp, grown, chosen, record): a reference
+    candidate names its chosen token; the loop records the grown beam's
+    last token, or [END] for an ended one."""
+    if len(cand) == 5:
+        return cand
+    key, logp, (tokens, terminated), record = cand
+    chosen = None if record is None else END_TOKEN if terminated else tokens[-1]
+    return key, logp, (tokens, terminated), chosen, record
+
+
 def _first_by_key(pool):
     first = {}
-    for cand in pool:
+    for cand in map(_chosen, pool):
         first.setdefault(cand[0], cand)
     return [
         (key, logp, grown, chosen, id(record))
@@ -1103,24 +1116,23 @@ def _recorded_pools(scene, detector, config):
     real_step, real_select = decoding.halc_step, decoding.select_beams
 
     def step(model, detector, scene, beam, proposed, config, rng):
-        result = real_step(model, detector, scene, beam, proposed, config, rng)
-        steps.append((beam.tokens, proposed, result))
-        return result
+        record = real_step(model, detector, scene, beam, proposed, config, rng)
+        steps.append((beam.tokens, proposed, record))
+        return record
 
     def select(pool, scorer, k, scene):
         # Triggered candidates of one beam share that beam's step record and
         # sit together, in the order the steps ran.
         reference, done = [], set()
         for cand in pool:
-            record = cand[4]
+            record = cand[3]
             if record is None or not record.triggered:
                 reference.append(cand)
             elif id(record) not in done:
                 done.add(id(record))
-                beam_tokens, proposed, result = steps.pop(0)
-                reference += reference_step_candidates(
-                    beam_tokens, proposed, result, record, config, scene
-                )
+                beam_tokens, proposed, stepped = steps.pop(0)
+                assert stepped is record
+                reference += reference_step_candidates(beam_tokens, proposed, record, config, scene)
         pairs.append((list(pool), reference))
         return real_select(pool, scorer, k, scene)
 

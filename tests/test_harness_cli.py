@@ -526,6 +526,8 @@ def test_cli_malformed_theorem_config_exits_2_with_one_line(tmp_path, capsys, th
         ("ablate", {"ablate": {"inits": []}}),
         ("emit-curve", {"emit_curve": {"tokens": 5}}),
         ("emit-curve", {"emit_curve": {"r_grid": [1e308]}}),
+        ("emit-curve", {"emit_curve": {"r_grid": [1e20]}}),
+        ("emit-curve", {"emit_curve": {"r_grid": [-2000]}}),
         ("length-curve", {"length_curve": {"grid": 3}}),
         ("length-curve", {"length_curve": {"grid": []}}),
         ("decode", {"scene_index": "abc"}),
@@ -545,6 +547,8 @@ def test_cli_malformed_theorem_config_exits_2_with_one_line(tmp_path, capsys, th
         "empty-ablate-inits",
         "emit-tokens-not-list",
         "overflowing-emit-r",
+        "overflowing-emit-growth",
+        "underflowing-emit-window",
         "length-grid-not-list",
         "empty-length-grid",
         "string-scene-index",
@@ -560,6 +564,8 @@ def test_cli_malformed_section_exits_2_with_one_line(tmp_path, capsys, scenario,
     assert err.startswith("config error: ")
     assert err.count("\n") == 1
     assert not (out / "manifest.json").exists()
+    for r in extra.get("emit_curve", {}).get("r_grid", []):
+        assert f"emit_curve r_grid {r!r} " in err
 
 
 @pytest.mark.parametrize(

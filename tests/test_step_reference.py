@@ -19,7 +19,7 @@ from halc.decoding import (
     SAMPLING_MODES,
     BeamState,
     DecodeConfig,
-    HalcStepResult,
+    StepRecord,
     decode_beam,
     decode_greedy,
     decode_halc,
@@ -131,6 +131,10 @@ def assert_steps_agree(model, detector, scene, beam, proposed, config, seed):
         (tok, float(dist.max()).hex()) for tok, dist in candidates
     ]
     np.testing.assert_allclose(result.jsd_matrix, matrix, rtol=0, atol=1e-12)
+    # The step's record counts the proposing call, and equal candidates
+    # share one tuple, since whole corpora of traces are held in memory.
+    assert result.triggered and result.model_call_count == 1 + len(fovs)
+    assert len({id(c) for c in result.candidates}) == len(set(result.candidates))
     return result
 
 
@@ -423,12 +427,14 @@ def per_window_halc_step(model, detector, scene, beam, proposed, config, rng):
         experts += (larger, smaller)
         amateurs += (smaller, larger)
     tokens, top = contrast_rows(logits, probs, experts, amateurs, config.alpha, config.beta)
-    return HalcStepResult(
+    return StepRecord(
+        triggered=True,
+        detector_hit=v_d is not None,
+        model_call_count=1 + config.n,
         candidates=tuple(zip(map(scene.vocabulary.__getitem__, tokens.tolist()), top.tolist())),
         fovs=fovs,
         jsd_matrix=matrix,
         selected_pairs=selected,
-        detector_hit=v_d is not None,
     )
 
 
@@ -463,6 +469,9 @@ def _outcome(step, model, scene, beam, proposed, config, seed):
         result.selected_pairs,
         [(tok, type(prob), prob.hex()) for tok, prob in result.candidates],
         result.detector_hit,
+        result.triggered,
+        result.model_call_count,
+        (result.step, result.beam, result.chosen_token),
     )
 
 
