@@ -25,10 +25,13 @@ SCORER_KINDS = ("oracle", "random", "noisy")
 # from the detector's grounding, the rest are the sampling modes so named.
 ABLATE_INITS = ("detector", "normal", "random", "center", "original")
 DEFAULT_GRID_SCALES = (0.1, 0.2, 0.3, 0.4, 0.6, 0.9)
-# The most windows (trials x n) one theorem trial set may hold. A set
-# peaks at about 75 bytes of float64 work arrays per window (jsd; tv
-# less), so this keeps a theorem run under about 0.75 GB; it is 12.5 times
-# the 100k x 8 sets of the theorem-mc benchmark.
+# The most windows (trials x n) one theorem trial set may hold; 12.5 times
+# the 100k x 8 sets of the theorem-mc benchmark. The sweep draws and scores
+# a set in chunks of theory.TRIAL_CHUNK trials, so what grows with the set
+# is its scores: 16 bytes a trial for each (eta, sigma) pair of the set.
+# At the cap, with the default grid's 4 pairs, a theorem-verify process
+# peaked at 134 MB RSS for 1.25M trials of n up to 8 and at 676 MB for 10M
+# trials of n = 1, under tv and jsd alike.
 MAX_THEOREM_WINDOWS = 10_000_000
 # The largest theorem amp, ln of the largest float (about 709.78): the bump
 # model takes exp(amp) at its center, which overflows above it.

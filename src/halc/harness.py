@@ -377,11 +377,12 @@ def run_theorem_verify(
     its order: each grid point's `bound_report`, its trials seeded by seed + n.
 
     A trial set's random draw depends only on the sampler and n, so the
-    rows are visited sorted by (sampler, in the section's order; n; eta;
-    sigma): a block is drawn when (sampler, n) changes and scored when
-    (eta, sigma) changes, and each row reports that trial set at its own
-    epsilon. No earlier block or trial set is held while the next is drawn
-    or scored.
+    rows are visited by trial set, sorted by (sampler, in the section's
+    order; n). A set is drawn once, in `draw_trials` chunks, and each chunk
+    is scored once per (eta, sigma) of the set into that (eta, sigma)'s
+    (trials,) score arrays; each row then reports the whole set at its own
+    epsilon. At most one chunk is alive at a time, and no earlier set's
+    scores are held while the next set is drawn.
     """
     from .theory import (
         GaussianBumpModel, TheoremConfig, bound_report, draw_trials, min_deviation_mc,
@@ -401,20 +402,27 @@ def run_theorem_verify(
         TheoremConfig(sampler=s, eta=eta, epsilon=eps, sigma=sigma, n=n, seed=seed + n, **shared)
         for s, eps, eta, sigma, n in section.rows()
     ]
-    keys = [(section.samplers.index(cfg.sampler), cfg.n, cfg.eta, cfg.sigma) for cfg in grid]
+    keys = [(section.samplers.index(cfg.sampler), cfg.n) for cfg in grid]
     rows: list = [None] * len(grid)
-    last = ()
     try:
-        for i in sorted(range(len(grid)), key=keys.__getitem__):
-            cfg = grid[i]
-            if keys[i][:2] != last[:2]:
-                block = scored = None  # before the next block is drawn
-                block = draw_trials(cfg)
-            if keys[i] != last:
-                scored = None  # before the next trial set is scored
-                scored = min_deviation_mc(model, cfg, block)
-            last = keys[i]
-            rows[i] = bound_report(model, cfg, *scored).to_csv_row()
+        for key in sorted(set(keys)):
+            members = [i for i, k in enumerate(keys) if k == key]
+            # Rows of one (eta, sigma) differ only in epsilon, which the
+            # scores do not read: any of them scores for all.
+            scorers = {(grid[i].eta, grid[i].sigma): grid[i] for i in members}
+            scored = None  # the last set's scores go before the next set's are made
+            # Each pair's minimum deviations and distances, as two rows.
+            scored = {pair: np.empty((2, section.trials)) for pair in scorers}
+            start = 0
+            for chunk in draw_trials(grid[members[0]]):
+                stop = start + len(chunk)
+                for pair, cfg in scorers.items():
+                    scored[pair][:, start:stop] = min_deviation_mc(model, cfg, chunk)
+                start = stop
+                del chunk  # before the next chunk is drawn
+            for i in members:
+                cfg = grid[i]
+                rows[i] = bound_report(model, cfg, *scored[cfg.eta, cfg.sigma]).to_csv_row()
     except OverflowError as exc:
         # The r range and the bound formulas overflow on huge values.
         raise InvalidParameterError(f"theorem values too large: {exc}") from exc

@@ -1,6 +1,6 @@
-"""The theorem sweep that draws each Monte-Carlo trial block once and
-scores each trial set once, and the column-wise reductions, each checked
-against the code it replaced.
+"""The theorem sweep that draws each Monte-Carlo trial set once, in
+chunks, and scores each chunk once per (eta, sigma), and the column-wise
+reductions, each checked against the code it replaced.
 
 The references below are the replaced code, kept here verbatim apart from
 names; the sampler, which they read from the config, as the code does; a
@@ -23,6 +23,7 @@ tests/test_theory.py and the tests below check those on their own.
 """
 
 import tracemalloc
+import warnings
 import weakref
 from unittest import mock
 
@@ -256,7 +257,7 @@ def _same_array(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# The sweep: one draw per trial set
+# The sweep: one draw per trial set, one score per chunk and (eta, sigma)
 # ---------------------------------------------------------------------------
 
 V_STARS = [(4.0, 4.0, 0.0), (2, 1, 0.5)]
@@ -283,18 +284,21 @@ grids = st.fixed_dictionaries(
 
 
 def _sweep_with_draws(options, seed):
-    """run_theorem_verify's rows, the (sampler, n) of each trial block it
-    drew and the (sampler, eta, sigma, n) of each trial set it scored."""
-    drawn, blocks, scored = [], {}, []
+    """run_theorem_verify's rows, the (sampler, n, chunk index, rows) of
+    each trial chunk it drew and the (sampler, eta, sigma, n, chunk index)
+    of each chunk it scored."""
+    drawn, latest, scored = [], {}, []
 
     def counting_draw(config):
-        drawn.append((config.sampler, config.n))
-        blocks[config.sampler, config.n] = block = draw_trials(config)
-        return block
+        for index, chunk in enumerate(draw_trials(config)):
+            drawn.append((config.sampler, config.n, index, len(chunk)))
+            latest[config.sampler, config.n] = index, chunk
+            yield chunk
 
     def counting_score(subject, config, block):
-        assert block is blocks[config.sampler, config.n]
-        scored.append((config.sampler, config.eta, config.sigma, config.n))
+        index, chunk = latest[config.sampler, config.n]
+        assert block is chunk
+        scored.append((config.sampler, config.eta, config.sigma, config.n, index))
         return min_deviation_mc(subject, config, block)
 
     with mock.patch.object(theory, "draw_trials", counting_draw), \
@@ -303,12 +307,10 @@ def _sweep_with_draws(options, seed):
     return rows, drawn, scored
 
 
-@settings(max_examples=40, deadline=None)
-@given(options=grids, seed=st.integers(0, 2**16))
-def test_sweep_rows_bit_equal_to_per_row_reference(options, seed):
-    rows, drawn, scored = _sweep_with_draws(options, seed)
-    reference = reference_run_theorem_verify(options, seed)
-    assert [_bits(r) for r in rows] == [_bits(r) for r in reference]
+def _assert_each_chunk_drawn_and_scored_once(options, drawn, scored):
+    """Each (sampler, n) trial set was drawn once, in chunks of
+    TRIAL_CHUNK trials and a last chunk of the rest, and each chunk was
+    scored once per (eta, sigma) of its set."""
     distinct = set()
     for sampler in options["samplers"]:
         if sampler == "normal":
@@ -318,16 +320,52 @@ def test_sweep_rows_bit_equal_to_per_row_reference(options, seed):
             v_star = options["v_star"]
             etas, sigmas = [(ratio * v_star[0], ratio * v_star[1], 0.1)], [1.0]
         distinct |= {(sampler, tuple(e), s, n) for e in etas for s in sigmas for n in options["n_values"]}
-    assert len(scored) == len(set(scored)) == len(distinct)
-    assert len(drawn) == len(set(drawn)) == len({(s, n) for s, _, _, n in distinct})
+    trials, size = options["trials"], theory.TRIAL_CHUNK
+    chunks = [(i, min(size, trials - start)) for i, start in enumerate(range(0, trials, size))]
+    sets = {(s, n) for s, _, _, n in distinct}
+    assert len(drawn) == len(set(drawn))
+    assert set(drawn) == {(s, n, i, rows) for s, n in sets for i, rows in chunks}
+    assert len(scored) == len(set(scored))
+    assert set(scored) == {(s, e, sigma, n, i) for s, e, sigma, n in distinct for i, _ in chunks}
+
+
+@settings(max_examples=40, deadline=None)
+@given(options=grids, seed=st.integers(0, 2**16))
+def test_sweep_rows_bit_equal_to_per_row_reference(options, seed):
+    rows, drawn, scored = _sweep_with_draws(options, seed)
+    reference = reference_run_theorem_verify(options, seed)
+    assert [_bits(r) for r in rows] == [_bits(r) for r in reference]
+    _assert_each_chunk_drawn_and_scored_once(options, drawn, scored)
+
+
+@settings(max_examples=40, deadline=None)
+@given(options=grids, lam=st.sampled_from([0.6, 1e300]), seed=st.integers(0, 2**16))
+def test_chunked_sweep_rows_bit_equal_to_per_row_reference(options, lam, seed):
+    """Chunks of 37 trials split each trial set of 100 to 500 trials into 3
+    to 14 chunks, most ending in a ragged one, and the rows are still the
+    per-row reference's bit for bit. At lam 1e300 the exponential scales
+    overflow to inf (or underflow to 0), so the windows at infinity take the
+    hypot path; no floating-point warning leaks from any chunk."""
+    options = {**options, "lam": lam}
+    with mock.patch.object(theory, "TRIAL_CHUNK", 37), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows, drawn, scored = _sweep_with_draws(options, seed)
+        _assert_each_chunk_drawn_and_scored_once(options, drawn, scored)
+    with np.errstate(all="ignore"):
+        reference = reference_run_theorem_verify(options, seed)
+    assert [_bits(r) for r in rows] == [_bits(r) for r in reference]
 
 
 def test_default_sweep_draws_each_trial_set_once():
     options = {"trials": 500}
-    rows, drawn, scored = _sweep_with_draws(options, 3)
+    with mock.patch.object(theory, "TRIAL_CHUNK", 128):
+        rows, drawn, scored = _sweep_with_draws(options, 3)
     assert len(rows) == 27
-    assert len(drawn) == len(set(drawn)) == 6
-    assert len(scored) == len(set(scored)) == 15
+    # 6 (sampler, n) trial sets and 15 (sampler, eta, sigma, n) scorings,
+    # each of 4 chunks: 128, 128, 128 and 116 trials.
+    assert len(drawn) == len(set(drawn)) == 6 * 4
+    assert sorted(rows for *_, rows in drawn) == [116] * 6 + [128] * 18
+    assert len(scored) == len(set(scored)) == 15 * 4
     assert [_bits(r) for r in rows] == [_bits(r) for r in reference_run_theorem_verify(options, 3)]
 
 
@@ -346,19 +384,58 @@ def test_sweep_retains_no_trial_arrays():
     assert retained < 2000 * 8 * 8
 
 
+def _traced_sweep_peak(trials):
+    """The traced peak of a default theorem sweep of `trials` trials, above
+    the memory traced before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run_theorem_verify({"trials": trials}, 0)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweep_peak_grows_by_its_score_arrays_only():
+    # Only the (trials,) scores of one trial set, two float64 arrays for
+    # each of its (eta, sigma) pairs, scale with the trial count: at most 4
+    # pairs make 64 bytes a trial, 6.1 MiB per 100k trials. A set drawn or
+    # scored whole adds its (trials, n, 3) block and (trials, n) work arrays
+    # (about 31 MiB per 100k trials at n = 8).
+    run_theorem_verify({"trials": 100}, 0)  # fills the parsers' caches
+    growth = _traced_sweep_peak(200_000) - _traced_sweep_peak(100_000)
+    assert growth <= 8 * 2**20, growth
+
+
+def _arrays_behind(array):
+    """An array and each array it is a view of."""
+    while isinstance(array, np.ndarray):
+        yield array
+        array = array.base
+
+
 def test_sweep_holds_no_earlier_trial_arrays_while_drawing_or_scoring():
-    # A trial set's arrays left alive while the next is drawn or scored
-    # raise the sweep's peak memory, which the retained total above misses.
-    blocks, minima = [], []
+    # Arrays left alive while the next chunk is drawn or scored raise the
+    # sweep's peak memory, which the retained total above misses: no earlier
+    # chunk or chunk scores when a chunk is drawn, no earlier chunk scores
+    # when a chunk is scored, and no earlier trial set's scores, the arrays
+    # each report reads, when the next set's first chunk is drawn.
+    chunks, minima, reported = [], [], []
 
     def alive(refs):
         return [ref for ref in refs if ref() is not None]
 
     def spying_draw(config):
-        assert not alive(blocks) and not alive(minima)
-        block = draw_trials(config)
-        blocks.append(weakref.ref(block))
-        return block
+        assert not alive(reported)
+        stream = draw_trials(config)
+        while True:
+            assert not alive(chunks) and not alive(minima)
+            chunk = next(stream, None)
+            if chunk is None:
+                return
+            chunks.append(weakref.ref(chunk))
+            yield chunk
+            del chunk
 
     def spying_score(subject, config, block):
         assert not alive(minima)
@@ -366,10 +443,19 @@ def test_sweep_holds_no_earlier_trial_arrays_while_drawing_or_scoring():
         minima.extend(weakref.ref(array) for array in scored)
         return scored
 
+    def spying_report(subject, config, min_deviations, min_distances):
+        for array in (min_deviations, min_distances):
+            reported.extend(weakref.ref(owner) for owner in _arrays_behind(array))
+        return bound_report(subject, config, min_deviations, min_distances)
+
     with mock.patch.object(theory, "draw_trials", spying_draw), \
-            mock.patch.object(theory, "min_deviation_mc", spying_score):
+            mock.patch.object(theory, "min_deviation_mc", spying_score), \
+            mock.patch.object(theory, "bound_report", spying_report), \
+            mock.patch.object(theory, "TRIAL_CHUNK", 64):
         rows = run_theorem_verify({"trials": 200}, 0)
-    assert (len(rows), len(blocks), len(minima)) == (27, 6, 30)
+    # 6 trial sets and 15 scorings, each of 4 chunks (64, 64, 64 and 8).
+    assert (len(rows), len(chunks), len(minima)) == (27, 6 * 4, 15 * 4 * 2)
+    assert len(reported) >= 27 * 2
 
 
 @settings(max_examples=40, deadline=None)
@@ -514,7 +600,7 @@ def _block_config(sampler, divergence, n, eta, sigma, trials, seed, nan_distance
 def _shared_and_own_block_scores(model, config):
     """min_deviation_mc's scored trial sets from a drawn block, which it
     must not write, and from the block it draws itself."""
-    block = draw_trials(config)
+    block = np.concatenate(list(draw_trials(config)))
     drawn = block.copy()
     with np.errstate(all="ignore"):
         scores = (min_deviation_mc(model, config, block), min_deviation_mc(model, config))

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import halc
+from halc import theory
 from halc.distributions import softmax
 from halc.errors import InvalidParameterError
 from halc.geometry import Fov
@@ -383,6 +385,56 @@ def test_min_deviation_mc_rejects_a_block_of_another_shape(drawn_for, drawn_by, 
 
 
 @pytest.mark.parametrize(
+    "drawn_for, drawn_by, sampler, rows",
+    [
+        ({"n": 3}, "normal", "normal", 100),
+        ({"trials": 101}, "normal", "normal", 101),
+        ({"n": 3}, "exponential", "exponential", 100),
+        ({}, "exponential", "normal", 100),
+        ({}, "normal", "exponential", 100),
+        ({}, "normal", "normal", 0),
+    ],
+)
+def test_min_deviation_mc_rejects_a_chunk_of_another_shape(drawn_for, drawn_by, sampler, rows):
+    """A chunk of another n or of the other sampler, or of more rows than
+    the config's trials or none, is rejected before it is read."""
+    fields = dict(v_star=V_STAR, eta=(2.0, 2.0, 0.1), epsilon=1.0, n=2, trials=100)
+    chunk = next(draw_trials(TheoremConfig(**{**fields, **drawn_for, "sampler": drawn_by})))
+    with pytest.raises(InvalidParameterError, match="trial block"):
+        min_deviation_mc(MODEL, TheoremConfig(**fields, sampler=sampler), chunk[:rows])
+
+
+@pytest.mark.parametrize("sampler", ["normal", "exponential"])
+def test_trial_chunks_are_one_draw_and_score_as_the_whole_set(sampler):
+    """The chunks are one draw of the whole set, cut in TRIAL_CHUNK rows,
+    and their scores are the whole set's. At lam 1e300 the scales overflow,
+    yet the caller's warnings stay on between chunks: they are off for each
+    chunk's draw only."""
+    cfg = TheoremConfig(
+        v_star=V_STAR, eta=(2.0, 2.0, 0.1), epsilon=1.0, sampler=sampler, lam=1e300, n=3,
+        trials=300,
+    )
+    setting = np.geterr()
+    chunks = []
+    with mock.patch.object(theory, "TRIAL_CHUNK", 128):
+        for chunk in draw_trials(cfg):
+            assert np.geterr() == setting
+            chunks.append(chunk)
+    assert [len(chunk) for chunk in chunks] == [128, 128, 44]
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(2)[1])
+    with np.errstate(over="ignore"):
+        whole = (
+            rng.standard_normal((300, 3, 3)) if sampler == "normal"
+            else (1.0 + cfg.lam) ** rng.uniform(cfg.r_min, cfg.r_max, size=(300, 3))
+        )
+    assert np.concatenate(chunks).tobytes() == whole.tobytes()
+    scores = [min_deviation_mc(MODEL, cfg, chunk) for chunk in chunks + [chunks[-1][:1]]]
+    for part, want in zip(zip(*scores[:-1]), min_deviation_mc(MODEL, cfg, whole)):
+        assert np.concatenate(part).tobytes() == want.tobytes()
+    assert [len(score) for score in scores[-1]] == [1, 1]
+
+
+@pytest.mark.parametrize(
     "amp,width",
     [(math.inf, 1.0), (-math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, math.nan),
      (1.0, 1e200), (1.0, np.float64(1e200))],
@@ -403,7 +455,7 @@ def test_min_distance_survives_squared_distances_that_overflow():
         warnings.simplefilter("error")
         min_devs, min_dist = min_deviation_mc(MODEL, cfg)
         report = bound_report(MODEL, cfg, min_devs, min_dist)
-    windows = cfg.v_d + cfg.sigma * draw_trials(cfg) - np.asarray(V_STAR)
+    windows = cfg.v_d + cfg.sigma * np.concatenate(list(draw_trials(cfg))) - np.asarray(V_STAR)
     distances = np.hypot(np.hypot(windows[..., 0], windows[..., 1]), windows[..., 2])
     assert min_dist.tobytes() == distances.min(axis=1).tobytes()
     assert report.empirical_miss == report.analytic_miss == 0.0
