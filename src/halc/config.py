@@ -25,14 +25,17 @@ SCORER_KINDS = ("oracle", "random", "noisy")
 # from the detector's grounding, the rest are the sampling modes so named.
 ABLATE_INITS = ("detector", "normal", "random", "center", "original")
 DEFAULT_GRID_SCALES = (0.1, 0.2, 0.3, 0.4, 0.6, 0.9)
-# The most windows (trials x n) one theorem trial set may hold; 12.5 times
-# the 100k x 8 sets of the theorem-mc benchmark. The sweep draws and scores
-# a set in chunks of theory.TRIAL_CHUNK trials, so what grows with the set
-# is its scores: 16 bytes a trial for each (eta, sigma) pair of the set.
-# At the cap, with the default grid's 4 pairs, a theorem-verify process
-# peaked at 134 MB RSS for 1.25M trials of n up to 8 and at 676 MB for 10M
-# trials of n = 1, under tv and jsd alike.
+# The sweep draws and scores a theorem trial set in chunks of
+# theory.TRIAL_CHUNK trials, so two things grow with a set. Its draw grows
+# with its windows (trials x n), capped at 12.5 times the 100k x 8 sets of
+# the theorem-mc benchmark. Its scores grow by 16 bytes a trial for each
+# (eta, sigma) pair of the set: trials x the pairs of the largest set are
+# capped at what the default grid's 4 pairs reach at the window cap. At
+# the caps a theorem-verify process peaked at 134 MB RSS for the default
+# grid at 1.25M trials of n up to 8, and at 676 MB for 10M trials of
+# n = 1, under tv and jsd alike.
 MAX_THEOREM_WINDOWS = 10_000_000
+MAX_THEOREM_SCORES = 40_000_000
 # The largest theorem amp, ln of the largest float (about 709.78): the bump
 # model takes exp(amp) at its center, which overflows above it.
 MAX_THEOREM_AMP = math.log(sys.float_info.max)
@@ -40,6 +43,16 @@ MAX_THEOREM_AMP = math.log(sys.float_info.max)
 # holds one grid at a time, about 160 bytes a window (16 MB here); the
 # default has 384.
 MAX_GRID_WINDOWS = 100_000
+
+
+def _squares(x: float) -> bool:
+    """Whether Python's float(x) ** 2 gives a float: it raises
+    OverflowError from about 1.34e154 on, and squares inf to inf."""
+    try:
+        float(x) ** 2
+    except OverflowError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -153,9 +166,10 @@ class EmitCurveSection:
 @dataclass(frozen=True)
 class TheoremSection:
     """The bound-verification grid of `rows`. The ranges are those of
-    theory.TheoremConfig and the amp and lam at which the bump model and
-    the exponential constant stay finite, checked here so that every
-    scenario rejects them."""
+    theory.TheoremConfig, the amp and lam at which the bump model and the
+    exponential constant stay finite, the values that the bound's
+    constants square, and the caps on what a trial set holds, checked here
+    so that every scenario rejects them."""
 
     v_star: tuple[float, float, float] = (4.0, 4.0, 0.0)
     amp: float = 1.0
@@ -182,20 +196,46 @@ class TheoremSection:
                 f"theorem trials x max(n_values) must be at most {MAX_THEOREM_WINDOWS}, "
                 f"got {self.trials} x {largest_n}"
             )
+        # Each (eta, sigma) pair of a trial set holds its scores.
+        pairs = len(set(product(self.etas, self.sigmas))) if "normal" in self.samplers else 1
+        if self.trials * pairs > MAX_THEOREM_SCORES:
+            raise InvalidParameterError(
+                f"theorem trials x the (eta, sigma) pairs of a trial set must be at most "
+                f"{MAX_THEOREM_SCORES}, got {self.trials} x {pairs}"
+            )
         for name in ("epsilons", "sigmas"):
             require(name, min(getattr(self, name), default=1) > 0, "must be positive")
         # The ball mass divides by sigma**2, which is 0 below about 2e-162.
         # s * s gives inf for a huge sigma, where s**2 would raise.
         require("sigmas", all(s * s > 0 for s in self.sigmas), "must square to above 0")
+        if "normal" in self.samplers:
+            # The ball mass squares sigma and epsilon / sigma.
+            require("sigmas", all(map(_squares, self.sigmas)), "must have a finite square")
+            ok = all(_squares(e / s) for e, s in product(self.epsilons, self.sigmas))
+            require("epsilons", ok, "over each sigmas entry must have a finite square")
         for name in ("exp_epsilon", "lam"):
             require(name, getattr(self, name) > 0, "must be positive")
         # The exponent interval is divided by ln(1 + lam).
         require("lam", 1.0 + self.lam > 1.0, "must not round 1 + lam to 1")
         require("amp", self.amp <= MAX_THEOREM_AMP, f"must be at most {MAX_THEOREM_AMP!r}")
         require("r_min", self.r_min < self.r_max, "must be less than r_max")
-        # theorem.csv writes an exponential row's eta as its norm.
-        norm = math.hypot(*self._detection()) if "exponential" in self.samplers else 0.0
-        require("eta_scale", math.isfinite(norm), "must keep the detection eta_scale x v_star finite")
+        if "exponential" in self.samplers:
+            # theorem.csv writes an exponential row's eta as its norm.
+            detection = self._detection()
+            ok = math.isfinite(math.hypot(*detection))
+            require("eta_scale", ok, "must keep the detection eta_scale x v_star finite")
+            # The exponents are drawn from [r_min, r_max), whose width must
+            # be a float. The exponential constant squares exp_epsilon and
+            # the width and height of the detected window v_star + eta.
+            ok = self.r_max - self.r_min < math.inf
+            require("r_min", ok, "must keep r_max - r_min finite")
+            require("exp_epsilon", _squares(self.exp_epsilon), "must have a finite square")
+            if not all(_squares(v + e) for v, e in zip(self.v_star[:2], detection)):
+                raise InvalidParameterError(
+                    "theorem v_star and eta_scale must give a detected window, v_star plus "
+                    "eta_scale x v_star, whose width and height have finite squares, got "
+                    f"v_star {self.v_star!r} and eta_scale {self.eta_scale!r}"
+                )
         if next(self.rows(), None) is None:
             raise InvalidParameterError("theorem grid has no rows")
 

@@ -111,19 +111,21 @@ class DecodeConfig:
         require("idk_confidence", 0 <= self.idk_confidence <= 1, "must lie in [0, 1]")
         require("max_tokens", self.max_tokens >= 1, "must be at least 1")
         require("seed", self.seed >= 0, "must be nonnegative")
-        # A mode that expands windows scales them by (1 + lam)**r, which is
-        # monotone in r, so its lowest and highest exponent decide whether
-        # every window keeps a finite, positive size.
-        if self.sampling_mode in ("exponential", "center"):
-            low = self.exponent_offset
-            ends = [("exponent_offset", low), ("lam", low + self.n - 1)]
-        elif self.sampling_mode == "original":
-            ends = [("lam", 1 - self.n)]  # its highest exponent, 0, gives 1
-        else:
-            ends = []
-        for key, r in ends:
+        for key, r in self._growth_ends():
             problem = _growth_problem(self.lam, r)
             require(key, not problem, f"is out of range: {problem}")
+
+    def _growth_ends(self) -> list[tuple[str, int]]:
+        """The lowest and highest exponent r of the growth (1 + lam)**r by
+        which the sampling mode scales windows, each with the key to blame
+        when it fails. The growth is monotone in r, so these ends decide
+        whether every window keeps a finite, positive size."""
+        if self.sampling_mode in ("exponential", "center"):
+            low = self.exponent_offset
+            return [("exponent_offset", low), ("lam", low + self.n - 1)]
+        if self.sampling_mode == "original":
+            return [("lam", 1 - self.n)]  # its highest exponent, 0, gives 1
+        return []
 
 
 def _growth_problem(lam: float, r: int) -> str:

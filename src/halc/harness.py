@@ -30,6 +30,7 @@ from .decoding import (
     decode_beam,
     decode_greedy,
     decode_halc,
+    _growth_problem,
 )
 from .distributions import argmax_logit, softmax
 from .errors import InvalidInputError, InvalidParameterError
@@ -97,8 +98,23 @@ def cost_estimate(model: CostModel) -> CostEstimate:
 
     The parallel variant assumes the n per-window re-decodings run
     concurrently, costing one decoding step each triggered token. Values
-    too large for a finite float estimate raise InvalidParameterError.
+    too large for a finite float estimate raise InvalidParameterError,
+    which names each key whose default, in place of its value, gives a
+    finite estimate, or, if none does, every key away from its default.
     """
+    estimate = _finite_estimate(model)
+    if estimate is None:
+        changed = [f for f in dataclasses.fields(model) if getattr(model, f.name) != f.default]
+        keys = [f.name for f in changed
+                if _finite_estimate(dataclasses.replace(model, **{f.name: f.default}))]
+        raise InvalidParameterError(
+            "cost model values are too large: the estimate overflows, from cost_model "
+            + ", ".join(keys or [f.name for f in changed])
+        )
+    return estimate
+
+
+def _finite_estimate(model: CostModel) -> Optional[CostEstimate]:
     length, t, td = model.tokens, model.t_lvlm, model.t_detector
     rate, n = model.trigger_rate, model.n
     # Ratio grouping 1 + rate*(n + td/t) keeps the reference 2.4x and 1.7x
@@ -112,9 +128,7 @@ def cost_estimate(model: CostModel) -> CostEstimate:
         )
         if np.isfinite(dataclasses.astuple(estimate)).all():
             return estimate
-    raise InvalidParameterError(
-        "cost model values are too large: the estimate is not a finite float"
-    )
+    return None
 
 
 def verify_cost_accounting(trace: DecodeTrace, model: CostModel) -> bool:
@@ -384,14 +398,12 @@ def run_theorem_verify(
     epsilon. At most one chunk is alive at a time, and no earlier set's
     scores are held while the next set is drawn.
     """
-    from .theory import (
-        GaussianBumpModel, TheoremConfig, bound_report, draw_trials, min_deviation_mc,
-    )
+    from .theory import TheoremConfig, bound_report, draw_trials, min_deviation_mc
 
     section = parse(TheoremSection, {} if options is None else options, "theorem")
-    model = GaussianBumpModel(center=section.v_star, amp=float(section.amp))
     shared = dict(
         v_star=section.v_star,
+        amp=float(section.amp),
         lam=float(section.lam),
         r_min=float(section.r_min),
         r_max=float(section.r_max),
@@ -417,12 +429,12 @@ def run_theorem_verify(
             for chunk in draw_trials(grid[members[0]]):
                 stop = start + len(chunk)
                 for pair, cfg in scorers.items():
-                    scored[pair][:, start:stop] = min_deviation_mc(model, cfg, chunk)
+                    scored[pair][:, start:stop] = min_deviation_mc(cfg, chunk)
                 start = stop
                 del chunk  # before the next chunk is drawn
             for i in members:
                 cfg = grid[i]
-                rows[i] = bound_report(model, cfg, *scored[cfg.eta, cfg.sigma]).to_csv_row()
+                rows[i] = bound_report(cfg, *scored[cfg.eta, cfg.sigma]).to_csv_row()
     except OverflowError as exc:
         # The r range and the bound formulas overflow on huge values.
         raise InvalidParameterError(f"theorem values too large: {exc}") from exc
@@ -449,6 +461,13 @@ def run_ablations(
     seed and averages the metrics; only the scorer sweep, whose scorers
     may be seeded, uses several seeds."""
     options = parse(AblateSection, {} if options is None else options, "ablate")
+    # The lambda sweep decodes `config` at each lambda: each is checked as
+    # DecodeConfig checks its lam, before any sweep decodes.
+    for lam in options.lambdas:
+        for _, r in config._growth_ends():
+            problem = _growth_problem(lam, r)
+            if problem:
+                raise InvalidParameterError(f"ablate lambdas {lam!r} is out of range: {problem}")
     queries = _pope_queries(scenes, seed, options.pope_mode, ABLATE_POPE_COUNT)
     scorer_seeds = options.scorer_seeds or [seed + i for i in range(5)]
     # (table, column, values, value -> changed decode fields); the scorer

@@ -9,15 +9,16 @@ mass of the epsilon-ball, comes from scipy.special's chndtr/chdtr: the
 chi-square CDFs that ncx2 and chi2 in scipy's stats subpackage call, without
 the second it takes to import that subpackage.
 
-A `TheoremConfig` is one grid point (sampler, epsilon, eta, sigma, n). A
-sweep draws the trial set of each (sampler, n) once, in chunks of trials
+A `TheoremConfig` is one grid point (sampler, epsilon, eta, sigma, n) and
+the whole problem checked there: its subject is the bump model it builds,
+centred at the optimum v_star with the config's amp. As in the bound's
+argument, where a window within epsilon of the optimum bounds the
+deviation by delta, the bump's minimum deviation is its deviation at each
+trial's nearest window, the only window at which it is evaluated. A sweep
+draws the trial set of each (sampler, n) once, in chunks of trials
 (`draw_trials`), scores each chunk once per (eta, sigma)
 (`min_deviation_mc`: each trial's minimum deviation and distance to the
 optimum) and reports each epsilon on the whole set (`bound_report`).
-As in the bound's argument, where a window within epsilon of the optimum
-bounds the deviation by delta, the subject is a bump model centred at the
-optimum, and its minimum deviation is its deviation at each trial's
-nearest window, the only window at which it is evaluated.
 
 numpy reduces a short axis row by row, so the Monte-Carlo arrays are never
 reduced over their 3-wide FOV axis or their n-wide window axis. They are
@@ -28,7 +29,7 @@ use, which gives the same bits in a few whole-array passes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -63,7 +64,8 @@ DELTA_PROBES = 200
 
 @dataclass(frozen=True)
 class TheoremConfig:
-    """One point of the bound's grid, with the trial set that checks it."""
+    """One point of the bound's grid, with the trial set that checks it and
+    `bump`, the subject it is checked on, built from v_star and amp."""
 
     v_star: tuple[float, float, float]
     eta: tuple[float, float, float]
@@ -77,6 +79,8 @@ class TheoremConfig:
     trials: int = 10_000
     divergence: str = "tv"
     seed: int = 0
+    amp: float = 1.0
+    bump: GaussianBumpModel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.epsilon <= 0:
@@ -95,6 +99,7 @@ class TheoremConfig:
             raise InvalidParameterError("sampler must be 'normal' or 'exponential'")
         if self.divergence not in ("tv", "jsd"):
             raise InvalidParameterError("divergence must be 'tv' or 'jsd'")
+        object.__setattr__(self, "bump", GaussianBumpModel(center=self.v_star, amp=self.amp))
 
     @property
     def v_d(self) -> np.ndarray:
@@ -155,12 +160,10 @@ class GaussianBumpModel:
 
     center: tuple[float, float, float]
     amp: float = 1.0
-    width: float = 1.0
 
     def __post_init__(self) -> None:
-        width = float(self.width)
-        if not (math.isfinite(self.amp) and math.isfinite(2.0 * width * width)):
-            raise InvalidParameterError("bump amp and 2 * width**2 must be finite")
+        if not math.isfinite(self.amp):
+            raise InvalidParameterError("bump amp must be finite")
 
     def dists(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -169,11 +172,11 @@ class GaussianBumpModel:
     def dists_at(self, d2: np.ndarray) -> np.ndarray:
         """The rows of `dists` for windows at squared distances `d2` (1-D)
         from the center, computed in place: `d2` is overwritten."""
-        # The bump amp * exp(-d2 / (2 width^2)), then its exponential expo,
-        # then p0 = expo / (expo + 1) beside 1 - p0.
+        # The bump amp * exp(-d2 / 2), then its exponential expo, then
+        # p0 = expo / (expo + 1) beside 1 - p0.
         expo = d2
         np.negative(expo, out=expo)
-        expo /= 2.0 * self.width**2
+        expo /= 2.0
         np.exp(expo, out=expo)
         expo *= self.amp
         np.exp(expo, out=expo)
@@ -531,11 +534,12 @@ def _window_distance(
 
 @np.errstate(all="ignore")
 def min_deviation_mc(
-    subject: GaussianBumpModel, config: TheoremConfig, block: Optional[np.ndarray] = None
+    config: TheoremConfig, block: Optional[np.ndarray] = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The scores of a config's trials: each trial's minimum deviation and
-    minimum distance to the optimum over its n sampled windows, as two
-    (rows,) arrays, which `bound_report` reads for the whole trial set.
+    """The scores of a config's trials on its bump: each trial's minimum
+    deviation and minimum distance to the optimum over its n sampled
+    windows, as two (rows,) arrays, which `bound_report` reads for the
+    whole trial set.
 
     `block` is 1 to `config.trials` rows of the config's draw, in the
     shape of a `draw_trials` chunk: a chunk, or, when None, the whole trial
@@ -544,21 +548,18 @@ def min_deviation_mc(
     the whole set. The scores do not depend on epsilon, so one scored trial
     set serves every epsilon of a grid point.
 
-    The subject must be a bump model centred at the optimum. Each window's
-    squared distance to the optimum is measured once, without building the
-    windows, for the hit test. The bump is evaluated at each trial's nearest
-    window (NaN distances skipped) only, and its deviation there is the
-    trial's minimum. In exact arithmetic that is the minimum over the
-    windows; computed, it lies at most 2**-51 above the smallest computed
-    window deviation. A trial whose smallest squared distance is inf (it
-    may have overflowed) has its minimum distance measured again with hypot.
+    Each window's squared distance to the optimum is measured once, without
+    building the windows, for the hit test. The bump is evaluated at each
+    trial's nearest window (NaN distances skipped) only, and its deviation
+    there is the trial's minimum. In exact arithmetic that is the minimum
+    over the windows; computed, it lies at most 2**-51 above the smallest
+    computed window deviation. A trial whose smallest squared distance is
+    inf (it may have overflowed) has its minimum distance measured again
+    with hypot.
 
     Windows at inf or NaN are part of a trial set, so numpy's
     floating-point warnings are off.
     """
-    v_star = np.asarray(config.v_star, dtype=float)
-    if not (isinstance(subject, GaussianBumpModel) and np.array_equal(subject.center, v_star)):
-        raise InvalidParameterError("the theorem subject must be a bump centred at v_star")
     if block is None:
         block = np.concatenate(list(draw_trials(config)))
     shape = np.shape(block)
@@ -568,8 +569,8 @@ def min_deviation_mc(
             f"a {config.sampler} trial block of at most {config.trials} trials of {config.n} "
             f"samples cannot have shape {shape}"
         )
-    v_d = config.v_d
-    d_star = subject.dists(v_star[None, :])[0]
+    v_star, v_d, bump = np.asarray(config.v_star, dtype=float), config.v_d, config.bump
+    d_star = bump.dists(v_star[None, :])[0]
 
     dist = _squared_window_distance(block, config, v_d, v_star)
     # fmin skips NaN distances, as the per-window hit test (dist <= epsilon)
@@ -580,19 +581,16 @@ def min_deviation_mc(
     far = np.flatnonzero(min_dist == np.inf)
     if far.size:
         min_dist[far] = _row_min(_window_distance(block[far], config, v_d, v_star))
-    min_devs = _divergence_batch(d_star, subject.dists_at(nearest), config.divergence)
+    min_devs = _divergence_batch(d_star, bump.dists_at(nearest), config.divergence)
     return min_devs, min_dist
 
 
 @np.errstate(all="ignore")
 def bound_report(
-    subject: GaussianBumpModel,
-    config: TheoremConfig,
-    min_deviations: np.ndarray,
-    min_distances: np.ndarray,
+    config: TheoremConfig, min_deviations: np.ndarray, min_distances: np.ndarray
 ) -> BoundReport:
-    """The `BoundReport` of a scored trial set at config.epsilon; no other
-    code builds one.
+    """The `BoundReport` of a scored trial set at config.epsilon, on the
+    config's bump; no other code builds one.
 
     `min_deviations` and `min_distances` are what `min_deviation_mc`
     returns for a config that differs from this one at most in epsilon.
@@ -604,7 +602,8 @@ def bound_report(
         analytic_c = c_g_analytic(config.epsilon, config.eta, config.sigma)
         if math.isnan(analytic_c):  # chndtr's, from a noncentrality of about 1e19 on
             raise InvalidParameterError(
-                f"theorem values too large: NaN ball mass at eta {config.eta}, sigma {config.sigma}"
+                f"theorem values too large: NaN ball mass at theorem etas {config.eta} and "
+                f"sigmas {config.sigma}"
             )
     else:
         analytic_c = c_e_closed_form(
@@ -613,7 +612,7 @@ def bound_report(
 
     delta_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(2)[0])
     delta = estimate_delta(
-        subject, config.v_star, config.epsilon, DELTA_PROBES, delta_rng, config.divergence
+        config.bump, config.v_star, config.epsilon, DELTA_PROBES, delta_rng, config.divergence
     )
 
     empirical_miss = float((~(min_distances <= config.epsilon)).mean())

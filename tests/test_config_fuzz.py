@@ -14,9 +14,12 @@ float and -0.0. Sizes are capped (trials <= 500, at most two n values <= 8,
 a 2-scene corpus, short captions, small grids) so that each run takes
 milliseconds.
 
-The last test holds every run to the whole exit contract: exit 0 leaves an
-empty stderr and no nan or inf in any CSV or JSON it wrote, and exit 2 or 3
-prints exactly one line.
+`test_fuzzed_config_keeps_the_whole_exit_contract` holds every run to the
+whole exit contract: exit 0 leaves an empty stderr and no nan or inf in any
+CSV or JSON it wrote, and exit 2 or 3 prints exactly one line. The last test
+is not fuzzed: it sets every numeric key in turn to the largest float, to
++-1e300 and, for an integer key, to the JSON integer 10**400, and holds the
+run to that contract with one more rule, that an exit 2 names the key.
 """
 
 import contextlib
@@ -24,10 +27,12 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -140,6 +145,8 @@ def _nonfinite_values(out):
 
 
 def _nonfinite_text(cell):
+    if cell.lstrip("-").isdigit():  # an integer, exact however long (a 10**400 from the config)
+        return False
     try:
         return not math.isfinite(float(cell))
     except ValueError:
@@ -286,3 +293,87 @@ def test_fuzzed_config_keeps_the_whole_exit_contract(case):
     else:
         assert code in (2, 3)
         assert stderr.count("\n") == 1 and stderr.endswith("\n")
+
+
+def _listed(v):
+    return [v]
+
+
+def _scalar(v):
+    return v
+
+
+def _vector(base):
+    """A vector key's shapes: the number at each position of `base` in turn."""
+    return [lambda v, i=i: [v if j == i else x for j, x in enumerate(base)] for i in range(len(base))]
+
+
+# Every numeric key of the document (None: the top level), with the JSON
+# shapes its number takes.
+EDGE_KEYS = {
+    "decode": dict.fromkeys(["lam", "alpha", "beta", "sigma", "idk_confidence", "n", "m", "k",
+                             "max_tokens", "seed", "exponent_offset"], [_scalar]),
+    "corpus": {
+        **dict.fromkeys(["trap_fraction", "correctable_fraction", "image_width", "image_height",
+                         "count", "clauses", "noun_pool", "filler_count"], [_scalar]),
+        "trap_clauses": [_listed],
+    },
+    "cost_model": dict.fromkeys(["t_lvlm", "t_detector", "trigger_rate", "tokens", "n"], [_scalar]),
+    "compare": dict.fromkeys(["beta", "pope_count"], [_scalar]),
+    "oracle_study": {"grid_scales": [_listed], "grid_positions": [_scalar]},
+    "ablate": dict.fromkeys(["lambdas", "scorer_seeds", "beams"], [_listed]),
+    "length_curve": {"grid": [_listed]},
+    "emit_curve": {"r_grid": [_listed]},
+    "theorem": {
+        **dict.fromkeys(["amp", "eta_scale", "exp_epsilon", "lam", "r_min", "r_max", "trials"],
+                        [_scalar]),
+        **dict.fromkeys(["sigmas", "epsilons", "n_values"], [_listed]),
+        "v_star": _vector([4.0, 4.0, 0.0]),
+        "etas": [lambda v, at=at: [at(v)] for at in _vector([0.8, 0.6, 0.0])],
+    },
+    None: {
+        **dict.fromkeys(["detector_confidence", "seed", "scene_index"], [_scalar]),
+        "detector_eta": _vector([12, -9, 7, 5]),
+        "scorer": [lambda v: {"kind": "noisy", "amp": v}],
+    },
+}
+# The integer keys, which take the JSON integer 10**400 as well.
+INTEGER_KEYS = {
+    "n", "m", "k", "max_tokens", "seed", "exponent_offset", "count", "clauses", "noun_pool",
+    "filler_count", "trap_clauses", "tokens", "pope_count", "grid_positions", "scorer_seeds",
+    "beams", "grid", "trials", "n_values", "scene_index",
+}
+# The scenario that reads each section; the top-level keys are read by decode.
+EDGE_SCENARIOS = {
+    "decode": "decode", "corpus": "compare", "cost_model": "cost-model", "compare": "compare",
+    "oracle_study": "oracle-study", "ablate": "ablate", "length_curve": "length-curve",
+    "emit_curve": "emit-curve", "theorem": "theorem-verify", None: "decode",
+}
+EDGE_VALUES = {"max": sys.float_info.max, "1e300": 1e300, "-1e300": -1e300, "10**400": 10**400}
+
+
+def _edge_cases():
+    for section, keys in EDGE_KEYS.items():
+        for key, shapes in keys.items():
+            for position, shape in enumerate(shapes):
+                for label, value in EDGE_VALUES.items():
+                    if isinstance(value, float) or key in INTEGER_KEYS:
+                        name = f"{section or 'top'}-{key}-{position}-{label}"
+                        yield pytest.param(section, key, shape(value), id=name)
+
+
+@pytest.mark.parametrize("section,key,value", list(_edge_cases()))
+def test_every_numeric_key_at_the_overflow_edge_runs_or_names_itself(section, key, value):
+    doc = {"seed": 1, "corpus": dict(CORPUS), **SMALL_SECTIONS,
+           "theorem": {"trials": 100, "n_values": [2]}}
+    if section is None:
+        doc[key] = value
+    else:
+        doc[section] = {**doc.get(section, {}), key: value}
+    code, stderr, nonfinite = _run(EDGE_SCENARIOS[section], doc)
+    if code == 0:
+        assert (stderr, nonfinite) == ("", [])
+    else:
+        assert code == 2
+        assert stderr.count("\n") == 1 and stderr.endswith("\n")
+        assert re.search(rf"\b{key}\b", stderr), stderr

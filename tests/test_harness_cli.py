@@ -4,14 +4,16 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import halc
+from halc import harness, theory
 from halc.cli import SCENARIOS, main
 from halc.decoding import DecodeConfig, decode_greedy, decode_halc
-from halc.errors import InvalidInputError
-from halc.config import ScorerSpec
+from halc.errors import InvalidInputError, InvalidParameterError
+from halc.config import MAX_THEOREM_SCORES, ScorerSpec, TheoremSection
 from halc.harness import (
     CostModel,
     cost_estimate,
@@ -27,7 +29,7 @@ from halc.harness import (
     write_csv,
     write_manifest,
 )
-from halc.schema import write
+from halc.schema import parse, write
 from halc.world import (
     CORPUS_DETECTOR_ETA,
     DEMO_DETECTOR_ETA,
@@ -296,6 +298,7 @@ def test_write_csv_refuses_empty(tmp_path):
 # ---------------------------------------------------------------------------
 
 CLI_CORPUS = {"count": 6, "trap_fraction": 0.5, "clauses": 2, "trap_clauses": [1]}
+TOO_LARGE = "cost model values are too large: the estimate overflows, from "
 
 
 def _config_file(tmp_path, extra=None):
@@ -578,14 +581,19 @@ def test_cli_malformed_section_exits_2_with_one_line(tmp_path, capsys, scenario,
         ("cost-model", {"cost_model": {"trigger_rate": "x"}}, "cost model trigger_rate "),
         ("cost-model", {"cost_model": {"t_lvlm": 0}}, "cost model t_lvlm "),
         ("cost-model", {"cost_model": [1]}, "cost_model section"),
-        # Values the float estimate cannot hold: an int too large to convert,
-        # and a time ratio t_detector / t_lvlm that overflows to inf.
-        ("cost-model", {"cost_model": {"tokens": 10**400}}, "cost model values are too large"),
-        ("cost-model", {"cost_model": {"n": 10**400}}, "cost model values are too large"),
+        # Values the float estimate cannot hold, named: an int too large to
+        # convert, times that overflow, and a time ratio t_detector / t_lvlm
+        # that overflows to inf, which either key set back to its default
+        # keeps finite.
+        ("cost-model", {"cost_model": {"tokens": 10**400}}, TOO_LARGE + "cost_model tokens\n"),
+        ("cost-model", {"cost_model": {"n": 10**400}}, TOO_LARGE + "cost_model n\n"),
+        ("cost-model", {"cost_model": {"t_lvlm": 1.7976931348623157e308}},
+         TOO_LARGE + "cost_model t_lvlm\n"),
+        ("cost-model", {"cost_model": {"t_detector": 1e308}}, TOO_LARGE + "cost_model t_detector\n"),
         (
             "cost-model",
             {"cost_model": {"t_lvlm": 1e-300, "t_detector": 1e300}},
-            "cost model values are too large",
+            TOO_LARGE + "cost_model t_lvlm, t_detector\n",
         ),
         ("cost-model", {"cost_model": {"bogus": 1}}, "'bogus'"),
         ("decode", {"scorer": {"kind": "noisy", "bogus": 1}}, "'bogus'"),
@@ -605,6 +613,8 @@ def test_cli_malformed_section_exits_2_with_one_line(tmp_path, capsys, scenario,
         "cost-model-not-object",
         "huge-tokens",
         "huge-n",
+        "largest-t-lvlm",
+        "huge-t-detector",
         "infinite-ratio",
         "unknown-cost-model-key",
         "unknown-noisy-scorer-key",
@@ -1089,12 +1099,12 @@ def test_cli_demo_scene_uses_the_demo_detector(tmp_path, capsys, demo):
     assert written == traces[DEMO_DETECTOR_ETA] != traces[CORPUS_DETECTOR_ETA]
 
 
-@pytest.mark.parametrize(
-    "scenario,samplers", [("decode", ["normal"]), ("theorem-verify", ["exponential"])]
-)
-def test_cli_huge_sigma_runs_where_nothing_squares_it(tmp_path, capsys, scenario, samplers):
-    # A sigma of 1e200 squares to inf, which the config accepts; only the
-    # normal sampler's arithmetic overflows on it (exit 2, tested above).
+@pytest.mark.parametrize("scenario", ["decode", "theorem-verify"])
+def test_cli_huge_sigma_runs_where_nothing_squares_it(tmp_path, capsys, scenario):
+    # A sigma of 1e200 squares to inf in s * s and overflows in s**2. Only
+    # the normal sampler squares it, so the config rejects it only when that
+    # sampler is on, in every scenario (exit 2, tested above and below).
+    samplers = ["exponential"]
     theorem = {"sigmas": [1e200], "samplers": samplers, "trials": 100, "n_values": [2]}
     cfg = _config_file(tmp_path, {"theorem": theorem})
     out = tmp_path / "out"
@@ -1164,10 +1174,11 @@ def test_cli_alpha_beyond_its_cap_prints_one_line(tmp_path):
     assert not (out / "manifest.json").exists()
 
 
-def test_cli_overflowing_normal_sigma_prints_one_line(tmp_path):
-    result, out = _cli_process(tmp_path, {"theorem": {"sigmas": [1e200]}})
+@pytest.mark.parametrize("scenario", ["theorem-verify", "decode"])
+def test_cli_overflowing_normal_sigma_prints_one_line(tmp_path, scenario):
+    result, out = _cli_process(tmp_path, {"theorem": {"sigmas": [1e200]}}, scenario)
     assert result.returncode == 2
-    assert result.stderr.startswith("config error: theorem values too large")
+    assert result.stderr.startswith("config error: theorem sigmas must have a finite square")
     assert result.stderr.count("\n") == 1
     assert not (out / "manifest.json").exists()
 
@@ -1179,9 +1190,69 @@ def test_cli_noncentrality_beyond_the_ball_mass_prints_one_line(tmp_path):
     result, out = _cli_process(tmp_path, {"theorem": theorem})
     assert result.returncode == 2
     assert result.stderr.startswith("config error: theorem values too large")
+    assert "theorem etas (1e+100, 0, 0) and sigmas 1.0" in result.stderr
     assert result.stderr.count("\n") == 1
     assert not (out / "manifest.json").exists()
     assert not (out / "theorem.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "scenario,doc,named",
+    [
+        ("theorem-verify", {"theorem": {"sigmas": [1e200]}},
+         "theorem sigmas must have a finite square, got (1e+200,)"),
+        ("theorem-verify", {"theorem": {"epsilons": [1e300]}},
+         "theorem epsilons over each sigmas entry must have a finite square, got (1e+300,)"),
+        ("theorem-verify", {"theorem": {"exp_epsilon": 1e300}},
+         "theorem exp_epsilon must have a finite square, got 1e+300"),
+        ("theorem-verify", {"theorem": {"eta_scale": 1e300}}, "eta_scale 1e+300"),
+        ("theorem-verify", {"theorem": {"v_star": [1e300, 4, 0]}}, "v_star (1e+300, 4, 0)"),
+        ("theorem-verify", {"theorem": {"r_min": -1e308, "r_max": 1e308}},
+         "theorem r_min must keep r_max - r_min finite, got -1e+308"),
+        ("ablate", {"ablate": {"lambdas": [0.6, 1e300]}},
+         "ablate lambdas 1e+300 is out of range: growth (1 + 1e+300)**2 overflows"),
+    ],
+    ids=["sigma", "epsilon", "exp-epsilon", "eta-scale", "v-star", "r-range", "ablate-lambda"],
+)
+def test_cli_overflowing_value_exits_2_naming_its_key_before_the_run(
+    tmp_path, capsys, scenario, doc, named
+):
+    # These overflowed Python float ** 2 in the bound's constants, or
+    # DecodeConfig's check of the lambda sweep's decode config, and named
+    # no key, or decode lam. They are rejected before any trial is drawn
+    # or any scene decoded.
+    cfg = _config_file(tmp_path, {"corpus": {**CLI_CORPUS, "count": 2}, **doc})
+    out = tmp_path / "out"
+    refuse = mock.Mock(side_effect=AssertionError("ran"))
+    with mock.patch.object(theory, "draw_trials", refuse), \
+            mock.patch.object(harness, "decode_corpus", refuse):
+        assert main([scenario, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert named in err
+    assert not (out / "manifest.json").exists()
+
+
+def test_theorem_scores_are_capped_by_trials_times_pairs():
+    # A trial set holds 16 bytes a trial for each of its (eta, sigma) pairs.
+    grid = {"etas": [[0, 0, 0], [0.8, 0.6, 0], [1, 0, 0], [0, 1, 0]], "sigmas": [0.5, 1, 1.5, 2],
+            "n_values": [1]}
+    refuse = mock.Mock(side_effect=AssertionError("ran"))
+    with mock.patch.object(theory, "draw_trials", refuse), \
+            pytest.raises(InvalidParameterError) as error:
+        run_theorem_verify({**grid, "trials": 10_000_000})
+    assert str(error.value) == (
+        "theorem trials x the (eta, sigma) pairs of a trial set must be at most 40000000, "
+        "got 10000000 x 16"
+    )
+    assert MAX_THEOREM_SCORES == 40_000_000
+    # At the cap, and with exponential sampling only, whose set has 1 pair.
+    assert parse(TheoremSection, {**grid, "trials": 2_500_000, "n_values": [4]}, "theorem")
+    assert parse(TheoremSection, {**grid, "trials": 10_000_000, "samplers": ["exponential"]},
+                 "theorem")
+    # Duplicate pairs share their scores.
+    doubled = {**grid, "etas": grid["etas"] * 2, "sigmas": grid["sigmas"] * 2}
+    assert parse(TheoremSection, {**doubled, "trials": 2_500_000, "n_values": [4]}, "theorem")
 
 
 def test_cli_theorem_verify(tmp_path, capsys):

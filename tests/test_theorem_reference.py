@@ -5,9 +5,10 @@ reductions, each checked against the code it replaced.
 The references below are the replaced code, kept here verbatim apart from
 names; the sampler, which they read from the config, as the code does; a
 row's epsilon, eta_norm and sigma columns, which the per-row reference
-writes with the rest of its row; and the delta estimate, which always runs
+writes with the rest of its row; the delta estimate, which always runs
 on `DELTA_PROBES` probes now that the config holds neither a given delta
-nor a probe count. They are: the per-row `min_deviation_mc` with its broadcasting normal draw
+nor a probe count; and the bump's width, 1 now that the model has none.
+They are: the per-row `min_deviation_mc` with its broadcasting normal draw
 (`rng.normal(loc=...)`), its `min(axis=1)` over the n windows and its
 `np.fmin.reduce(axis=1)` over their distances (a bump centred at the
 optimum now takes each trial's nearest window in place of that minimum,
@@ -59,15 +60,14 @@ from halc.theory import (
 class ReferenceBump:
     """GaussianBumpModel with its squared distance summed over the 3-wide axis."""
 
-    def __init__(self, center, amp=1.0, width=1.0):
+    def __init__(self, center, amp=1.0):
         self.center = center
         self.amp = amp
-        self.width = width
 
     def dists(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         d2 = ((pts - np.asarray(self.center, dtype=float)) ** 2).sum(axis=1)
-        bump = self.amp * np.exp(-d2 / (2.0 * self.width**2))
+        bump = self.amp * np.exp(-d2 / 2.0)
         expo = np.exp(bump)
         p0 = expo / (expo + 1.0)
         return np.stack([p0, 1.0 - p0], axis=1)
@@ -295,11 +295,11 @@ def _sweep_with_draws(options, seed):
             latest[config.sampler, config.n] = index, chunk
             yield chunk
 
-    def counting_score(subject, config, block):
+    def counting_score(config, block):
         index, chunk = latest[config.sampler, config.n]
         assert block is chunk
         scored.append((config.sampler, config.eta, config.sigma, config.n, index))
-        return min_deviation_mc(subject, config, block)
+        return min_deviation_mc(config, block)
 
     with mock.patch.object(theory, "draw_trials", counting_draw), \
             mock.patch.object(theory, "min_deviation_mc", counting_score):
@@ -437,16 +437,16 @@ def test_sweep_holds_no_earlier_trial_arrays_while_drawing_or_scoring():
             yield chunk
             del chunk
 
-    def spying_score(subject, config, block):
+    def spying_score(config, block):
         assert not alive(minima)
-        scored = min_deviation_mc(subject, config, block)
+        scored = min_deviation_mc(config, block)
         minima.extend(weakref.ref(array) for array in scored)
         return scored
 
-    def spying_report(subject, config, min_deviations, min_distances):
+    def spying_report(config, min_deviations, min_distances):
         for array in (min_deviations, min_distances):
             reported.extend(weakref.ref(owner) for owner in _arrays_behind(array))
-        return bound_report(subject, config, min_deviations, min_distances)
+        return bound_report(config, min_deviations, min_distances)
 
     with mock.patch.object(theory, "draw_trials", spying_draw), \
             mock.patch.object(theory, "min_deviation_mc", spying_score), \
@@ -482,10 +482,9 @@ def test_rescored_reports_bit_equal_to_per_row_reference(
             divergence=divergence, seed=seed,
         )
 
-    model = GaussianBumpModel(center=v_star)
-    first = min_deviation_mc(model, config(epsilons[0]))
+    first = min_deviation_mc(config(epsilons[0]))
     for eps in epsilons:
-        report = bound_report(model, config(eps), *first)
+        report = bound_report(config(eps), *first)
         fields, min_devs, min_dist = reference_min_deviation_mc(ReferenceBump(v_star), config(eps))
         assert _bits(report.to_csv_row()) == _bits(fields)
         assert _same_array(first[0], min_devs)
@@ -513,8 +512,8 @@ def test_column_sums_bit_equal_to_axis_reductions(rows, n, center, log_scale, se
     stack = c + rng.normal(size=(rows, n, FOV_DIM)) * 10.0**log_scale
     assert _same_array(np.sqrt(_squared_distance(stack, c)), np.linalg.norm(stack - c, axis=2))
 
-    model = GaussianBumpModel(center=center, amp=1.5, width=10.0**log_scale)
-    reference = ReferenceBump(center, amp=1.5, width=10.0**log_scale)
+    model = GaussianBumpModel(center=center, amp=1.5)
+    reference = ReferenceBump(center, amp=1.5)
     assert _same_array(model.dists(flat), reference.dists(flat))
     assert _same_array(model.dists(flat[0]), reference.dists(flat[0]))
 
@@ -593,31 +592,31 @@ def _block_config(sampler, divergence, n, eta, sigma, trials, seed, nan_distance
         v_star, eta, r_min = (1e308, 0.0, 0.0), (1e308, 0.0, 0.0), -50_000.0
     return TheoremConfig(
         v_star=v_star, eta=eta, epsilon=1.0, sampler=sampler, sigma=sigma, lam=1.0, r_min=r_min,
-        r_max=5.0, n=n, trials=trials, divergence=divergence, seed=seed,
+        r_max=5.0, n=n, trials=trials, divergence=divergence, seed=seed, amp=1.5,
     )
 
 
-def _shared_and_own_block_scores(model, config):
+def _shared_and_own_block_scores(config):
     """min_deviation_mc's scored trial sets from a drawn block, which it
     must not write, and from the block it draws itself."""
     block = np.concatenate(list(draw_trials(config)))
     drawn = block.copy()
     with np.errstate(all="ignore"):
-        scores = (min_deviation_mc(model, config, block), min_deviation_mc(model, config))
+        scores = (min_deviation_mc(config, block), min_deviation_mc(config))
     assert _same_array(block, drawn)
     return scores
 
 
-def _assert_nearest_window_scores(scored, model, config):
+def _assert_nearest_window_scores(scored, config):
     """`scored` scores the trial set at each trial's nearest window, and
     its distances are the previous code's save where that code's squared
     distance overflowed to inf."""
     min_devs, min_dist = scored
     with np.errstate(all="ignore"):
-        definition = nearest_window_deviations(model, config)
-        previous_devs, previous_dist = previous_min_deviation_mc(model, config)
-        report = bound_report(model, config, min_devs, min_dist)
-        want = bound_report(model, config, definition, min_dist)
+        definition = nearest_window_deviations(config.bump, config)
+        previous_devs, previous_dist = previous_min_deviation_mc(config.bump, config)
+        report = bound_report(config, min_devs, min_dist)
+        want = bound_report(config, definition, min_dist)
     assert _same_array(min_devs, definition)
     measured = previous_dist != np.inf
     assert _same_array(min_dist[measured], previous_dist[measured])
@@ -633,9 +632,8 @@ def test_centred_block_scores_are_the_nearest_window_deviations(
     """A bump centred at the optimum, scoring a shared block, takes each
     trial's nearest window, which is NaN only where every distance is."""
     config = _block_config(sampler, divergence, n, eta, sigma, trials, seed, nan_distances)
-    model = GaussianBumpModel(center=config.v_star, amp=1.5)
-    for min_devs, min_dist in _shared_and_own_block_scores(model, config):
-        _assert_nearest_window_scores((min_devs, min_dist), model, config)
+    for min_devs, min_dist in _shared_and_own_block_scores(config):
+        _assert_nearest_window_scores((min_devs, min_dist), config)
         assert _same_array(np.isnan(min_devs), np.isnan(min_dist))
     if nan_distances and sampler == "exponential":
         assert np.isnan(min_dist).any()
@@ -646,7 +644,6 @@ def test_centred_block_scores_are_the_nearest_window_deviations(
 # ---------------------------------------------------------------------------
 
 AMPS = st.floats(-50.0, 50.0) | st.sampled_from([0.0, -0.0, 36.8125, 40.0, 709.0, 710.0, 1e300, -1e300])
-WIDTHS = st.floats(1e-3, 1e3) | st.sampled_from([0.0, 1e-160, 1e150])
 N_VALUES = st.integers(1, 8) | st.just(64)
 SQUARED_DISTANCE = st.floats(min_value=0.0) | st.sampled_from([5e-324, 1e-2, 10.0, np.inf, np.nan])
 
@@ -663,15 +660,15 @@ def squared_distances(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(d2=squared_distances(), amp=AMPS, width=WIDTHS, divergence=st.sampled_from(["tv", "jsd"]))
+@given(d2=squared_distances(), amp=AMPS, divergence=st.sampled_from(["tv", "jsd"]))
 # The nearest window's TV is not the per-window minimum here: its
-# x = exp(bump) lies in [2**53, 2**54), where x / (x + 1) alternates
-# between two values.
-@example(d2=np.array([[10.0] + [1.0] * 63]), amp=36.8125, width=337.0, divergence="tv")
+# x = exp(bump) lies in [2**53, 2**54) (the bump in [36.74, 37.43)), where
+# x / (x + 1) alternates between two values.
+@example(d2=np.array([[2e-3] + [1e-3] * 63]), amp=36.8125, divergence="tv")
 # Nor here, where x / (x + 1) dips by an ulp between windows ulps apart
 # in bump: the farther window's TV is the smaller by 2**-53.
-@example(d2=np.array([[1.18e-12, 1.179e-12]]), amp=0.5, width=1.0, divergence="tv")
-def test_min_deviations_are_the_nearest_window_deviations(d2, amp, width, divergence):
+@example(d2=np.array([[1.18e-12, 1.179e-12]]), amp=0.5, divergence="tv")
+def test_min_deviations_are_the_nearest_window_deviations(d2, amp, divergence):
     """Given its windows' squared distances, min_deviation_mc scores a
     centred bump at each trial's nearest window bit for bit, through inf
     and NaN distances and windows whose deviations rounding reorders."""
@@ -679,11 +676,11 @@ def test_min_deviations_are_the_nearest_window_deviations(d2, amp, width, diverg
     trials, n = rows.shape
     config = TheoremConfig(
         v_star=(0.0, 0.0, 0.0), eta=(0.0, 0.0, 0.0), epsilon=1.0, n=n, trials=trials,
-        divergence=divergence,
+        divergence=divergence, amp=amp,
     )
-    model = GaussianBumpModel(center=config.v_star, amp=amp, width=width)
+    model = config.bump
     with mock.patch.object(theory, "_squared_window_distance", lambda *args: rows.copy()):
-        got, _ = min_deviation_mc(model, config, np.zeros((trials, n, FOV_DIM)))
+        got, _ = min_deviation_mc(config, np.zeros((trials, n, FOV_DIM)))
     with np.errstate(all="ignore"):
         d_star = model.dists(np.zeros((1, FOV_DIM)))[0]
         nearest_d2 = np.fmin.reduce(rows, axis=1)
@@ -701,12 +698,11 @@ def test_min_deviations_are_the_nearest_window_deviations(d2, amp, width, diverg
     regime=st.sampled_from(["plain", "clustered", "overflowing", "nan-distances"]),
     n=N_VALUES,
     amp=AMPS,
-    width=WIDTHS,
     trials=st.integers(100, 300),
     seed=st.integers(0, 2**16),
 )
 def test_min_deviations_are_the_nearest_window_reference(
-    sampler, divergence, regime, n, amp, width, trials, seed
+    sampler, divergence, regime, n, amp, trials, seed
 ):
     """min_deviation_mc's nearest-window minima equal the definition
     computed from the previous code's windows, and lie within 2**-51 of its
@@ -727,10 +723,9 @@ def test_min_deviations_are_the_nearest_window_reference(
         v_star, eta, lam, r_min = (1e308, 0.0, 0.0), (1e308, 0.0, 0.0), 1.0, -50_000.0
     config = TheoremConfig(
         v_star=v_star, eta=eta, epsilon=1.0, sampler=sampler, sigma=sigma, lam=lam, r_min=r_min,
-        r_max=r_max, n=n, trials=trials, divergence=divergence, seed=seed,
+        r_max=r_max, n=n, trials=trials, divergence=divergence, seed=seed, amp=amp,
     )
-    model = GaussianBumpModel(center=v_star, amp=amp, width=width)
-    _assert_nearest_window_scores(min_deviation_mc(model, config), model, config)
+    _assert_nearest_window_scores(min_deviation_mc(config), config)
 
 
 def test_jsd_takes_the_nearest_window_above_the_per_window_minimum():
@@ -740,12 +735,11 @@ def test_jsd_takes_the_nearest_window_above_the_per_window_minimum():
     v_star = (4.0, 4.0, 0.0)
     config = TheoremConfig(
         v_star=v_star, eta=(2.0, 2.0, 0.1), epsilon=1.0, sampler="exponential", n=2, trials=100,
-        divergence="jsd", seed=2,
+        divergence="jsd", seed=2, amp=2.5,
     )
-    model = GaussianBumpModel(center=v_star, amp=2.5)
-    got, _ = min_deviation_mc(model, config)
-    assert _same_array(got, nearest_window_deviations(model, config))
-    gap = got - previous_min_deviation_mc(model, config)[0]
+    got, _ = min_deviation_mc(config)
+    assert _same_array(got, nearest_window_deviations(config.bump, config))
+    gap = got - previous_min_deviation_mc(config.bump, config)[0]
     assert np.flatnonzero(gap).tolist() == [27]
     assert gap[27] == 2.0**-54
 
@@ -761,11 +755,12 @@ def test_amp_40_normal_tv_row_is_the_nearest_window_definition():
                "epsilons": [0.5], "n_values": [2]}
     (row,) = run_theorem_verify(options, 1)
     v_star = (4.0, 4.0, 0.0)
-    config = TheoremConfig(v_star=v_star, eta=(0, 0, 0), epsilon=0.5, sigma=0.5, n=2, seed=3)
-    model = GaussianBumpModel(center=v_star, amp=40.0)
-    definition = nearest_window_deviations(model, config)
+    config = TheoremConfig(
+        v_star=v_star, eta=(0, 0, 0), epsilon=0.5, sigma=0.5, n=2, seed=3, amp=40.0
+    )
+    definition = nearest_window_deviations(config.bump, config)
     assert row["mean_min_deviation"] == float(definition.mean())
-    assert_near_per_window_minimum(definition, previous_min_deviation_mc(model, config)[0])
+    assert_near_per_window_minimum(definition, previous_min_deviation_mc(config.bump, config)[0])
 
 
 @settings(max_examples=20, deadline=None)
@@ -782,8 +777,7 @@ def test_bump_evaluates_one_window_per_trial(divergence, n, trials):
         sizes.append(d2.size)
         return dists_at(model, d2)
 
-    model = GaussianBumpModel(center=v_star)
     with mock.patch.object(GaussianBumpModel, "dists_at", spy):
-        bound_report(model, config, *min_deviation_mc(model, config))
+        bound_report(config, *min_deviation_mc(config))
     # The center, the windows, then the delta estimate's center and probes.
     assert sizes == [1, trials, 1, DELTA_PROBES]

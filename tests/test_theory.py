@@ -266,7 +266,7 @@ def test_large_n_drives_miss_probability_down():
         v_star=V_STAR, eta=(0.8, 0.6, 0.0), epsilon=1.0, sigma=1.0, n=64,
         trials=1000, seed=3,
     )
-    report = bound_report(MODEL, cfg, *min_deviation_mc(MODEL, cfg))
+    report = bound_report(cfg, *min_deviation_mc(cfg))
     assert report.empirical_miss < 0.01
 
 
@@ -275,8 +275,8 @@ def test_zero_offset_generous_ball_keeps_min_below_delta():
         v_star=V_STAR, eta=(0.0, 0.0, 0.0), epsilon=3.0, sigma=1.0, n=4,
         trials=2000, seed=5,
     )
-    min_devs, min_dist = min_deviation_mc(MODEL, cfg)
-    report = bound_report(MODEL, cfg, min_devs, min_dist)
+    min_devs, min_dist = min_deviation_mc(cfg)
+    report = bound_report(cfg, min_devs, min_dist)
     below = (min_devs <= report.delta + 1e-12).mean()
     assert below >= 0.99
 
@@ -286,7 +286,7 @@ def test_normal_bound_report_consistency():
         v_star=V_STAR, eta=(0.8, 0.6, 0.0), epsilon=1.0, sigma=1.0, n=4,
         trials=10_000, seed=2,
     )
-    report = bound_report(MODEL, cfg, *min_deviation_mc(MODEL, cfg))
+    report = bound_report(cfg, *min_deviation_mc(cfg))
     se = math.sqrt(report.analytic_miss * (1 - report.analytic_miss) / cfg.trials)
     assert abs(report.empirical_miss - report.analytic_miss) <= 3 * se
     assert report.expectation_holds
@@ -298,7 +298,7 @@ def test_exponential_bound_report_consistency():
         v_star=V_STAR, eta=(2.0, 2.0, 0.1), epsilon=1.0, sampler="exponential", n=4,
         trials=10_000, seed=2,
     )
-    report = bound_report(MODEL, cfg, *min_deviation_mc(MODEL, cfg))
+    report = bound_report(cfg, *min_deviation_mc(cfg))
     se = math.sqrt(report.analytic_miss * (1 - report.analytic_miss) / cfg.trials)
     assert abs(report.empirical_miss - report.analytic_miss) <= 3 * se
     assert report.expectation_holds
@@ -314,20 +314,6 @@ def test_min_deviation_monotone_in_n_with_shared_prefixes():
     devs = devs.reshape(2000, 8)
     means = [devs[:, :n].min(axis=1).mean() for n in (1, 2, 4, 8)]
     assert all(a >= b for a, b in zip(means, means[1:]))
-
-
-def test_min_deviation_mc_scores_only_a_bump_centred_at_the_optimum(demo):
-    # Its minimum deviation is the deviation at each trial's nearest window,
-    # which holds for a bump centred at the optimum only.
-    anchor = demo.find_object("clock").profile.v_star
-    v_star = (anchor.width, anchor.height, 0.0)
-    cfg = TheoremConfig(v_star=v_star, eta=(30.0, 30.0, 10.0), epsilon=40.0, sigma=30.0, trials=100)
-    for subject in (
-        SceneFovAdapter(demo, anchor),
-        GaussianBumpModel(center=(anchor.width + 1.0, anchor.height, 0.0)),
-    ):
-        with pytest.raises(InvalidParameterError, match="bump centred at v_star"):
-            min_deviation_mc(subject, cfg)
 
 
 def test_scene_adapter_matches_direct_deviation(demo):
@@ -381,7 +367,7 @@ def test_min_deviation_mc_rejects_a_block_of_another_shape(drawn_for, drawn_by, 
     fields = dict(v_star=V_STAR, eta=(2.0, 2.0, 0.1), epsilon=1.0, n=2, trials=100)
     block = draw_trials(TheoremConfig(**{**fields, **drawn_for, "sampler": drawn_by}))
     with pytest.raises(InvalidParameterError, match="trial block"):
-        min_deviation_mc(MODEL, TheoremConfig(**fields, sampler=sampler), block)
+        min_deviation_mc(TheoremConfig(**fields, sampler=sampler), block)
 
 
 @pytest.mark.parametrize(
@@ -401,7 +387,7 @@ def test_min_deviation_mc_rejects_a_chunk_of_another_shape(drawn_for, drawn_by, 
     fields = dict(v_star=V_STAR, eta=(2.0, 2.0, 0.1), epsilon=1.0, n=2, trials=100)
     chunk = next(draw_trials(TheoremConfig(**{**fields, **drawn_for, "sampler": drawn_by})))
     with pytest.raises(InvalidParameterError, match="trial block"):
-        min_deviation_mc(MODEL, TheoremConfig(**fields, sampler=sampler), chunk[:rows])
+        min_deviation_mc(TheoremConfig(**fields, sampler=sampler), chunk[:rows])
 
 
 @pytest.mark.parametrize("sampler", ["normal", "exponential"])
@@ -428,21 +414,26 @@ def test_trial_chunks_are_one_draw_and_score_as_the_whole_set(sampler):
             else (1.0 + cfg.lam) ** rng.uniform(cfg.r_min, cfg.r_max, size=(300, 3))
         )
     assert np.concatenate(chunks).tobytes() == whole.tobytes()
-    scores = [min_deviation_mc(MODEL, cfg, chunk) for chunk in chunks + [chunks[-1][:1]]]
-    for part, want in zip(zip(*scores[:-1]), min_deviation_mc(MODEL, cfg, whole)):
+    scores = [min_deviation_mc(cfg, chunk) for chunk in chunks + [chunks[-1][:1]]]
+    for part, want in zip(zip(*scores[:-1]), min_deviation_mc(cfg, whole)):
         assert np.concatenate(part).tobytes() == want.tobytes()
     assert [len(score) for score in scores[-1]] == [1, 1]
 
 
-@pytest.mark.parametrize(
-    "amp,width",
-    [(math.inf, 1.0), (-math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, math.nan),
-     (1.0, 1e200), (1.0, np.float64(1e200))],
-)
-def test_bump_rejects_an_infinite_amp_or_width_squared(amp, width):
-    # Either would make far windows NaN beside a finite nearest one.
+@pytest.mark.parametrize("amp", [math.inf, -math.inf, math.nan])
+def test_bump_rejects_an_infinite_amp(amp):
+    # It would make far windows NaN beside a finite nearest one. A theorem
+    # config builds its bump, so it rejects the amp when it is built.
     with pytest.raises(InvalidParameterError, match="bump amp"):
-        GaussianBumpModel(center=V_STAR, amp=amp, width=width)
+        GaussianBumpModel(center=V_STAR, amp=amp)
+    with pytest.raises(InvalidParameterError, match="bump amp"):
+        TheoremConfig(v_star=V_STAR, eta=(0, 0, 0), epsilon=1.0, amp=amp)
+
+
+def test_theorem_config_builds_its_bump_at_the_optimum():
+    cfg = TheoremConfig(v_star=V_STAR, eta=(0.8, 0.6, 0.0), epsilon=1.0, amp=2.5)
+    assert cfg.bump == GaussianBumpModel(center=V_STAR, amp=2.5)
+    assert TheoremConfig(v_star=V_STAR, eta=(0, 0, 0), epsilon=1.0).bump == MODEL
 
 
 def test_min_distance_survives_squared_distances_that_overflow():
@@ -453,8 +444,8 @@ def test_min_distance_survives_squared_distances_that_overflow():
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        min_devs, min_dist = min_deviation_mc(MODEL, cfg)
-        report = bound_report(MODEL, cfg, min_devs, min_dist)
+        min_devs, min_dist = min_deviation_mc(cfg)
+        report = bound_report(cfg, min_devs, min_dist)
     windows = cfg.v_d + cfg.sigma * np.concatenate(list(draw_trials(cfg))) - np.asarray(V_STAR)
     distances = np.hypot(np.hypot(windows[..., 0], windows[..., 1]), windows[..., 2])
     assert min_dist.tobytes() == distances.min(axis=1).tobytes()
