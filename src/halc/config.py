@@ -45,16 +45,6 @@ MAX_THEOREM_AMP = math.log(sys.float_info.max)
 MAX_GRID_WINDOWS = 100_000
 
 
-def _squares(x: float) -> bool:
-    """Whether Python's float(x) ** 2 gives a float: it raises
-    OverflowError from about 1.34e154 on, and squares inf to inf."""
-    try:
-        float(x) ** 2
-    except OverflowError:
-        return False
-    return True
-
-
 @dataclass(frozen=True)
 class CostModel:
     """Closed-form runtime accounting for corrective decoding."""
@@ -167,9 +157,10 @@ class EmitCurveSection:
 class TheoremSection:
     """The bound-verification grid of `rows`. The ranges are those of
     theory.TheoremConfig, the amp and lam at which the bump model and the
-    exponential constant stay finite, the values that the bound's
-    constants square, and the caps on what a trial set holds, checked here
-    so that every scenario rejects them."""
+    exponential constant stay finite, and the caps on what a trial set
+    holds, checked here so that every scenario rejects them. Each row's
+    constant C is checked where theorem-verify builds the row's
+    TheoremConfig, which would need halc.theory here."""
 
     v_star: tuple[float, float, float] = (4.0, 4.0, 0.0)
     amp: float = 1.0
@@ -205,14 +196,6 @@ class TheoremSection:
             )
         for name in ("epsilons", "sigmas"):
             require(name, min(getattr(self, name), default=1) > 0, "must be positive")
-        # The ball mass divides by sigma**2, which is 0 below about 2e-162.
-        # s * s gives inf for a huge sigma, where s**2 would raise.
-        require("sigmas", all(s * s > 0 for s in self.sigmas), "must square to above 0")
-        if "normal" in self.samplers:
-            # The ball mass squares sigma and epsilon / sigma.
-            require("sigmas", all(map(_squares, self.sigmas)), "must have a finite square")
-            ok = all(_squares(e / s) for e, s in product(self.epsilons, self.sigmas))
-            require("epsilons", ok, "over each sigmas entry must have a finite square")
         for name in ("exp_epsilon", "lam"):
             require(name, getattr(self, name) > 0, "must be positive")
         # The exponent interval is divided by ln(1 + lam).
@@ -225,17 +208,9 @@ class TheoremSection:
             ok = math.isfinite(math.hypot(*detection))
             require("eta_scale", ok, "must keep the detection eta_scale x v_star finite")
             # The exponents are drawn from [r_min, r_max), whose width must
-            # be a float. The exponential constant squares exp_epsilon and
-            # the width and height of the detected window v_star + eta.
+            # be a float.
             ok = self.r_max - self.r_min < math.inf
             require("r_min", ok, "must keep r_max - r_min finite")
-            require("exp_epsilon", _squares(self.exp_epsilon), "must have a finite square")
-            if not all(_squares(v + e) for v, e in zip(self.v_star[:2], detection)):
-                raise InvalidParameterError(
-                    "theorem v_star and eta_scale must give a detected window, v_star plus "
-                    "eta_scale x v_star, whose width and height have finite squares, got "
-                    f"v_star {self.v_star!r} and eta_scale {self.eta_scale!r}"
-                )
         if next(self.rows(), None) is None:
             raise InvalidParameterError("theorem grid has no rows")
 

@@ -112,8 +112,12 @@ class DecodeConfig:
         require("max_tokens", self.max_tokens >= 1, "must be at least 1")
         require("seed", self.seed >= 0, "must be nonnegative")
         for key, r in self._growth_ends():
-            problem = _growth_problem(self.lam, r)
-            require(key, not problem, f"is out of range: {problem}")
+            try:
+                ok = _growth(self.lam, r) > 0
+                problem = f"growth (1 + {self.lam})**{r} underflows to 0"
+            except InvalidParameterError as exc:  # it overflows
+                ok, problem = False, str(exc)
+            require(key, ok, f"is out of range: {problem}")
 
     def _growth_ends(self) -> list[tuple[str, int]]:
         """The lowest and highest exponent r of the growth (1 + lam)**r by
@@ -126,14 +130,6 @@ class DecodeConfig:
         if self.sampling_mode == "original":
             return [("lam", 1 - self.n)]  # its highest exponent, 0, gives 1
         return []
-
-
-def _growth_problem(lam: float, r: int) -> str:
-    """Why the growth (1 + lam)**r cannot scale a window, or ''."""
-    try:
-        return "" if _growth(lam, r) > 0 else f"growth (1 + {lam})**{r} underflows to 0"
-    except InvalidParameterError as exc:  # it overflows
-        return str(exc)
 
 
 class BeamState(NamedTuple):

@@ -14,6 +14,7 @@ import dataclasses
 import json
 import os
 from dataclasses import dataclass
+from itertools import combinations
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -30,7 +31,6 @@ from .decoding import (
     decode_beam,
     decode_greedy,
     decode_halc,
-    _growth_problem,
 )
 from .distributions import argmax_logit, softmax
 from .errors import InvalidInputError, InvalidParameterError
@@ -99,17 +99,22 @@ def cost_estimate(model: CostModel) -> CostEstimate:
     The parallel variant assumes the n per-window re-decodings run
     concurrently, costing one decoding step each triggered token. Values
     too large for a finite float estimate raise InvalidParameterError,
-    which names each key whose default, in place of its value, gives a
-    finite estimate, or, if none does, every key away from its default.
+    which names the keys of each smallest set of keys whose defaults, in
+    place of their values, give a finite estimate.
     """
     estimate = _finite_estimate(model)
     if estimate is None:
-        changed = [f for f in dataclasses.fields(model) if getattr(model, f.name) != f.default]
-        keys = [f.name for f in changed
-                if _finite_estimate(dataclasses.replace(model, **{f.name: f.default}))]
+        defaults = {f.name: f.default for f in dataclasses.fields(model)}
+        changed = [key for key, default in defaults.items() if getattr(model, key) != default]
+        # Setting back every changed key gives the defaults' finite estimate.
+        for size in range(1, len(changed) + 1):
+            fixes = [keys for keys in combinations(changed, size) if _finite_estimate(
+                dataclasses.replace(model, **{key: defaults[key] for key in keys}))]
+            if fixes:
+                break
         raise InvalidParameterError(
             "cost model values are too large: the estimate overflows, from cost_model "
-            + ", ".join(keys or [f.name for f in changed])
+            + ", ".join(key for key in changed if any(key in keys for keys in fixes))
         )
     return estimate
 
@@ -168,7 +173,13 @@ def build_corpus(spec: CorpusSpec, seed: int) -> list[Scene]:
     generated from the seed."""
     if spec.path is not None:
         return load_corpus(spec.path)
-    return generate_corpus(seed, spec.scene_count, spec)
+    try:
+        return generate_corpus(seed, spec.scene_count, spec)
+    except InvalidParameterError as exc:  # a scene window that the image leaves no size
+        raise InvalidParameterError(
+            f"corpus image_width {spec.image_width!r} and image_height {spec.image_height!r} "
+            f"are too small for a scene's windows: {exc}"
+        ) from None
 
 
 def _decode_scene(
@@ -389,6 +400,8 @@ def run_theorem_verify(
 ) -> list[dict]:
     """The theorem.csv rows of a theorem grid (`TheoremSection.rows`), in
     its order: each grid point's `bound_report`, its trials seeded by seed + n.
+    Every grid point's config is built, which computes its constant C,
+    before any trial is drawn; one that fails names the keys of its row.
 
     A trial set's random draw depends only on the sampler and n, so the
     rows are visited by trial set, sorted by (sampler, in the section's
@@ -410,34 +423,40 @@ def run_theorem_verify(
         trials=section.trials,
         divergence=section.divergence,
     )
-    grid = [
-        TheoremConfig(sampler=s, eta=eta, epsilon=eps, sigma=sigma, n=n, seed=seed + n, **shared)
-        for s, eps, eta, sigma, n in section.rows()
-    ]
+    grid = []
+    for s, eps, eta, sigma, n in section.rows():
+        try:
+            grid.append(TheoremConfig(
+                sampler=s, eta=eta, epsilon=eps, sigma=sigma, n=n, seed=seed + n, **shared
+            ))
+        except InvalidParameterError as exc:  # its constant C: name the row's keys
+            if s == "normal":
+                named = {"epsilons": eps, "etas": eta, "sigmas": sigma}
+            else:
+                keys = ("exp_epsilon", "v_star", "eta_scale", "lam", "r_min", "r_max")
+                named = {key: getattr(section, key) for key in keys}
+            *head, last = [f"{key} {value!r}" for key, value in named.items()]
+            raise InvalidParameterError(f"theorem {', '.join(head)} and {last}: {exc}") from None
     keys = [(section.samplers.index(cfg.sampler), cfg.n) for cfg in grid]
     rows: list = [None] * len(grid)
-    try:
-        for key in sorted(set(keys)):
-            members = [i for i, k in enumerate(keys) if k == key]
-            # Rows of one (eta, sigma) differ only in epsilon, which the
-            # scores do not read: any of them scores for all.
-            scorers = {(grid[i].eta, grid[i].sigma): grid[i] for i in members}
-            scored = None  # the last set's scores go before the next set's are made
-            # Each pair's minimum deviations and distances, as two rows.
-            scored = {pair: np.empty((2, section.trials)) for pair in scorers}
-            start = 0
-            for chunk in draw_trials(grid[members[0]]):
-                stop = start + len(chunk)
-                for pair, cfg in scorers.items():
-                    scored[pair][:, start:stop] = min_deviation_mc(cfg, chunk)
-                start = stop
-                del chunk  # before the next chunk is drawn
-            for i in members:
-                cfg = grid[i]
-                rows[i] = bound_report(cfg, *scored[cfg.eta, cfg.sigma]).to_csv_row()
-    except OverflowError as exc:
-        # The r range and the bound formulas overflow on huge values.
-        raise InvalidParameterError(f"theorem values too large: {exc}") from exc
+    for key in sorted(set(keys)):
+        members = [i for i, k in enumerate(keys) if k == key]
+        # Rows of one (eta, sigma) differ only in epsilon, which the
+        # scores do not read: any of them scores for all.
+        scorers = {(grid[i].eta, grid[i].sigma): grid[i] for i in members}
+        scored = None  # the last set's scores go before the next set's are made
+        # Each pair's minimum deviations and distances, as two rows.
+        scored = {pair: np.empty((2, section.trials)) for pair in scorers}
+        start = 0
+        for chunk in draw_trials(grid[members[0]]):
+            stop = start + len(chunk)
+            for pair, cfg in scorers.items():
+                scored[pair][:, start:stop] = min_deviation_mc(cfg, chunk)
+            start = stop
+            del chunk  # before the next chunk is drawn
+        for i in members:
+            cfg = grid[i]
+            rows[i] = bound_report(cfg, *scored[cfg.eta, cfg.sigma]).to_csv_row()
     return rows
 
 
@@ -461,13 +480,13 @@ def run_ablations(
     seed and averages the metrics; only the scorer sweep, whose scorers
     may be seeded, uses several seeds."""
     options = parse(AblateSection, {} if options is None else options, "ablate")
-    # The lambda sweep decodes `config` at each lambda: each is checked as
-    # DecodeConfig checks its lam, before any sweep decodes.
+    # The lambda sweep decodes `config` at each lambda: each of those configs
+    # is built, and so checked, before any sweep decodes.
     for lam in options.lambdas:
-        for _, r in config._growth_ends():
-            problem = _growth_problem(lam, r)
-            if problem:
-                raise InvalidParameterError(f"ablate lambdas {lam!r} is out of range: {problem}")
+        try:
+            dataclasses.replace(config, lam=lam)
+        except InvalidParameterError as exc:
+            raise InvalidParameterError(f"ablate lambdas {lam!r}: {exc}") from None
     queries = _pope_queries(scenes, seed, options.pope_mode, ABLATE_POPE_COUNT)
     scorer_seeds = options.scorer_seeds or [seed + i for i in range(5)]
     # (table, column, values, value -> changed decode fields); the scorer

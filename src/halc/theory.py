@@ -11,7 +11,9 @@ the second it takes to import that subpackage.
 
 A `TheoremConfig` is one grid point (sampler, epsilon, eta, sigma, n) and
 the whole problem checked there: its subject is the bump model it builds,
-centred at the optimum v_star with the config's amp. As in the bound's
+centred at the optimum v_star with the config's amp, and its constant C is
+computed when it is built, so a grid point whose C overflows, divides by 0
+or is NaN is rejected before any trial is drawn. As in the bound's
 argument, where a window within epsilon of the optimum bounds the
 deviation by delta, the bump's minimum deviation is its deviation at each
 trial's nearest window, the only window at which it is evaluated. A sweep
@@ -64,8 +66,10 @@ DELTA_PROBES = 200
 
 @dataclass(frozen=True)
 class TheoremConfig:
-    """One point of the bound's grid, with the trial set that checks it and
-    `bump`, the subject it is checked on, built from v_star and amp."""
+    """One point of the bound's grid, with the trial set that checks it,
+    `bump`, the subject it is checked on, built from v_star and amp, and
+    `analytic_c`, the constant C of its bound delta + (1 - C)**n. A C that
+    cannot be computed is rejected when the config is built."""
 
     v_star: tuple[float, float, float]
     eta: tuple[float, float, float]
@@ -81,7 +85,10 @@ class TheoremConfig:
     seed: int = 0
     amp: float = 1.0
     bump: GaussianBumpModel = field(init=False, repr=False, compare=False)
+    analytic_c: float = field(init=False, compare=False)
 
+    # chndtr's noncentrality squares eta's norm, which may overflow.
+    @np.errstate(all="ignore")
     def __post_init__(self) -> None:
         if self.epsilon <= 0:
             raise InvalidParameterError("epsilon must be positive")
@@ -100,6 +107,20 @@ class TheoremConfig:
         if self.divergence not in ("tv", "jsd"):
             raise InvalidParameterError("divergence must be 'tv' or 'jsd'")
         object.__setattr__(self, "bump", GaussianBumpModel(center=self.v_star, amp=self.amp))
+        try:
+            if self.sampler == "normal":
+                c = c_g_analytic(self.epsilon, self.eta, self.sigma)
+            else:
+                c = c_e_closed_form(
+                    self.epsilon, self.v_star, tuple(self.v_d), self.lam, self.r_min, self.r_max
+                )
+        except OverflowError:  # a Python float ** 2
+            raise InvalidParameterError("the hit constant C overflows") from None
+        except ZeroDivisionError:  # a sigma whose square is 0
+            raise InvalidParameterError("the hit constant C divides by 0") from None
+        if math.isnan(c):  # chndtr's, from a noncentrality of about 1e19 on
+            raise InvalidParameterError("the hit constant C is NaN")
+        object.__setattr__(self, "analytic_c", c)
 
     @property
     def v_d(self) -> np.ndarray:
@@ -123,10 +144,6 @@ class BoundReport:
     bound: float
     mean_min_deviation: float
     violation_fraction: float
-
-    @property
-    def expectation_holds(self) -> bool:
-        return self.mean_min_deviation <= self.bound + 1e-12
 
     def to_csv_row(self) -> dict:
         """The theorem.csv row: the grid point, then the report's fields."""
@@ -594,36 +611,24 @@ def bound_report(
 
     `min_deviations` and `min_distances` are what `min_deviation_mc`
     returns for a config that differs from this one at most in epsilon.
-    Delta is re-estimated from the config's seed. As in `min_deviation_mc`,
-    floating-point warnings are off. A normal ball mass that comes out NaN
-    raises InvalidParameterError.
+    Delta is re-estimated from the config's seed. The squared distances of
+    its probes overflow for a huge epsilon, so, as in `min_deviation_mc`,
+    floating-point warnings are off.
     """
-    if config.sampler == "normal":
-        analytic_c = c_g_analytic(config.epsilon, config.eta, config.sigma)
-        if math.isnan(analytic_c):  # chndtr's, from a noncentrality of about 1e19 on
-            raise InvalidParameterError(
-                f"theorem values too large: NaN ball mass at theorem etas {config.eta} and "
-                f"sigmas {config.sigma}"
-            )
-    else:
-        analytic_c = c_e_closed_form(
-            config.epsilon, config.v_star, tuple(config.v_d), config.lam, config.r_min, config.r_max
-        )
-
     delta_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(2)[0])
     delta = estimate_delta(
         config.bump, config.v_star, config.epsilon, DELTA_PROBES, delta_rng, config.divergence
     )
 
     empirical_miss = float((~(min_distances <= config.epsilon)).mean())
-    analytic_miss = (1.0 - analytic_c) ** config.n
+    analytic_miss = (1.0 - config.analytic_c) ** config.n
     bound = delta + analytic_miss
     violations = float((min_deviations > bound + 1e-12).mean())
 
     return BoundReport(
         config=config,
         delta=float(delta),
-        analytic_c=float(analytic_c),
+        analytic_c=config.analytic_c,
         analytic_miss=float(analytic_miss),
         empirical_miss=empirical_miss,
         bound=float(bound),

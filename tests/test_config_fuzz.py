@@ -16,10 +16,12 @@ milliseconds.
 
 `test_fuzzed_config_keeps_the_whole_exit_contract` holds every run to the
 whole exit contract: exit 0 leaves an empty stderr and no nan or inf in any
-CSV or JSON it wrote, and exit 2 or 3 prints exactly one line. The last test
-is not fuzzed: it sets every numeric key in turn to the largest float, to
-+-1e300 and, for an integer key, to the JSON integer 10**400, and holds the
-run to that contract with one more rule, that an exit 2 names the key.
+CSV or JSON it wrote, and exit 2 or 3 prints exactly one line. The last
+two tests are not fuzzed: they set every numeric key in turn to the
+largest float, to +-1e300 and, for an integer key, to the JSON integer
+10**400, and then to the in-range values 0, -0.0, 5e-324, 1e-300, 0.05,
+-1, 3 and 1e20, and hold each run to that contract with one more rule,
+that an exit 2 names the key.
 """
 
 import contextlib
@@ -350,20 +352,37 @@ EDGE_SCENARIOS = {
     "emit_curve": "emit-curve", "theorem": "theorem-verify", None: "decode",
 }
 EDGE_VALUES = {"max": sys.float_info.max, "1e300": 1e300, "-1e300": -1e300, "10**400": 10**400}
+# Values inside the float range, at and near the boundaries of the keys'
+# ranges, each given to every numeric key.
+IN_RANGE_VALUES = {"0": 0, "-0.0": -0.0, "5e-324": 5e-324, "1e-300": 1e-300, "0.05": 0.05,
+                   "-1": -1, "3": 3, "1e20": 1e20}
 
 
-def _edge_cases():
+def _key_cases(values, applies=lambda key, value: True):
     for section, keys in EDGE_KEYS.items():
         for key, shapes in keys.items():
             for position, shape in enumerate(shapes):
-                for label, value in EDGE_VALUES.items():
-                    if isinstance(value, float) or key in INTEGER_KEYS:
+                for label, value in values.items():
+                    if applies(key, value):
                         name = f"{section or 'top'}-{key}-{position}-{label}"
                         yield pytest.param(section, key, shape(value), id=name)
 
 
-@pytest.mark.parametrize("section,key,value", list(_edge_cases()))
+def _edge_value_applies(key, value):
+    return isinstance(value, float) or key in INTEGER_KEYS
+
+
+@pytest.mark.parametrize("section,key,value", list(_key_cases(EDGE_VALUES, _edge_value_applies)))
 def test_every_numeric_key_at_the_overflow_edge_runs_or_names_itself(section, key, value):
+    _assert_runs_or_names_its_key(section, key, value)
+
+
+@pytest.mark.parametrize("section,key,value", list(_key_cases(IN_RANGE_VALUES)))
+def test_every_numeric_key_at_in_range_values_runs_or_names_itself(section, key, value):
+    _assert_runs_or_names_its_key(section, key, value)
+
+
+def _assert_runs_or_names_its_key(section, key, value):
     doc = {"seed": 1, "corpus": dict(CORPUS), **SMALL_SECTIONS,
            "theorem": {"trials": 100, "n_values": [2]}}
     if section is None:

@@ -299,6 +299,8 @@ def test_write_csv_refuses_empty(tmp_path):
 
 CLI_CORPUS = {"count": 6, "trap_fraction": 0.5, "clauses": 2, "trap_clauses": [1]}
 TOO_LARGE = "cost model values are too large: the estimate overflows, from "
+# The keys an exponential theorem row names after exp_epsilon, v_star and eta_scale.
+EXP_ROW = "lam 0.6, r_min -5.0 and r_max 5.0: "
 
 
 def _config_file(tmp_path, extra=None):
@@ -362,7 +364,6 @@ def test_cli_config_not_utf8_exits_2_with_one_line(tmp_path, capsys):
         ({"theorem": {"n_values": [2, 0]}}, "theorem n_values must be at least 1, got (2, 0)"),
         ({"theorem": {"epsilons": [0.5, 0.0]}}, "theorem epsilons must be positive"),
         ({"theorem": {"sigmas": [-1.0]}}, "theorem sigmas must be positive, got (-1.0,)"),
-        ({"theorem": {"sigmas": [1.0, 1e-200]}}, "theorem sigmas must square to above 0, got (1.0, 1e-200)"),
         ({"theorem": {"exp_epsilon": 0}}, "theorem exp_epsilon must be positive, got 0"),
         ({"theorem": {"lam": -3.0}}, "theorem lam must be positive, got -3.0"),
         ({"theorem": {"lam": 1e-17}}, "theorem lam must not round 1 + lam to 1, got 1e-17"),
@@ -427,7 +428,6 @@ def test_cli_config_not_utf8_exits_2_with_one_line(tmp_path, capsys):
         "theorem-zero-n",
         "theorem-zero-epsilon",
         "theorem-negative-sigma",
-        "theorem-sigma-square-underflows",
         "theorem-zero-exp-epsilon",
         "theorem-negative-lam",
         "theorem-lam-lost-beside-1",
@@ -595,6 +595,12 @@ def test_cli_malformed_section_exits_2_with_one_line(tmp_path, capsys, scenario,
             {"cost_model": {"t_lvlm": 1e-300, "t_detector": 1e300}},
             TOO_LARGE + "cost_model t_lvlm, t_detector\n",
         ),
+        # Only both times set back make it finite; n alone is harmless.
+        (
+            "cost-model",
+            {"cost_model": {"t_lvlm": 1e308, "t_detector": 1e308, "n": 5}},
+            TOO_LARGE + "cost_model t_lvlm, t_detector\n",
+        ),
         ("cost-model", {"cost_model": {"bogus": 1}}, "'bogus'"),
         ("decode", {"scorer": {"kind": "noisy", "bogus": 1}}, "'bogus'"),
         ("compare", {"scorer": {"kind": "oracle", "amp": 0.2}}, "'amp'"),
@@ -616,6 +622,7 @@ def test_cli_malformed_section_exits_2_with_one_line(tmp_path, capsys, scenario,
         "largest-t-lvlm",
         "huge-t-detector",
         "infinite-ratio",
+        "huge-times-beside-a-harmless-n",
         "unknown-cost-model-key",
         "unknown-noisy-scorer-key",
         "amp-on-oracle-scorer",
@@ -1099,12 +1106,15 @@ def test_cli_demo_scene_uses_the_demo_detector(tmp_path, capsys, demo):
     assert written == traces[DEMO_DETECTOR_ETA] != traces[CORPUS_DETECTOR_ETA]
 
 
-@pytest.mark.parametrize("scenario", ["decode", "theorem-verify"])
-def test_cli_huge_sigma_runs_where_nothing_squares_it(tmp_path, capsys, scenario):
-    # A sigma of 1e200 squares to inf in s * s and overflows in s**2. Only
-    # the normal sampler squares it, so the config rejects it only when that
-    # sampler is on, in every scenario (exit 2, tested above and below).
-    samplers = ["exponential"]
+@pytest.mark.parametrize(
+    "scenario,samplers",
+    [("decode", ["normal", "exponential"]), ("theorem-verify", ["exponential"])],
+    ids=["decode", "theorem-verify"],
+)
+def test_cli_huge_sigma_runs_where_nothing_squares_it(tmp_path, capsys, scenario, samplers):
+    # A sigma of 1e200 overflows in s**2. Only a normal grid point's constant
+    # squares it, and only theorem-verify builds the grid points, so only
+    # theorem-verify with that sampler on rejects it (exit 2, tested below).
     theorem = {"sigmas": [1e200], "samplers": samplers, "trials": 100, "n_values": [2]}
     cfg = _config_file(tmp_path, {"theorem": theorem})
     out = tmp_path / "out"
@@ -1128,6 +1138,25 @@ def _cli_process(tmp_path, doc, scenario="theorem-verify"):
         text=True,
     )
     return result, out
+
+
+def test_loading_a_config_imports_neither_the_theory_module_nor_scipy():
+    # Each theorem grid point's constant is checked where theorem-verify
+    # builds it, not with the rest of the config: halc.theory imports
+    # scipy.special, which would slow and grow every other scenario.
+    code = (
+        "import sys, halc.cli; halc.cli.load_config(None, 1); "
+        "print(sorted(m for m in sys.modules if m == 'halc.theory' or m.startswith('scipy')))"
+    )
+    source = str(Path(halc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
 
 
 def test_cli_huge_theorem_values_run_silently_with_exact_norms(tmp_path):
@@ -1174,11 +1203,12 @@ def test_cli_alpha_beyond_its_cap_prints_one_line(tmp_path):
     assert not (out / "manifest.json").exists()
 
 
-@pytest.mark.parametrize("scenario", ["theorem-verify", "decode"])
-def test_cli_overflowing_normal_sigma_prints_one_line(tmp_path, scenario):
-    result, out = _cli_process(tmp_path, {"theorem": {"sigmas": [1e200]}}, scenario)
+def test_cli_overflowing_normal_sigma_prints_one_line(tmp_path):
+    result, out = _cli_process(tmp_path, {"theorem": {"sigmas": [1e200]}})
     assert result.returncode == 2
-    assert result.stderr.startswith("config error: theorem sigmas must have a finite square")
+    assert result.stderr.startswith(
+        "config error: theorem epsilons 0.5, etas (0.0, 0.0, 0.0) and sigmas 1e+200: "
+    )
     assert result.stderr.count("\n") == 1
     assert not (out / "manifest.json").exists()
 
@@ -1189,8 +1219,10 @@ def test_cli_noncentrality_beyond_the_ball_mass_prints_one_line(tmp_path):
                "samplers": ["normal"], "n_values": [2], "trials": 100}
     result, out = _cli_process(tmp_path, {"theorem": theorem})
     assert result.returncode == 2
-    assert result.stderr.startswith("config error: theorem values too large")
-    assert "theorem etas (1e+100, 0, 0) and sigmas 1.0" in result.stderr
+    assert result.stderr == (
+        "config error: theorem epsilons 1.0, etas (1e+100, 0, 0) and sigmas 1.0: "
+        "the hit constant C is NaN\n"
+    )
     assert result.stderr.count("\n") == 1
     assert not (out / "manifest.json").exists()
     assert not (out / "theorem.csv").exists()
@@ -1200,27 +1232,40 @@ def test_cli_noncentrality_beyond_the_ball_mass_prints_one_line(tmp_path):
     "scenario,doc,named",
     [
         ("theorem-verify", {"theorem": {"sigmas": [1e200]}},
-         "theorem sigmas must have a finite square, got (1e+200,)"),
+         "theorem epsilons 0.5, etas (0.0, 0.0, 0.0) and sigmas 1e+200: the hit constant C "
+         "overflows"),
         ("theorem-verify", {"theorem": {"epsilons": [1e300]}},
-         "theorem epsilons over each sigmas entry must have a finite square, got (1e+300,)"),
+         "theorem epsilons 1e+300, etas (0.0, 0.0, 0.0) and sigmas 0.5: the hit constant C "
+         "overflows"),
         ("theorem-verify", {"theorem": {"exp_epsilon": 1e300}},
-         "theorem exp_epsilon must have a finite square, got 1e+300"),
+         "theorem exp_epsilon 1e+300, v_star (4.0, 4.0, 0.0), eta_scale 0.5, " + EXP_ROW
+         + "the hit constant C overflows"),
         ("theorem-verify", {"theorem": {"eta_scale": 1e300}}, "eta_scale 1e+300"),
         ("theorem-verify", {"theorem": {"v_star": [1e300, 4, 0]}}, "v_star (1e+300, 4, 0)"),
+        ("theorem-verify", {"theorem": {"exp_epsilon": 0.05}},
+         "theorem exp_epsilon 0.05, v_star (4.0, 4.0, 0.0), eta_scale 0.5, " + EXP_ROW
+         + "center offset exceeds the neighborhood radius"),
+        ("theorem-verify", {"theorem": {"eta_scale": -1}},
+         "theorem exp_epsilon 1.0, v_star (4.0, 4.0, 0.0), eta_scale -1, " + EXP_ROW
+         + "the detection window must have a nonzero size"),
         ("theorem-verify", {"theorem": {"r_min": -1e308, "r_max": 1e308}},
          "theorem r_min must keep r_max - r_min finite, got -1e+308"),
         ("ablate", {"ablate": {"lambdas": [0.6, 1e300]}},
-         "ablate lambdas 1e+300 is out of range: growth (1 + 1e+300)**2 overflows"),
+         "ablate lambdas 1e+300: decode lam is out of range: growth (1 + 1e+300)**2 overflows"),
+        ("compare", {"corpus": {"count": 2, "image_width": 5e-324}},
+         "corpus image_width 5e-324 and image_height 1000.0 are too small for a scene's windows"),
     ],
-    ids=["sigma", "epsilon", "exp-epsilon", "eta-scale", "v-star", "r-range", "ablate-lambda"],
+    ids=["sigma", "epsilon", "exp-epsilon", "eta-scale", "v-star", "exp-epsilon-in-the-offset",
+         "zero-size-detection", "r-range", "ablate-lambda", "subnormal-image-width"],
 )
 def test_cli_overflowing_value_exits_2_naming_its_key_before_the_run(
     tmp_path, capsys, scenario, doc, named
 ):
-    # These overflowed Python float ** 2 in the bound's constants, or
-    # DecodeConfig's check of the lambda sweep's decode config, and named
-    # no key, or decode lam. They are rejected before any trial is drawn
-    # or any scene decoded.
+    # These failed in the bound's constants (a Python float ** 2, the
+    # exponential sampling conditions), in DecodeConfig's check of the lambda
+    # sweep's decode config, or in a generated scene's windows, and named no
+    # key, or decode lam. They are rejected, naming their keys, before any
+    # trial is drawn or any scene decoded.
     cfg = _config_file(tmp_path, {"corpus": {**CLI_CORPUS, "count": 2}, **doc})
     out = tmp_path / "out"
     refuse = mock.Mock(side_effect=AssertionError("ran"))

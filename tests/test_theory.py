@@ -4,6 +4,7 @@ import struct
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -289,7 +290,7 @@ def test_normal_bound_report_consistency():
     report = bound_report(cfg, *min_deviation_mc(cfg))
     se = math.sqrt(report.analytic_miss * (1 - report.analytic_miss) / cfg.trials)
     assert abs(report.empirical_miss - report.analytic_miss) <= 3 * se
-    assert report.expectation_holds
+    assert report.mean_min_deviation <= report.bound + 1e-12
     assert report.violation_fraction <= 0.01
 
 
@@ -301,7 +302,7 @@ def test_exponential_bound_report_consistency():
     report = bound_report(cfg, *min_deviation_mc(cfg))
     se = math.sqrt(report.analytic_miss * (1 - report.analytic_miss) / cfg.trials)
     assert abs(report.empirical_miss - report.analytic_miss) <= 3 * se
-    assert report.expectation_holds
+    assert report.mean_min_deviation <= report.bound + 1e-12
     assert report.violation_fraction <= 0.01
 
 
@@ -434,6 +435,39 @@ def test_theorem_config_builds_its_bump_at_the_optimum():
     cfg = TheoremConfig(v_star=V_STAR, eta=(0.8, 0.6, 0.0), epsilon=1.0, amp=2.5)
     assert cfg.bump == GaussianBumpModel(center=V_STAR, amp=2.5)
     assert TheoremConfig(v_star=V_STAR, eta=(0, 0, 0), epsilon=1.0).bump == MODEL
+
+
+def test_theorem_config_computes_its_constant_once_when_built():
+    normal = TheoremConfig(v_star=V_STAR, eta=(0.8, 0.6, 0.0), epsilon=1.0, sigma=0.5, trials=1000)
+    exponential = replace(normal, sampler="exponential", eta=(2.0, 2.0, 0.1))
+    assert normal.analytic_c == c_g_analytic(1.0, (0.8, 0.6, 0.0), 0.5)
+    assert exponential.analytic_c == c_e_closed_form(1.0, V_STAR, (6.0, 6.0, 0.1), 0.6, -5.0, 5.0)
+    # The report reads the config's constant: one evaluation per grid point.
+    with mock.patch.object(theory, "c_g_analytic", wraps=c_g_analytic) as c_g, \
+            mock.patch.object(theory, "c_e_closed_form", wraps=c_e_closed_form) as c_e:
+        for cfg in (replace(normal), replace(exponential)):
+            report = bound_report(cfg, *min_deviation_mc(cfg))
+            assert report.analytic_c == cfg.analytic_c
+    assert (c_g.call_count, c_e.call_count) == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "changes,problem",
+    [
+        ({"sigma": 1e200}, "the hit constant C overflows"),
+        ({"sigma": 1e-200}, "the hit constant C divides by 0"),
+        ({"eta": (1e10, 0.0, 0.0)}, "the hit constant C is NaN"),
+        ({"sampler": "exponential", "eta": (2.0, 2.0, 0.1), "epsilon": 1e300},
+         "the hit constant C overflows"),
+        ({"sampler": "exponential", "eta": (2.0, 2.0, 0.1), "epsilon": 0.05},
+         "center offset exceeds the neighborhood radius"),
+    ],
+    ids=["sigma-squared-overflows", "sigma-squared-is-0", "huge-noncentrality",
+         "exp-epsilon-squared-overflows", "epsilon-within-the-center-offset"],
+)
+def test_theorem_config_rejects_a_constant_it_cannot_compute(changes, problem):
+    with pytest.raises(InvalidParameterError, match=problem):
+        TheoremConfig(**{"v_star": V_STAR, "eta": (0.0, 0.0, 0.0), "epsilon": 1.0, **changes})
 
 
 def test_min_distance_survives_squared_distances_that_overflow():
