@@ -14,6 +14,8 @@ from dataclasses import dataclass, replace
 from itertools import product
 from typing import Iterator, Literal, Optional, Union
 
+import numpy as np
+
 from .decoding import DecodeConfig
 from .errors import InvalidParameterError
 from .metrics import POPE_MODES
@@ -157,10 +159,11 @@ class EmitCurveSection:
 class TheoremSection:
     """The bound-verification grid of `rows`. The ranges are those of
     theory.TheoremConfig, the amp and lam at which the bump model and the
-    exponential constant stay finite, and the caps on what a trial set
-    holds, checked here so that every scenario rejects them. Each row's
-    constant C is checked where theorem-verify builds the row's
-    TheoremConfig, which would need halc.theory here."""
+    exponential constant stay finite, the exponential windows, which must
+    not be NaN, and the caps on what a trial set holds, checked here so
+    that every scenario rejects them. Each row's constant C is checked
+    where theorem-verify builds the row's TheoremConfig, which would need
+    halc.theory here."""
 
     v_star: tuple[float, float, float] = (4.0, 4.0, 0.0)
     amp: float = 1.0
@@ -211,6 +214,20 @@ class TheoremSection:
             # be a float.
             ok = self.r_max - self.r_min < math.inf
             require("r_min", ok, "must keep r_max - r_min finite")
+            # A window's sides are a scale (1 + lam)**r, r in [r_min, r_max),
+            # times the detected window's, v_star's plus the detection's. A
+            # scale of 0 times an infinite side, or an infinite scale times a
+            # side of 0, is NaN, and a trial of NaN windows has no minimum.
+            with np.errstate(all="ignore"):
+                scales = (1.0 + self.lam) ** np.array([self.r_min, self.r_max])
+                sides = np.add(self.v_star[:2], detection[:2])
+                if np.isnan(np.multiply.outer(scales, sides)).any():
+                    raise InvalidParameterError(
+                        f"theorem v_star {self.v_star!r}, eta_scale {self.eta_scale!r}, "
+                        f"lam {self.lam!r}, r_min {self.r_min!r} and r_max {self.r_max!r}: "
+                        "a window scale (1 + lam)**r of 0 or inf times a detected side of "
+                        "inf or 0 is NaN"
+                    )
         if next(self.rows(), None) is None:
             raise InvalidParameterError("theorem grid has no rows")
 

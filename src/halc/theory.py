@@ -69,7 +69,8 @@ class TheoremConfig:
     """One point of the bound's grid, with the trial set that checks it,
     `bump`, the subject it is checked on, built from v_star and amp, and
     `analytic_c`, the constant C of its bound delta + (1 - C)**n. A C that
-    cannot be computed is rejected when the config is built."""
+    cannot be computed, and an eta whose norm overflows, are rejected when
+    the config is built."""
 
     v_star: tuple[float, float, float]
     eta: tuple[float, float, float]
@@ -107,6 +108,8 @@ class TheoremConfig:
         if self.divergence not in ("tv", "jsd"):
             raise InvalidParameterError("divergence must be 'tv' or 'jsd'")
         object.__setattr__(self, "bump", GaussianBumpModel(center=self.v_star, amp=self.amp))
+        if not math.isfinite(math.hypot(*self.eta)):  # theorem.csv's eta_norm
+            raise InvalidParameterError("the norm of eta overflows")
         try:
             if self.sampler == "normal":
                 c = c_g_analytic(self.epsilon, self.eta, self.sigma)

@@ -9,6 +9,7 @@ design, and so that hallucination traps are correctable through FOV search.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections import Counter
@@ -244,17 +245,18 @@ class Scene:
     def __post_init__(self) -> None:
         if not self.vocabulary:
             object.__setattr__(self, "vocabulary", self._assemble_vocabulary())
-        index = dict(zip(self.vocabulary, range(len(self.vocabulary))))
-        if len(index) != len(self.vocabulary):
-            raise InvalidParameterError("vocabulary contains duplicates")
         by_name = {o.name: o for o in self.objects}  # the last object of a name wins
         gt = frozenset(o.name for o in self.objects if o.is_ground_truth)
-        for tok in self.reference_caption:
-            if tok in by_name and tok not in gt:
-                raise InvalidParameterError("reference caption uses a non-ground-truth object")
         allowed = [(s.token,) if isinstance(s, WordSlot) else s.candidates for s in self.skeleton]
         allowed.append((END_TOKEN,))  # the end-of-sequence slot
         named = {tok for toks in allowed for tok in toks}.union(by_name, *self.cooccurrence)
+        classed = named.union(self.verbs, _FUNCTION_WORDS, _PREPOSITIONS, (IDK_TOKEN,))
+        index, fillers = _split_index(self.vocabulary, self.fillers, classed)
+        if len(index) + len(fillers) != len(self.vocabulary):
+            raise InvalidParameterError("vocabulary contains duplicates")
+        for tok in self.reference_caption:
+            if tok in by_name and tok not in gt:
+                raise InvalidParameterError("reference caption uses a non-ground-truth object")
         missing = sorted(named.difference(index))
         if missing:
             raise InvalidParameterError(f"scene tokens {missing} missing from vocabulary")
@@ -272,8 +274,9 @@ class Scene:
             if prev not in cooc:
                 cooc[prev] = np.zeros(head, dtype=float)
             cooc[prev][index[tok]] += bonus
-        levels, lexicon, varying = _token_tables(index, self.verbs, by_name)
+        levels, lexicon, varying = _token_tables(index, len(self.vocabulary), self.verbs, by_name)
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_fillers", fillers)
         object.__setattr__(self, "_by_name", by_name)
         object.__setattr__(self, "_ground_truth", gt)
         object.__setattr__(self, "_levels", levels)
@@ -290,10 +293,12 @@ class Scene:
     # -- token bookkeeping ---------------------------------------------------
 
     def token_id(self, token: str) -> int:
-        try:
-            return self._index[token]
-        except KeyError:
-            raise InvalidInputError(f"token {token!r} not in scene vocabulary") from None
+        i = self._index.get(token)
+        if i is not None:
+            return i
+        if token in self._fillers:
+            return len(self._index) + self._fillers[token]
+        raise InvalidInputError(f"token {token!r} not in scene vocabulary")
 
     @property
     def ground_truth_names(self) -> frozenset[str]:
@@ -308,14 +313,44 @@ class Scene:
         return self._by_name.get(name)
 
 
+@functools.lru_cache(maxsize=1)
+def _filler_index(fillers: tuple[str, ...]) -> dict[str, int]:
+    """Each filler's position in `fillers`. Every scene of a generated or
+    loaded corpus holds an equal fillers tuple, so they share this one dict,
+    which nothing writes to."""
+    return dict(zip(fillers, range(len(fillers))))
+
+
+def _split_index(
+    vocabulary: tuple[str, ...], fillers: tuple[str, ...], classed: set[str]
+) -> tuple[dict[str, int], dict[str, int]]:
+    """A vocabulary's index as its head's own ids and the shared filler
+    index, where filler f has id len(head) + shared[f]. The split is taken
+    when the vocabulary ends with `fillers` and no head or `classed` token
+    (one the scene names or gives a class) is a filler; a repeated filler
+    leaves the two indexes short of the vocabulary's length. Otherwise the
+    head is the whole vocabulary and the filler index is empty."""
+    n = len(vocabulary) - len(fillers)
+    if vocabulary[n:] == fillers:
+        head, shared = vocabulary[:n], _filler_index(fillers)
+        if shared.keys().isdisjoint([*head, *classed]):
+            return dict(zip(head, range(n))), shared
+    return dict(zip(vocabulary, range(len(vocabulary)))), {}
+
+
 def _token_tables(
-    index: Mapping[str, int], verbs: Sequence[str], by_name: Mapping[str, SceneObject]
+    index: Mapping[str, int],
+    size: int,
+    verbs: Sequence[str],
+    by_name: Mapping[str, SceneObject],
 ) -> tuple[np.ndarray, dict[str, str], tuple[tuple[int, TokenProfile], ...]]:
-    """A scene's logits that no window changes, its POS lexicon of tagged
-    tokens, and the (token id, profile) pairs of its window-dependent object
-    tokens. A token in several classes takes the last class's level and
-    tag. StableHigh object levels are constants, so they are written once here."""
-    levels = np.full(len(index), FILLER_LEVEL)
+    """A scene's logits that no window changes (`size` wide), its POS
+    lexicon of tagged tokens, and the (token id, profile) pairs of its
+    window-dependent object tokens. `index` holds every classed token, and
+    any other token is a filler. A token in several classes takes the last
+    class's level and tag. StableHigh object levels are constants, so they
+    are written once here."""
+    levels = np.full(size, FILLER_LEVEL)
     lexicon: dict[str, str] = {}
     for tokens, level, pos in (
         (_FUNCTION_WORDS, FUNCTION_LEVEL, None),
@@ -378,9 +413,9 @@ def toy_model_logits(
     try:
         if prefix:
             itemgetter(*prefix)(scene._index)
-    except KeyError:
+    except KeyError:  # a filler, or a token of no vocabulary
         for tok in prefix:
-            if tok not in scene._index:
+            if tok not in scene._index and tok not in scene._fillers:
                 raise InvalidInputError(f"prefix token {tok!r} not in vocabulary") from None
     # The bonuses are added to the head's view only. Past it each logit is a
     # nonzero token-class level, which adding 0.0 would leave as it is.
@@ -579,12 +614,13 @@ def demo_scene() -> Scene:
 
 
 # The largest generated corpus, 50 times oracle-study's 200-scene default.
-# Building it peaks at about 495 MB of RSS (measured in a fresh process).
+# Building it peaks at about 470 MB of RSS (measured in a fresh process).
 MAX_SCENE_COUNT = 10_000
-# The bound on count x (noun_pool + filler_count): a built scene holds two
-# V-wide tables (levels, index) and scans the noun pool. At the bound, 62
-# scenes x 32,258 words peak at about 200 MB of RSS. It admits 10,000
-# default scenes (x 120) and the wide-vocab benchmark's 30 x 4024.
+# The bound on count x (noun_pool + filler_count): a built scene holds one
+# V-wide table (levels) and scans the noun pool; its fillers' index is
+# shared. At the bound, 62 scenes x 32,258 words peak at about 73 MB of
+# RSS (in a fresh process). It admits 10,000 default scenes (x 120) and
+# the wide-vocab benchmark's 30 x 4024.
 MAX_CORPUS_WORDS = 2_000_000
 
 

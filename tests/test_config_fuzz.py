@@ -16,12 +16,16 @@ milliseconds.
 
 `test_fuzzed_config_keeps_the_whole_exit_contract` holds every run to the
 whole exit contract: exit 0 leaves an empty stderr and no nan or inf in any
-CSV or JSON it wrote, and exit 2 or 3 prints exactly one line. The last
-two tests are not fuzzed: they set every numeric key in turn to the
-largest float, to +-1e300 and, for an integer key, to the JSON integer
-10**400, and then to the in-range values 0, -0.0, 5e-324, 1e-300, 0.05,
--1, 3 and 1e20, and hold each run to that contract with one more rule,
-that an exit 2 names the key.
+CSV or JSON it wrote, and exit 2 or 3 prints exactly one line.
+`test_fuzzed_theorem_vectors_keep_the_whole_exit_contract` holds valid
+theorem sections that always carry `etas` to it; some pool vectors are
+huge in two or three positions, so that a norm overflows. The last two
+tests are not fuzzed: they set every numeric key in turn (a vector key at
+each of its positions, then at all of them) to the largest float, to
++-1e300 and, for an integer key, to the JSON integer 10**400, and then to
+the in-range values 0, -0.0, 5e-324, 1e-300, 0.05, -1, 3 and 1e20, and
+hold each run to that contract with one more rule, that an exit 2 names
+the key.
 """
 
 import contextlib
@@ -47,7 +51,11 @@ WRONG = st.sampled_from(["abc", None, True, [1], {"a": 1}, 1e300, -1, 0, [1, 2],
 EXTREMES = [5e-324, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0), 709.78,
             sys.float_info.max, -0.0]
 NUMBER = st.sampled_from([0.25, 0.5, 1, 1.0, 2.0, *EXTREMES])
-VECTOR = st.sampled_from([[0, 0, 0], [0.8, 0.6, 0.0], [4.0, 4.0, 0.0], [2, 1, 0.5]])
+# The last three are huge in two or three positions, where a norm or a
+# square overflows though each value alone is a float.
+VECTOR = st.sampled_from([[0, 0, 0], [0.8, 0.6, 0.0], [4.0, 4.0, 0.0], [2, 1, 0.5],
+                          [1.7e308, 1.7e308, 0], [1e300, -1e300, 1e300],
+                          [sys.float_info.max] * 3])
 
 THEOREM_REQUIRED = {
     "trials": st.integers(100, 500),
@@ -288,7 +296,22 @@ def test_fuzzed_top_level_and_corpus_exit_0_2_or_3_without_traceback(case):
     for wrong in (False, True)
 )))
 def test_fuzzed_config_keeps_the_whole_exit_contract(case):
-    code, stderr, nonfinite = _run(*case)
+    _assert_whole_contract(*case)
+
+
+# A valid theorem section that always holds etas, whose norms may overflow.
+@settings(max_examples=40, deadline=None)
+@given(theorem=sections(
+    {**THEOREM_REQUIRED, "etas": THEOREM_OPTIONAL["etas"]},
+    {key: pool for key, pool in THEOREM_OPTIONAL.items() if key != "etas"},
+    wrong=False,
+))
+def test_fuzzed_theorem_vectors_keep_the_whole_exit_contract(theorem):
+    _assert_whole_contract("theorem-verify", {"seed": 1, "corpus": CORPUS, "theorem": theorem})
+
+
+def _assert_whole_contract(scenario, doc):
+    code, stderr, nonfinite = _run(scenario, doc)
     if code == 0:
         assert stderr == ""
         assert nonfinite == []
@@ -306,8 +329,10 @@ def _scalar(v):
 
 
 def _vector(base):
-    """A vector key's shapes: the number at each position of `base` in turn."""
-    return [lambda v, i=i: [v if j == i else x for j, x in enumerate(base)] for i in range(len(base))]
+    """A vector key's shapes: the number at each position of `base` in turn,
+    then at every position."""
+    at = [lambda v, i=i: [v if j == i else x for j, x in enumerate(base)] for i in range(len(base))]
+    return [*at, lambda v: [v] * len(base)]
 
 
 # Every numeric key of the document (None: the top level), with the JSON

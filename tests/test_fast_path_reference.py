@@ -68,10 +68,12 @@ from halc.world import (
     CorpusSpec,
     DetectorSim,
     Noisy,
+    NounSlot,
     Peaking,
     Scene,
     SceneObject,
     StableHigh,
+    VerbSlot,
     WordSlot,
     demo_scene,
     generate_corpus,
@@ -421,7 +423,10 @@ def test_token_tables_match_the_per_token_classifiers(scene):
     # The lexicon holds the tagged tokens only; tag_token reads any other
     # token as "other".
     assert scene.lexicon == {tok: pos for tok, pos in lexicon.items() if pos != "other"}
-    assert list(scene._index.items()) == list(index.items())
+    for i, tok in enumerate(scene.vocabulary):
+        assert scene.token_id(tok) == i
+    with pytest.raises(InvalidInputError, match="not in scene vocabulary"):
+        scene.token_id("unknown-word")
     custom = {
         "n": "noun", "v": "verb", "p": "preposition", "adj": "adjective",
         "adv": "adverb", "num": "number", "pro": "pronoun", "o": "other",
@@ -430,6 +435,75 @@ def test_token_tables_match_the_per_token_classifiers(scene):
     cases += [(custom, custom, word) for word in (*custom, "unknown-word")]
     for lex, reference_lex, word in cases:
         assert tag_token(lex, word) == reference_tag_token(reference_lex, word)
+
+
+def _clash_scene(fillers, vocabulary=()):
+    """Two objects, two verbs (one outside the skeleton), the article "a",
+    a co-occurrence row and the given fillers."""
+    region = Fov(20.0, 20.0, 50.0, 50.0)
+    return Scene(
+        image=ImageSpec(100.0, 100.0),
+        objects=(
+            SceneObject("dog", region, StableHigh(5.0)),
+            SceneObject("cat", region, ContextShift(slope=0.5, base=1.0)),
+        ),
+        verbs=("sees", "holds"),
+        fillers=fillers,
+        skeleton=(WordSlot("a"), NounSlot(("dog",)), VerbSlot(("sees",)), NounSlot(("cat",))),
+        cooccurrence={("sees", "cat"): 0.2},
+        reference_caption=("a", "dog", "sees", "cat"),
+        vocabulary=vocabulary,
+    )
+
+
+# Fillers that stop the vocabulary from splitting into its head and the
+# shared filler index: a repeated filler, named tokens (an object, a
+# skeleton word, [END]) and tokens of a class the skeleton does not name (a
+# verb, an article, a preposition, [IDK]).
+_SPLIT_BREAKERS = ("w0", "dog", "cat", "a", END_TOKEN, "holds", "the", "in", IDK_TOKEN)
+
+
+def test_clean_fillers_split_off_the_shared_index():
+    fillers = ("w0", "w1", "w2")
+    scene = _clash_scene(fillers)
+    assert scene._fillers == {"w0": 0, "w1": 1, "w2": 2}
+    assert len(scene._index) == len(scene.vocabulary) - 3
+    assert [scene.token_id(tok) for tok in scene.vocabulary] == list(range(len(scene.vocabulary)))
+    # A prefix may hold fillers; a token of neither index is named.
+    _assert_model_agrees(scene, scene.image.full_fov(), ["a", "w2", "dog", "w0"])
+    with pytest.raises(InvalidInputError, match="prefix token 'w3' not in vocabulary"):
+        toy_model_logits(scene, scene.image.full_fov(), ["a", "w2", "w3"])
+    # A head token that is also a filler is a repeated token.
+    with pytest.raises(InvalidParameterError, match="vocabulary contains duplicates"):
+        _clash_scene(fillers, ("w1", *scene.vocabulary))
+
+
+@settings(max_examples=100, deadline=None)
+@given(breaker=st.sampled_from(_SPLIT_BREAKERS), at=st.integers(0, 3), data=st.data())
+def test_fillers_that_break_the_split_fall_back_to_one_index(breaker, at, data):
+    fillers = ["w0", "w1", "w2"]
+    fillers.insert(at, breaker)
+    scene = _clash_scene(tuple(fillers))
+    if data.draw(st.booleans(), label="explicit vocabulary"):
+        # The rest in any order, then the fillers: the breaker lies in the tail.
+        rest = [tok for tok in scene.vocabulary if tok not in fillers]
+        vocabulary = (*data.draw(st.permutations(rest)), *fillers)
+        if breaker == "w0":
+            with pytest.raises(InvalidParameterError, match="vocabulary contains duplicates"):
+                _clash_scene(tuple(fillers), vocabulary)
+            return
+        scene = _clash_scene(tuple(fillers), vocabulary)
+    assert scene._fillers == {}
+    assert [scene.token_id(tok) for tok in scene.vocabulary] == list(range(len(scene.vocabulary)))
+    levels, varying = reference_levels_and_profiles(scene, token_index(scene), scene._by_name)
+    assert scene._levels.tobytes() == levels.tobytes()
+    assert scene._varying == varying
+    assert scene.lexicon == {
+        tok: pos for tok, pos in reference_build_lexicon(scene).items() if pos != "other"
+    }
+    caption = scene.reference_caption
+    for prefix in (None, *(list(caption[:cut]) for cut in range(len(caption) + 1))):
+        _assert_model_agrees(scene, scene.image.full_fov(), prefix)
 
 
 # ---------------------------------------------------------------------------

@@ -1240,7 +1240,18 @@ def test_cli_noncentrality_beyond_the_ball_mass_prints_one_line(tmp_path):
         ("theorem-verify", {"theorem": {"exp_epsilon": 1e300}},
          "theorem exp_epsilon 1e+300, v_star (4.0, 4.0, 0.0), eta_scale 0.5, " + EXP_ROW
          + "the hit constant C overflows"),
+        ("theorem-verify", {"theorem": {"etas": [[1.7e308, 1.7e308, 0]], "samplers": ["normal"],
+                                        "n_values": [2], "trials": 100}},
+         "theorem epsilons 0.5, etas (1.7e+308, 1.7e+308, 0) and sigmas 0.5: the norm of eta "
+         "overflows"),
         ("theorem-verify", {"theorem": {"eta_scale": 1e300}}, "eta_scale 1e+300"),
+        ("theorem-verify", {"theorem": {"v_star": [1.7e308, 1.7e308, 0], "lam": 1e300}},
+         "theorem v_star (1.7e+308, 1.7e+308, 0), eta_scale 0.5, lam 1e+300, r_min -5.0 and "
+         "r_max 5.0: a window scale (1 + lam)**r of 0 or inf times a detected side of inf or 0 "
+         "is NaN"),
+        ("theorem-verify", {"theorem": {"v_star": [0, 4, 0], "lam": 1e300}},
+         "theorem v_star (0, 4, 0), eta_scale 0.5, lam 1e+300, r_min -5.0 and r_max 5.0: a "
+         "window scale"),
         ("theorem-verify", {"theorem": {"v_star": [1e300, 4, 0]}}, "v_star (1e+300, 4, 0)"),
         ("theorem-verify", {"theorem": {"exp_epsilon": 0.05}},
          "theorem exp_epsilon 0.05, v_star (4.0, 4.0, 0.0), eta_scale 0.5, " + EXP_ROW
@@ -1255,8 +1266,9 @@ def test_cli_noncentrality_beyond_the_ball_mass_prints_one_line(tmp_path):
         ("compare", {"corpus": {"count": 2, "image_width": 5e-324}},
          "corpus image_width 5e-324 and image_height 1000.0 are too small for a scene's windows"),
     ],
-    ids=["sigma", "epsilon", "exp-epsilon", "eta-scale", "v-star", "exp-epsilon-in-the-offset",
-         "zero-size-detection", "r-range", "ablate-lambda", "subnormal-image-width"],
+    ids=["sigma", "epsilon", "exp-epsilon", "eta-norm", "eta-scale", "scale-0-x-inf",
+         "scale-inf-x-0", "v-star", "exp-epsilon-in-the-offset", "zero-size-detection",
+         "r-range", "ablate-lambda", "subnormal-image-width"],
 )
 def test_cli_overflowing_value_exits_2_naming_its_key_before_the_run(
     tmp_path, capsys, scenario, doc, named

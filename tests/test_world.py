@@ -290,16 +290,20 @@ def test_generate_corpus_caps_count_before_building_a_scene(count, spec):
 
 
 def test_wide_corpus_tables_do_not_grow_with_the_fillers():
-    # The slot and co-occurrence tables span the vocabulary head, which
-    # ends before the fillers: 10 scenes at V of about 32k peak at about
-    # 38 MB, where V-wide tables took about 210 MB.
+    # The slot and co-occurrence tables and each scene's token index span
+    # the vocabulary head, which ends before the fillers, and the scenes
+    # share one filler index: 10 scenes at V of about 32k hold about 10 MB,
+    # where a token index per scene held 28 MB and V-wide tables 210 MB.
     tracemalloc.start()
     try:
-        generate_corpus(7, 10, CorpusSpec(scene_count=10, filler_count=31_900))
-        _, peak = tracemalloc.get_traced_memory()
+        corpus = generate_corpus(7, 10, CorpusSpec(scene_count=10, filler_count=31_900))
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert held <= 12e6
     assert peak <= 60e6
+    assert len(corpus[0]._fillers) == 31_900
+    assert all(scene._fillers is corpus[0]._fillers for scene in corpus)
     narrow, wide = (
         generate_corpus(7, 3, CorpusSpec(scene_count=3, filler_count=f)) for f in (96, 4000)
     )
@@ -382,6 +386,20 @@ def test_saved_corpus_decodes_as_generated(tmp_path):
     assert [c.tokens for c in got_captions] == [c.tokens for c in want_captions]
     got, want = ([json.dumps(t.to_json()) for t in traces] for traces in (got_traces, want_traces))
     assert got == want
+
+
+def test_corpus_round_trip_keeps_every_id_and_shares_one_filler_index(tmp_path):
+    scenes = generate_corpus(5, 4, CorpusSpec(scene_count=4, filler_count=300))
+    path = tmp_path / "corpus.json"
+    save_corpus(scenes, path)
+    loaded = load_corpus(path)
+    for scene, back in zip(scenes, loaded):
+        assert back.vocabulary == scene.vocabulary
+        ids = [back.token_id(tok) for tok in back.vocabulary]
+        assert ids == [scene.token_id(tok) for tok in scene.vocabulary]
+        assert ids == list(range(len(scene.vocabulary)))
+    assert len(loaded[0]._fillers) == 300
+    assert all(scene._fillers is loaded[0]._fillers for scene in loaded)
 
 
 def test_corpus_file_round_trip(tmp_path, small_trap_corpus):
