@@ -158,12 +158,13 @@ class EmitCurveSection:
 @dataclass(frozen=True)
 class TheoremSection:
     """The bound-verification grid of `rows`. The ranges are those of
-    theory.TheoremConfig, the amp and lam at which the bump model and the
-    exponential constant stay finite, the exponential windows, which must
-    not be NaN, and the caps on what a trial set holds, checked here so
-    that every scenario rejects them. Each row's constant C is checked
-    where theorem-verify builds the row's TheoremConfig, which would need
-    halc.theory here."""
+    theory.TheoremConfig, the amp at which the bump model stays finite,
+    the exponential windows, which must not be NaN, and the caps on what a
+    trial set holds, checked here so that every scenario rejects them.
+    What a row's TheoremConfig checks is left to theorem-verify, which
+    builds every row before any draw and names the row's keys: its
+    constant C, whose exponential form needs 1 + lam above 1, and the norm
+    of its eta, which for the exponential rows is the detection."""
 
     v_star: tuple[float, float, float] = (4.0, 4.0, 0.0)
     amp: float = 1.0
@@ -201,15 +202,9 @@ class TheoremSection:
             require(name, min(getattr(self, name), default=1) > 0, "must be positive")
         for name in ("exp_epsilon", "lam"):
             require(name, getattr(self, name) > 0, "must be positive")
-        # The exponent interval is divided by ln(1 + lam).
-        require("lam", 1.0 + self.lam > 1.0, "must not round 1 + lam to 1")
         require("amp", self.amp <= MAX_THEOREM_AMP, f"must be at most {MAX_THEOREM_AMP!r}")
         require("r_min", self.r_min < self.r_max, "must be less than r_max")
         if "exponential" in self.samplers:
-            # theorem.csv writes an exponential row's eta as its norm.
-            detection = self._detection()
-            ok = math.isfinite(math.hypot(*detection))
-            require("eta_scale", ok, "must keep the detection eta_scale x v_star finite")
             # The exponents are drawn from [r_min, r_max), whose width must
             # be a float.
             ok = self.r_max - self.r_min < math.inf
@@ -220,7 +215,7 @@ class TheoremSection:
             # side of 0, is NaN, and a trial of NaN windows has no minimum.
             with np.errstate(all="ignore"):
                 scales = (1.0 + self.lam) ** np.array([self.r_min, self.r_max])
-                sides = np.add(self.v_star[:2], detection[:2])
+                sides = np.add(self.v_star[:2], self._detection()[:2])
                 if np.isnan(np.multiply.outer(scales, sides)).any():
                     raise InvalidParameterError(
                         f"theorem v_star {self.v_star!r}, eta_scale {self.eta_scale!r}, "

@@ -111,25 +111,29 @@ class DecodeConfig:
         require("idk_confidence", 0 <= self.idk_confidence <= 1, "must lie in [0, 1]")
         require("max_tokens", self.max_tokens >= 1, "must be at least 1")
         require("seed", self.seed >= 0, "must be nonnegative")
-        for key, r in self._growth_ends():
-            try:
-                ok = _growth(self.lam, r) > 0
-                problem = f"growth (1 + {self.lam})**{r} underflows to 0"
-            except InvalidParameterError as exc:  # it overflows
-                ok, problem = False, str(exc)
-            require(key, ok, f"is out of range: {problem}")
+        exponents = self.exponents
+        if exponents:
+            # The growth is monotone in r, so the range's ends decide whether
+            # every window keeps a finite, positive size.
+            low = "lam" if self.sampling_mode == "original" else "exponent_offset"
+            for key, r in ((low, exponents[0]), ("lam", exponents[-1])):
+                try:
+                    ok = _growth(self.lam, r) > 0
+                    problem = f"growth (1 + {self.lam})**{r} underflows to 0"
+                except InvalidParameterError as exc:  # it overflows
+                    ok, problem = False, str(exc)
+                require(key, ok, f"is out of range: {problem}")
 
-    def _growth_ends(self) -> list[tuple[str, int]]:
-        """The lowest and highest exponent r of the growth (1 + lam)**r by
-        which the sampling mode scales windows, each with the key to blame
-        when it fails. The growth is monotone in r, so these ends decide
-        whether every window keeps a finite, positive size."""
+    @property
+    def exponents(self) -> Optional[range]:
+        """The exponents r of the growth (1 + lam)**r that scale the mode's
+        base window (None: the mode draws its windows). Expansions of the
+        full image would all clamp back to it, so "original" only shrinks."""
         if self.sampling_mode in ("exponential", "center"):
-            low = self.exponent_offset
-            return [("exponent_offset", low), ("lam", low + self.n - 1)]
+            return range(self.exponent_offset, self.exponent_offset + self.n)
         if self.sampling_mode == "original":
-            return [("lam", 1 - self.n)]  # its highest exponent, 0, gives 1
-        return []
+            return range(1 - self.n, 1)
+        return None
 
 
 class BeamState(NamedTuple):
@@ -333,18 +337,14 @@ def _sample_fovs(
     mode = config.sampling_mode
     if v_d is None or mode == "random":
         return sample_fovs_random(image, config.n, rng)
-    if mode == "exponential":
-        return sample_fovs_exponential(v_d, config.lam, config.n, image, config.exponent_offset)
     if mode == "normal":
         return sample_fovs_normal(v_d, config.sigma, config.n, rng, image)
+    base = v_d  # "exponential": grown from the detection
     if mode == "center":
         base = Fov(image.width / 2.0, image.height / 2.0, image.width / 2.0, image.height / 2.0)
-        return sample_fovs_exponential(base, config.lam, config.n, image, config.exponent_offset)
-    if mode == "original":
-        # Expansions of the full image would all clamp back to it, so the
-        # original-image initialization samples shrinking exponents only.
-        return sample_fovs_exponential(image.full_fov(), config.lam, config.n, image, -(config.n - 1))
-    raise InvalidParameterError(f"unknown sampling mode {mode!r}")
+    elif mode == "original":
+        base = image.full_fov()
+    return sample_fovs_exponential(base, config.lam, config.n, image, config.exponents.start)
 
 
 @functools.cache

@@ -6,7 +6,6 @@ Samplers produce ordered, seed-reproducible window sets used by the decoder.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -19,7 +18,6 @@ __all__ = [
     "Fov",
     "expand_fov",
     "clamp_to_image",
-    "fov_distance",
     "sample_fovs_exponential",
     "sample_fovs_normal",
     "sample_fovs_random",
@@ -108,11 +106,6 @@ def _clamped(width: float, height: float, cx: float, cy: float, image: ImageSpec
     cx = min(max(cx, w / 2.0), image.width - w / 2.0)
     cy = min(max(cy, h / 2.0), image.height - h / 2.0)
     return Fov(w, h, cx, cy)
-
-
-def fov_distance(a: Fov, b: Fov) -> float:
-    """Euclidean distance over the (width, height, center_x, center_y) vector."""
-    return math.dist(a.as_tuple(), b.as_tuple())
 
 
 def sample_fovs_exponential(

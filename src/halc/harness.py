@@ -480,32 +480,34 @@ def run_ablations(
     seed and averages the metrics; only the scorer sweep, whose scorers
     may be seeded, uses several seeds."""
     options = parse(AblateSection, {} if options is None else options, "ablate")
-    # The lambda sweep decodes `config` at each lambda: each of those configs
-    # is built, and so checked, before any sweep decodes.
-    for lam in options.lambdas:
-        try:
-            dataclasses.replace(config, lam=lam)
-        except InvalidParameterError as exc:
-            raise InvalidParameterError(f"ablate lambdas {lam!r}: {exc}") from None
+    # (table, column, section key, value -> changed decode fields); the
+    # scorer sweep changes the scorer instead. Every row's decode config is
+    # built, and so checked, before any sweep decodes.
+    sweeps = []
+    for table, column, name, change in (
+        ("init", "init", "inits",
+         lambda init: {"sampling_mode": "exponential" if init == "detector" else init}),
+        ("lambda", "lambda", "lambdas", lambda lam: {"lam": lam}),
+        ("beam", "k", "beams", lambda k: {"k": k}),
+        ("scorer", "scorer", "scorers", lambda spec: {}),
+    ):
+        built = []
+        for value in getattr(options, name):
+            try:
+                built.append((value, dataclasses.replace(config, **change(value))))
+            except InvalidParameterError as exc:
+                raise InvalidParameterError(f"ablate {name} {value!r}: {exc}") from None
+        sweeps.append((table, column, built))
     queries = _pope_queries(scenes, seed, options.pope_mode, ABLATE_POPE_COUNT)
     scorer_seeds = options.scorer_seeds or [seed + i for i in range(5)]
-    # (table, column, values, value -> changed decode fields); the scorer
-    # sweep changes the scorer instead.
-    sweeps = (
-        ("init", "init", options.inits,
-         lambda init: {"sampling_mode": "exponential" if init == "detector" else init}),
-        ("lambda", "lambda", options.lambdas, lambda lam: {"lam": lam}),
-        ("beam", "k", options.beams, lambda k: {"k": k}),
-        ("scorer", "scorer", options.scorers, lambda spec: {}),
-    )
     tables: dict[str, list[dict]] = {}
-    for table, column, values, change in sweeps:
+    for table, column, built in sweeps:
         tables[table] = rows = []
-        for value in values:
+        for value, row_config in built:
             spec, seeds = (value, scorer_seeds) if table == "scorer" else ("oracle", [seed])
             totals: dict[str, float] = {}
             for s in seeds:
-                cfg = dataclasses.replace(config, seed=s, **change(value))
+                cfg = dataclasses.replace(row_config, seed=s)
                 scorer = resolve_scorer(spec, seed=s)
                 captions, _ = decode_corpus(scenes, "halc", cfg, detector, scorer)
                 for key, metric in evaluate_captions(scenes, captions, queries).items():

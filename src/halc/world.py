@@ -145,8 +145,8 @@ TokenProfile = StableHigh | Peaking | ContextShift | Noisy
 def profile_value(profile: TokenProfile, fov: Fov, image: ImageSpec) -> float:
     """The likelihood a profile gives a token under one window.
 
-    Peaking takes fov_distance's math.dist of the two windows, with the
-    (width, height, center_x, center_y) tuples built in place.
+    Peaking takes the math.dist of the two windows' (width, height,
+    center_x, center_y) tuples, built in place.
     """
     if isinstance(profile, StableHigh):
         return profile.level

@@ -1,8 +1,9 @@
 """The toy model with constant profiles folded into the scene and its
 bonus tables cut to the vocabulary head, the scene's token tables built
 one token class at a time, the Peaking profile's
-distance tuples built in place, the one-pass FOV samplers, the cheaper
-proposal check, the contrast masked per window and read out as each
+distance tuples built in place, the one-pass FOV samplers, the growth
+check and the sampler's first exponent read from one exponent range per
+sampling mode, the cheaper proposal check, the contrast masked per window and read out as each
 row's top token and its probability, the one-token contrast of
 single-token masks, the in-place JSD, the candidate pool that skips
 repeated tokens and the oracle scorer that counts nouns by set lookups,
@@ -12,13 +13,14 @@ The references below are the replaced code, kept here verbatim apart from
 names. The model reference builds its slot and co-occurrence bonuses from
 the scene's skeleton and co-occurrence rows, V wide, and is compared by
 bytes, so that a -0.0 counts. Besides the unchanged profile
-formula, the references share only softmax and the unchanged input checks
-of halc.distributions with the code they check;
+formula, the references share only softmax, geometry's growth factor and
+the unchanged input checks of halc.distributions with the code they check;
 tests/test_distributions.py checks those on their own.
 """
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -48,9 +50,9 @@ from halc.errors import InvalidInputError, InvalidParameterError
 from halc.geometry import (
     Fov,
     ImageSpec,
+    _growth,
     clamp_to_image,
     expand_fov,
-    fov_distance,
     sample_fovs_exponential,
     sample_fovs_random,
 )
@@ -283,10 +285,10 @@ def test_model_logits_keep_their_bits_through_a_corpus_round_trip(tmp_path):
     amp=st.floats(0.0, 50.0),
     base=st.floats(-50.0, 50.0),
 )
-def test_peaking_profile_builds_the_fov_distance_tuples_in_place(data, width, amp, base):
+def test_peaking_profile_builds_the_distance_tuples_in_place(data, width, amp, base):
     image = ImageSpec(1000.0, 800.0)
     fov, v_star = data.draw(_windows(image)), data.draw(_windows(image))
-    d = fov_distance(fov, v_star)
+    d = math.dist(fov.as_tuple(), v_star.as_tuple())
     want = base + amp * math.exp(-(d * d) / (2.0 * width**2))
     got = profile_value(Peaking(v_star=v_star, width=width, amp=amp, base=base), fov, image)
     assert got.hex() == want.hex()
@@ -582,6 +584,86 @@ def test_exponential_sampler_rejects_what_the_loop_rejected(lam, n, offset):
         reference_sample_fovs_exponential(base, lam, n, image, offset)
     with pytest.raises(InvalidParameterError, match=str(want.value)):
         sample_fovs_exponential(base, lam, n, image, offset)
+
+
+# ---------------------------------------------------------------------------
+# Growth check: one exponent range per sampling mode
+# ---------------------------------------------------------------------------
+
+
+def reference_growth_ends(mode, lam, n, exponent_offset):
+    """The lowest and highest exponent r of the growth (1 + lam)**r by
+    which the sampling mode scales windows, each with the key to blame
+    when it fails. The growth is monotone in r, so these ends decide
+    whether every window keeps a finite, positive size."""
+    if mode in ("exponential", "center"):
+        low = exponent_offset
+        return [("exponent_offset", low), ("lam", low + n - 1)]
+    if mode == "original":
+        return [("lam", 1 - n)]  # its highest exponent, 0, gives 1
+    return []
+
+
+def reference_growth_error(mode, lam, n, exponent_offset):
+    """The replaced check loop's message, or None where it passed."""
+    for key, r in reference_growth_ends(mode, lam, n, exponent_offset):
+        try:
+            ok = _growth(lam, r) > 0
+            problem = f"growth (1 + {lam})**{r} underflows to 0"
+        except InvalidParameterError as exc:  # it overflows
+            ok, problem = False, str(exc)
+        if not ok:
+            value = exponent_offset if key == "exponent_offset" else lam
+            return f"decode {key} is out of range: {problem}, got {value!r}"
+    return None
+
+
+def reference_exponential_call(image, v_d, mode, exponent_offset, n):
+    """The base window and first exponent that the replaced `_sample_fovs`
+    passed to sample_fovs_exponential, or None for the modes that draw."""
+    if mode == "exponential":
+        return v_d, exponent_offset
+    if mode == "center":
+        base = Fov(image.width / 2.0, image.height / 2.0, image.width / 2.0, image.height / 2.0)
+        return base, exponent_offset
+    if mode == "original":
+        return image.full_fov(), -(n - 1)
+    return None
+
+
+GROWTH_LAMS = [math.nextafter(-1.0, 0.0), -0.99999, 0.6, 1e300]
+GROWTH_OFFSETS = [sign * value for value in (0, 1, 820, 100_000) for sign in (1, -1)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    mode=st.sampled_from(SAMPLING_MODES),
+    lam=st.sampled_from(GROWTH_LAMS),
+    n=st.integers(2, 64),
+    offset=st.sampled_from(GROWTH_OFFSETS),
+)
+def test_growth_check_decides_as_the_per_mode_ends_it_replaced(mode, lam, n, offset):
+    want = reference_growth_error(mode, lam, n, offset)
+    try:
+        config = DecodeConfig(lam=lam, n=n, m=1, sampling_mode=mode, exponent_offset=offset)
+    except InvalidParameterError as exc:
+        assert str(exc) == want
+        return
+    assert want is None
+    scene = SCENES["demo"]
+    v_d = Fov(120.0, 80.0, 300.0, 200.0)
+    spy = mock.Mock(return_value="windows")
+    with mock.patch.object(decoding, "sample_fovs_exponential", spy):
+        got = decoding._sample_fovs(scene, v_d, config, np.random.default_rng(0))
+    call = reference_exponential_call(scene.image, v_d, mode, offset, n)
+    if call is None:
+        assert config.exponents is None
+        spy.assert_not_called()
+    else:
+        base, first = call
+        assert got == "windows"
+        spy.assert_called_once_with(base, lam, n, scene.image, first)
+        assert config.exponents == range(first, first + n)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from halc.geometry import (
     ImageSpec,
     clamp_to_image,
     expand_fov,
-    fov_distance,
     sample_fovs_exponential,
     sample_fovs_normal,
     sample_fovs_random,
@@ -97,7 +96,7 @@ def test_normal_sampling_degenerate_variance():
     rng = np.random.default_rng(0)
     out = sample_fovs_normal(base, 1e-9, 8, rng, IMAGE)
     for fov in out:
-        assert fov_distance(fov, base) < 3e-9
+        assert math.dist(fov.as_tuple(), base.as_tuple()) < 3e-9
 
 
 def test_normal_sampling_deterministic_under_seed():
@@ -150,21 +149,6 @@ def test_clamp_translates_before_shrinking():
 def test_clamp_idempotent(fov):
     once = clamp_to_image(fov, IMAGE)
     assert clamp_to_image(once, IMAGE) == once
-
-
-def test_distance_identity_and_345():
-    a = Fov(10.0, 20.0, 7.0, 9.0)
-    assert fov_distance(a, a) == 0.0
-    b = Fov(13.0, 24.0, 7.0, 9.0)
-    assert fov_distance(a, b) == pytest.approx(5.0)
-
-
-@settings(max_examples=200)
-@given(a=finite_fovs, b=finite_fovs, c=finite_fovs)
-def test_distance_metric_axioms(a, b, c):
-    assert fov_distance(a, b) == pytest.approx(fov_distance(b, a))
-    assert fov_distance(a, b) >= 0.0
-    assert fov_distance(a, c) <= fov_distance(a, b) + fov_distance(b, c) + 1e-9
 
 
 def test_sample_sets_bitwise_reproducible():

@@ -301,6 +301,20 @@ CLI_CORPUS = {"count": 6, "trap_fraction": 0.5, "clauses": 2, "trap_clauses": [1
 TOO_LARGE = "cost model values are too large: the estimate overflows, from "
 # The keys an exponential theorem row names after exp_epsilon, v_star and eta_scale.
 EXP_ROW = "lam 0.6, r_min -5.0 and r_max 5.0: "
+# ablate's "original" init row grows its windows by (1 - 0.99999)**-63, which
+# overflows, where the decode section's own exponential windows do not.
+ABLATE_ORIGINAL_OVERFLOWS = {
+    "decode": {"lam": -0.99999, "n": 64, "m": 1, "max_tokens": 4},
+    "corpus": {"count": 2, "trap_fraction": 0, "noun_pool": 30},
+}
+# Theorem values that only an exponential theorem row rejects, where
+# theorem-verify builds it: 1 + lam rounds to 1, or the detection's norm
+# overflows.
+THEOREM_ROW_VALUES = [
+    {"theorem": {"lam": 1e-17}},
+    {"theorem": {"eta_scale": 1.7976931348623157e308}},
+    {"theorem": {"eta_scale": 4e307}},
+]
 
 
 def _config_file(tmp_path, extra=None):
@@ -366,7 +380,6 @@ def test_cli_config_not_utf8_exits_2_with_one_line(tmp_path, capsys):
         ({"theorem": {"sigmas": [-1.0]}}, "theorem sigmas must be positive, got (-1.0,)"),
         ({"theorem": {"exp_epsilon": 0}}, "theorem exp_epsilon must be positive, got 0"),
         ({"theorem": {"lam": -3.0}}, "theorem lam must be positive, got -3.0"),
-        ({"theorem": {"lam": 1e-17}}, "theorem lam must not round 1 + lam to 1, got 1e-17"),
         ({"theorem": {"amp": 800}}, "theorem amp must be at most 709.78"),
         ({"theorem": {"r_min": 5.0}}, "theorem r_min must be less than r_max, got 5.0"),
         ({"theorem": {"r_min": 1.0, "r_max": -1.0}}, "theorem r_min must be less than r_max"),
@@ -394,8 +407,6 @@ def test_cli_config_not_utf8_exits_2_with_one_line(tmp_path, capsys):
         ({"decode": {"idk_confidence": 7.0}}, "decode idk_confidence must lie in [0, 1], got 7.0"),
         ({"detector_confidence": -5.0}, "detector_confidence must lie in [0, 1], got -5.0"),
         ({"detector_confidence": 7.0}, "detector_confidence must lie in [0, 1], got 7.0"),
-        ({"theorem": {"eta_scale": 1.7976931348623157e308}}, "theorem eta_scale must keep"),
-        ({"theorem": {"eta_scale": 4e307}}, "theorem eta_scale must keep the detection"),
     ],
     ids=[
         "short-detector-eta",
@@ -430,7 +441,6 @@ def test_cli_config_not_utf8_exits_2_with_one_line(tmp_path, capsys):
         "theorem-negative-sigma",
         "theorem-zero-exp-epsilon",
         "theorem-negative-lam",
-        "theorem-lam-lost-beside-1",
         "theorem-amp-overflows-exp",
         "theorem-r-min-at-r-max",
         "theorem-r-range-reversed",
@@ -452,8 +462,6 @@ def test_cli_config_not_utf8_exits_2_with_one_line(tmp_path, capsys):
         "idk-confidence-above-one",
         "negative-detector-confidence",
         "detector-confidence-above-one",
-        "theorem-eta-scale-overflows-detection",
-        "theorem-eta-scale-overflows-detection-norm",
     ],
 )
 def test_cli_malformed_config_exits_2_with_one_line(tmp_path, capsys, extra, named):
@@ -1265,19 +1273,34 @@ def test_cli_noncentrality_beyond_the_ball_mass_prints_one_line(tmp_path):
          "ablate lambdas 1e+300: decode lam is out of range: growth (1 + 1e+300)**2 overflows"),
         ("compare", {"corpus": {"count": 2, "image_width": 5e-324}},
          "corpus image_width 5e-324 and image_height 1000.0 are too small for a scene's windows"),
+        ("ablate", ABLATE_ORIGINAL_OVERFLOWS,
+         "ablate inits 'original': decode lam is out of range: growth (1 + -0.99999)**-63 "
+         "overflows"),
+        ("theorem-verify", THEOREM_ROW_VALUES[0],
+         "theorem exp_epsilon 1.0, v_star (4.0, 4.0, 0.0), eta_scale 0.5, lam 1e-17, r_min -5.0 "
+         "and r_max 5.0: lambda must be positive, with 1 + lambda above 1"),
+        ("theorem-verify", THEOREM_ROW_VALUES[1],
+         "theorem exp_epsilon 1.0, v_star (4.0, 4.0, 0.0), eta_scale 1.7976931348623157e+308, "
+         + EXP_ROW + "the norm of eta overflows"),
+        ("theorem-verify", THEOREM_ROW_VALUES[2],
+         "theorem exp_epsilon 1.0, v_star (4.0, 4.0, 0.0), eta_scale 4e+307, " + EXP_ROW
+         + "the norm of eta overflows"),
     ],
     ids=["sigma", "epsilon", "exp-epsilon", "eta-norm", "eta-scale", "scale-0-x-inf",
          "scale-inf-x-0", "v-star", "exp-epsilon-in-the-offset", "zero-size-detection",
-         "r-range", "ablate-lambda", "subnormal-image-width"],
+         "r-range", "ablate-lambda", "subnormal-image-width", "ablate-init-original",
+         "theorem-lam-lost-beside-1", "theorem-eta-scale-overflows-detection",
+         "theorem-eta-scale-overflows-detection-norm"],
 )
 def test_cli_overflowing_value_exits_2_naming_its_key_before_the_run(
     tmp_path, capsys, scenario, doc, named
 ):
     # These failed in the bound's constants (a Python float ** 2, the
-    # exponential sampling conditions), in DecodeConfig's check of the lambda
+    # exponential sampling conditions), in DecodeConfig's check of an ablate
     # sweep's decode config, or in a generated scene's windows, and named no
-    # key, or decode lam. They are rejected, naming their keys, before any
-    # trial is drawn or any scene decoded.
+    # key, or decode lam, or were rejected by the theorem section in every
+    # scenario. They are rejected, naming their keys, before any trial is
+    # drawn or any scene decoded.
     cfg = _config_file(tmp_path, {"corpus": {**CLI_CORPUS, "count": 2}, **doc})
     out = tmp_path / "out"
     refuse = mock.Mock(side_effect=AssertionError("ran"))
@@ -1288,6 +1311,23 @@ def test_cli_overflowing_value_exits_2_naming_its_key_before_the_run(
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert named in err
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "scenario,doc",
+    [("decode", doc) for doc in [*THEOREM_ROW_VALUES, ABLATE_ORIGINAL_OVERFLOWS]]
+    + [("theorem-verify", {"theorem": {"lam": 1e-17, "samplers": ["normal"], "n_values": [2],
+                                       "trials": 100}})],
+    ids=["decode-theorem-lam-lost-beside-1", "decode-theorem-eta-scale-overflows-detection",
+         "decode-theorem-eta-scale-overflows-detection-norm", "decode-ablate-init-original",
+         "theorem-lam-beside-normal-rows-only"],
+)
+def test_cli_values_of_rows_the_run_never_builds_run_cleanly(tmp_path, capsys, scenario, doc):
+    # Each value above fails only in a row that this run does not build: no
+    # normal theorem row reads lam, and decode builds no theorem or ablate row.
+    cfg = _config_file(tmp_path, doc)
+    assert main([scenario, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_theorem_scores_are_capped_by_trials_times_pairs():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from halc.decoding import DecodeConfig
 from halc.distributions import argmax_logit
 from halc.errors import InvalidInputError, InvalidParameterError
-from halc.geometry import Fov, ImageSpec, fov_distance
+from halc.geometry import Fov, ImageSpec
 from halc.harness import decode_corpus
 from halc.schema import read, write
 from halc.world import (
@@ -101,7 +101,9 @@ def test_peaking_value_decreases_with_distance(demo):
             near.center_x + rng.uniform(10, 100),
             near.center_y + rng.uniform(10, 100),
         )
-        assert fov_distance(near, v_star) < fov_distance(far, v_star)
+        assert math.dist(near.as_tuple(), v_star.as_tuple()) < math.dist(
+            far.as_tuple(), v_star.as_tuple()
+        )
         assert profile_value(clock.profile, near, demo.image) > profile_value(
             clock.profile, far, demo.image
         )
