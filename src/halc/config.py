@@ -12,7 +12,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from itertools import product
-from typing import Iterator, Literal, Optional, Union
+from typing import Iterator, Literal, Optional, Sequence, Union
 
 import numpy as np
 
@@ -45,6 +45,11 @@ MAX_THEOREM_AMP = math.log(sys.float_info.max)
 # holds one grid at a time, about 160 bytes a window (16 MB here); the
 # default has 384.
 MAX_GRID_WINDOWS = 100_000
+# The theorem keys that make a row: one entry of each normal list, or the
+# exponential row's epsilon and the keys of its windows.
+THEOREM_WINDOW_KEYS = ("v_star", "eta_scale", "lam", "r_min", "r_max")
+THEOREM_ROW_KEYS = {"normal": ("epsilons", "etas", "sigmas"),
+                    "exponential": ("exp_epsilon", *THEOREM_WINDOW_KEYS)}
 
 
 @dataclass(frozen=True)
@@ -218,10 +223,8 @@ class TheoremSection:
                 sides = np.add(self.v_star[:2], self._detection()[:2])
                 if np.isnan(np.multiply.outer(scales, sides)).any():
                     raise InvalidParameterError(
-                        f"theorem v_star {self.v_star!r}, eta_scale {self.eta_scale!r}, "
-                        f"lam {self.lam!r}, r_min {self.r_min!r} and r_max {self.r_max!r}: "
-                        "a window scale (1 + lam)**r of 0 or inf times a detected side of "
-                        "inf or 0 is NaN"
+                        f"{self.named(THEOREM_WINDOW_KEYS)}: a window scale (1 + lam)**r of 0 "
+                        "or inf times a detected side of inf or 0 is NaN"
                     )
         if next(self.rows(), None) is None:
             raise InvalidParameterError("theorem grid has no rows")
@@ -235,12 +238,18 @@ class TheoremSection:
         detection = self._detection()
         for sampler in self.samplers:
             if sampler == "normal":
-                combos = product(self.epsilons, self.etas, self.sigmas)
+                combos = product(*(getattr(self, key) for key in THEOREM_ROW_KEYS["normal"]))
             else:
                 combos = [(float(self.exp_epsilon), detection, 1.0)]
             for eps, eta, sigma in combos:
                 for n in self.n_values:
                     yield sampler, eps, eta, sigma, n
+
+    def named(self, keys: Sequence[str], values: Optional[Sequence] = None) -> str:
+        """'theorem k1 v1, ... and kn vn': the keys with `values`, else the section's."""
+        values = values or [getattr(self, key) for key in keys]
+        *head, last = [f"{key} {value!r}" for key, value in zip(keys, values)]
+        return f"theorem {', '.join(head)} and {last}"
 
     def _detection(self) -> tuple[float, float, float]:
         """The exponential rows' eta: eta_scale times v_star's size."""

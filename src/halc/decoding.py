@@ -335,15 +335,15 @@ def _sample_fovs(
 ) -> tuple[Fov, ...]:
     image = scene.image
     mode = config.sampling_mode
-    if v_d is None or mode == "random":
-        return sample_fovs_random(image, config.n, rng)
-    if mode == "normal":
-        return sample_fovs_normal(v_d, config.sigma, config.n, rng, image)
-    base = v_d  # "exponential": grown from the detection
+    base = v_d  # "exponential" and "normal": the detection, None on a miss
     if mode == "center":
         base = Fov(image.width / 2.0, image.height / 2.0, image.width / 2.0, image.height / 2.0)
     elif mode == "original":
         base = image.full_fov()
+    if base is None or mode == "random":
+        return sample_fovs_random(image, config.n, rng)
+    if mode == "normal":
+        return sample_fovs_normal(base, config.sigma, config.n, rng, image)
     return sample_fovs_exponential(base, config.lam, config.n, image, config.exponents.start)
 
 

@@ -22,7 +22,8 @@ import numpy as np
 
 from . import __version__
 from .config import (
-    DEFAULT_GRID_SCALES, AblateSection, CompareSection, CostModel, ScorerSpec, TheoremSection,
+    DEFAULT_GRID_SCALES, THEOREM_ROW_KEYS, AblateSection, CompareSection, CostModel, ScorerSpec,
+    TheoremSection,
 )
 from .decoding import (
     DecodeConfig,
@@ -46,6 +47,7 @@ from .metrics import (
 from .schema import parse
 from .world import (
     CORPUS_DETECTOR_ETA,
+    ContextShift,
     CorpusSpec,
     DetectorSim,
     Scene,
@@ -54,6 +56,7 @@ from .world import (
     load_corpus,
     noisy_match_score,
     oracle_match_score,
+    profile_value,
     random_match_score,
     tag_token,
     toy_model_logits,
@@ -359,7 +362,19 @@ def run_oracle_study(
     eliminated = {cat: 0 for cat in CATEGORIES}
     # The grid depends on the image only; a generated corpus shares one, so
     # it is built again only when a scene's image differs from the last
-    # scene's. One grid is held at a time.
+    # scene's. One grid is held at a time. Before any scene decodes, each
+    # image's windows of each scale are measured as the model measures them,
+    # so a scale whose windows have no size or no area fraction names its keys.
+    for image in dict.fromkeys(scene.image for scene in scenes):
+        for scale in scales:
+            try:
+                fov = _clamped(scale * image.width, scale * image.height, 0.0, 0.0, image)
+                profile_value(ContextShift(slope=0.0, base=0.0), fov, image)
+            except InvalidParameterError as exc:
+                raise InvalidParameterError(
+                    f"oracle_study grid_scales {scale!r}, corpus image_width {image.width!r} "
+                    f"and image_height {image.height!r}: {exc}"
+                ) from None
     image = grid = None
     for scene in scenes:
         result = decode_greedy(None, scene, config)
@@ -430,13 +445,9 @@ def run_theorem_verify(
                 sampler=s, eta=eta, epsilon=eps, sigma=sigma, n=n, seed=seed + n, **shared
             ))
         except InvalidParameterError as exc:  # its constant C: name the row's keys
-            if s == "normal":
-                named = {"epsilons": eps, "etas": eta, "sigmas": sigma}
-            else:
-                keys = ("exp_epsilon", "v_star", "eta_scale", "lam", "r_min", "r_max")
-                named = {key: getattr(section, key) for key in keys}
-            *head, last = [f"{key} {value!r}" for key, value in named.items()]
-            raise InvalidParameterError(f"theorem {', '.join(head)} and {last}: {exc}") from None
+            values = (eps, eta, sigma) if s == "normal" else None
+            named = section.named(THEOREM_ROW_KEYS[s], values)
+            raise InvalidParameterError(f"{named}: {exc}") from None
     keys = [(section.samplers.index(cfg.sampler), cfg.n) for cfg in grid]
     rows: list = [None] * len(grid)
     for key in sorted(set(keys)):

@@ -19,13 +19,14 @@ deviation by delta, the bump's minimum deviation is its deviation at each
 trial's nearest window, the only window at which it is evaluated. A sweep
 draws the trial set of each (sampler, n) once, in chunks of trials
 (`draw_trials`), scores each chunk once per (eta, sigma)
-(`min_deviation_mc`: each trial's minimum deviation and distance to the
-optimum) and reports each epsilon on the whole set (`bound_report`).
+(`min_deviation_mc`) and reports each epsilon on the whole set
+(`bound_report`). The public Monte-Carlo checks draw their windows as the
+sweep does (`_draw_chunk`) and find each trial's nearest window with its
+step (`_nearest`).
 
-numpy reduces a short axis row by row, so the Monte-Carlo arrays are never
-reduced over their 3-wide FOV axis or their n-wide window axis. They are
-combined column by column instead, in the order the axis reduction would
-use, which gives the same bits in a few whole-array passes.
+numpy reduces a short axis row by row, so the Monte-Carlo arrays are
+combined column by column, in the order the axis reduction would use,
+which gives the same bits in a few whole-array passes.
 """
 
 from __future__ import annotations
@@ -287,32 +288,19 @@ def _divergence_batch(d_star: np.ndarray, d_points: np.ndarray, divergence: str)
 # ---------------------------------------------------------------------------
 
 
-def _uniform_ball(
-    center: np.ndarray,
-    radius: float,
-    count: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    directions = rng.normal(size=(count, FOV_DIM))
-    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    radii = radius * rng.uniform(size=(count, 1)) ** (1.0 / FOV_DIM)
-    return center + directions * radii
-
-
 def estimate_delta(
-    subject: GaussianBumpModel,
-    v_star: Sequence[float],
-    epsilon: float,
-    probes: int,
-    rng: np.random.Generator,
-    divergence: str = "tv",
+    subject: GaussianBumpModel, v_star: Sequence[float], epsilon: float, probes: int,
+    rng: np.random.Generator, divergence: str = "tv",
 ) -> float:
     """Empirical robustness level: max deviation over uniform probes of the
-    epsilon-ball around the optimum."""
+    epsilon-ball around the optimum (uniform directions at radii whose
+    cubes are uniform)."""
     if probes < 10:
         raise InvalidParameterError("need at least 10 ball probes")
     center = np.asarray(v_star, dtype=float)
-    points = _uniform_ball(center, epsilon, probes, rng)
+    directions = rng.normal(size=(probes, FOV_DIM))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    points = center + directions * (epsilon * rng.uniform(size=(probes, 1)) ** (1.0 / FOV_DIM))
     d_star = subject.dists(center[None, :])[0]
     devs = _divergence_batch(d_star, subject.dists(points), divergence)
     return float(devs.max())
@@ -324,17 +312,13 @@ def estimate_delta(
 
 
 def c_g_estimate(
-    epsilon: float,
-    eta: Sequence[float],
-    sigma: float,
-    mc_trials: int,
-    rng: np.random.Generator,
+    epsilon: float, eta: Sequence[float], sigma: float, mc_trials: int, rng: np.random.Generator
 ) -> McEstimate:
     """Monte-Carlo mass of the epsilon-ball under N(eta, sigma^2 I_3)."""
     if mc_trials < 10_000:
         raise InvalidParameterError("need at least 1e4 Monte-Carlo trials")
-    draws = rng.normal(loc=np.asarray(eta, dtype=float), scale=sigma, size=(mc_trials, FOV_DIM))
-    hits = np.linalg.norm(draws, axis=1) <= epsilon
+    block = _draw_chunk(rng, mc_trials, 1, "normal")
+    hits = _nearest(block, "normal", sigma, eta, np.zeros(FOV_DIM))[1] <= epsilon
     value = float(hits.mean())
     stderr = math.sqrt(max(value * (1.0 - value), 1e-12) / mc_trials)
     return McEstimate(value=value, stderr=stderr, trials=mc_trials)
@@ -360,20 +344,13 @@ def c_g_analytic(epsilon: float, eta: Sequence[float], sigma: float) -> float:
 
 
 def ball_miss_probability_mc(
-    epsilon: float,
-    eta: Sequence[float],
-    sigma: float,
-    n: int,
-    trials: int,
+    epsilon: float, eta: Sequence[float], sigma: float, n: int, trials: int,
     rng: np.random.Generator,
 ) -> float:
     """Empirical probability that none of n Gaussian FOV samples lands in the
-    epsilon-ball around the optimum."""
-    draws = rng.normal(
-        loc=np.asarray(eta, dtype=float), scale=sigma, size=(trials, n, FOV_DIM)
-    )
-    hits = np.linalg.norm(draws, axis=2) <= epsilon
-    return float((~hits.any(axis=1)).mean())
+    epsilon-ball around the optimum, the origin."""
+    block = _draw_chunk(rng, trials, n, "normal")
+    return _miss_fraction(_nearest(block, "normal", sigma, eta, np.zeros(FOV_DIM))[1], epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -430,27 +407,12 @@ def c_e_closed_form(
 
 
 def exponential_miss_probability_mc(
-    epsilon: float,
-    v_star: Sequence[float],
-    v_d: Sequence[float],
-    lam: float,
-    r_min: float,
-    r_max: float,
-    n: int,
-    trials: int,
-    rng: np.random.Generator,
+    epsilon: float, v_star: Sequence[float], v_d: Sequence[float], lam: float,
+    r_min: float, r_max: float, n: int, trials: int, rng: np.random.Generator,
 ) -> float:
     """Empirical miss probability with continuous uniform exponents."""
-    ws, hs, ps = (float(x) for x in v_star)
-    wd, hd, pd = (float(x) for x in v_d)
-    r = rng.uniform(r_min, r_max, size=(trials, n))
-    scale = (1.0 + lam) ** r
-    dw = scale * wd - ws
-    dh = scale * hd - hs
-    dp = pd - ps
-    dist = np.sqrt(dw**2 + dh**2 + dp**2)
-    hits = dist <= epsilon
-    return float((~hits.any(axis=1)).mean())
+    block = _draw_chunk(rng, trials, n, "exponential", lam, r_min, r_max)
+    return _miss_fraction(_nearest(block, "exponential", None, v_d, v_star)[1], epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -467,46 +429,50 @@ TRIAL_CHUNK = 8192
 
 
 def draw_trials(config: TheoremConfig) -> Iterator[np.ndarray]:
-    """The random draw of a config's trial set, as consecutive chunks of at
-    most `TRIAL_CHUNK` trials: (rows, n, 3) standard normals for normal
-    sampling, (rows, n) window scales (1 + lam)**r for exponential
-    sampling.
+    """The random draw of a config's trial set (`_draw_chunk`), as
+    consecutive chunks of at most `TRIAL_CHUNK` trials.
 
     The chunks come from one generator, which fills them in C order, so
-    their concatenation is the (trials, ...) block that one draw of the
-    whole set gives, bit for bit. The draw depends on the sampler, seed,
-    trials and n, and for exponential sampling on lam and the r range, but
-    not on eta, sigma or epsilon: `min_deviation_mc` scores each chunk for
-    every (eta, sigma) that shares those inputs. Trials are seeded
-    independently of the delta estimation so results do not depend on
-    evaluation order. The generator keeps no chunk once it has yielded it.
+    their concatenation is the block that one draw of the whole set gives,
+    bit for bit. Eta, sigma and epsilon do not enter the draw, so
+    `min_deviation_mc` scores each chunk for every (eta, sigma) of a set.
+    Trials are seeded apart from the delta estimation, so results do not
+    depend on evaluation order. No chunk is kept once it is yielded.
     """
     sample_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(2)[1])
     for start in range(0, config.trials, TRIAL_CHUNK):
-        yield _draw_chunk(config, sample_rng, min(TRIAL_CHUNK, config.trials - start))
+        rows = min(TRIAL_CHUNK, config.trials - start)
+        yield _draw_chunk(
+            sample_rng, rows, config.n, config.sampler, config.lam, config.r_min, config.r_max
+        )
 
 
-# A huge lam overflows the scales to inf, so, as in `min_deviation_mc`,
-# floating-point warnings are off. They are turned off here, for each
-# chunk's draw, and not around the generator's yield, where they would stay
-# off in the caller while the generator waits.
+# A huge lam overflows the scales to inf. Warnings are off for each draw,
+# not around draw_trials' yield, where they would stay off in the caller.
 @np.errstate(all="ignore")
-def _draw_chunk(config: TheoremConfig, rng: np.random.Generator, rows: int) -> np.ndarray:
-    if config.sampler == "normal":
-        return rng.standard_normal((rows, config.n, FOV_DIM))
-    return (1.0 + config.lam) ** rng.uniform(config.r_min, config.r_max, size=(rows, config.n))
+def _draw_chunk(
+    rng: np.random.Generator, rows: int, n: int, sampler: str, lam=None, r_min=None, r_max=None
+) -> np.ndarray:
+    """`rows` trials of n windows: (rows, n, 3) standard normals for normal
+    sampling, (rows, n) window scales (1 + lam)**r, r uniform in
+    [r_min, r_max), for exponential sampling."""
+    if n < 1:
+        raise InvalidParameterError("need at least one sample per trial")
+    if sampler == "normal":
+        return rng.standard_normal((rows, n, FOV_DIM))
+    return (1.0 + lam) ** rng.uniform(r_min, r_max, size=(rows, n))
 
 
 def _window_coordinate(
-    block: np.ndarray, config: TheoremConfig, v_d: np.ndarray, k: int, out: np.ndarray
+    block: np.ndarray, sampler: str, sigma: float, v_d: np.ndarray, k: int, out: np.ndarray
 ) -> np.ndarray:
     """Coordinate k of every window of a trial block, written into the
     (trials, n) array `out`: v_d + sigma * z for normal sampling (the
     values normal(loc=v_d, scale=sigma) returns for the same standard
     normals z), scale * v_d for exponential sampling, whose center
     coordinate stays v_d[2]."""
-    if config.sampler == "normal":
-        np.multiply(block[..., k], config.sigma, out=out)
+    if sampler == "normal":
+        np.multiply(block[..., k], sigma, out=out)
         out += v_d[k]
     elif k < 2:
         np.multiply(block, v_d[k], out=out)
@@ -516,7 +482,7 @@ def _window_coordinate(
 
 
 def _squared_window_distance(
-    block: np.ndarray, config: TheoremConfig, v_d: np.ndarray, center: np.ndarray
+    block: np.ndarray, sampler: str, sigma: float, v_d: np.ndarray, center: np.ndarray
 ) -> np.ndarray:
     """The squared distance of every window of a trial block from `center`,
     as a (trials, n) array, without building the windows.
@@ -529,7 +495,7 @@ def _squared_window_distance(
     column = np.empty_like(dist)
     for k in range(FOV_DIM):
         target = column if k else dist
-        _window_coordinate(block, config, v_d, k, target)
+        _window_coordinate(block, sampler, sigma, v_d, k, target)
         target -= center[k]
         target *= target
         if k:
@@ -538,7 +504,7 @@ def _squared_window_distance(
 
 
 def _window_distance(
-    block: np.ndarray, config: TheoremConfig, v_d: np.ndarray, center: np.ndarray
+    block: np.ndarray, sampler: str, sigma: float, v_d: np.ndarray, center: np.ndarray
 ) -> np.ndarray:
     """The distance of every window of a trial block from `center`, taken
     with hypot, which stays finite where the squared distance overflows (a
@@ -546,10 +512,39 @@ def _window_distance(
     dist = np.zeros(block.shape[:2])
     column = np.empty_like(dist)
     for k in range(FOV_DIM):
-        _window_coordinate(block, config, v_d, k, column)
+        _window_coordinate(block, sampler, sigma, v_d, k, column)
         column -= center[k]
         np.hypot(dist, column, out=dist)
     return dist
+
+
+@np.errstate(all="ignore")
+def _nearest(
+    block: np.ndarray, sampler: str, sigma: Optional[float], v_d: Sequence, center: Sequence
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each trial's smallest squared window distance from `center`, and
+    its distance: the one hit test of every Monte-Carlo estimate here.
+
+    fmin skips NaN distances, as a per-window test (dist <= epsilon) does,
+    and sqrt is monotone, so the distance is at most epsilon exactly when
+    some window hits. A trial whose smallest square is inf (it may have
+    overflowed) is measured again with hypot. Windows at inf or NaN may be
+    drawn, so floating-point warnings are off.
+    """
+    if sampler == "normal" and sigma < 0:  # as numpy's normal(scale=sigma) rejects it
+        raise InvalidParameterError("sigma must be nonnegative")
+    v_d, center = np.asarray(v_d, dtype=float), np.asarray(center, dtype=float)
+    nearest = _row_min(_squared_window_distance(block, sampler, sigma, v_d, center))
+    min_dist = np.sqrt(nearest)
+    far = np.flatnonzero(min_dist == np.inf)
+    if far.size:
+        min_dist[far] = _row_min(_window_distance(block[far], sampler, sigma, v_d, center))
+    return nearest, min_dist
+
+
+def _miss_fraction(min_distances: np.ndarray, epsilon: float) -> float:
+    """The fraction of trials with no window in the epsilon-ball."""
+    return float((~(min_distances <= epsilon)).mean())
 
 
 @np.errstate(all="ignore")
@@ -568,17 +563,11 @@ def min_deviation_mc(
     the whole set. The scores do not depend on epsilon, so one scored trial
     set serves every epsilon of a grid point.
 
-    Each window's squared distance to the optimum is measured once, without
-    building the windows, for the hit test. The bump is evaluated at each
-    trial's nearest window (NaN distances skipped) only, and its deviation
-    there is the trial's minimum. In exact arithmetic that is the minimum
-    over the windows; computed, it lies at most 2**-51 above the smallest
-    computed window deviation. A trial whose smallest squared distance is
-    inf (it may have overflowed) has its minimum distance measured again
-    with hypot.
-
-    Windows at inf or NaN are part of a trial set, so numpy's
-    floating-point warnings are off.
+    The bump is evaluated at each trial's nearest window (`_nearest`) only,
+    and its deviation there is the trial's minimum. In exact arithmetic
+    that is the minimum over the windows; computed, it lies at most 2**-51
+    above the smallest computed window deviation. The bump and divergence
+    of inf or NaN windows warn, so floating-point warnings are off.
     """
     if block is None:
         block = np.concatenate(list(draw_trials(config)))
@@ -589,18 +578,9 @@ def min_deviation_mc(
             f"a {config.sampler} trial block of at most {config.trials} trials of {config.n} "
             f"samples cannot have shape {shape}"
         )
-    v_star, v_d, bump = np.asarray(config.v_star, dtype=float), config.v_d, config.bump
-    d_star = bump.dists(v_star[None, :])[0]
-
-    dist = _squared_window_distance(block, config, v_d, v_star)
-    # fmin skips NaN distances, as the per-window hit test (dist <= epsilon)
-    # does, so min_dist <= epsilon holds exactly when some window hits. sqrt
-    # is monotone, so it commutes with the minimum.
-    nearest = _row_min(dist)
-    min_dist = np.sqrt(nearest)
-    far = np.flatnonzero(min_dist == np.inf)
-    if far.size:
-        min_dist[far] = _row_min(_window_distance(block[far], config, v_d, v_star))
+    bump = config.bump
+    d_star = bump.dists(np.asarray(config.v_star, dtype=float)[None, :])[0]
+    nearest, min_dist = _nearest(block, config.sampler, config.sigma, config.v_d, config.v_star)
     min_devs = _divergence_batch(d_star, bump.dists_at(nearest), config.divergence)
     return min_devs, min_dist
 
@@ -623,7 +603,7 @@ def bound_report(
         config.bump, config.v_star, config.epsilon, DELTA_PROBES, delta_rng, config.divergence
     )
 
-    empirical_miss = float((~(min_distances <= config.epsilon)).mean())
+    empirical_miss = _miss_fraction(min_distances, config.epsilon)
     analytic_miss = (1.0 - config.analytic_c) ** config.n
     bound = delta + analytic_miss
     violations = float((min_deviations > bound + 1e-12).mean())

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import json
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -168,6 +169,26 @@ def test_halc_step_detector_miss_uses_random_windows(demo):
     result = halc_step(None, detector, demo, beam, "man", cfg, np.random.default_rng(3))
     assert not result.detector_hit
     assert len(result.fovs) == cfg.n
+
+
+@pytest.mark.parametrize("mode", ["center", "original"])
+def test_modes_that_never_read_the_detection_sample_their_windows_on_a_miss(monkeypatch, mode):
+    # On ablate's default corpus the corpus detector finds nothing on about
+    # 40% of triggered steps; the centre and full-image modes still grow
+    # their own base window there, and never draw random windows.
+    spy = mock.Mock(wraps=decoding.sample_fovs_random)
+    monkeypatch.setattr(decoding, "sample_fovs_random", spy)
+    grown = mock.Mock(wraps=decoding.sample_fovs_exponential)
+    monkeypatch.setattr(decoding, "sample_fovs_exponential", grown)
+    triggered = misses = 0
+    cfg = DecodeConfig(seed=21, sampling_mode=mode)
+    for scene in generate_corpus(21, 30, CorpusSpec(scene_count=30)):
+        steps = decode_halc(None, CORPUS_DET, oracle_match_score, None, scene, cfg).trace.steps
+        triggered += sum(step.triggered for step in steps)
+        misses += sum(step.triggered and not step.detector_hit for step in steps)
+    assert misses > 0
+    assert spy.call_count == 0
+    assert grown.call_count == triggered
 
 
 def test_halc_step_propagates_model_failure(demo):

@@ -721,26 +721,32 @@ def test_cli_corpus_image_area_out_of_range_exits_2_naming_the_keys(
     assert not out.exists()
 
 
+ORACLE_IMAGE = "corpus image_width 1000.0 and image_height 1000.0: "
+
+
 @pytest.mark.parametrize(
-    "scenario,extra",
+    "scenario,extra,named",
     [
-        ("decode", {"corpus": {"count": 4}, "decode": {"exponent_offset": -820}}),
-        ("compare", {"corpus": {"count": 4}, "decode": {"exponent_offset": -830}}),
-        ("compare", {"corpus": {"count": 4, "image_width": 1e-160, "image_height": 1e-162}}),
+        ("decode", {"corpus": {"count": 4}, "decode": {"exponent_offset": -820}}, ""),
+        ("compare", {"corpus": {"count": 4}, "decode": {"exponent_offset": -830}}, ""),
+        ("compare", {"corpus": {"count": 4, "image_width": 1e-160, "image_height": 1e-162}}, ""),
         (
             "decode",
             {
                 "corpus": {"count": 4, "image_width": 1e154, "image_height": 1e154},
                 "decode": {"exponent_offset": -1400},
             },
+            "",
         ),
         (
             "oracle-study",
             {"corpus": {"count": 2, "trap_fraction": 1.0}, "oracle_study": {"grid_scales": [1e-200]}},
+            "oracle_study grid_scales 1e-200, " + ORACLE_IMAGE,
         ),
         (
             "oracle-study",
             {"corpus": {"count": 2, "trap_fraction": 1.0}, "oracle_study": {"grid_scales": [5e-324]}},
+            "oracle_study grid_scales 5e-324, " + ORACLE_IMAGE,
         ),
     ],
     ids=[
@@ -752,16 +758,20 @@ def test_cli_corpus_image_area_out_of_range_exits_2_naming_the_keys(
         "oracle-subnormal-scale",
     ],
 )
-def test_cli_window_area_ratio_underflow_exits_2_with_one_line(tmp_path, capsys, scenario, extra):
+def test_cli_window_area_ratio_underflow_exits_2_with_one_line(
+    tmp_path, capsys, scenario, extra, named
+):
     # A ContextShift profile takes the log of a window's area over the image
     # area; where that ratio underflows to 0, even for a window of positive
-    # area, the run stops with one line instead of a traceback.
+    # area, the run stops with one line instead of a traceback. The oracle
+    # study measures its grid windows before any scene decodes, and names
+    # the scale and the image.
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"seed": 1, **extra}))
     out = tmp_path / "out"
     assert main([scenario, "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: window area ")
+    assert err.startswith(f"config error: {named}window area ")
     assert err.endswith(" underflows to 0\n")
     assert err.count("\n") == 1
     assert not (out / "manifest.json").exists()
@@ -1285,27 +1295,38 @@ def test_cli_noncentrality_beyond_the_ball_mass_prints_one_line(tmp_path):
         ("theorem-verify", THEOREM_ROW_VALUES[2],
          "theorem exp_epsilon 1.0, v_star (4.0, 4.0, 0.0), eta_scale 4e+307, " + EXP_ROW
          + "the norm of eta overflows"),
+        ("oracle-study", {"seed": 1, "corpus": {"count": 2, "trap_fraction": 1.0},
+                          "oracle_study": {"grid_scales": [1e-320], "grid_positions": 1}},
+         "oracle_study grid_scales 1e-320, corpus image_width 1000.0 and image_height 1000.0: "
+         "window area 0.0 over image area 1000000.0 underflows to 0"),
+        ("oracle-study", {"seed": 1, "corpus": {"count": 2, "trap_fraction": 1.0,
+                                                "image_height": 1e-300},
+                          "oracle_study": {"grid_scales": [1e-30], "grid_positions": 1}},
+         "oracle_study grid_scales 1e-30, corpus image_width 1000.0 and image_height 1e-300: "
+         "fov dimensions must be positive"),
     ],
     ids=["sigma", "epsilon", "exp-epsilon", "eta-norm", "eta-scale", "scale-0-x-inf",
          "scale-inf-x-0", "v-star", "exp-epsilon-in-the-offset", "zero-size-detection",
          "r-range", "ablate-lambda", "subnormal-image-width", "ablate-init-original",
          "theorem-lam-lost-beside-1", "theorem-eta-scale-overflows-detection",
-         "theorem-eta-scale-overflows-detection-norm"],
+         "theorem-eta-scale-overflows-detection-norm", "oracle-grid-area-underflows",
+         "oracle-grid-window-has-no-height"],
 )
 def test_cli_overflowing_value_exits_2_naming_its_key_before_the_run(
     tmp_path, capsys, scenario, doc, named
 ):
     # These failed in the bound's constants (a Python float ** 2, the
     # exponential sampling conditions), in DecodeConfig's check of an ablate
-    # sweep's decode config, or in a generated scene's windows, and named no
-    # key, or decode lam, or were rejected by the theorem section in every
-    # scenario. They are rejected, naming their keys, before any trial is
-    # drawn or any scene decoded.
+    # sweep's decode config, in a generated scene's windows or in the oracle
+    # study's grid windows, and named no key, or decode lam, or were
+    # rejected by the theorem section in every scenario. They are rejected,
+    # naming their keys, before any trial is drawn or any scene decoded.
     cfg = _config_file(tmp_path, {"corpus": {**CLI_CORPUS, "count": 2}, **doc})
     out = tmp_path / "out"
     refuse = mock.Mock(side_effect=AssertionError("ran"))
     with mock.patch.object(theory, "draw_trials", refuse), \
-            mock.patch.object(harness, "decode_corpus", refuse):
+            mock.patch.object(harness, "decode_corpus", refuse), \
+            mock.patch.object(harness, "decode_greedy", refuse):
         assert main([scenario, "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1

@@ -1,8 +1,11 @@
 """Smoke tests of the command-line scripts, run in-process at small sizes."""
 
+import json
 import runpy
 import sys
 from pathlib import Path
+
+import pytest
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -35,3 +38,16 @@ def test_run_demo_shows_the_corrected_caption(monkeypatch, capsys):
     assert halc.startswith("halc   : ") and "clock" in halc and "surfboard" not in halc
     assert any(line.startswith("step ") and "-> chosen 'clock'" in line for line in steps)
     assert steps[-1].startswith("model calls ")
+
+
+def test_reproduce_results_writes_every_scenario_with_its_manifest(monkeypatch, capsys, tmp_path):
+    out = tmp_path / "results"
+    with pytest.raises(SystemExit) as exited:
+        _run(monkeypatch, capsys, "reproduce_results.py", "--scenes", "2", "--out", str(out))
+    assert exited.value.code == 0
+    scenarios = ["decode", "compare", "oracle-study", "theorem-verify", "length-curve", "ablate",
+                 "cost-model", "emit-curve"]
+    assert sorted(p.name for p in out.iterdir()) == sorted(scenarios)
+    for scenario in scenarios:
+        manifest = json.loads((out / scenario / "manifest.json").read_text())
+        assert manifest["scenario"] == scenario

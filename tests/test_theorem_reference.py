@@ -1,6 +1,7 @@
 """The theorem sweep that draws each Monte-Carlo trial set once, in
-chunks, and scores each chunk once per (eta, sigma), and the column-wise
-reductions, each checked against the code it replaced.
+chunks, and scores each chunk once per (eta, sigma), the public
+Monte-Carlo checks that share its draw and nearest-window step, and the
+column-wise reductions, each checked against the code it replaced.
 
 The references below are the replaced code, kept here verbatim apart from
 names; the sampler, which they read from the config, as the code does; a
@@ -15,14 +16,18 @@ optimum now takes each trial's nearest window in place of that minimum,
 which `nearest_window_deviations` defines); the loop of
 `run_theorem_verify` that called it once per grid row; the bump model that
 summed its 3-wide axis with `sum` and built its rows with `np.stack`; the
-total variation that summed its last axis with `sum`; and the
+total variation that summed its last axis with `sum`; the
 `min_deviation_mc` that drew its own trial set and built every window to
-measure its distance twice, once in the model and once for the hit test.
-They share `estimate_delta`, `c_g_analytic`, `c_e_closed_form`,
+measure its distance twice, once in the model and once for the hit test;
+and the public Monte-Carlo checks `c_g_estimate`,
+`ball_miss_probability_mc` and `exponential_miss_probability_mc`, each with
+its own draw and distance (`np.linalg.norm`, or a hand-written square
+root). They share `estimate_delta`, `c_g_analytic`, `c_e_closed_form`,
 `_squared_distance` and the JSD with the code they check;
 tests/test_theory.py and the tests below check those on their own.
 """
 
+import math
 import tracemalloc
 import warnings
 import weakref
@@ -35,20 +40,25 @@ from hypothesis.extra.numpy import arrays
 
 from halc import theory
 from halc.distributions import jsd, total_variation
+from halc.errors import InvalidParameterError
 from halc.harness import run_theorem_verify
 from halc.theory import (
     DELTA_PROBES,
     FOV_DIM,
     GaussianBumpModel,
+    McEstimate,
     TheoremConfig,
     _divergence_batch,
     _row_min,
     _squared_distance,
+    ball_miss_probability_mc,
     bound_report,
     c_e_closed_form,
     c_g_analytic,
+    c_g_estimate,
     draw_trials,
     estimate_delta,
+    exponential_miss_probability_mc,
     min_deviation_mc,
 )
 
@@ -781,3 +791,155 @@ def test_bump_evaluates_one_window_per_trial(divergence, n, trials):
         bound_report(config, *min_deviation_mc(config))
     # The center, the windows, then the delta estimate's center and probes.
     assert sizes == [1, trials, 1, DELTA_PROBES]
+
+
+# ---------------------------------------------------------------------------
+# The public Monte-Carlo checks: the sweep's draw and nearest-window step
+# ---------------------------------------------------------------------------
+
+
+def reference_c_g_estimate(epsilon, eta, sigma, mc_trials, rng):
+    """c_g_estimate with its own normal draw and np.linalg.norm."""
+    if mc_trials < 10_000:
+        raise InvalidParameterError("need at least 1e4 Monte-Carlo trials")
+    draws = rng.normal(loc=np.asarray(eta, dtype=float), scale=sigma, size=(mc_trials, FOV_DIM))
+    hits = np.linalg.norm(draws, axis=1) <= epsilon
+    value = float(hits.mean())
+    stderr = math.sqrt(max(value * (1.0 - value), 1e-12) / mc_trials)
+    return McEstimate(value=value, stderr=stderr, trials=mc_trials)
+
+
+def reference_ball_miss_probability_mc(epsilon, eta, sigma, n, trials, rng):
+    """ball_miss_probability_mc with its own normal draw and np.linalg.norm."""
+    draws = rng.normal(
+        loc=np.asarray(eta, dtype=float), scale=sigma, size=(trials, n, FOV_DIM)
+    )
+    hits = np.linalg.norm(draws, axis=2) <= epsilon
+    return float((~hits.any(axis=1)).mean())
+
+
+def reference_exponential_miss_probability_mc(
+    epsilon, v_star, v_d, lam, r_min, r_max, n, trials, rng
+):
+    """exponential_miss_probability_mc with its own hand-written distance."""
+    ws, hs, ps = (float(x) for x in v_star)
+    wd, hd, pd = (float(x) for x in v_d)
+    r = rng.uniform(r_min, r_max, size=(trials, n))
+    scale = (1.0 + lam) ** r
+    dw = scale * wd - ws
+    dh = scale * hd - hs
+    dp = pd - ps
+    dist = np.sqrt(dw**2 + dh**2 + dp**2)
+    hits = dist <= epsilon
+    return float((~hits.any(axis=1)).mean())
+
+
+# Coordinates, scales and ranges at which every squared window distance is
+# finite: below 1e131 a coordinate, 1e263 a square.
+MC_COORD = st.floats(-1e100, 1e100)
+MC_POINT = st.tuples(MC_COORD, MC_COORD, MC_COORD)
+MC_SIGMA = st.floats(1e-100, 1e100)
+MC_SEED = st.integers(0, 2**32 - 1)
+# An epsilon drawn freely, or the reference distance of one trial's nearest
+# window, so that a window on the ball's boundary decides a trial.
+MC_EPSILON = st.floats(0.0, 1e102) | st.integers(0, 2**16).map(lambda t: ("on", t))
+
+
+def _mc_epsilon(epsilon, reference_distances):
+    """The drawn epsilon, or the nearest window distance of trial t."""
+    if isinstance(epsilon, float):
+        return epsilon
+    nearest = np.fmin.reduce(reference_distances, axis=1)
+    return float(nearest[epsilon[1] % len(nearest)])
+
+
+def _assert_same_draws(reference, public, seed):
+    """The public check returns the reference's value and leaves the
+    generator where the reference leaves it."""
+    want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want, got = reference(want_rng), public(got_rng)
+    assert got == want
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    return got
+
+
+@settings(max_examples=200, deadline=None)
+@given(eta=MC_POINT, sigma=MC_SIGMA, n=st.integers(1, 16), trials=st.integers(1, 2000),
+       epsilon=MC_EPSILON, seed=MC_SEED)
+def test_ball_miss_probability_is_the_replaced_norm_check(eta, sigma, n, trials, epsilon, seed):
+    draws = np.random.default_rng(seed).normal(eta, sigma, size=(trials, n, FOV_DIM))
+    eps = _mc_epsilon(epsilon, np.linalg.norm(draws, axis=2))
+    _assert_same_draws(
+        lambda rng: reference_ball_miss_probability_mc(eps, eta, sigma, n, trials, rng),
+        lambda rng: ball_miss_probability_mc(eps, eta, sigma, n, trials, rng),
+        seed,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(v_star=MC_POINT, v_d=MC_POINT, lam=st.floats(1e-3, 10.0), r_min=st.floats(-30.0, 29.0),
+       width=st.floats(1e-3, 30.0), n=st.integers(1, 16), trials=st.integers(1, 2000),
+       epsilon=MC_EPSILON, seed=MC_SEED)
+def test_exponential_miss_probability_is_the_replaced_distance_check(
+    v_star, v_d, lam, r_min, width, n, trials, epsilon, seed
+):
+    r_max = min(r_min + width, 30.0)
+    scale = (1.0 + lam) ** np.random.default_rng(seed).uniform(r_min, r_max, size=(trials, n))
+    v_star, v_d = np.asarray(v_star), np.asarray(v_d)
+    reference_distances = np.sqrt(
+        (scale * v_d[0] - v_star[0]) ** 2 + (scale * v_d[1] - v_star[1]) ** 2
+        + (v_d[2] - v_star[2]) ** 2
+    )
+    eps = _mc_epsilon(epsilon, reference_distances)
+    args = (eps, tuple(v_star), tuple(v_d), lam, r_min, r_max, n, trials)
+    _assert_same_draws(
+        lambda rng: reference_exponential_miss_probability_mc(*args, rng),
+        lambda rng: exponential_miss_probability_mc(*args, rng),
+        seed,
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(eta=MC_POINT, sigma=MC_SIGMA, trials=st.integers(10_000, 20_000), epsilon=MC_EPSILON,
+       seed=MC_SEED)
+def test_c_g_estimate_is_the_replaced_norm_check(eta, sigma, trials, epsilon, seed):
+    draws = np.random.default_rng(seed).normal(eta, sigma, size=(trials, 1, FOV_DIM))
+    eps = _mc_epsilon(epsilon, np.linalg.norm(draws, axis=2))
+    _assert_same_draws(
+        lambda rng: reference_c_g_estimate(eps, eta, sigma, trials, rng),
+        lambda rng: c_g_estimate(eps, eta, sigma, trials, rng),
+        seed,
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(eta=st.sampled_from(ETAS), sigma=st.sampled_from(SIGMAS),
+       epsilon=st.sampled_from(EPSILONS), n=st.integers(1, 8),
+       trials=st.sampled_from([100, 2001, theory.TRIAL_CHUNK + 1]), seed=st.integers(0, 2**16))
+def test_ball_check_reads_the_sweeps_empirical_miss(eta, sigma, epsilon, n, trials, seed):
+    """Given the sweep's sample generator, the public ball check is the
+    empirical miss of theorem.csv's row for a normal grid point at v_star 0."""
+    config = TheoremConfig(
+        v_star=(0.0, 0.0, 0.0), eta=eta, epsilon=epsilon, sigma=sigma, n=n, trials=trials,
+        seed=seed,
+    )
+    report = bound_report(config, *min_deviation_mc(config))
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
+    assert ball_miss_probability_mc(epsilon, eta, sigma, n, trials, rng) == report.empirical_miss
+
+
+@settings(max_examples=20, deadline=None)
+@given(epsilon=st.sampled_from([0.5, 1.0, 2.0]), lam=st.sampled_from([0.6, 1.0]),
+       n=st.integers(1, 8), trials=st.sampled_from([100, theory.TRIAL_CHUNK + 1]),
+       seed=st.integers(0, 2**16))
+def test_exponential_check_reads_the_sweeps_empirical_miss(epsilon, lam, n, trials, seed):
+    config = TheoremConfig(
+        v_star=(4.0, 4.0, 0.0), eta=(2.0, 2.0, 0.1), epsilon=epsilon, sampler="exponential",
+        lam=lam, n=n, trials=trials, seed=seed,
+    )
+    report = bound_report(config, *min_deviation_mc(config))
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
+    got = exponential_miss_probability_mc(
+        epsilon, config.v_star, tuple(config.v_d), lam, config.r_min, config.r_max, n, trials, rng
+    )
+    assert got == report.empirical_miss

@@ -486,6 +486,40 @@ def test_min_distance_survives_squared_distances_that_overflow():
     assert report.empirical_miss == report.analytic_miss == 0.0
 
 
+def test_public_checks_measure_overflowing_windows_as_the_sweep_does():
+    # The same windows through the public checks: a hit, where the replaced
+    # norm overflowed to inf and counted a miss.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rng = np.random.default_rng(0)
+        assert ball_miss_probability_mc(1e300, (1e200, 0.0, 0.0), 1e-10, 2, 100, rng) == 0.0
+        v_d = (1e200, 1e200, 0.0)
+        exp_miss = exponential_miss_probability_mc(1e300, (0.0, 0.0, 0.0), v_d, 0.6, -1.0, 1.0,
+                                                   2, 100, rng)
+        assert exp_miss == 0.0
+        assert c_g_estimate(1e300, (1e200, 0.0, 0.0), 1e-10, 10_000, rng).value == 1.0
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_public_miss_checks_need_a_window_per_trial(n):
+    rng = np.random.default_rng(0)
+    with pytest.raises(InvalidParameterError, match="need at least one sample per trial"):
+        ball_miss_probability_mc(1.0, (0.0, 0.0, 0.0), 1.0, n, 100, rng)
+    with pytest.raises(InvalidParameterError, match="need at least one sample per trial"):
+        exponential_miss_probability_mc(1.0, V_STAR, V_STAR, 0.6, -5.0, 5.0, n, 100, rng)
+
+
+def test_public_normal_checks_reject_a_negative_sigma_as_numpy_did():
+    rng = np.random.default_rng(0)
+    with pytest.raises(InvalidParameterError, match="sigma must be nonnegative"):
+        ball_miss_probability_mc(1.0, (0.0, 0.0, 0.0), -1.0, 2, 100, rng)
+    with pytest.raises(InvalidParameterError, match="sigma must be nonnegative"):
+        c_g_estimate(1.0, (0.0, 0.0, 0.0), -1.0, 10_000, rng)
+    with pytest.raises(ValueError):  # the replaced draw: numpy's "scale < 0"
+        np.random.default_rng(0).normal(loc=0.0, scale=-1.0, size=3)
+    assert ball_miss_probability_mc(1.0, (0.0, 0.0, 0.0), 0.0, 2, 100, rng) == 0.0
+
+
 def test_theorem_config_validation():
     with pytest.raises(InvalidParameterError):
         TheoremConfig(v_star=V_STAR, eta=(0, 0, 0), epsilon=0.0)
