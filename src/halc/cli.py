@@ -29,6 +29,7 @@ from .harness import (
     run_length_curve,
     run_oracle_study,
     run_theorem_verify,
+    windows_named,
     write_csv,
     write_json,
     write_manifest,
@@ -98,7 +99,8 @@ def _write_outputs(scenario: str, config: Config, out: Path, echo: dict) -> None
         scorer = resolve_scorer(config.scorer, seed)
         scene = _scene_for_decode(config)
         greedy = decode_greedy(None, scene, decode)
-        corrected = decode_halc(None, detector, scorer, None, scene, decode)
+        with windows_named(decode):
+            corrected = decode_halc(None, detector, scorer, None, scene, decode)
         write_json(
             out / "decode.json",
             {

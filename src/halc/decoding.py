@@ -15,7 +15,7 @@ first window's, as in a scene without a window-dependent token, the windows
 share that row: one softmax row, JSD 0.0 for every pair and one contrast row
 for all 2m candidates. Otherwise it takes a few array operations over the
 windows: one row-wise softmax, the JSD of every window pair from one batched
-call (shared by the trace matrix and pair selection), and one contrast row
+call (shared by the trace and pair selection), and one contrast row
 per candidate under the plausibility mask of its expert window, normalized
 by one masked softmax. A candidate is its row's most probable token and that
 token's probability, which the abstention policy reads. On most steps every
@@ -29,6 +29,8 @@ scorer to be a pure function of (sequence, scene).
 from __future__ import annotations
 
 import functools
+import math
+import struct
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Literal, NamedTuple, Optional, Sequence
@@ -146,27 +148,71 @@ class BeamState(NamedTuple):
 class StepRecord:
     """One live beam's step. The policy fills in what the step did, with its
     (token, probability) candidates; the decode loop stamps the step and
-    beam numbers and, once a candidate is kept, the kept token."""
+    beam numbers and, once a candidate is kept, the kept token.
+
+    A triggered step (`StepRecord.corrected`) holds its numbers packed, as
+    callers keep the traces of whole corpora: `packed` is the bytes of one
+    run of doubles, the n windows' (w, h, cx, cy) followed by the JSDs of
+    the n(n-1)/2 window pairs in `_pair_index(n)` order. `fovs` and
+    `jsd_matrix` build the windows and the symmetric n x n matrix, with a
+    0.0 diagonal, from it on each access; a double read back keeps the bits
+    of the float stored. An untriggered step has None for both and for
+    `selected_pairs`."""
 
     triggered: bool
     detector_hit: bool
     model_call_count: int
     candidates: tuple[tuple[str, Optional[float]], ...] = ()
-    fovs: Optional[tuple[Fov, ...]] = None
-    jsd_matrix: Optional[list[list[float]]] = None
+    packed: Optional[bytes] = None
     selected_pairs: Optional[list[tuple[int, int]]] = None
     step: int = 0
     beam: int = 0
     chosen_token: Optional[str] = None
 
+    @classmethod
+    def corrected(
+        cls, detector_hit: bool, candidates: tuple, fovs: Sequence[Fov],
+        divergence: Sequence[float], selected: list[tuple[int, int]],
+    ) -> StepRecord:
+        """The record of a correction step over `fovs`, with the proposing
+        call among its model calls; divergence[k] is the JSD of pair k of
+        `_pair_index(len(fovs))`."""
+        values = [x for f in fovs for x in f.as_tuple()] + list(divergence)
+        packed = struct.pack(f"{len(values)}d", *values)
+        return cls(True, detector_hit, 1 + len(fovs), candidates, packed, selected)
+
+    def _unpacked(self) -> tuple[int, list[float]]:
+        """n and the packed values, 4n for the windows and n(n-1)/2 JSDs:
+        2 * len(values) = n**2 + 7n."""
+        values = memoryview(self.packed).cast("d").tolist()
+        return (math.isqrt(49 + 8 * len(values)) - 7) // 2, values
+
+    @property
+    def fovs(self) -> Optional[tuple[Fov, ...]]:
+        if self.packed is None:
+            return None
+        n, values = self._unpacked()
+        return tuple(Fov(*values[k : k + 4]) for k in range(0, 4 * n, 4))
+
+    @property
+    def jsd_matrix(self) -> Optional[list[list[float]]]:
+        if self.packed is None:
+            return None
+        n, values = self._unpacked()
+        matrix = [[0.0] * n for _ in range(n)]
+        for (i, j), value in zip(_pair_index(n)[0], values[4 * n :]):
+            matrix[i][j] = matrix[j][i] = value
+        return matrix
+
     def to_json(self) -> dict:
+        fovs = self.fovs
         return {
             "step": self.step,
             "beam": self.beam,
             "triggered": self.triggered,
             "detector_hit": self.detector_hit,
             "model_calls": self.model_call_count,
-            "fovs": [f.to_json() for f in self.fovs] if self.fovs else None,
+            "fovs": [f.to_json() for f in fovs] if fovs else None,
             "jsd": self.jsd_matrix,
             "pairs": [list(p) for p in self.selected_pairs] if self.selected_pairs else None,
             "candidates": [token for token, _ in self.candidates],
@@ -423,11 +469,6 @@ def halc_step(
         probs.take(first, axis=0, out=pair_first, mode="clip")
         probs.take(second, axis=0, out=pair_second, mode="clip")
         divergence = jsd(pair_first, pair_second).tolist()
-    # Both halves of the trace matrix share one float object per pair:
-    # callers keep the traces of whole corpora in memory.
-    matrix = [[0.0] * n for _ in range(n)]
-    for (i, j), value in zip(pairs, divergence):
-        matrix[i][j] = matrix[j][i] = value
     selected = top_m_pairs(pairs, divergence, config.m)
 
     if shared:
@@ -446,10 +487,10 @@ def halc_step(
     candidates = tuple(zip(map(scene.vocabulary.__getitem__, tokens.tolist()), top.tolist()))
     if shared:  # its one candidate repeats for each of the 2m
         candidates *= 2 * len(selected)
-    else:  # equal candidates share one tuple, as equal JSDs share one float
+    else:  # equal candidates share one tuple
         unique: dict = {}
         candidates = tuple([unique.setdefault(c, c) for c in candidates])
-    return StepRecord(True, v_d is not None, 1 + n, candidates, fovs, matrix, selected)
+    return StepRecord.corrected(v_d is not None, candidates, fovs, divergence, selected)
 
 
 def apply_idk_policy(
@@ -536,18 +577,19 @@ def decode_halc(
     full = scene.image.full_fov()
     vocabulary = scene.vocabulary
     policy = config.idk_policy
-    # Callers hold the traces of whole corpora: untagged steps share one
-    # candidates tuple per token.
-    untagged: dict[str, tuple] = {}
+    # Callers hold the traces of whole corpora: equal candidates tuples
+    # share one object per decode, an untagged step's keyed by its token.
+    shared: dict = {}
 
     def expand(pool: list[Candidate], beam: BeamState) -> StepRecord:
         proposed = vocabulary[argmax_logit(model(scene, full, beam.tokens))]
         if tag_token(lexicon, proposed) == "none":
-            record = StepRecord(False, False, 1, untagged.setdefault(proposed, ((proposed, None),)))
+            record = StepRecord(False, False, 1, shared.setdefault(proposed, ((proposed, None),)))
             grown = _extend(beam.tokens, proposed)
             pool.append((grown, 0.0, grown, record))
             return record
         record = halc_step(model, detector, scene, beam, proposed, config, rng)
+        record.candidates = shared.setdefault(record.candidates, record.candidates)
         hit = record.detector_hit
         # select_beams keeps the first candidate of each key, and a repeated
         # token here repeats this beam's key.

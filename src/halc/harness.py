@@ -185,6 +185,30 @@ def build_corpus(spec: CorpusSpec, seed: int) -> list[Scene]:
         ) from None
 
 
+# The decode keys that size a sampling mode's windows.
+WINDOW_KEYS = {
+    "exponential": ("lam", "exponent_offset", "n"),
+    "center": ("lam", "exponent_offset", "n"),
+    "original": ("lam", "n"),
+    "normal": ("sigma", "n"),
+    "random": ("n",),
+}
+
+
+@contextlib.contextmanager
+def windows_named(config: DecodeConfig):
+    """Re-raise the config error of a HALC decode, a window that vanishes
+    (one whose area over the image's underflows to 0), naming the decode
+    keys that size the windows and their values."""
+    try:
+        yield
+    except InvalidParameterError as exc:
+        keys = WINDOW_KEYS[config.sampling_mode]
+        *head, last = [f"{key} {getattr(config, key)!r}" for key in keys]
+        named = f"{', '.join(head)} and {last}" if head else last
+        raise InvalidParameterError(f"decode {named}: {exc}") from None
+
+
 def _decode_scene(
     scene: Scene, method: str, config: DecodeConfig, detector, scorer: Scorer
 ) -> DecodeResult:
@@ -194,7 +218,8 @@ def _decode_scene(
     if method == "beam":
         return decode_beam(None, scene, config.k, config)
     if method == "halc":
-        return decode_halc(None, detector, scorer, None, scene, config)
+        with windows_named(config):
+            return decode_halc(None, detector, scorer, None, scene, config)
     raise InvalidParameterError(f"unknown decode method {method!r}")
 
 
@@ -508,11 +533,11 @@ def run_ablations(
                 built.append((value, dataclasses.replace(config, **change(value))))
             except InvalidParameterError as exc:
                 raise InvalidParameterError(f"ablate {name} {value!r}: {exc}") from None
-        sweeps.append((table, column, built))
+        sweeps.append((table, column, name, built))
     queries = _pope_queries(scenes, seed, options.pope_mode, ABLATE_POPE_COUNT)
     scorer_seeds = options.scorer_seeds or [seed + i for i in range(5)]
     tables: dict[str, list[dict]] = {}
-    for table, column, built in sweeps:
+    for table, column, name, built in sweeps:
         tables[table] = rows = []
         for value, row_config in built:
             spec, seeds = (value, scorer_seeds) if table == "scorer" else ("oracle", [seed])
@@ -520,7 +545,10 @@ def run_ablations(
             for s in seeds:
                 cfg = dataclasses.replace(row_config, seed=s)
                 scorer = resolve_scorer(spec, seed=s)
-                captions, _ = decode_corpus(scenes, "halc", cfg, detector, scorer)
+                try:
+                    captions, _ = decode_corpus(scenes, "halc", cfg, detector, scorer)
+                except InvalidParameterError as exc:  # a window of the row's decode
+                    raise InvalidParameterError(f"ablate {name} {value!r}: {exc}") from None
                 for key, metric in evaluate_captions(scenes, captions, queries).items():
                     totals[key] = totals.get(key, 0.0) + metric
             rows.append({column: value, **{key: t / len(seeds) for key, t in totals.items()}})

@@ -14,6 +14,7 @@ and tests/test_decoding.py check those on their own.
 import json
 import zlib
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
@@ -166,17 +167,15 @@ def reference_decode_halc(model, detector, scorer, lexicon, scene, config):
                 trace.detector_calls += 1
                 result = halc_step(model, detector, scene, beam, proposed, config, rng)
                 trace.model_calls += config.n
-                record = StepRecord(
-                    step=step,
-                    beam=b,
-                    triggered=True,
+                matrix = result.jsd_matrix
+                record = StepRecord.corrected(
                     detector_hit=result.detector_hit,
-                    model_call_count=1 + config.n,
-                    fovs=result.fovs,
-                    jsd_matrix=result.jsd_matrix,
-                    selected_pairs=result.selected_pairs,
                     candidates=result.candidates,
+                    fovs=result.fovs,
+                    divergence=[matrix[i][j] for i, j in combinations(range(config.n), 2)],
+                    selected=result.selected_pairs,
                 )
+                record.step, record.beam = step, b
                 trace.steps.append(record)
                 # select_beams keeps the first candidate of each sequence, and
                 # a repeated token here repeats this beam's sequence.

@@ -456,8 +456,8 @@ def test_halc_step_called_directly_gives_the_traced_record(small_trap_corpus, mo
 def test_held_halc_traces_stay_small():
     # Corpus runs hold every trace. Equal candidates of a step share one
     # tuple, and the untagged steps of a decode one tuple per token: the
-    # 40 traces below hold about 2.8 MB, and 3.5 MB when equal candidates
-    # do not share a tuple.
+    # 40 traces below hold about 1.1 MB, and 2.8 MB when each triggered
+    # step held n Fov objects and an n x n list matrix.
     scenes = generate_corpus(7, 20, CorpusSpec(scene_count=20))
     decode_halc(None, CORPUS_DET, oracle_match_score, None, scenes[0], DecodeConfig(max_tokens=4))
     gc.collect()
@@ -475,3 +475,33 @@ def test_held_halc_traces_stay_small():
         tracemalloc.stop()
     assert sum(record.triggered for trace in traces for record in trace.steps) > 1000
     assert held <= 3.2e6
+
+
+def test_triggered_steps_hold_their_numbers_packed():
+    # A triggered step holds its windows and pair JSDs as one run of
+    # doubles, and equal candidates tuples share one object per decode: 20
+    # default scenes at HALC k=1 hold about 700 bytes of trace per
+    # triggered step, where n Fov objects and an n x n list matrix per step
+    # held about 1,750.
+    scenes = generate_corpus(1, 20, CorpusSpec(scene_count=20))
+
+    def traces():
+        return [
+            decode_halc(None, CORPUS_DET, oracle_match_score, None, scene,
+                        DecodeConfig(seed=idx)).trace
+            for idx, scene in enumerate(scenes)
+        ]
+
+    traces()  # the step's caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        held_traces = traces()
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    triggered = [record for trace in held_traces for record in trace.steps if record.triggered]
+    assert len(triggered) >= 500
+    assert held / len(triggered) <= 1000
+    assert all(len(record.fovs) == len(record.jsd_matrix) == 4 for record in triggered)

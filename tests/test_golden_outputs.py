@@ -14,10 +14,12 @@ on x86-64, the version the CI job pins.
 A scenario may have more than one case: `theorem-verify-jsd` runs
 `theorem-verify` under JSD, and `decode-idk` runs `decode` with the
 confidence abstention policy and a plausibility threshold low enough that
-most contrast masks keep several tokens. To re-record after a deliberate output change,
-run `python tests/test_golden_outputs.py OUT CASE` for every case under
-the same environment (`_pinned_digests` shows it) and say in the change
-which files moved and why.
+most contrast masks keep several tokens. `decode-normal` and
+`decode-center` write the HALC trace of that scene under the "normal" and
+"center" sampling modes, whose windows no other case records. To re-record
+after a deliberate output change, run `python tests/test_golden_outputs.py
+OUT CASE` for every case under the same environment (`_pinned_digests`
+shows it) and say in the change which files moved and why.
 """
 
 import hashlib
@@ -62,10 +64,27 @@ CONFIGS = {
         "scene_index": 2,
         "decode": {"beta": 0.001, "idk_policy": "confidence", "idk_confidence": 0.99},
     },
+    "decode-normal": {
+        "seed": 3,
+        "corpus": {"count": 4},
+        "scene_index": 2,
+        "decode": {"sampling_mode": "normal"},
+    },
+    "decode-center": {
+        "seed": 3,
+        "corpus": {"count": 4},
+        "scene_index": 2,
+        "decode": {"sampling_mode": "center"},
+    },
 }
 
 # Cases beyond the one per scenario, with the scenario each runs.
-SCENARIO_OF = {"theorem-verify-jsd": "theorem-verify", "decode-idk": "decode"}
+SCENARIO_OF = {
+    "theorem-verify-jsd": "theorem-verify",
+    "decode-idk": "decode",
+    "decode-normal": "decode",
+    "decode-center": "decode",
+}
 CASES = [*SCENARIOS, *SCENARIO_OF]
 
 GOLDEN = {
@@ -96,6 +115,18 @@ GOLDEN = {
         "manifest.json": "137e21ff0f72979c13cffbcc33bcb475a6fc9755e208656cc774abefb56924d5",
         "trace_greedy.json": "5ae44ad962bc008760ba266144624b619d346dec7273d18c706763ec03b1e599",
         "trace_halc.json": "328e9aec1742e5e4af1082ee23d3dd2968ee9190b88fd4a5f2056871ed7519d0",
+    },
+    "decode-normal": {
+        "decode.json": "f99bc4521b6ae75e177327720c7ecfb84451ab3611a05bdd809ac98d1ffc9e06",
+        "manifest.json": "1169e722919444a47719d696623caf0e3374c2e61d7fa41005b53883625322f0",
+        "trace_greedy.json": "5ae44ad962bc008760ba266144624b619d346dec7273d18c706763ec03b1e599",
+        "trace_halc.json": "512236c79b8251addb54e0137d748c1fd937f5d886005cc10aefafc0a793a5bc",
+    },
+    "decode-center": {
+        "decode.json": "f99bc4521b6ae75e177327720c7ecfb84451ab3611a05bdd809ac98d1ffc9e06",
+        "manifest.json": "ced1c25f7e062f4680d18623e975b697a758a78238218d3039252be684e0e451",
+        "trace_greedy.json": "5ae44ad962bc008760ba266144624b619d346dec7273d18c706763ec03b1e599",
+        "trace_halc.json": "0886925aefa77d615033d49a41a8f833248b31fd42fdee6d9dfa6fc76b805975",
     },
     "emit-curve": {
         "manifest.json": "cc0174d8255f9006c0e4b19e6eefe36ec190bd71bd50d11e4daf964fcae20e6a",

@@ -722,21 +722,69 @@ def test_cli_corpus_image_area_out_of_range_exits_2_naming_the_keys(
 
 
 ORACLE_IMAGE = "corpus image_width 1000.0 and image_height 1000.0: "
+# HALC windows shrunk by (1 + 1e300)**-1 around each detection: their area
+# underflows once a scene decodes.
+SHRUNK_WINDOWS = {
+    "corpus": {"count": 3, "trap_fraction": 1.0},
+    "decode": {"lam": 1e300, "n": 2, "m": 1, "max_tokens": 40},
+}
+SHRUNK_KEYS = "decode lam 1e+300, exponent_offset -1 and n 2: "
 
 
 @pytest.mark.parametrize(
     "scenario,extra,named",
     [
-        ("decode", {"corpus": {"count": 4}, "decode": {"exponent_offset": -820}}, ""),
-        ("compare", {"corpus": {"count": 4}, "decode": {"exponent_offset": -830}}, ""),
-        ("compare", {"corpus": {"count": 4, "image_width": 1e-160, "image_height": 1e-162}}, ""),
+        (
+            "decode",
+            {"corpus": {"count": 4}, "decode": {"exponent_offset": -820}},
+            "decode lam 0.6, exponent_offset -820 and n 4: ",
+        ),
+        (
+            "compare",
+            {"corpus": {"count": 4}, "decode": {"exponent_offset": -830}},
+            "decode lam 0.6, exponent_offset -830 and n 4: ",
+        ),
+        (
+            "compare",
+            {"corpus": {"count": 4, "image_width": 1e-160, "image_height": 1e-162}},
+            "decode lam 0.6, exponent_offset -1 and n 4: ",
+        ),
         (
             "decode",
             {
                 "corpus": {"count": 4, "image_width": 1e154, "image_height": 1e154},
                 "decode": {"exponent_offset": -1400},
             },
-            "",
+            "decode lam 0.6, exponent_offset -1400 and n 4: ",
+        ),
+        ("decode", SHRUNK_WINDOWS, SHRUNK_KEYS),
+        ("compare", SHRUNK_WINDOWS, SHRUNK_KEYS),
+        ("ablate", SHRUNK_WINDOWS, "ablate inits 'center': " + SHRUNK_KEYS),
+        ("length-curve", SHRUNK_WINDOWS, SHRUNK_KEYS),
+        # The keys named are those that size the sampling mode's windows.
+        (
+            "compare",
+            {
+                "corpus": {"count": 4, "image_width": 1e-160, "image_height": 1e-162},
+                "decode": {"sampling_mode": "normal"},
+            },
+            "decode sigma 40.0 and n 4: ",
+        ),
+        (
+            "compare",
+            {
+                "corpus": {"count": 4, "image_width": 1e-160, "image_height": 1e-162},
+                "decode": {"sampling_mode": "random"},
+            },
+            "decode n 4: ",
+        ),
+        (
+            "compare",
+            {
+                "corpus": {"count": 4},
+                "decode": {"sampling_mode": "original", "lam": 1e300, "n": 2, "m": 1},
+            },
+            "decode lam 1e+300 and n 2: ",
         ),
         (
             "oracle-study",
@@ -754,6 +802,13 @@ ORACLE_IMAGE = "corpus image_width 1000.0 and image_height 1000.0: "
         "compare-offset",
         "compare-tiny-image",
         "decode-huge-image-positive-window",
+        "decode-shrunk-windows",
+        "compare-shrunk-windows",
+        "ablate-shrunk-windows",
+        "length-curve-shrunk-windows",
+        "compare-normal-tiny-image",
+        "compare-random-tiny-image",
+        "compare-original-shrunk-windows",
         "oracle-tiny-scale",
         "oracle-subnormal-scale",
     ],
@@ -763,9 +818,10 @@ def test_cli_window_area_ratio_underflow_exits_2_with_one_line(
 ):
     # A ContextShift profile takes the log of a window's area over the image
     # area; where that ratio underflows to 0, even for a window of positive
-    # area, the run stops with one line instead of a traceback. The oracle
-    # study measures its grid windows before any scene decodes, and names
-    # the scale and the image.
+    # area, the run stops with one line instead of a traceback. A HALC
+    # decode names the decode keys that size its windows, and an ablate row
+    # its entry. The oracle study measures its grid windows before any
+    # scene decodes, and names the scale and the image.
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"seed": 1, **extra}))
     out = tmp_path / "out"

@@ -414,9 +414,6 @@ def per_window_halc_step(model, detector, scene, beam, proposed, config, rng):
     pairs = list(combinations(range(n), 2))
     first, second = np.array(pairs).T
     divergence = jsd(probs[first], probs[second]).tolist()
-    matrix = [[0.0] * n for _ in range(n)]
-    for (i, j), value in zip(pairs, divergence):
-        matrix[i][j] = matrix[j][i] = value
     ranked = sorted(range(len(pairs)), key=lambda k: -divergence[k])
     selected = [pairs[k] for k in ranked[: config.m]]
 
@@ -427,14 +424,12 @@ def per_window_halc_step(model, detector, scene, beam, proposed, config, rng):
         experts += (larger, smaller)
         amateurs += (smaller, larger)
     tokens, top = contrast_rows(logits, probs, experts, amateurs, config.alpha, config.beta)
-    return StepRecord(
-        triggered=True,
+    return StepRecord.corrected(
         detector_hit=v_d is not None,
-        model_call_count=1 + config.n,
         candidates=tuple(zip(map(scene.vocabulary.__getitem__, tokens.tolist()), top.tolist())),
         fovs=fovs,
-        jsd_matrix=matrix,
-        selected_pairs=selected,
+        divergence=divergence,
+        selected=selected,
     )
 
 
