@@ -17,9 +17,10 @@ from pathlib import Path
 
 from .config import Config, load_config
 from .decoding import decode_greedy, decode_halc
-from .errors import InvalidInputError, InvalidParameterError
+from .errors import InvalidInputError, InvalidParameterError, naming
 from .harness import (
     ABLATE_POPE_COUNT,
+    WINDOW_KEYS,
     build_corpus,
     cost_estimate,
     emit_profile_curve,
@@ -29,7 +30,6 @@ from .harness import (
     run_length_curve,
     run_oracle_study,
     run_theorem_verify,
-    windows_named,
     write_csv,
     write_json,
     write_manifest,
@@ -99,7 +99,8 @@ def _write_outputs(scenario: str, config: Config, out: Path, echo: dict) -> None
         scorer = resolve_scorer(config.scorer, seed)
         scene = _scene_for_decode(config)
         greedy = decode_greedy(None, scene, decode)
-        with windows_named(decode):
+        keys = WINDOW_KEYS[decode.sampling_mode]
+        with naming(("decode", key, getattr(decode, key)) for key in keys):
             corrected = decode_halc(None, detector, scorer, None, scene, decode)
         write_json(
             out / "decode.json",

@@ -12,12 +12,12 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from itertools import product
-from typing import Iterator, Literal, Optional, Sequence, Union
+from typing import Iterator, Literal, Optional, Union
 
 import numpy as np
 
 from .decoding import DecodeConfig
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, named
 from .metrics import POPE_MODES
 from .schema import check_types, parse
 from .world import CorpusSpec
@@ -63,7 +63,7 @@ class CostModel:
     trigger_rate: float = 0.35
 
     def __post_init__(self) -> None:
-        require = check_types(self, "cost model")
+        require = check_types(self, "cost_model")
         for name in ("tokens", "t_detector", "n"):
             require(name, getattr(self, name) >= 0, "must be nonnegative")
         require("t_lvlm", self.t_lvlm > 0, "must be positive")
@@ -222,8 +222,9 @@ class TheoremSection:
                 scales = (1.0 + self.lam) ** np.array([self.r_min, self.r_max])
                 sides = np.add(self.v_star[:2], self._detection()[:2])
                 if np.isnan(np.multiply.outer(scales, sides)).any():
+                    keys = (("theorem", key, getattr(self, key)) for key in THEOREM_WINDOW_KEYS)
                     raise InvalidParameterError(
-                        f"{self.named(THEOREM_WINDOW_KEYS)}: a window scale (1 + lam)**r of 0 "
+                        f"{named(keys)}: a window scale (1 + lam)**r of 0 "
                         "or inf times a detected side of inf or 0 is NaN"
                     )
         if next(self.rows(), None) is None:
@@ -244,12 +245,6 @@ class TheoremSection:
             for eps, eta, sigma in combos:
                 for n in self.n_values:
                     yield sampler, eps, eta, sigma, n
-
-    def named(self, keys: Sequence[str], values: Optional[Sequence] = None) -> str:
-        """'theorem k1 v1, ... and kn vn': the keys with `values`, else the section's."""
-        values = values or [getattr(self, key) for key in keys]
-        *head, last = [f"{key} {value!r}" for key, value in zip(keys, values)]
-        return f"theorem {', '.join(head)} and {last}"
 
     def _detection(self) -> tuple[float, float, float]:
         """The exponential rows' eta: eta_scale times v_star's size."""

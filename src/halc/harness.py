@@ -34,7 +34,7 @@ from .decoding import (
     decode_halc,
 )
 from .distributions import argmax_logit, softmax
-from .errors import InvalidInputError, InvalidParameterError
+from .errors import InvalidInputError, InvalidParameterError, naming
 from .geometry import Fov, _clamped, clamp_to_image, expand_fov
 from .metrics import (
     CaptionRecord,
@@ -176,16 +176,14 @@ def build_corpus(spec: CorpusSpec, seed: int) -> list[Scene]:
     generated from the seed."""
     if spec.path is not None:
         return load_corpus(spec.path)
-    try:
+    # A scene window that the image leaves no size names the image keys.
+    sides = [("corpus", key, getattr(spec, key)) for key in ("image_width", "image_height")]
+    with naming(sides, " are too small for a scene's windows"):
         return generate_corpus(seed, spec.scene_count, spec)
-    except InvalidParameterError as exc:  # a scene window that the image leaves no size
-        raise InvalidParameterError(
-            f"corpus image_width {spec.image_width!r} and image_height {spec.image_height!r} "
-            f"are too small for a scene's windows: {exc}"
-        ) from None
 
 
-# The decode keys that size a sampling mode's windows.
+# The decode keys that size a sampling mode's windows, which a HALC decode
+# names when a window vanishes (its area over the image's underflows to 0).
 WINDOW_KEYS = {
     "exponential": ("lam", "exponent_offset", "n"),
     "center": ("lam", "exponent_offset", "n"),
@@ -193,20 +191,6 @@ WINDOW_KEYS = {
     "normal": ("sigma", "n"),
     "random": ("n",),
 }
-
-
-@contextlib.contextmanager
-def windows_named(config: DecodeConfig):
-    """Re-raise the config error of a HALC decode, a window that vanishes
-    (one whose area over the image's underflows to 0), naming the decode
-    keys that size the windows and their values."""
-    try:
-        yield
-    except InvalidParameterError as exc:
-        keys = WINDOW_KEYS[config.sampling_mode]
-        *head, last = [f"{key} {getattr(config, key)!r}" for key in keys]
-        named = f"{', '.join(head)} and {last}" if head else last
-        raise InvalidParameterError(f"decode {named}: {exc}") from None
 
 
 def _decode_scene(
@@ -218,7 +202,8 @@ def _decode_scene(
     if method == "beam":
         return decode_beam(None, scene, config.k, config)
     if method == "halc":
-        with windows_named(config):
+        keys = WINDOW_KEYS[config.sampling_mode]
+        with naming(("decode", key, getattr(config, key)) for key in keys):
             return decode_halc(None, detector, scorer, None, scene, config)
     raise InvalidParameterError(f"unknown decode method {method!r}")
 
@@ -392,14 +377,11 @@ def run_oracle_study(
     # so a scale whose windows have no size or no area fraction names its keys.
     for image in dict.fromkeys(scene.image for scene in scenes):
         for scale in scales:
-            try:
+            with naming([("oracle_study", "grid_scales", scale),
+                         ("corpus", "image_width", image.width),
+                         ("corpus", "image_height", image.height)]):
                 fov = _clamped(scale * image.width, scale * image.height, 0.0, 0.0, image)
                 profile_value(ContextShift(slope=0.0, base=0.0), fov, image)
-            except InvalidParameterError as exc:
-                raise InvalidParameterError(
-                    f"oracle_study grid_scales {scale!r}, corpus image_width {image.width!r} "
-                    f"and image_height {image.height!r}: {exc}"
-                ) from None
     image = grid = None
     for scene in scenes:
         result = decode_greedy(None, scene, config)
@@ -465,14 +447,12 @@ def run_theorem_verify(
     )
     grid = []
     for s, eps, eta, sigma, n in section.rows():
-        try:
+        keys = THEOREM_ROW_KEYS[s]  # a row whose constant C fails names these
+        values = (eps, eta, sigma) if s == "normal" else [getattr(section, key) for key in keys]
+        with naming(("theorem", key, value) for key, value in zip(keys, values)):
             grid.append(TheoremConfig(
                 sampler=s, eta=eta, epsilon=eps, sigma=sigma, n=n, seed=seed + n, **shared
             ))
-        except InvalidParameterError as exc:  # its constant C: name the row's keys
-            values = (eps, eta, sigma) if s == "normal" else None
-            named = section.named(THEOREM_ROW_KEYS[s], values)
-            raise InvalidParameterError(f"{named}: {exc}") from None
     keys = [(section.samplers.index(cfg.sampler), cfg.n) for cfg in grid]
     rows: list = [None] * len(grid)
     for key in sorted(set(keys)):
@@ -529,10 +509,8 @@ def run_ablations(
     ):
         built = []
         for value in getattr(options, name):
-            try:
+            with naming([("ablate", name, value)]):
                 built.append((value, dataclasses.replace(config, **change(value))))
-            except InvalidParameterError as exc:
-                raise InvalidParameterError(f"ablate {name} {value!r}: {exc}") from None
         sweeps.append((table, column, name, built))
     queries = _pope_queries(scenes, seed, options.pope_mode, ABLATE_POPE_COUNT)
     scorer_seeds = options.scorer_seeds or [seed + i for i in range(5)]
@@ -545,10 +523,8 @@ def run_ablations(
             for s in seeds:
                 cfg = dataclasses.replace(row_config, seed=s)
                 scorer = resolve_scorer(spec, seed=s)
-                try:
+                with naming([("ablate", name, value)]):  # a window of the row's decode
                     captions, _ = decode_corpus(scenes, "halc", cfg, detector, scorer)
-                except InvalidParameterError as exc:  # a window of the row's decode
-                    raise InvalidParameterError(f"ablate {name} {value!r}: {exc}") from None
                 for key, metric in evaluate_captions(scenes, captions, queries).items():
                     totals[key] = totals.get(key, 0.0) + metric
             rows.append({column: value, **{key: t / len(seeds) for key, t in totals.items()}})
@@ -615,7 +591,7 @@ def emit_profile_curve(
 ) -> list[dict]:
     """Log-probability of each token at windows expanded from the grounding
     box, under bare visual conditioning. A window that overflows or vanishes
-    is a config error that names its r and lam."""
+    is a config error that names its r and lam (the decode section's)."""
     detector = detector or DetectorSim(CORPUS_DETECTOR_ETA)
     for tok in tokens:
         scene.token_id(tok)
@@ -628,11 +604,9 @@ def emit_profile_curve(
         raise InvalidInputError(f"no grounding available for {anchor_token!r}")
     rows = []
     for r in r_grid:
-        try:
+        with naming([("emit_curve", "r_grid", r), ("decode", "lam", lam)]):
             fov = clamp_to_image(expand_fov(v_d, lam, r), scene.image)
             probs = softmax(toy_model_logits(scene, fov, None))
-        except InvalidParameterError as exc:
-            raise InvalidParameterError(f"emit_curve r_grid {r!r} at lam {lam!r}: {exc}") from None
         with np.errstate(divide="ignore"):
             logprobs = np.log(probs)
         for tok in tokens:

@@ -522,6 +522,15 @@ def test_cli_malformed_theorem_config_exits_2_with_one_line(tmp_path, capsys, th
     assert not (out / "manifest.json").exists()
 
 
+# The whole line of each emit-curve r_grid case: the entry, and the decode
+# lam its window grows by.
+EMIT_CURVE_ERRORS = {
+    1e308: "emit_curve r_grid 1e+308 and decode lam 0.6: growth (1 + 0.6)**1e+308 overflows",
+    1e20: "emit_curve r_grid 1e+20 and decode lam 0.6: growth (1 + 0.6)**1e+20 overflows",
+    -2000: "emit_curve r_grid -2000 and decode lam 0.6: fov dimensions must be positive",
+}
+
+
 @pytest.mark.parametrize(
     "scenario,extra",
     [
@@ -576,18 +585,18 @@ def test_cli_malformed_section_exits_2_with_one_line(tmp_path, capsys, scenario,
     assert err.count("\n") == 1
     assert not (out / "manifest.json").exists()
     for r in extra.get("emit_curve", {}).get("r_grid", []):
-        assert f"emit_curve r_grid {r!r} " in err
+        assert err == f"config error: {EMIT_CURVE_ERRORS[r]}\n"
 
 
 @pytest.mark.parametrize(
     "scenario,extra,named",
     [
-        ("cost-model", {"cost_model": {"n": 2.5}}, "cost model n "),
-        ("cost-model", {"cost_model": {"tokens": True}}, "cost model tokens "),
-        ("cost-model", {"cost_model": {"n": "x"}}, "cost model n "),
-        ("cost-model", {"cost_model": {"n": [1]}}, "cost model n "),
-        ("cost-model", {"cost_model": {"trigger_rate": "x"}}, "cost model trigger_rate "),
-        ("cost-model", {"cost_model": {"t_lvlm": 0}}, "cost model t_lvlm "),
+        ("cost-model", {"cost_model": {"n": 2.5}}, "cost_model n "),
+        ("cost-model", {"cost_model": {"tokens": True}}, "cost_model tokens "),
+        ("cost-model", {"cost_model": {"n": "x"}}, "cost_model n "),
+        ("cost-model", {"cost_model": {"n": [1]}}, "cost_model n "),
+        ("cost-model", {"cost_model": {"trigger_rate": "x"}}, "cost_model trigger_rate "),
+        ("cost-model", {"cost_model": {"t_lvlm": 0}}, "cost_model t_lvlm "),
         ("cost-model", {"cost_model": [1]}, "cost_model section"),
         # Values the float estimate cannot hold, named: an int too large to
         # convert, times that overflow, and a time ratio t_detector / t_lvlm
