@@ -17,10 +17,9 @@ from pathlib import Path
 
 from .config import Config, load_config
 from .decoding import decode_greedy, decode_halc
-from .errors import InvalidInputError, InvalidParameterError, naming
+from .errors import InvalidInputError, InvalidParameterError
 from .harness import (
     ABLATE_POPE_COUNT,
-    WINDOW_KEYS,
     build_corpus,
     cost_estimate,
     emit_profile_curve,
@@ -99,9 +98,7 @@ def _write_outputs(scenario: str, config: Config, out: Path, echo: dict) -> None
         scorer = resolve_scorer(config.scorer, seed)
         scene = _scene_for_decode(config)
         greedy = decode_greedy(None, scene, decode)
-        keys = WINDOW_KEYS[decode.sampling_mode]
-        with naming(("decode", key, getattr(decode, key)) for key in keys):
-            corrected = decode_halc(None, detector, scorer, None, scene, decode)
+        corrected = decode_halc(None, detector, scorer, None, scene, decode)
         write_json(
             out / "decode.json",
             {
@@ -172,6 +169,12 @@ def _write_outputs(scenario: str, config: Config, out: Path, echo: dict) -> None
     if scenario == "emit-curve":
         opts = config.emit_curve
         scene = _scene_for_decode(config)
+        given = [("tokens", token) for token in opts.tokens or ()]
+        if opts.anchor is not None:
+            given.append(("anchor", opts.anchor))
+        for key, token in given:
+            if token not in scene.vocabulary:
+                raise InvalidParameterError(f"emit_curve {key} {token!r} not in scene vocabulary")
         rows = emit_profile_curve(
             scene,
             opts.tokens or [o.name for o in scene.objects],

@@ -47,7 +47,7 @@ from .distributions import (  # noqa: F401
     jsd,
     softmax,
 )
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, naming
 from .geometry import Fov, _growth, sample_fovs_exponential, sample_fovs_normal, sample_fovs_random
 from .schema import check_types
 from .world import END_TOKEN, IDK_TOKEN, Scene, Scorer, tag_token, toy_model_logits
@@ -70,7 +70,16 @@ __all__ = [
 Model = Callable[[Scene, Fov, Optional[Sequence[str]]], np.ndarray]
 Detector = Callable[[str, Scene], Optional[Fov]]
 
-SAMPLING_MODES = ("exponential", "normal", "random", "center", "original")
+# The decode keys that size each sampling mode's windows: a HALC decode
+# names them when a window vanishes (its area over the image's underflows).
+WINDOW_KEYS = {
+    "exponential": ("lam", "exponent_offset", "n"),
+    "normal": ("sigma", "n"),
+    "random": ("n",),
+    "center": ("lam", "exponent_offset", "n"),
+    "original": ("lam", "n"),
+}
+SAMPLING_MODES = tuple(WINDOW_KEYS)
 IDK_POLICIES = ("off", "literal", "confidence")
 # The most FOV samples per HALC step: a triggered step whose windows differ
 # copies its window pairs into two (n(n-1)/2, V) float64 buffers, 130 MB at
@@ -604,6 +613,10 @@ def decode_halc(
             pool.append((key, 0.0, grown, record))
         return record
 
-    beams, trace = _decode(config, expand, lambda pool: select_beams(pool, scorer, config.k, scene))
+    keys = WINDOW_KEYS[config.sampling_mode]
+    with naming(("decode", key, getattr(config, key)) for key in keys):
+        beams, trace = _decode(
+            config, expand, lambda pool: select_beams(pool, scorer, config.k, scene)
+        )
     best = max(range(len(beams)), key=lambda i: (scorer(beams[i].tokens, scene), -i))
     return DecodeResult(beams[best].tokens, trace)

@@ -166,17 +166,24 @@ def _plausible(p_expert, beta: float) -> np.ndarray:
     return p >= beta * p.max(axis=-1, keepdims=True)
 
 
-def _masked_contrast(f_e, f_a, keep, alpha: float) -> np.ndarray:
-    """Softmax of the contrast (1 + alpha) * f_e - alpha * f_a with -inf off
-    the mask keep, computed in place in the checked float arrays f_e and
-    f_a, which the caller hands over. The softmax checks the contrast: an
-    amateur -inf under a kept token makes it +inf or NaN. Off the mask, -inf
-    replaces what inf - inf or an overflow left there.
-    """
+def _contrast(f_e, f_a, alpha: float) -> np.ndarray:
+    """The contrast (1 + alpha) * f_e - alpha * f_a, computed in place in the
+    float arrays f_e and f_a, which the caller hands over; an overflow or
+    inf - inf is left for the caller's check."""
     with np.errstate(over="ignore", invalid="ignore"):
         f_e *= 1.0 + alpha
         f_a *= alpha
         f_e -= f_a
+    return f_e
+
+
+def _masked_contrast(f_e, f_a, keep, alpha: float) -> np.ndarray:
+    """Softmax of the _contrast of the checked float arrays f_e and f_a with
+    -inf off the mask keep, computed in place in f_e. The softmax checks the
+    contrast: an amateur -inf under a kept token makes it +inf or NaN. Off
+    the mask, -inf replaces what inf - inf or an overflow left there.
+    """
+    _contrast(f_e, f_a, alpha)
     f_e[~keep] = -np.inf
     return _softmax(f_e, out=f_e)
 
@@ -225,8 +232,7 @@ def contrast_rows(
     amateurs = np.asarray(amateurs, dtype=np.intp)
     if np.count_nonzero(keep) == len(keep):
         tokens = keep.argmax(axis=-1)[experts]
-        with np.errstate(over="ignore", invalid="ignore"):
-            top = (1.0 + alpha) * logits[experts, tokens] - alpha * logits[amateurs, tokens]
+        top = _contrast(logits[experts, tokens], logits[amateurs, tokens], alpha)
         _check_maxima(top)
         return tokens, np.ones(len(tokens))
     keep &= logits > -np.inf

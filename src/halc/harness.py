@@ -182,29 +182,18 @@ def build_corpus(spec: CorpusSpec, seed: int) -> list[Scene]:
         return generate_corpus(seed, spec.scene_count, spec)
 
 
-# The decode keys that size a sampling mode's windows, which a HALC decode
-# names when a window vanishes (its area over the image's underflows to 0).
-WINDOW_KEYS = {
-    "exponential": ("lam", "exponent_offset", "n"),
-    "center": ("lam", "exponent_offset", "n"),
-    "original": ("lam", "n"),
-    "normal": ("sigma", "n"),
-    "random": ("n",),
-}
-
-
 def _decode_scene(
-    scene: Scene, method: str, config: DecodeConfig, detector, scorer: Scorer
+    scene: Scene, method: str, config: DecodeConfig, detector, scorer: Optional[Scorer]
 ) -> DecodeResult:
-    """One scene decoded by the method a scenario names."""
+    """One scene decoded by the method a scenario names. HALC's detector and
+    scorer default to the corpus ones."""
     if method == "greedy":
         return decode_greedy(None, scene, config)
     if method == "beam":
         return decode_beam(None, scene, config.k, config)
     if method == "halc":
-        keys = WINDOW_KEYS[config.sampling_mode]
-        with naming(("decode", key, getattr(config, key)) for key in keys):
-            return decode_halc(None, detector, scorer, None, scene, config)
+        return decode_halc(None, detector or DetectorSim(CORPUS_DETECTOR_ETA),
+                           scorer or oracle_match_score, None, scene, config)
     raise InvalidParameterError(f"unknown decode method {method!r}")
 
 
@@ -216,8 +205,6 @@ def decode_corpus(
     scorer: Optional[Scorer] = None,
 ) -> tuple[list[CaptionRecord], list[DecodeTrace]]:
     """Decode every scene with one method, seeding each scene independently."""
-    detector = detector or DetectorSim(CORPUS_DETECTOR_ETA)
-    scorer = scorer or oracle_match_score
     captions: list[CaptionRecord] = []
     traces: list[DecodeTrace] = []
     for idx, scene in enumerate(scenes):
@@ -549,8 +536,6 @@ def run_length_curve(
     one decode seed; each trace goes to trace_sink when one is given."""
     if not grid:
         raise InvalidInputError("max-token grid must be nonempty")
-    detector = detector or DetectorSim(CORPUS_DETECTOR_ETA)
-    scorer = scorer or oracle_match_score
     scene_map = {s.scene_id: s for s in scenes}
     rows = []
     for method in ("greedy", "halc"):

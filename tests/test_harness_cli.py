@@ -548,6 +548,8 @@ EMIT_CURVE_ERRORS = {
         ("emit-curve", {"emit_curve": {"r_grid": [1e308]}}),
         ("emit-curve", {"emit_curve": {"r_grid": [1e20]}}),
         ("emit-curve", {"emit_curve": {"r_grid": [-2000]}}),
+        ("emit-curve", {"emit_curve": {"tokens": ["zzz"]}}),
+        ("emit-curve", {"emit_curve": {"anchor": "zzz"}}),
         ("length-curve", {"length_curve": {"grid": 3}}),
         ("length-curve", {"length_curve": {"grid": []}}),
         ("decode", {"scene_index": "abc"}),
@@ -569,6 +571,8 @@ EMIT_CURVE_ERRORS = {
         "overflowing-emit-r",
         "overflowing-emit-growth",
         "underflowing-emit-window",
+        "emit-token-outside-vocabulary",
+        "emit-anchor-outside-vocabulary",
         "length-grid-not-list",
         "empty-length-grid",
         "string-scene-index",
@@ -584,8 +588,21 @@ def test_cli_malformed_section_exits_2_with_one_line(tmp_path, capsys, scenario,
     assert err.startswith("config error: ")
     assert err.count("\n") == 1
     assert not (out / "manifest.json").exists()
-    for r in extra.get("emit_curve", {}).get("r_grid", []):
+    section = extra.get("emit_curve", {})
+    for r in section.get("r_grid", []):
         assert err == f"config error: {EMIT_CURVE_ERRORS[r]}\n"
+    for key in ("tokens", "anchor"):
+        if section.get(key) in (["zzz"], "zzz"):
+            assert err == f"config error: emit_curve {key} 'zzz' not in scene vocabulary\n"
+
+
+def test_cli_emit_curve_anchor_without_grounding_is_an_io_error(tmp_path, capsys):
+    # "[END]" is in every scene's vocabulary, but the detector grounds no
+    # box for it: that is the scene's data, not the config's.
+    cfg = _config_file(tmp_path, {"emit_curve": {"anchor": "[END]"}})
+    out = tmp_path / "out"
+    assert main(["emit-curve", "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "i/o error: no grounding available for '[END]'\n"
 
 
 @pytest.mark.parametrize(
@@ -796,6 +813,30 @@ SHRUNK_KEYS = "decode lam 1e+300, exponent_offset -1 and n 2: "
             "decode lam 1e+300 and n 2: ",
         ),
         (
+            "decode",
+            {
+                "corpus": {"count": 4, "image_width": 1e-160, "image_height": 1e-162},
+                "decode": {"sampling_mode": "normal"},
+            },
+            "decode sigma 40.0 and n 4: ",
+        ),
+        (
+            "decode",
+            {
+                "corpus": {"count": 4, "image_width": 1e-160, "image_height": 1e-162},
+                "decode": {"sampling_mode": "random"},
+            },
+            "decode n 4: ",
+        ),
+        (
+            "decode",
+            {
+                "corpus": {"count": 4},
+                "decode": {"sampling_mode": "original", "lam": 1e300, "n": 2, "m": 1},
+            },
+            "decode lam 1e+300 and n 2: ",
+        ),
+        (
             "oracle-study",
             {"corpus": {"count": 2, "trap_fraction": 1.0}, "oracle_study": {"grid_scales": [1e-200]}},
             "oracle_study grid_scales 1e-200, " + ORACLE_IMAGE,
@@ -818,6 +859,9 @@ SHRUNK_KEYS = "decode lam 1e+300, exponent_offset -1 and n 2: "
         "compare-normal-tiny-image",
         "compare-random-tiny-image",
         "compare-original-shrunk-windows",
+        "decode-normal-tiny-image",
+        "decode-random-tiny-image",
+        "decode-original-shrunk-windows",
         "oracle-tiny-scale",
         "oracle-subnormal-scale",
     ],
@@ -840,6 +884,15 @@ def test_cli_window_area_ratio_underflow_exits_2_with_one_line(
     assert err.endswith(" underflows to 0\n")
     assert err.count("\n") == 1
     assert not (out / "manifest.json").exists()
+
+
+def test_decode_halc_names_the_keys_that_size_its_windows():
+    # The decoder itself names them, so a direct call reads as the CLI's.
+    scene = generate_corpus(1, 3, CorpusSpec(scene_count=3, trap_fraction=1.0))[0]
+    cfg = DecodeConfig(**SHRUNK_WINDOWS["decode"], seed=1)
+    with pytest.raises(InvalidParameterError) as raised:
+        decode_halc(None, DET, oracle_match_score, None, scene, cfg)
+    assert str(raised.value).startswith(SHRUNK_KEYS + "window area ")
 
 
 @pytest.mark.parametrize("scenario,key", [("compare", "compare.pope_count"), ("ablate", "ablate")])
