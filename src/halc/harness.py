@@ -27,7 +27,6 @@ from .config import (
 )
 from .decoding import (
     DecodeConfig,
-    DecodeResult,
     DecodeTrace,
     decode_beam,
     decode_greedy,
@@ -182,21 +181,6 @@ def build_corpus(spec: CorpusSpec, seed: int) -> list[Scene]:
         return generate_corpus(seed, spec.scene_count, spec)
 
 
-def _decode_scene(
-    scene: Scene, method: str, config: DecodeConfig, detector, scorer: Optional[Scorer]
-) -> DecodeResult:
-    """One scene decoded by the method a scenario names. HALC's detector and
-    scorer default to the corpus ones."""
-    if method == "greedy":
-        return decode_greedy(None, scene, config)
-    if method == "beam":
-        return decode_beam(None, scene, config.k, config)
-    if method == "halc":
-        return decode_halc(None, detector or DetectorSim(CORPUS_DETECTOR_ETA),
-                           scorer or oracle_match_score, None, scene, config)
-    raise InvalidParameterError(f"unknown decode method {method!r}")
-
-
 def decode_corpus(
     scenes: Sequence[Scene],
     method: str,
@@ -204,12 +188,23 @@ def decode_corpus(
     detector=None,
     scorer: Optional[Scorer] = None,
 ) -> tuple[list[CaptionRecord], list[DecodeTrace]]:
-    """Decode every scene with one method, seeding each scene independently."""
+    """Decode every scene with one method, seeding scene i with seed + i.
+    The method is checked, and HALC's detector and scorer default to the
+    corpus ones, before any scene decodes."""
+    if method not in ("greedy", "beam", "halc"):
+        raise InvalidParameterError(f"unknown decode method {method!r}")
+    detector = detector or DetectorSim(CORPUS_DETECTOR_ETA)
+    scorer = scorer or oracle_match_score
     captions: list[CaptionRecord] = []
     traces: list[DecodeTrace] = []
     for idx, scene in enumerate(scenes):
         cfg = dataclasses.replace(config, seed=config.seed + idx)
-        result = _decode_scene(scene, method, cfg, detector, scorer)
+        if method == "greedy":
+            result = decode_greedy(None, scene, cfg)
+        elif method == "beam":
+            result = decode_beam(None, scene, cfg.k, cfg)
+        else:
+            result = decode_halc(None, detector, scorer, None, scene, cfg)
         captions.append(CaptionRecord.from_tokens(scene.scene_id, result.tokens, scene.lexicon))
         traces.append(result.trace)
     return captions, traces
@@ -532,8 +527,9 @@ def run_length_curve(
     trace_sink: Optional[list[DecodeTrace]] = None,
 ) -> list[dict]:
     """Object mentions and the instance-level hallucination ratio of greedy
-    and HALC captions at each token budget. Every scene decodes with the
-    one decode seed; each trace goes to trace_sink when one is given."""
+    and HALC captions at each token budget. Each budget decodes the corpus
+    through `decode_corpus`, scene i seeded with seed + i as in compare;
+    each trace goes to trace_sink when one is given."""
     if not grid:
         raise InvalidInputError("max-token grid must be nonempty")
     scene_map = {s.scene_id: s for s in scenes}
@@ -541,13 +537,9 @@ def run_length_curve(
     for method in ("greedy", "halc"):
         for budget in grid:
             cfg = dataclasses.replace(config, max_tokens=budget)
-            captions = []
-            for scene in scenes:
-                result = _decode_scene(scene, method, cfg, detector, scorer)
-                if trace_sink is not None:
-                    trace_sink.append(result.trace)
-                tokens = result.tokens
-                captions.append(CaptionRecord.from_tokens(scene.scene_id, tokens, scene.lexicon))
+            captions, traces = decode_corpus(scenes, method, cfg, detector, scorer)
+            if trace_sink is not None:
+                trace_sink.extend(traces)
             report = chair(captions, scene_map)
             rows.append(
                 {
@@ -578,8 +570,7 @@ def emit_profile_curve(
     box, under bare visual conditioning. A window that overflows or vanishes
     is a config error that names its r and lam (the decode section's)."""
     detector = detector or DetectorSim(CORPUS_DETECTOR_ETA)
-    for tok in tokens:
-        scene.token_id(tok)
+    ids = [scene.token_id(tok) for tok in tokens]  # an unknown token fails before any window
     if anchor_token is None:
         if not (scene.trap or scene.objects):
             raise InvalidInputError(f"scene {scene.scene_id!r} has no object to anchor the curve")
@@ -594,10 +585,8 @@ def emit_profile_curve(
             probs = softmax(toy_model_logits(scene, fov, None))
         with np.errstate(divide="ignore"):
             logprobs = np.log(probs)
-        for tok in tokens:
-            rows.append(
-                {"r": r, "token": tok, "logprob": float(logprobs[scene.token_id(tok)])}
-            )
+        for tok, tok_id in zip(tokens, ids):
+            rows.append({"r": r, "token": tok, "logprob": float(logprobs[tok_id])})
     return rows
 
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,12 +12,13 @@ import pytest
 import halc
 from halc import harness, theory
 from halc.cli import SCENARIOS, main
-from halc.decoding import DecodeConfig, decode_greedy, decode_halc
+from halc.decoding import SAMPLING_MODES, DecodeConfig, decode_greedy, decode_halc
 from halc.errors import InvalidInputError, InvalidParameterError
 from halc.config import MAX_THEOREM_SCORES, ScorerSpec, TheoremSection
 from halc.harness import (
     CostModel,
     cost_estimate,
+    decode_corpus,
     emit_profile_curve,
     grid_fovs,
     resolve_scorer,
@@ -29,6 +31,7 @@ from halc.harness import (
     write_csv,
     write_manifest,
 )
+from halc.metrics import chair
 from halc.schema import parse, write
 from halc.world import (
     CORPUS_DETECTOR_ETA,
@@ -209,6 +212,71 @@ def test_length_curve_rows(small_trap_corpus):
     assert len(rows) == 4
     greedy = [r for r in rows if r["method"] == "greedy"]
     assert greedy[0]["max_tokens"] == 8
+
+
+def test_length_curve_rejects_an_empty_grid(small_trap_corpus):
+    with pytest.raises(InvalidInputError, match="^max-token grid must be nonempty$"):
+        run_length_curve(small_trap_corpus, DecodeConfig(seed=5), [])
+
+
+# Trapped and untrapped scenes, with captions long enough to reach the traps.
+LENGTH_SPEC = CorpusSpec(scene_count=4, trap_fraction=0.5, clauses=3, trap_clauses=(1, 2))
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("mode", SAMPLING_MODES)
+def test_length_curve_is_chair_over_decode_corpus_at_each_budget(mode, k):
+    # Each budget's row and traces are those of the corpus decode that
+    # compare runs at that max_tokens, scene i seeded with seed + i.
+    scenes = generate_corpus(31, 4, LENGTH_SPEC)
+    scene_map = {scene.scene_id: scene for scene in scenes}
+    config = DecodeConfig(sampling_mode=mode, k=k, seed=13)
+    scorer = resolve_scorer("noisy", seed=13)
+    grid = [4, 12, 40]
+    got_traces = []
+    got = run_length_curve(scenes, config, grid, scorer=scorer, trace_sink=got_traces)
+    want, want_traces = [], []
+    for method in ("greedy", "halc"):
+        for budget in grid:
+            cfg = dataclasses.replace(config, max_tokens=budget)
+            captions, traces = decode_corpus(scenes, method, cfg, scorer=scorer)
+            report = chair(captions, scene_map)
+            want.append({"method": method, "max_tokens": budget, "objects": report.mentions,
+                         "hallucinated": report.hallucinated_mentions,
+                         "chair_i": report.chair_i})
+            want_traces.extend(traces)
+    assert [list(map(repr, row.items())) for row in got] == [
+        list(map(repr, row.items())) for row in want
+    ]
+    assert [json.dumps(t.to_json()) for t in got_traces] == [
+        json.dumps(t.to_json()) for t in want_traces
+    ]
+
+
+@pytest.mark.parametrize("count", [0, 2], ids=["no-scenes", "two-scenes"])
+def test_decode_corpus_rejects_an_unknown_method_before_any_decode(small_trap_corpus, count):
+    scenes = small_trap_corpus[:count]
+    refuse = mock.Mock(side_effect=AssertionError("decoded"))
+    with mock.patch.object(harness, "decode_greedy", refuse), \
+            mock.patch.object(harness, "decode_beam", refuse), \
+            mock.patch.object(harness, "decode_halc", refuse), \
+            pytest.raises(InvalidParameterError, match="^unknown decode method 'vcd'$"):
+        decode_corpus(scenes, "vcd", DecodeConfig(seed=5))
+    refuse.assert_not_called()
+
+
+def test_cli_compare_and_length_curve_agree_at_the_same_budget(tmp_path):
+    # Random windows draw from the decode seed, so only one seeding rule
+    # gives both scenarios the same HALC captions at max_tokens 64.
+    cfg = _config_file(tmp_path, {"seed": 21, "corpus": {"count": 40},
+                                  "decode": {"sampling_mode": "random"}})
+    for scenario in ("compare", "length-curve"):
+        assert main([scenario, "--config", str(cfg), "--out", str(tmp_path / scenario)]) == 0
+    compare = {row["method"]: row for row in read_csv(tmp_path / "compare" / "compare.csv")}
+    curve = read_csv(tmp_path / "length-curve" / "length_curve.csv")
+    halc_64 = [row for row in curve if (row["method"], row["max_tokens"]) == ("halc", "64")]
+    assert [row["hallucinated"] for row in halc_64] == ["10"]
+    assert halc_64[0]["chair_i"] == compare["halc"]["chair_i"] == "0.011904761904761904"
 
 
 # ---------------------------------------------------------------------------

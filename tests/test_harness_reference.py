@@ -1,25 +1,21 @@
-"""The ablate sweeps, the length curve, the oracle study and the corpus
-region draw, checked against the code they replaced.
+"""The ablate sweeps, the oracle study and the corpus region draw,
+checked against the code they replaced.
 
 The references below are the replaced code, kept here verbatim apart from
 names and the ablate detector, which the caller now passes in:
 `run_ablations` with its four copied sweep loops over `_averaged_halc_eval`,
-`run_length_curve` with its decoder closures over
-`metrics.hallucination_vs_length`, `run_oracle_study` with its grid built
-for every scene, `grid_fovs` with its unclamped window per grid point, and
-`world._random_region` with its four scalar uniform draws. They share the
-corpus decoding (`decode_corpus`), the caption metrics, the POPE queries,
-greedy decoding and the model with the code they check;
-tests/test_harness_cli.py, tests/test_metrics.py and the other reference
-files check those on their own. Random window sampling draws from the
-decode seed, so only `sampling_mode: random` tells one decode seed for
-every scene apart from one seed per scene.
+`run_oracle_study` with its grid built for every scene, `grid_fovs` with
+its unclamped window per grid point, and `world._random_region` with its
+four scalar uniform draws. They share the corpus decoding
+(`decode_corpus`), the caption metrics, the POPE queries, greedy decoding
+and the model with the code they check; tests/test_harness_cli.py,
+tests/test_metrics.py and the other reference files check those on their
+own.
 """
 
 import contextlib
 import dataclasses
-import json
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 import pytest
@@ -27,10 +23,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halc import harness, world
-from halc.config import DEFAULT_GRID_SCALES, AblateSection, ScorerSpec
-from halc.decoding import DecodeConfig, DecodeResult, DecodeTrace, decode_greedy, decode_halc
+from halc.config import DEFAULT_GRID_SCALES, AblateSection
+from halc.decoding import DecodeConfig, decode_greedy
 from halc.distributions import argmax_logit
-from halc.errors import InvalidInputError, InvalidParameterError
+from halc.errors import InvalidParameterError
 from halc.geometry import Fov, ImageSpec, clamp_to_image
 from halc.harness import (
     CATEGORIES,
@@ -41,20 +37,15 @@ from halc.harness import (
     grid_fovs,
     resolve_scorer,
     run_ablations,
-    run_length_curve,
     run_oracle_study,
 )
-from halc.metrics import CaptionRecord, chair
 from halc.schema import parse
 from halc.world import (
-    CORPUS_DETECTOR_ETA,
     CorpusSpec,
     DetectorSim,
     Scene,
-    Scorer,
     _random_region,
     generate_corpus,
-    oracle_match_score,
     tag_token,
     toy_model_logits,
 )
@@ -136,65 +127,6 @@ def reference_run_ablations(
     return tables
 
 
-def reference_hallucination_vs_length(
-    corpus: Sequence[Scene],
-    decoder: Callable[[Scene, int], Sequence[str]],
-    max_token_grid: Sequence[int],
-) -> list[dict]:
-    if not max_token_grid:
-        raise InvalidInputError("max-token grid must be nonempty")
-    rows = []
-    scenes = {s.scene_id: s for s in corpus}
-    for budget in max_token_grid:
-        captions = []
-        for scene in corpus:
-            tokens = decoder(scene, budget)
-            captions.append(CaptionRecord.from_tokens(scene.scene_id, tokens, scene.lexicon))
-        report = chair(captions, scenes)
-        rows.append(
-            {
-                "max_tokens": budget,
-                "objects": report.mentions,
-                "hallucinated": report.hallucinated_mentions,
-                "chair_i": report.chair_i,
-            }
-        )
-    return rows
-
-
-def reference_run_length_curve(
-    scenes: Sequence[Scene],
-    config: DecodeConfig,
-    grid: Sequence[int],
-    detector=None,
-    scorer: Optional[Scorer] = None,
-    trace_sink: Optional[list[DecodeTrace]] = None,
-) -> list[dict]:
-    detector = detector or DetectorSim(CORPUS_DETECTOR_ETA)
-    scorer = scorer or oracle_match_score
-
-    def record(result: DecodeResult) -> Sequence[str]:
-        if trace_sink is not None:
-            trace_sink.append(result.trace)
-        return result.tokens
-
-    def greedy_decoder(scene: Scene, budget: int) -> Sequence[str]:
-        cfg = dataclasses.replace(config, max_tokens=budget)
-        return record(decode_greedy(None, scene, cfg))
-
-    def halc_decoder(scene: Scene, budget: int) -> Sequence[str]:
-        cfg = dataclasses.replace(config, max_tokens=budget)
-        return record(decode_halc(None, detector, scorer, None, scene, cfg))
-
-    rows = []
-    for method, decoder in (("greedy", greedy_decoder), ("halc", halc_decoder)):
-        for entry in reference_hallucination_vs_length(scenes, decoder, grid):
-            row = {"method": method}
-            row.update(entry)
-            rows.append(row)
-    return rows
-
-
 def reference_grid_fovs(
     image,
     positions: int = 8,
@@ -259,20 +191,14 @@ def reference_random_region(rng: np.random.Generator, image: ImageSpec) -> Fov:
 # Checks
 # ---------------------------------------------------------------------------
 
-MODES = ("exponential", "normal", "random")
-# One scorer spec per beam size k: the mapping forms and a kind string.
-SCORERS = {1: {"kind": "noisy", "amp": 0.5}, 2: {"kind": "random"}, 3: "noisy"}
+# Scorer specs in the mapping form an ablate section lists them in.
+SCORERS = ({"kind": "noisy", "amp": 0.5}, {"kind": "random"})
 
 
 @pytest.fixture(scope="module")
 def corpus():
     spec = CorpusSpec(scene_count=4, trap_fraction=0.5, clauses=3, trap_clauses=(1, 2))
     return generate_corpus(31, 4, spec)
-
-
-def _spec(scorer):
-    """A scorer as a config section gives it: a kind or a ScorerSpec."""
-    return scorer if isinstance(scorer, str) else parse(ScorerSpec, scorer, "scorer")
 
 
 def _rows(tables):
@@ -289,7 +215,7 @@ def test_ablations_match_the_four_sweep_loops(corpus, mode, k):
         "inits": ["detector", "random"],
         "lambdas": [0.9],
         "beams": [1, 3],
-        "scorers": [SCORERS[1], SCORERS[2], {"kind": "oracle"}],
+        "scorers": [*SCORERS, {"kind": "oracle"}],
         "scorer_seeds": [4, 9],
     }
     detector = DetectorSim((5.0, -3.0, 2.0, 1.0), 0.6)
@@ -301,38 +227,10 @@ def test_ablations_match_the_four_sweep_loops(corpus, mode, k):
 
 def test_ablations_default_scorer_seeds_match(corpus):
     config = DecodeConfig(sampling_mode="random", max_tokens=16, seed=3)
-    options = {"inits": ["center"], "lambdas": [0.6], "beams": [2], "scorers": [SCORERS[1]]}
+    options = {"inits": ["center"], "lambdas": [0.6], "beams": [2], "scorers": [SCORERS[0]]}
     assert _rows(run_ablations(corpus, config, 7, options)) == _rows(
         reference_run_ablations(corpus, config, 7, options)
     )
-
-
-@pytest.mark.parametrize("k", [1, 2, 3])
-@pytest.mark.parametrize("mode", MODES)
-def test_length_curve_matches_the_decoder_closures(corpus, mode, k):
-    config = DecodeConfig(sampling_mode=mode, k=k, seed=13)
-    scorer = resolve_scorer(_spec(SCORERS[k]), seed=13)
-    detector = DetectorSim(CORPUS_DETECTOR_ETA)
-    got_traces: list[DecodeTrace] = []
-    want_traces: list[DecodeTrace] = []
-    got = run_length_curve(corpus, config, [4, 12, 40], detector, scorer, got_traces)
-    want = reference_run_length_curve(corpus, config, [4, 12, 40], detector, scorer, want_traces)
-    assert [list(map(repr, row.items())) for row in got] == [
-        list(map(repr, row.items())) for row in want
-    ]
-    assert [json.dumps(t.to_json()) for t in got_traces] == [
-        json.dumps(t.to_json()) for t in want_traces
-    ]
-
-
-def test_length_curve_defaults_and_empty_grid_match(corpus):
-    config = DecodeConfig(sampling_mode="random", seed=2)
-    assert run_length_curve(corpus, config, [8, 30]) == reference_run_length_curve(
-        corpus, config, [8, 30]
-    )
-    for run in (run_length_curve, reference_run_length_curve):
-        with pytest.raises(InvalidInputError, match="max-token grid must be nonempty"):
-            run(corpus, config, [])
 
 
 def _hex(fov: Fov) -> list[str]:
