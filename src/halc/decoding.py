@@ -18,12 +18,22 @@ windows: one row-wise softmax, the JSD of every window pair from one batched
 call (shared by the trace and pair selection), and one contrast row
 per candidate under the plausibility mask of its expert window, normalized
 by one masked softmax. A candidate is its row's most probable token and that
-token's probability, which the abstention policy reads. On most steps every
-window's mask keeps a single token: then each candidate is its expert's
-token with probability 1.0, and only that token's contrast is computed, to
-be checked. Each beam's step adds one candidate per distinct token, and beam
-selection scores each distinct candidate sequence once, which requires the
-scorer to be a pure function of (sequence, scene).
+token's probability, which the abstention policy reads.
+
+On most steps every window's mask keeps the same single token. When that
+token's contrast is also finite for every ordered pair of windows, each
+candidate is that token with probability 1.0 whatever the ranking, so the
+step returns its candidates without ranking its pairs. The decode holds such
+steps in a pending batch and ranks them together: one JSD call over the
+stacked pairs of every pending step, then one ranking per step, once they
+hold more than PENDING_CAP bytes of window probabilities (at V≈4000, one
+step of distinct rows) and when the decode ends. Every other step ranks its
+own pairs and computes one contrast per candidate, only that of its expert's
+token when each mask keeps one token.
+
+Each beam's step adds one candidate per distinct token, and beam selection
+scores each distinct candidate sequence once, which requires the scorer to
+be a pure function of (sequence, scene).
 """
 
 from __future__ import annotations
@@ -41,6 +51,8 @@ import numpy as np
 # from it because the benchmark's span recorder (perfbench/probes.py) wraps it.
 from .distributions import (  # noqa: F401
     _as_array,
+    _contrast,
+    _plausible,
     argmax_logit,
     contrast_distribution,
     contrast_rows,
@@ -186,9 +198,17 @@ class StepRecord:
         """The record of a correction step over `fovs`, with the proposing
         call among its model calls; divergence[k] is the JSD of pair k of
         `_pair_index(len(fovs))`."""
+        record = cls(True, detector_hit, 1 + len(fovs), candidates)
+        record._pack(fovs, divergence, selected)
+        return record
+
+    def _pack(
+        self, fovs: Sequence[Fov], divergence: Sequence[float], selected: list[tuple[int, int]]
+    ) -> None:
+        """Store the windows and pair JSDs packed, and the selected pairs."""
         values = [x for f in fovs for x in f.as_tuple()] + list(divergence)
-        packed = struct.pack(f"{len(values)}d", *values)
-        return cls(True, detector_hit, 1 + len(fovs), candidates, packed, selected)
+        self.packed = struct.pack(f"{len(values)}d", *values)
+        self.selected_pairs = selected
 
     def _unpacked(self) -> tuple[int, list[float]]:
         """n and the packed values, 4n for the windows and n(n-1)/2 JSDs:
@@ -417,8 +437,17 @@ def _pair_buffers(pairs: int, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Scratch (pairs, V) arrays for the first and second windows of each
     pair, reused while the shape stays the same: at V≈4000, two fresh
     arrays per step make the allocator grow and trim the heap on most
-    steps."""
+    steps. A HALC decode's pending steps (`PENDING_CAP`) stack their pairs
+    here too; at V≈4000 one step passes the cap, so each flush gathers the
+    pairs of one step, in buffers of the same shape."""
     return np.empty((pairs, size)), np.empty((pairs, size))
+
+
+# The most bytes of window probabilities that a HALC decode holds in steps
+# whose pairs are not ranked yet. Past it the decode ranks them: at V≈4000
+# a single step passes it, and stacking many such steps into fresh arrays
+# costs more than their ranking saves.
+PENDING_CAP = 32 * 1024
 
 
 def top_m_pairs(
@@ -430,6 +459,60 @@ def top_m_pairs(
     return [pairs[k] for k in ranked[:m]]
 
 
+def _rank_pending(pending: list, m: int) -> None:
+    """Rank and pack the pairs of the (record, fovs, probs) steps in
+    `pending`, then empty it. The pairs of every step with a row per window
+    are stacked for one jsd call; windows that share one row have JSD 0.0
+    for every pair, which is what jsd(p, p) returns. Each step ranks its
+    own pairs through one top_m_pairs call."""
+    if not pending:
+        return
+    pairs, first, second = _pair_index(len(pending[0][1]))
+    count = len(pairs)
+    stacked = [probs for _, _, probs in pending if len(probs) > 1]
+    values = []
+    if stacked:
+        pair_first, pair_second = _pair_buffers(count * len(stacked), stacked[0].shape[1])
+        for s, probs in enumerate(stacked):
+            # mode="clip" lets take write into `out` without an intermediate
+            # copy; the indices are in range.
+            rows = slice(s * count, (s + 1) * count)
+            probs.take(first, axis=0, out=pair_first[rows], mode="clip")
+            probs.take(second, axis=0, out=pair_second[rows], mode="clip")
+        values = jsd(pair_first, pair_second).tolist()
+    start = 0
+    for record, fovs, probs in pending:
+        if len(probs) > 1:
+            divergence = values[start : start + count]
+            start += count
+        else:
+            divergence = [0.0] * count
+        record._pack(fovs, divergence, top_m_pairs(pairs, divergence, m))
+    pending.clear()
+
+
+def _agreed_token(
+    logits: np.ndarray, probs: np.ndarray, alpha: float, beta: float
+) -> Optional[int]:
+    """The token that every row's plausibility mask keeps alone, if its
+    contrast is finite for every ordered pair of rows: then every candidate
+    is that token with probability 1.0, whichever pairs rank highest. A
+    row's pair with itself is checked too, which is finite whenever the
+    others are, so that one shared row is checked as contrast_rows checks
+    it. None if there is no such token."""
+    keep = _plausible(probs, beta)
+    rows = len(keep)
+    token = int(keep.argmax())  # row 0 keeps it
+    # Each row keeps its most probable token: `rows` kept in all is one each.
+    if np.count_nonzero(keep) != rows or np.count_nonzero(keep[:, token]) != rows:
+        return None
+    # Pair (i, j) is entry i * rows + j: its expert repeats row i's value,
+    # its amateur runs through the rows.
+    column = logits[:, token]
+    contrast = _contrast(column.repeat(rows), np.concatenate((column,) * rows), alpha)
+    return token if np.isfinite(contrast).all() else None
+
+
 def halc_step(
     model: Optional[Model],
     detector: Detector,
@@ -438,6 +521,8 @@ def halc_step(
     proposed: str,
     config: DecodeConfig,
     rng: np.random.Generator,
+    *,
+    pending: Optional[list] = None,
 ) -> StepRecord:
     """One correction round for a tagged token already proposed by the base
     decoder: ground it, re-decode under n FOVs, contrast the top-m most
@@ -453,6 +538,15 @@ def halc_step(
     it is softmaxed once, every pair gets JSD 0.0, which is what jsd(p, p)
     returns, and its one contrast with itself stands for all 2m candidates.
     Otherwise every window is its own row.
+
+    When every window's mask keeps the same single token, and its contrast
+    is finite for every ordered pair of windows, no ranking can change the
+    candidates: each is that token with probability 1.0. Such a step
+    returns its candidates at once; given a `pending` list (decode_halc's
+    batch), it appends (record, fovs, probs) there and leaves its pairs to
+    be ranked and packed with the other pending steps (`_rank_pending`).
+    Every other step, and every step without `pending`, ranks its own
+    pairs before it returns.
     """
     model = model or toy_model_logits
     v_d = detector(proposed, scene)
@@ -467,19 +561,18 @@ def halc_step(
         logits = logits[:1]
     probs = softmax(logits)
 
-    n = len(fovs)
-    pairs, first, second = _pair_index(n)
-    if shared:
-        divergence = [0.0] * len(pairs)
-    else:
-        # mode="clip" lets take write into `out` without an intermediate
-        # copy; the indices are in range.
-        pair_first, pair_second = _pair_buffers(len(pairs), probs.shape[1])
-        probs.take(first, axis=0, out=pair_first, mode="clip")
-        probs.take(second, axis=0, out=pair_second, mode="clip")
-        divergence = jsd(pair_first, pair_second).tolist()
-    selected = top_m_pairs(pairs, divergence, config.m)
+    record = StepRecord(True, v_d is not None, 1 + len(fovs))
+    token = _agreed_token(logits, probs, config.alpha, config.beta)
+    if token is not None:
+        record.candidates = ((scene.vocabulary[token], 1.0),) * (2 * config.m)
+        if pending is None:
+            _rank_pending([(record, fovs, probs)], config.m)
+        else:
+            pending.append((record, fovs, probs))
+        return record
 
+    _rank_pending([(record, fovs, probs)], config.m)
+    selected = record.selected_pairs
     if shared:
         experts = amateurs = [0]
     else:
@@ -499,7 +592,8 @@ def halc_step(
     else:  # equal candidates share one tuple
         unique: dict = {}
         candidates = tuple([unique.setdefault(c, c) for c in candidates])
-    return StepRecord.corrected(v_d is not None, candidates, fovs, divergence, selected)
+    record.candidates = candidates
+    return record
 
 
 def apply_idk_policy(
@@ -589,15 +683,25 @@ def decode_halc(
     # Callers hold the traces of whole corpora: equal candidates tuples
     # share one object per decode, an untagged step's keyed by its token.
     shared: dict = {}
+    # The steps whose pairs halc_step left to rank, holding `held` bytes of
+    # window probabilities, at most PENDING_CAP between steps.
+    pending: list = []
+    held = 0
 
     def expand(pool: list[Candidate], beam: BeamState) -> StepRecord:
+        nonlocal held
         proposed = vocabulary[argmax_logit(model(scene, full, beam.tokens))]
         if tag_token(lexicon, proposed) == "none":
             record = StepRecord(False, False, 1, shared.setdefault(proposed, ((proposed, None),)))
             grown = _extend(beam.tokens, proposed)
             pool.append((grown, 0.0, grown, record))
             return record
-        record = halc_step(model, detector, scene, beam, proposed, config, rng)
+        record = halc_step(model, detector, scene, beam, proposed, config, rng, pending=pending)
+        if pending and pending[-1][0] is record:
+            held += pending[-1][2].nbytes
+            if held > PENDING_CAP:
+                _rank_pending(pending, config.m)
+                held = 0
         record.candidates = shared.setdefault(record.candidates, record.candidates)
         hit = record.detector_hit
         # select_beams keeps the first candidate of each key, and a repeated
@@ -618,5 +722,6 @@ def decode_halc(
         beams, trace = _decode(
             config, expand, lambda pool: select_beams(pool, scorer, config.k, scene)
         )
+    _rank_pending(pending, config.m)
     best = max(range(len(beams)), key=lambda i: (scorer(beams[i].tokens, scene), -i))
     return DecodeResult(beams[best].tokens, trace)

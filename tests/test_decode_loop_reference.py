@@ -21,8 +21,10 @@ import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from halc import decoding
 from halc.decoding import (
     IDK_POLICIES,
+    MAX_ALPHA,
     SAMPLING_MODES,
     BeamState,
     DecodeConfig,
@@ -35,8 +37,8 @@ from halc.decoding import (
     decode_halc,
     halc_step,
 )
-from halc.distributions import argmax_logit, softmax
-from halc.errors import InvalidParameterError
+from halc.distributions import _plausible, argmax_logit, softmax
+from halc.errors import InvalidInputError, InvalidParameterError
 from halc.world import (
     CORPUS_DETECTOR_ETA,
     DEMO_DETECTOR_ETA,
@@ -261,28 +263,40 @@ def reference_decode_halc(model, detector, scorer, lexicon, scene, config):
 # ---------------------------------------------------------------------------
 
 
-def _recorded(decode, noise, salt):
-    """The decode's result, with every model call as (fov, prefix) and
-    every scorer call as the scored sequence, in call order. The model is
-    the toy model plus `noise` times a standard normal vector seeded by
-    `salt` and the prefix: the toy model's next token depends on the prefix
-    only through its length and last token, so without noise the greedy
-    beam leads every other beam, and all beams end at once."""
+def _recorded(decode, noise, salt, spread):
+    """The decode's result, or the error it raised, with every model call
+    as (fov, prefix) and every scorer call as the scored sequence, in call
+    order. The model is the toy model plus `noise` times a standard normal
+    vector seeded by `salt` and the prefix: the toy model's next token
+    depends on the prefix only through its length and last token, so
+    without noise the greedy beam leads every other beam, and all beams end
+    at once. A step's first window off the full image gets its whole row
+    raised by `spread`, its second lowered by it, which leaves their
+    probabilities about as they were; at alpha MAX_ALPHA a spread of 1.7e8
+    makes the contrast of that one pair overflow, and only that pair's."""
     calls, scored = [], []
+    run = 0  # the windows since the last full-image call
 
     def model(scene, fov, prefix):
+        nonlocal run
         calls.append((fov, tuple(prefix)))
         logits = toy_model_logits(scene, fov, prefix)
         if noise:
             draw = np.random.default_rng([salt, zlib.crc32(" ".join(prefix).encode())])
             logits = logits + noise * draw.standard_normal(logits.size)
+        run = 0 if fov == scene.image.full_fov() else run + 1
+        if spread and run in (1, 2):
+            logits = logits + (spread if run == 1 else -spread)
         return logits
 
     def scorer(sequence, scene):
         scored.append(tuple(sequence))
         return oracle_match_score(sequence, scene)
 
-    return decode(model, scorer), calls, scored
+    try:
+        return decode(model, scorer), calls, scored
+    except InvalidInputError as exc:
+        return exc, calls, scored
 
 
 def _candidate_bits(trace):
@@ -293,7 +307,11 @@ def _candidate_bits(trace):
     ]
 
 
-def assert_decoders_agree(scene, config, noise=0.0, salt=0, detector=CORPUS_DET):
+def assert_decoders_agree(scene, config, noise=0.0, salt=0, spread=0.0,
+                          detector=CORPUS_DET):
+    """Each live decoder and its reference make the same calls and give the
+    same tokens and trace, or raise the same error; the HALC decode's result
+    or error is returned."""
     pairs = {
         "greedy": (
             lambda model, scorer: decode_greedy(model, scene, config),
@@ -309,17 +327,25 @@ def assert_decoders_agree(scene, config, noise=0.0, salt=0, detector=CORPUS_DET)
         ),
     }
     for name, (live, reference) in pairs.items():
-        got, got_calls, got_scored = _recorded(live, noise, salt)
-        want, want_calls, want_scored = _recorded(reference, noise, salt)
-        assert got.tokens == want.tokens, name
-        assert json.dumps(got.trace.to_json()) == json.dumps(want.trace.to_json()), name
-        assert _candidate_bits(got.trace) == _candidate_bits(want.trace), name
+        got, got_calls, got_scored = _recorded(live, noise, salt, spread)
+        want, want_calls, want_scored = _recorded(reference, noise, salt, spread)
+        if isinstance(want, Exception) or isinstance(got, Exception):
+            assert repr(got) == repr(want), name
+        else:
+            assert got.tokens == want.tokens, name
+            assert json.dumps(got.trace.to_json()) == json.dumps(want.trace.to_json()), name
+            assert _candidate_bits(got.trace) == _candidate_bits(want.trace), name
         assert got_calls == want_calls, name
         assert got_scored == want_scored, name
+    return got
 
 
 def _scene(seed, **spec):
     return generate_corpus(seed, 1, CorpusSpec(scene_count=1, **spec))[0]
+
+
+OVERFLOW_CASE = (_scene(2, trap_fraction=1.0), DecodeConfig(n=3, m=3, alpha=MAX_ALPHA, seed=1),
+                 0.0, 0, 1.7e8)
 
 
 @st.composite
@@ -332,30 +358,58 @@ def decode_cases(draw):
         correctable_fraction=draw(st.sampled_from([0.0, 1.0])),
         clauses=clauses,
         trap_clauses=tuple(range(clauses)),
+        # V≈4032: one step's window probabilities pass decode_halc's
+        # PENDING_CAP, so its pairs are ranked at once
+        filler_count=draw(st.sampled_from([96, 96, 96, 4000])),
     )
     n = draw(st.integers(2, 6))
     config = DecodeConfig(
         n=n,
         m=draw(st.integers(1, n * (n - 1) // 2)),
         k=draw(st.integers(1, 3)),
+        alpha=draw(st.one_of(st.sampled_from([0.0, MAX_ALPHA]), st.floats(0.0, 3.0))),
+        beta=draw(st.one_of(st.just(0.1), st.floats(1e-6, 0.999))),
         sampling_mode=draw(st.sampled_from(SAMPLING_MODES)),
         idk_policy=draw(st.sampled_from(IDK_POLICIES)),
         idk_confidence=draw(st.floats(0.0, 1.0)),
         max_tokens=draw(st.one_of(st.integers(1, 8), st.integers(1, 64))),
         seed=draw(st.integers(0, 2**32 - 1)),
     )
-    return scene, config, draw(st.sampled_from([0.0, 0.5, 2.0, 8.0])), draw(st.integers(0, 99))
+    noise = draw(st.sampled_from([0.0, 0.5, 2.0, 8.0]))
+    salt = draw(st.integers(0, 99))
+    return scene, config, noise, salt, draw(st.sampled_from([0.0, 0.0, 0.0, 1.7e8]))
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 # The literal abstention policy replaces uncorrectable trap tokens.
 @example(case=(_scene(23, trap_fraction=1.0, correctable_fraction=0.0),
-               DecodeConfig(k=2, idk_policy="literal", seed=1), 0.0, 0))
+               DecodeConfig(k=2, idk_policy="literal", seed=1), 0.0, 0, 0.0))
 # The budget ends with a live beam ahead of an ended one, which wins.
-@example(case=(_scene(6, clauses=1, trap_clauses=(0,)), DecodeConfig(k=3, max_tokens=9), 8.0, 6))
+@example(case=(_scene(6, clauses=1, trap_clauses=(0,)), DecodeConfig(k=3, max_tokens=9), 8.0, 6,
+               0.0))
+# Every window keeps the same one token, but one pair's contrast overflows:
+# the step ranks its own pairs and raises as the reference does.
+@example(case=OVERFLOW_CASE)
 @given(case=decode_cases())
 def test_decode_loop_matches_the_three_replaced_loops(case):
     assert_decoders_agree(*case)
+
+
+def test_an_overflowing_pair_of_agreeing_windows_raises_at_its_step(monkeypatch):
+    # The first triggered step's windows all keep one token, with the
+    # contrast of one pair non-finite: it must not wait in the pending batch.
+    agreed = []
+    real = decoding._agreed_token
+
+    def spy(logits, probs, alpha, beta):
+        kept = {tuple(np.flatnonzero(row)) for row in _plausible(probs, beta)}
+        agreed.append((len(kept) == 1 and len(min(kept)) == 1, real(logits, probs, alpha, beta)))
+        return agreed[-1][1]
+
+    monkeypatch.setattr(decoding, "_agreed_token", spy)
+    error = assert_decoders_agree(*OVERFLOW_CASE)
+    assert repr(error) == repr(InvalidInputError("logits must be finite or -inf"))
+    assert agreed == [(True, None)] * 2  # the first triggered step, live and reference
 
 
 def test_demo_decoders_match_the_replaced_loops(demo):

@@ -117,49 +117,80 @@ def test_halc_step_pair_count_n2_m1(demo):
     assert len(result.candidates) == 2
 
 
-@pytest.mark.parametrize("trap_fraction", [0.0, 1.0], ids=["untrapped", "trapped"])
-def test_halc_step_computes_a_shared_row_once(monkeypatch, trap_fraction):
-    # An untrapped scene has no window-dependent token, so its windows share
-    # one row: one softmax row, no JSD call and one contrast row for all 2m
-    # candidates. A trapped scene's windows differ, one row each.
+def _first_tagged_step(trap_fraction):
+    """A scene of seed 3 and the beam and proposal of its first tagged token."""
     scene = generate_corpus(3, 1, CorpusSpec(scene_count=1, trap_fraction=trap_fraction))[0]
     names = {obj.name for obj in scene.objects}
     pos = next(p for p, tok in enumerate(scene.reference_caption) if tok in names)
-    beam = BeamState(tuple(scene.reference_caption[:pos]))
-    cfg = DecodeConfig(n=4, m=6)
-    rows, softmaxed, contrasted, jsd_calls = [], [], [], []
+    return scene, BeamState(tuple(scene.reference_caption[:pos])), scene.reference_caption[pos]
+
+
+def _spied_step(monkeypatch, trap_fraction, cfg):
+    """halc_step on _first_tagged_step, with each window's logits and the
+    softmax, jsd and contrast_rows results it got."""
+    scene, beam, proposed = _first_tagged_step(trap_fraction)
+    calls = {"rows": [], "softmax": [], "jsd": [], "contrast_rows": []}
 
     def model(scene, fov, prefix):
         row = toy_model_logits(scene, fov, prefix)
-        rows.append(row.tobytes())
+        calls["rows"].append(row.tobytes())
         return row
 
-    def spy(name, record):
+    def spy(name):
         real = getattr(decoding, name)
 
         def wrapper(*args):
             out = real(*args)
-            record.append(out)
+            calls[name].append(out)
             return out
 
         monkeypatch.setattr(decoding, name, wrapper)
 
-    spy("softmax", softmaxed)
-    spy("jsd", jsd_calls)
-    spy("contrast_rows", contrasted)
-    result = halc_step(model, CORPUS_DET, scene, beam, scene.reference_caption[pos], cfg,
-                       np.random.default_rng(0))
+    for name in ("softmax", "jsd", "contrast_rows"):
+        spy(name)
+    result = halc_step(model, CORPUS_DET, scene, beam, proposed, cfg, np.random.default_rng(0))
+    return scene, result, calls
+
+
+@pytest.mark.parametrize("trap_fraction", [0.0, 1.0], ids=["untrapped", "trapped"])
+def test_halc_step_computes_a_shared_row_once(monkeypatch, trap_fraction):
+    # An untrapped scene has no window-dependent token, so its windows share
+    # one row: one softmax row, no JSD call and one contrast row for all 2m
+    # candidates. A trapped scene's windows differ, one row each. At beta
+    # 1e-6 each mask keeps several tokens, so the step builds contrast rows.
+    cfg = DecodeConfig(n=4, m=6, beta=1e-6)
+    scene, result, calls = _spied_step(monkeypatch, trap_fraction, cfg)
     assert len(result.candidates) == 2 * cfg.m
-    [probs] = softmaxed
-    [(tokens, top)] = contrasted
+    [probs] = calls["softmax"]
+    [(tokens, top)] = calls["contrast_rows"]
     if trap_fraction == 0.0:
-        assert len(set(rows)) == 1
-        assert (len(probs), len(jsd_calls), len(tokens)) == (1, 0, 1)
+        assert len(set(calls["rows"])) == 1
+        assert (len(probs), len(calls["jsd"]), len(tokens)) == (1, 0, 1)
         assert not any(map(any, result.jsd_matrix))
         assert set(result.candidates) == {(scene.vocabulary[tokens[0]], top[0])}
     else:
-        assert len(set(rows)) == cfg.n
-        assert (len(probs), len(jsd_calls), len(tokens)) == (cfg.n, 1, 2 * cfg.m)
+        assert len(set(calls["rows"])) == cfg.n
+        assert (len(probs), len(calls["jsd"]), len(tokens)) == (cfg.n, 1, 2 * cfg.m)
+
+
+@pytest.mark.parametrize("trap_fraction", [0.0, 1.0], ids=["untrapped", "trapped"])
+def test_halc_step_builds_no_contrast_row_when_every_window_keeps_one_token(
+    monkeypatch, trap_fraction
+):
+    # At the default beta every window's mask keeps the same one token: each
+    # candidate is that token with probability 1.0 and no contrast row is
+    # built. The step still ranks its pairs: windows that share one row need
+    # no JSD call, distinct rows one.
+    cfg = DecodeConfig(n=4, m=6)
+    scene, result, calls = _spied_step(monkeypatch, trap_fraction, cfg)
+    [probs] = calls["softmax"]
+    shared = trap_fraction == 0.0
+    assert len(set(calls["rows"])) == len(probs) == (1 if shared else cfg.n)
+    assert calls["contrast_rows"] == []
+    assert len(calls["jsd"]) == (0 if shared else 1)
+    token = scene.vocabulary[int(probs[0].argmax())]
+    assert result.candidates == ((token, 1.0),) * (2 * cfg.m)
+    assert len(result.selected_pairs) == cfg.m
 
 
 def test_halc_step_detector_miss_uses_random_windows(demo):

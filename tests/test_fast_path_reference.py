@@ -1271,8 +1271,8 @@ def _recorded_pools(scene, detector, config):
     steps, pairs = [], []
     real_step, real_select = decoding.halc_step, decoding.select_beams
 
-    def step(model, detector, scene, beam, proposed, config, rng):
-        record = real_step(model, detector, scene, beam, proposed, config, rng)
+    def step(model, detector, scene, beam, proposed, config, rng, **batch):
+        record = real_step(model, detector, scene, beam, proposed, config, rng, **batch)
         steps.append((beam.tokens, proposed, record))
         return record
 

@@ -229,32 +229,85 @@ def test_each_triggered_step_ranks_its_pairs_once_through_top_m_pairs(
     demo, small_trap_corpus, monkeypatch, k
 ):
     # The benchmark's span recorder wraps decoding.top_m_pairs and counts its
-    # calls as the steps' pair selections, so each step makes exactly one.
+    # calls as the steps' pair selections, so each step makes exactly one,
+    # whether the step ranks its pairs itself or decode_halc ranks them with
+    # other pending steps. A record keeps the list its one ranking returned,
+    # so each ranking is matched to its step by identity, and every ranking
+    # of a decode lands in one of its records before decode_halc returns.
     rank, step = decoding.top_m_pairs, decoding.halc_step
-    steps = []
+    rankings, steps = [], []
+    deferred = 0
 
     def spy_rank(pairs, divergence, m):
         ranked = rank(pairs, divergence, m)
-        steps[-1]["ranked"].append(ranked)
+        rankings.append(ranked)
         return ranked
 
-    def spy_step(model, detector, scene, beam, proposed, config, rng):
-        steps.append({"ranked": []})
-        result = step(model, detector, scene, beam, proposed, config, rng)
-        steps[-1].update(scene=scene, beam=beam, config=config, result=result)
+    def spy_step(model, detector, scene, beam, proposed, config, rng, **batch):
+        nonlocal deferred
+        result = step(model, detector, scene, beam, proposed, config, rng, **batch)
+        deferred += result.selected_pairs is None
+        steps.append({"scene": scene, "beam": beam, "config": config, "result": result})
         return result
 
     monkeypatch.setattr(decoding, "top_m_pairs", spy_rank)
     monkeypatch.setattr(decoding, "halc_step", spy_step)
     for scene in [demo, *small_trap_corpus[:4]]:
         decode_halc(None, CORPUS_DET, oracle_match_score, None, scene, DecodeConfig(k=k, seed=1))
-    assert len(steps) > 10
+        ranked = [id(r["result"].selected_pairs) for r in steps]
+        assert sorted(map(id, rankings)) == sorted(ranked)
+    assert len(steps) > 10 and deferred > 0
+    assert len(rankings) == len(steps) == len(set(map(id, rankings)))
     for record in steps:
         scene, beam, result = record["scene"], record["beam"], record["result"]
         dists = [_ref_softmax(toy_model_logits(scene, f, beam.tokens)) for f in result.fovs]
-        want = _ref_top_m_pairs(dists, record["config"].m)
-        assert record["ranked"] == [want]
-        assert result.selected_pairs == want
+        assert result.selected_pairs == _ref_top_m_pairs(dists, record["config"].m)
+
+
+@pytest.mark.parametrize("filler_count", [96, 4000], ids=["V128", "V4032"])
+def test_pending_steps_stay_under_the_cap_and_are_ranked_before_the_decode_returns(
+    monkeypatch, filler_count
+):
+    # decode_halc holds the steps it has not ranked yet up to PENDING_CAP
+    # bytes of window probabilities. At V≈128 one jsd call stacks the pairs
+    # of several steps; at V≈4032 one step of distinct rows passes the cap,
+    # so each jsd call gathers one step's pairs into the same pair buffers.
+    spec = CorpusSpec(scene_count=1, trap_fraction=1.0, filler_count=filler_count)
+    scene = generate_corpus(3, 1, spec)[0]
+    config = DecodeConfig(seed=1)
+    step, real_jsd = decoding.halc_step, decoding.jsd
+    held, batches, records, jsd_rows = [], [], [], []
+    deferred = 0
+
+    def spy_step(*args, pending):
+        nonlocal deferred
+        held.append(sum(probs.nbytes for _, _, probs in pending))
+        batches.append(pending)
+        records.append(step(*args, pending=pending))
+        deferred += records[-1].selected_pairs is None
+        return records[-1]
+
+    def spy_jsd(p, q):
+        jsd_rows.append(len(p))
+        return real_jsd(p, q)
+
+    monkeypatch.setattr(decoding, "halc_step", spy_step)
+    monkeypatch.setattr(decoding, "jsd", spy_jsd)
+    decoding._pair_buffers.cache_clear()
+    decode_halc(None, CORPUS_DET, oracle_match_score, None, scene, config)
+
+    assert len(records) > 10 and deferred > 0 and jsd_rows
+    assert max(held) <= decoding.PENDING_CAP
+    assert not any(batches)
+    assert all(r.packed is not None and r.selected_pairs is not None for r in records)
+    pairs = config.n * (config.n - 1) // 2
+    if filler_count == 4000:
+        assert len(scene.vocabulary) > 4000
+        assert set(jsd_rows) == {pairs}
+        # One allocation, by the first step of distinct rows, reused after it.
+        assert decoding._pair_buffers.cache_info().misses == 1
+    else:
+        assert max(held) > 0 and max(jsd_rows) > pairs
 
 
 # ---------------------------------------------------------------------------
