@@ -16,9 +16,10 @@ share that row: one softmax row, JSD 0.0 for every pair and one contrast row
 for all 2m candidates. Otherwise it takes a few array operations over the
 windows: one row-wise softmax, the JSD of every window pair from one batched
 call (shared by the trace and pair selection), and one contrast row
-per candidate under the plausibility mask of its expert window, normalized
-by one masked softmax. A candidate is its row's most probable token and that
-token's probability, which the abstention policy reads.
+per candidate under the plausibility mask of its expert window (the masks
+built once per step), normalized by one masked softmax. A candidate is its
+row's most probable token and that token's probability, which the
+abstention policy reads.
 
 On most steps every window's mask keeps the same single token. When that
 token's contrast is also finite for every ordered pair of windows, each
@@ -28,8 +29,7 @@ steps in a pending batch and ranks them together: one JSD call over the
 stacked pairs of every pending step, then one ranking per step, once they
 hold more than PENDING_CAP bytes of window probabilities (at V≈4000, one
 step of distinct rows) and when the decode ends. Every other step ranks its
-own pairs and computes one contrast per candidate, only that of its expert's
-token when each mask keeps one token.
+own pairs and builds its contrast rows.
 
 Each beam's step adds one candidate per distinct token, and beam selection
 scores each distinct candidate sequence once, which requires the scorer to
@@ -47,18 +47,18 @@ from typing import Callable, Literal, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-# contrast_distribution is not called in this module. It stays importable
-# from it because the benchmark's span recorder (perfbench/probes.py) wraps it.
-from .distributions import (  # noqa: F401
+from .distributions import (
     _as_array,
     _contrast,
+    _masked_contrast,
     _plausible,
     argmax_logit,
-    contrast_distribution,
-    contrast_rows,
     jsd,
     softmax,
 )
+# contrast_distribution is not called in this module. It stays importable
+# from it because the benchmark's span recorder (perfbench/probes.py) wraps it.
+from .distributions import contrast_distribution  # noqa: F401
 from .errors import InvalidParameterError, naming
 from .geometry import Fov, _growth, sample_fovs_exponential, sample_fovs_normal, sample_fovs_random
 from .schema import check_types
@@ -171,14 +171,13 @@ class StepRecord:
     (token, probability) candidates; the decode loop stamps the step and
     beam numbers and, once a candidate is kept, the kept token.
 
-    A triggered step (`StepRecord.corrected`) holds its numbers packed, as
-    callers keep the traces of whole corpora: `packed` is the bytes of one
-    run of doubles, the n windows' (w, h, cx, cy) followed by the JSDs of
-    the n(n-1)/2 window pairs in `_pair_index(n)` order. `fovs` and
-    `jsd_matrix` build the windows and the symmetric n x n matrix, with a
-    0.0 diagonal, from it on each access; a double read back keeps the bits
-    of the float stored. An untriggered step has None for both and for
-    `selected_pairs`."""
+    A triggered step holds its numbers packed, as callers keep the traces
+    of whole corpora: `packed` is the bytes of one run of doubles, the n
+    windows' (w, h, cx, cy) followed by the JSDs of the n(n-1)/2 window
+    pairs in `_pair_index(n)` order. `fovs` and `jsd_matrix` build the
+    windows and the symmetric n x n matrix, with a 0.0 diagonal, from it on
+    each access; a double read back keeps the bits of the float stored. An
+    untriggered step has None for both and for `selected_pairs`."""
 
     triggered: bool
     detector_hit: bool
@@ -189,18 +188,6 @@ class StepRecord:
     step: int = 0
     beam: int = 0
     chosen_token: Optional[str] = None
-
-    @classmethod
-    def corrected(
-        cls, detector_hit: bool, candidates: tuple, fovs: Sequence[Fov],
-        divergence: Sequence[float], selected: list[tuple[int, int]],
-    ) -> StepRecord:
-        """The record of a correction step over `fovs`, with the proposing
-        call among its model calls; divergence[k] is the JSD of pair k of
-        `_pair_index(len(fovs))`."""
-        record = cls(True, detector_hit, 1 + len(fovs), candidates)
-        record._pack(fovs, divergence, selected)
-        return record
 
     def _pack(
         self, fovs: Sequence[Fov], divergence: Sequence[float], selected: list[tuple[int, int]]
@@ -491,16 +478,14 @@ def _rank_pending(pending: list, m: int) -> None:
     pending.clear()
 
 
-def _agreed_token(
-    logits: np.ndarray, probs: np.ndarray, alpha: float, beta: float
-) -> Optional[int]:
-    """The token that every row's plausibility mask keeps alone, if its
-    contrast is finite for every ordered pair of rows: then every candidate
-    is that token with probability 1.0, whichever pairs rank highest. A
-    row's pair with itself is checked too, which is finite whenever the
-    others are, so that one shared row is checked as contrast_rows checks
-    it. None if there is no such token."""
-    keep = _plausible(probs, beta)
+def _agreed_token(logits: np.ndarray, keep: np.ndarray, alpha: float) -> Optional[int]:
+    """The token that every row's plausibility mask `keep` keeps alone, if
+    its contrast is finite for every ordered pair of rows: then every
+    candidate is that token with probability 1.0, the masked contrast of a
+    single finite value, whichever pairs rank highest. A row's pair with
+    itself is checked too, which is finite whenever the others are, so that
+    one shared row is checked as its masked contrast would check it. None
+    if there is no such token."""
     rows = len(keep)
     token = int(keep.argmax())  # row 0 keeps it
     # Each row keeps its most probable token: `rows` kept in all is one each.
@@ -546,7 +531,10 @@ def halc_step(
     batch), it appends (record, fovs, probs) there and leaves its pairs to
     be ranked and packed with the other pending steps (`_rank_pending`).
     Every other step, and every step without `pending`, ranks its own
-    pairs before it returns.
+    pairs before it returns, then builds the masked contrast of each
+    candidate under its expert window's mask (each window's mask is built
+    once) and takes each row's most probable token (lowest id on ties) and
+    that token's probability.
     """
     model = model or toy_model_logits
     v_d = detector(proposed, scene)
@@ -562,7 +550,8 @@ def halc_step(
     probs = softmax(logits)
 
     record = StepRecord(True, v_d is not None, 1 + len(fovs))
-    token = _agreed_token(logits, probs, config.alpha, config.beta)
+    keep = _plausible(probs, config.beta)
+    token = _agreed_token(logits, keep, config.alpha)
     if token is not None:
         record.candidates = ((scene.vocabulary[token], 1.0),) * (2 * config.m)
         if pending is None:
@@ -585,7 +574,11 @@ def halc_step(
                 i, j = j, i
             ends += (i, j, j, i)
         experts, amateurs = np.array(ends, dtype=np.intp).reshape(-1, 2).T
-    tokens, top = contrast_rows(logits, probs, experts, amateurs, config.alpha, config.beta)
+    # Only a threshold beta * max(p) that underflows to 0 keeps a -inf
+    # logit (probability 0); the contrast masks it off.
+    keep &= logits > -np.inf
+    dists = _masked_contrast(logits[experts], logits[amateurs], keep[experts], config.alpha)
+    tokens, top = dists.argmax(axis=-1), dists.max(axis=-1)
     candidates = tuple(zip(map(scene.vocabulary.__getitem__, tokens.tolist()), top.tolist()))
     if shared:  # its one candidate repeats for each of the 2m
         candidates *= 2 * len(selected)

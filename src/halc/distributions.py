@@ -7,11 +7,9 @@ of them, and a vector broadcasts against the rows of a stack. Called on
 plain vectors, the divergences return floats.
 
 The masked contrast is one softmax of the contrast with -inf off the
-plausibility mask. For window rows it returns each row's most probable
-token and that token's probability; when every mask keeps a single token,
-as on most decode steps, it computes one contrast value per row, to check
-it, and that token's probability is 1.0. The JSD computes its midpoint once
-and each KL term in one temporary.
+plausibility mask; contrast_distribution and the decoder's correction step
+share it. The JSD computes its midpoint once and each KL term in one
+temporary.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ __all__ = [
     "jsd",
     "total_variation",
     "contrast_distribution",
-    "contrast_rows",
 ]
 
 
@@ -206,35 +203,3 @@ def contrast_distribution(f_expert, f_amateur, alpha: float, beta: float) -> np.
         raise InvalidInputError("logit vectors must share a vocabulary size")
     return _masked_contrast(f_e.copy(), f_a.copy(), keep, alpha)
 
-
-def contrast_rows(
-    logits, probs, experts, amateurs, alpha: float, beta: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The most probable token (lowest id on ties) and its probability in
-    contrast_distribution of each row `experts` of a checked window stack
-    against its row `amateurs`, given the stack's softmax.
-
-    `experts` and `amateurs` are row indices, best given as intp arrays.
-    The plausibility mask of each window is built once from its row of
-    probs, then indexed by expert. Each mask keeps its window's most
-    probable token; when each keeps only that one, only that token's
-    contrast is computed, to be checked, and its probability is 1.0, the
-    softmax of a single finite value.
-
-    Only a threshold beta * max(p) that underflows to 0 keeps a -inf
-    logit (probability 0), and it keeps the whole row, so the -inf logits
-    are masked off for the full contrast only.
-    """
-    if alpha < 0:
-        raise InvalidParameterError("amplification factor must be nonnegative")
-    keep = _plausible(probs, beta)
-    experts = np.asarray(experts, dtype=np.intp)
-    amateurs = np.asarray(amateurs, dtype=np.intp)
-    if np.count_nonzero(keep) == len(keep):
-        tokens = keep.argmax(axis=-1)[experts]
-        top = _contrast(logits[experts, tokens], logits[amateurs, tokens], alpha)
-        _check_maxima(top)
-        return tokens, np.ones(len(tokens))
-    keep &= logits > -np.inf
-    dists = _masked_contrast(logits[experts], logits[amateurs], keep[experts], alpha)
-    return dists.argmax(axis=-1), dists.max(axis=-1)

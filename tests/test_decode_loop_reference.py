@@ -37,7 +37,7 @@ from halc.decoding import (
     decode_halc,
     halc_step,
 )
-from halc.distributions import _plausible, argmax_logit, softmax
+from halc.distributions import argmax_logit, softmax
 from halc.errors import InvalidInputError, InvalidParameterError
 from halc.world import (
     CORPUS_DETECTOR_ETA,
@@ -170,12 +170,11 @@ def reference_decode_halc(model, detector, scorer, lexicon, scene, config):
                 result = halc_step(model, detector, scene, beam, proposed, config, rng)
                 trace.model_calls += config.n
                 matrix = result.jsd_matrix
-                record = StepRecord.corrected(
-                    detector_hit=result.detector_hit,
-                    candidates=result.candidates,
-                    fovs=result.fovs,
-                    divergence=[matrix[i][j] for i, j in combinations(range(config.n), 2)],
-                    selected=result.selected_pairs,
+                record = StepRecord(True, result.detector_hit, 1 + config.n, result.candidates)
+                record._pack(
+                    result.fovs,
+                    [matrix[i][j] for i, j in combinations(range(config.n), 2)],
+                    result.selected_pairs,
                 )
                 record.step, record.beam = step, b
                 trace.steps.append(record)
@@ -401,9 +400,9 @@ def test_an_overflowing_pair_of_agreeing_windows_raises_at_its_step(monkeypatch)
     agreed = []
     real = decoding._agreed_token
 
-    def spy(logits, probs, alpha, beta):
-        kept = {tuple(np.flatnonzero(row)) for row in _plausible(probs, beta)}
-        agreed.append((len(kept) == 1 and len(min(kept)) == 1, real(logits, probs, alpha, beta)))
+    def spy(logits, keep, alpha):
+        kept = {tuple(np.flatnonzero(row)) for row in keep}
+        agreed.append((len(kept) == 1 and len(min(kept)) == 1, real(logits, keep, alpha)))
         return agreed[-1][1]
 
     monkeypatch.setattr(decoding, "_agreed_token", spy)

@@ -127,9 +127,9 @@ def _first_tagged_step(trap_fraction):
 
 def _spied_step(monkeypatch, trap_fraction, cfg):
     """halc_step on _first_tagged_step, with each window's logits and the
-    softmax, jsd and contrast_rows results it got."""
+    softmax, jsd and _masked_contrast results it got."""
     scene, beam, proposed = _first_tagged_step(trap_fraction)
-    calls = {"rows": [], "softmax": [], "jsd": [], "contrast_rows": []}
+    calls = {"rows": [], "softmax": [], "jsd": [], "_masked_contrast": []}
 
     def model(scene, fov, prefix):
         row = toy_model_logits(scene, fov, prefix)
@@ -146,7 +146,7 @@ def _spied_step(monkeypatch, trap_fraction, cfg):
 
         monkeypatch.setattr(decoding, name, wrapper)
 
-    for name in ("softmax", "jsd", "contrast_rows"):
+    for name in ("softmax", "jsd", "_masked_contrast"):
         spy(name)
     result = halc_step(model, CORPUS_DET, scene, beam, proposed, cfg, np.random.default_rng(0))
     return scene, result, calls
@@ -162,7 +162,8 @@ def test_halc_step_computes_a_shared_row_once(monkeypatch, trap_fraction):
     scene, result, calls = _spied_step(monkeypatch, trap_fraction, cfg)
     assert len(result.candidates) == 2 * cfg.m
     [probs] = calls["softmax"]
-    [(tokens, top)] = calls["contrast_rows"]
+    [dists] = calls["_masked_contrast"]
+    tokens, top = dists.argmax(axis=-1), dists.max(axis=-1)
     if trap_fraction == 0.0:
         assert len(set(calls["rows"])) == 1
         assert (len(probs), len(calls["jsd"]), len(tokens)) == (1, 0, 1)
@@ -186,7 +187,7 @@ def test_halc_step_builds_no_contrast_row_when_every_window_keeps_one_token(
     [probs] = calls["softmax"]
     shared = trap_fraction == 0.0
     assert len(set(calls["rows"])) == len(probs) == (1 if shared else cfg.n)
-    assert calls["contrast_rows"] == []
+    assert calls["_masked_contrast"] == []
     assert len(calls["jsd"]) == (0 if shared else 1)
     token = scene.vocabulary[int(probs[0].argmax())]
     assert result.candidates == ((token, 1.0),) * (2 * cfg.m)

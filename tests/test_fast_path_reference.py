@@ -4,10 +4,10 @@ one token class at a time, the Peaking profile's
 distance tuples built in place, the one-pass FOV samplers, the growth
 check and the sampler's first exponent read from one exponent range per
 sampling mode, the cheaper proposal check, the contrast masked per window and read out as each
-row's top token and its probability, the one-token contrast of
-single-token masks, the in-place JSD, the candidate pool that skips
-repeated tokens and the oracle scorer that counts nouns by set lookups,
-each checked against the code it replaced.
+row's top token and its probability, the step's one masked contrast that
+replaced the one-token contrast of single-token masks, the in-place JSD,
+the candidate pool that skips repeated tokens and the oracle scorer that
+counts nouns by set lookups, each checked against the code it replaced.
 
 The references below are the replaced code, kept here verbatim apart from
 names. The model reference builds its slot and co-occurrence bonuses from
@@ -15,7 +15,10 @@ the scene's skeleton and co-occurrence rows, V wide, and is compared by
 bytes, so that a -0.0 counts. Besides the unchanged profile
 formula, the references share only softmax, geometry's growth factor and
 the unchanged input checks of halc.distributions with the code they check;
-tests/test_distributions.py checks those on their own.
+tests/test_distributions.py checks those on their own. The replaced
+contrast_rows also calls the unchanged contrast helpers of
+halc.distributions, so the step's contrast is checked against the dense
+reference too.
 """
 
 import dataclasses
@@ -38,11 +41,13 @@ from halc.decoding import (
 )
 from halc.distributions import (
     _as_array,
+    _check_maxima,
     _check_pair,
+    _contrast,
+    _masked_contrast,
     _plausible,
     argmax_logit,
     contrast_distribution,
-    contrast_rows,
     jsd,
     softmax,
 )
@@ -711,8 +716,24 @@ def test_argmax_logit_rejects_bad_shapes_as_before(logits):
 
 
 # ---------------------------------------------------------------------------
-# Contrast rows: window masks built once, then indexed by expert
+# The step's contrast: window masks built once, then indexed by expert
 # ---------------------------------------------------------------------------
+
+
+def step_contrast(logits, probs, experts, amateurs, alpha, beta):
+    """What halc_step computes for the candidates `experts` against
+    `amateurs` of a checked window stack, given its softmax: each row's most
+    probable token and that token's probability. The window masks are built
+    once; a stack whose masks agree on one token (`_agreed_token`) gives
+    that token probability 1.0 in every row, any other takes the masked
+    contrast of every row."""
+    keep = _plausible(probs, beta)
+    token = decoding._agreed_token(logits, keep, alpha)
+    if token is not None:
+        return np.full(len(experts), token, dtype=np.intp), np.ones(len(experts))
+    keep &= logits > -np.inf
+    dists = decoding._masked_contrast(logits[experts], logits[amateurs], keep[experts], alpha)
+    return dists.argmax(axis=-1), dists.max(axis=-1)
 
 
 def reference_as_logits(values):
@@ -778,10 +799,10 @@ def window_stacks(draw):
     alpha=st.floats(0.0, 3.0),
     beta=st.one_of(st.floats(1e-6, 0.999), st.just(5e-324)),
 )
-def test_contrast_rows_match_the_replaced_contrast(case, alpha, beta):
+def test_step_contrast_matches_the_replaced_contrast(case, alpha, beta):
     rows, experts, amateurs = case
     stack = np.array(rows)
-    assert _exact(contrast_rows, stack, softmax(stack), experts, amateurs, alpha, beta) == _exact(
+    assert _exact(step_contrast, stack, softmax(stack), experts, amateurs, alpha, beta) == _exact(
         lambda: reference_top(
             reference_contrast_distribution(stack[experts], stack[amateurs], alpha, beta)
         )
@@ -834,7 +855,7 @@ def reference_dense_contrast_rows(logits, probs, experts, amateurs, alpha, beta)
 
 
 def reference_top(dists):
-    """What contrast_rows returns for contrast rows `dists`: each row's most
+    """What the step reads from contrast rows `dists`: each row's most
     probable token, lowest id on ties, and that token's probability."""
     tokens = dists.argmax(axis=-1)
     return tokens, dists[np.arange(len(dists)), tokens]
@@ -951,11 +972,13 @@ def test_contrast_rejects_exactly_what_the_dense_reference_rejects(f_e, f_a, alp
         reference_dense_contrast_distribution, f_e, f_a, alpha, beta
     )
     if f_e.shape != f_a.shape or not np.isfinite(np.concatenate([f_e, f_a]).max(axis=-1)).all():
-        return  # halc_step rejects such a stack before contrast_rows sees it
+        return  # halc_step rejects such a stack before it contrasts the windows
+    if alpha < 0:
+        return  # DecodeConfig rejects it
     logits = np.concatenate([f_e, f_a])
     probs = reference_dense_softmax(logits)
     ends = list(range(len(f_e))), list(range(len(f_e), len(logits)))
-    assert _exact(contrast_rows, logits, probs, *ends, alpha, beta) == _exact_reference(
+    assert _exact(step_contrast, logits, probs, *ends, alpha, beta) == _exact_reference(
         reference_top_contrast_rows, logits, probs, *ends, alpha, beta
     )
 
@@ -999,9 +1022,9 @@ ONE_TOKEN_ALPHAS = st.one_of(
 )
 
 
-# Cases that the one-token path must reject or compute as the dense contrast
-# does: an amateur -inf under the expert's kept token gives +inf, and NaN at
-# alpha 0; one token is the softmax of a single logit; past overflow,
+# Cases that the step must reject or compute as the dense contrast does: an
+# amateur -inf under the expert's kept token gives +inf, and NaN at alpha 0;
+# one token is the softmax of a single logit; past overflow,
 # 9e7 * (1 + 1e300) + 9e7 * 1e300 is +inf and 9e7 + 9e7 * 1e300 is finite.
 ONE_TOKEN_EXAMPLES = [
     ((np.array([[0.0, -50.0], [-np.inf, 0.0]]), np.array([0]), np.array([1]), False), 0.5, 0.1),
@@ -1038,6 +1061,39 @@ def test_one_token_contrast_distribution_matches_the_dense_contrast(case, alpha,
     )
 
 
+def reference_contrast_rows(
+    logits, probs, experts, amateurs, alpha: float, beta: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The most probable token (lowest id on ties) and its probability in
+    contrast_distribution of each row `experts` of a checked window stack
+    against its row `amateurs`, given the stack's softmax.
+
+    `experts` and `amateurs` are row indices, best given as intp arrays.
+    The plausibility mask of each window is built once from its row of
+    probs, then indexed by expert. Each mask keeps its window's most
+    probable token; when each keeps only that one, only that token's
+    contrast is computed, to be checked, and its probability is 1.0, the
+    softmax of a single finite value.
+
+    Only a threshold beta * max(p) that underflows to 0 keeps a -inf
+    logit (probability 0), and it keeps the whole row, so the -inf logits
+    are masked off for the full contrast only.
+    """
+    if alpha < 0:
+        raise InvalidParameterError("amplification factor must be nonnegative")
+    keep = _plausible(probs, beta)
+    experts = np.asarray(experts, dtype=np.intp)
+    amateurs = np.asarray(amateurs, dtype=np.intp)
+    if np.count_nonzero(keep) == len(keep):
+        tokens = keep.argmax(axis=-1)[experts]
+        top = _contrast(logits[experts, tokens], logits[amateurs, tokens], alpha)
+        _check_maxima(top)
+        return tokens, np.ones(len(tokens))
+    keep &= logits > -np.inf
+    dists = _masked_contrast(logits[experts], logits[amateurs], keep[experts], alpha)
+    return dists.argmax(axis=-1), dists.max(axis=-1)
+
+
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @_with_examples(ONE_TOKEN_EXAMPLES)
 @given(
@@ -1045,13 +1101,20 @@ def test_one_token_contrast_distribution_matches_the_dense_contrast(case, alpha,
     alpha=st.one_of(ONE_TOKEN_ALPHAS, ALPHAS),
     beta=BETAS,
 )
-def test_contrast_rows_are_the_top_of_the_dense_rows(case, alpha, beta):
-    # One-token stacks, with and without a window that keeps two tokens,
-    # and wide stacks whose masks keep 1..V tokens: each row's token and
-    # probability, or the rejection, are those of the dense reference row.
+def test_step_contrast_is_the_replaced_contrast_rows_and_the_top_of_the_dense_rows(
+    case, alpha, beta
+):
+    # One-token stacks, whose windows keep the same or different single
+    # tokens, with and without a window that keeps two, and wide stacks
+    # whose masks keep 1..V tokens: each row's token and probability, or
+    # the rejection, are those of the replaced contrast_rows, whose
+    # one-token branch served the stacks that keep different single tokens,
+    # and those of the dense reference row.
     stack, experts, amateurs, _ = case
     probs = softmax(stack)
-    assert _exact(contrast_rows, stack, probs, experts, amateurs, alpha, beta) == _exact_reference(
+    got = _exact(step_contrast, stack, probs, experts, amateurs, alpha, beta)
+    assert got == _exact(reference_contrast_rows, stack, probs, experts, amateurs, alpha, beta)
+    assert got == _exact_reference(
         reference_top_contrast_rows, stack, probs, experts, amateurs, alpha, beta
     )
 

@@ -26,7 +26,7 @@ from halc.decoding import (
     halc_step,
     select_beams,
 )
-from halc.distributions import _as_array, contrast_rows, jsd, softmax
+from halc.distributions import _as_array, contrast_distribution, jsd, softmax
 from halc.errors import InvalidInputError
 from halc.geometry import Fov
 from halc.world import (
@@ -476,14 +476,12 @@ def per_window_halc_step(model, detector, scene, beam, proposed, config, rng):
         larger, smaller = (i, j) if area[i] >= area[j] else (j, i)
         experts += (larger, smaller)
         amateurs += (smaller, larger)
-    tokens, top = contrast_rows(logits, probs, experts, amateurs, config.alpha, config.beta)
-    return StepRecord.corrected(
-        detector_hit=v_d is not None,
-        candidates=tuple(zip(map(scene.vocabulary.__getitem__, tokens.tolist()), top.tolist())),
-        fovs=fovs,
-        divergence=divergence,
-        selected=selected,
-    )
+    dists = contrast_distribution(logits[experts], logits[amateurs], config.alpha, config.beta)
+    tokens, top = dists.argmax(axis=-1), dists.max(axis=-1)
+    candidates = tuple(zip(map(scene.vocabulary.__getitem__, tokens.tolist()), top.tolist()))
+    record = StepRecord(True, v_d is not None, 1 + n, candidates)
+    record._pack(fovs, divergence, selected)
+    return record
 
 
 class BucketModel:
@@ -625,6 +623,26 @@ def test_duplicated_amateur_minus_inf_under_a_kept_token_raises_as_before(demo, 
     beam = BeamState(tuple(demo.reference_caption[:4]))
     got = assert_bucketed_steps_agree(buckets, offsets, demo, beam, "surfboard", config, 0, corrupt)
     assert got == ("error", "logits must be finite or -inf")
+
+
+@pytest.mark.parametrize("buckets", [[0, 0], [0, 1], [0, 1, 1, 0]])
+def test_a_subnormal_beta_keeps_masked_tokens_off_the_contrast(demo, buckets):
+    # Flattened rows keep max(p) below 0.5, where beta * max(p) underflows
+    # to 0: each mask keeps every token, also those every window masks at
+    # -inf, whose contrast, -inf - -inf, must be masked off, not checked.
+    masked = [demo.token_id("clock"), demo.token_id("man")]
+
+    def corrupt(row, bucket):
+        row *= 0.01
+        row[masked] = -np.inf
+        return row
+
+    n = len(buckets)
+    offsets = np.random.default_rng(4).normal(0.0, 0.3, (2, len(demo.vocabulary)))
+    config = DecodeConfig(n=n, m=n * (n - 1) // 2, alpha=0.5, beta=5e-324, seed=0)
+    beam = BeamState(tuple(demo.reference_caption[:4]))
+    got = assert_bucketed_steps_agree(buckets, offsets, demo, beam, "surfboard", config, 0, corrupt)
+    assert got[0] != "error"
 
 
 def test_steps_of_every_distinct_count_share_one_pair_buffer():
